@@ -10,6 +10,7 @@ degree-bound inequality chain at concrete parameters.
 
 from .qsqrt2 import QSqrt2
 from .instances import (
+    ConfigError,
     Instance,
     QuasilatticePoint,
     SuperQuasilatticePoint,

@@ -58,8 +58,7 @@ def erasing_setcomp_reference(inst: Instance) -> Fraction:
     |symmetric difference| / (4n).  Independent of the simulator."""
     if inst.kind != "setcomp":
         raise ValueError("set comparison needs a setcomp instance")
-    assert inst.y is not None
-    return Fraction(len(set(inst.x) ^ set(inst.y)), 4 * inst.n)
+    return Fraction(len(set(inst.x) ^ set(inst.y_sequence())), 4 * inst.n)
 
 
 def erasing_setcomp_probability(inst: Instance, mode: str = "exact"):

@@ -31,6 +31,7 @@ from .degreebound import (
     verify_inequality_chain,
 )
 from .instances import (
+    ConfigError,
     EnumerationTooLarge,
     Instance,
     QuasilatticePoint,
@@ -70,15 +71,6 @@ def load_algorithm(name_or_path: str) -> QueryAlgorithm:
     return circuits.reference_algorithm(name_or_path)
 
 
-def parse_point(text: str):
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) == 2:
-        return QuasilatticePoint(*parts)
-    if len(parts) == 3:
-        return SuperQuasilatticePoint(*parts)
-    raise argparse.ArgumentTypeError("point must be g,N or g,N,M")
-
-
 def config_echo(args: argparse.Namespace) -> dict:
     """Everything that determines the report content; the destination
     path is deliberately excluded so reruns are byte-identical."""
@@ -114,11 +106,15 @@ def cmd_simulate(args) -> int:
         inst = Instance.load(args.instance)
     elif args.point is not None:
         if alg.kind == "collision":
+            if len(args.point) < 2:
+                raise ConfigError("--point needs g,N for a collision algorithm")
             inst = sample_collision_input(QuasilatticePoint(*args.point[:2]), alg.n, rng)
         else:
+            if len(args.point) != 3:
+                raise ConfigError("--point needs g,N,M for a set-comparison algorithm")
             inst = sample_setcomp_input(SuperQuasilatticePoint(*args.point), alg.n, rng)
     else:
-        raise ValueError("simulate needs --instance or --point")
+        raise ConfigError("simulate needs --instance or --point")
     p = acceptance_probability(alg, inst, mode=args.mode)
     result = {
         "algorithm": alg.name,
@@ -218,7 +214,7 @@ def cmd_verify_gamma(args) -> int:
 def cmd_verify_identity(args) -> int:
     alg = load_algorithm(args.algorithm)
     if alg.kind != "collision":
-        raise ValueError("verify-identity sweeps the collision-side identity")
+        raise ConfigError("verify-identity sweeps the collision-side identity")
     n, T = alg.n, max(alg.T, 1)
     poly = extract_polynomial(alg)
     q = assemble_q(poly, n, alg.T)
@@ -258,7 +254,7 @@ def cmd_chain(args) -> int:
         )
     else:
         if not args.algorithm:
-            raise ValueError("chain needs --algorithm or --negative-control")
+            raise ConfigError("chain needs --algorithm or --negative-control")
         alg = load_algorithm(args.algorithm)
         report = verify_inequality_chain(
             alg, G=args.G, mc_samples=args.mc_samples, seed=args.seed
@@ -296,7 +292,7 @@ def cmd_setcomp(args) -> int:
         y = tuple(range(n - overlap + 1, n + 1)) + tuple(range(n + 1, n + 1 + (n - overlap)))
         inst = Instance(kind="setcomp", n=n, x=x, y=y)
     else:
-        raise ValueError("setcomp needs --instance, --equal, --disjoint or --boundary")
+        raise ConfigError("setcomp needs --instance, --equal, --disjoint or --boundary")
     result: dict = {"n": n, "union_size": set_union_size(inst), "mode": args.mode}
     if args.mode == "shots":
         decision = erasing_setcomp_decide(inst, "shots", shots=args.shots, rng=rng)
@@ -431,6 +427,9 @@ def main(argv=None) -> int:
     except EnumerationTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

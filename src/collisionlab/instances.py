@@ -30,10 +30,21 @@ class EnumerationTooLarge(RuntimeError):
     """Raised when a brute-force enumeration exceeds the configured cap."""
 
 
+class ConfigError(ValueError):
+    """A well-formed request whose parameters are semantically invalid,
+    such as an inadmissible lattice point or a malformed setting."""
+
+
 def enumeration_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
-    return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    raw = os.environ.get(ENUM_CAP_ENV)
+    if raw is None:
+        return DEFAULT_ENUM_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +113,12 @@ class Instance:
         """Distinct query addresses: n positions, doubled for (b, i) pairs."""
         return self.n if self.kind == "collision" else 2 * self.n
 
+    def y_sequence(self) -> tuple[int, ...]:
+        """y of a set-comparison input; raises if there is none."""
+        if self.y is None:
+            raise ValueError(f"{self.kind} instance has no y sequence")
+        return self.y
+
     def query_value(self, index: int) -> int:
         """Value returned for query address index (1-based).
 
@@ -111,8 +128,7 @@ class Instance:
             raise ValueError(f"query index {index} out of range")
         if self.kind == "collision" or index <= self.n:
             return self.x[index - 1]
-        assert self.y is not None
-        return self.y[index - self.n - 1]
+        return self.y_sequence()[index - self.n - 1]
 
     def to_json(self) -> dict:
         doc: dict = {"kind": self.kind, "n": self.n, "x": list(self.x)}
@@ -176,15 +192,13 @@ def validate_instance(inst: Instance, k: int) -> bool:
     """Check the k-to-one promise on the instance sequences."""
     if inst.kind == "collision":
         return is_k_to_one(inst.x, k)
-    assert inst.y is not None
-    return is_k_to_one(inst.x, k) and is_k_to_one(inst.y, k)
+    return is_k_to_one(inst.x, k) and is_k_to_one(inst.y_sequence(), k)
 
 
 def set_union_size(inst: Instance) -> int:
     if inst.kind != "setcomp":
         raise ValueError("set_union_size needs a setcomp instance")
-    assert inst.y is not None
-    return len(set(inst.x) | set(inst.y))
+    return len(set(inst.x) | set(inst.y_sequence()))
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +249,11 @@ def quasilattice_points(n: int, T: int, G: int, slack: int = 10) -> list[Quasila
     larger slack shrinks the window and tightens the prefactor bound.
     """
     if n % 2 != 0:
-        raise ValueError("n must be even")
+        raise ConfigError("n must be even")
     if T < 1:
-        raise ValueError("T must be >= 1")
+        raise ConfigError("T must be >= 1")
     if G * G > n:
-        raise ValueError("g out of range: G must satisfy G <= sqrt(n)")
+        raise ConfigError("g out of range: G must satisfy G <= sqrt(n)")
     points = []
     n_max = n + n // (slack * T)  # floor: N is an integer
     for g in range(1, G + 1):
@@ -295,9 +309,9 @@ def super_quasilattice_points(
 ) -> list[SuperQuasilatticePoint]:
     """All admissible (g, N, M) with g <= G, sorted by (g, N, M)."""
     if T < 1:
-        raise ValueError("T must be >= 1")
+        raise ConfigError("T must be >= 1")
     if G**3 > n:
-        raise ValueError("g out of range: G must satisfy G <= n^(1/3)")
+        raise ConfigError("g out of range: G must satisfy G <= n^(1/3)")
     top = n + n // (slack * T)
     points = []
     for g in range(1, G + 1):
@@ -327,7 +341,10 @@ def _uniform_k_to_one(domain_size: int, values, k: int, rng: random.Random) -> t
     distinct k-to-1 function with equal probability.
     """
     pool = [v for v in values for _ in range(k)]
-    assert len(pool) == domain_size
+    if len(pool) != domain_size:
+        raise ValueError(
+            f"{len(pool)} values {k} times each cannot fill a domain of size {domain_size}"
+        )
     rng.shuffle(pool)
     return tuple(pool)
 
@@ -339,7 +356,7 @@ def sample_collision_input(
     function from {1..N} onto a uniform (N/g)-subset S of {1..n}."""
     g, N = point
     if N % g != 0 or N // g > n or N < n:
-        raise ValueError(f"invalid point {point} for n={n}")
+        raise ConfigError(f"invalid point {point} for n={n}")
     s = tuple(sorted(rng.sample(range(1, n + 1), N // g)))
     xhat = _uniform_k_to_one(N, s, g, rng)
     return Instance(
@@ -363,11 +380,11 @@ def sample_setcomp_input(
     g, N, M = point
     k = kappa(g)
     if N % g != 0 or M % k != 0:
-        raise ValueError(f"invalid point {point}")
+        raise ConfigError(f"invalid point {point}")
     s_size = 2 * N // g
     sub_size = M // k
     if s_size > 2 * n or sub_size > s_size or M < n:
-        raise ValueError(f"invalid point {point} for n={n}")
+        raise ConfigError(f"invalid point {point} for n={n}")
     s = tuple(sorted(rng.sample(range(1, 2 * n + 1), s_size)))
     s_x = tuple(sorted(rng.sample(s, sub_size)))
     s_y = tuple(sorted(rng.sample(s, sub_size)))
@@ -408,7 +425,7 @@ def enumerate_collision_supports(
     g, N = point
     blocks = N // g
     if blocks > n or N < n:
-        raise ValueError(f"invalid point {point} for n={n}")
+        raise ConfigError(f"invalid point {point} for n={n}")
     total = count_collision_supports(point, n)
     limit = enumeration_cap(cap)
     if total > limit:
@@ -445,7 +462,7 @@ def enumerate_setcomp_supports(
     s_size = 2 * N // g
     sub = M // k
     if s_size > 2 * n or sub > s_size:
-        raise ValueError(f"invalid point {point} for n={n}")
+        raise ConfigError(f"invalid point {point} for n={n}")
     total = count_setcomp_supports(point, n)
     limit = enumeration_cap(cap)
     if total > limit:

@@ -143,7 +143,8 @@ class MultilinearPoly:
     @staticmethod
     def indicator(var: IndicatorVariable) -> "MultilinearPoly":
         m = Monomial.from_factors([var])
-        assert m is not None
+        if m is None:
+            raise AssertionError("a single indicator cannot conflict with itself")
         return MultilinearPoly({m: QSqrt2(1)})
 
     @property
@@ -157,7 +158,7 @@ class MultilinearPoly:
     # -- arithmetic -------------------------------------------------------------
 
     def add_scaled_inplace(self, other: "MultilinearPoly", scale: QSqrt2):
-        """self += scale * other.  Internal workhorse for state propagation."""
+        """self += scale * other, in place."""
         if scale.is_zero():
             return
         terms = self.terms

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -66,56 +67,149 @@ def extract_polynomial(alg: QueryAlgorithm) -> MultilinearPoly:
     all alphabet values h.  The result is the sum over accepting states
     of the squared amplitude polynomials, in canonical multilinear form,
     with degree at most 2T.
+
+    The arithmetic is on integers.  A propagated polynomial maps
+    canonical factor tuples to (A, B), meaning (A + B sqrt(2)) / D, where
+    D is the product of the layer denominators (Layer.int_cols) applied
+    so far; a query only extends monomials and leaves D unchanged.
+    Coefficients become Fractions once, over D^2, after squaring.
     """
     if alg.oracle_kind != "standard":
         raise ValueError("polynomial extraction is defined for standard-oracle algorithms")
     space = alg.space
-    alphabet = alg.alphabet_size
     stride = space.index_size * 2
+    alphabet = range(1, alg.alphabet_size + 1)
+    variables: dict[tuple[str, int], list[IndicatorVariable]] = {}
 
-    amps: dict[int, MultilinearPoly] = {
-        space.encode(alg.initial): MultilinearPoly.constant(1)
-    }
+    amps: dict[int, dict[tuple, tuple[int, int]]] = {space.encode(alg.initial): {(): (1, 0)}}
+    D = 1
 
     def apply_layer(layer) -> None:
-        nonlocal amps
-        out: dict[int, MultilinearPoly] = {}
+        nonlocal amps, D
+        d_layer, cols = layer.int_cols()
+        out: dict[int, dict[tuple, tuple[int, int]]] = {}
         for ordinal, poly in amps.items():
-            for row, v in layer.cols[ordinal]:
+            for row, ea, eb in cols[ordinal]:
                 acc = out.get(row)
                 if acc is None:
-                    acc = MultilinearPoly()
-                    out[row] = acc
-                acc.add_scaled_inplace(poly, v)
-        amps = {k: p for k, p in out.items() if not p.is_zero()}
+                    acc = out[row] = {}
+                for m, (a, b) in poly.items():
+                    pa = a * ea + 2 * b * eb
+                    pb = a * eb + b * ea
+                    cur = acc.get(m)
+                    acc[m] = (pa, pb) if cur is None else (cur[0] + pa, cur[1] + pb)
+        amps = _nonzero(out)
+        D *= d_layer
 
     apply_layer(alg.layers[0])
     for t in range(1, alg.T + 1):
-        out: dict[int, MultilinearPoly] = {}
+        masks = [space.encode_answer(h) * stride for h in alphabet]
+        out: dict[int, dict[tuple, tuple[int, int]]] = {}
         for ordinal, poly in amps.items():
             index = (ordinal >> 1) % space.index_size + 1
-            register, position = query_address_register(alg.kind, alg.n, index)
-            for h in range(1, alphabet + 1):
-                mask = space.encode_answer(h) * stride
-                target = ordinal ^ mask
-                term = poly.times_indicator(IndicatorVariable(register, position, h))
-                if term.is_zero():
+            key = query_address_register(alg.kind, alg.n, index)
+            queried = variables.get(key)
+            if queried is None:
+                queried = variables[key] = [
+                    IndicatorVariable(*key, h) for h in alphabet
+                ]
+            for m, c in poly.items():
+                # Factors sort by (register, position, value), so k is
+                # where the queried position sits or would be inserted.
+                k = bisect_left(m, key)
+                if k < len(m) and m[k][:2] == key:
+                    # Delta(key, v) Delta(key, h) is Delta(key, v) if h == v, else 0.
+                    _add(out, ordinal ^ masks[m[k].value - 1], m, c)
                     continue
-                acc = out.get(target)
-                if acc is None:
-                    out[target] = term
-                else:
-                    acc.add_scaled_inplace(term, QSqrt2(1))
-        amps = {k: p for k, p in out.items() if not p.is_zero()}
+                head, tail = m[:k], m[k:]
+                for var, mask in zip(queried, masks):
+                    _add(out, ordinal ^ mask, (*head, var, *tail), c)
+        amps = _nonzero(out)
         apply_layer(alg.layers[t])
 
-    accept = MultilinearPoly()
-    for ordinal, poly in amps.items():
-        if ordinal & 1:  # output register holds 2
-            accept.add_scaled_inplace(poly.square(), QSqrt2(1))
+    # Square each accepting amplitude: diagonal terms once (Delta^2 =
+    # Delta), cross terms i < j doubled.  Monomials are numbered so the
+    # products of one pair add up over every accepting amplitude first;
+    # each distinct pair is then multiplied out once.
+    number: dict[tuple, int] = {}
+    accepting = [
+        [(number.setdefault(m, len(number)), a, b) for m, (a, b) in poly.items()]
+        for ordinal, poly in amps.items()
+        if ordinal & 1  # output register holds 2
+    ]
+    K = len(number)
+    pair_sums: dict[int, tuple[int, int]] = {}
+    for terms in accepting:
+        for p, (i, a1, b1) in enumerate(terms):
+            for j, a2, b2 in terms[p:]:
+                key = i * K + j if i <= j else j * K + i
+                cur = pair_sums.get(key)
+                pa = a1 * a2 + 2 * b1 * b2
+                pb = a1 * b2 + b1 * a2
+                pair_sums[key] = (pa, pb) if cur is None else (cur[0] + pa, cur[1] + pb)
+    monomials = list(number)
+    total: dict[tuple, tuple[int, int]] = {}
+    for key, (a, b) in pair_sums.items():
+        i, j = divmod(key, K)
+        if i == j:
+            m = monomials[i]
+        else:
+            m = _merge_factors(monomials[i], monomials[j])
+            if m is None:
+                continue
+            a, b = 2 * a, 2 * b
+        cur = total.get(m)
+        total[m] = (a, b) if cur is None else (cur[0] + a, cur[1] + b)
+    d2 = D * D
+    accept = MultilinearPoly({
+        Monomial(m): QSqrt2(Fraction(a, d2), Fraction(b, d2))
+        for m, (a, b) in total.items()
+        if a or b
+    })
     if accept.degree > 2 * alg.T:
         raise AssertionError("extracted degree exceeds 2T; extraction bug")
     return accept
+
+
+def _add(out: dict, target: int, m: tuple, c: tuple[int, int]) -> None:
+    acc = out.get(target)
+    if acc is None:
+        out[target] = {m: c}
+        return
+    cur = acc.get(m)
+    acc[m] = c if cur is None else (cur[0] + c[0], cur[1] + c[1])
+
+
+def _nonzero(amps: dict) -> dict:
+    """Drop cancelled coefficients, then amplitudes left with no terms."""
+    out = {}
+    for ordinal, poly in amps.items():
+        poly = {m: c for m, c in poly.items() if c[0] or c[1]}
+        if poly:
+            out[ordinal] = poly
+    return out
+
+
+def _merge_factors(f: tuple, g: tuple) -> tuple | None:
+    """Canonical product of two canonical factor tuples; None when they
+    pin one (register, position) to two values."""
+    out = []
+    i = j = 0
+    while i < len(f) and j < len(g):
+        x, y = f[i], g[j]
+        if x[1] == y[1] and x[0] == y[0]:
+            if x[2] != y[2]:
+                return None
+            out.append(x)
+            i += 1
+            j += 1
+        elif x < y:
+            out.append(x)
+            i += 1
+        else:
+            out.append(y)
+            j += 1
+    return (*out, *f[i:], *g[j:])
 
 
 def evaluate_poly(p: MultilinearPoly, inst: Instance) -> QSqrt2:
@@ -239,7 +333,8 @@ def all_monomials(
                     IndicatorVariable(register, p, v)
                     for p, v in zip(positions, values)
                 )
-                assert m is not None  # distinct positions cannot conflict
+                if m is None:
+                    raise AssertionError("distinct positions cannot conflict")
                 yield m
 
 

@@ -91,9 +91,6 @@ class QSqrt2:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def as_fraction(self) -> Fraction:
         if self.b != 0:
             raise ValueError(f"{self!r} has a nonzero sqrt(2) part")

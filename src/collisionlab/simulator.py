@@ -17,11 +17,13 @@ runs the same circuits in double precision.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .instances import Instance
-from .qsqrt2 import QSqrt2, ZERO
+from .qsqrt2 import QSqrt2, ZERO, parse_fraction
 
 FLOAT_NORM_TOL = 1e-12
 MEASURE_NORM_TOL = 1e-9
@@ -75,9 +77,6 @@ class StateSpace:
         w, i = divmod(ordinal, self.index_size)
         return BasisState(workspace=w, index=i + 1, output=z + 1)
 
-    def basis_states(self):
-        return (self.decode(k) for k in range(self.dim))
-
     def encode_answer(self, value: int) -> int:
         """Answer-field image of a queried value, as a workspace XOR mask."""
         if value >= (1 << self.answer_bits):
@@ -104,12 +103,17 @@ class StateSpace:
 class Layer:
     """Orthogonal matrix over Q(sqrt(2)), stored as sparse columns.
 
-    cols[j] lists (row, entry) pairs of column j.  Orthogonality
-    (U^T U = I) is checked exactly on demand; algorithm construction
-    rejects non-orthogonal layers.
+    cols[j] lists (row, entry) pairs of column j, at most one per row.
+    Orthogonality (U^T U = I) is checked exactly on demand; algorithm
+    construction rejects non-orthogonal layers.
+
+    Exact kernels use the integer form int_cols(): one denominator D
+    shared by the whole layer and each entry as (row, A, B), meaning
+    (A + B sqrt(2)) / D, so sums of products need no per-step
+    normalization.
     """
 
-    __slots__ = ("dim", "cols", "_float_cols")
+    __slots__ = ("dim", "cols", "_float_cols", "_int_cols")
 
     def __init__(self, dim: int, cols: list[list[tuple[int, QSqrt2]]]):
         if len(cols) != dim:
@@ -117,6 +121,7 @@ class Layer:
         self.dim = dim
         self.cols = cols
         self._float_cols = None
+        self._int_cols = None
 
     @staticmethod
     def identity(dim: int) -> "Layer":
@@ -149,47 +154,79 @@ class Layer:
             ]
         return self._float_cols
 
+    def int_cols(self) -> tuple[int, list[list[tuple[int, int, int]]]]:
+        """(D, cols) with cols[j] listing (row, A, B): entry (A + B sqrt 2) / D.
+
+        D is the lcm of every entry denominator.
+        """
+        if self._int_cols is None:
+            dens = {f.denominator for col in self.cols for _, v in col for f in (v.a, v.b)}
+            D = math.lcm(*dens)
+            self._int_cols = (D, [
+                [
+                    (r, v.a.numerator * (D // v.a.denominator),
+                     v.b.numerator * (D // v.b.denominator))
+                    for r, v in col
+                ]
+                for col in self.cols
+            ])
+        return self._int_cols
+
     def is_orthogonal(self) -> bool:
-        """Exact check that columns are orthonormal."""
-        as_dicts = [dict(col) for col in self.cols]
-        for i in range(self.dim):
-            ci = as_dicts[i]
-            # Diagonal entry of U^T U.
-            total = ZERO
-            for v in ci.values():
-                total = total + v * v
-            if total != QSqrt2(1):
+        """Exact check that columns are orthonormal.
+
+        Builds M^T M for the integer matrix M = D U one row of M at a
+        time: each row adds the products of every pair of its nonzeros.
+        U is orthogonal iff M^T M = D^2 I with no sqrt(2) part.
+        """
+        D, cols = self.int_cols()
+        dim = self.dim
+        rows: list[list[tuple[int, int, int]]] = [[] for _ in range(dim)]
+        for c, col in enumerate(cols):
+            for r, a, b in col:
+                rows[r].append((c, a, b))
+        # Entry (i, j), i <= j, of M^T M is keyed i * dim + j.
+        gram_a: dict[int, int] = {}
+        gram_b: dict[int, int] = {}
+        for row in rows:
+            for p, (i, a1, b1) in enumerate(row):
+                base = i * dim
+                for j, a2, b2 in row[p:]:
+                    key = base + j
+                    gram_a[key] = gram_a.get(key, 0) + a1 * a2 + 2 * b1 * b2
+                    gram_b[key] = gram_b.get(key, 0) + a1 * b2 + b1 * a2
+        d2 = D * D
+        diagonal = 0
+        for key, a in gram_a.items():
+            i, j = divmod(key, dim)
+            if gram_b[key] != 0 or a != (d2 if i == j else 0):
                 return False
-        for i in range(self.dim):
-            ci = as_dicts[i]
-            for j in range(i + 1, self.dim):
-                cj = as_dicts[j]
-                small, big = (ci, cj) if len(ci) <= len(cj) else (cj, ci)
-                dot = ZERO
-                for r, v in small.items():
-                    w = big.get(r)
-                    if w is not None:
-                        dot = dot + v * w
-                if not dot.is_zero():
-                    return False
-        return True
+            diagonal += i == j
+        return diagonal == dim
 
     def compose(self, inner: "Layer") -> "Layer":
         """self @ inner: the layer that applies inner first, then self."""
         if self.dim != inner.dim:
             raise ValueError("dimension mismatch")
+        d_outer, outer_cols = self.int_cols()
+        d_inner, inner_cols = inner.int_cols()
+        D = d_outer * d_inner
         cols: list[list[tuple[int, QSqrt2]]] = []
-        for col in inner.cols:
-            acc: dict[int, QSqrt2] = {}
-            for mid, v in col:
-                for row, w in self.cols[mid]:
+        for col in inner_cols:
+            acc: dict[int, list[int]] = {}
+            for mid, a1, b1 in col:
+                for row, a2, b2 in outer_cols[mid]:
                     cur = acc.get(row)
-                    val = v * w if cur is None else cur + v * w
-                    if val.is_zero():
-                        acc.pop(row, None)
+                    if cur is None:
+                        acc[row] = [a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2]
                     else:
-                        acc[row] = val
-            cols.append(sorted(acc.items()))
+                        cur[0] += a1 * a2 + 2 * b1 * b2
+                        cur[1] += a1 * b2 + b1 * a2
+            cols.append([
+                (row, QSqrt2(Fraction(a, D), Fraction(b, D)))
+                for row, (a, b) in sorted(acc.items())
+                if a or b
+            ])
         return Layer(self.dim, cols)
 
     def to_json(self) -> list[list[list[str]]]:
@@ -197,8 +234,33 @@ class Layer:
 
     @staticmethod
     def from_json(rows) -> "Layer":
-        dense = [[QSqrt2.from_strings(entry) for entry in row] for row in rows]
-        return Layer.from_dense(dense)
+        """Inverse of to_json.  Literal zero entries are skipped unparsed;
+        every other entry must be an ["a", "b"] pair of rationals."""
+        dim = len(rows)
+        cols: list[list[tuple[int, QSqrt2]]] = [[] for _ in range(dim)]
+        parsed: dict[str, Fraction] = {}
+
+        def fraction(text: str) -> Fraction:
+            f = parsed.get(text)
+            if f is None:
+                f = parsed[text] = parse_fraction(text)
+            return f
+
+        for r, row in enumerate(rows):
+            if len(row) != dim:
+                raise ValueError("matrix must be square")
+            for c, entry in enumerate(row):
+                if entry == _ZERO_ENTRY:
+                    continue
+                if len(entry) != 2:
+                    raise ValueError(f"expected [a, b] entry, got {entry!r}")
+                v = QSqrt2(fraction(entry[0]), fraction(entry[1]))
+                if not v.is_zero():
+                    cols[c].append((r, v))
+        return Layer(dim, cols)
+
+
+_ZERO_ENTRY = ZERO.to_strings()
 
 
 class StateVector:
@@ -250,13 +312,6 @@ class StateVector:
                     total = total + amp * amp
             return total
         return sum(a * a for k, a in self.entries.items() if k & 1)
-
-    def as_float(self) -> "StateVector":
-        if self.mode == "float":
-            return self
-        return StateVector(
-            self.space, "float", {k: float(v) for k, v in self.entries.items()}
-        )
 
 
 def _check_norm_preserved(before, after, mode: str, what: str):
@@ -324,12 +379,12 @@ def erasing_targets(inst: Instance) -> list[int]:
         if len(set(inst.x)) != inst.n:
             raise ValueError("erasing oracle undefined for non-injective input")
         return [v for v in inst.x]
-    assert inst.y is not None
-    if len(set(inst.x)) != inst.n or len(set(inst.y)) != inst.n:
+    y = inst.y_sequence()
+    if len(set(inst.x)) != inst.n or len(set(y)) != inst.n:
         raise ValueError("erasing oracle undefined for non-injective input")
     two_n = 2 * inst.n
     targets = []
-    for b, seq in ((0, inst.x), (1, inst.y)):
+    for b, seq in ((0, inst.x), (1, y)):
         targets.extend(b * two_n + v for v in seq)
     return targets
 
@@ -447,9 +502,11 @@ class QueryAlgorithm:
             state = apply_unitary(state, self.layers[t])
         norm = state.squared_norm()
         if mode == "exact":
-            assert norm == QSqrt2(1)
+            normalized = norm == QSqrt2(1)
         else:
-            assert abs(norm - 1.0) <= FLOAT_NORM_TOL
+            normalized = abs(norm - 1.0) <= FLOAT_NORM_TOL
+        if not normalized:
+            raise AssertionError(f"final state is not normalized (squared norm {norm!r})")
         return state
 
     # -- description file ----------------------------------------------------
@@ -517,10 +574,12 @@ def acceptance_probability(alg: QueryAlgorithm, inst: Instance, mode: str = "exa
     final = alg.run(inst, mode)
     p = final.acceptance_weight()
     if mode == "exact":
-        assert QSqrt2(0) <= p <= QSqrt2(1)
+        in_range = ZERO <= p <= QSqrt2(1)
     else:
-        assert -FLOAT_NORM_TOL <= p <= 1 + FLOAT_NORM_TOL
+        in_range = -FLOAT_NORM_TOL <= p <= 1 + FLOAT_NORM_TOL
         p = min(max(p, 0.0), 1.0)
+    if not in_range:
+        raise AssertionError(f"acceptance probability {p!r} outside [0, 1]")
     return p
 
 

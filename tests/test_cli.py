@@ -134,6 +134,28 @@ def test_invalid_config_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["lattice", "--n", "7", "--T", "1", "--G", "2"], "n must be even"),
+        (["simulate", "--algorithm", "coincidence-4", "--point", "3,4"], "invalid point"),
+        (["simulate", "--algorithm", "coincidence-4", "--point", "3"], "needs g,N"),
+        (["simulate", "--algorithm", "setcomp-probe-2", "--point", "1,2"], "needs g,N,M"),
+    ],
+)
+def test_semantic_config_errors_exit_2(args, message, capsys):
+    code, _, err = run(args, capsys)
+    assert code == 2
+    assert message in err
+
+
+def test_malformed_enum_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("COLLISIONLAB_ENUM_CAP", "abc")
+    code, _, err = run(["verify-identity", "--algorithm", "coincidence-4", "--G", "2"], capsys)
+    assert code == 2
+    assert "COLLISIONLAB_ENUM_CAP" in err
+
+
 def test_cap_exceeded_exits_3(capsys):
     code, _, err = run(
         ["verify-gamma", "--n", "6", "--max-degree", "1", "--max-N", "8",

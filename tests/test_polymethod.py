@@ -10,6 +10,7 @@ from collisionlab.circuits import (
     always_accept,
     coincidence_probe,
     setcomp_probe,
+    two_query_mixer,
 )
 from collisionlab.instances import Instance, QuasilatticePoint, all_collision_sequences
 from collisionlab.multilinear import IndicatorVariable as IV
@@ -56,6 +57,18 @@ def test_extract_single_indicator():
     assert p == MultilinearPoly.indicator(IV("x", 1, 1))
 
 
+def test_extract_zero_query_circuit_needs_no_answer_field():
+    from collisionlab.simulator import BasisState, Layer, QueryAlgorithm, StateSpace
+
+    space = StateSpace(index_size=2)
+    alg = QueryAlgorithm(
+        name="no-field", kind="collision", n=2, T=0, oracle_kind="standard",
+        space=space, layers=[Layer.identity(space.dim)],
+        initial=BasisState(workspace=0, index=1, output=2),
+    )
+    assert extract_polynomial(alg) == MultilinearPoly.constant(1)
+
+
 def test_extract_requires_standard_oracle():
     alg = accept_if_first_is(2, 1)
     alg.oracle_kind = "erasing"
@@ -86,6 +99,42 @@ def test_extraction_matches_simulation_sampled_at_n8():
     for _ in range(20):
         inst = Instance(kind="collision", n=8, x=tuple(rng.randint(1, 8) for _ in range(8)))
         assert evaluate_poly(p, inst) == acceptance_probability(alg, inst)
+
+
+def test_extraction_matches_simulation_on_every_mixer_input():
+    alg = two_query_mixer(4)
+    p = extract_polynomial(alg)
+    assert p.degree <= 2 * alg.T
+    inputs = list(all_collision_sequences(4))
+    assert len(inputs) == 256
+    for inst in inputs:
+        assert evaluate_poly(p, inst) == acceptance_probability(alg, inst)
+
+
+def test_extraction_matches_simulation_on_every_setcomp_pair():
+    import itertools
+
+    alg = setcomp_probe(2)
+    p = extract_polynomial(alg)
+    values = range(1, 5)
+    for x in itertools.product(values, repeat=2):
+        for y in itertools.product(values, repeat=2):
+            inst = Instance(kind="setcomp", n=2, x=x, y=y)
+            assert evaluate_poly(p, inst) == acceptance_probability(alg, inst)
+
+
+def test_mixer8_polynomial_is_pinned():
+    # sha256 of the serialized polynomial (sorted keys): a change to the
+    # extraction arithmetic must reproduce it exactly.
+    import hashlib
+    import json
+
+    p = extract_polynomial(two_query_mixer(8))
+    assert len(p.terms) == 1912
+    doc = json.dumps(p.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == (
+        "4e573b3fa33006f23bdfce8287c4bb05f5f4801a1c06ea1985f486c5fc75069e"
+    )
 
 
 def test_evaluate_poly_basics():

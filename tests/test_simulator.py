@@ -244,3 +244,176 @@ def test_algorithm_json_round_trip(tmp_path):
     inst = Instance(kind="collision", n=4, x=(3, 1, 3, 2))
     assert acceptance_probability(loaded, inst) == acceptance_probability(alg, inst)
     assert loaded.T == alg.T and loaded.space.dim == alg.space.dim
+
+
+# -- integer Gram check, sparse loader, compose ----------------------------------
+
+
+def reference_gram(layer: Layer) -> list[list[QSqrt2]]:
+    """U^T U entry by entry in QSqrt2 arithmetic, from the dense matrix."""
+    dense = layer.to_dense()
+    dim = layer.dim
+    return [
+        [sum((dense[r][i] * dense[r][j] for r in range(dim)), ZERO) for j in range(dim)]
+        for i in range(dim)
+    ]
+
+
+def reference_is_orthogonal(layer: Layer) -> bool:
+    gram = reference_gram(layer)
+    return all(
+        gram[i][j] == (QSqrt2(1) if i == j else ZERO)
+        for i in range(layer.dim)
+        for j in range(layer.dim)
+    )
+
+
+def identity_except(dim: int, first_cols: list) -> Layer:
+    """Identity layer whose leading columns are replaced."""
+    one = QSqrt2(1)
+    return Layer(dim, first_cols + [[(j, one)] for j in range(len(first_cols), dim)])
+
+
+def test_gram_check_rejects_norm_off_in_sqrt2_part():
+    # (1/3 + (2/3) sqrt2)^2 = 1 + (4/9) sqrt2: rational part exactly 1.
+    v = QSqrt2(Fraction(1, 3), Fraction(2, 3))
+    layer = identity_except(4, [[(0, v)]])
+    assert (v * v).a == 1 and (v * v).b != 0
+    assert not layer.is_orthogonal()
+    assert not reference_is_orthogonal(layer)
+
+
+def test_gram_check_rejects_columns_orthogonal_only_in_rational_part():
+    # Both columns are unit vectors; their dot product is sqrt2/2.
+    h = QSqrt2.inv_sqrt2()
+    layer = identity_except(4, [[(0, h), (1, h)], [(0, QSqrt2(1))]])
+    gram = reference_gram(layer)
+    assert gram[0][0] == QSqrt2(1) and gram[1][1] == QSqrt2(1)
+    assert gram[0][1].a == 0 and gram[0][1].b != 0
+    assert not layer.is_orthogonal()
+
+
+def test_gram_check_rejects_all_zero_column():
+    layer = identity_except(4, [[]])
+    assert not layer.is_orthogonal()
+    assert not reference_is_orthogonal(layer)
+
+
+def test_gram_check_agrees_with_reference_on_random_layers():
+    space = StateSpace(index_size=3, workspace_bits=1, answer_bits=1)
+    rng = random.Random(5)
+    for _ in range(6):
+        layer = random_orthogonal_layer(space, rng)
+        assert layer.is_orthogonal() and reference_is_orthogonal(layer)
+        # Scale one entry by a factor of absolute value != 1: the column
+        # norm changes, so both checks must reject the result.
+        cols = [list(col) for col in layer.cols]
+        c = rng.randrange(space.dim)
+        k = rng.randrange(len(cols[c]))
+        row, v = cols[c][k]
+        cols[c][k] = (row, v * rng.choice([QSqrt2(2), QSqrt2(1, 1), QSqrt2.sqrt2()]))
+        broken = Layer(space.dim, cols)
+        assert not broken.is_orthogonal() and not reference_is_orthogonal(broken)
+
+
+def test_every_reference_circuit_layer_is_orthogonal():
+    from collisionlab.circuits import REFERENCE_BUILDERS
+
+    for build in REFERENCE_BUILDERS.values():
+        for layer in build().layers:
+            assert layer.is_orthogonal()
+
+
+def test_compose_matches_dense_product():
+    space = StateSpace(index_size=2, workspace_bits=1, answer_bits=1)
+    rng = random.Random(17)
+    outer = random_orthogonal_layer(space, rng)
+    inner = random_orthogonal_layer(space, rng)
+    a, b = outer.to_dense(), inner.to_dense()
+    dim = space.dim
+    expected = [
+        [sum((a[r][m] * b[m][c] for m in range(dim)), ZERO) for c in range(dim)]
+        for r in range(dim)
+    ]
+    product = outer.compose(inner)
+    assert product.to_dense() == expected
+    assert all(v != ZERO for col in product.cols for _, v in col)
+    assert all(col == sorted(col, key=lambda rv: rv[0]) for col in product.cols)
+
+
+def test_layer_json_round_trip():
+    space = StateSpace(index_size=3, workspace_bits=1, answer_bits=1)
+    layer = random_orthogonal_layer(space, random.Random(3))
+    loaded = Layer.from_json(layer.to_json())
+    assert loaded.dim == layer.dim
+    assert loaded.cols == layer.cols
+    # A zero written in another form is parsed and dropped like "0/1".
+    doc = Layer.identity(2).to_json()
+    doc[0][1] = ["0/5", "-0/3"]
+    assert Layer.from_json(doc).cols == Layer.identity(2).cols
+
+
+def test_layer_from_json_rejects_malformed_input():
+    doc = Layer.identity(3).to_json()
+    with pytest.raises(ValueError, match="square"):
+        Layer.from_json([row[:2] for row in doc])
+    with pytest.raises(ValueError, match="square"):
+        Layer.from_json(doc[:2])
+    bad_arity = [list(row) for row in doc]
+    bad_arity[1][2] = ["1/1", "0/1", "0/1"]
+    with pytest.raises(ValueError, match="expected \\[a, b\\]"):
+        Layer.from_json(bad_arity)
+    bad_number = [list(row) for row in doc]
+    bad_number[2][0] = ["one", "0/1"]
+    with pytest.raises(ValueError):
+        Layer.from_json(bad_number)
+
+
+# -- runtime checks survive python -O --------------------------------------------
+
+OPTIMIZED_SCRIPT = """
+import random, sys
+from collisionlab import simulator
+from collisionlab.circuits import coincidence_probe
+from collisionlab.instances import Instance, _uniform_k_to_one
+
+assert False, "asserts are live"  # stripped under -O
+failures = []
+try:
+    _uniform_k_to_one(5, (1, 2), 2, random.Random(0))
+    failures.append("pool size check")
+except ValueError:
+    pass
+
+alg = coincidence_probe(4)
+real = simulator.apply_unitary
+def unnormalized(state, layer):
+    out = real(state, layer)
+    return simulator.StateVector(out.space, out.mode, {k: v * 2 for k, v in out.entries.items()})
+simulator.apply_unitary = unnormalized
+simulator._check_norm_preserved = lambda *args: None
+try:
+    alg.run(Instance(kind="collision", n=4, x=(1, 2, 3, 4)))
+    failures.append("final norm check")
+except AssertionError:
+    pass
+print(sys.flags.optimize, failures)
+"""
+
+
+def test_runtime_checks_survive_optimized_mode():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import collisionlab
+
+    src = str(Path(collisionlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 []"
