@@ -17,18 +17,18 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .instances import (
     EnumerationTooLarge,
-    count_collision_supports,
-    count_setcomp_supports,
+    enumeration_cap,
     kappa,
     quasilattice_points,
     super_quasilattice_points,
 )
-from .lattice import LatticePoly
+from .lattice import VARIABLE_NAMES, LatticePoly
 from .polymethod import (
     assemble_q,
     expected_acceptance,
@@ -66,6 +66,62 @@ CONSTANTS = {
     "window_denom3": WINDOW_DENOM3,
     "prefactor_floor": PREFACTOR_FLOOR,
 }
+
+
+@dataclass(frozen=True)
+class Family:
+    """What differs between the two input families of the chain.  The
+    chain loop, region, weighting, degree bound and report are shared."""
+
+    arity: int  # grid variables: (g, N) or (g, N, M)
+    points: Callable  # (n, T, G) -> admissible points, sorted
+    prefactor: Callable  # (n, T, point) -> P / q at the point
+    assemble: Callable  # (acceptance poly, n, T) -> q
+    exact_mean: Callable  # (alg, point, n, cap) -> exact family acceptance
+    mc_mean: Callable  # (poly, point, n, samples, rng) -> (mean, stderr)
+    window_denom: int  # N (and M) window width n / (window_denom T)
+    cap_per_query: int  # deg q <= cap_per_query * T
+    reach: Callable  # G -> N plus M distance to the nearest admissible point
+    value_range: Callable  # max |P - prefactor q| -> width of q's value window
+
+
+# The entries look their functions up by module global at call time, so a
+# wrapper installed on one of those names (a tracer, say) sees every call.
+FAMILIES = {
+    "collision": Family(
+        arity=2,
+        points=lambda n, T, G: quasilattice_points(n, T, G),
+        prefactor=lambda n, T, pt: prefactor(n, T, pt.N),
+        assemble=lambda p, n, T: assemble_q(p, n, T),
+        exact_mean=lambda alg, pt, n, cap: expected_acceptance(alg, pt, n, cap),
+        mc_mean=lambda *args: expected_acceptance_mc(*args),
+        window_denom=WINDOW_DENOM,
+        cap_per_query=2,
+        reach=lambda G: G,
+        # The fixed window (-0.182, 1.182) that DEVIATION_BOUND guarantees.
+        value_range=lambda deviation: RANGE_BASE,
+    ),
+    "setcomp": Family(
+        arity=3,
+        points=lambda n, T, G: super_quasilattice_points(n, T, G),
+        prefactor=lambda n, T, pt: prefactor3(n, T, pt.N, pt.M, pt.g),
+        assemble=lambda p, n, T: assemble_q3(p, n, T),
+        exact_mean=lambda alg, pt, n, cap: expected_acceptance3(alg, pt, n, cap),
+        mc_mean=lambda *args: expected_acceptance3_mc(*args),
+        window_denom=WINDOW_DENOM3,
+        cap_per_query=8,
+        reach=lambda G: G + kappa(G),
+        # q lies in [-deviation, 1 + deviation] at admissible points.
+        value_range=lambda deviation: 1 + 2 * deviation,
+    ),
+}
+
+
+def family(variant: str) -> Family:
+    try:
+        return FAMILIES[variant]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant!r}") from None
 
 
 def markov_bound(degree: int, interval: tuple[float, float], bounds: tuple[float, float]) -> float:
@@ -121,34 +177,14 @@ def univariate_derivative_abs_max(coeffs, interval: tuple[float, float]) -> floa
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Region:
-    """Parameter rectangle [1, G] x N-window (x M-window for trivariate)."""
-
-    g_interval: tuple[float, float]
-    n_interval: tuple[float, float]
-    m_interval: tuple[float, float] | None = None
-
-    @property
-    def arity(self) -> int:
-        return 2 if self.m_interval is None else 3
-
-    def intervals(self) -> list[tuple[float, float]]:
-        out = [self.g_interval, self.n_interval]
-        if self.m_interval is not None:
-            out.append(self.m_interval)
-        return out
-
-
-def chain_region(n: int, T: int, G: int, variant: str) -> Region:
+def chain_region(n: int, T: int, G: int, variant: str) -> list[tuple[float, float]]:
+    """Parameter rectangle [1, G] x N-window (x M-window for set
+    comparison), one interval per grid variable."""
     if G < 2:
         raise ValueError("need G >= 2 for a nondegenerate rectangle")
-    if variant == "collision":
-        return Region((1.0, float(G)), (float(n), n + n / (WINDOW_DENOM * T)))
-    if variant == "setcomp":
-        hi = n + n / (WINDOW_DENOM3 * T)
-        return Region((1.0, float(G)), (float(n), hi), (float(n), hi))
-    raise ValueError(f"unknown variant {variant!r}")
+    fam = family(variant)
+    window = (float(n), n + n / (fam.window_denom * T))
+    return [(1.0, float(G))] + [window] * (fam.arity - 1)
 
 
 @dataclass(frozen=True)
@@ -164,37 +200,35 @@ def _grid_axes(intervals, resolution: int) -> list[np.ndarray]:
 
 def weighted_max_derivative(
     q: LatticePoly,
-    region: Region,
+    region: list[tuple[float, float]],
     n: int,
     T: int,
     G: int,
     resolution: int | None = None,
     refinement_rounds: int = 2,
+    variant: str = "collision",
 ) -> DerivativeReport:
     """Maximize the weighted absolute partial derivatives of q over the
     rectangle: weight 1 on d/dg and n/(10T(G-1)) on d/dN (both window
-    directions get n/(100T(G-1)) in the trivariate case).
+    directions get n/(100T(G-1)) for set comparison).
 
     Dense grid of the given per-axis resolution (512 bivariate, 64
     trivariate by default), then refinement rounds re-grid a shrinking
     window around the best point.  Deterministic for fixed settings.
     """
-    if q.arity != region.arity:
+    fam = family(variant)
+    if not q.arity == len(region) == fam.arity:
         raise ValueError("polynomial arity does not match region")
     if resolution is None:
-        resolution = 512 if region.arity == 2 else 64
-    if region.arity == 2:
-        weights = {"g": 1.0, "N": n / (WINDOW_DENOM * T * (G - 1))}
-        directions = ("g", "N")
-    else:
-        w = n / (WINDOW_DENOM3 * T * (G - 1))
-        weights = {"g": 1.0, "N": w, "M": w}
-        directions = ("g", "N", "M")
+        resolution = 512 if q.arity == 2 else 64
+    directions = VARIABLE_NAMES[q.arity]
+    w = n / (fam.window_denom * T * (G - 1))
+    weights = dict(zip(directions, [1.0] + [w] * (q.arity - 1)))
     partials = {
         name: q.derivative(i) for i, name in enumerate(directions)
     }
 
-    intervals = region.intervals()
+    intervals = region
     best = DerivativeReport(-1.0, (), "g")
     for _ in range(refinement_rounds + 1):
         axes = _grid_axes(intervals, resolution)
@@ -224,35 +258,28 @@ def weighted_max_derivative(
     return best
 
 
-def degree_lower_bound(d: float, G: int, T: int, n: int) -> float:
+def degree_lower_bound(
+    d: float, G: int, T: int, n: int, variant: str = "collision",
+    value_range: float = RANGE_BASE,
+) -> float:
     """Markov-implied lower bound on the degree of the grid polynomial:
 
-        sqrt( d (G-1) / (1.364 + 2 d (1 + 10 T G (G-1) / n)) )
+        sqrt( d (G-1) / (value_range + 2 d (1 + c T (G-1) reach(G) / n)) )
 
-    With the slope floor d = 0.436 this is the closed form
+    with window constant c = 10 and reach(G) = G for collision, c = 100
+    and reach(G) = G + kappa(G) for set comparison: the nearest
+    admissible point is within (1, G[, kappa(G)]) along (g, N[, M]).
+    For collision with the slope floor d = 0.436 this is the closed form
     sqrt(0.436 (G-1) n / (2.236 n + 8.720 T G (G-1))).  Compare the
-    result against 2T.
+    result against the degree cap.
     """
     if d < 0:
         raise ValueError("d must be >= 0")
     if d == 0:
         return 0.0
-    numerator = d * (G - 1)
-    denominator = RANGE_BASE + 2 * d * (1 + WINDOW_DENOM * T * G * (G - 1) / n)
-    return math.sqrt(numerator / denominator)
-
-
-def degree_lower_bound3(d: float, G: int, T: int, n: int, deviation: float) -> float:
-    """Trivariate analog with computed quantities: the q window is
-    [0 - deviation, 1 + deviation] at admissible points, and the nearest
-    admissible point is within (1, G, kappa(G)) along (g, N, M)."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    if d == 0:
-        return 0.0
-    excursion = d * (1 + WINDOW_DENOM3 * T * (G - 1) * (G + kappa(G)) / n)
-    value_range = 1 + 2 * deviation + 2 * excursion
-    return math.sqrt(d * (G - 1) / value_range)
+    fam = family(variant)
+    excursion = d * (1 + fam.window_denom * T * (G - 1) * fam.reach(G) / n)
+    return math.sqrt(d * (G - 1) / (value_range + 2 * excursion))
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +297,7 @@ class PointRow:
     exact: bool
 
     def to_json(self) -> dict:
-        doc = {
-            "g": self.point[0],
-            "N": self.point[1],
-        }
-        if len(self.point) == 3:
-            doc["M"] = self.point[2]
+        doc = dict(zip(VARIABLE_NAMES[len(self.point)], self.point))
         doc.update(
             {
                 "P": _num_json(self.p_value),
@@ -302,7 +324,7 @@ class ChainReport:
     T: int
     G: int
     extracted_degree: int
-    degree_cap: int  # 2T for collision, 8T for set comparison
+    degree_cap: int  # cap_per_query * T: 2T for collision, 8T for set comparison
     points: list[PointRow]
     endpoint_low: float  # P at g=1 endpoint
     endpoint_high: float  # P at g=2 endpoint
@@ -339,11 +361,7 @@ class ChainReport:
         }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
-        header = ["g", "N"]
-        tri = self.variant == "setcomp"
-        if tri:
-            header.append("M")
-        header += ["P", "q", "prefactor", "abs_dev"]
+        header = [*VARIABLE_NAMES[family(self.variant).arity], "P", "q", "prefactor", "abs_dev"]
         rows = []
         for row in self.points:
             r = list(row.point)
@@ -376,6 +394,7 @@ def verify_inequality_chain(
         variant = alg.kind
     if variant != alg.kind:
         raise ValueError("variant does not match the algorithm kind")
+    fam = family(variant)
     n, T = alg.n, alg.T
     # Zero-query circuits assemble a genuinely constant polynomial
     # (degree cap 0); only the window geometry needs a positive T.
@@ -385,59 +404,32 @@ def verify_inequality_chain(
     degree = max(poly.degree, 0)
 
     rng = random.Random(seed)
+    q = fam.assemble(poly, n, T)
+    cap = min(SIM_ENUM_LIMIT, enumeration_cap())
     rows: list[PointRow] = []
-    if variant == "collision":
-        points = quasilattice_points(n, T_win, G)
-        q = assemble_q(poly, n, T)
-        degree_cap = 2 * T
-        for pt in points:
-            pref = prefactor(n, T, pt.N)
-            q_val = q.evaluate(pt)
-            try:
-                if count_collision_supports(pt, n) > SIM_ENUM_LIMIT:
-                    raise EnumerationTooLarge("fall back to MC")
-                p_val = expected_acceptance(alg, pt, n).as_fraction()
-                exact = True
-            except EnumerationTooLarge:
-                p_val, _ = expected_acceptance_mc(poly, pt, n, mc_samples, rng)
-                exact = False
-                notes.append(f"P at {tuple(pt)} estimated from {mc_samples} samples")
-            dev = abs(float(p_val) - float(pref * q_val)) if not exact else float(abs(p_val - pref * q_val))
-            rows.append(PointRow(tuple(pt), p_val, q_val, pref, dev, exact))
-        low = next(r for r in rows if r.point[0] == 1)
-        high = next((r for r in rows if r.point[0] == 2 and r.point[1] == n), None)
-        endpoint_low = float(low.p_value)
-        endpoint_high = float(high.p_value) if high else float("nan")
-        fd_slope = abs(float(q.evaluate((2, n)) - q.evaluate((1, n)))) if high else None
-    else:
-        points3 = super_quasilattice_points(n, T_win, G)
-        q = assemble_q3(poly, n, T)
-        degree_cap = 8 * T
-        for pt in points3:
-            pref = prefactor3(n, T, pt.N, pt.M, pt.g)
-            q_val = q.evaluate(pt)
-            try:
-                if count_setcomp_supports(pt, n) > SIM_ENUM_LIMIT:
-                    raise EnumerationTooLarge("fall back to MC")
-                p_val = expected_acceptance3(alg, pt, n).as_fraction()
-                exact = True
-            except EnumerationTooLarge:
-                p_val, _ = expected_acceptance3_mc(poly, pt, n, mc_samples, rng)
-                exact = False
-                notes.append(f"P at {tuple(pt)} estimated from {mc_samples} samples")
-            dev = float(abs(p_val - pref * q_val)) if exact else abs(float(p_val) - float(pref * q_val))
-            rows.append(PointRow(tuple(pt), p_val, q_val, pref, dev, exact))
-        low = next(r for r in rows if r.point[0] == 1)
-        high = next((r for r in rows if r.point[0] == 2), None)
-        endpoint_low = float(low.p_value)
-        endpoint_high = float(high.p_value) if high else float("nan")
-        fd_slope = (
-            abs(float(q.evaluate(high.point)) - float(q.evaluate((1,) + high.point[1:])))
-            if high
-            else None
-        )
-        if high is None:
-            notes.append("no g=2 point in range; distinguisher check skipped")
+    for pt in fam.points(n, T_win, G):
+        pref = fam.prefactor(n, T, pt)
+        q_val = q.evaluate(pt)
+        try:
+            p_val = fam.exact_mean(alg, pt, n, cap).as_fraction()
+            exact = True
+        except EnumerationTooLarge:
+            p_val, _ = fam.mc_mean(poly, pt, n, mc_samples, rng)
+            exact = False
+            notes.append(f"P at {tuple(pt)} estimated from {mc_samples} samples")
+        dev = float(abs(p_val - pref * q_val)) if exact else abs(float(p_val) - float(pref * q_val))
+        rows.append(PointRow(tuple(pt), p_val, q_val, pref, dev, exact))
+    low = next(r for r in rows if r.point[0] == 1)
+    high = next((r for r in rows if r.point[0] == 2), None)
+    endpoint_low = float(low.p_value)
+    endpoint_high = float(high.p_value) if high else float("nan")
+    fd_slope = (
+        abs(float(q.evaluate(high.point) - q.evaluate((1,) + high.point[1:])))
+        if high
+        else None
+    )
+    if high is None:
+        notes.append("no g=2 point in range; distinguisher check skipped")
 
     distinguisher = (
         endpoint_low <= float(ERROR_PROBABILITY) + 1e-15
@@ -447,12 +439,14 @@ def verify_inequality_chain(
         notes.append("not a distinguisher: endpoint acceptances miss the 1/10 - 9/10 gap")
 
     region = chain_region(n, T_win, G, variant)
-    d_report = weighted_max_derivative(q, region, n, T_win, G, resolution=resolution)
-    if variant == "collision":
-        bound = degree_lower_bound(d_report.value, G, T_win, n)
-    else:
-        max_dev = max((r.deviation for r in rows), default=0.0)
-        bound = degree_lower_bound3(d_report.value, G, T_win, n, max_dev)
+    d_report = weighted_max_derivative(
+        q, region, n, T_win, G, resolution=resolution, variant=variant
+    )
+    max_dev = max((r.deviation for r in rows), default=0.0)
+    bound = degree_lower_bound(
+        d_report.value, G, T_win, n, variant, fam.value_range(max_dev)
+    )
+    degree_cap = fam.cap_per_query * T
     consistent = degree_cap >= bound - 1e-12
 
     return ChainReport(
@@ -486,14 +480,13 @@ def chain_report_for_poly(
     Negative control path: an injected polynomial with an artificially
     steep derivative should report 2T < bound, i.e. inconsistency.
     """
+    fam = family(variant)
     region = chain_region(n, T, G, variant)
-    d_report = weighted_max_derivative(q, region, n, T, G, resolution=resolution)
-    if variant == "collision":
-        bound = degree_lower_bound(d_report.value, G, T, n)
-        degree_cap = 2 * T
-    else:
-        bound = degree_lower_bound3(d_report.value, G, T, n, DEVIATION_BOUND)
-        degree_cap = 8 * T
+    d_report = weighted_max_derivative(q, region, n, T, G, resolution=resolution, variant=variant)
+    bound = degree_lower_bound(
+        d_report.value, G, T, n, variant, fam.value_range(DEVIATION_BOUND)
+    )
+    degree_cap = fam.cap_per_query * T
     return ChainReport(
         variant=variant,
         algorithm=label,

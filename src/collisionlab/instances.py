@@ -253,7 +253,11 @@ def quasilattice_points(n: int, T: int, G: int, slack: int = 10) -> list[Quasila
     if T < 1:
         raise ConfigError("T must be >= 1")
     if G * G > n:
-        raise ConfigError("g out of range: G must satisfy G <= sqrt(n)")
+        largest = math.isqrt(max(n, 0))
+        raise ConfigError(
+            f"g out of range: n={n} admits no G >= {largest + 1}; "
+            f"the largest admissible G is {largest} (G <= sqrt(n))"
+        )
     points = []
     n_max = n + n // (slack * T)  # floor: N is an integer
     for g in range(1, G + 1):
@@ -311,7 +315,12 @@ def super_quasilattice_points(
     if T < 1:
         raise ConfigError("T must be >= 1")
     if G**3 > n:
-        raise ConfigError("g out of range: G must satisfy G <= n^(1/3)")
+        largest = round(max(n, 0) ** (1 / 3))
+        largest -= largest**3 > max(n, 0)  # float cube roots can overshoot by one
+        raise ConfigError(
+            f"g out of range: n={n} admits no G >= {largest + 1}; "
+            f"the largest admissible G is {largest} (G <= n^(1/3))"
+        )
     top = n + n // (slack * T)
     points = []
     for g in range(1, G + 1):

@@ -20,7 +20,7 @@ import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -397,7 +397,15 @@ def assemble_q(p: MultilinearPoly, n: int, T: int) -> LatticePoly:
     are expected to cancel, and a nonzero remainder is an error rather
     than something to approximate away.
     """
-    q = LatticePoly(2)
+    return assemble_grid_poly(p, n, T, q_tilde, 2)
+
+
+def assemble_grid_poly(
+    p: MultilinearPoly, n: int, T: int, q_tilde_of, arity: int
+) -> LatticePoly:
+    """sum_I beta_I q_tilde_of(I, n, T) in `arity` grid variables; the one
+    assembly loop behind assemble_q and assemble_q3."""
+    q = LatticePoly(arity)
     for m, c in p.terms.items():
         if m.degree > 2 * T:
             raise ValueError(f"degree violation: monomial degree {m.degree} exceeds 2T")
@@ -407,7 +415,7 @@ def assemble_q(p: MultilinearPoly, n: int, T: int) -> LatticePoly:
             raise ValueError(
                 f"coefficient of {m!r} has a nonzero sqrt(2) part: {c!r}"
             ) from exc
-        q = q + q_tilde(m, n, T).scale(beta)
+        q = q + q_tilde_of(m, n, T).scale(beta)
     return q
 
 
@@ -424,6 +432,25 @@ def _value_on_instance(obj, inst: Instance) -> QSqrt2:
     raise TypeError(f"cannot evaluate acceptance of {type(obj).__name__}")
 
 
+def mean_acceptance(obj, instances: Iterable[Instance]) -> QSqrt2:
+    """Exact average acceptance over the given instances."""
+    total = 0
+    acc = QSqrt2(0)
+    for inst in instances:
+        acc = acc + _value_on_instance(obj, inst)
+        total += 1
+    return acc / QSqrt2(total)
+
+
+def mean_acceptance_mc(obj, draws: Iterable[Instance]) -> tuple[float, float]:
+    """Float mean and standard error of the acceptance over sampled draws."""
+    values = [float(_value_on_instance(obj, inst)) for inst in draws]
+    samples = len(values)
+    mean = sum(values) / samples
+    var = sum((v - mean) ** 2 for v in values) / max(samples - 1, 1)
+    return mean, math.sqrt(var / samples)
+
+
 def expected_acceptance(
     obj, point: QuasilatticePoint, n: int, cap: int | None = None
 ) -> QSqrt2:
@@ -433,13 +460,10 @@ def expected_acceptance(
     MultilinearPoly (evaluated per draw).
     """
     point = QuasilatticePoint(*point)
-    total = 0
-    acc = QSqrt2(0)
-    for latent in enumerate_collision_supports(point, n, cap):
-        inst = instance_from_collision_latent(latent, n)
-        acc = acc + _value_on_instance(obj, inst)
-        total += 1
-    return acc / QSqrt2(total)
+    return mean_acceptance(obj, (
+        instance_from_collision_latent(latent, n)
+        for latent in enumerate_collision_supports(point, n, cap)
+    ))
 
 
 def expected_acceptance_mc(
@@ -447,10 +471,6 @@ def expected_acceptance_mc(
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the family acceptance."""
     point = QuasilatticePoint(*point)
-    values = []
-    for _ in range(samples):
-        inst = sample_collision_input(point, n, rng)
-        values.append(float(_value_on_instance(obj, inst)))
-    mean = sum(values) / samples
-    var = sum((v - mean) ** 2 for v in values) / max(samples - 1, 1)
-    return mean, math.sqrt(var / samples)
+    return mean_acceptance_mc(
+        obj, (sample_collision_input(point, n, rng) for _ in range(samples))
+    )

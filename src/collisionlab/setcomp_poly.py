@@ -19,7 +19,6 @@ import random
 from fractions import Fraction
 
 from .instances import (
-    Instance,
     SuperQuasilatticePoint,
     enumerate_setcomp_supports,
     instance_from_setcomp_latent,
@@ -28,7 +27,12 @@ from .instances import (
 )
 from .lattice import LatticePoly
 from .multilinear import IndicatorVariable, Monomial, MultilinearPoly
-from .polymethod import _value_on_instance, as_monomial
+from .polymethod import (
+    as_monomial,
+    assemble_grid_poly,
+    mean_acceptance,
+    mean_acceptance_mc,
+)
 from .qsqrt2 import QSqrt2
 
 
@@ -202,18 +206,7 @@ def prefactor3(n: int, T: int, N: int, M: int, g: int) -> Fraction:
 
 def assemble_q3(p: MultilinearPoly, n: int, T: int) -> LatticePoly:
     """q(g, N, M) = sum_I beta_I q~3_I for an extracted acceptance poly."""
-    q = LatticePoly(3)
-    for m, c in p.terms.items():
-        if m.degree > 2 * T:
-            raise ValueError(f"degree violation: monomial degree {m.degree} exceeds 2T")
-        try:
-            beta = c.as_fraction()
-        except ValueError as exc:
-            raise ValueError(
-                f"coefficient of {m!r} has a nonzero sqrt(2) part: {c!r}"
-            ) from exc
-        q = q + q_tilde3(m, n, T).scale(beta)
-    return q
+    return assemble_grid_poly(p, n, T, q_tilde3, 3)
 
 
 def expected_acceptance3(
@@ -221,13 +214,10 @@ def expected_acceptance3(
 ) -> QSqrt2:
     """Exact average acceptance over every latent draw of the family."""
     point = SuperQuasilatticePoint(*point)
-    total = 0
-    acc = QSqrt2(0)
-    for latent in enumerate_setcomp_supports(point, n, cap):
-        inst = instance_from_setcomp_latent(latent, n)
-        acc = acc + _value_on_instance(obj, inst)
-        total += 1
-    return acc / QSqrt2(total)
+    return mean_acceptance(obj, (
+        instance_from_setcomp_latent(latent, n)
+        for latent in enumerate_setcomp_supports(point, n, cap)
+    ))
 
 
 def expected_acceptance3_mc(
@@ -235,13 +225,9 @@ def expected_acceptance3_mc(
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error over the (g, N, M) family."""
     point = SuperQuasilatticePoint(*point)
-    values = []
-    for _ in range(samples):
-        inst = sample_setcomp_input(point, n, rng)
-        values.append(float(_value_on_instance(obj, inst)))
-    mean = sum(values) / samples
-    var = sum((v - mean) ** 2 for v in values) / max(samples - 1, 1)
-    return mean, math.sqrt(var / samples)
+    return mean_acceptance_mc(
+        obj, (sample_setcomp_input(point, n, rng) for _ in range(samples))
+    )
 
 
 def mixed_monomials(n: int, max_degree: int) -> list[Monomial]:

@@ -128,18 +128,6 @@ class Layer:
         one = QSqrt2(1)
         return Layer(dim, [[(j, one)] for j in range(dim)])
 
-    @staticmethod
-    def from_dense(rows: list[list[QSqrt2]]) -> "Layer":
-        dim = len(rows)
-        cols: list[list[tuple[int, QSqrt2]]] = [[] for _ in range(dim)]
-        for r, row in enumerate(rows):
-            if len(row) != dim:
-                raise ValueError("matrix must be square")
-            for c, v in enumerate(row):
-                if not v.is_zero():
-                    cols[c].append((r, v))
-        return Layer(dim, cols)
-
     def to_dense(self) -> list[list[QSqrt2]]:
         rows = [[ZERO for _ in range(self.dim)] for _ in range(self.dim)]
         for c, col in enumerate(self.cols):

@@ -1,0 +1,58 @@
+"""The benchmark tracer wraps collisionlab functions by module attribute
+name; these tests fail when a refactor removes or rebinds one of them."""
+
+import importlib.util
+from pathlib import Path
+
+from collisionlab import cli
+from collisionlab.circuits import coincidence_probe, setcomp_probe
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer(timing=False)
+
+
+def current(owner, attr):
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_tracer_installs_and_restores_every_hook():
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        patched = list(tracer._patches)
+        assert patched
+        for owner, attr, original in patched:
+            assert current(owner, attr) is not original, attr
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patched:
+        assert current(owner, attr) is original, attr
+
+
+def test_chain_calls_reach_the_traced_names(monkeypatch):
+    # A cap of 0 sends every point to Monte Carlo, so both families'
+    # assembly and sampling hooks run.
+    monkeypatch.setenv("COLLISIONLAB_ENUM_CAP", "0")
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        for job, alg in (("collision", coincidence_probe(4)), ("setcomp", setcomp_probe(8))):
+            tracer.job = job
+            report = cli.verify_inequality_chain(alg, G=2, mc_samples=10)
+            assert len(report.points) == 2
+    finally:
+        tracer.uninstall()
+    for job in ("collision", "setcomp"):
+        counts = tracer.counts[job]
+        assert counts["degreebound.points"] == 2
+        assert counts["degreebound.exact_points"] == 0
+        assert counts["instances.samples"] == 20
+        assert counts["lattice.q_terms"] > 0
+        assert counts["polymethod.extract_terms"] > 0
+

@@ -178,3 +178,15 @@ def test_empty_csv_has_header_only():
     assert lines[0].startswith("# config:")
     assert lines[1] == "a,b"
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("algorithm, root", [
+    ("first-is-1-n2", "G <= sqrt(n)"),
+    ("setcomp-probe-2", "G <= n^(1/3)"),
+])
+def test_chain_default_G_error_names_n_and_largest_G(algorithm, root, capsys):
+    code, _, err = run(["chain", "--algorithm", algorithm], capsys)
+    assert code == 2
+    assert "n=2 admits no G >= 2" in err
+    assert "the largest admissible G is 1" in err
+    assert root in err

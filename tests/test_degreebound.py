@@ -1,5 +1,7 @@
 """Markov machinery, derivative maximization, and the chain report."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,6 +13,7 @@ from collisionlab.circuits import (
     accept_if_first_is,
     always_accept,
     coincidence_probe,
+    reference_algorithm,
     two_query_mixer,
 )
 from collisionlab.degreebound import (
@@ -23,6 +26,7 @@ from collisionlab.degreebound import (
     verify_inequality_chain,
     weighted_max_derivative,
 )
+from collisionlab.instances import kappa
 from collisionlab.lattice import LatticePoly
 from collisionlab.polymethod import assemble_q, extract_polynomial
 
@@ -145,3 +149,47 @@ def test_chain_region_validation():
         chain_region(4, 1, 1, "collision")
     with pytest.raises(ValueError, match="variant"):
         chain_region(4, 1, 2, "other")
+
+
+def test_setcomp_negative_control_flags_inconsistency():
+    steep = LatticePoly(3, {(1, 0, 0): Fraction(10)})
+    report = chain_report_for_poly(steep, n=10**18, T=1, G=10**3, variant="setcomp")
+    assert report.degree_cap == 8
+    assert report.derived_bound == pytest.approx(21.62, abs=5e-3)
+    assert not report.consistent
+
+
+def test_chain_region_setcomp_has_n_and_m_windows():
+    assert chain_region(8, 1, 2, "setcomp") == [(1.0, 2.0), (8.0, 8.08), (8.0, 8.08)]
+
+
+@pytest.mark.parametrize("d, G, T, n, dev", [
+    (0.436, 2, 1, 8, 0.0),
+    (0.5, 3, 2, 10**6, 0.182),
+    (10.0, 10**3, 1, 10**18, 0.182),
+])
+def test_setcomp_degree_lower_bound_formula(d, G, T, n, dev):
+    expected = math.sqrt(
+        d * (G - 1) / (1 + 2 * dev + 2 * d * (1 + 100 * T * (G - 1) * (G + kappa(G)) / n))
+    )
+    assert degree_lower_bound(d, G, T, n, "setcomp", 1 + 2 * dev) == expected
+
+
+# sha256 of the chain report JSON (G=2, 300 MC samples, seed 0) for every
+# reference circuit that admits G=2.  The values come from the separate
+# collision and set-comparison chain code; the shared chain must
+# reproduce those reports byte for byte.
+CHAIN_JSON_SHA256 = {
+    "always-accept-4": "45a18d98c40504f7a31f913f70ac74c44b574323baf18e58e93476b17935b379",
+    "coincidence-4": "e78076b0dea68a9542da03456df5a81abe1c5f6ad5fcb3e292a8fa0154199b62",
+    "first-is-1-n4": "4b68fa5efa4b145f2648a684b9b67566f87adaa480e12da22cf892e1beb8b5a2",
+    "setcomp-probe-8": "47435177281f0bb1cf168178a6373bc49312e38fb3cb967446f91365f018c3a9",
+    "two-query-4": "daca9b3cfbc4bfa3b6809fbb304dbbb7846ca9a7d10059ebd0c3175a2e40d049",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_JSON_SHA256))
+def test_chain_report_is_pinned(name):
+    report = verify_inequality_chain(reference_algorithm(name), G=2, mc_samples=300)
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CHAIN_JSON_SHA256[name]
