@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .instances import (
+    ConfigError,
     EnumerationTooLarge,
     enumeration_cap,
     kappa,
@@ -390,6 +391,10 @@ def verify_inequality_chain(
     derivative, and the implied degree lower bound.  For any genuine
     algorithm the report must come out consistent: degree cap >= bound.
     """
+    if G < 2:
+        raise ConfigError(f"need G >= 2 for a nondegenerate rectangle, got G={G}")
+    if mc_samples < 1:
+        raise ConfigError(f"need at least one Monte Carlo sample, got mc_samples={mc_samples}")
     if variant is None:
         variant = alg.kind
     if variant != alg.kind:

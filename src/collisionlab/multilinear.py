@@ -9,7 +9,10 @@ the structured-input expectations are computed from.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple, Optional
+
+import numpy as np
 
 from .qsqrt2 import QSqrt2, ZERO
 
@@ -223,6 +226,55 @@ class MultilinearPoly:
             if m.evaluate(x, y):
                 total = total + c
         return total
+
+    def evaluate_batch(
+        self, draws: np.ndarray, n: int
+    ) -> tuple[list[int], list[int], int]:
+        """Exact values at a batch of draws, with the polynomial compiled
+        once for the whole batch.
+
+        draws is an S x n integer array of x sequences, or S x 2n with y
+        after x.  Returns (A, B, D): draw s has the value
+        (A[s] + B[s] sqrt(2)) / D, where D is the lcm of the coefficient
+        denominators.  Each term is its (column, value) factors and the
+        integer numerators (A_I, B_I) over D; its hits are a numpy mask
+        over the batch, and A_I, B_I are added to the hit draws as Python
+        ints, so every value is exact.
+        """
+        S, width = draws.shape
+        if S == 0:
+            raise ValueError("an empty batch has no values; need at least one draw")
+        if width not in (n, 2 * n):
+            raise ValueError(f"draws must have n = {n} or 2n columns, got {width}")
+        D = math.lcm(*(v.denominator for c in self.terms.values() for v in (c.a, c.b)))
+        compiled = []
+        for m, c in self.terms.items():
+            cols = []
+            for f in m.factors:
+                col = f.position - 1 + (n if f.register == "y" else 0)
+                if f.position > n or col >= width:
+                    raise ValueError(f"indicator {f} has no matching sequence entry")
+                cols.append((col, f.value))
+            compiled.append((cols, c.a.numerator * (D // c.a.denominator),
+                             c.b.numerator * (D // c.b.denominator)))
+
+        acc_a = np.zeros(S, dtype=object)
+        acc_b = np.zeros(S, dtype=object)
+        hits: dict[tuple[int, int], np.ndarray] = {}
+        for cols, a, b in compiled:
+            mask = None
+            for key in cols:
+                hit = hits.get(key)
+                if hit is None:
+                    hit = hits[key] = draws[:, key[0]] == key[1]
+                mask = hit if mask is None else mask & hit
+            if mask is None:  # the constant term hits every draw
+                mask = slice(None)
+            if a:
+                acc_a[mask] += a
+            if b:
+                acc_b[mask] += b
+        return acc_a.tolist(), acc_b.tolist(), D
 
     # -- serialization -------------------------------------------------------------
 

@@ -16,6 +16,7 @@ independent brute-force twin that enumerates the latent draws directly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from bisect import bisect_left
@@ -322,8 +323,6 @@ def all_monomials(
     n: int, max_degree: int, alphabet: int | None = None, register: str = "x"
 ) -> Iterator[Monomial]:
     """Every canonical monomial on positions 1..n with degree <= max_degree."""
-    import itertools
-
     top = alphabet if alphabet is not None else n
     yield Monomial.one()
     for r in range(1, max_degree + 1):
@@ -427,13 +426,29 @@ def assemble_grid_poly(
 def _value_on_instance(obj, inst: Instance) -> QSqrt2:
     if isinstance(obj, QueryAlgorithm):
         return acceptance_probability(obj, inst, mode="exact")
-    if isinstance(obj, MultilinearPoly):
-        return evaluate_poly(obj, inst)
     raise TypeError(f"cannot evaluate acceptance of {type(obj).__name__}")
+
+
+def _draw_array(instances: Iterable[Instance]) -> tuple[np.ndarray, int]:
+    """Stream instances into one S x n array of x (S x 2n, y after x, for
+    set comparison) without keeping them; returns (array, n)."""
+    it = iter(instances)
+    first = next(it, None)
+    if first is None:
+        return np.empty((0, 0), dtype=np.int64), 0
+    values = itertools.chain.from_iterable(
+        inst.x + (inst.y or ()) for inst in itertools.chain((first,), it)
+    )
+    draws = np.fromiter(values, dtype=np.int64)
+    return draws.reshape(-1, len(first.x) + len(first.y or ())), first.n
 
 
 def mean_acceptance(obj, instances: Iterable[Instance]) -> QSqrt2:
     """Exact average acceptance over the given instances."""
+    if isinstance(obj, MultilinearPoly):
+        A, B, D = obj.evaluate_batch(*_draw_array(instances))
+        denom = D * len(A)
+        return QSqrt2(Fraction(sum(A), denom), Fraction(sum(B), denom))
     total = 0
     acc = QSqrt2(0)
     for inst in instances:
@@ -444,7 +459,11 @@ def mean_acceptance(obj, instances: Iterable[Instance]) -> QSqrt2:
 
 def mean_acceptance_mc(obj, draws: Iterable[Instance]) -> tuple[float, float]:
     """Float mean and standard error of the acceptance over sampled draws."""
-    values = [float(_value_on_instance(obj, inst)) for inst in draws]
+    if isinstance(obj, MultilinearPoly):
+        A, B, D = obj.evaluate_batch(*_draw_array(draws))
+        values = [float(QSqrt2(Fraction(a, D), Fraction(b, D))) for a, b in zip(A, B)]
+    else:
+        values = [float(_value_on_instance(obj, inst)) for inst in draws]
     samples = len(values)
     mean = sum(values) / samples
     var = sum((v - mean) ** 2 for v in values) / max(samples - 1, 1)
@@ -457,7 +476,7 @@ def expected_acceptance(
     """Exact average acceptance over every latent draw of the family.
 
     obj is a QueryAlgorithm (simulated per draw) or an extracted
-    MultilinearPoly (evaluated per draw).
+    MultilinearPoly (evaluated over all draws in one batch).
     """
     point = QuasilatticePoint(*point)
     return mean_acceptance(obj, (

@@ -190,3 +190,32 @@ def test_chain_default_G_error_names_n_and_largest_G(algorithm, root, capsys):
     assert "n=2 admits no G >= 2" in err
     assert "the largest admissible G is 1" in err
     assert root in err
+
+
+def forbid_extraction(monkeypatch):
+    from collisionlab import degreebound
+
+    def extract(alg):
+        raise AssertionError("the chain extracted a polynomial before checking its settings")
+
+    monkeypatch.setattr(degreebound, "extract_polynomial", extract)
+
+
+@pytest.mark.parametrize("algorithm", ["first-is-1-n2", "setcomp-probe-2"])
+def test_chain_G_below_2_exits_2_before_extraction(algorithm, monkeypatch, capsys):
+    forbid_extraction(monkeypatch)
+    code, _, err = run(["chain", "--algorithm", algorithm, "--G", "1"], capsys)
+    assert code == 2
+    assert "need G >= 2" in err
+
+
+@pytest.mark.parametrize("algorithm", ["coincidence-4", "setcomp-probe-8"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_chain_mc_samples_below_1_exits_2_before_extraction(algorithm, samples, monkeypatch, capsys):
+    monkeypatch.setenv("COLLISIONLAB_ENUM_CAP", "0")
+    forbid_extraction(monkeypatch)
+    code, _, err = run(
+        ["chain", "--algorithm", algorithm, "--G", "2", "--mc-samples", samples], capsys
+    )
+    assert code == 2
+    assert "mc_samples" in err

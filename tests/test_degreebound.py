@@ -193,3 +193,24 @@ def test_chain_report_is_pinned(name):
     report = verify_inequality_chain(reference_algorithm(name), G=2, mc_samples=300)
     text = json.dumps(report.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CHAIN_JSON_SHA256[name]
+
+
+# The same under COLLISIONLAB_ENUM_CAP=0, which sends every point to Monte
+# Carlo over the extracted polynomial; taken from the per-draw evaluation
+# that the batched one replaced.
+CHAIN_MC_JSON_SHA256 = {
+    "coincidence_probe(4)": "97def3bfa872b5be8c15124560d1ba1f13e26d4cb017ef5a1950a8b8f4b1509f",
+    "two_query_mixer(4)": "8d170a9cde21a6d556a251abc91b5d1074ea21865ef6ea62fb4de8154842446f",
+}
+
+
+@pytest.mark.parametrize("name, alg", [
+    ("coincidence_probe(4)", coincidence_probe(4)),
+    ("two_query_mixer(4)", two_query_mixer(4)),
+])
+def test_forced_mc_chain_report_is_pinned(name, alg, monkeypatch):
+    monkeypatch.setenv("COLLISIONLAB_ENUM_CAP", "0")
+    report = verify_inequality_chain(alg, G=2, mc_samples=300)
+    assert not any(row.exact for row in report.points)
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CHAIN_MC_JSON_SHA256[name]
