@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .instances import Instance
+from .instances import ConfigError, Instance
 from .qsqrt2 import QSqrt2
 from .simulator import (
     BasisState,
@@ -324,6 +324,8 @@ def collision_benchmark(
 ) -> dict:
     """Seeded success-rate table row for bht or the birthday baseline on
     two-to-one inputs.  Each trial derives its own rng stream."""
+    if trials < 1:
+        raise ConfigError(f"need at least one trial, got trials={trials}")
     successes = 0
     total_queries = 0
     for trial in range(trials):

@@ -86,10 +86,12 @@ def config_echo(args: argparse.Namespace) -> dict:
 
 def cmd_lattice(args) -> int:
     if args.super_points:
-        pts = super_quasilattice_points(args.n, args.T, args.G, slack=args.slack or 100)
+        slack = 100 if args.slack is None else args.slack
+        pts = super_quasilattice_points(args.n, args.T, args.G, slack=slack)
         rows = [{"g": p.g, "N": p.N, "M": p.M} for p in pts]
     else:
-        pts = quasilattice_points(args.n, args.T, args.G, slack=args.slack or 10)
+        slack = 10 if args.slack is None else args.slack
+        pts = quasilattice_points(args.n, args.T, args.G, slack=slack)
         rows = [{"g": p.g, "N": p.N} for p in pts]
     text = emit_report(config_echo(args), rows, rows, args.format, args.output, constants=CONSTANTS)
     if args.output:
@@ -100,6 +102,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.shots < 0:
+        raise ConfigError(f"--shots must be >= 0, got {args.shots}")
     alg = load_algorithm(args.algorithm)
     rng = random.Random(args.seed)
     if args.instance:

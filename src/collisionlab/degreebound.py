@@ -485,6 +485,10 @@ def chain_report_for_poly(
     Negative control path: an injected polynomial with an artificially
     steep derivative should report 2T < bound, i.e. inconsistency.
     """
+    if G < 2:
+        raise ConfigError(f"need G >= 2 for a nondegenerate rectangle, got G={G}")
+    if T < 1:
+        raise ConfigError(f"need T >= 1 for the chain window, got T={T}")
     fam = family(variant)
     region = chain_region(n, T, G, variant)
     d_report = weighted_max_derivative(q, region, n, T, G, resolution=resolution, variant=variant)

@@ -423,6 +423,9 @@ def assemble_grid_poly(
 # ---------------------------------------------------------------------------
 
 
+_EMPTY_BATCH = "an empty batch has no mean acceptance; need at least one draw"
+
+
 def _value_on_instance(obj, inst: Instance) -> QSqrt2:
     if isinstance(obj, QueryAlgorithm):
         return acceptance_probability(obj, inst, mode="exact")
@@ -454,6 +457,8 @@ def mean_acceptance(obj, instances: Iterable[Instance]) -> QSqrt2:
     for inst in instances:
         acc = acc + _value_on_instance(obj, inst)
         total += 1
+    if not total:
+        raise ValueError(_EMPTY_BATCH)
     return acc / QSqrt2(total)
 
 
@@ -465,6 +470,8 @@ def mean_acceptance_mc(obj, draws: Iterable[Instance]) -> tuple[float, float]:
     else:
         values = [float(_value_on_instance(obj, inst)) for inst in draws]
     samples = len(values)
+    if not samples:
+        raise ValueError(_EMPTY_BATCH)
     mean = sum(values) / samples
     var = sum((v - mean) ** 2 for v in values) / max(samples - 1, 1)
     return mean, math.sqrt(var / samples)

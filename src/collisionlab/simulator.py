@@ -10,8 +10,10 @@ the oracle semantics:
   standard  |w, i, z> -> |w XOR enc(value_i), i, z>   (answer field XOR)
   erasing   |w, i, z> -> |w, value_i, z>              (index replaced)
 
-Exact mode stores QSqrt2 amplitudes and checks norms exactly; float mode
-runs the same circuits in double precision.
+Exact and float mode share every kernel: exact mode stores QSqrt2
+amplitudes and checks norms for equality, float mode stores doubles and
+checks them within FLOAT_NORM_TOL.  Those constants, and which layer
+columns a mode reads, live in the MODES table; nothing else differs.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .instances import Instance
-from .qsqrt2 import QSqrt2, ZERO, parse_fraction
+from .qsqrt2 import ONE, QSqrt2, ZERO, parse_fraction
 
 FLOAT_NORM_TOL = 1e-12
 MEASURE_NORM_TOL = 1e-9
@@ -125,8 +129,7 @@ class Layer:
 
     @staticmethod
     def identity(dim: int) -> "Layer":
-        one = QSqrt2(1)
-        return Layer(dim, [[(j, one)] for j in range(dim)])
+        return Layer(dim, [[(j, ONE)] for j in range(dim)])
 
     def to_dense(self) -> list[list[QSqrt2]]:
         rows = [[ZERO for _ in range(self.dim)] for _ in range(self.dim)]
@@ -251,6 +254,30 @@ class Layer:
 _ZERO_ENTRY = ZERO.to_strings()
 
 
+class Arithmetic(NamedTuple):
+    """What differs between amplitude modes: zero, one, the norm tolerance
+    (0: exact equality) and the layer columns read.  The float zero is the
+    int 0 of a plain sum(), so a float acceptance with no accepting state
+    reads 0."""
+
+    zero: object
+    one: object
+    tol: float
+    cols: Callable[[Layer], list]
+
+
+MODES = {
+    "exact": Arithmetic(ZERO, ONE, 0, attrgetter("cols")),
+    "float": Arithmetic(0, 1.0, FLOAT_NORM_TOL, Layer.float_cols),
+}
+
+
+def _agrees(a, b, mode: str) -> bool:
+    """a == b, or within FLOAT_NORM_TOL of it in float mode."""
+    tol = MODES[mode].tol
+    return a == b or -tol <= a - b <= tol
+
+
 class StateVector:
     """Sparse amplitude vector over a StateSpace.
 
@@ -262,7 +289,7 @@ class StateVector:
     __slots__ = ("space", "mode", "entries")
 
     def __init__(self, space: StateSpace, mode: str = "exact", entries=None):
-        if mode not in ("exact", "float"):
+        if mode not in MODES:
             raise ValueError("mode must be 'exact' or 'float'")
         self.space = space
         self.mode = mode
@@ -272,66 +299,41 @@ class StateVector:
     def from_basis_state(
         space: StateSpace, state: BasisState, mode: str = "exact"
     ) -> "StateVector":
-        amp = QSqrt2(1) if mode == "exact" else 1.0
-        return StateVector(space, mode, {space.encode(state): amp})
+        vec = StateVector(space, mode)
+        vec.entries[space.encode(state)] = MODES[mode].one
+        return vec
 
     def items(self):
         for ordinal, amp in self.entries.items():
             yield self.space.decode(ordinal), amp
 
     def amplitude(self, state: BasisState):
-        zero = ZERO if self.mode == "exact" else 0.0
-        return self.entries.get(self.space.encode(state), zero)
+        return self.entries.get(self.space.encode(state), MODES[self.mode].zero)
 
     def squared_norm(self):
-        if self.mode == "exact":
-            total = ZERO
-            for amp in self.entries.values():
-                total = total + amp * amp
-            return total
-        return sum(a * a for a in self.entries.values())
+        return sum((a * a for a in self.entries.values()), MODES[self.mode].zero)
 
     def acceptance_weight(self):
         """Total squared amplitude on output = 2 states."""
-        if self.mode == "exact":
-            total = ZERO
-            for ordinal, amp in self.entries.items():
-                if ordinal & 1:
-                    total = total + amp * amp
-            return total
-        return sum(a * a for k, a in self.entries.items() if k & 1)
+        return sum((a * a for k, a in self.entries.items() if k & 1), MODES[self.mode].zero)
 
 
 def _check_norm_preserved(before, after, mode: str, what: str):
-    if mode == "exact":
-        if before != after:
-            raise AssertionError(f"{what} changed the exact squared norm")
-    else:
-        if abs(before - after) > FLOAT_NORM_TOL:
-            raise AssertionError(f"{what} drifted the squared norm by {abs(before-after)}")
+    if not _agrees(before, after, mode):
+        raise AssertionError(f"{what} changed the squared norm from {before!r} to {after!r}")
 
 
 def apply_unitary(state: StateVector, layer: Layer) -> StateVector:
     """Apply one input-independent orthogonal layer."""
     if layer.dim != state.space.dim:
         raise ValueError("layer dimension does not match state space")
-    cols = layer.cols if state.mode == "exact" else layer.float_cols()
+    cols = MODES[state.mode].cols(layer)
     out: dict[int, object] = {}
-    if state.mode == "exact":
-        for ordinal, amp in state.entries.items():
-            for row, v in cols[ordinal]:
-                cur = out.get(row)
-                val = v * amp if cur is None else cur + v * amp
-                if val.is_zero():
-                    out.pop(row, None)
-                else:
-                    out[row] = val
-    else:
-        for ordinal, amp in state.entries.items():
-            for row, v in cols[ordinal]:
-                out[row] = out.get(row, 0.0) + v * amp
-        out = {k: v for k, v in out.items() if v != 0.0}
-    result = StateVector(state.space, state.mode, out)
+    for ordinal, amp in state.entries.items():
+        for row, v in cols[ordinal]:
+            cur = out.get(row)
+            out[row] = v * amp if cur is None else cur + v * amp
+    result = StateVector(state.space, state.mode, {k: v for k, v in out.items() if v})
     _check_norm_preserved(state.squared_norm(), result.squared_norm(), state.mode, "unitary layer")
     return result
 
@@ -355,28 +357,6 @@ def apply_standard_query(state: StateVector, inst: Instance) -> StateVector:
     return result
 
 
-def erasing_targets(inst: Instance) -> list[int]:
-    """Index-register image of the erasing map, one entry per address.
-
-    Collision inputs map address i to x_i; set-comparison inputs map
-    address (b, i), laid out as b*2n + v on a 4n-value register, to
-    (b, x_i) or (b, y_i).  Raises unless the mapped sequences are
-    one-to-one, since only injective inputs define a basis map.
-    """
-    if inst.kind == "collision":
-        if len(set(inst.x)) != inst.n:
-            raise ValueError("erasing oracle undefined for non-injective input")
-        return [v for v in inst.x]
-    y = inst.y_sequence()
-    if len(set(inst.x)) != inst.n or len(set(y)) != inst.n:
-        raise ValueError("erasing oracle undefined for non-injective input")
-    two_n = 2 * inst.n
-    targets = []
-    for b, seq in ((0, inst.x), (1, y)):
-        targets.extend(b * two_n + v for v in seq)
-    return targets
-
-
 def erasing_space(inst: Instance, workspace_bits: int = 0) -> StateSpace:
     """State space whose index register holds erasing-oracle outputs:
     {1..n} for collision inputs, {0,1} x {1..2n} (size 4n) for pairs."""
@@ -387,39 +367,31 @@ def erasing_space(inst: Instance, workspace_bits: int = 0) -> StateSpace:
 def apply_erasing_query(state: StateVector, inst: Instance) -> StateVector:
     """Replace the index register content by the queried value.
 
-    Defined only on basis states whose index is a valid query address:
-    i <= n for collision inputs, and b*2n + i with i <= n for pairs.
-    Injectivity of the input makes this an inner-product-preserving
-    basis map.
+    Query address b*2n + i goes to b*2n + v_i, with v = x for b = 0 and
+    v = y for b = 1; collision inputs have b = 0 only.  Defined only on
+    basis states whose index is a query address, and only for injective
+    inputs, which make it an inner-product-preserving basis map.
     """
+    seqs = (inst.x,) if inst.kind == "collision" else (inst.x, inst.y_sequence())
+    if any(len(set(seq)) != inst.n for seq in seqs):
+        raise ValueError("erasing oracle undefined for non-injective input")
+    two_n = 2 * inst.n
+    targets = {
+        b * two_n + i: b * two_n + v
+        for b, seq in enumerate(seqs)
+        for i, v in enumerate(seq, start=1)
+    }
     space = state.space
-    targets = erasing_targets(inst)
-    if inst.kind == "collision":
-        expected = inst.n
-        def address(idx: int) -> int | None:
-            return idx if idx <= inst.n else None
-    else:
-        expected = 4 * inst.n
-        two_n = 2 * inst.n
-        def address(idx: int) -> int | None:
-            b, v = divmod(idx - 1, two_n)
-            return idx if v + 1 <= inst.n else None
-    if space.index_size != expected:
+    if space.index_size != erasing_space(inst).index_size:
         raise ValueError("state space does not match the erasing-oracle layout")
     out: dict[int, object] = {}
     for ordinal, amp in state.entries.items():
         idx = (ordinal >> 1) % space.index_size + 1
-        addr = address(idx)
-        if addr is None:
+        new_idx = targets.get(idx)
+        if new_idx is None:
             raise ValueError(
                 f"erasing query applied to a state outside the query domain (index {idx})"
             )
-        if inst.kind == "collision":
-            new_idx = targets[addr - 1]
-        else:
-            b = (addr - 1) // (2 * inst.n)
-            i = (addr - 1) % (2 * inst.n) + 1
-            new_idx = targets[b * inst.n + i - 1]
         new_ordinal = ordinal + (new_idx - idx) * 2
         if new_ordinal in out:
             raise AssertionError("erasing map collided; input claimed injective")
@@ -489,11 +461,7 @@ class QueryAlgorithm:
             state = query(state, inst)
             state = apply_unitary(state, self.layers[t])
         norm = state.squared_norm()
-        if mode == "exact":
-            normalized = norm == QSqrt2(1)
-        else:
-            normalized = abs(norm - 1.0) <= FLOAT_NORM_TOL
-        if not normalized:
+        if not _agrees(norm, MODES[mode].one, mode):
             raise AssertionError(f"final state is not normalized (squared norm {norm!r})")
         return state
 
@@ -556,29 +524,21 @@ class QueryAlgorithm:
 def acceptance_probability(alg: QueryAlgorithm, inst: Instance, mode: str = "exact"):
     """Probability of measuring output 2 after the full circuit.
 
-    Exact mode returns a QSqrt2 value (checked to lie in [0, 1]); float
-    mode returns a double.
+    Exact mode returns a QSqrt2 value checked to lie in [0, 1]; float mode
+    returns a double checked to lie within FLOAT_NORM_TOL of it, clipped.
     """
-    final = alg.run(inst, mode)
-    p = final.acceptance_weight()
-    if mode == "exact":
-        in_range = ZERO <= p <= QSqrt2(1)
-    else:
-        in_range = -FLOAT_NORM_TOL <= p <= 1 + FLOAT_NORM_TOL
-        p = min(max(p, 0.0), 1.0)
-    if not in_range:
+    p = alg.run(inst, mode).acceptance_weight()
+    m = MODES[mode]
+    clipped = min(max(p, m.zero), m.one)
+    if not _agrees(p, clipped, mode):
         raise AssertionError(f"acceptance probability {p!r} outside [0, 1]")
-    return p
+    return clipped
 
 
 def sample_measurement(state: StateVector, rng: random.Random) -> BasisState:
     """Draw one basis state with probability equal to its squared amplitude."""
-    weights = []
-    ordinals = []
-    for ordinal, amp in state.entries.items():
-        w = float(amp) ** 2 if state.mode == "exact" else amp * amp
-        ordinals.append(ordinal)
-        weights.append(w)
+    ordinals = list(state.entries)
+    weights = [a * a for a in map(float, state.entries.values())]
     total = sum(weights)
     if abs(total - 1.0) > MEASURE_NORM_TOL:
         raise ValueError(f"state is not normalized (squared norm {total})")

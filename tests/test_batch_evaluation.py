@@ -25,6 +25,7 @@ from collisionlab.polymethod import (
     expected_acceptance,
     expected_acceptance_mc,
     extract_polynomial,
+    mean_acceptance,
 )
 from collisionlab.qsqrt2 import QSqrt2
 from collisionlab.setcomp_poly import expected_acceptance3, expected_acceptance3_mc
@@ -117,6 +118,12 @@ def test_empty_batch_is_a_value_error():
         poly.evaluate_batch(np.empty((0, 4), dtype=np.int64), 4)
     with pytest.raises(ValueError, match="empty batch"):
         expected_acceptance_mc(poly, QuasilatticePoint(1, 4), 4, 0, random.Random(0))
+    # The circuit path simulates each draw and raises the same way.
+    alg = coincidence_probe(4)
+    with pytest.raises(ValueError, match="empty batch"):
+        mean_acceptance(alg, [])
+    with pytest.raises(ValueError, match="empty batch"):
+        expected_acceptance_mc(alg, QuasilatticePoint(1, 4), 4, 0, random.Random(0))
 
 
 COLLISION_POINTS_N4 = [

@@ -141,6 +141,15 @@ def test_invalid_config_exits_2(capsys):
         (["simulate", "--algorithm", "coincidence-4", "--point", "3,4"], "invalid point"),
         (["simulate", "--algorithm", "coincidence-4", "--point", "3"], "needs g,N"),
         (["simulate", "--algorithm", "setcomp-probe-2", "--point", "1,2"], "needs g,N,M"),
+        (["simulate", "--algorithm", "coincidence-4", "--point", "2,4", "--shots", "-3"],
+         "--shots must be >= 0"),
+        (["bench", "--trials", "0"], "need at least one trial"),
+        (["lattice", "--n", "100", "--T", "3", "--G", "2", "--slack", "0"], "slack must be >= 1"),
+        (["lattice", "--n", "100", "--T", "3", "--G", "2", "--slack", "-5"], "slack must be >= 1"),
+        (["lattice", "--super", "--n", "1000", "--T", "1", "--G", "2", "--slack", "0"],
+         "slack must be >= 1"),
+        (["chain", "--negative-control", "--control-G", "1"], "need G >= 2"),
+        (["chain", "--negative-control", "--control-T", "0"], "need T >= 1"),
     ],
 )
 def test_semantic_config_errors_exit_2(args, message, capsys):

@@ -10,6 +10,7 @@ from collisionlab.circuits import (
     always_accept,
     coincidence_probe,
     hadamard_matrix,
+    index_register_layer,
     random_orthogonal_layer,
     setcomp_probe,
     two_query_mixer,
@@ -151,6 +152,62 @@ def test_erasing_preserves_inner_products():
     before = inner_product(a, b)
     after = inner_product(apply_erasing_query(a, inst), apply_erasing_query(b, inst))
     assert before == after
+
+
+def test_erasing_moves_collision_basis_states_to_the_queried_value():
+    inst = Instance(kind="collision", n=4, x=(3, 1, 4, 2))
+    space = erasing_space(inst, workspace_bits=1)
+    # ordinal = (workspace * 4 + index - 1) * 2 + output - 1
+    before = {0: QSqrt2(1), 3: QSqrt2(2), 6: QSqrt2(3), 13: QSqrt2(4)}
+    out = apply_erasing_query(StateVector(space, "exact", dict(before)), inst)
+    # index 1 -> 3, 2 -> 1, 4 -> 2, 3 -> 4; workspace and output kept
+    assert out.entries == {4: QSqrt2(1), 1: QSqrt2(2), 2: QSqrt2(3), 15: QSqrt2(4)}
+
+
+def test_erasing_moves_setcomp_basis_states_to_the_queried_value():
+    inst = Instance(kind="setcomp", n=2, x=(3, 1), y=(2, 4))
+    space = erasing_space(inst)
+    assert space.index_size == 8
+    # addresses b*4 + i: 1, 2 (x) and 5, 6 (y); ordinal = (index - 1) * 2 + output - 1
+    before = {0: QSqrt2(1), 3: QSqrt2(2), 8: QSqrt2(3), 11: QSqrt2(4)}
+    out = apply_erasing_query(StateVector(space, "exact", dict(before)), inst)
+    # index 1 -> 3, 2 -> 1, 5 -> 4 + 2, 6 -> 4 + 4
+    assert out.entries == {4: QSqrt2(1), 1: QSqrt2(2), 10: QSqrt2(3), 15: QSqrt2(4)}
+
+
+@pytest.mark.parametrize("index", [3, 4, 7, 8])
+def test_erasing_rejects_a_setcomp_index_outside_the_query_domain(index):
+    # index b*2n + v with v > n holds an answer, not a query address
+    inst = Instance(kind="setcomp", n=2, x=(3, 1), y=(2, 4))
+    space = erasing_space(inst)
+    state = StateVector.from_basis_state(space, BasisState(0, index, 1))
+    with pytest.raises(ValueError, match="outside the query domain"):
+        apply_erasing_query(state, inst)
+
+
+@pytest.mark.parametrize("inst, index_size", [
+    (Instance(kind="collision", n=4, x=(3, 1, 4, 2)), 5),
+    (Instance(kind="setcomp", n=2, x=(3, 1), y=(2, 4)), 4),
+])
+def test_erasing_rejects_a_space_of_the_wrong_size(inst, index_size):
+    state = StateVector.from_basis_state(StateSpace(index_size=index_size), BasisState(0, 1, 1))
+    with pytest.raises(ValueError, match="erasing-oracle layout"):
+        apply_erasing_query(state, inst)
+
+
+@pytest.mark.parametrize("mode, kind", [("exact", QSqrt2), ("float", float)])
+def test_both_modes_keep_their_amplitude_type_and_store_no_zero(mode, kind):
+    space = StateSpace(index_size=2)
+    h = index_register_layer(space, hadamard_matrix(1))
+    state = StateVector.from_basis_state(space, BasisState(0, 1, 2), mode)
+    once = apply_unitary(state, h)
+    assert len(once.entries) == 2
+    for value in (once.squared_norm(), once.acceptance_weight(), once.amplitude(BasisState(0, 2, 2))):
+        assert type(value) is kind
+    # H.H = I: the index-2 amplitude cancels and must not be stored
+    twice = apply_unitary(once, h)
+    assert list(twice.entries) == [space.encode(BasisState(0, 1, 2))]
+    assert abs(float(twice.amplitude(BasisState(0, 1, 2))) - 1) < 1e-12
 
 
 def test_acceptance_examples():
