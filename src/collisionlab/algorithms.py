@@ -105,8 +105,10 @@ def erasing_setcomp_decide(
         return erasing_setcomp_probability(inst, mode)
     if mode != "shots":
         raise ValueError("mode must be 'exact', 'float' or 'shots'")
-    if shots is None or shots < 1 or rng is None:
-        raise ValueError("shots mode needs a shot count and an rng")
+    if shots is None or shots < 1:
+        raise ConfigError(f"shots mode needs a shot count >= 1, got shots={shots}")
+    if rng is None:
+        raise ValueError("shots mode needs an rng")
     p = float(erasing_setcomp_probability(inst, "float"))
     for _ in range(shots):
         if rng.random() < p:
@@ -326,6 +328,10 @@ def collision_benchmark(
     two-to-one inputs.  Each trial derives its own rng stream."""
     if trials < 1:
         raise ConfigError(f"need at least one trial, got trials={trials}")
+    if algorithm not in ("bht", "birthday"):
+        raise ConfigError(f"unknown algorithm {algorithm!r}; expected bht or birthday")
+    if n < 1:
+        raise ConfigError(f"need n >= 1, got n={n}")
     successes = 0
     total_queries = 0
     for trial in range(trials):
@@ -333,11 +339,9 @@ def collision_benchmark(
         inst = two_to_one_instance(n, rng)
         if algorithm == "bht":
             result = bht_collision(inst, rng)
-        elif algorithm == "birthday":
+        else:
             b = budget if budget is not None else int(3 * math.sqrt(n))
             result = classical_birthday(inst, rng, b)
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
         if result.decision == "collision":
             successes += 1
         total_queries += result.queries_used

@@ -282,6 +282,8 @@ def cmd_setcomp(args) -> int:
     if args.instance:
         inst = Instance.load(args.instance)
         n = inst.n
+    elif n < 1:
+        raise ConfigError(f"--n must be >= 1, got {n}")
     elif args.equal:
         x = tuple(range(1, n + 1))
         y = tuple(reversed(range(1, n + 1)))

@@ -254,6 +254,8 @@ def quasilattice_points(n: int, T: int, G: int, slack: int = 10) -> list[Quasila
         raise ConfigError("T must be >= 1")
     if slack < 1:
         raise ConfigError(f"slack must be >= 1, got slack={slack}")
+    if G < 1:
+        raise ConfigError(f"G must be >= 1, got G={G}")
     if G * G > n:
         largest = math.isqrt(max(n, 0))
         raise ConfigError(
@@ -318,6 +320,8 @@ def super_quasilattice_points(
         raise ConfigError("T must be >= 1")
     if slack < 1:
         raise ConfigError(f"slack must be >= 1, got slack={slack}")
+    if G < 1:
+        raise ConfigError(f"G must be >= 1, got G={G}")
     if G**3 > n:
         largest = round(max(n, 0) ** (1 / 3))
         largest -= largest**3 > max(n, 0)  # float cube roots can overshoot by one

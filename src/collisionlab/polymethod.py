@@ -403,8 +403,27 @@ def assemble_grid_poly(
     p: MultilinearPoly, n: int, T: int, q_tilde_of, arity: int
 ) -> LatticePoly:
     """sum_I beta_I q_tilde_of(I, n, T) in `arity` grid variables; the one
-    assembly loop behind assemble_q and assemble_q3."""
-    q = LatticePoly(arity)
+    assembly loop behind assemble_q and assemble_q3.
+
+    q~_I depends on I only through its shape: the width w (distinct
+    values over both registers) and the sorted value multiplicities of
+    each register.  These give everything q_tilde and q_tilde3 read: the
+    degrees r_x, r_y (sums of the multiplicities, r = r_x + r_y), the
+    register widths w_x, w_y (their counts), w, and the multiplicities
+    themselves; positions and the values' labels never enter.  So the
+    rational beta_I are summed per shape, and q~ is built once per shape,
+    from its first monomial, and scaled once, in first-seen order.  The
+    degree and sqrt(2) checks still run on every term in term order, and
+    q_tilde_of runs when a shape is first seen, so its own errors (a y
+    factor on the collision side) come in term order too.
+
+    Zero sums are dropped only at the end, so grid monomials keep the
+    order in which they first appear: the order a per-term sum gives
+    wherever none of its partial sums returns to zero.  evaluate_float
+    adds in that order.
+    """
+    q_tildes: dict[tuple, LatticePoly] = {}  # shape -> q~ of its first monomial
+    betas: dict[tuple, Fraction] = {}  # shape -> sum of beta, same order
     for m, c in p.terms.items():
         if m.degree > 2 * T:
             raise ValueError(f"degree violation: monomial degree {m.degree} exceeds 2T")
@@ -414,8 +433,19 @@ def assemble_grid_poly(
             raise ValueError(
                 f"coefficient of {m!r} has a nonzero sqrt(2) part: {c!r}"
             ) from exc
-        q = q + q_tilde_of(m, n, T).scale(beta)
-    return q
+        shape = (
+            m.width(),
+            tuple(sorted(m.multiplicities("x").values())),
+            tuple(sorted(m.multiplicities("y").values())),
+        )
+        if shape not in q_tildes:
+            q_tildes[shape] = q_tilde_of(m, n, T)
+        betas[shape] = betas.get(shape, 0) + beta
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    for shape, beta_sum in betas.items():
+        for exps, c in q_tildes[shape].coeffs.items():
+            coeffs[exps] = coeffs.get(exps, 0) + c * beta_sum
+    return LatticePoly(arity, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,14 @@ def test_invalid_config_exits_2(capsys):
          "slack must be >= 1"),
         (["chain", "--negative-control", "--control-G", "1"], "need G >= 2"),
         (["chain", "--negative-control", "--control-T", "0"], "need T >= 1"),
+        (["setcomp", "--mode", "shots", "--shots", "0", "--equal", "--n", "4"],
+         "shots mode needs a shot count >= 1"),
+        (["setcomp", "--equal", "--n", "0"], "--n must be >= 1"),
+        (["bench", "--algorithms", "foo"], "unknown algorithm 'foo'"),
+        (["bench", "--sizes", "0"], "need n >= 1"),
+        (["lattice", "--n", "16", "--T", "1", "--G", "0"], "G must be >= 1"),
+        (["lattice", "--n", "16", "--T", "1", "--G", "-3"], "G must be >= 1"),
+        (["lattice", "--super", "--n", "1000", "--T", "1", "--G", "0"], "G must be >= 1"),
     ],
 )
 def test_semantic_config_errors_exit_2(args, message, capsys):

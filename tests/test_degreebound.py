@@ -14,6 +14,7 @@ from collisionlab.circuits import (
     always_accept,
     coincidence_probe,
     reference_algorithm,
+    setcomp_probe,
     two_query_mixer,
 )
 from collisionlab.degreebound import (
@@ -29,6 +30,8 @@ from collisionlab.degreebound import (
 from collisionlab.instances import kappa
 from collisionlab.lattice import LatticePoly
 from collisionlab.polymethod import assemble_q, extract_polynomial
+from collisionlab.setcomp_poly import assemble_q3
+from collisionlab.simulator import QueryAlgorithm
 
 
 def chebyshev_coeffs(d: int) -> list[float]:
@@ -214,3 +217,24 @@ def test_forced_mc_chain_report_is_pinned(name, alg, monkeypatch):
     assert not any(row.exact for row in report.points)
     text = json.dumps(report.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CHAIN_MC_JSON_SHA256[name]
+
+
+# sha256 of the assembled q (exact coefficients, sorted keys), taken from
+# the per-term assembly that the per-shape one replaced.
+Q_JSON_SHA256 = {
+    "setcomp_probe(8)": "3e8ee9485feffb610fce0eab4654660b0d32ed8b328f98e75b31667d6ad016fb",
+    "dumped two_query_mixer(8)": "a7b44c38a8c9e76dec81ad0c44c4a1ec2b356da2d0455ca53d630a09fdb6788e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(Q_JSON_SHA256))
+def test_assembled_q_is_pinned(name, tmp_path):
+    if name == "setcomp_probe(8)":
+        alg, assemble = setcomp_probe(8), assemble_q3
+    else:
+        path = tmp_path / "two_query_mixer8.json"
+        two_query_mixer(8).dump(path)
+        alg, assemble = QueryAlgorithm.load(path), assemble_q
+    q = assemble(extract_polynomial(alg), alg.n, alg.T)
+    text = json.dumps(q.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == Q_JSON_SHA256[name]

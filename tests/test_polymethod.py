@@ -259,11 +259,38 @@ def test_assemble_q_degree_violation():
     p = MultilinearPoly({m: QSqrt2(1)})
     with pytest.raises(ValueError, match="degree violation"):
         assemble_q(p, 4, 1)
+    # checked per term in term order: after a term of a known shape,
+    # before a later irrational coefficient
+    p = MultilinearPoly({
+        Monomial.from_factors([IV("x", 1, 1)]): QSqrt2(1),
+        Monomial.from_factors([IV("x", 2, 3)]): QSqrt2(2),
+        m: QSqrt2(1),
+        Monomial.from_factors([IV("x", 3, 1)]): QSqrt2(0, 1),
+    })
+    with pytest.raises(ValueError, match=r"^degree violation: monomial degree 3 exceeds 2T$"):
+        assemble_q(p, 4, 1)
 
 
 def test_assemble_q_rejects_irrational_coefficients():
     p = MultilinearPoly({Monomial.one(): QSqrt2(0, 1)})
     with pytest.raises(ValueError, match="sqrt"):
+        assemble_q(p, 4, 1)
+    # the first offending term in term order is named, also when its
+    # shape was already seen and a later term of another shape fails too
+    seen = Monomial.from_factors([IV("x", 1, 1)])
+    first = Monomial.from_factors([IV("x", 2, 4)])
+    later = Monomial.from_factors([IV("x", 1, 2), IV("x", 3, 2)])
+    p = MultilinearPoly({seen: QSqrt2(1), first: QSqrt2(1, 2), later: QSqrt2(0, 1)})
+    with pytest.raises(ValueError) as info:
+        assemble_q(p, 4, 1)
+    assert str(info.value) == f"coefficient of {first!r} has a nonzero sqrt(2) part: {QSqrt2(1, 2)!r}"
+    # a y factor met before an irrational term fails as a y factor
+    p = MultilinearPoly({
+        Monomial.from_factors([IV("x", 1, 1)]): QSqrt2(1),
+        Monomial.from_factors([IV("y", 2, 1)]): QSqrt2(1),
+        Monomial.from_factors([IV("x", 2, 2)]): QSqrt2(0, 1),
+    })
+    with pytest.raises(ValueError, match="x-register monomials only"):
         assemble_q(p, 4, 1)
 
 
