@@ -213,15 +213,22 @@ def weighted_max_derivative(
     rectangle: weight 1 on d/dg and n/(10T(G-1)) on d/dN (both window
     directions get n/(100T(G-1)) for set comparison).
 
-    Dense grid of the given per-axis resolution (512 bivariate, 64
-    trivariate by default), then refinement rounds re-grid a shrinking
-    window around the best point.  Deterministic for fixed settings.
+    A grid of the given per-axis resolution (512 bivariate, 64
+    trivariate by default, at least 2), then refinement rounds (at least
+    0) re-grid a shrinking window around the best point.  The grids are
+    open (``np.meshgrid(..., sparse=True)``): one array per axis, which
+    ``LatticePoly.evaluate_float`` broadcasts term by term, with the same
+    bits as dense grids.  Deterministic for fixed settings.
     """
     fam = family(variant)
     if not q.arity == len(region) == fam.arity:
         raise ValueError("polynomial arity does not match region")
     if resolution is None:
         resolution = 512 if q.arity == 2 else 64
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if refinement_rounds < 0:
+        raise ValueError(f"refinement_rounds must be >= 0, got {refinement_rounds}")
     directions = VARIABLE_NAMES[q.arity]
     w = n / (fam.window_denom * T * (G - 1))
     weights = dict(zip(directions, [1.0] + [w] * (q.arity - 1)))
@@ -233,7 +240,7 @@ def weighted_max_derivative(
     best = DerivativeReport(-1.0, (), "g")
     for _ in range(refinement_rounds + 1):
         axes = _grid_axes(intervals, resolution)
-        grids = np.meshgrid(*axes, indexing="ij")
+        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         round_best = None
         for name in directions:
             vals = np.abs(partials[name].evaluate_float(*grids)) * weights[name]

@@ -111,16 +111,27 @@ class LatticePoly:
         return total
 
     def evaluate_float(self, *grids: np.ndarray) -> np.ndarray:
-        """Float value on broadcastable numpy grids, one per variable."""
+        """Float value on broadcastable numpy grids, one per variable.
+
+        Each term c * g^a * N^b [* M^d] is computed as
+        ``((c * g**a) * N**b) * M**d``, starting from ``c`` as a float64
+        scalar and skipping the factors with exponent 0, and the terms are
+        added to a float64 zero array in coefficient order.  On open grids
+        (``np.meshgrid(..., sparse=True)``) the early factors keep the size
+        of their own axes and only the last one broadcasts to the full
+        shape.  ``**`` and ``*`` act element by element, so every output
+        element sees the same operations in the same order on open and on
+        dense grids, and both give the same bits.
+        """
         if len(grids) != self.arity:
             raise ValueError("grid count does not match arity")
         total = np.zeros(np.broadcast(*grids).shape)
         for exps, c in self.coeffs.items():
-            term = np.full_like(total, float(c))
+            term = np.float64(c)
             for grid, e in zip(grids, exps):
                 if e:
                     term = term * grid**e
-            total = total + term
+            total += term
         return total
 
     def derivative(self, index: int) -> "LatticePoly":

@@ -2,12 +2,15 @@
 
 Identical config and seed must produce byte-identical files, so reports
 carry no timestamps, dict ordering is construction order, rationals are
-serialized as "p/q" and floats with 17 significant digits.
+serialized as "p/q" and floats with 17 significant digits.  JSON reports
+are strict JSON: a value that is not a finite float (a NaN endpoint, say)
+is written as null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 
@@ -22,11 +25,12 @@ def render_number(v) -> str:
 
 
 def jsonable(v):
-    """Recursively convert report values to JSON-stable primitives."""
+    """Recursively convert report values to JSON-stable primitives;
+    NaN and infinities become None."""
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, float):
-        return float(format(v, ".17g"))
+        return float(format(v, ".17g")) if math.isfinite(v) else None
     if isinstance(v, dict):
         return {k: jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -43,7 +47,7 @@ def report_payload(config: dict, results, constants: dict | None = None) -> dict
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def render_csv(config: dict, rows: list[dict], header: list[str] | None = None) -> str:

@@ -222,6 +222,10 @@ def test_criterion_09_chernoff_sanity():
     assert frac == 0.0
 
 
+def reject_constant(name):
+    raise ValueError(f"report is not strict JSON: {name}")
+
+
 @criterion(10, "chain consistent for every test algorithm; negative control flags")
 def test_criterion_10_end_to_end_chain(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("chain")
@@ -232,12 +236,13 @@ def test_criterion_10_end_to_end_chain(tmp_path_factory):
              "--seed", "1", "--output", str(out)]
         )
         assert code == 0
-        doc = json.loads(out.read_text())["results"]
+        doc = json.loads(out.read_text(), parse_constant=reject_constant)["results"]
         assert doc["consistent"] is True, name
         assert doc["two_T"] >= doc["derived_bound"], name
     out = tmp / "negative.json"
     code = cli_main(["chain", "--negative-control", "--output", str(out)])
     assert code == 0
-    doc = json.loads(out.read_text())["results"]
+    doc = json.loads(out.read_text(), parse_constant=reject_constant)["results"]
     assert doc["consistent"] is False
     assert doc["derived_bound"] > doc["two_T"]
+    assert doc["endpoint_low"] is None and doc["endpoint_high"] is None

@@ -7,7 +7,7 @@ import io
 import pytest
 
 from collisionlab.cli import main
-from collisionlab.reports import render_csv
+from collisionlab.reports import jsonable, render_csv, render_json
 
 
 def run(args, capsys):
@@ -195,6 +195,13 @@ def test_empty_csv_has_header_only():
     assert lines[0].startswith("# config:")
     assert lines[1] == "a,b"
     assert len(lines) == 2
+
+
+def test_json_reports_are_strict():
+    doc = {"a": float("nan"), "b": [float("inf"), -float("inf")], "c": 0.5}
+    assert jsonable(doc) == {"a": None, "b": [None, None], "c": 0.5}
+    with pytest.raises(ValueError):
+        render_json({"a": float("nan")})
 
 
 @pytest.mark.parametrize("algorithm, root", [

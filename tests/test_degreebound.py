@@ -14,7 +14,6 @@ from collisionlab.circuits import (
     always_accept,
     coincidence_probe,
     reference_algorithm,
-    setcomp_probe,
     two_query_mixer,
 )
 from collisionlab.degreebound import (
@@ -30,8 +29,6 @@ from collisionlab.degreebound import (
 from collisionlab.instances import kappa
 from collisionlab.lattice import LatticePoly
 from collisionlab.polymethod import assemble_q, extract_polynomial
-from collisionlab.setcomp_poly import assemble_q3
-from collisionlab.simulator import QueryAlgorithm
 
 
 def chebyshev_coeffs(d: int) -> list[float]:
@@ -95,6 +92,18 @@ def test_weighted_max_derivative_monotone_under_refinement():
     coarse = weighted_max_derivative(q, region, 4, 2, 2, resolution=128)
     finer = weighted_max_derivative(q, region, 4, 2, 2, resolution=256)
     assert finer.value >= coarse.value - 1e-9
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"resolution": 0}, "resolution must be >= 2"),
+    ({"resolution": 1}, "resolution must be >= 2"),
+    ({"refinement_rounds": -1}, "refinement_rounds must be >= 0"),
+])
+def test_weighted_max_derivative_rejects_degenerate_settings(settings, message):
+    q = LatticePoly(2, {(1, 0): Fraction(1, 2)})
+    region = chain_region(100, 3, 3, "collision")
+    with pytest.raises(ValueError, match=message):
+        weighted_max_derivative(q, region, 100, 3, 3, **settings)
 
 
 def test_degree_lower_bound_values():
@@ -228,13 +237,24 @@ Q_JSON_SHA256 = {
 
 
 @pytest.mark.parametrize("name", sorted(Q_JSON_SHA256))
-def test_assembled_q_is_pinned(name, tmp_path):
-    if name == "setcomp_probe(8)":
-        alg, assemble = setcomp_probe(8), assemble_q3
-    else:
-        path = tmp_path / "two_query_mixer8.json"
-        two_query_mixer(8).dump(path)
-        alg, assemble = QueryAlgorithm.load(path), assemble_q
-    q = assemble(extract_polynomial(alg), alg.n, alg.T)
+def test_assembled_q_is_pinned(name, assembled):
+    _, q, _ = assembled[name]
     text = json.dumps(q.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == Q_JSON_SHA256[name]
+
+
+# float.hex(value), at and direction of the default derivative search on
+# the assembled q at G=2, taken from the dense-grid search that the
+# open-grid one replaced.
+DERIVATIVE_PINS = {
+    "setcomp_probe(8)": ("0x1.0141829748063p-2", (2.0, 8.08, 8.08), "g"),
+    "dumped two_query_mixer(8)": ("0x1.147ae147ae148p-4", (1.0, 8.4), "g"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATIVE_PINS))
+def test_derivative_report_is_pinned(name, assembled):
+    alg, q, variant = assembled[name]
+    region = chain_region(alg.n, alg.T, 2, variant)
+    report = weighted_max_derivative(q, region, alg.n, alg.T, 2, variant=variant)
+    assert (float.hex(report.value), report.at, report.direction) == DERIVATIVE_PINS[name]
