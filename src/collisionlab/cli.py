@@ -110,9 +110,9 @@ def cmd_simulate(args) -> int:
         inst = Instance.load(args.instance)
     elif args.point is not None:
         if alg.kind == "collision":
-            if len(args.point) < 2:
+            if len(args.point) != 2:
                 raise ConfigError("--point needs g,N for a collision algorithm")
-            inst = sample_collision_input(QuasilatticePoint(*args.point[:2]), alg.n, rng)
+            inst = sample_collision_input(QuasilatticePoint(*args.point), alg.n, rng)
         else:
             if len(args.point) != 3:
                 raise ConfigError("--point needs g,N,M for a set-comparison algorithm")
@@ -178,6 +178,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_verify_gamma(args) -> int:
+    if min(args.n) < 1:
+        raise ConfigError(f"--n must be >= 1, got {min(args.n)}")
     rows = []
     all_equal = True
     for n in args.n:
@@ -261,7 +263,7 @@ def cmd_chain(args) -> int:
             raise ConfigError("chain needs --algorithm or --negative-control")
         alg = load_algorithm(args.algorithm)
         report = verify_inequality_chain(
-            alg, G=args.G, mc_samples=args.mc_samples, seed=args.seed
+            alg, G=args.G, mc_samples=args.mc_samples, seed=args.seed, cap=args.enum_cap
         )
     header, point_rows = report.csv_rows()
     rows = [dict(zip(header, row)) for row in point_rows]

@@ -388,12 +388,14 @@ def verify_inequality_chain(
     mc_samples: int = 2000,
     seed: int = 0,
     resolution: int | None = None,
+    cap: int | None = None,
 ) -> ChainReport:
     """Extract, assemble, bound: the full consistency report for one
     algorithm.
 
     Computes the acceptance polynomial and its grid polynomial, the
-    per-point family acceptances (exact when enumerable, Monte Carlo
+    per-point family acceptances (exact when the latent draws number at
+    most min(SIM_ENUM_LIMIT, enumeration_cap(cap)), Monte Carlo
     otherwise), the prefactor identity deviations, the weighted maximum
     derivative, and the implied degree lower bound.  For any genuine
     algorithm the report must come out consistent: degree cap >= bound.
@@ -417,7 +419,7 @@ def verify_inequality_chain(
 
     rng = random.Random(seed)
     q = fam.assemble(poly, n, T)
-    cap = min(SIM_ENUM_LIMIT, enumeration_cap())
+    cap = min(SIM_ENUM_LIMIT, enumeration_cap(cap))
     rows: list[PointRow] = []
     for pt in fam.points(n, T_win, G):
         pref = fam.prefactor(n, T, pt)

@@ -12,6 +12,7 @@ deterministic order for brute-force expectations.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -19,8 +20,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
-
-from sympy.utilities.iterables import multiset_permutations
 
 ENUM_CAP_ENV = "COLLISIONLAB_ENUM_CAP"
 DEFAULT_ENUM_CAP = 10_000_000
@@ -421,6 +420,26 @@ def sample_setcomp_input(
 # ---------------------------------------------------------------------------
 
 
+def _k_to_one_sequences(values, k: int) -> Iterator[tuple[int, ...]]:
+    """Every sequence holding each of the sorted values exactly k times,
+    in lexicographic order (Knuth, TAOCP 4A, 7.2.1.2, Algorithm L)."""
+    a = [v for v in values for _ in range(k)]
+    while True:
+        yield tuple(a)
+        # the rightmost j with a[j] < a[j + 1]; none means a is the last
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        # swap a[j] with the rightmost larger entry, then reverse the tail
+        last = len(a) - 1
+        while a[j] >= a[last]:
+            last -= 1
+        a[j], a[last] = a[last], a[j]
+        a[j + 1:] = a[:j:-1]
+
+
 def count_collision_supports(point: QuasilatticePoint, n: int) -> int:
     """C(n, N/g) * N! / (g!)^(N/g): number of latent (S, xhat) draws."""
     g, N = point
@@ -449,12 +468,9 @@ def enumerate_collision_supports(
         raise EnumerationTooLarge(
             f"enumeration too large: {total} latent draws exceed cap {limit}"
         )
-    import itertools
-
     for s in itertools.combinations(range(1, n + 1), blocks):
-        pool = [v for v in s for _ in range(g)]
-        for xhat in multiset_permutations(pool):
-            yield CollisionLatent(tuple(s), tuple(xhat))
+        for xhat in _k_to_one_sequences(s, g):
+            yield CollisionLatent(s, xhat)
 
 
 def count_setcomp_supports(point: SuperQuasilatticePoint, n: int) -> int:
@@ -473,7 +489,8 @@ def count_setcomp_supports(point: SuperQuasilatticePoint, n: int) -> int:
 def enumerate_setcomp_supports(
     point: SuperQuasilatticePoint, n: int, cap: int | None = None
 ) -> Iterator[SetcompLatent]:
-    """Yield every latent draw (S, S_X, S_Y, xhat, yhat) exactly once."""
+    """Yield every latent draw (S, S_X, S_Y, xhat, yhat) exactly once, in
+    lexicographic order on (S, S_X, S_Y, xhat, yhat)."""
     g, N, M = point
     k = kappa(g)
     s_size = 2 * N // g
@@ -486,19 +503,11 @@ def enumerate_setcomp_supports(
         raise EnumerationTooLarge(
             f"enumeration too large: {total} latent draws exceed cap {limit}"
         )
-    import itertools
-
     for s in itertools.combinations(range(1, 2 * n + 1), s_size):
         for s_x in itertools.combinations(s, sub):
-            xhats = [
-                tuple(p)
-                for p in multiset_permutations([v for v in s_x for _ in range(k)])
-            ]
+            xhats = list(_k_to_one_sequences(s_x, k))
             for s_y in itertools.combinations(s, sub):
-                yhats = [
-                    tuple(p)
-                    for p in multiset_permutations([v for v in s_y for _ in range(k)])
-                ]
+                yhats = list(_k_to_one_sequences(s_y, k))
                 for xhat in xhats:
                     for yhat in yhats:
                         yield SetcompLatent(s, s_x, s_y, xhat, yhat)
@@ -516,8 +525,6 @@ def instance_from_setcomp_latent(latent: SetcompLatent, n: int) -> Instance:
 
 def all_collision_sequences(n: int) -> Iterator[Instance]:
     """Every sequence in {1..n}^n, promise or not; n^n of them."""
-    import itertools
-
     for x in itertools.product(range(1, n + 1), repeat=n):
         yield Instance(kind="collision", n=n, x=x)
 

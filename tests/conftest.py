@@ -9,15 +9,26 @@ from collisionlab.simulator import QueryAlgorithm
 
 
 @pytest.fixture(scope="session")
-def assembled(tmp_path_factory):
-    """name -> (algorithm, assembled q, chain variant) for setcomp-probe-8
-    and a dumped two_query_mixer(8); extraction takes seconds, so once."""
+def dumped_mixer8(tmp_path_factory):
+    """(algorithm, extracted polynomial) for a dumped and reloaded
+    two_query_mixer(8); extraction takes seconds, so once per session."""
     path = tmp_path_factory.mktemp("mixer") / "two_query_mixer8.json"
     two_query_mixer(8).dump(path)
-    out = {}
-    for name, alg, assemble, variant in [
-        ("setcomp_probe(8)", setcomp_probe(8), assemble_q3, "setcomp"),
-        ("dumped two_query_mixer(8)", QueryAlgorithm.load(path), assemble_q, "collision"),
-    ]:
-        out[name] = (alg, assemble(extract_polynomial(alg), alg.n, alg.T), variant)
-    return out
+    alg = QueryAlgorithm.load(path)
+    return alg, extract_polynomial(alg)
+
+
+@pytest.fixture(scope="session")
+def assembled(dumped_mixer8):
+    """name -> (algorithm, assembled q, chain variant) for setcomp-probe-8
+    and a dumped two_query_mixer(8)."""
+    setcomp8 = setcomp_probe(8)
+    mixer8, mixer8_poly = dumped_mixer8
+    return {
+        "setcomp_probe(8)": (
+            setcomp8, assemble_q3(extract_polynomial(setcomp8), setcomp8.n, setcomp8.T), "setcomp"
+        ),
+        "dumped two_query_mixer(8)": (
+            mixer8, assemble_q(mixer8_poly, mixer8.n, mixer8.T), "collision"
+        ),
+    }

@@ -158,6 +158,9 @@ def test_invalid_config_exits_2(capsys):
         (["lattice", "--n", "16", "--T", "1", "--G", "0"], "G must be >= 1"),
         (["lattice", "--n", "16", "--T", "1", "--G", "-3"], "G must be >= 1"),
         (["lattice", "--super", "--n", "1000", "--T", "1", "--G", "0"], "G must be >= 1"),
+        (["simulate", "--algorithm", "coincidence-4", "--point", "2,4,99"], "needs g,N"),
+        (["verify-gamma", "--n", "0"], "--n must be >= 1"),
+        (["verify-gamma", "--n", "4", "-2"], "--n must be >= 1"),
     ],
 )
 def test_semantic_config_errors_exit_2(args, message, capsys):
@@ -243,3 +246,41 @@ def test_chain_mc_samples_below_1_exits_2_before_extraction(algorithm, samples, 
     )
     assert code == 2
     assert "mc_samples" in err
+
+
+def test_chain_enum_cap_option_sends_every_point_to_monte_carlo(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("COLLISIONLAB_ENUM_CAP", raising=False)
+    out = tmp_path / "chain.json"
+    code, _, _ = run(
+        ["chain", "--algorithm", "coincidence-4", "--G", "2", "--mc-samples", "200",
+         "--enum-cap", "0", "--output", str(out)],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["enum_cap"] == 0
+    points = doc["results"]["points"]
+    assert points and all(p["exact"] is False for p in points)
+    for p in points:
+        assert f"P at ({p['g']}, {p['N']}) estimated from 200 samples" in doc["results"]["notes"]
+
+
+def test_importing_the_cli_loads_no_sympy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import collisionlab
+
+    src = str(Path(collisionlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys, collisionlab.cli; "
+        "print(sorted(m for m in sys.modules if m == 'sympy' or m.startswith('sympy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 """Instance construction, parameter grids, samplers and enumerators."""
 
+import itertools
 import math
 import random
 
@@ -11,6 +12,7 @@ from collisionlab.instances import (
     Instance,
     QuasilatticePoint,
     SuperQuasilatticePoint,
+    _k_to_one_sequences,
     count_collision_supports,
     count_setcomp_supports,
     divisor_points,
@@ -212,6 +214,25 @@ def test_setcomp_enumeration_count():
     latents = list(enumerate_setcomp_supports(point, 2))
     assert len(latents) == 144
     assert len(set(latents)) == 144
+
+
+def test_setcomp_enumeration_is_lexicographic():
+    latents = list(enumerate_setcomp_supports(SuperQuasilatticePoint(1, 2, 2), 2))
+    assert latents == sorted(
+        latents, key=lambda lat: (lat.s, lat.s_x, lat.s_y, lat.xhat, lat.yhat)
+    )
+
+
+@pytest.mark.parametrize(
+    "k, width", [(k, w) for k in (1, 2, 3) for w in range(5) if k * w <= 9]
+)
+def test_k_to_one_sequences_are_the_distinct_permutations_in_order(k, width):
+    rng = random.Random(10 * k + width)
+    values = tuple(sorted(rng.sample(range(1, 10), width)))
+    pool = [v for v in values for _ in range(k)]
+    seqs = list(_k_to_one_sequences(values, k))
+    assert seqs == sorted(set(itertools.permutations(pool)))
+    assert len(seqs) == math.factorial(k * width) // math.factorial(k) ** width
 
 
 def test_divisor_points():

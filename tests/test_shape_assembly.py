@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 from collisionlab import setcomp_poly
-from collisionlab.circuits import setcomp_probe, two_query_mixer
+from collisionlab.circuits import setcomp_probe
 from collisionlab.lattice import LatticePoly
 from collisionlab.multilinear import IndicatorVariable as IV
 from collisionlab.multilinear import Monomial, MultilinearPoly
 from collisionlab.polymethod import assemble_grid_poly, extract_polynomial, q_tilde
 from collisionlab.qsqrt2 import QSqrt2
 from collisionlab.setcomp_poly import q_tilde3
-from collisionlab.simulator import QueryAlgorithm
 
 
 def per_term_assemble(p: MultilinearPoly, n: int, T: int, q_tilde_of, arity: int):
@@ -91,11 +90,9 @@ def setcomp8():
 
 
 @pytest.fixture(scope="module")
-def mixer8(tmp_path_factory):
-    path = tmp_path_factory.mktemp("mixer") / "two_query_mixer8.json"
-    two_query_mixer(8).dump(path)
-    alg = QueryAlgorithm.load(path)
-    return extract_polynomial(alg), alg.n, alg.T
+def mixer8(dumped_mixer8):
+    alg, poly = dumped_mixer8
+    return poly, alg.n, alg.T
 
 
 def _same_assembly(p, n, T, q_tilde_of, arity):
