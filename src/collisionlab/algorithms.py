@@ -20,8 +20,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .instances import ConfigError, Instance
-from .qsqrt2 import QSqrt2
+from .qsqrt2 import ONE, QSqrt2
 from .simulator import (
+    MODES,
     BasisState,
     Layer,
     StateSpace,
@@ -74,23 +75,22 @@ def erasing_setcomp_probability(inst: Instance, mode: str = "exact"):
     n = inst.n
     two_n = 2 * n
     space = erasing_space(inst)
-    exact = mode == "exact"
-    amp = QSqrt2(1) if exact else 1.0 / math.sqrt(two_n)
+    if mode == "exact":
+        amp, probability = ONE, lambda weight: (weight / two_n).as_fraction()
+    else:
+        amp, probability = 1.0 / math.sqrt(two_n), float
     entries = {}
     for b in (0, 1):
         for i in range(1, n + 1):
             entries[space.encode(BasisState(0, b * two_n + i, 1))] = amp
-    state = StateVector(space, "exact" if exact else "float", entries)
+    state = StateVector(space, mode, entries)
     state = apply_erasing_query(state, inst)
     state = apply_unitary(state, _pair_bit_hadamard(space, two_n))
-    total = QSqrt2(0) if exact else 0.0
-    for ordinal, a in state.entries.items():
-        idx = (ordinal >> 1) % space.index_size + 1
-        if (idx - 1) // two_n == 1:
-            total = total + a * a
-    if exact:
-        return (total / QSqrt2(two_n)).as_fraction()
-    return total
+    weight = MODES[mode].square_sum(
+        a for ordinal, a in state.entries.items()
+        if ((ordinal >> 1) % space.index_size) // two_n == 1
+    )
+    return probability(weight)
 
 
 def erasing_setcomp_decide(

@@ -345,6 +345,10 @@ def add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="rng seed (echoed in reports)")
     p.add_argument("--output", type=str, default=None, help="report file path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def add_enum_cap(p: argparse.ArgumentParser):
+    """Only the subcommands that enumerate latent draws take a cap."""
     p.add_argument("--enum-cap", type=int, default=None, help="enumeration cap override")
 
 
@@ -384,12 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--max-N", type=int, default=8)
     add_common(p)
+    add_enum_cap(p)
     p.set_defaults(func=cmd_verify_gamma)
 
     p = sub.add_parser("verify-identity", help="P = prefactor * q sweep")
     p.add_argument("--algorithm", required=True)
     p.add_argument("--G", type=int, default=2)
     add_common(p)
+    add_enum_cap(p)
     p.set_defaults(func=cmd_verify_identity)
 
     p = sub.add_parser("chain", help="end-to-end degree-bound consistency report")
@@ -403,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control-T", type=int, default=1)
     p.add_argument("--control-G", type=int, default=10**4)
     add_common(p)
+    add_enum_cap(p)
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("setcomp", help="erasing-oracle set comparison demo")

@@ -12,8 +12,13 @@ the oracle semantics:
 
 Exact and float mode share every kernel: exact mode stores QSqrt2
 amplitudes and checks norms for equality, float mode stores doubles and
-checks them within FLOAT_NORM_TOL.  Those constants, and which layer
-columns a mode reads, live in the MODES table; nothing else differs.
+checks them within FLOAT_NORM_TOL.  Those constants, the layer product
+and the sum of squares live in the MODES table; nothing else differs.
+Exact mode multiplies integers: the state's amplitudes over their
+shared denominator d times the layer's Layer.int_cols() over its shared
+denominator D, and a sum of squares is one integer sum over d^2.  QSqrt2
+appears only at the state boundary, one value per stored amplitude and
+one per sum.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .instances import Instance
@@ -102,6 +106,25 @@ class StateSpace:
             other.answer_offset,
             other.answer_bits,
         )
+
+
+def _int_product(vec, cols) -> dict[int, list[int]]:
+    """Integer columns times an integer vector over Z[sqrt 2].
+
+    vec lists (j, a, b), entry j being a + b sqrt 2, and cols[j] lists
+    (row, A, B).  Returns row -> [rational sum, sqrt(2) sum] in the order
+    rows are first reached; zero sums are kept.
+    """
+    acc: dict[int, list[int]] = {}
+    for j, a1, b1 in vec:
+        for row, a2, b2 in cols[j]:
+            cur = acc.get(row)
+            if cur is None:
+                acc[row] = [a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2]
+            else:
+                cur[0] += a1 * a2 + 2 * b1 * b2
+                cur[1] += a1 * b2 + b1 * a2
+    return acc
 
 
 class Layer:
@@ -204,15 +227,7 @@ class Layer:
         D = d_outer * d_inner
         cols: list[list[tuple[int, QSqrt2]]] = []
         for col in inner_cols:
-            acc: dict[int, list[int]] = {}
-            for mid, a1, b1 in col:
-                for row, a2, b2 in outer_cols[mid]:
-                    cur = acc.get(row)
-                    if cur is None:
-                        acc[row] = [a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2]
-                    else:
-                        cur[0] += a1 * a2 + 2 * b1 * b2
-                        cur[1] += a1 * b2 + b1 * a2
+            acc = _int_product(col, outer_cols)
             cols.append([
                 (row, QSqrt2(Fraction(a, D), Fraction(b, D)))
                 for row, (a, b) in sorted(acc.items())
@@ -254,21 +269,75 @@ class Layer:
 _ZERO_ENTRY = ZERO.to_strings()
 
 
+def _int_form(amps) -> tuple[int, list[tuple[int, int]]]:
+    """(d, [(A, B), ...]) with each QSqrt2 amplitude as (A + B sqrt 2) / d.
+
+    d is the lcm of every component denominator.
+    """
+    amps = list(amps)
+    d = math.lcm(*{f.denominator for v in amps for f in (v.a, v.b)})
+    return d, [
+        (v.a.numerator * (d // v.a.denominator), v.b.numerator * (d // v.b.denominator))
+        for v in amps
+    ]
+
+
+def _exact_layer(entries: dict, layer: Layer) -> dict:
+    """Layer product on integers: the state over its shared denominator d
+    times the layer's int_cols() over D, one QSqrt2 per nonzero output."""
+    d, ints = _int_form(entries.values())
+    D, cols = layer.int_cols()
+    acc = _int_product(((j, A, B) for j, (A, B) in zip(entries, ints)), cols)
+    den = d * D
+    return {
+        row: QSqrt2(Fraction(x, den), Fraction(y, den))
+        for row, (x, y) in acc.items()
+        if x or y
+    }
+
+
+def _float_layer(entries: dict, layer: Layer) -> dict:
+    cols = layer.float_cols()
+    out: dict[int, float] = {}
+    for ordinal, amp in entries.items():
+        for row, v in cols[ordinal]:
+            cur = out.get(row)
+            out[row] = v * amp if cur is None else cur + v * amp
+    return {k: v for k, v in out.items() if v}
+
+
+def _exact_square_sum(amps) -> QSqrt2:
+    """Sum of squares as one integer sum over the common denominator d:
+    (A + B sqrt 2)^2 = A^2 + 2 B^2 + 2 A B sqrt 2, all over d^2."""
+    d, ints = _int_form(amps)
+    ra = rb = 0
+    for A, B in ints:
+        ra += A * A + 2 * B * B
+        rb += A * B
+    d2 = d * d
+    return QSqrt2(Fraction(ra, d2), Fraction(2 * rb, d2))
+
+
+def _float_square_sum(amps):
+    return sum((a * a for a in amps), 0)
+
+
 class Arithmetic(NamedTuple):
     """What differs between amplitude modes: zero, one, the norm tolerance
-    (0: exact equality) and the layer columns read.  The float zero is the
-    int 0 of a plain sum(), so a float acceptance with no accepting state
-    reads 0."""
+    (0: exact equality), the layer product and the sum of squares.  The
+    float zero is the int 0 of a plain sum(), so a float acceptance with
+    no accepting state reads 0."""
 
     zero: object
     one: object
     tol: float
-    cols: Callable[[Layer], list]
+    layer: Callable[[dict, Layer], dict]
+    square_sum: Callable
 
 
 MODES = {
-    "exact": Arithmetic(ZERO, ONE, 0, attrgetter("cols")),
-    "float": Arithmetic(0, 1.0, FLOAT_NORM_TOL, Layer.float_cols),
+    "exact": Arithmetic(ZERO, ONE, 0, _exact_layer, _exact_square_sum),
+    "float": Arithmetic(0, 1.0, FLOAT_NORM_TOL, _float_layer, _float_square_sum),
 }
 
 
@@ -311,11 +380,11 @@ class StateVector:
         return self.entries.get(self.space.encode(state), MODES[self.mode].zero)
 
     def squared_norm(self):
-        return sum((a * a for a in self.entries.values()), MODES[self.mode].zero)
+        return MODES[self.mode].square_sum(self.entries.values())
 
     def acceptance_weight(self):
         """Total squared amplitude on output = 2 states."""
-        return sum((a * a for k, a in self.entries.items() if k & 1), MODES[self.mode].zero)
+        return MODES[self.mode].square_sum(a for k, a in self.entries.items() if k & 1)
 
 
 def _check_norm_preserved(before, after, mode: str, what: str):
@@ -327,13 +396,7 @@ def apply_unitary(state: StateVector, layer: Layer) -> StateVector:
     """Apply one input-independent orthogonal layer."""
     if layer.dim != state.space.dim:
         raise ValueError("layer dimension does not match state space")
-    cols = MODES[state.mode].cols(layer)
-    out: dict[int, object] = {}
-    for ordinal, amp in state.entries.items():
-        for row, v in cols[ordinal]:
-            cur = out.get(row)
-            out[row] = v * amp if cur is None else cur + v * amp
-    result = StateVector(state.space, state.mode, {k: v for k, v in out.items() if v})
+    result = StateVector(state.space, state.mode, MODES[state.mode].layer(state.entries, layer))
     _check_norm_preserved(state.squared_norm(), result.squared_norm(), state.mode, "unitary layer")
     return result
 

@@ -30,6 +30,7 @@ def test_lattice_matches_enumeration(tmp_path, capsys):
     ]
     assert doc["config"]["seed"] == 0
     assert doc["config"]["subcommand"] == "lattice"
+    assert "enum_cap" not in doc["config"]
 
 
 def test_json_and_csv_numeric_content_identical(tmp_path, capsys):
@@ -246,6 +247,20 @@ def test_chain_mc_samples_below_1_exits_2_before_extraction(algorithm, samples, 
     )
     assert code == 2
     assert "mc_samples" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["lattice", "--n", "100", "--T", "3", "--G", "2"],
+    ["simulate", "--algorithm", "coincidence-4", "--point", "2,4"],
+    ["extract", "--algorithm", "coincidence-4"],
+    ["setcomp", "--equal", "--n", "4"],
+    ["bench", "--algorithms", "birthday", "--sizes", "27", "--trials", "10"],
+])
+def test_enum_cap_is_rejected_where_nothing_is_enumerated(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--enum-cap", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --enum-cap 0" in capsys.readouterr().err
 
 
 def test_chain_enum_cap_option_sends_every_point_to_monte_carlo(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Core simulation semantics: layers, queries, acceptance, sampling."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -426,11 +427,120 @@ def test_layer_from_json_rejects_malformed_input():
         Layer.from_json(bad_number)
 
 
+# -- integer layer kernel against the QSqrt2 reference ---------------------------
+
+
+def reference_apply_unitary(state: StateVector, layer: Layer) -> StateVector:
+    """The layer product as one QSqrt2 (or float) multiply-add per nonzero,
+    in entry order, zero sums dropped: the loop the integer kernel replaced."""
+    cols = layer.cols if state.mode == "exact" else layer.float_cols()
+    out = {}
+    for ordinal, amp in state.entries.items():
+        for row, v in cols[ordinal]:
+            cur = out.get(row)
+            out[row] = v * amp if cur is None else cur + v * amp
+    return StateVector(state.space, state.mode, {k: v for k, v in out.items() if v})
+
+
+def random_qsqrt2(rng: random.Random) -> QSqrt2:
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16]))
+
+    v = QSqrt2(part(), part())
+    return v if v else QSqrt2(Fraction(1, rng.choice([3, 5, 7])))
+
+
+def random_states(space: StateSpace, layer: Layer, rng: random.Random):
+    """Unnormalized states with mixed denominators.  A combination of rows
+    of the layer maps onto those rows' basis states, so every other output
+    row cancels to zero."""
+    dense = layer.to_dense()
+    for _ in range(4):
+        ordinals = rng.sample(range(space.dim), rng.randint(1, space.dim))
+        yield StateVector(space, "exact", {k: random_qsqrt2(rng) for k in ordinals})
+    for size in (1, 2, 3):
+        entries: dict = {}
+        for r in rng.sample(range(space.dim), size):
+            c = random_qsqrt2(rng)
+            for j, v in enumerate(dense[r]):
+                if v:
+                    entries[j] = entries.get(j, ZERO) + c * v
+        yield StateVector(space, "exact", {k: v for k, v in entries.items() if v})
+
+
+def test_integer_kernel_matches_the_qsqrt2_reference():
+    rng = random.Random(31)
+    cancelled = 0
+    for space in (StateSpace(index_size=3, workspace_bits=2, answer_bits=2),
+                  StateSpace(index_size=4, workspace_bits=1, answer_bits=1)):
+        for _ in range(4):
+            layer = random_orthogonal_layer(space, rng)
+            for state in random_states(space, layer, rng):
+                out = apply_unitary(state, layer)
+                expected = reference_apply_unitary(state, layer)
+                assert list(out.entries.items()) == list(expected.entries.items())
+                assert all(type(v) is QSqrt2 for v in out.entries.values())
+                cancelled += len(out.entries) < len(state.entries)
+                approx = StateVector(space, "float", {k: float(v) for k, v in state.entries.items()})
+                got = list(apply_unitary(approx, layer).entries.items())
+                assert got == list(reference_apply_unitary(approx, layer).entries.items())
+    assert cancelled
+
+
+def exact_acceptance_digest(per_point: int = 6) -> str:
+    """sha256 over the exact acceptances of seeded (1, 8) and (2, 8) draws."""
+    import hashlib
+
+    from collisionlab.instances import QuasilatticePoint, sample_collision_input
+
+    rng = random.Random(8)
+    lines = []
+    for name, alg in (("coincidence", coincidence_probe(8)), ("mixer", two_query_mixer(8))):
+        for g in (1, 2):
+            for _ in range(per_point):
+                inst = sample_collision_input(QuasilatticePoint(g, 8), 8, rng)
+                p = acceptance_probability(alg, inst)
+                lines.append(f"{name} {g} {inst.x} {p.a} {p.b}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_exact_acceptances_of_a_seeded_batch_are_pinned():
+    # Taken from the QSqrt2 multiply-add kernel that the integer one replaced.
+    assert exact_acceptance_digest() == (
+        "fd3e65633e81d510e6e0d5c2346c78889ee973ab6b5b6cf5497fb2d3aeda273e"
+    )
+
+
+# -- the per-layer norm check ------------------------------------------------------
+
+
+@pytest.mark.parametrize("amps, first_cols, before, after", [
+    # only the rational part changes: the norm has a sqrt(2) part that stays
+    ({0: QSqrt2(1, 1), 1: QSqrt2(1)}, [[(0, QSqrt2(1))], [(1, QSqrt2(1)), (2, QSqrt2(1))]],
+     "QSqrt2(4 + 2*sqrt2)", "QSqrt2(5 + 2*sqrt2)"),
+    ({0: QSqrt2(Fraction(1, 2))}, [[(0, QSqrt2(2))]], "QSqrt2(1/4)", "QSqrt2(1)"),
+    # only the sqrt(2) part changes: (1/3 + (2/3) sqrt2)^2 = 1 + (4/9) sqrt2
+    ({0: QSqrt2(2), 1: QSqrt2(1)}, [[(0, QSqrt2(Fraction(1, 3), Fraction(2, 3)))]],
+     "QSqrt2(5)", "QSqrt2(5 + 16/9*sqrt2)"),
+    # unit columns whose dot product is sqrt2/2
+    ({0: QSqrt2(1), 1: QSqrt2(1)}, [[(0, QSqrt2.inv_sqrt2()), (1, QSqrt2.inv_sqrt2())], [(0, QSqrt2(1))]],
+     "QSqrt2(2)", "QSqrt2(2 + 1*sqrt2)"),
+])
+def test_non_orthogonal_layer_breaks_the_exact_norm_check(amps, first_cols, before, after):
+    space = StateSpace(index_size=2, workspace_bits=1, answer_bits=1)
+    layer = identity_except(space.dim, first_cols)
+    message = f"unitary layer changed the squared norm from {before} to {after}"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        apply_unitary(StateVector(space, "exact", dict(amps)), layer)
+
+
 # -- runtime checks survive python -O --------------------------------------------
 
 OPTIMIZED_SCRIPT = """
 import random, sys
+from fractions import Fraction
 from collisionlab import simulator
+from collisionlab.qsqrt2 import QSqrt2
 from collisionlab.circuits import coincidence_probe
 from collisionlab.instances import Instance, _uniform_k_to_one
 
@@ -440,6 +550,16 @@ try:
     _uniform_k_to_one(5, (1, 2), 2, random.Random(0))
     failures.append("pool size check")
 except ValueError:
+    pass
+
+space = simulator.StateSpace(index_size=2)
+skew = simulator.Layer(space.dim, [[(0, QSqrt2(Fraction(1, 3), Fraction(2, 3)))]]
+                       + [[(j, QSqrt2(1))] for j in range(1, space.dim)])
+try:
+    simulator.apply_unitary(simulator.StateVector.from_basis_state(
+        space, simulator.BasisState(0, 1, 1)), skew)
+    failures.append("layer norm check")
+except AssertionError:
     pass
 
 alg = coincidence_probe(4)
