@@ -48,7 +48,6 @@ from .polymethod import (
 )
 from .setcomp_poly import (
     assemble_q3,
-    gamma3_bruteforce,
     gamma3_closed,
     prefactor3,
     q_tilde3,

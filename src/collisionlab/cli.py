@@ -28,30 +28,26 @@ from .algorithms import collision_benchmark, erasing_setcomp_decide
 from .degreebound import (
     CONSTANTS,
     chain_report_for_poly,
+    family,
+    identity_points,
     verify_inequality_chain,
 )
 from .instances import (
     ConfigError,
     EnumerationTooLarge,
     Instance,
-    QuasilatticePoint,
-    SuperQuasilatticePoint,
     divisor_points,
     quasilattice_points,
-    sample_collision_input,
-    sample_setcomp_input,
     set_union_size,
     super_quasilattice_points,
 )
-from .lattice import LatticePoly
+from .lattice import VARIABLE_NAMES, LatticePoly
 from .polymethod import (
     all_monomials,
-    assemble_q,
-    expected_acceptance,
+    assemble_q,  # unused here; perfbench/tracer.py patches cli.assemble_q by name
     extract_polynomial,
     gamma_bruteforce_sweep,
     gamma_closed,
-    prefactor,
 )
 from .reports import emit_report, render_number
 from .simulator import QueryAlgorithm, acceptance_probability, sample_measurement
@@ -85,14 +81,10 @@ def config_echo(args: argparse.Namespace) -> dict:
 
 
 def cmd_lattice(args) -> int:
-    if args.super_points:
-        slack = 100 if args.slack is None else args.slack
-        pts = super_quasilattice_points(args.n, args.T, args.G, slack=slack)
-        rows = [{"g": p.g, "N": p.N, "M": p.M} for p in pts]
-    else:
-        slack = 10 if args.slack is None else args.slack
-        pts = quasilattice_points(args.n, args.T, args.G, slack=slack)
-        rows = [{"g": p.g, "N": p.N} for p in pts]
+    grid, slack = (super_quasilattice_points, 100) if args.super_points else (quasilattice_points, 10)
+    if args.slack is not None:
+        slack = args.slack
+    rows = [p._asdict() for p in grid(args.n, args.T, args.G, slack=slack)]
     text = emit_report(config_echo(args), rows, rows, args.format, args.output, constants=CONSTANTS)
     if args.output:
         print(f"wrote {len(rows)} points to {args.output}")
@@ -109,14 +101,11 @@ def cmd_simulate(args) -> int:
     if args.instance:
         inst = Instance.load(args.instance)
     elif args.point is not None:
-        if alg.kind == "collision":
-            if len(args.point) != 2:
-                raise ConfigError("--point needs g,N for a collision algorithm")
-            inst = sample_collision_input(QuasilatticePoint(*args.point), alg.n, rng)
-        else:
-            if len(args.point) != 3:
-                raise ConfigError("--point needs g,N,M for a set-comparison algorithm")
-            inst = sample_setcomp_input(SuperQuasilatticePoint(*args.point), alg.n, rng)
+        fam = family(alg.kind)
+        if len(args.point) != fam.arity:
+            names = ",".join(VARIABLE_NAMES[fam.arity])
+            raise ConfigError(f"--point needs {names} for a {alg.kind} algorithm")
+        inst = fam.sample(args.point, alg.n, rng)
     else:
         raise ConfigError("simulate needs --instance or --point")
     p = acceptance_probability(alg, inst, mode=args.mode)
@@ -180,6 +169,8 @@ def cmd_extract(args) -> int:
 def cmd_verify_gamma(args) -> int:
     if min(args.n) < 1:
         raise ConfigError(f"--n must be >= 1, got {min(args.n)}")
+    if args.max_degree < 0:
+        raise ConfigError(f"--max-degree must be >= 0, got {args.max_degree}")
     rows = []
     all_equal = True
     for n in args.n:
@@ -210,32 +201,23 @@ def cmd_verify_gamma(args) -> int:
         args.output, constants=CONSTANTS,
     )
     print(f"all equal: {str(all_equal).lower()} ({len(rows)} cases)")
-    if not args.output and args.format == "json":
-        sys.stdout.write(text)
-    elif args.format == "csv" and not args.output:
+    if not args.output:
         sys.stdout.write(text)
     return EXIT_OK if all_equal else EXIT_FAILURE
 
 
 def cmd_verify_identity(args) -> int:
     alg = load_algorithm(args.algorithm)
-    if alg.kind != "collision":
-        raise ConfigError("verify-identity sweeps the collision-side identity")
-    n, T = alg.n, max(alg.T, 1)
     poly = extract_polynomial(alg)
-    q = assemble_q(poly, n, alg.T)
+    q = family(alg.kind).assemble(poly, alg.n, alg.T)
     rows = []
     exact_everywhere = True
-    for pt in quasilattice_points(n, T, args.G):
-        p_val = expected_acceptance(alg, pt, n, cap=args.enum_cap).as_fraction()
-        pref = prefactor(n, alg.T, pt.N)
-        q_val = q.evaluate(pt)
+    for pt, p_val, q_val, pref, _ in identity_points(alg, poly, q, args.G, args.enum_cap):
         ok = p_val == pref * q_val
         exact_everywhere &= ok
         rows.append(
             {
-                "g": pt.g,
-                "N": pt.N,
+                **pt._asdict(),
                 "P": p_val,
                 "q": q_val,
                 "prefactor": pref,

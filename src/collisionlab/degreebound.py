@@ -17,19 +17,24 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .instances import (
     ConfigError,
     EnumerationTooLarge,
+    QuasilatticePoint,
+    SuperQuasilatticePoint,
     enumeration_cap,
     kappa,
     quasilattice_points,
+    sample_collision_input,
+    sample_setcomp_input,
     super_quasilattice_points,
 )
 from .lattice import VARIABLE_NAMES, LatticePoly
+from .multilinear import MultilinearPoly
 from .polymethod import (
     assemble_q,
     expected_acceptance,
@@ -37,12 +42,7 @@ from .polymethod import (
     extract_polynomial,
     prefactor,
 )
-from .setcomp_poly import (
-    assemble_q3,
-    expected_acceptance3,
-    expected_acceptance3_mc,
-    prefactor3,
-)
+from .setcomp_poly import assemble_q3, expected_acceptance3_mc, prefactor3
 from .simulator import QueryAlgorithm
 
 # Chain constants.  All follow from two choices: the allowed error
@@ -71,14 +71,14 @@ CONSTANTS = {
 
 @dataclass(frozen=True)
 class Family:
-    """What differs between the two input families of the chain.  The
-    chain loop, region, weighting, degree bound and report are shared."""
+    """What differs between the two input families.  The identity loop,
+    region, weighting, degree bound and report of the chain are shared."""
 
     arity: int  # grid variables: (g, N) or (g, N, M)
     points: Callable  # (n, T, G) -> admissible points, sorted
     prefactor: Callable  # (n, T, point) -> P / q at the point
     assemble: Callable  # (acceptance poly, n, T) -> q
-    exact_mean: Callable  # (alg, point, n, cap) -> exact family acceptance
+    sample: Callable  # (point, n, rng) -> one Instance drawn from the family
     mc_mean: Callable  # (poly, point, n, samples, rng) -> (mean, stderr)
     window_denom: int  # N (and M) window width n / (window_denom T)
     cap_per_query: int  # deg q <= cap_per_query * T
@@ -94,7 +94,7 @@ FAMILIES = {
         points=lambda n, T, G: quasilattice_points(n, T, G),
         prefactor=lambda n, T, pt: prefactor(n, T, pt.N),
         assemble=lambda p, n, T: assemble_q(p, n, T),
-        exact_mean=lambda alg, pt, n, cap: expected_acceptance(alg, pt, n, cap),
+        sample=lambda pt, n, rng: sample_collision_input(QuasilatticePoint(*pt), n, rng),
         mc_mean=lambda *args: expected_acceptance_mc(*args),
         window_denom=WINDOW_DENOM,
         cap_per_query=2,
@@ -107,7 +107,7 @@ FAMILIES = {
         points=lambda n, T, G: super_quasilattice_points(n, T, G),
         prefactor=lambda n, T, pt: prefactor3(n, T, pt.N, pt.M, pt.g),
         assemble=lambda p, n, T: assemble_q3(p, n, T),
-        exact_mean=lambda alg, pt, n, cap: expected_acceptance3(alg, pt, n, cap),
+        sample=lambda pt, n, rng: sample_setcomp_input(SuperQuasilatticePoint(*pt), n, rng),
         mc_mean=lambda *args: expected_acceptance3_mc(*args),
         window_denom=WINDOW_DENOM3,
         cap_per_query=8,
@@ -381,17 +381,44 @@ class ChainReport:
 SIM_ENUM_LIMIT = 20_000  # latent draws; above this the chain falls back to MC
 
 
+def identity_points(
+    alg: QueryAlgorithm, poly: MultilinearPoly, q: LatticePoly, G: int, cap: int | None = None,
+    mc_samples: int | None = None, rng: random.Random | None = None,
+) -> Iterator[tuple]:
+    """Yield (point, P, q(point), prefactor, exact) at every admissible
+    point with g <= G of the algorithm's family, in sorted order.
+
+    P is the circuit's exact mean over every latent draw when they number
+    at most enumeration_cap(cap).  Past that, EnumerationTooLarge
+    propagates, unless mc_samples is given: then P is the float Monte
+    Carlo mean of poly over that many draws from rng, and exact is False.
+    """
+    fam = family(alg.kind)
+    n, T = alg.n, alg.T
+    # Zero-query circuits assemble a genuinely constant polynomial
+    # (degree cap 0); only the window geometry needs a positive T.
+    for pt in fam.points(n, max(T, 1), G):
+        pref = fam.prefactor(n, T, pt)
+        q_val = q.evaluate(pt)
+        try:
+            p_val, exact = expected_acceptance(alg, pt, n, cap).as_fraction(), True
+        except EnumerationTooLarge:
+            if mc_samples is None:
+                raise
+            p_val, _ = fam.mc_mean(poly, pt, n, mc_samples, rng)
+            exact = False
+        yield pt, p_val, q_val, pref, exact
+
+
 def verify_inequality_chain(
     alg: QueryAlgorithm,
     G: int,
-    variant: str | None = None,
     mc_samples: int = 2000,
     seed: int = 0,
-    resolution: int | None = None,
     cap: int | None = None,
 ) -> ChainReport:
     """Extract, assemble, bound: the full consistency report for one
-    algorithm.
+    algorithm, on the family its kind names.
 
     Computes the acceptance polynomial and its grid polynomial, the
     per-point family acceptances (exact when the latent draws number at
@@ -404,34 +431,19 @@ def verify_inequality_chain(
         raise ConfigError(f"need G >= 2 for a nondegenerate rectangle, got G={G}")
     if mc_samples < 1:
         raise ConfigError(f"need at least one Monte Carlo sample, got mc_samples={mc_samples}")
-    if variant is None:
-        variant = alg.kind
-    if variant != alg.kind:
-        raise ValueError("variant does not match the algorithm kind")
-    fam = family(variant)
+    cap = min(SIM_ENUM_LIMIT, enumeration_cap(cap))
+    fam = family(alg.kind)
     n, T = alg.n, alg.T
-    # Zero-query circuits assemble a genuinely constant polynomial
-    # (degree cap 0); only the window geometry needs a positive T.
-    T_win = max(T, 1)
     notes: list[str] = []
     poly = extract_polynomial(alg)
-    degree = max(poly.degree, 0)
-
-    rng = random.Random(seed)
     q = fam.assemble(poly, n, T)
-    cap = min(SIM_ENUM_LIMIT, enumeration_cap(cap))
     rows: list[PointRow] = []
-    for pt in fam.points(n, T_win, G):
-        pref = fam.prefactor(n, T, pt)
-        q_val = q.evaluate(pt)
-        try:
-            p_val = fam.exact_mean(alg, pt, n, cap).as_fraction()
-            exact = True
-        except EnumerationTooLarge:
-            p_val, _ = fam.mc_mean(poly, pt, n, mc_samples, rng)
-            exact = False
-            notes.append(f"P at {tuple(pt)} estimated from {mc_samples} samples")
+    for pt, p_val, q_val, pref, exact in identity_points(
+        alg, poly, q, G, cap, mc_samples, random.Random(seed)
+    ):
         dev = float(abs(p_val - pref * q_val)) if exact else abs(float(p_val) - float(pref * q_val))
+        if not exact:
+            notes.append(f"P at {tuple(pt)} estimated from {mc_samples} samples")
         rows.append(PointRow(tuple(pt), p_val, q_val, pref, dev, exact))
     low = next(r for r in rows if r.point[0] == 1)
     high = next((r for r in rows if r.point[0] == 2), None)
@@ -452,44 +464,24 @@ def verify_inequality_chain(
     if not distinguisher:
         notes.append("not a distinguisher: endpoint acceptances miss the 1/10 - 9/10 gap")
 
-    region = chain_region(n, T_win, G, variant)
-    d_report = weighted_max_derivative(
-        q, region, n, T_win, G, resolution=resolution, variant=variant
-    )
-    max_dev = max((r.deviation for r in rows), default=0.0)
-    bound = degree_lower_bound(
-        d_report.value, G, T_win, n, variant, fam.value_range(max_dev)
-    )
-    degree_cap = fam.cap_per_query * T
-    consistent = degree_cap >= bound - 1e-12
-
-    return ChainReport(
-        variant=variant,
+    return _bound_report(
+        alg.kind, q, n, T, G, max((r.deviation for r in rows), default=0.0),
         algorithm=alg.name,
-        n=n,
-        T=T,
-        G=G,
-        extracted_degree=degree,
-        degree_cap=degree_cap,
+        extracted_degree=max(poly.degree, 0),
         points=rows,
         endpoint_low=endpoint_low,
         endpoint_high=endpoint_high,
         distinguisher=distinguisher,
         fd_slope=fd_slope,
-        d_value=d_report.value,
-        d_at=d_report.at,
-        d_direction=d_report.direction,
-        derived_bound=bound,
-        consistent=consistent,
         notes=notes,
     )
 
 
 def chain_report_for_poly(
-    q: LatticePoly, n: int, T: int, G: int, variant: str = "collision",
-    resolution: int | None = None, label: str = "injected-poly",
+    q: LatticePoly, n: int, T: int, G: int, label: str = "injected-poly",
 ) -> ChainReport:
-    """Chain consistency for a directly supplied grid polynomial.
+    """Chain consistency for a directly supplied grid polynomial, on the
+    family its arity names.
 
     Negative control path: an injected polynomial with an artificially
     steep derivative should report 2T < bound, i.e. inconsistency.
@@ -498,30 +490,46 @@ def chain_report_for_poly(
         raise ConfigError(f"need G >= 2 for a nondegenerate rectangle, got G={G}")
     if T < 1:
         raise ConfigError(f"need T >= 1 for the chain window, got T={T}")
-    fam = family(variant)
-    region = chain_region(n, T, G, variant)
-    d_report = weighted_max_derivative(q, region, n, T, G, resolution=resolution, variant=variant)
-    bound = degree_lower_bound(
-        d_report.value, G, T, n, variant, fam.value_range(DEVIATION_BOUND)
-    )
-    degree_cap = fam.cap_per_query * T
-    return ChainReport(
-        variant=variant,
+    if n < 1:
+        raise ConfigError(f"need n >= 1 for the chain window, got n={n}")
+    variant = next(name for name, fam in FAMILIES.items() if fam.arity == q.arity)
+    return _bound_report(
+        variant, q, n, T, G, DEVIATION_BOUND,
         algorithm=label,
-        n=n,
-        T=T,
-        G=G,
         extracted_degree=q.total_degree,
-        degree_cap=degree_cap,
         points=[],
         endpoint_low=float("nan"),
         endpoint_high=float("nan"),
         distinguisher=False,
         fd_slope=None,
+        notes=["no per-point section: polynomial supplied directly"],
+    )
+
+
+def _bound_report(variant, q, n, T, G, deviation, **head) -> ChainReport:
+    """The tail both chains share: the weighted derivative search over
+    the rectangle, the Markov bound with q's value window widened by
+    deviation = max |P - prefactor q|, and the verdict against the
+    degree cap."""
+    fam = family(variant)
+    T_win = max(T, 1)
+    d_report = weighted_max_derivative(
+        q, chain_region(n, T_win, G, variant), n, T_win, G, variant=variant
+    )
+    bound = degree_lower_bound(
+        d_report.value, G, T_win, n, variant, fam.value_range(deviation)
+    )
+    degree_cap = fam.cap_per_query * T
+    return ChainReport(
+        variant=variant,
+        n=n,
+        T=T,
+        G=G,
+        degree_cap=degree_cap,
         d_value=d_report.value,
         d_at=d_report.at,
         d_direction=d_report.direction,
         derived_bound=bound,
         consistent=degree_cap >= bound - 1e-12,
-        notes=["no per-point section: polynomial supplied directly"],
+        **head,
     )

@@ -35,15 +35,18 @@ class ConfigError(ValueError):
 
 
 def enumeration_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from None
+    """The cap itself, else COLLISIONLAB_ENUM_CAP, else the default.  A
+    cap of 0 admits no enumeration; a negative one is a ConfigError."""
+    source = "enumeration cap"
+    if cap is None:
+        source, raw = ENUM_CAP_ENV, os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUM_CAP))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ConfigError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise ConfigError(f"{source} must be >= 0, got {cap}")
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +374,7 @@ def sample_collision_input(
     """Draw a collision input: the first n entries of a uniform g-to-1
     function from {1..N} onto a uniform (N/g)-subset S of {1..n}."""
     g, N = point
-    if N % g != 0 or N // g > n or N < n:
+    if g < 1 or N % g != 0 or N // g > n or N < n:
         raise ConfigError(f"invalid point {point} for n={n}")
     s = tuple(sorted(rng.sample(range(1, n + 1), N // g)))
     xhat = _uniform_k_to_one(N, s, g, rng)
@@ -394,6 +397,8 @@ def sample_setcomp_input(
     S_Y respectively.
     """
     g, N, M = point
+    if g < 1:
+        raise ConfigError(f"invalid point {point}: g must be >= 1")
     k = kappa(g)
     if N % g != 0 or M % k != 0:
         raise ConfigError(f"invalid point {point}")

@@ -10,8 +10,10 @@ at most 2T, so the averaged acceptance satisfies
 
     P(g, N) = prefactor(n, T, N) * q(g, N),    q = sum_I beta_I * q~_I
 
-exactly at every admissible point.  Every closed form here has an
-independent brute-force twin that enumerates the latent draws directly.
+exactly at every admissible point.  Every closed form, here and in
+setcomp_poly, has an independent brute-force twin, gamma_bruteforce,
+that enumerates the latent draws directly.  A point's arity names its
+family: (g, N) for collision inputs, (g, N, M) for set comparison.
 """
 
 from __future__ import annotations
@@ -28,8 +30,11 @@ import numpy as np
 from .instances import (
     Instance,
     QuasilatticePoint,
+    SuperQuasilatticePoint,
     enumerate_collision_supports,
+    enumerate_setcomp_supports,
     instance_from_collision_latent,
+    instance_from_setcomp_latent,
     sample_collision_input,
 )
 from .lattice import LatticePoly
@@ -265,20 +270,35 @@ def gamma_closed(I, g: int, N: int, n: int, T: int | None = None) -> Fraction:
     return range_fits * consistent
 
 
-def gamma_bruteforce(I, g: int, N: int, n: int, cap: int | None = None) -> Fraction:
-    """Same expectation by direct enumeration of every latent draw.
+def latent_instances(point, n: int, cap: int | None = None) -> Iterator[Instance]:
+    """Every latent draw of the family at point, as an Instance, in the
+    enumerator's order: (g, N) draws collision inputs, (g, N, M)
+    set-comparison pairs.  Raises EnumerationTooLarge past the cap."""
+    if len(point) == 2:
+        for latent in enumerate_collision_supports(QuasilatticePoint(*point), n, cap):
+            yield instance_from_collision_latent(latent, n)
+    elif len(point) == 3:
+        for latent in enumerate_setcomp_supports(SuperQuasilatticePoint(*point), n, cap):
+            yield instance_from_setcomp_latent(latent, n)
+    else:
+        raise ValueError(f"a family point is (g, N) or (g, N, M), got {tuple(point)}")
 
-    Deliberately naive: walks all (S, xhat) pairs, truncates, evaluates
-    the monomial, and divides.  Independent of the closed form.
+
+def gamma_bruteforce(I, point, n: int, cap: int | None = None) -> Fraction:
+    """Same expectation as gamma_closed (or gamma3_closed, for a
+    (g, N, M) point) by direct enumeration of every latent draw.
+
+    Deliberately naive: walks every draw, evaluates the monomial on its
+    length-n prefixes, and divides.  Independent of the closed forms.
     """
     m = as_monomial(I)
     if m is None:
         return Fraction(0)
     hits = 0
     total = 0
-    for latent in enumerate_collision_supports(QuasilatticePoint(g, N), n, cap):
+    for inst in latent_instances(point, n, cap):
         total += 1
-        hits += m.evaluate(latent.xhat[:n])
+        hits += m.evaluate(inst.x, inst.y)
     return Fraction(hits, total)
 
 
@@ -319,18 +339,15 @@ def gamma_bruteforce_sweep(
     return out
 
 
-def all_monomials(
-    n: int, max_degree: int, alphabet: int | None = None, register: str = "x"
-) -> Iterator[Monomial]:
-    """Every canonical monomial on positions 1..n with degree <= max_degree."""
-    top = alphabet if alphabet is not None else n
+def all_monomials(n: int, max_degree: int) -> Iterator[Monomial]:
+    """Every canonical x-register monomial on positions and values 1..n
+    with degree <= max_degree."""
     yield Monomial.one()
     for r in range(1, max_degree + 1):
         for positions in itertools.combinations(range(1, n + 1), r):
-            for values in itertools.product(range(1, top + 1), repeat=r):
+            for values in itertools.product(range(1, n + 1), repeat=r):
                 m = Monomial.from_factors(
-                    IndicatorVariable(register, p, v)
-                    for p, v in zip(positions, values)
+                    IndicatorVariable("x", p, v) for p, v in zip(positions, values)
                 )
                 if m is None:
                     raise AssertionError("distinct positions cannot conflict")
@@ -507,19 +524,14 @@ def mean_acceptance_mc(obj, draws: Iterable[Instance]) -> tuple[float, float]:
     return mean, math.sqrt(var / samples)
 
 
-def expected_acceptance(
-    obj, point: QuasilatticePoint, n: int, cap: int | None = None
-) -> QSqrt2:
-    """Exact average acceptance over every latent draw of the family.
+def expected_acceptance(obj, point, n: int, cap: int | None = None) -> QSqrt2:
+    """Exact average acceptance over every latent draw of the family at
+    point, (g, N) or (g, N, M).
 
     obj is a QueryAlgorithm (simulated per draw) or an extracted
     MultilinearPoly (evaluated over all draws in one batch).
     """
-    point = QuasilatticePoint(*point)
-    return mean_acceptance(obj, (
-        instance_from_collision_latent(latent, n)
-        for latent in enumerate_collision_supports(point, n, cap)
-    ))
+    return mean_acceptance(obj, latent_instances(point, n, cap))
 
 
 def expected_acceptance_mc(

@@ -8,8 +8,9 @@ total degree at most 8T, giving
 
     P(g, N, M) = prefactor3(n, T, N, M, g) * q(g, N, M)
 
-exactly at every admissible point.  As on the collision side, each
-closed form has an independent brute-force twin over the latent draws.
+exactly at every admissible point.  The brute-force twin of each
+closed form, and the exact family average, are polymethod's
+gamma_bruteforce and expected_acceptance at a (g, N, M) point.
 """
 
 from __future__ import annotations
@@ -18,22 +19,10 @@ import math
 import random
 from fractions import Fraction
 
-from .instances import (
-    SuperQuasilatticePoint,
-    enumerate_setcomp_supports,
-    instance_from_setcomp_latent,
-    kappa,
-    sample_setcomp_input,
-)
+from .instances import SuperQuasilatticePoint, kappa, sample_setcomp_input
 from .lattice import LatticePoly
 from .multilinear import IndicatorVariable, Monomial, MultilinearPoly
-from .polymethod import (
-    as_monomial,
-    assemble_grid_poly,
-    mean_acceptance,
-    mean_acceptance_mc,
-)
-from .qsqrt2 import QSqrt2
+from .polymethod import as_monomial, assemble_grid_poly, mean_acceptance_mc
 
 
 def _kappa_poly() -> LatticePoly:
@@ -127,21 +116,6 @@ def gamma3_closed(
     )
 
 
-def gamma3_bruteforce(
-    I, g: int, N: int, M: int, n: int, cap: int | None = None
-) -> Fraction:
-    """Same expectation by enumerating every latent draw directly."""
-    m = as_monomial(I)
-    if m is None:
-        return Fraction(0)
-    hits = 0
-    total = 0
-    for latent in enumerate_setcomp_supports(SuperQuasilatticePoint(g, N, M), n, cap):
-        total += 1
-        hits += m.evaluate(latent.xhat[:n], latent.yhat[:n])
-    return Fraction(hits, total)
-
-
 def q_tilde3(I, n: int, T: int) -> LatticePoly:
     """Trivariate polynomial with gamma3 = prefactor3 * q~3 at grid points.
 
@@ -207,17 +181,6 @@ def prefactor3(n: int, T: int, N: int, M: int, g: int) -> Fraction:
 def assemble_q3(p: MultilinearPoly, n: int, T: int) -> LatticePoly:
     """q(g, N, M) = sum_I beta_I q~3_I for an extracted acceptance poly."""
     return assemble_grid_poly(p, n, T, q_tilde3, 3)
-
-
-def expected_acceptance3(
-    obj, point: SuperQuasilatticePoint, n: int, cap: int | None = None
-) -> QSqrt2:
-    """Exact average acceptance over every latent draw of the family."""
-    point = SuperQuasilatticePoint(*point)
-    return mean_acceptance(obj, (
-        instance_from_setcomp_latent(latent, n)
-        for latent in enumerate_setcomp_supports(point, n, cap)
-    ))
 
 
 def expected_acceptance3_mc(

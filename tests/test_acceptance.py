@@ -46,14 +46,13 @@ from collisionlab.polymethod import (
     evaluate_poly,
     expected_acceptance,
     extract_polynomial,
+    gamma_bruteforce,
     gamma_bruteforce_sweep,
     gamma_closed,
     prefactor,
 )
 from collisionlab.setcomp_poly import (
     assemble_q3,
-    expected_acceptance3,
-    gamma3_bruteforce,
     gamma3_closed,
     mixed_monomials,
     prefactor3,
@@ -203,7 +202,7 @@ def test_criterion_08_trivariate_suite():
     monomials = mixed_monomials(2, 2)
     for m in monomials:
         for g, N, M in points:
-            assert gamma3_closed(m, g, N, M, 2, T=1) == gamma3_bruteforce(m, g, N, M, 2)
+            assert gamma3_closed(m, g, N, M, 2, T=1) == gamma_bruteforce(m, (g, N, M), 2)
         assert theta_poly(m).total_degree <= 2 * m.degree
         assert q_tilde3(m, 2, 1).total_degree <= 8
 
@@ -212,7 +211,7 @@ def test_criterion_08_trivariate_suite():
     q3 = assemble_q3(poly, 2, 1)
     assert q3.total_degree <= 8
     point = SuperQuasilatticePoint(1, 2, 2)
-    p_value = expected_acceptance3(alg, point, 2)
+    p_value = expected_acceptance(alg, point, 2)
     assert p_value == prefactor3(2, 1, 2, 2, 1) * q3.evaluate(point)
 
 

@@ -28,7 +28,7 @@ from collisionlab.polymethod import (
     mean_acceptance,
 )
 from collisionlab.qsqrt2 import QSqrt2
-from collisionlab.setcomp_poly import expected_acceptance3, expected_acceptance3_mc
+from collisionlab.setcomp_poly import expected_acceptance3_mc
 
 
 def random_coefficient(rng: random.Random) -> QSqrt2:
@@ -152,7 +152,7 @@ def test_exact_mean_on_the_setcomp_family_at_n2():
     polys = [extract_polynomial(setcomp_probe(2))]
     polys += [random_poly(rng, 2, ("x", "y"), 4) for _ in range(3)]
     for poly in polys:
-        assert expected_acceptance3(poly, point, 2) == per_draw_mean(poly, rows)
+        assert expected_acceptance(poly, point, 2) == per_draw_mean(poly, rows)
 
 
 def test_collision_mc_is_bitwise_the_per_draw_estimate():

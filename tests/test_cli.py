@@ -1,12 +1,17 @@
 """CLI subcommands: determinism, formats, exit codes."""
 
 import csv
+import hashlib
 import json
 import io
+from fractions import Fraction
 
 import pytest
 
+from collisionlab.circuits import setcomp_probe
 from collisionlab.cli import main
+from collisionlab.polymethod import extract_polynomial
+from collisionlab.setcomp_poly import assemble_q3, prefactor3
 from collisionlab.reports import jsonable, render_csv, render_json
 
 
@@ -100,6 +105,41 @@ def test_verify_identity(tmp_path, capsys):
     assert doc["results"]["identity_exact"] is True
 
 
+# sha256 of the verify-identity report files for coincidence-4 at G=2,
+# taken from the collision-only sweep that the shared identity loop replaced.
+VERIFY_IDENTITY_SHA256 = {
+    "json": "9f4c1b8fd6f2e9159d7f01e07f9ff8452353acb93a84ccd50ef28b937cd6066c",
+    "csv": "cc19aadc274afcd78c12bc0db41d8346285a6647a2e4795c9abd38956831bf07",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_IDENTITY_SHA256))
+def test_verify_identity_report_is_pinned(fmt, tmp_path, capsys):
+    out = tmp_path / f"ident.{fmt}"
+    code, _, _ = run(
+        ["verify-identity", "--algorithm", "coincidence-4", "--G", "2",
+         "--format", fmt, "--output", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_IDENTITY_SHA256[fmt]
+
+
+def test_verify_identity_on_a_setcomp_circuit(tmp_path, capsys):
+    out = tmp_path / "ident.json"
+    code, stdout, _ = run(
+        ["verify-identity", "--algorithm", "setcomp-probe-2", "--G", "1", "--output", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert "identity exact: true (1 points)" in stdout
+    (row,) = json.loads(out.read_text())["results"]["points"]
+    assert (row["g"], row["N"], row["M"], row["P"]) == (1, 2, 2, "3/8")
+    q3 = assemble_q3(extract_polynomial(setcomp_probe(2)), 2, 1)
+    assert Fraction(row["P"]) == prefactor3(2, 1, 2, 2, 1) * q3.evaluate((1, 2, 2))
+    assert row["exact_match"] is True
+
+
 def test_extract_and_simulate(tmp_path, capsys):
     out = tmp_path / "poly.json"
     code, _, _ = run(
@@ -162,6 +202,17 @@ def test_invalid_config_exits_2(capsys):
         (["simulate", "--algorithm", "coincidence-4", "--point", "2,4,99"], "needs g,N"),
         (["verify-gamma", "--n", "0"], "--n must be >= 1"),
         (["verify-gamma", "--n", "4", "-2"], "--n must be >= 1"),
+        (["simulate", "--algorithm", "coincidence-4", "--point", "0,4"],
+         "invalid point QuasilatticePoint(g=0, N=4)"),
+        (["simulate", "--algorithm", "setcomp-probe-2", "--point", "0,2,2"],
+         "g must be >= 1"),
+        (["chain", "--negative-control", "--control-n", "0"], "need n >= 1"),
+        (["chain", "--negative-control", "--control-n", "-5"], "got n=-5"),
+        (["verify-gamma", "--max-degree", "-1"], "--max-degree must be >= 0, got -1"),
+        (["verify-gamma", "--n", "4", "--max-degree", "1", "--enum-cap", "-5"],
+         "enumeration cap must be >= 0, got -5"),
+        (["chain", "--algorithm", "coincidence-4", "--enum-cap", "-1"],
+         "enumeration cap must be >= 0, got -1"),
     ],
 )
 def test_semantic_config_errors_exit_2(args, message, capsys):
@@ -175,6 +226,13 @@ def test_malformed_enum_cap_exits_2(monkeypatch, capsys):
     code, _, err = run(["verify-identity", "--algorithm", "coincidence-4", "--G", "2"], capsys)
     assert code == 2
     assert "COLLISIONLAB_ENUM_CAP" in err
+
+
+def test_negative_enum_cap_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("COLLISIONLAB_ENUM_CAP", "-1")
+    code, _, err = run(["chain", "--algorithm", "coincidence-4", "--G", "2"], capsys)
+    assert code == 2
+    assert "COLLISIONLAB_ENUM_CAP must be >= 0, got -1" in err
 
 
 def test_cap_exceeded_exits_3(capsys):

@@ -165,7 +165,7 @@ def test_chain_region_validation():
 
 def test_setcomp_negative_control_flags_inconsistency():
     steep = LatticePoly(3, {(1, 0, 0): Fraction(10)})
-    report = chain_report_for_poly(steep, n=10**18, T=1, G=10**3, variant="setcomp")
+    report = chain_report_for_poly(steep, n=10**18, T=1, G=10**3)
     assert report.degree_cap == 8
     assert report.derived_bound == pytest.approx(21.62, abs=5e-3)
     assert not report.consistent

@@ -158,21 +158,21 @@ def test_gamma_collision_pair():
     pair = Monomial.from_factors([IV("x", 1, 3), IV("x", 2, 3)])
     assert gamma_closed(pair, 1, 4, 4) == 0  # injective inputs admit no collision
     assert gamma_closed(pair, 2, 4, 4) == Fraction(1, 12)
-    assert gamma_bruteforce(pair, 2, 4, 4) == Fraction(1, 12)
+    assert gamma_bruteforce(pair, (2, 4), 4) == Fraction(1, 12)
 
 
 def test_gamma_empty_and_conflicting():
     assert gamma_closed(Monomial.one(), 2, 4, 4) == 1
-    assert gamma_bruteforce(Monomial.one(), 2, 4, 4) == 1
+    assert gamma_bruteforce(Monomial.one(), (2, 4), 4) == 1
     conflicting = [IV("x", 1, 1), IV("x", 1, 2)]
     assert gamma_closed(conflicting, 2, 4, 4) == 0
-    assert gamma_bruteforce(conflicting, 2, 4, 4) == 0
+    assert gamma_bruteforce(conflicting, (2, 4), 4) == 0
 
 
 def test_gamma_zero_when_multiplicity_exceeds_g():
     m = Monomial.from_factors([IV("x", 1, 2), IV("x", 2, 2), IV("x", 3, 2)])
     assert gamma_closed(m, 2, 4, 4) == 0
-    assert gamma_bruteforce(m, 2, 4, 4) == 0
+    assert gamma_bruteforce(m, (2, 4), 4) == 0
 
 
 def test_gamma_bounds_and_guards():
@@ -197,7 +197,7 @@ def test_gamma_sweep_matches_scalar_bruteforce():
     ]
     sweep = gamma_bruteforce_sweep(monos, 2, 6, 4)
     for m, v in zip(monos, sweep):
-        assert v == gamma_bruteforce(m, 2, 6, 4)
+        assert v == gamma_bruteforce(m, (2, 6), 4)
 
 
 # -- q~ and the prefactor --------------------------------------------------------

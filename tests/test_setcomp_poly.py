@@ -9,13 +9,11 @@ from collisionlab.circuits import setcomp_probe
 from collisionlab.instances import SuperQuasilatticePoint, super_quasilattice_points
 from collisionlab.multilinear import IndicatorVariable as IV
 from collisionlab.multilinear import Monomial, MultilinearPoly
-from collisionlab.polymethod import extract_polynomial
+from collisionlab.polymethod import expected_acceptance, extract_polynomial, gamma_bruteforce
 from collisionlab.qsqrt2 import QSqrt2
 from collisionlab.setcomp_poly import (
     assemble_q3,
-    expected_acceptance3,
     expected_acceptance3_mc,
-    gamma3_bruteforce,
     gamma3_closed,
     mixed_monomials,
     prefactor3,
@@ -60,14 +58,14 @@ def test_theta_degree_bound_random():
 
 def test_gamma3_empty_monomial():
     assert gamma3_closed(Monomial.one(), 1, 2, 2, 2) == 1
-    assert gamma3_bruteforce(Monomial.one(), 1, 2, 2, 2) == 1
+    assert gamma_bruteforce(Monomial.one(), (1, 2, 2), 2) == 1
 
 
 def test_gamma3_single_indicator_value():
     m = Monomial.from_factors([IV("x", 1, 3)])
     # S is everything, P(3 in S_X) = 1/2, P(xhat_1 = 3 | in) = 1/2
     assert gamma3_closed(m, 1, 2, 2, 2) == Fraction(1, 4)
-    assert gamma3_bruteforce(m, 1, 2, 2, 2) == Fraction(1, 4)
+    assert gamma_bruteforce(m, (1, 2, 2), 2) == Fraction(1, 4)
 
 
 def test_gamma3_oracle_equivalence_all_monomials_n2():
@@ -75,7 +73,7 @@ def test_gamma3_oracle_equivalence_all_monomials_n2():
     assert points == [(1, 2, 2)]
     for m in mixed_monomials(2, 2):
         for g, N, M in points:
-            assert gamma3_closed(m, g, N, M, 2, T=1) == gamma3_bruteforce(m, g, N, M, 2)
+            assert gamma3_closed(m, g, N, M, 2, T=1) == gamma_bruteforce(m, (g, N, M), 2)
 
 
 def test_gamma3_conflicting_and_guards():
@@ -127,8 +125,8 @@ def test_trivariate_identity_exact_at_n2():
     assert poly.degree <= 2
     q3 = assemble_q3(poly, 2, 1)
     point = SuperQuasilatticePoint(1, 2, 2)
-    P_sim = expected_acceptance3(alg, point, 2)
-    P_poly = expected_acceptance3(poly, point, 2)
+    P_sim = expected_acceptance(alg, point, 2)
+    P_poly = expected_acceptance(poly, point, 2)
     assert P_sim == P_poly
     assert P_sim == prefactor3(2, 1, 2, 2, 1) * q3.evaluate(point)
 
@@ -137,6 +135,6 @@ def test_expected_acceptance3_mc_agrees():
     alg = setcomp_probe(2)
     poly = extract_polynomial(alg)
     point = SuperQuasilatticePoint(1, 2, 2)
-    exact = float(expected_acceptance3(alg, point, 2))
+    exact = float(expected_acceptance(alg, point, 2))
     mean, stderr = expected_acceptance3_mc(poly, point, 2, samples=300, rng=random.Random(3))
     assert abs(mean - exact) <= 4 * stderr + 1e-9
