@@ -16,8 +16,7 @@ from .instances import (
     SuperQuasilatticePoint,
     kappa,
     quasilattice_points,
-    sample_collision_input,
-    sample_setcomp_input,
+    sample_input,
     set_union_size,
     super_quasilattice_points,
     validate_instance,

@@ -38,6 +38,7 @@ from .instances import (
     Instance,
     divisor_points,
     quasilattice_points,
+    sample_input,
     set_union_size,
     super_quasilattice_points,
 )
@@ -105,7 +106,7 @@ def cmd_simulate(args) -> int:
         if len(args.point) != fam.arity:
             names = ",".join(VARIABLE_NAMES[fam.arity])
             raise ConfigError(f"--point needs {names} for a {alg.kind} algorithm")
-        inst = fam.sample(args.point, alg.n, rng)
+        inst = sample_input(args.point, alg.n, rng)
     else:
         raise ConfigError("simulate needs --instance or --point")
     p = acceptance_probability(alg, inst, mode=args.mode)

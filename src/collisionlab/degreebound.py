@@ -24,13 +24,9 @@ import numpy as np
 from .instances import (
     ConfigError,
     EnumerationTooLarge,
-    QuasilatticePoint,
-    SuperQuasilatticePoint,
     enumeration_cap,
     kappa,
     quasilattice_points,
-    sample_collision_input,
-    sample_setcomp_input,
     super_quasilattice_points,
 )
 from .lattice import VARIABLE_NAMES, LatticePoly
@@ -78,7 +74,6 @@ class Family:
     points: Callable  # (n, T, G) -> admissible points, sorted
     prefactor: Callable  # (n, T, point) -> P / q at the point
     assemble: Callable  # (acceptance poly, n, T) -> q
-    sample: Callable  # (point, n, rng) -> one Instance drawn from the family
     mc_mean: Callable  # (poly, point, n, samples, rng) -> (mean, stderr)
     window_denom: int  # N (and M) window width n / (window_denom T)
     cap_per_query: int  # deg q <= cap_per_query * T
@@ -94,7 +89,6 @@ FAMILIES = {
         points=lambda n, T, G: quasilattice_points(n, T, G),
         prefactor=lambda n, T, pt: prefactor(n, T, pt.N),
         assemble=lambda p, n, T: assemble_q(p, n, T),
-        sample=lambda pt, n, rng: sample_collision_input(QuasilatticePoint(*pt), n, rng),
         mc_mean=lambda *args: expected_acceptance_mc(*args),
         window_denom=WINDOW_DENOM,
         cap_per_query=2,
@@ -107,7 +101,6 @@ FAMILIES = {
         points=lambda n, T, G: super_quasilattice_points(n, T, G),
         prefactor=lambda n, T, pt: prefactor3(n, T, pt.N, pt.M, pt.g),
         assemble=lambda p, n, T: assemble_q3(p, n, T),
-        sample=lambda pt, n, rng: sample_setcomp_input(SuperQuasilatticePoint(*pt), n, rng),
         mc_mean=lambda *args: expected_acceptance3_mc(*args),
         window_denom=WINDOW_DENOM3,
         cap_per_query=8,

@@ -5,9 +5,11 @@ inputs are pairs (X, Y) of length-n sequences over {1..2n}.  The
 structured families are indexed by lattice parameter points: (g, N) for
 collision inputs (prefixes of g-to-1 functions), and (g, N, M) for
 set-comparison inputs (prefixes of kappa(g)-to-1 functions into random
-subsets).  Samplers keep their latent draws so tests can check the
-construction white-box, and enumerators stream every latent draw in a
-deterministic order for brute-force expectations.
+subsets).  Both are one construction: a point's arity names its family,
+and one shape per point drives the sampler, the closed-form count and the
+enumerator.  The sampler keeps its latent draw so tests can check the
+construction white-box, and the enumerator streams every latent draw in
+a deterministic order for brute-force expectations.
 """
 
 from __future__ import annotations
@@ -244,56 +246,6 @@ def is_quasilattice_point(g: int, N: int, n: int, T: int, slack: int = 10) -> bo
     return True
 
 
-def quasilattice_points(n: int, T: int, G: int, slack: int = 10) -> list[QuasilatticePoint]:
-    """All admissible (g, N) with g <= G, sorted by (g, N).
-
-    slack is the denominator constant in the window width n/(slack*T);
-    larger slack shrinks the window and tightens the prefactor bound.
-    """
-    if n % 2 != 0:
-        raise ConfigError("n must be even")
-    if T < 1:
-        raise ConfigError("T must be >= 1")
-    if slack < 1:
-        raise ConfigError(f"slack must be >= 1, got slack={slack}")
-    if G < 1:
-        raise ConfigError(f"G must be >= 1, got G={G}")
-    if G * G > n:
-        largest = math.isqrt(max(n, 0))
-        raise ConfigError(
-            f"g out of range: n={n} admits no G >= {largest + 1}; "
-            f"the largest admissible G is {largest} (G <= sqrt(n))"
-        )
-    points = []
-    n_max = n + n // (slack * T)  # floor: N is an integer
-    for g in range(1, G + 1):
-        if g == 1:
-            points.append(QuasilatticePoint(1, n))
-            continue
-        start = n + (-n) % g  # first multiple of g at or above n
-        for N in range(start, n_max + 1, g):
-            if is_quasilattice_point(g, N, n, T, slack):
-                points.append(QuasilatticePoint(g, N))
-    return sorted(points)
-
-
-def divisor_points(n: int, max_N: int) -> list[QuasilatticePoint]:
-    """All (g, N) with 1 <= g <= sqrt(n), g | N, n <= N <= max_N, and
-    N = n when g = 1: the grid swept by the expectation oracles when no
-    query budget pins the window."""
-    points = []
-    for g in range(1, n + 1):
-        if g * g > n:
-            break
-        if g == 1:
-            points.append(QuasilatticePoint(1, n))
-            continue
-        for N in range(n + (-n) % g, max_N + 1, g):
-            if N // g <= n:
-                points.append(QuasilatticePoint(g, N))
-    return sorted(points)
-
-
 def is_super_quasilattice_point(
     g: int, N: int, M: int, n: int, T: int, slack: int = 100
 ) -> bool:
@@ -314,43 +266,140 @@ def is_super_quasilattice_point(
     return True
 
 
-def super_quasilattice_points(
-    n: int, T: int, G: int, slack: int = 100
-) -> list[SuperQuasilatticePoint]:
-    """All admissible (g, N, M) with g <= G, sorted by (g, N, M)."""
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0, exact at any size, where a float root
+    can be off by more than one; set bit by bit from the top."""
+    root = 0
+    for bit in reversed(range(n.bit_length() // k + 1)):
+        if (root | 1 << bit) ** k <= n:
+            root |= 1 << bit
+    return root
+
+
+def _window_top(n: int, T: int, G: int, slack: int, root: int) -> int:
+    """Check a grid request whose g must satisfy g^root <= n, and return
+    the top n + n/(slack*T) of its N (and M) window."""
     if T < 1:
         raise ConfigError("T must be >= 1")
     if slack < 1:
         raise ConfigError(f"slack must be >= 1, got slack={slack}")
     if G < 1:
         raise ConfigError(f"G must be >= 1, got G={G}")
-    if G**3 > n:
-        largest = round(max(n, 0) ** (1 / 3))
-        largest -= largest**3 > max(n, 0)  # float cube roots can overshoot by one
+    largest = _iroot(max(n, 0), root)
+    if G > largest:
+        bound = "sqrt(n)" if root == 2 else f"n^(1/{root})"
         raise ConfigError(
             f"g out of range: n={n} admits no G >= {largest + 1}; "
-            f"the largest admissible G is {largest} (G <= n^(1/3))"
+            f"the largest admissible G is {largest} (G <= {bound})"
         )
-    top = n + n // (slack * T)
-    points = []
+    return n + n // (slack * T)  # floor: N is an integer
+
+
+def _grid(n: int, G: int, n_top, m_top: int | None = None) -> list:
+    """Every (g, N) with 1 <= g <= G and N a multiple of g in
+    [n, n_top(g)], pinned to n at g = 1; given m_top, every (g, N, M)
+    with also M a multiple of kappa(g) in [n, m_top], pinned to n at
+    g = 2.  The loops ascend, so the points come out sorted."""
+    points: list = []
     for g in range(1, G + 1):
-        n_values = [n] if g == 1 else [
-            N for N in range(n + (-n) % g, top + 1, g)
-        ]
+        n_values = [n] if g == 1 else range(n + (-n) % g, n_top(g) + 1, g)
+        if m_top is None:
+            points += (QuasilatticePoint(g, N) for N in n_values)
+            continue
         k = kappa(g)
-        m_values = [n] if g == 2 else [
-            M for M in range(n + (-n) % k, top + 1, k)
-        ]
-        for N in n_values:
-            for M in m_values:
-                if is_super_quasilattice_point(g, N, M, n, T, slack):
-                    points.append(SuperQuasilatticePoint(g, N, M))
-    return sorted(points)
+        m_values = [n] if g == 2 else range(n + (-n) % k, m_top + 1, k)
+        points += (SuperQuasilatticePoint(g, N, M) for N in n_values for M in m_values)
+    return points
+
+
+def quasilattice_points(n: int, T: int, G: int, slack: int = 10) -> list[QuasilatticePoint]:
+    """All admissible (g, N) with g <= G, sorted by (g, N).
+
+    slack is the denominator constant in the window width n/(slack*T);
+    larger slack shrinks the window and tightens the prefactor bound.
+    """
+    if n % 2 != 0:
+        raise ConfigError("n must be even")
+    top = _window_top(n, T, G, slack, 2)
+    return _grid(n, G, lambda g: top)
+
+
+def super_quasilattice_points(
+    n: int, T: int, G: int, slack: int = 100
+) -> list[SuperQuasilatticePoint]:
+    """All admissible (g, N, M) with g <= G, sorted by (g, N, M)."""
+    top = _window_top(n, T, G, slack, 3)
+    return _grid(n, G, lambda g: top, top)
+
+
+def divisor_points(n: int, max_N: int) -> list[QuasilatticePoint]:
+    """(1, n) and all (g, N) with 2 <= g <= sqrt(n), g | N, n <= N <= max_N
+    and N/g <= n: the grid swept by the expectation oracles when no query
+    budget pins the window."""
+    return _grid(n, math.isqrt(max(n, 0)), lambda g: min(max_N, g * n))
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# latent draws: one shape per family point
 # ---------------------------------------------------------------------------
+
+
+class _Shape(NamedTuple):
+    """What the two input families differ in, at one point and length n.
+
+    A draw picks S, a uniform s_size-subset of {1..universe}; then each
+    register's range, S itself or (set comparison) a uniform sub-subset
+    of S drawn per register; then each register's sequence, a uniform
+    k-to-1 function from {1..length} onto its range.  The input keeps
+    the first n entries of every sequence.
+    """
+
+    latent: type  # CollisionLatent or SetcompLatent
+    universe: int  # n, or 2n
+    s_size: int  # N/g, or 2N/g
+    registers: int  # 1 (x), or 2 (x and y)
+    ranges: int  # registers whose range is drawn inside S: 0, or 2
+    sub: int  # size of a drawn range: M/kappa(g)
+    k: int  # g, or kappa(g)
+    length: int  # N, or M
+
+
+_POINT_TYPES = {2: QuasilatticePoint, 3: SuperQuasilatticePoint}
+
+
+def _shape(point, n: int) -> _Shape:
+    """Validate a family point, (g, N) or (g, N, M), for inputs of length
+    n and return its shape; a plain sequence is read as the point type of
+    its arity.  Every rejection is a ConfigError."""
+    point_type = _POINT_TYPES.get(len(point))
+    if point_type is None:
+        raise ConfigError(f"a family point is (g, N) or (g, N, M), got {tuple(point)}")
+    if type(point) is not point_type:
+        point = point_type(*point)
+    g, N = point.g, point.N
+    if g < 1:
+        raise ConfigError(f"invalid point {point} for n={n}: g must be >= 1")
+    if point_type is QuasilatticePoint:
+        shape = _Shape(CollisionLatent, n, N // g, 1, 0, N // g, g, N)
+    else:
+        k = kappa(g)
+        shape = _Shape(SetcompLatent, 2 * n, 2 * N // g, 2, 2, point.M // k, k, point.M)
+    if (
+        N % g
+        or shape.length % shape.k
+        or shape.s_size > shape.universe
+        or shape.sub > shape.s_size
+        or shape.length < n
+    ):
+        raise ConfigError(f"invalid point {point} for n={n}")
+    return shape
+
+
+def instance_from_latent(latent, n: int) -> Instance:
+    """The input of a latent draw: the first n entries of each sequence."""
+    if isinstance(latent, SetcompLatent):
+        return Instance("setcomp", n, latent.xhat[:n], latent.yhat[:n], latent=latent)
+    return Instance("collision", n, latent.xhat[:n], latent=latent)
 
 
 def _uniform_k_to_one(domain_size: int, values, k: int, rng: random.Random) -> tuple[int, ...]:
@@ -368,61 +417,23 @@ def _uniform_k_to_one(domain_size: int, values, k: int, rng: random.Random) -> t
     return tuple(pool)
 
 
-def sample_collision_input(
-    point: QuasilatticePoint, n: int, rng: random.Random
-) -> Instance:
-    """Draw a collision input: the first n entries of a uniform g-to-1
-    function from {1..N} onto a uniform (N/g)-subset S of {1..n}."""
-    g, N = point
-    if g < 1 or N % g != 0 or N // g > n or N < n:
-        raise ConfigError(f"invalid point {point} for n={n}")
-    s = tuple(sorted(rng.sample(range(1, n + 1), N // g)))
-    xhat = _uniform_k_to_one(N, s, g, rng)
-    return Instance(
-        kind="collision",
-        n=n,
-        x=xhat[:n],
-        latent=CollisionLatent(s, xhat),
-    )
+def sample_input(point, n: int, rng: random.Random) -> Instance:
+    """Draw one input from the family at point, (g, N) or (g, N, M).
 
-
-def sample_setcomp_input(
-    point: SuperQuasilatticePoint, n: int, rng: random.Random
-) -> Instance:
-    """Draw a set-comparison input pair from the (g, N, M) family.
-
-    S is a uniform (2N/g)-subset of {1..2n}; S_X and S_Y are independent
-    uniform (M/kappa(g))-subsets of S; X and Y are the first n entries of
-    independent uniform kappa(g)-to-1 functions from {1..M} onto S_X and
-    S_Y respectively.
+    The rng draws S, then every drawn register range, then every
+    register's sequence; the Instance keeps the latent draw.
     """
-    g, N, M = point
-    if g < 1:
-        raise ConfigError(f"invalid point {point}: g must be >= 1")
-    k = kappa(g)
-    if N % g != 0 or M % k != 0:
-        raise ConfigError(f"invalid point {point}")
-    s_size = 2 * N // g
-    sub_size = M // k
-    if s_size > 2 * n or sub_size > s_size or M < n:
-        raise ConfigError(f"invalid point {point} for n={n}")
-    s = tuple(sorted(rng.sample(range(1, 2 * n + 1), s_size)))
-    s_x = tuple(sorted(rng.sample(s, sub_size)))
-    s_y = tuple(sorted(rng.sample(s, sub_size)))
-    xhat = _uniform_k_to_one(M, s_x, k, rng)
-    yhat = _uniform_k_to_one(M, s_y, k, rng)
-    return Instance(
-        kind="setcomp",
-        n=n,
-        x=xhat[:n],
-        y=yhat[:n],
-        latent=SetcompLatent(s, s_x, s_y, xhat, yhat),
-    )
+    shape = _shape(point, n)
+    s = tuple(sorted(rng.sample(range(1, shape.universe + 1), shape.s_size)))
+    ranges = [tuple(sorted(rng.sample(s, shape.sub))) for _ in range(shape.ranges)]
+    seqs = [_uniform_k_to_one(shape.length, r, shape.k, rng) for r in ranges or (s,)]
+    return instance_from_latent(shape.latent(s, *ranges, *seqs), n)
 
 
-# ---------------------------------------------------------------------------
-# exhaustive enumeration
-# ---------------------------------------------------------------------------
+# Kept by name: perfbench/workloads.py imports it, and polymethod's Monte
+# Carlo calls it under a name that perfbench/tracer.py patches.
+def sample_collision_input(point: QuasilatticePoint, n: int, rng: random.Random) -> Instance:
+    return sample_input(QuasilatticePoint(*point), n, rng)
 
 
 def _k_to_one_sequences(values, k: int) -> Iterator[tuple[int, ...]]:
@@ -445,87 +456,39 @@ def _k_to_one_sequences(values, k: int) -> Iterator[tuple[int, ...]]:
         a[j + 1:] = a[:j:-1]
 
 
-def count_collision_supports(point: QuasilatticePoint, n: int) -> int:
-    """C(n, N/g) * N! / (g!)^(N/g): number of latent (S, xhat) draws."""
-    g, N = point
-    if N % g != 0:
-        raise ValueError("g must divide N")
-    blocks = N // g
-    return math.comb(n, blocks) * math.factorial(N) // math.factorial(g) ** blocks
-
-
-def enumerate_collision_supports(
-    point: QuasilatticePoint, n: int, cap: int | None = None
-) -> Iterator[CollisionLatent]:
-    """Yield every latent draw (S, xhat) exactly once.
-
-    Order is deterministic: lexicographic on S, then on xhat as a
-    sequence.  Raises EnumerationTooLarge if the closed-form count
-    exceeds the cap.
-    """
-    g, N = point
-    blocks = N // g
-    if blocks > n or N < n:
-        raise ConfigError(f"invalid point {point} for n={n}")
-    total = count_collision_supports(point, n)
-    limit = enumeration_cap(cap)
-    if total > limit:
-        raise EnumerationTooLarge(
-            f"enumeration too large: {total} latent draws exceed cap {limit}"
-        )
-    for s in itertools.combinations(range(1, n + 1), blocks):
-        for xhat in _k_to_one_sequences(s, g):
-            yield CollisionLatent(s, xhat)
-
-
-def count_setcomp_supports(point: SuperQuasilatticePoint, n: int) -> int:
-    g, N, M = point
-    k = kappa(g)
-    s_size = 2 * N // g
-    sub = M // k
-    ways_functions = math.factorial(M) // math.factorial(k) ** sub
+def count_supports(point, n: int) -> int:
+    """Number of latent draws at point, in closed form:
+    C(universe, |S|) * C(|S|, sub)^ranges * (length! / (k!)^(length/k))^registers."""
+    shape = _shape(point, n)
+    sequences = math.factorial(shape.length) // math.factorial(shape.k) ** (shape.length // shape.k)
     return (
-        math.comb(2 * n, s_size)
-        * math.comb(s_size, sub) ** 2
-        * ways_functions**2
+        math.comb(shape.universe, shape.s_size)
+        * math.comb(shape.s_size, shape.sub) ** shape.ranges
+        * sequences**shape.registers
     )
 
 
-def enumerate_setcomp_supports(
-    point: SuperQuasilatticePoint, n: int, cap: int | None = None
-) -> Iterator[SetcompLatent]:
-    """Yield every latent draw (S, S_X, S_Y, xhat, yhat) exactly once, in
-    lexicographic order on (S, S_X, S_Y, xhat, yhat)."""
-    g, N, M = point
-    k = kappa(g)
-    s_size = 2 * N // g
-    sub = M // k
-    if s_size > 2 * n or sub > s_size:
-        raise ConfigError(f"invalid point {point} for n={n}")
-    total = count_setcomp_supports(point, n)
+def enumerate_supports(point, n: int, cap: int | None = None) -> Iterator:
+    """Yield every latent draw at point exactly once, in lexicographic
+    order on (S, xhat) or (S, S_X, S_Y, xhat, yhat).  Raises
+    EnumerationTooLarge if the closed-form count exceeds the cap."""
+    shape = _shape(point, n)
+    total = count_supports(point, n)
     limit = enumeration_cap(cap)
     if total > limit:
         raise EnumerationTooLarge(
             f"enumeration too large: {total} latent draws exceed cap {limit}"
         )
-    for s in itertools.combinations(range(1, 2 * n + 1), s_size):
-        for s_x in itertools.combinations(s, sub):
-            xhats = list(_k_to_one_sequences(s_x, k))
-            for s_y in itertools.combinations(s, sub):
-                yhats = list(_k_to_one_sequences(s_y, k))
-                for xhat in xhats:
-                    for yhat in yhats:
-                        yield SetcompLatent(s, s_x, s_y, xhat, yhat)
-
-
-def instance_from_collision_latent(latent: CollisionLatent, n: int) -> Instance:
-    return Instance(kind="collision", n=n, x=latent.xhat[:n], latent=latent)
-
-
-def instance_from_setcomp_latent(latent: SetcompLatent, n: int) -> Instance:
-    return Instance(
-        kind="setcomp", n=n, x=latent.xhat[:n], y=latent.yhat[:n], latent=latent
-    )
+    latent, k = shape.latent, shape.k
+    for s in itertools.combinations(range(1, shape.universe + 1), shape.s_size):
+        for ranges in itertools.product(itertools.combinations(s, shape.sub), repeat=shape.ranges):
+            # the last register's sequences stream; the others are replayed
+            # once per sequence of a later register, so they are listed
+            *outer, last = ranges or (s,)
+            for head in itertools.product(*(tuple(_k_to_one_sequences(r, k)) for r in outer)):
+                fixed = (s, *ranges, *head)
+                for tail in _k_to_one_sequences(last, k):
+                    yield latent(*fixed, tail)
 
 
 def all_collision_sequences(n: int) -> Iterator[Instance]:
@@ -543,7 +506,7 @@ def fraction_of_small_unions(
     cutoff = threshold * n
     small = 0
     for _ in range(samples):
-        inst = sample_setcomp_input(point, n, rng)
+        inst = sample_input(point, n, rng)
         if set_union_size(inst) < cutoff:
             small += 1
     return small / samples

@@ -19,7 +19,7 @@ import math
 import random
 from fractions import Fraction
 
-from .instances import SuperQuasilatticePoint, kappa, sample_setcomp_input
+from .instances import Instance, SuperQuasilatticePoint, kappa, sample_input
 from .lattice import LatticePoly
 from .multilinear import IndicatorVariable, Monomial, MultilinearPoly
 from .polymethod import as_monomial, assemble_grid_poly, mean_acceptance_mc
@@ -183,11 +183,16 @@ def assemble_q3(p: MultilinearPoly, n: int, T: int) -> LatticePoly:
     return assemble_grid_poly(p, n, T, q_tilde3, 3)
 
 
+# Kept by name: expected_acceptance3_mc calls it so that perfbench/tracer.py,
+# which patches this name, counts the set-comparison samples.
+def sample_setcomp_input(point: SuperQuasilatticePoint, n: int, rng: random.Random) -> Instance:
+    return sample_input(SuperQuasilatticePoint(*point), n, rng)
+
+
 def expected_acceptance3_mc(
     obj, point: SuperQuasilatticePoint, n: int, samples: int, rng: random.Random
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error over the (g, N, M) family."""
-    point = SuperQuasilatticePoint(*point)
     return mean_acceptance_mc(
         obj, (sample_setcomp_input(point, n, rng) for _ in range(samples))
     )

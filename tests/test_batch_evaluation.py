@@ -13,11 +13,9 @@ from collisionlab.circuits import coincidence_probe, setcomp_probe, two_query_mi
 from collisionlab.instances import (
     QuasilatticePoint,
     SuperQuasilatticePoint,
-    count_collision_supports,
-    enumerate_collision_supports,
-    enumerate_setcomp_supports,
-    sample_collision_input,
-    sample_setcomp_input,
+    count_supports,
+    enumerate_supports,
+    sample_input,
 )
 from collisionlab.multilinear import IndicatorVariable as IV
 from collisionlab.multilinear import Monomial, MultilinearPoly
@@ -130,7 +128,7 @@ COLLISION_POINTS_N4 = [
     QuasilatticePoint(g, N)
     for g in range(1, 5)
     for N in range(4, 13)
-    if N % g == 0 and N // g <= 4 and count_collision_supports(QuasilatticePoint(g, N), 4) <= 10_000
+    if N % g == 0 and N // g <= 4 and count_supports(QuasilatticePoint(g, N), 4) <= 10_000
 ]
 
 
@@ -140,7 +138,7 @@ def test_exact_means_on_the_enumerated_collision_families():
     polys += [random_poly(rng, 4, ("x",), 4) for _ in range(3)]
     assert len(COLLISION_POINTS_N4) == 8
     for point in COLLISION_POINTS_N4:
-        rows = [(latent.xhat[:4], None) for latent in enumerate_collision_supports(point, 4)]
+        rows = [(latent.xhat[:4], None) for latent in enumerate_supports(point, 4)]
         for poly in polys:
             assert expected_acceptance(poly, point, 4) == per_draw_mean(poly, rows)
 
@@ -148,7 +146,7 @@ def test_exact_means_on_the_enumerated_collision_families():
 def test_exact_mean_on_the_setcomp_family_at_n2():
     rng = random.Random(6)
     point = SuperQuasilatticePoint(1, 2, 2)
-    rows = [(latent.xhat[:2], latent.yhat[:2]) for latent in enumerate_setcomp_supports(point, 2)]
+    rows = [(latent.xhat[:2], latent.yhat[:2]) for latent in enumerate_supports(point, 2)]
     polys = [extract_polynomial(setcomp_probe(2))]
     polys += [random_poly(rng, 2, ("x", "y"), 4) for _ in range(3)]
     for poly in polys:
@@ -162,7 +160,7 @@ def test_collision_mc_is_bitwise_the_per_draw_estimate():
         for point in (QuasilatticePoint(1, 4), QuasilatticePoint(2, 8)):
             got = expected_acceptance_mc(poly, point, 4, 300, random.Random(3))
             draw_rng = random.Random(3)
-            want = per_draw_mc(poly, (sample_collision_input(point, 4, draw_rng) for _ in range(300)))
+            want = per_draw_mc(poly, (sample_input(point, 4, draw_rng) for _ in range(300)))
             assert got == want
 
 
@@ -175,5 +173,5 @@ def test_setcomp_mc_is_bitwise_the_per_draw_estimate():
     for poly, n, point in cases:
         got = expected_acceptance3_mc(poly, point, n, 200, random.Random(4))
         draw_rng = random.Random(4)
-        want = per_draw_mc(poly, (sample_setcomp_input(point, n, draw_rng) for _ in range(200)))
+        want = per_draw_mc(poly, (sample_input(point, n, draw_rng) for _ in range(200)))
         assert got == want

@@ -5,26 +5,27 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collisionlab.instances import (
     CollisionLatent,
+    ConfigError,
     EnumerationTooLarge,
     Instance,
     QuasilatticePoint,
     SuperQuasilatticePoint,
+    _iroot,
     _k_to_one_sequences,
-    count_collision_supports,
-    count_setcomp_supports,
+    count_supports,
     divisor_points,
-    enumerate_collision_supports,
-    enumerate_setcomp_supports,
+    enumerate_supports,
     is_k_to_one,
     is_quasilattice_point,
     is_super_quasilattice_point,
     kappa,
     quasilattice_points,
-    sample_collision_input,
-    sample_setcomp_input,
+    sample_input,
     set_union_size,
     super_quasilattice_points,
     validate_instance,
@@ -77,6 +78,9 @@ def test_super_quasilattice_examples():
             assert p.M == 1000
     with pytest.raises(ValueError, match="g out of range"):
         super_quasilattice_points(100, 2, 5)
+    # an integer cube root: a float one puts this bound at 9999999999999980
+    with pytest.raises(ConfigError, match=r"the largest admissible G is 10000000000000000 "):
+        super_quasilattice_points((10**16 + 1) ** 3 - 1, 1, 10**17)
 
 
 def test_super_quasilattice_recheck():
@@ -87,21 +91,21 @@ def test_super_quasilattice_recheck():
 
 def test_sample_permutation_at_g1():
     rng = random.Random(0)
-    inst = sample_collision_input(QuasilatticePoint(1, 8), 8, rng)
+    inst = sample_input(QuasilatticePoint(1, 8), 8, rng)
     assert sorted(inst.x) == list(range(1, 9))
     assert validate_instance(inst, 1)
 
 
 def test_sample_two_to_one_at_g2():
     rng = random.Random(1)
-    inst = sample_collision_input(QuasilatticePoint(2, 8), 8, rng)
+    inst = sample_input(QuasilatticePoint(2, 8), 8, rng)
     assert validate_instance(inst, 2)
     assert set(inst.x) == set(inst.latent.s)
 
 
 def test_sample_truncation_keeps_latent_exact():
     rng = random.Random(2)
-    inst = sample_collision_input(QuasilatticePoint(2, 10), 8, rng)
+    inst = sample_input(QuasilatticePoint(2, 10), 8, rng)
     latent = inst.latent
     assert isinstance(latent, CollisionLatent)
     assert len(latent.xhat) == 10
@@ -117,27 +121,27 @@ def test_enumeration_counts_match_closed_form():
         (QuasilatticePoint(3, 6), 6, 300),
     ]
     for point, n, expected in cases:
-        assert count_collision_supports(point, n) == expected
-        assert sum(1 for _ in enumerate_collision_supports(point, n)) == expected
+        assert count_supports(point, n) == expected
+        assert sum(1 for _ in enumerate_supports(point, n)) == expected
 
 
 def test_enumeration_is_deterministic_and_unique():
-    seen = list(enumerate_collision_supports(QuasilatticePoint(2, 4), 4))
+    seen = list(enumerate_supports(QuasilatticePoint(2, 4), 4))
     assert len(set(seen)) == len(seen)
     assert seen == sorted(seen, key=lambda lat: (lat.s, lat.xhat))
 
 
 def test_enumeration_cap():
     with pytest.raises(EnumerationTooLarge):
-        list(enumerate_collision_supports(QuasilatticePoint(1, 12), 12, cap=1000))
+        list(enumerate_supports(QuasilatticePoint(1, 12), 12, cap=1000))
 
 
 def test_enumeration_cap_env_default(monkeypatch):
     monkeypatch.setenv("COLLISIONLAB_ENUM_CAP", "10")
     with pytest.raises(EnumerationTooLarge):
-        list(enumerate_collision_supports(QuasilatticePoint(2, 4), 4))
+        list(enumerate_supports(QuasilatticePoint(2, 4), 4))
     monkeypatch.delenv("COLLISIONLAB_ENUM_CAP")
-    assert sum(1 for _ in enumerate_collision_supports(QuasilatticePoint(2, 4), 4)) == 36
+    assert sum(1 for _ in enumerate_supports(QuasilatticePoint(2, 4), 4)) == 36
 
 
 def test_sampling_frequencies_uniform_over_latents():
@@ -145,7 +149,7 @@ def test_sampling_frequencies_uniform_over_latents():
     draws = 100_000
     counts: dict[CollisionLatent, int] = {}
     for _ in range(draws):
-        inst = sample_collision_input(QuasilatticePoint(2, 4), 4, rng)
+        inst = sample_input(QuasilatticePoint(2, 4), 4, rng)
         counts[inst.latent] = counts.get(inst.latent, 0) + 1
     assert len(counts) == 36
     expected = draws / 36
@@ -157,16 +161,16 @@ def test_sampling_frequencies_uniform_over_latents():
 def test_setcomp_sampler_structure():
     rng = random.Random(3)
     # kappa(1) = 1: independent injections into a size-2n range set
-    inst = sample_setcomp_input(SuperQuasilatticePoint(1, 8, 8), 8, rng)
+    inst = sample_input(SuperQuasilatticePoint(1, 8, 8), 8, rng)
     assert validate_instance(inst, 1)
     assert len(inst.latent.s) == 16 and len(inst.latent.s_x) == 8
     # kappa(2) = 1 but |S| = n: ranges overlap inside one small set
-    inst2 = sample_setcomp_input(SuperQuasilatticePoint(2, 8, 8), 8, rng)
+    inst2 = sample_input(SuperQuasilatticePoint(2, 8, 8), 8, rng)
     assert validate_instance(inst2, 1)
     assert len(inst2.latent.s) == 8
     assert set(inst2.x) <= set(inst2.latent.s) and set(inst2.y) <= set(inst2.latent.s)
     # kappa(3) = 9: latent draw is 9-to-1
-    inst3 = sample_setcomp_input(SuperQuasilatticePoint(3, 99, 99), 99, rng)
+    inst3 = sample_input(SuperQuasilatticePoint(3, 99, 99), 99, rng)
     assert is_k_to_one(inst3.latent.xhat, 9)
     assert len(inst3.latent.s_x) == 11
 
@@ -200,7 +204,7 @@ def test_instance_validation_errors():
 
 def test_instance_json_round_trip(tmp_path):
     rng = random.Random(4)
-    inst = sample_setcomp_input(SuperQuasilatticePoint(2, 8, 8), 8, rng)
+    inst = sample_input(SuperQuasilatticePoint(2, 8, 8), 8, rng)
     path = tmp_path / "inst.json"
     inst.dump(path)
     loaded = Instance.load(path)
@@ -210,14 +214,14 @@ def test_instance_json_round_trip(tmp_path):
 
 def test_setcomp_enumeration_count():
     point = SuperQuasilatticePoint(1, 2, 2)
-    assert count_setcomp_supports(point, 2) == 144
-    latents = list(enumerate_setcomp_supports(point, 2))
+    assert count_supports(point, 2) == 144
+    latents = list(enumerate_supports(point, 2))
     assert len(latents) == 144
     assert len(set(latents)) == 144
 
 
 def test_setcomp_enumeration_is_lexicographic():
-    latents = list(enumerate_setcomp_supports(SuperQuasilatticePoint(1, 2, 2), 2))
+    latents = list(enumerate_supports(SuperQuasilatticePoint(1, 2, 2), 2))
     assert latents == sorted(
         latents, key=lambda lat: (lat.s, lat.s_x, lat.s_y, lat.xhat, lat.yhat)
     )
@@ -238,3 +242,99 @@ def test_k_to_one_sequences_are_the_distinct_permutations_in_order(k, width):
 def test_divisor_points():
     assert divisor_points(4, 8) == [(1, 4), (2, 4), (2, 6), (2, 8)]
     assert divisor_points(6, 8) == [(1, 6), (2, 6), (2, 8)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    half_n=st.integers(1, 60),
+    T=st.integers(1, 5),
+    slack=st.integers(1, 12),
+    max_N=st.integers(0, 450),
+    data=st.data(),
+)
+def test_grids_are_the_brute_force_filter_of_their_predicates(half_n, T, slack, max_N, data):
+    n = 2 * half_n
+    window = range(n - 1, n + n // (slack * T) + 2)  # one past each end
+    G = data.draw(st.integers(1, math.isqrt(n)))
+    assert quasilattice_points(n, T, G, slack) == [
+        (g, N) for g in range(1, G + 1) for N in window if is_quasilattice_point(g, N, n, T, slack)
+    ]
+    G = data.draw(st.integers(1, _iroot(n, 3)))
+    assert super_quasilattice_points(n, T, G, slack) == [
+        (g, N, M)
+        for g in range(1, G + 1)
+        for N in window
+        for M in window
+        if is_super_quasilattice_point(g, N, M, n, T, slack)
+    ]
+    assert divisor_points(n, max_N) == [
+        (g, N)
+        for g in range(1, n + 1)
+        for N in range(n - 1, max(max_N, n) + 2)
+        if (g, N) == (1, n) or 1 < g * g <= n and N % g == 0 and n <= N <= max_N and N // g <= n
+    ]
+
+
+def test_integer_root():
+    for n in (0, 1, 7, 8, 9, 26, 27, 28, 10**6, (10**16 + 1) ** 3 - 1, 10**300):
+        for k in (2, 3):
+            r = _iroot(n, k)
+            assert r**k <= n < (r + 1) ** k
+
+
+@pytest.mark.parametrize(
+    "point, n, message",
+    [
+        ((0, 4), 4, "invalid point QuasilatticePoint(g=0, N=4) for n=4: g must be >= 1"),
+        ((3, 4), 4, "invalid point QuasilatticePoint(g=3, N=4) for n=4"),
+        ((2, 10), 4, "invalid point QuasilatticePoint(g=2, N=10) for n=4"),
+        ((1, 2), 4, "invalid point QuasilatticePoint(g=1, N=2) for n=4"),
+        ((0, 2, 2), 2, "invalid point SuperQuasilatticePoint(g=0, N=2, M=2) for n=2: g must be >= 1"),
+        ((1, 2, 1), 2, "invalid point SuperQuasilatticePoint(g=1, N=2, M=1) for n=2"),
+        ((3, 3, 3), 2, "invalid point SuperQuasilatticePoint(g=3, N=3, M=3) for n=2"),
+        ((1, 3, 3), 2, "invalid point SuperQuasilatticePoint(g=1, N=3, M=3) for n=2"),
+        ((2, 2, 4), 2, "invalid point SuperQuasilatticePoint(g=2, N=2, M=4) for n=2"),
+        ((1,), 4, "a family point is (g, N) or (g, N, M), got (1,)"),
+    ],
+)
+def test_sampler_count_and_enumerator_reject_a_point_alike(point, n, message):
+    draws = [
+        lambda: sample_input(point, n, random.Random(0)),
+        lambda: count_supports(point, n),
+        lambda: list(enumerate_supports(point, n)),
+    ]
+    for draw in draws:
+        with pytest.raises(ConfigError) as exc:
+            draw()
+        assert str(exc.value) == message
+
+
+def _enumerable_points():
+    """Every valid point with g <= 4 and at most 10^4 latent draws: (g, N)
+    at n = 4, (g, N, M) at n = 2.  The boxes hold all of them, since |S|
+    caps N, and past M = 25 every count exceeds 10^4."""
+    boxes = [
+        (4, itertools.product(range(1, 5), range(1, 17))),
+        (2, itertools.product(range(1, 5), range(1, 9), range(1, 26))),
+    ]
+    for n, points in boxes:
+        for point in points:
+            try:
+                total = count_supports(point, n)
+            except ConfigError:
+                continue
+            if total <= 10**4:
+                yield point, n, total
+
+
+ENUMERABLE_POINTS = list(_enumerable_points())
+
+
+@pytest.mark.parametrize("point, n, total", ENUMERABLE_POINTS)
+def test_count_enumeration_and_sampler_agree(point, n, total):
+    latents = list(enumerate_supports(point, n))
+    assert len(latents) == total == len(set(latents))
+    rng = random.Random(sum(point))
+    for _ in range(200):
+        inst = sample_input(point, n, rng)
+        assert inst.latent in latents
