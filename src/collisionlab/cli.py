@@ -29,6 +29,7 @@ from .degreebound import (
     CONSTANTS,
     chain_report_for_poly,
     family,
+    identity_grid,
     identity_points,
     verify_inequality_chain,
 )
@@ -36,6 +37,7 @@ from .instances import (
     ConfigError,
     EnumerationTooLarge,
     Instance,
+    check_enumerable,
     divisor_points,
     quasilattice_points,
     sample_input,
@@ -68,6 +70,11 @@ def load_algorithm(name_or_path: str) -> QueryAlgorithm:
     return circuits.reference_algorithm(name_or_path)
 
 
+def monomial_label(m) -> str:
+    """A monomial as its report label, e.g. "x1=2;x3=2", or "1"."""
+    return ";".join(f"{f.register}{f.position}={f.value}" for f in m.factors) or "1"
+
+
 def config_echo(args: argparse.Namespace) -> dict:
     """Everything that determines the report content; the destination
     path is deliberately excluded so reruns are byte-identical."""
@@ -82,10 +89,9 @@ def config_echo(args: argparse.Namespace) -> dict:
 
 
 def cmd_lattice(args) -> int:
-    grid, slack = (super_quasilattice_points, 100) if args.super_points else (quasilattice_points, 10)
-    if args.slack is not None:
-        slack = args.slack
-    rows = [p._asdict() for p in grid(args.n, args.T, args.G, slack=slack)]
+    grid = super_quasilattice_points if args.super_points else quasilattice_points
+    slack = {} if args.slack is None else {"slack": args.slack}  # else the grid's default
+    rows = [p._asdict() for p in grid(args.n, args.T, args.G, **slack)]
     text = emit_report(config_echo(args), rows, rows, args.format, args.output, constants=CONSTANTS)
     if args.output:
         print(f"wrote {len(rows)} points to {args.output}")
@@ -153,7 +159,7 @@ def cmd_extract(args) -> int:
     }
     rows = [
         {
-            "monomial": ";".join(f"{f.register}{f.position}={f.value}" for f in m.factors) or "1",
+            "monomial": monomial_label(m),
             "coeff_rational": c.a,
             "coeff_sqrt2": c.b,
         }
@@ -172,30 +178,20 @@ def cmd_verify_gamma(args) -> int:
         raise ConfigError(f"--n must be >= 1, got {min(args.n)}")
     if args.max_degree < 0:
         raise ConfigError(f"--max-degree must be >= 0, got {args.max_degree}")
+    if max(args.n) > args.max_N:
+        raise ConfigError(f"--n {max(args.n)} exceeds --max-N {args.max_N}: no N in [n, max_N]")
     rows = []
     all_equal = True
     for n in args.n:
         monos = list(all_monomials(n, args.max_degree))
-        for g, N in divisor_points(n, args.max_N):
-            brute = gamma_bruteforce_sweep(monos, g, N, n, cap=args.enum_cap)
+        for point in divisor_points(n, args.max_N):
+            brute = gamma_bruteforce_sweep(monos, point, n, cap=args.enum_cap)
             for m, b in zip(monos, brute):
-                c = gamma_closed(m, g, N, n)
+                c = gamma_closed(m, *point, n)
                 equal = c == b
                 all_equal &= equal
-                rows.append(
-                    {
-                        "n": n,
-                        "g": g,
-                        "N": N,
-                        "monomial": ";".join(
-                            f"{f.register}{f.position}={f.value}" for f in m.factors
-                        )
-                        or "1",
-                        "closed": c,
-                        "brute": b,
-                        "equal": equal,
-                    }
-                )
+                rows.append({"n": n, **point._asdict(), "monomial": monomial_label(m),
+                             "closed": c, "brute": b, "equal": equal})
     result = {"all_equal": all_equal, "cases": len(rows)}
     text = emit_report(
         config_echo(args), {"summary": result, "rows": rows}, rows, args.format,
@@ -209,6 +205,8 @@ def cmd_verify_gamma(args) -> int:
 
 def cmd_verify_identity(args) -> int:
     alg = load_algorithm(args.algorithm)
+    for pt in identity_grid(alg, args.G):  # closed-form counts: fail before extraction
+        check_enumerable(pt, alg.n, args.enum_cap)
     poly = extract_polynomial(alg)
     q = family(alg.kind).assemble(poly, alg.n, alg.T)
     rows = []

@@ -374,6 +374,12 @@ class ChainReport:
 SIM_ENUM_LIMIT = 20_000  # latent draws; above this the chain falls back to MC
 
 
+def identity_grid(alg: QueryAlgorithm, G: int) -> list:
+    """The admissible points with g <= G of the algorithm's family, sorted.
+    A zero-query circuit's q is constant; only the window needs T >= 1."""
+    return family(alg.kind).points(alg.n, max(alg.T, 1), G)
+
+
 def identity_points(
     alg: QueryAlgorithm, poly: MultilinearPoly, q: LatticePoly, G: int, cap: int | None = None,
     mc_samples: int | None = None, rng: random.Random | None = None,
@@ -388,9 +394,7 @@ def identity_points(
     """
     fam = family(alg.kind)
     n, T = alg.n, alg.T
-    # Zero-query circuits assemble a genuinely constant polynomial
-    # (degree cap 0); only the window geometry needs a positive T.
-    for pt in fam.points(n, max(T, 1), G):
+    for pt in identity_grid(alg, G):
         pref = fam.prefactor(n, T, pt)
         q_val = q.evaluate(pt)
         try:

@@ -302,7 +302,8 @@ def _grid(n: int, G: int, n_top, m_top: int | None = None) -> list:
     g = 2.  The loops ascend, so the points come out sorted."""
     points: list = []
     for g in range(1, G + 1):
-        n_values = [n] if g == 1 else range(n + (-n) % g, n_top(g) + 1, g)
+        top = min(n, n_top(g)) if g == 1 else n_top(g)
+        n_values = range(n + (-n) % g, top + 1, g)
         if m_top is None:
             points += (QuasilatticePoint(g, N) for N in n_values)
             continue
@@ -333,9 +334,9 @@ def super_quasilattice_points(
 
 
 def divisor_points(n: int, max_N: int) -> list[QuasilatticePoint]:
-    """(1, n) and all (g, N) with 2 <= g <= sqrt(n), g | N, n <= N <= max_N
-    and N/g <= n: the grid swept by the expectation oracles when no query
-    budget pins the window."""
+    """All (g, N) with 1 <= g <= sqrt(n), g | N, n <= N <= max_N and
+    N/g <= n, N pinned to n at g = 1: the grid swept by the expectation
+    oracles when no query budget pins the window.  Empty when max_N < n."""
     return _grid(n, math.isqrt(max(n, 0)), lambda g: min(max_N, g * n))
 
 
@@ -468,17 +469,23 @@ def count_supports(point, n: int) -> int:
     )
 
 
-def enumerate_supports(point, n: int, cap: int | None = None) -> Iterator:
-    """Yield every latent draw at point exactly once, in lexicographic
-    order on (S, xhat) or (S, S_X, S_Y, xhat, yhat).  Raises
-    EnumerationTooLarge if the closed-form count exceeds the cap."""
-    shape = _shape(point, n)
+def check_enumerable(point, n: int, cap: int | None = None) -> None:
+    """Raise EnumerationTooLarge if the latent draws at point, counted in
+    closed form, exceed enumeration_cap(cap)."""
     total = count_supports(point, n)
     limit = enumeration_cap(cap)
     if total > limit:
         raise EnumerationTooLarge(
             f"enumeration too large: {total} latent draws exceed cap {limit}"
         )
+
+
+def enumerate_supports(point, n: int, cap: int | None = None) -> Iterator:
+    """Yield every latent draw at point exactly once, in lexicographic
+    order on (S, xhat) or (S, S_X, S_Y, xhat, yhat).  Raises
+    EnumerationTooLarge if the closed-form count exceeds the cap."""
+    shape = _shape(point, n)
+    check_enumerable(point, n, cap)
     latent, k = shape.latent, shape.k
     for s in itertools.combinations(range(1, shape.universe + 1), shape.s_size):
         for ranges in itertools.product(itertools.combinations(s, shape.sub), repeat=shape.ranges):

@@ -10,7 +10,7 @@ the structured-input expectations are computed from.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -128,6 +128,28 @@ class Monomial:
         return f"Monomial({body})"
 
 
+def hit_masks(
+    monomials: Iterable[Monomial], draws: np.ndarray, n: int
+) -> Iterator[np.ndarray | None]:
+    """Per monomial, the boolean mask of the draws (S x n, or S x 2n with
+    y after x) that it hits; None for the constant monomial, which hits
+    all.  Each (column, value) mask is computed once and shared: read
+    the masks, do not write to them."""
+    width = draws.shape[1]
+    hits: dict[tuple[int, int], np.ndarray] = {}
+    for m in monomials:
+        mask = None
+        for f in m.factors:
+            col = f.position - 1 + (n if f.register == "y" else 0)
+            if f.position > n or col >= width:
+                raise ValueError(f"indicator {f} has no matching sequence entry")
+            hit = hits.get((col, f.value))
+            if hit is None:
+                hit = hits[col, f.value] = draws[:, col] == f.value
+            mask = hit if mask is None else mask & hit
+        yield mask
+
+
 class MultilinearPoly:
     """Multilinear polynomial: map canonical Monomial -> QSqrt2 coefficient."""
 
@@ -230,16 +252,14 @@ class MultilinearPoly:
     def evaluate_batch(
         self, draws: np.ndarray, n: int
     ) -> tuple[list[int], list[int], int]:
-        """Exact values at a batch of draws, with the polynomial compiled
-        once for the whole batch.
+        """Exact values at a batch of draws, one hit mask per term.
 
         draws is an S x n integer array of x sequences, or S x 2n with y
         after x.  Returns (A, B, D): draw s has the value
         (A[s] + B[s] sqrt(2)) / D, where D is the lcm of the coefficient
-        denominators.  Each term is its (column, value) factors and the
-        integer numerators (A_I, B_I) over D; its hits are a numpy mask
-        over the batch, and A_I, B_I are added to the hit draws as Python
-        ints, so every value is exact.
+        denominators.  Each term's integer numerators (A_I, B_I) over D
+        are added, as Python ints, to the draws of its hit_masks mask, so
+        every value is exact.
         """
         S, width = draws.shape
         if S == 0:
@@ -247,29 +267,13 @@ class MultilinearPoly:
         if width not in (n, 2 * n):
             raise ValueError(f"draws must have n = {n} or 2n columns, got {width}")
         D = math.lcm(*(v.denominator for c in self.terms.values() for v in (c.a, c.b)))
-        compiled = []
-        for m, c in self.terms.items():
-            cols = []
-            for f in m.factors:
-                col = f.position - 1 + (n if f.register == "y" else 0)
-                if f.position > n or col >= width:
-                    raise ValueError(f"indicator {f} has no matching sequence entry")
-                cols.append((col, f.value))
-            compiled.append((cols, c.a.numerator * (D // c.a.denominator),
-                             c.b.numerator * (D // c.b.denominator)))
-
         acc_a = np.zeros(S, dtype=object)
         acc_b = np.zeros(S, dtype=object)
-        hits: dict[tuple[int, int], np.ndarray] = {}
-        for cols, a, b in compiled:
-            mask = None
-            for key in cols:
-                hit = hits.get(key)
-                if hit is None:
-                    hit = hits[key] = draws[:, key[0]] == key[1]
-                mask = hit if mask is None else mask & hit
+        for c, mask in zip(self.terms.values(), hit_masks(self.terms, draws, n)):
             if mask is None:  # the constant term hits every draw
                 mask = slice(None)
+            a = c.a.numerator * (D // c.a.denominator)
+            b = c.b.numerator * (D // c.b.denominator)
             if a:
                 acc_a[mask] += a
             if b:

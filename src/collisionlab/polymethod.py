@@ -36,7 +36,7 @@ from .instances import (
     sample_collision_input,  # perfbench/tracer.py counts samples by patching this name here
 )
 from .lattice import LatticePoly
-from .multilinear import IndicatorVariable, Monomial, MultilinearPoly
+from .multilinear import IndicatorVariable, Monomial, MultilinearPoly, hit_masks
 from .qsqrt2 import QSqrt2
 from .simulator import QueryAlgorithm, acceptance_probability
 
@@ -303,40 +303,20 @@ def gamma_bruteforce(I, point, n: int, cap: int | None = None) -> Fraction:
 
 
 def gamma_bruteforce_sweep(
-    monomials: Sequence[Monomial | None],
-    g: int,
-    N: int,
-    n: int,
-    cap: int | None = None,
+    monomials: Sequence[Monomial | None], point, n: int, cap: int | None = None
 ) -> list[Fraction]:
-    """Brute-force expectations for many monomials over one enumeration.
-
-    Identical counting to gamma_bruteforce (every latent draw, direct
-    evaluation); the support table is materialized once and the
-    per-monomial indicator product is vectorized.
-    """
-    xs = np.array(
-        [latent.xhat[:n] for latent in enumerate_collision_supports(QuasilatticePoint(g, N), n, cap)],
-        dtype=np.int64,
+    """gamma_bruteforce for many monomials over one enumeration of the
+    (g, N) family at point: hit draws over all draws, with the hits read
+    from one table of the draws by evaluate_batch's hit_masks."""
+    draws = _draw_table(
+        (latent.xhat[:n] for latent in enumerate_collision_supports(point, n, cap)), n
     )
-    total = xs.shape[0]
-    out = []
-    for m in monomials:
-        if m is None:
-            out.append(Fraction(0))
-            continue
-        mask = np.ones(total, dtype=bool)
-        for f in m.factors:
-            if f.register != "x":
-                raise ValueError("collision-family expectations take x-register monomials only")
-            if f.position > n:
-                raise ValueError("monomial positions must lie within 1..n")
-            if not 1 <= f.value <= n:
-                mask = np.zeros(total, dtype=bool)
-                break
-            mask &= xs[:, f.position - 1] == f.value
-        out.append(Fraction(int(mask.sum()), total))
-    return out
+    total = len(draws)
+    hits = iter([
+        total if mask is None else int(np.count_nonzero(mask))
+        for mask in hit_masks([m for m in monomials if m is not None], draws, n)
+    ])
+    return [Fraction(0) if m is None else Fraction(next(hits), total) for m in monomials]
 
 
 def all_monomials(n: int, max_degree: int) -> Iterator[Monomial]:
@@ -479,18 +459,20 @@ def _value_on_instance(obj, inst: Instance) -> QSqrt2:
     raise TypeError(f"cannot evaluate acceptance of {type(obj).__name__}")
 
 
+def _draw_table(rows: Iterable[tuple[int, ...]], width: int) -> np.ndarray:
+    """Stream rows into one S x width array without keeping them."""
+    return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64).reshape(-1, width)
+
+
 def _draw_array(instances: Iterable[Instance]) -> tuple[np.ndarray, int]:
-    """Stream instances into one S x n array of x (S x 2n, y after x, for
-    set comparison) without keeping them; returns (array, n)."""
+    """The draws of the instances as one S x n table of x (S x 2n, y after
+    x, for set comparison); returns (table, n)."""
     it = iter(instances)
     first = next(it, None)
     if first is None:
         return np.empty((0, 0), dtype=np.int64), 0
-    values = itertools.chain.from_iterable(
-        inst.x + (inst.y or ()) for inst in itertools.chain((first,), it)
-    )
-    draws = np.fromiter(values, dtype=np.int64)
-    return draws.reshape(-1, len(first.x) + len(first.y or ())), first.n
+    rows = (inst.x + (inst.y or ()) for inst in itertools.chain((first,), it))
+    return _draw_table(rows, len(first.x) + len(first.y or ())), first.n
 
 
 def mean_acceptance(obj, instances: Iterable[Instance]) -> QSqrt2:

@@ -107,11 +107,11 @@ def test_criterion_02_gamma_oracle_equivalence():
     cases = 0
     for n in (4, 6):
         monomials = list(all_monomials(n, 3))
-        for g, N in divisor_points(n, 8):
-            brute = gamma_bruteforce_sweep(monomials, g, N, n)
+        for point in divisor_points(n, 8):
+            brute = gamma_bruteforce_sweep(monomials, point, n)
             for m, b in zip(monomials, brute):
                 cases += 1
-                if gamma_closed(m, g, N, n) != b:
+                if gamma_closed(m, *point, n) != b:
                     mismatches += 1
     assert mismatches == 0, f"{mismatches} of {cases} cases disagree"
     elapsed = time.time() - start

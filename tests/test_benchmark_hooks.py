@@ -6,6 +6,7 @@ from pathlib import Path
 
 from collisionlab import cli
 from collisionlab.circuits import coincidence_probe, setcomp_probe
+from collisionlab.instances import count_supports, divisor_points
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -56,3 +57,19 @@ def test_chain_calls_reach_the_traced_names(monkeypatch):
         assert counts["lattice.q_terms"] > 0
         assert counts["polymethod.extract_terms"] > 0
 
+
+
+def test_verify_gamma_enumerates_through_the_traced_name(tmp_path):
+    # The sweep must draw every latent draw through the patched
+    # polymethod.enumerate_collision_supports, once per swept point.
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        tracer.job = "gamma"
+        code = cli.main(["verify-gamma", "--n", "4", "6", "--max-degree", "1",
+                         "--max-N", "8", "--output", str(tmp_path / "gamma.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    swept = sum(count_supports(point, n) for n in (4, 6) for point in divisor_points(n, 8))
+    assert tracer.counts["gamma"]["instances.latent_draws"] == swept

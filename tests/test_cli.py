@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from collisionlab import cli
 from collisionlab.circuits import setcomp_probe
 from collisionlab.cli import main
 from collisionlab.polymethod import extract_polynomial
@@ -125,6 +126,39 @@ def test_verify_identity_report_is_pinned(fmt, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_IDENTITY_SHA256[fmt]
 
 
+# sha256 of the verify-gamma report files for n = 4, 6, r <= 2, N <= 8,
+# taken before the brute-force sweep shared evaluate_batch's hit masks.
+VERIFY_GAMMA_SHA256 = {
+    "json": "35613dc0aa4438d2a2f07d554d2ee4345670ee0e2fe532848af0f0c77978b117",
+    "csv": "19ca42793541512424194c62e788b6dce4c22784b905bac7a345cb14a08201a0",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_GAMMA_SHA256))
+def test_verify_gamma_report_is_pinned(fmt, tmp_path, capsys):
+    out = tmp_path / f"gamma.{fmt}"
+    code, _, _ = run(
+        ["verify-gamma", "--n", "4", "6", "--max-degree", "2", "--max-N", "8",
+         "--format", fmt, "--output", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_GAMMA_SHA256[fmt]
+
+
+def test_verify_identity_past_the_cap_exits_before_extraction(monkeypatch, capsys):
+    args = ["verify-identity", "--algorithm", "setcomp-probe-8", "--G", "2"]
+    code, _, err = run(args, capsys)
+    assert code == 3
+    assert "enumeration too large" in err
+
+    def no_extraction(alg):
+        raise AssertionError("extraction ran although a point exceeds the cap")
+
+    monkeypatch.setattr(cli, "extract_polynomial", no_extraction)
+    assert run(args, capsys) == (3, "", err)
+
+
 def test_verify_identity_on_a_setcomp_circuit(tmp_path, capsys):
     out = tmp_path / "ident.json"
     code, stdout, _ = run(
@@ -213,6 +247,8 @@ def test_invalid_config_exits_2(capsys):
          "enumeration cap must be >= 0, got -5"),
         (["chain", "--algorithm", "coincidence-4", "--enum-cap", "-1"],
          "enumeration cap must be >= 0, got -1"),
+        (["verify-gamma", "--n", "4", "--max-N", "2", "--max-degree", "1"],
+         "--n 4 exceeds --max-N 2"),
     ],
 )
 def test_semantic_config_errors_exit_2(args, message, capsys):

@@ -271,7 +271,7 @@ def test_grids_are_the_brute_force_filter_of_their_predicates(half_n, T, slack, 
         (g, N)
         for g in range(1, n + 1)
         for N in range(n - 1, max(max_N, n) + 2)
-        if (g, N) == (1, n) or 1 < g * g <= n and N % g == 0 and n <= N <= max_N and N // g <= n
+        if g * g <= n and N % g == 0 and n <= N <= max_N and N // g <= n and (g > 1 or N == n)
     ]
 
 

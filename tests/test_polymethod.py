@@ -12,7 +12,12 @@ from collisionlab.circuits import (
     setcomp_probe,
     two_query_mixer,
 )
-from collisionlab.instances import Instance, QuasilatticePoint, all_collision_sequences
+from collisionlab.instances import (
+    Instance,
+    QuasilatticePoint,
+    all_collision_sequences,
+    divisor_points,
+)
 from collisionlab.multilinear import IndicatorVariable as IV
 from collisionlab.multilinear import Monomial, MultilinearPoly
 from collisionlab.polymethod import (
@@ -190,14 +195,16 @@ def test_gamma_bounds_and_guards():
 
 def test_gamma_sweep_matches_scalar_bruteforce():
     monos = [
-        Monomial.one(),
-        Monomial.from_factors([IV("x", 1, 2)]),
-        Monomial.from_factors([IV("x", 1, 2), IV("x", 3, 2)]),
-        Monomial.from_factors([IV("x", 2, 1), IV("x", 4, 3)]),
+        *all_monomials(4, 2),
+        Monomial.from_factors([IV("x", 2, 5)]),  # a value above n hits no draw
+        None,  # the identically-zero product
     ]
-    sweep = gamma_bruteforce_sweep(monos, 2, 6, 4)
-    for m, v in zip(monos, sweep):
-        assert v == gamma_bruteforce(m, (2, 6), 4)
+    for point in divisor_points(4, 8):
+        sweep = gamma_bruteforce_sweep(monos, point, 4)
+        assert sweep == [gamma_bruteforce(m, point, 4) for m in monos]
+    for factor in (IV("y", 1, 1), IV("x", 5, 1)):
+        with pytest.raises(ValueError, match="no matching sequence entry"):
+            gamma_bruteforce_sweep([Monomial.from_factors([factor])], (2, 6), 4)
 
 
 # -- q~ and the prefactor --------------------------------------------------------
