@@ -162,11 +162,7 @@ def grover_search(
     size = _pad_to_power_of_two(m)
     if mode == "exact":
         space = StateSpace(index_size=size)
-        k = size.bit_length() - 1
-        if k % 2 == 0:
-            amp = QSqrt2(Fraction(1, 1 << (k // 2)))
-        else:
-            amp = QSqrt2(0, Fraction(1, 1 << ((k + 1) // 2)))
+        amp = QSqrt2.inv_sqrt2_power(size.bit_length() - 1)
         entries = {
             space.encode(BasisState(0, i, 1)): amp for i in range(1, size + 1)
         }
@@ -332,6 +328,8 @@ def collision_benchmark(
         raise ConfigError(f"unknown algorithm {algorithm!r}; expected bht or birthday")
     if n < 1:
         raise ConfigError(f"need n >= 1, got n={n}")
+    if budget is not None and budget < 0:
+        raise ConfigError(f"need budget >= 0, got budget={budget}")
     successes = 0
     total_queries = 0
     for trial in range(trials):

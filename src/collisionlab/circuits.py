@@ -28,10 +28,7 @@ def value_bits(max_value: int) -> int:
 def hadamard_matrix(num_bits: int) -> list[list[QSqrt2]]:
     """Dense H^(x)num_bits over 2^num_bits values, entries +-2^(-k/2)."""
     size = 1 << num_bits
-    if num_bits % 2 == 0:
-        mag = QSqrt2(Fraction(1, 1 << (num_bits // 2)))
-    else:
-        mag = QSqrt2(0, Fraction(1, 1 << ((num_bits + 1) // 2)))
+    mag = QSqrt2.inv_sqrt2_power(num_bits)
     rows = []
     for r in range(size):
         rows.append(

@@ -38,6 +38,7 @@ from .polymethod import (
     extract_polynomial,
     prefactor,
 )
+from .qsqrt2 import format_fraction
 from .setcomp_poly import assemble_q3, expected_acceptance3_mc, prefactor3
 from .simulator import QueryAlgorithm
 
@@ -313,7 +314,7 @@ class PointRow:
 
 def _num_json(v):
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return format_fraction(v)
     return float(v)
 
 

@@ -51,6 +51,26 @@ def enumeration_cap(cap: int | None = None) -> int:
     return cap
 
 
+def _json_integer(value) -> int:
+    """A JSON integer as is; a float, string or bool is the wrong type."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_field(doc, key: str, convert=_json_integer):
+    """convert(doc[key]) for a file reader: a missing key, or a value that
+    convert rejects, is a ValueError that names the field."""
+    try:
+        value = doc[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"missing field {key!r}") from None
+    try:
+        return convert(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # instance data
 # ---------------------------------------------------------------------------
@@ -109,10 +129,6 @@ class Instance:
             raise ValueError("collision instance must not carry y")
 
     @property
-    def alphabet_size(self) -> int:
-        return self.n if self.kind == "collision" else 2 * self.n
-
-    @property
     def num_query_indices(self) -> int:
         """Distinct query addresses: n positions, doubled for (b, i) pairs."""
         return self.n if self.kind == "collision" else 2 * self.n
@@ -152,25 +168,12 @@ class Instance:
 
     @staticmethod
     def from_json(doc: dict) -> "Instance":
-        latent = None
-        raw = doc.get("latent")
-        if raw is not None:
-            if "S_X" in raw:
-                latent = SetcompLatent(
-                    tuple(raw["S"]),
-                    tuple(raw["S_X"]),
-                    tuple(raw["S_Y"]),
-                    tuple(raw["xhat"]),
-                    tuple(raw["yhat"]),
-                )
-            else:
-                latent = CollisionLatent(tuple(raw["S"]), tuple(raw["xhat"]))
         return Instance(
-            kind=doc["kind"],
-            n=int(doc["n"]),
-            x=tuple(int(v) for v in doc["x"]),
-            y=tuple(int(v) for v in doc["y"]) if "y" in doc else None,
-            latent=latent,
+            kind=json_field(doc, "kind", str),
+            n=json_field(doc, "n"),
+            x=json_field(doc, "x", _ints),
+            y=json_field(doc, "y", _ints) if "y" in doc else None,
+            latent=None if doc.get("latent") is None else json_field(doc, "latent", _latent),
         )
 
     def dump(self, path):
@@ -182,6 +185,19 @@ class Instance:
     def load(path) -> "Instance":
         with open(path, encoding="utf-8") as fh:
             return Instance.from_json(json.load(fh))
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(map(_json_integer, values))
+
+
+def _latent(raw) -> CollisionLatent | SetcompLatent:
+    """The latent draw of an instance file."""
+    if "S_X" in raw:
+        return SetcompLatent(
+            *(json_field(raw, k, _ints) for k in ("S", "S_X", "S_Y", "xhat", "yhat"))
+        )
+    return CollisionLatent(json_field(raw, "S", _ints), json_field(raw, "xhat", _ints))
 
 
 def is_k_to_one(values, k: int) -> bool:

@@ -14,6 +14,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .qsqrt2 import format_fraction
+
 VARIABLE_NAMES = {2: ("g", "N"), 3: ("g", "N", "M")}
 
 
@@ -161,7 +163,7 @@ class LatticePoly:
             "variables": list(VARIABLE_NAMES[self.arity]),
             "total_degree": self.total_degree,
             "coeffs": {
-                ",".join(str(e) for e in exps): f"{c.numerator}/{c.denominator}"
+                ",".join(str(e) for e in exps): format_fraction(c)
                 for exps, c in self.sorted_items()
             },
         }

@@ -9,12 +9,12 @@ the structured-input expectations are computed from.
 
 from __future__ import annotations
 
-import math
+import itertools
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .qsqrt2 import QSqrt2, ZERO
+from .qsqrt2 import QSqrt2, ZERO, int_form
 
 REGISTERS = ("x", "y")
 
@@ -126,6 +126,20 @@ class Monomial:
             return "Monomial(1)"
         body = "*".join(f"D({f.register}{f.position}={f.value})" for f in self.factors)
         return f"Monomial({body})"
+
+
+def monomials_over(slots, values, max_degree: int) -> Iterator[Monomial]:
+    """Every monomial of degree <= max_degree that pins distinct
+    (register, position) slots to values: the constant, then by degree,
+    each combination of slots in order times each tuple of values.  The
+    slots must be distinct, so no product conflicts."""
+    yield Monomial.one()
+    for r in range(1, max_degree + 1):
+        for chosen in itertools.combinations(slots, r):
+            for pinned in itertools.product(values, repeat=r):
+                yield Monomial.from_factors(
+                    IndicatorVariable(reg, pos, v) for (reg, pos), v in zip(chosen, pinned)
+                )
 
 
 def hit_masks(
@@ -256,24 +270,22 @@ class MultilinearPoly:
 
         draws is an S x n integer array of x sequences, or S x 2n with y
         after x.  Returns (A, B, D): draw s has the value
-        (A[s] + B[s] sqrt(2)) / D, where D is the lcm of the coefficient
-        denominators.  Each term's integer numerators (A_I, B_I) over D
-        are added, as Python ints, to the draws of its hit_masks mask, so
-        every value is exact.
+        (A[s] + B[s] sqrt(2)) / D, where (D, [(A_I, B_I), ...]) is the
+        int_form of the coefficients.  Each term's (A_I, B_I) is added, as
+        Python ints, to the draws of its hit_masks mask, so every value is
+        exact.
         """
         S, width = draws.shape
         if S == 0:
             raise ValueError("an empty batch has no values; need at least one draw")
         if width not in (n, 2 * n):
             raise ValueError(f"draws must have n = {n} or 2n columns, got {width}")
-        D = math.lcm(*(v.denominator for c in self.terms.values() for v in (c.a, c.b)))
+        D, coeffs = int_form(self.terms.values())
         acc_a = np.zeros(S, dtype=object)
         acc_b = np.zeros(S, dtype=object)
-        for c, mask in zip(self.terms.values(), hit_masks(self.terms, draws, n)):
+        for (a, b), mask in zip(coeffs, hit_masks(self.terms, draws, n)):
             if mask is None:  # the constant term hits every draw
                 mask = slice(None)
-            a = c.a.numerator * (D // c.a.denominator)
-            b = c.b.numerator * (D // c.b.denominator)
             if a:
                 acc_a[mask] += a
             if b:

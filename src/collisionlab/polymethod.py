@@ -36,8 +36,8 @@ from .instances import (
     sample_collision_input,  # perfbench/tracer.py counts samples by patching this name here
 )
 from .lattice import LatticePoly
-from .multilinear import IndicatorVariable, Monomial, MultilinearPoly, hit_masks
-from .qsqrt2 import QSqrt2
+from .multilinear import IndicatorVariable, Monomial, MultilinearPoly, hit_masks, monomials_over
+from .qsqrt2 import QSqrt2, int_form
 from .simulator import QueryAlgorithm, acceptance_probability
 
 
@@ -166,9 +166,7 @@ def extract_polynomial(alg: QueryAlgorithm) -> MultilinearPoly:
         total[m] = (a, b) if cur is None else (cur[0] + a, cur[1] + b)
     d2 = D * D
     accept = MultilinearPoly({
-        Monomial(m): QSqrt2(Fraction(a, d2), Fraction(b, d2))
-        for m, (a, b) in total.items()
-        if a or b
+        Monomial(m): QSqrt2.over(a, b, d2) for m, (a, b) in total.items() if a or b
     })
     if accept.degree > 2 * alg.T:
         raise AssertionError("extracted degree exceeds 2T; extraction bug")
@@ -322,16 +320,7 @@ def gamma_bruteforce_sweep(
 def all_monomials(n: int, max_degree: int) -> Iterator[Monomial]:
     """Every canonical x-register monomial on positions and values 1..n
     with degree <= max_degree."""
-    yield Monomial.one()
-    for r in range(1, max_degree + 1):
-        for positions in itertools.combinations(range(1, n + 1), r):
-            for values in itertools.product(range(1, n + 1), repeat=r):
-                m = Monomial.from_factors(
-                    IndicatorVariable("x", p, v) for p, v in zip(positions, values)
-                )
-                if m is None:
-                    raise AssertionError("distinct positions cannot conflict")
-                yield m
+    return monomials_over([("x", p) for p in range(1, n + 1)], range(1, n + 1), max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +442,6 @@ def assemble_grid_poly(
 _EMPTY_BATCH = "an empty batch has no mean acceptance; need at least one draw"
 
 
-def _value_on_instance(obj, inst: Instance) -> QSqrt2:
-    if isinstance(obj, QueryAlgorithm):
-        return acceptance_probability(obj, inst, mode="exact")
-    raise TypeError(f"cannot evaluate acceptance of {type(obj).__name__}")
-
-
 def _draw_table(rows: Iterable[tuple[int, ...]], width: int) -> np.ndarray:
     """Stream rows into one S x width array without keeping them."""
     return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64).reshape(-1, width)
@@ -475,32 +458,35 @@ def _draw_array(instances: Iterable[Instance]) -> tuple[np.ndarray, int]:
     return _draw_table(rows, len(first.x) + len(first.y or ())), first.n
 
 
+def _exact_acceptances(
+    obj, instances: Iterable[Instance]
+) -> tuple[Sequence[int], Sequence[int], int]:
+    """(A, B, D): draw s accepts with probability (A[s] + B[s] sqrt(2)) / D.
+
+    A MultilinearPoly is evaluated over all draws in one batch; a
+    QueryAlgorithm is simulated exactly per draw, and its acceptances are
+    brought to their int_form.
+    """
+    if isinstance(obj, MultilinearPoly):
+        return obj.evaluate_batch(*_draw_array(instances))
+    D, pairs = int_form([acceptance_probability(obj, inst, mode="exact") for inst in instances])
+    if not pairs:
+        raise ValueError(_EMPTY_BATCH)
+    A, B = zip(*pairs)
+    return A, B, D
+
+
 def mean_acceptance(obj, instances: Iterable[Instance]) -> QSqrt2:
     """Exact average acceptance over the given instances."""
-    if isinstance(obj, MultilinearPoly):
-        A, B, D = obj.evaluate_batch(*_draw_array(instances))
-        denom = D * len(A)
-        return QSqrt2(Fraction(sum(A), denom), Fraction(sum(B), denom))
-    total = 0
-    acc = QSqrt2(0)
-    for inst in instances:
-        acc = acc + _value_on_instance(obj, inst)
-        total += 1
-    if not total:
-        raise ValueError(_EMPTY_BATCH)
-    return acc / QSqrt2(total)
+    A, B, D = _exact_acceptances(obj, instances)
+    return QSqrt2.over(sum(A), sum(B), D * len(A))
 
 
 def mean_acceptance_mc(obj, draws: Iterable[Instance]) -> tuple[float, float]:
     """Float mean and standard error of the acceptance over sampled draws."""
-    if isinstance(obj, MultilinearPoly):
-        A, B, D = obj.evaluate_batch(*_draw_array(draws))
-        values = [float(QSqrt2(Fraction(a, D), Fraction(b, D))) for a, b in zip(A, B)]
-    else:
-        values = [float(_value_on_instance(obj, inst)) for inst in draws]
+    A, B, D = _exact_acceptances(obj, draws)
+    values = [float(QSqrt2.over(a, b, D)) for a, b in zip(A, B)]
     samples = len(values)
-    if not samples:
-        raise ValueError(_EMPTY_BATCH)
     mean = sum(values) / samples
     var = sum((v - mean) ** 2 for v in values) / max(samples - 1, 1)
     return mean, math.sqrt(var / samples)

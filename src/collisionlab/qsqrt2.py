@@ -5,12 +5,18 @@ arbitrary-precision rationals a, b.  The field is closed under the gate
 entries we need (signed permutations, Hadamard-type 1/sqrt(2) factors,
 rational diffusion entries), equality is decidable, and the real embedding
 gives a total order, so norm and probability checks can be exact.
+
+This module also owns how exact numbers are written down: int_form and
+QSqrt2.over convert a batch of values to and from integer pairs over one
+shared denominator, the form every exact kernel computes in, and
+format_fraction writes a rational as the "p/q" text of files and reports.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -34,6 +40,18 @@ class QSqrt2:
     def inv_sqrt2() -> "QSqrt2":
         """1/sqrt(2) = sqrt(2)/2, the Hadamard entry."""
         return QSqrt2(0, Fraction(1, 2))
+
+    @staticmethod
+    def inv_sqrt2_power(k: int) -> "QSqrt2":
+        """2^(-k/2): 1/2^(k/2) for even k, sqrt(2)/2^((k+1)/2) for odd k."""
+        if k % 2 == 0:
+            return QSqrt2(Fraction(1, 1 << (k // 2)))
+        return QSqrt2(0, Fraction(1, 1 << ((k + 1) // 2)))
+
+    @staticmethod
+    def over(A: int, B: int, D: int) -> "QSqrt2":
+        """(A + B sqrt(2)) / D from integers; the inverse of int_form."""
+        return QSqrt2(Fraction(A, D), Fraction(B, D))
 
     @staticmethod
     def coerce(value: "QSqrt2 | RationalLike") -> "QSqrt2":
@@ -162,6 +180,20 @@ class QSqrt2:
 
 ZERO = QSqrt2(0)
 ONE = QSqrt2(1)
+
+
+def int_form(values: Iterable[QSqrt2]) -> tuple[int, list[tuple[int, int]]]:
+    """(D, [(A, B), ...]) with each value as (A + B sqrt(2)) / D.
+
+    D is the lcm of every component denominator, so sums and products of
+    the values are integer sums and products over a power of D.
+    """
+    values = list(values)
+    D = math.lcm(*{v.a.denominator for v in values}, *{v.b.denominator for v in values})
+    return D, [
+        (v.a.numerator * (D // v.a.denominator), v.b.numerator * (D // v.b.denominator))
+        for v in values
+    ]
 
 
 def format_fraction(f: Fraction) -> str:

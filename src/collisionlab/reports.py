@@ -2,7 +2,7 @@
 
 Identical config and seed must produce byte-identical files, so reports
 carry no timestamps, dict ordering is construction order, rationals are
-serialized as "p/q" and floats with 17 significant digits.  JSON reports
+serialized as "p/q" (qsqrt2.format_fraction) and floats with 17 significant digits.  JSON reports
 are strict JSON: a value that is not a finite float (a NaN endpoint, say)
 is written as null.
 """
@@ -13,12 +13,14 @@ import json
 import math
 from fractions import Fraction
 
+from .qsqrt2 import format_fraction
+
 
 def render_number(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return format_fraction(v)
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
@@ -28,7 +30,7 @@ def jsonable(v):
     """Recursively convert report values to JSON-stable primitives;
     NaN and infinities become None."""
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return format_fraction(v)
     if isinstance(v, float):
         return float(format(v, ".17g")) if math.isfinite(v) else None
     if isinstance(v, dict):

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .instances import Instance, SuperQuasilatticePoint, kappa, sample_input
 from .lattice import LatticePoly
-from .multilinear import IndicatorVariable, Monomial, MultilinearPoly
+from .multilinear import REGISTERS, Monomial, MultilinearPoly, monomials_over
 from .polymethod import as_monomial, assemble_grid_poly, mean_acceptance_mc
 
 
@@ -201,18 +201,5 @@ def expected_acceptance3_mc(
 def mixed_monomials(n: int, max_degree: int) -> list[Monomial]:
     """Every canonical monomial over both registers, positions 1..n,
     values 1..2n, degree <= max_degree."""
-    import itertools
-
-    variables = [
-        (reg, pos, val)
-        for reg in ("x", "y")
-        for pos in range(1, n + 1)
-        for val in range(1, 2 * n + 1)
-    ]
-    out = [Monomial.one()]
-    for r in range(1, max_degree + 1):
-        for combo in itertools.combinations(variables, r):
-            m = Monomial.from_factors(IndicatorVariable(*t) for t in combo)
-            if m is not None and m.degree == r:
-                out.append(m)
-    return out
+    slots = [(reg, pos) for reg in REGISTERS for pos in range(1, n + 1)]
+    return list(monomials_over(slots, range(1, 2 * n + 1), max_degree))

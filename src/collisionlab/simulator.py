@@ -14,24 +14,23 @@ Exact and float mode share every kernel: exact mode stores QSqrt2
 amplitudes and checks norms for equality, float mode stores doubles and
 checks them within FLOAT_NORM_TOL.  Those constants, the layer product
 and the sum of squares live in the MODES table; nothing else differs.
-Exact mode multiplies integers: the state's amplitudes over their
-shared denominator d times the layer's Layer.int_cols() over its shared
-denominator D, and a sum of squares is one integer sum over d^2.  QSqrt2
-appears only at the state boundary, one value per stored amplitude and
-one per sum.
+Exact mode multiplies integers in qsqrt2's integer form: the int_form of
+the state's amplitudes, over their shared denominator d, times the
+layer's Layer.int_cols() over its shared denominator D, and a sum of
+squares is one integer sum over d^2.  Each stored amplitude and each sum
+is turned back into a QSqrt2 by QSqrt2.over.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .instances import Instance
-from .qsqrt2 import ONE, QSqrt2, ZERO, parse_fraction
+from .instances import Instance, json_field
+from .qsqrt2 import ONE, QSqrt2, ZERO, int_form, parse_fraction
 
 FLOAT_NORM_TOL = 1e-12
 MEASURE_NORM_TOL = 1e-9
@@ -93,19 +92,6 @@ class StateSpace:
                 f"{self.answer_bits} answer bits"
             )
         return value << self.answer_offset
-
-    def __eq__(self, other):
-        return isinstance(other, StateSpace) and (
-            self.workspace_bits,
-            self.index_size,
-            self.answer_offset,
-            self.answer_bits,
-        ) == (
-            other.workspace_bits,
-            other.index_size,
-            other.answer_offset,
-            other.answer_bits,
-        )
 
 
 def _int_product(vec, cols) -> dict[int, list[int]]:
@@ -169,20 +155,13 @@ class Layer:
         return self._float_cols
 
     def int_cols(self) -> tuple[int, list[list[tuple[int, int, int]]]]:
-        """(D, cols) with cols[j] listing (row, A, B): entry (A + B sqrt 2) / D.
-
-        D is the lcm of every entry denominator.
-        """
+        """(D, cols) with cols[j] listing (row, A, B): entry (A + B sqrt 2) / D,
+        the int_form of the layer's entries in column order."""
         if self._int_cols is None:
-            dens = {f.denominator for col in self.cols for _, v in col for f in (v.a, v.b)}
-            D = math.lcm(*dens)
+            D, pairs = int_form(v for col in self.cols for _, v in col)
+            it = iter(pairs)
             self._int_cols = (D, [
-                [
-                    (r, v.a.numerator * (D // v.a.denominator),
-                     v.b.numerator * (D // v.b.denominator))
-                    for r, v in col
-                ]
-                for col in self.cols
+                [(r, A, B) for (r, _), (A, B) in zip(col, it)] for col in self.cols
             ])
         return self._int_cols
 
@@ -229,7 +208,7 @@ class Layer:
         for col in inner_cols:
             acc = _int_product(col, outer_cols)
             cols.append([
-                (row, QSqrt2(Fraction(a, D), Fraction(b, D)))
+                (row, QSqrt2.over(a, b, D))
                 for row, (a, b) in sorted(acc.items())
                 if a or b
             ])
@@ -269,31 +248,14 @@ class Layer:
 _ZERO_ENTRY = ZERO.to_strings()
 
 
-def _int_form(amps) -> tuple[int, list[tuple[int, int]]]:
-    """(d, [(A, B), ...]) with each QSqrt2 amplitude as (A + B sqrt 2) / d.
-
-    d is the lcm of every component denominator.
-    """
-    amps = list(amps)
-    d = math.lcm(*{f.denominator for v in amps for f in (v.a, v.b)})
-    return d, [
-        (v.a.numerator * (d // v.a.denominator), v.b.numerator * (d // v.b.denominator))
-        for v in amps
-    ]
-
-
 def _exact_layer(entries: dict, layer: Layer) -> dict:
     """Layer product on integers: the state over its shared denominator d
     times the layer's int_cols() over D, one QSqrt2 per nonzero output."""
-    d, ints = _int_form(entries.values())
+    d, ints = int_form(entries.values())
     D, cols = layer.int_cols()
     acc = _int_product(((j, A, B) for j, (A, B) in zip(entries, ints)), cols)
     den = d * D
-    return {
-        row: QSqrt2(Fraction(x, den), Fraction(y, den))
-        for row, (x, y) in acc.items()
-        if x or y
-    }
+    return {row: QSqrt2.over(x, y, den) for row, (x, y) in acc.items() if x or y}
 
 
 def _float_layer(entries: dict, layer: Layer) -> dict:
@@ -309,13 +271,12 @@ def _float_layer(entries: dict, layer: Layer) -> dict:
 def _exact_square_sum(amps) -> QSqrt2:
     """Sum of squares as one integer sum over the common denominator d:
     (A + B sqrt 2)^2 = A^2 + 2 B^2 + 2 A B sqrt 2, all over d^2."""
-    d, ints = _int_form(amps)
+    d, ints = int_form(amps)
     ra = rb = 0
     for A, B in ints:
         ra += A * A + 2 * B * B
         rb += A * B
-    d2 = d * d
-    return QSqrt2(Fraction(ra, d2), Fraction(2 * rb, d2))
+    return QSqrt2.over(ra, 2 * rb, d * d)
 
 
 def _float_square_sum(amps):
@@ -552,25 +513,22 @@ class QueryAlgorithm:
     @staticmethod
     def from_json(doc: dict) -> "QueryAlgorithm":
         space = StateSpace(
-            index_size=int(doc["index_size"]),
-            workspace_bits=int(doc["workspace_bits"]),
-            answer_offset=int(doc["answer_offset"]),
-            answer_bits=int(doc["answer_bits"]),
+            index_size=json_field(doc, "index_size"),
+            workspace_bits=json_field(doc, "workspace_bits"),
+            answer_offset=json_field(doc, "answer_offset"),
+            answer_bits=json_field(doc, "answer_bits"),
         )
-        init = doc["initial"]
         return QueryAlgorithm(
             name=doc.get("name", "unnamed"),
-            kind=doc["kind"],
-            n=int(doc["n"]),
-            T=int(doc["T"]),
-            oracle_kind=doc["oracle_kind"],
+            kind=json_field(doc, "kind", str),
+            n=json_field(doc, "n"),
+            T=json_field(doc, "T"),
+            oracle_kind=json_field(doc, "oracle_kind", str),
             space=space,
-            layers=[Layer.from_json(rows) for rows in doc["layers"]],
-            initial=BasisState(
-                workspace=int(init["workspace"]),
-                index=int(init["index"]),
-                output=int(init["output"]),
-            ),
+            layers=json_field(doc, "layers", lambda docs: [Layer.from_json(r) for r in docs]),
+            initial=json_field(doc, "initial", lambda init: BasisState(
+                *(json_field(init, k) for k in ("workspace", "index", "output"))
+            )),
         )
 
     def dump(self, path):

@@ -249,6 +249,7 @@ def test_invalid_config_exits_2(capsys):
          "enumeration cap must be >= 0, got -1"),
         (["verify-gamma", "--n", "4", "--max-N", "2", "--max-degree", "1"],
          "--n 4 exceeds --max-N 2"),
+        (["bench", "--budget", "-1"], "need budget >= 0, got budget=-1"),
     ],
 )
 def test_semantic_config_errors_exit_2(args, message, capsys):
@@ -269,6 +270,41 @@ def test_negative_enum_cap_env_exits_2(monkeypatch, capsys):
     code, _, err = run(["chain", "--algorithm", "coincidence-4", "--G", "2"], capsys)
     assert code == 2
     assert "COLLISIONLAB_ENUM_CAP must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("args, doc, message", [
+    (["simulate", "--algorithm", "@{path}", "--point", "2,4"], {}, "missing field 'index_size'"),
+    (["simulate", "--algorithm", "@{path}", "--point", "2,4"],
+     {"index_size": 4, "workspace_bits": 2, "answer_offset": 0, "answer_bits": 2,
+      "kind": "collision", "n": 4, "T": 0, "oracle_kind": "standard", "layers": 5},
+     "field 'layers'"),
+    (["simulate", "--algorithm", "coincidence-4", "--instance", "{path}"],
+     {"kind": "collision", "n": 2}, "missing field 'x'"),
+    (["simulate", "--algorithm", "coincidence-4", "--instance", "{path}"],
+     {"kind": "collision", "n": 2, "x": 5}, "field 'x'"),
+    (["simulate", "--algorithm", "coincidence-4", "--instance", "{path}"],
+     {"kind": "collision", "n": 4, "x": [1, 2.5, 3, 4]}, "field 'x': expected an integer, got 2.5"),
+    (["setcomp", "--instance", "{path}"], {"kind": "collision", "n": 2}, "missing field 'x'"),
+])
+def test_malformed_input_file_exits_1_naming_the_field(args, doc, message, tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import collisionlab
+
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(collisionlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "collisionlab.cli", *(a.format(path=path) for a in args)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cap_exceeded_exits_3(capsys):

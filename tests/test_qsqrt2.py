@@ -1,11 +1,12 @@
 """Field axioms and exact comparisons for Q(sqrt(2))."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from collisionlab.qsqrt2 import QSqrt2
+from collisionlab.qsqrt2 import QSqrt2, int_form
 
 
 def elements(max_num=50, max_den=9):
@@ -20,6 +21,28 @@ def test_basic_identities():
     h = QSqrt2.inv_sqrt2()
     assert h * h == QSqrt2(Fraction(1, 2))
     assert h * QSqrt2.sqrt2() == QSqrt2(1)
+
+
+def test_inv_sqrt2_power_is_two_to_the_minus_half_k():
+    assert QSqrt2.inv_sqrt2_power(0) == QSqrt2(1)
+    assert QSqrt2.inv_sqrt2_power(1) == QSqrt2.inv_sqrt2()
+    for k in range(9):
+        v = QSqrt2.inv_sqrt2_power(k)
+        assert v > 0
+        assert v * v * (1 << k) == QSqrt2(1)
+
+
+@given(st.lists(elements(), max_size=8))
+def test_int_form_is_integer_pairs_over_the_least_common_denominator(values):
+    D, pairs = int_form(values)
+    assert D == math.lcm(*(f.denominator for v in values for f in (v.a, v.b)))
+    assert all(isinstance(A, int) and isinstance(B, int) for A, B in pairs)
+    assert [QSqrt2.over(A, B, D) for A, B in pairs] == values
+
+
+def test_int_form_of_nothing():
+    assert int_form([]) == (1, [])
+    assert int_form(iter([QSqrt2(Fraction(1, 6), Fraction(-3, 4))])) == (12, [(2, -9)])
 
 
 @given(elements(), elements(), elements())

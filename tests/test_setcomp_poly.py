@@ -1,5 +1,6 @@
 """Trivariate expectations for the set-comparison families."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -71,7 +72,19 @@ def test_gamma3_single_indicator_value():
 def test_gamma3_oracle_equivalence_all_monomials_n2():
     points = super_quasilattice_points(2, 1, 1)
     assert points == [(1, 2, 2)]
-    for m in mixed_monomials(2, 2):
+    monomials = mixed_monomials(2, 2)
+    # The brute-force filter: every combination of distinct indicators
+    # whose product is a nonzero monomial of that degree.
+    variables = [IV(reg, pos, val) for reg in "xy" for pos in (1, 2) for val in range(1, 5)]
+    filtered = {
+        m
+        for r in range(3)
+        for combo in itertools.combinations(variables, r)
+        if (m := Monomial.from_factors(combo)) is not None and m.degree == r
+    }
+    assert len(monomials) == len(set(monomials)) == 113
+    assert set(monomials) == filtered
+    for m in monomials:
         for g, N, M in points:
             assert gamma3_closed(m, g, N, M, 2, T=1) == gamma_bruteforce(m, (g, N, M), 2)
 
