@@ -54,14 +54,6 @@ def _pair_bit_hadamard(space: StateSpace, two_n: int) -> Layer:
     return Layer(space.dim, cols)
 
 
-def erasing_setcomp_reference(inst: Instance) -> Fraction:
-    """Outcome-1 probability from set arithmetic alone:
-    |symmetric difference| / (4n).  Independent of the simulator."""
-    if inst.kind != "setcomp":
-        raise ValueError("set comparison needs a setcomp instance")
-    return Fraction(len(set(inst.x) ^ set(inst.y_sequence())), 4 * inst.n)
-
-
 def erasing_setcomp_probability(inst: Instance, mode: str = "exact"):
     """P(first register = 1) for the one-erasing-query comparison test.
 
@@ -125,14 +117,6 @@ def _pad_to_power_of_two(m: int) -> int:
     if m < 1:
         raise ValueError("m must be >= 1")
     return 1 << (m - 1).bit_length()
-
-
-def grover_success_probability(num_marked: int, size: int, iterations: int) -> float:
-    """Closed-form marked weight sin^2((2t+1) asin(sqrt(k/size)))."""
-    if num_marked == 0:
-        return 0.0
-    theta = math.asin(math.sqrt(num_marked / size))
-    return math.sin((2 * iterations + 1) * theta) ** 2
 
 
 def grover_iterations(num_marked: int, size: int) -> int:
@@ -309,12 +293,6 @@ def two_to_one_instance(n: int, rng: random.Random) -> Instance:
         pool.append(paired[-1])
     rng.shuffle(pool)
     return Instance(kind="collision", n=n, x=tuple(pool))
-
-
-def one_to_one_instance(n: int, rng: random.Random) -> Instance:
-    perm = list(range(1, n + 1))
-    rng.shuffle(perm)
-    return Instance(kind="collision", n=n, x=tuple(perm))
 
 
 def collision_benchmark(

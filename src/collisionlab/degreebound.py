@@ -134,40 +134,6 @@ def markov_bound(degree: int, interval: tuple[float, float], bounds: tuple[float
 
 
 # ---------------------------------------------------------------------------
-# univariate extrema via critical points (used by the Markov test suite)
-# ---------------------------------------------------------------------------
-
-
-def _real_roots_in(poly: np.polynomial.Polynomial, a: float, b: float) -> list[float]:
-    if poly.degree() < 1:
-        return []
-    roots = poly.roots()
-    out = []
-    for r in roots:
-        if abs(r.imag) < 1e-9 and a - 1e-12 <= r.real <= b + 1e-12:
-            out.append(min(max(r.real, a), b))
-    return out
-
-
-def univariate_range(coeffs, interval: tuple[float, float]) -> tuple[float, float]:
-    """Exact-to-roundoff min/max of a polynomial on an interval, from the
-    critical points of its derivative plus the endpoints."""
-    a, b = interval
-    p = np.polynomial.Polynomial(list(coeffs))
-    candidates = [a, b] + _real_roots_in(p.deriv(), a, b)
-    values = [float(p(c)) for c in candidates]
-    return min(values), max(values)
-
-
-def univariate_derivative_abs_max(coeffs, interval: tuple[float, float]) -> float:
-    """max |p'| on the interval, from the critical points of p'."""
-    a, b = interval
-    dp = np.polynomial.Polynomial(list(coeffs)).deriv()
-    candidates = [a, b] + _real_roots_in(dp.deriv(), a, b)
-    return max(abs(float(dp(c))) for c in candidates)
-
-
-# ---------------------------------------------------------------------------
 # weighted maximum derivative over the parameter rectangle
 # ---------------------------------------------------------------------------
 

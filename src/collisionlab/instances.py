@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
+import numpy as np
+
 ENUM_CAP_ENV = "COLLISIONLAB_ENUM_CAP"
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -455,7 +457,11 @@ def sample_collision_input(point: QuasilatticePoint, n: int, rng: random.Random)
 
 def _k_to_one_sequences(values, k: int) -> Iterator[tuple[int, ...]]:
     """Every sequence holding each of the sorted values exactly k times,
-    in lexicographic order (Knuth, TAOCP 4A, 7.2.1.2, Algorithm L)."""
+    in lexicographic order (Knuth, TAOCP 4A, 7.2.1.2, Algorithm L).  At
+    k = 1 these are the permutations of the values, in the same order."""
+    if k == 1:
+        yield from itertools.permutations(values)
+        return
     a = [v for v in values for _ in range(k)]
     while True:
         yield tuple(a)
@@ -473,15 +479,19 @@ def _k_to_one_sequences(values, k: int) -> Iterator[tuple[int, ...]]:
         a[j + 1:] = a[:j:-1]
 
 
+def _sequence_count(shape: _Shape) -> int:
+    """length! / (k!)^(length/k): the k-to-1 sequences onto one range."""
+    return math.factorial(shape.length) // math.factorial(shape.k) ** (shape.length // shape.k)
+
+
 def count_supports(point, n: int) -> int:
     """Number of latent draws at point, in closed form:
     C(universe, |S|) * C(|S|, sub)^ranges * (length! / (k!)^(length/k))^registers."""
     shape = _shape(point, n)
-    sequences = math.factorial(shape.length) // math.factorial(shape.k) ** (shape.length // shape.k)
     return (
         math.comb(shape.universe, shape.s_size)
         * math.comb(shape.s_size, shape.sub) ** shape.ranges
-        * sequences**shape.registers
+        * _sequence_count(shape) ** shape.registers
     )
 
 
@@ -496,28 +506,67 @@ def check_enumerable(point, n: int, cap: int | None = None) -> None:
         )
 
 
+def _relabelled_draws(point, n: int, cap: int | None) -> Iterator:
+    """The one loop behind enumerate_supports and enumerate_rows: yield
+    (S, ranges, tables) for every S and every choice of register ranges,
+    in lexicographic order, where tables[i] is an array holding every
+    k-to-1 sequence onto register i's range (S itself when no range is
+    drawn), one per row, in lexicographic order.
+
+    Every range has the same size, so its sequences are one k-to-1 index
+    table over range(size), listed once per point by _k_to_one_sequences
+    and relabelled by the range.  A sorted range maps indices to values
+    monotonically, so the rows keep the index table's order.  Both
+    tables take the smallest integer type that holds their entries.
+    Raises EnumerationTooLarge if the closed-form count exceeds the cap.
+    """
+    shape = _shape(point, n)
+    check_enumerable(point, n, cap)
+    index = np.fromiter(
+        itertools.chain.from_iterable(_k_to_one_sequences(range(shape.sub), shape.k)),
+        dtype=np.min_scalar_type(shape.sub),
+    ).reshape(_sequence_count(shape), shape.length)
+    labels = np.min_scalar_type(shape.universe)
+    for s in itertools.combinations(range(1, shape.universe + 1), shape.s_size):
+        for ranges in itertools.product(itertools.combinations(s, shape.sub), repeat=shape.ranges):
+            yield s, ranges, [np.array(r, dtype=labels)[index] for r in ranges or (s,)]
+
+
+_ROW_CHUNK = 4096  # rows turned into lists at a time
+
+
+def _listed(table: np.ndarray) -> Iterator[list[int]]:
+    """The rows of a table as lists of ints, in order, a chunk at a time
+    so that few of them are alive at once."""
+    for start in range(0, len(table), _ROW_CHUNK):
+        yield from table[start:start + _ROW_CHUNK].tolist()
+
+
 def enumerate_supports(point, n: int, cap: int | None = None) -> Iterator:
     """Yield every latent draw at point exactly once, in lexicographic
     order on (S, xhat) or (S, S_X, S_Y, xhat, yhat).  Raises
     EnumerationTooLarge if the closed-form count exceeds the cap."""
-    shape = _shape(point, n)
-    check_enumerable(point, n, cap)
-    latent, k = shape.latent, shape.k
-    for s in itertools.combinations(range(1, shape.universe + 1), shape.s_size):
-        for ranges in itertools.product(itertools.combinations(s, shape.sub), repeat=shape.ranges):
-            # the last register's sequences stream; the others are replayed
-            # once per sequence of a later register, so they are listed
-            *outer, last = ranges or (s,)
-            for head in itertools.product(*(tuple(_k_to_one_sequences(r, k)) for r in outer)):
-                fixed = (s, *ranges, *head)
-                for tail in _k_to_one_sequences(last, k):
-                    yield latent(*fixed, tail)
+    latent = _shape(point, n).latent
+    for s, ranges, tables in _relabelled_draws(point, n, cap):
+        # the last register's sequences vary fastest
+        *outer, last = tables
+        for head in itertools.product(*(map(tuple, table.tolist()) for table in outer)):
+            fixed = (s, *ranges, *head)
+            for tail in _listed(last):
+                yield latent(*fixed, tuple(tail))
 
 
-def all_collision_sequences(n: int) -> Iterator[Instance]:
-    """Every sequence in {1..n}^n, promise or not; n^n of them."""
-    for x in itertools.product(range(1, n + 1), repeat=n):
-        yield Instance(kind="collision", n=n, x=x)
+def enumerate_rows(point, n: int, cap: int | None = None) -> Iterator[list[int]]:
+    """The input row of every latent draw at point, in enumerate_supports'
+    order: the first n entries of xhat, then (set comparison) of yhat,
+    as one list.  Raises EnumerationTooLarge if the closed-form count
+    exceeds the cap."""
+    for _s, _ranges, tables in _relabelled_draws(point, n, cap):
+        *outer, last = (table[:, :n] for table in tables)
+        for head in itertools.product(*(table.tolist() for table in outer)):
+            prefix = list(itertools.chain.from_iterable(head))
+            for tail in _listed(last):
+                yield prefix + tail
 
 
 def fraction_of_small_unions(

@@ -28,9 +28,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .instances import (
-    CollisionLatent,
     Instance,
     QuasilatticePoint,
+    enumerate_rows,
     enumerate_supports,
     instance_from_latent,
     sample_collision_input,  # perfbench/tracer.py counts samples by patching this name here
@@ -278,8 +278,9 @@ def latent_instances(point, n: int, cap: int | None = None) -> Iterator[Instance
 # which patches this name, counts the sweep's latent draws.
 def enumerate_collision_supports(
     point: QuasilatticePoint, n: int, cap: int | None = None
-) -> Iterator[CollisionLatent]:
-    return enumerate_supports(QuasilatticePoint(*point), n, cap)
+) -> Iterator[list[int]]:
+    """The input row x of every latent draw of the (g, N) family."""
+    return enumerate_rows(QuasilatticePoint(*point), n, cap)
 
 
 def gamma_bruteforce(I, point, n: int, cap: int | None = None) -> Fraction:
@@ -306,9 +307,8 @@ def gamma_bruteforce_sweep(
     """gamma_bruteforce for many monomials over one enumeration of the
     (g, N) family at point: hit draws over all draws, with the hits read
     from one table of the draws by evaluate_batch's hit_masks."""
-    draws = _draw_table(
-        (latent.xhat[:n] for latent in enumerate_collision_supports(point, n, cap)), n
-    )
+    # values lie in 1..n, so the table takes the narrowest type that holds n
+    draws = _draw_table(enumerate_collision_supports(point, n, cap), n, np.min_scalar_type(n))
     total = len(draws)
     hits = iter([
         total if mask is None else int(np.count_nonzero(mask))
@@ -442,9 +442,9 @@ def assemble_grid_poly(
 _EMPTY_BATCH = "an empty batch has no mean acceptance; need at least one draw"
 
 
-def _draw_table(rows: Iterable[tuple[int, ...]], width: int) -> np.ndarray:
-    """Stream rows into one S x width array without keeping them."""
-    return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64).reshape(-1, width)
+def _draw_table(rows: Iterable[Sequence[int]], width: int, dtype=np.int64) -> np.ndarray:
+    """Stream rows into one S x width array of dtype without keeping them."""
+    return np.fromiter(itertools.chain.from_iterable(rows), dtype=dtype).reshape(-1, width)
 
 
 def _draw_array(instances: Iterable[Instance]) -> tuple[np.ndarray, int]:

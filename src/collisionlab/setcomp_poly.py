@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .instances import Instance, SuperQuasilatticePoint, kappa, sample_input
 from .lattice import LatticePoly
-from .multilinear import REGISTERS, Monomial, MultilinearPoly, monomials_over
+from .multilinear import MultilinearPoly
 from .polymethod import as_monomial, assemble_grid_poly, mean_acceptance_mc
 
 
@@ -197,9 +197,3 @@ def expected_acceptance3_mc(
         obj, (sample_setcomp_input(point, n, rng) for _ in range(samples))
     )
 
-
-def mixed_monomials(n: int, max_degree: int) -> list[Monomial]:
-    """Every canonical monomial over both registers, positions 1..n,
-    values 1..2n, degree <= max_degree."""
-    slots = [(reg, pos) for reg in REGISTERS for pos in range(1, n + 1)]
-    return list(monomials_over(slots, range(1, 2 * n + 1), max_degree))

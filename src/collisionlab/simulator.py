@@ -24,6 +24,7 @@ is turned back into a QSqrt2 by QSqrt2.over.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -198,21 +199,28 @@ class Layer:
         return diagonal == dim
 
     def compose(self, inner: "Layer") -> "Layer":
-        """self @ inner: the layer that applies inner first, then self."""
+        """self @ inner: the layer that applies inner first, then self.
+
+        The product is computed as integers over D = d_outer * d_inner, and
+        the composed layer keeps it as its int_cols(), reduced to the least
+        common denominator, the form int_form derives from the entries.
+        """
         if self.dim != inner.dim:
             raise ValueError("dimension mismatch")
         d_outer, outer_cols = self.int_cols()
         d_inner, inner_cols = inner.int_cols()
+        int_cols = [
+            [(row, a, b) for row, (a, b) in sorted(_int_product(col, outer_cols).items()) if a or b]
+            for col in inner_cols
+        ]
         D = d_outer * d_inner
-        cols: list[list[tuple[int, QSqrt2]]] = []
-        for col in inner_cols:
-            acc = _int_product(col, outer_cols)
-            cols.append([
-                (row, QSqrt2.over(a, b, D))
-                for row, (a, b) in sorted(acc.items())
-                if a or b
-            ])
-        return Layer(self.dim, cols)
+        common = math.gcd(D, *(v for col in int_cols for _, a, b in col for v in (a, b)))
+        if common > 1:
+            D //= common
+            int_cols = [[(row, a // common, b // common) for row, a, b in col] for col in int_cols]
+        layer = Layer(self.dim, [[(row, QSqrt2.over(a, b, D)) for row, a, b in col] for col in int_cols])
+        layer._int_cols = (D, int_cols)
+        return layer
 
     def to_json(self) -> list[list[list[str]]]:
         return [[v.to_strings() for v in row] for row in self.to_dense()]

@@ -1,0 +1,95 @@
+"""Reference helpers that only the tests use.
+
+Each one is an independent check on the program (a closed form, a
+brute-force universe, a plain sampler), so it lives beside the tests
+rather than in the package.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+
+from collisionlab.instances import Instance
+from collisionlab.multilinear import REGISTERS, Monomial, monomials_over
+
+
+# ---------------------------------------------------------------------------
+# univariate extrema via critical points (the Markov tests)
+# ---------------------------------------------------------------------------
+
+
+def _real_roots_in(poly: np.polynomial.Polynomial, a: float, b: float) -> list[float]:
+    if poly.degree() < 1:
+        return []
+    roots = poly.roots()
+    out = []
+    for r in roots:
+        if abs(r.imag) < 1e-9 and a - 1e-12 <= r.real <= b + 1e-12:
+            out.append(min(max(r.real, a), b))
+    return out
+
+
+def univariate_range(coeffs, interval: tuple[float, float]) -> tuple[float, float]:
+    """Exact-to-roundoff min/max of a polynomial on an interval, from the
+    critical points of its derivative plus the endpoints."""
+    a, b = interval
+    p = np.polynomial.Polynomial(list(coeffs))
+    candidates = [a, b] + _real_roots_in(p.deriv(), a, b)
+    values = [float(p(c)) for c in candidates]
+    return min(values), max(values)
+
+
+def univariate_derivative_abs_max(coeffs, interval: tuple[float, float]) -> float:
+    """max |p'| on the interval, from the critical points of p'."""
+    a, b = interval
+    dp = np.polynomial.Polynomial(list(coeffs)).deriv()
+    candidates = [a, b] + _real_roots_in(dp.deriv(), a, b)
+    return max(abs(float(dp(c))) for c in candidates)
+
+
+# ---------------------------------------------------------------------------
+# input and monomial universes
+# ---------------------------------------------------------------------------
+
+
+def all_collision_sequences(n: int):
+    """Every sequence in {1..n}^n, promise or not; n^n of them."""
+    for x in itertools.product(range(1, n + 1), repeat=n):
+        yield Instance(kind="collision", n=n, x=x)
+
+
+def one_to_one_instance(n: int, rng: random.Random) -> Instance:
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return Instance(kind="collision", n=n, x=tuple(perm))
+
+
+def mixed_monomials(n: int, max_degree: int) -> list[Monomial]:
+    """Every canonical monomial over both registers, positions 1..n,
+    values 1..2n, degree <= max_degree."""
+    slots = [(reg, pos) for reg in REGISTERS for pos in range(1, n + 1)]
+    return list(monomials_over(slots, range(1, 2 * n + 1), max_degree))
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the reference algorithms
+# ---------------------------------------------------------------------------
+
+
+def erasing_setcomp_reference(inst: Instance) -> Fraction:
+    """Outcome-1 probability from set arithmetic alone:
+    |symmetric difference| / (4n).  Independent of the simulator."""
+    if inst.kind != "setcomp":
+        raise ValueError("set comparison needs a setcomp instance")
+    return Fraction(len(set(inst.x) ^ set(inst.y_sequence())), 4 * inst.n)
+
+
+def grover_success_probability(num_marked: int, size: int, iterations: int) -> float:
+    """Closed-form marked weight sin^2((2t+1) asin(sqrt(k/size)))."""
+    if num_marked == 0:
+        return 0.0
+    theta = math.asin(math.sqrt(num_marked / size))
+    return math.sin((2 * iterations + 1) * theta) ** 2

@@ -14,7 +14,6 @@ from fractions import Fraction
 from collisionlab.algorithms import (
     collision_benchmark,
     erasing_setcomp_probability,
-    one_to_one_instance,
     bht_collision,
 )
 from collisionlab.circuits import (
@@ -25,16 +24,11 @@ from collisionlab.circuits import (
     two_query_mixer,
 )
 from collisionlab.cli import main as cli_main
-from collisionlab.degreebound import (
-    markov_bound,
-    univariate_derivative_abs_max,
-    univariate_range,
-)
+from collisionlab.degreebound import markov_bound
 from collisionlab.instances import (
     Instance,
     QuasilatticePoint,
     SuperQuasilatticePoint,
-    all_collision_sequences,
     divisor_points,
     fraction_of_small_unions,
     set_union_size,
@@ -54,12 +48,18 @@ from collisionlab.polymethod import (
 from collisionlab.setcomp_poly import (
     assemble_q3,
     gamma3_closed,
-    mixed_monomials,
     prefactor3,
     q_tilde3,
     theta_poly,
 )
 from collisionlab.simulator import acceptance_probability
+from helpers import (
+    all_collision_sequences,
+    mixed_monomials,
+    one_to_one_instance,
+    univariate_derivative_abs_max,
+    univariate_range,
+)
 
 import numpy as np
 import pytest

@@ -11,14 +11,12 @@ from collisionlab.algorithms import (
     collision_benchmark,
     erasing_setcomp_decide,
     erasing_setcomp_probability,
-    erasing_setcomp_reference,
     grover_iterations,
     grover_search,
-    grover_success_probability,
-    one_to_one_instance,
     two_to_one_instance,
 )
 from collisionlab.instances import Instance, set_union_size
+from helpers import erasing_setcomp_reference, grover_success_probability, one_to_one_instance
 
 
 def equal_sets_instance(n: int) -> Instance:

@@ -429,3 +429,22 @@ def test_importing_the_cli_loads_no_sympy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_python_dash_m_collisionlab_runs_the_cli(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import collisionlab
+
+    src = str(Path(collisionlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "collisionlab", "verify-gamma", "--n", "2", "--max-degree", "1",
+         "--max-N", "2", "--output", str(tmp_path / "gamma.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "gamma.json").read_text())["results"]["summary"]["all_equal"] is True

@@ -21,14 +21,13 @@ from collisionlab.degreebound import (
     chain_report_for_poly,
     degree_lower_bound,
     markov_bound,
-    univariate_derivative_abs_max,
-    univariate_range,
     verify_inequality_chain,
     weighted_max_derivative,
 )
 from collisionlab.instances import kappa
 from collisionlab.lattice import LatticePoly
 from collisionlab.polymethod import assemble_q, extract_polynomial
+from helpers import univariate_derivative_abs_max, univariate_range
 
 
 def chebyshev_coeffs(d: int) -> list[float]:

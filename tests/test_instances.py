@@ -19,6 +19,7 @@ from collisionlab.instances import (
     _k_to_one_sequences,
     count_supports,
     divisor_points,
+    enumerate_rows,
     enumerate_supports,
     is_k_to_one,
     is_quasilattice_point,
@@ -30,6 +31,7 @@ from collisionlab.instances import (
     super_quasilattice_points,
     validate_instance,
 )
+from collisionlab.polymethod import latent_instances
 
 
 def test_kappa_values():
@@ -302,6 +304,7 @@ def test_sampler_count_and_enumerator_reject_a_point_alike(point, n, message):
         lambda: sample_input(point, n, random.Random(0)),
         lambda: count_supports(point, n),
         lambda: list(enumerate_supports(point, n)),
+        lambda: list(enumerate_rows(point, n)),
     ]
     for draw in draws:
         with pytest.raises(ConfigError) as exc:
@@ -338,3 +341,18 @@ def test_count_enumeration_and_sampler_agree(point, n, total):
     for _ in range(200):
         inst = sample_input(point, n, rng)
         assert inst.latent in latents
+
+
+@pytest.mark.parametrize("point, n, total", ENUMERABLE_POINTS)
+def test_latents_are_lexicographic_and_rows_are_their_inputs(point, n, total):
+    latents = list(enumerate_supports(point, n))
+    assert latents == sorted(latents, key=lambda lat: tuple(vars(lat).values()))
+    rows = list(enumerate_rows(point, n))
+    assert rows == [list(inst.x + (inst.y or ())) for inst in latent_instances(point, n)]
+    assert len(rows) == total == count_supports(point, n)
+
+
+def test_rows_past_the_cap_raise_on_the_first_draw():
+    rows = enumerate_rows(QuasilatticePoint(1, 12), 12, cap=1000)
+    with pytest.raises(EnumerationTooLarge):
+        next(rows)

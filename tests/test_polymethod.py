@@ -12,12 +12,7 @@ from collisionlab.circuits import (
     setcomp_probe,
     two_query_mixer,
 )
-from collisionlab.instances import (
-    Instance,
-    QuasilatticePoint,
-    all_collision_sequences,
-    divisor_points,
-)
+from collisionlab.instances import Instance, QuasilatticePoint, divisor_points
 from collisionlab.multilinear import IndicatorVariable as IV
 from collisionlab.multilinear import Monomial, MultilinearPoly
 from collisionlab.polymethod import (
@@ -35,6 +30,7 @@ from collisionlab.polymethod import (
 )
 from collisionlab.qsqrt2 import QSqrt2
 from collisionlab.simulator import acceptance_probability
+from helpers import all_collision_sequences
 
 
 def random_monomial(rng: random.Random, n: int, max_degree: int) -> Monomial:

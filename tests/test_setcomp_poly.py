@@ -16,11 +16,11 @@ from collisionlab.setcomp_poly import (
     assemble_q3,
     expected_acceptance3_mc,
     gamma3_closed,
-    mixed_monomials,
     prefactor3,
     q_tilde3,
     theta_poly,
 )
+from helpers import mixed_monomials
 
 
 def random_mixed_monomial(rng: random.Random, n: int, max_degree: int) -> Monomial:

@@ -399,6 +399,34 @@ def test_compose_matches_dense_product():
     assert all(col == sorted(col, key=lambda rv: rv[0]) for col in product.cols)
 
 
+
+def test_composed_layers_carry_the_integer_form_of_their_entries(monkeypatch):
+    composed = []
+    compose = Layer.compose
+
+    def recording(self, inner):
+        composed.append(compose(self, inner))
+        assert composed[-1]._int_cols is not None  # compose keeps the product's form
+        return composed[-1]
+
+    monkeypatch.setattr(Layer, "compose", recording)
+    setcomp_probe(8)
+    two_query_mixer(8)
+    assert composed
+    for layer in composed:
+        D, int_cols = layer.int_cols()
+        assert [[row for row, _, _ in col] for col in int_cols] == [
+            [row for row, _ in col] for col in layer.cols
+        ]
+        assert all(
+            QSqrt2.over(A, B, D) == v
+            for icol, col in zip(int_cols, layer.cols)
+            for (_, A, B), (_, v) in zip(icol, col)
+        )
+        rebuilt = Layer(layer.dim, layer.cols)
+        assert rebuilt.int_cols() == (D, int_cols)
+        assert rebuilt.is_orthogonal() == layer.is_orthogonal()
+
 def test_layer_json_round_trip():
     space = StateSpace(index_size=3, workspace_bits=1, answer_bits=1)
     layer = random_orthogonal_layer(space, random.Random(3))
