@@ -83,6 +83,17 @@ def config_echo(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def report(args, results, rows: list[dict], summary: str | None, header: list[str] | None = None) -> None:
+    """The one output path: render the report (JSON from results, CSV from
+    rows), write it to --output if given, print the summary line if there
+    is one, and put the report on stdout when there is no --output."""
+    text = emit_report(config_echo(args), results, rows, args.format, args.output, CONSTANTS, header)
+    if summary:
+        print(summary)
+    if not args.output:
+        sys.stdout.write(text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -92,11 +103,8 @@ def cmd_lattice(args) -> int:
     grid = super_quasilattice_points if args.super_points else quasilattice_points
     slack = {} if args.slack is None else {"slack": args.slack}  # else the grid's default
     rows = [p._asdict() for p in grid(args.n, args.T, args.G, **slack)]
-    text = emit_report(config_echo(args), rows, rows, args.format, args.output, constants=CONSTANTS)
-    if args.output:
-        print(f"wrote {len(rows)} points to {args.output}")
-    else:
-        sys.stdout.write(text)
+    summary = f"wrote {len(rows)} points to {args.output}"
+    report(args, rows, rows, summary if args.output else None)
     return EXIT_OK
 
 
@@ -138,11 +146,8 @@ def cmd_simulate(args) -> int:
         "mode": args.mode,
         "acceptance_probability": result["acceptance_probability"],
     }
-    text = emit_report(config_echo(args), result, [row], args.format, args.output, constants=CONSTANTS)
-    if args.output:
-        print("acceptance_probability =", render_number(result["acceptance_probability"]))
-    else:
-        sys.stdout.write(text)
+    summary = f"acceptance_probability = {render_number(result['acceptance_probability'])}"
+    report(args, result, [row], summary if args.output else None)
     return EXIT_OK
 
 
@@ -165,11 +170,8 @@ def cmd_extract(args) -> int:
         }
         for m, c in poly.sorted_terms()
     ]
-    text = emit_report(config_echo(args), result, rows, args.format, args.output, constants=CONSTANTS)
-    if args.output:
-        print(f"degree {poly.degree}, {len(poly.terms)} terms -> {args.output}")
-    else:
-        sys.stdout.write(text)
+    summary = f"degree {poly.degree}, {len(poly.terms)} terms -> {args.output}"
+    report(args, result, rows, summary if args.output else None)
     return EXIT_OK
 
 
@@ -193,13 +195,8 @@ def cmd_verify_gamma(args) -> int:
                 rows.append({"n": n, **point._asdict(), "monomial": monomial_label(m),
                              "closed": c, "brute": b, "equal": equal})
     result = {"all_equal": all_equal, "cases": len(rows)}
-    text = emit_report(
-        config_echo(args), {"summary": result, "rows": rows}, rows, args.format,
-        args.output, constants=CONSTANTS,
-    )
-    print(f"all equal: {str(all_equal).lower()} ({len(rows)} cases)")
-    if not args.output:
-        sys.stdout.write(text)
+    report(args, {"summary": result, "rows": rows}, rows,
+           f"all equal: {str(all_equal).lower()} ({len(rows)} cases)")
     return EXIT_OK if all_equal else EXIT_FAILURE
 
 
@@ -225,17 +222,14 @@ def cmd_verify_identity(args) -> int:
             }
         )
     result = {"algorithm": alg.name, "identity_exact": exact_everywhere, "points": rows}
-    text = emit_report(config_echo(args), result, rows, args.format, args.output, constants=CONSTANTS)
-    print(f"identity exact: {str(exact_everywhere).lower()} ({len(rows)} points)")
-    if not args.output:
-        sys.stdout.write(text)
+    report(args, result, rows, f"identity exact: {str(exact_everywhere).lower()} ({len(rows)} points)")
     return EXIT_OK if exact_everywhere else EXIT_FAILURE
 
 
 def cmd_chain(args) -> int:
     if args.negative_control:
         steep = LatticePoly(2, {(1, 0): Fraction(args.steepness)})
-        report = chain_report_for_poly(
+        chain = chain_report_for_poly(
             steep, n=args.control_n, T=args.control_T, G=args.control_G,
             label="negative-control-steep-poly",
         )
@@ -243,19 +237,17 @@ def cmd_chain(args) -> int:
         if not args.algorithm:
             raise ConfigError("chain needs --algorithm or --negative-control")
         alg = load_algorithm(args.algorithm)
-        report = verify_inequality_chain(
+        chain = verify_inequality_chain(
             alg, G=args.G, mc_samples=args.mc_samples, seed=args.seed, cap=args.enum_cap
         )
-    header, point_rows = report.csv_rows()
+    header, point_rows = chain.csv_rows()
     rows = [dict(zip(header, row)) for row in point_rows]
-    text = emit_report(config_echo(args), report.to_json(), rows, args.format, args.output, constants=CONSTANTS)
-    print(
-        f"chain[{report.algorithm}] d={report.d_value:.6g} "
-        f"bound={report.derived_bound:.6g} 2T={2 * report.T} "
-        f"consistent={str(report.consistent).lower()}"
+    summary = (
+        f"chain[{chain.algorithm}] d={chain.d_value:.6g} "
+        f"bound={chain.derived_bound:.6g} cap={chain.degree_cap} "
+        f"consistent={str(chain.consistent).lower()}"
     )
-    if not args.output:
-        sys.stdout.write(text)
+    report(args, chain.to_json(), rows, summary, header=header)
     return EXIT_OK
 
 
@@ -284,36 +276,29 @@ def cmd_setcomp(args) -> int:
         raise ConfigError("setcomp needs --instance, --equal, --disjoint or --boundary")
     result: dict = {"n": n, "union_size": set_union_size(inst), "mode": args.mode}
     if args.mode == "shots":
-        decision = erasing_setcomp_decide(inst, "shots", shots=args.shots, rng=rng)
-        result["decision"] = decision
+        result["decision"] = erasing_setcomp_decide(inst, "shots", shots=args.shots, rng=rng)
+        summary = f"decision = {result['decision']}"
     else:
-        p = erasing_setcomp_decide(inst, args.mode)
-        result["outcome1_probability"] = p
-    rows = [dict(result)]
-    text = emit_report(config_echo(args), result, rows, args.format, args.output, constants=CONSTANTS)
-    if "outcome1_probability" in result:
-        print("P(1) =", render_number(result["outcome1_probability"]))
-    else:
-        print("decision =", result["decision"])
-    if not args.output:
-        sys.stdout.write(text)
+        result["outcome1_probability"] = p = erasing_setcomp_decide(inst, args.mode)
+        summary = f"P(1) = {render_number(p)}"
+    report(args, result, [dict(result)], summary)
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    rows = []
-    for algorithm in args.algorithms.split(","):
-        for n in (int(s) for s in args.sizes.split(",")):
-            rows.append(
-                collision_benchmark(
-                    algorithm.strip(), n, args.trials, args.seed, budget=args.budget
-                )
-            )
-    text = emit_report(config_echo(args), rows, rows, args.format, args.output, constants=CONSTANTS)
-    if args.output:
-        print(f"wrote {len(rows)} benchmark rows to {args.output}")
-    else:
-        sys.stdout.write(text)
+    sizes = []
+    for entry in args.sizes.split(","):
+        try:
+            sizes.append(int(entry))
+        except ValueError:
+            raise ConfigError(f"--sizes entry {entry!r} is not an integer") from None
+    rows = [
+        collision_benchmark(algorithm.strip(), n, args.trials, args.seed, budget=args.budget)
+        for algorithm in args.algorithms.split(",")
+        for n in sizes
+    ]
+    summary = f"wrote {len(rows)} benchmark rows to {args.output}"
+    report(args, rows, rows, summary if args.output else None)
     return EXIT_OK
 
 
@@ -420,15 +405,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EnumerationTooLarge as exc:
+    except (EnumerationTooLarge, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        if isinstance(exc, EnumerationTooLarge):
+            return EXIT_CAP
+        return EXIT_BAD_CONFIG if isinstance(exc, ConfigError) else EXIT_FAILURE
 
 
 if __name__ == "__main__":

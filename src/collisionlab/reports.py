@@ -40,12 +40,8 @@ def jsonable(v):
     return v
 
 
-def report_payload(config: dict, results, constants: dict | None = None) -> dict:
-    payload = {"config": jsonable(config)}
-    if constants is not None:
-        payload["constants"] = jsonable(constants)
-    payload["results"] = jsonable(results)
-    return payload
+def report_payload(config: dict, results, constants: dict) -> dict:
+    return {"config": jsonable(config), "constants": jsonable(constants), "results": jsonable(results)}
 
 
 def render_json(payload: dict) -> str:
@@ -73,21 +69,20 @@ def render_csv(config: dict, rows: list[dict], header: list[str] | None = None) 
 def emit_report(
     config: dict,
     results,
-    rows: list[dict] | None,
+    rows: list[dict],
     fmt: str,
     output: str | None,
-    constants: dict | None = None,
+    constants: dict,
     header: list[str] | None = None,
 ) -> str:
     """Render and optionally write one report; returns the rendered text.
 
-    JSON carries the full structured results; CSV carries the flat rows.
+    JSON carries the full structured results and the constants; CSV
+    carries the flat rows.
     """
     if fmt == "json":
         text = render_json(report_payload(config, results, constants))
     elif fmt == "csv":
-        if rows is None:
-            raise ValueError("this report has no tabular form")
         text = render_csv(config, rows, header)
     else:
         raise ValueError(f"unknown format {fmt!r}")

@@ -250,6 +250,7 @@ def test_invalid_config_exits_2(capsys):
         (["verify-gamma", "--n", "4", "--max-N", "2", "--max-degree", "1"],
          "--n 4 exceeds --max-N 2"),
         (["bench", "--budget", "-1"], "need budget >= 0, got budget=-1"),
+        (["bench", "--sizes", "27,x"], "--sizes entry 'x' is not an integer"),
     ],
 )
 def test_semantic_config_errors_exit_2(args, message, capsys):
@@ -321,6 +322,25 @@ def test_unknown_algorithm_exits_1(capsys):
     code, _, err = run(["chain", "--algorithm", "nope"], capsys)
     assert code == 1
     assert "unknown reference algorithm" in err
+
+
+def test_negative_control_csv_has_the_header_row(tmp_path, capsys):
+    out = tmp_path / "control.csv"
+    code, _, _ = run(["chain", "--negative-control", "--format", "csv", "--output", str(out)], capsys)
+    assert code == 0
+    assert out.read_text().splitlines()[1:] == ["g,N,P,q,prefactor,abs_dev"]
+
+
+def test_chain_summary_names_the_degree_cap_of_the_family(tmp_path, capsys):
+    out = tmp_path / "chain.json"
+    code, stdout, _ = run(
+        ["chain", "--algorithm", "setcomp-probe-8", "--mc-samples", "50", "--output", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert " cap=8 " in stdout
+    results = json.loads(out.read_text())["results"]
+    assert (results["degree_cap"], results["two_T"]) == (8, 2)
 
 
 def test_empty_csv_has_header_only():
