@@ -222,14 +222,25 @@ class Layer:
         layer._int_cols = (D, int_cols)
         return layer
 
-    def to_json(self) -> list[list[list[str]]]:
-        return [[v.to_strings() for v in row] for row in self.to_dense()]
+    def to_json(self) -> dict:
+        """Sparse form {"dim": dim, "cols": [[[row, "a", "b"], ...], ...]}:
+        each column's nonzero entries a + b sqrt(2), rows ascending."""
+        return {"dim": self.dim, "cols": [
+            [[r, *v.to_strings()] for r, v in sorted(col, key=lambda e: e[0]) if not v.is_zero()]
+            for col in self.cols
+        ]}
 
     @staticmethod
-    def from_json(rows) -> "Layer":
-        """Inverse of to_json.  Literal zero entries are skipped unparsed;
-        every other entry must be an ["a", "b"] pair of rationals."""
-        dim = len(rows)
+    def from_json(doc) -> "Layer":
+        """Inverse of to_json; also reads the dense form, a list of rows of
+        ["a", "b"] pairs.  Both forms feed one loop over (row, col, pair)
+        triples, and an entry that parses to zero is dropped."""
+        if isinstance(doc, dict):
+            dim = json_field(doc, "dim")
+            entries = _sparse_entries(dim, json_field(doc, "cols", list))
+        else:
+            dim = len(doc)
+            entries = _dense_entries(doc)
         cols: list[list[tuple[int, QSqrt2]]] = [[] for _ in range(dim)]
         parsed: dict[str, Fraction] = {}
 
@@ -239,18 +250,43 @@ class Layer:
                 f = parsed[text] = parse_fraction(text)
             return f
 
-        for r, row in enumerate(rows):
-            if len(row) != dim:
-                raise ValueError("matrix must be square")
-            for c, entry in enumerate(row):
-                if entry == _ZERO_ENTRY:
-                    continue
-                if len(entry) != 2:
-                    raise ValueError(f"expected [a, b] entry, got {entry!r}")
-                v = QSqrt2(fraction(entry[0]), fraction(entry[1]))
-                if not v.is_zero():
-                    cols[c].append((r, v))
+        for r, c, pair in entries:
+            if len(pair) != 2:
+                raise ValueError(f"expected [a, b] entry, got {pair!r}")
+            v = QSqrt2(fraction(pair[0]), fraction(pair[1]))
+            if not v.is_zero():
+                cols[c].append((r, v))
         return Layer(dim, cols)
+
+
+def _sparse_entries(dim: int, cols):
+    """(row, col, pair) for each [row, "a", "b"] entry of the sparse form,
+    column by column; rows must ascend within each column."""
+    if len(cols) != dim:
+        raise ValueError(f"expected {dim} columns, got {len(cols)}")
+    for c, col in enumerate(cols):
+        last = -1
+        for r, *pair in col:
+            if type(r) is not int:
+                raise ValueError(f"column {c}: row must be an integer, got {r!r}")
+            if not 0 <= r < dim:
+                raise ValueError(f"column {c}: row {r} out of range 0..{dim - 1}")
+            if r <= last:
+                raise ValueError(f"column {c}: row {r} does not follow row {last}")
+            last = r
+            yield r, c, pair
+
+
+def _dense_entries(rows):
+    """(row, col, pair) for each entry of the dense form but literal zeros,
+    which are skipped unparsed."""
+    dim = len(rows)
+    for r, row in enumerate(rows):
+        if len(row) != dim:
+            raise ValueError("matrix must be square")
+        for c, entry in enumerate(row):
+            if entry != _ZERO_ENTRY:
+                yield r, c, entry
 
 
 _ZERO_ENTRY = ZERO.to_strings()

@@ -93,3 +93,20 @@ def grover_success_probability(num_marked: int, size: int, iterations: int) -> f
         return 0.0
     theta = math.asin(math.sqrt(num_marked / size))
     return math.sin((2 * iterations + 1) * theta) ** 2
+
+
+# ---------------------------------------------------------------------------
+# the dense circuit-file form
+# ---------------------------------------------------------------------------
+
+
+def dense_layer_json(layer) -> list[list[list[str]]]:
+    """A layer in the dense file form: every row in full, zeros included,
+    as ["p/q", "r/s"] pairs.  Circuit files written before the sparse form
+    look like this, and Layer.from_json still reads it."""
+    return [[v.to_strings() for v in row] for row in layer.to_dense()]
+
+
+def dense_algorithm_json(alg) -> dict:
+    """alg.to_json() with every layer in the dense form."""
+    return {**alg.to_json(), "layers": [dense_layer_json(layer) for layer in alg.layers]}

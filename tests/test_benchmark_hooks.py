@@ -11,11 +11,11 @@ from collisionlab.instances import count_supports, divisor_points
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def load_tracer():
+def load_tracer(timing=False):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.Tracer(timing=False)
+    return module.Tracer(timing=timing)
 
 
 def current(owner, attr):
@@ -73,3 +73,25 @@ def test_verify_gamma_enumerates_through_the_traced_name(tmp_path):
     assert code == 0
     swept = sum(count_supports(point, n) for n in (4, 6) for point in divisor_points(n, 8))
     assert tracer.counts["gamma"]["instances.latent_draws"] == swept
+
+
+def test_chain_on_a_circuit_file_loads_through_the_traced_name(tmp_path):
+    # One simulator.load span per run, holding the orthogonality check of
+    # every layer it reads, keeps the cost of reading a circuit file
+    # visible per layer in a traced run.
+    alg = coincidence_probe(4)
+    path = tmp_path / "coincidence4.json"
+    alg.dump(path)
+    tracer = load_tracer(timing=True)
+    tracer.install()
+    try:
+        tracer.job = "file"
+        code = cli.main(["chain", "--algorithm", f"@{path}", "--G", "2", "--mc-samples", "10",
+                         "--output", str(tmp_path / "chain.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    loads = [sid for sid, span in enumerate(tracer.spans) if span[0] == "simulator.load"]
+    assert len(loads) == 1
+    checks = [span for span in tracer.spans if span[0] == "simulator.is_orthogonal"]
+    assert sum(1 for span in checks if span[3] == loads[0]) == alg.T + 1

@@ -273,6 +273,16 @@ def test_negative_enum_cap_env_exits_2(monkeypatch, capsys):
     assert "COLLISIONLAB_ENUM_CAP must be >= 0, got -1" in err
 
 
+def circuit_with_layer(layer) -> dict:
+    """A one-layer circuit file whose only layer is `layer`.  The layer
+    need not fit the state space: a malformed layer fails to parse first."""
+    return {"index_size": 4, "workspace_bits": 2, "answer_offset": 0, "answer_bits": 2,
+            "kind": "collision", "n": 4, "T": 0, "oracle_kind": "standard", "layers": [layer]}
+
+
+ROW0, ROW1 = [0, "1/1", "0/1"], [1, "1/1", "0/1"]
+
+
 @pytest.mark.parametrize("args, doc, message", [
     (["simulate", "--algorithm", "@{path}", "--point", "2,4"], {}, "missing field 'index_size'"),
     (["simulate", "--algorithm", "@{path}", "--point", "2,4"],
@@ -286,6 +296,28 @@ def test_negative_enum_cap_env_exits_2(monkeypatch, capsys):
     (["simulate", "--algorithm", "coincidence-4", "--instance", "{path}"],
      {"kind": "collision", "n": 4, "x": [1, 2.5, 3, 4]}, "field 'x': expected an integer, got 2.5"),
     (["setcomp", "--instance", "{path}"], {"kind": "collision", "n": 2}, "missing field 'x'"),
+    # Malformed sparse layers.
+    (["simulate", "--algorithm", "@{path}", "--point", "2,4"],
+     circuit_with_layer({"dim": 2, "cols": [[ROW0], [[2, "1/1", "0/1"]]]}),
+     "field 'layers': column 1: row 2 out of range 0..1"),
+    (["simulate", "--algorithm", "@{path}", "--point", "2,4"],
+     circuit_with_layer({"dim": 2, "cols": [[ROW0, ROW0], [ROW1]]}),
+     "field 'layers': column 0: row 0 does not follow row 0"),
+    (["simulate", "--algorithm", "@{path}", "--point", "2,4"],
+     circuit_with_layer({"dim": 2, "cols": [[ROW1, ROW0], [ROW1]]}),
+     "field 'layers': column 0: row 0 does not follow row 1"),
+    (["simulate", "--algorithm", "@{path}", "--point", "2,4"],
+     circuit_with_layer({"dim": 2, "cols": [[[True, "1/1", "0/1"]], [ROW1]]}),
+     "field 'layers': column 0: row must be an integer, got True"),
+    (["simulate", "--algorithm", "@{path}", "--point", "2,4"],
+     circuit_with_layer({"dim": 2, "cols": [[ROW0], [[2.0, "1/1", "0/1"]]]}),
+     "field 'layers': column 1: row must be an integer, got 2.0"),
+    (["simulate", "--algorithm", "@{path}", "--point", "2,4"],
+     circuit_with_layer({"dim": 2, "cols": [[ROW0]]}),
+     "field 'layers': expected 2 columns, got 1"),
+    (["simulate", "--algorithm", "@{path}", "--point", "2,4"],
+     circuit_with_layer({"dim": 2, "cols": [[ROW0 + ["0/1"]], [ROW1]]}),
+     "field 'layers': expected [a, b] entry, got ['1/1', '0/1', '0/1']"),
 ])
 def test_malformed_input_file_exits_1_naming_the_field(args, doc, message, tmp_path):
     import os

@@ -31,6 +31,7 @@ from collisionlab.simulator import (
     erasing_space,
     sample_measurement,
 )
+from helpers import dense_layer_json
 
 
 def inner_product(a: StateVector, b: StateVector) -> QSqrt2:
@@ -430,17 +431,23 @@ def test_composed_layers_carry_the_integer_form_of_their_entries(monkeypatch):
 def test_layer_json_round_trip():
     space = StateSpace(index_size=3, workspace_bits=1, answer_bits=1)
     layer = random_orthogonal_layer(space, random.Random(3))
-    loaded = Layer.from_json(layer.to_json())
+    loaded = Layer.from_json(dense_layer_json(layer))
     assert loaded.dim == layer.dim
     assert loaded.cols == layer.cols
     # A zero written in another form is parsed and dropped like "0/1".
-    doc = Layer.identity(2).to_json()
+    doc = dense_layer_json(Layer.identity(2))
     doc[0][1] = ["0/5", "-0/3"]
+    assert Layer.from_json(doc).cols == Layer.identity(2).cols
+    # The sparse form that to_json writes reads back to the same columns,
+    # and drops a zero written out the same way.
+    assert Layer.from_json(layer.to_json()).cols == layer.cols
+    doc = Layer.identity(2).to_json()
+    doc["cols"][0].append([1, "0/5", "-0/3"])
     assert Layer.from_json(doc).cols == Layer.identity(2).cols
 
 
 def test_layer_from_json_rejects_malformed_input():
-    doc = Layer.identity(3).to_json()
+    doc = dense_layer_json(Layer.identity(3))
     with pytest.raises(ValueError, match="square"):
         Layer.from_json([row[:2] for row in doc])
     with pytest.raises(ValueError, match="square"):
