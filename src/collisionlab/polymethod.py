@@ -76,10 +76,37 @@ def extract_polynomial(alg: QueryAlgorithm) -> MultilinearPoly:
     canonical factor tuples to (A, B), meaning (A + B sqrt(2)) / D, where
     D is the product of the layer denominators (Layer.int_cols) applied
     so far; a query only extends monomials and leaves D unchanged.
+
+    Squaring runs on integer arrays.  The monomials of the accepting
+    amplitudes are numbered 0..K-1 in first-seen order.  Each
+    amplitude's upper-triangle pairs (p, q >= p) give a pair key
+    min * K + max and the products of their coefficients; the products
+    are summed per key, and the keys keep the order in which they first
+    appear.  A K x (positions) table of the value each monomial pins
+    (0: free) finds the pairs whose factors conflict and gives each
+    merged monomial one integer code, under which the diagonal sums and
+    the doubled cross sums are added.  Each surviving monomial is
+    multiplied out once, from its first pair.  So the terms, and their
+    order, are those of a dict filled pair by pair: assemble_grid_poly,
+    and through it LatticePoly.evaluate_float, add in that order.  The
+    sums are int64 while 6 max|coef|^2 pairs fits in it, and the codes
+    while the largest possible code does; past either bound the same
+    arrays hold Python ints.  Only the table of pinned values takes the
+    narrowest type that holds the largest value.
     Coefficients become Fractions once, over D^2, after squaring.
     """
     if alg.oracle_kind != "standard":
         raise ValueError("polynomial extraction is defined for standard-oracle algorithms")
+    accept = _square_accepting(*_propagate(alg))
+    if accept.degree > 2 * alg.T:
+        raise AssertionError("extracted degree exceeds 2T; extraction bug")
+    return accept
+
+
+def _propagate(alg: QueryAlgorithm) -> tuple[dict[int, dict[tuple, tuple[int, int]]], int]:
+    """(amps, D) after the last layer: amps maps each basis-state ordinal
+    with a nonzero amplitude to its polynomial, canonical factor tuple ->
+    (A, B), meaning (A + B sqrt(2)) / D."""
     space = alg.space
     stride = space.index_size * 2
     alphabet = range(1, alg.alphabet_size + 1)
@@ -131,46 +158,107 @@ def extract_polynomial(alg: QueryAlgorithm) -> MultilinearPoly:
         amps = _nonzero(out)
         apply_layer(alg.layers[t])
 
-    # Square each accepting amplitude: diagonal terms once (Delta^2 =
-    # Delta), cross terms i < j doubled.  Monomials are numbered so the
-    # products of one pair add up over every accepting amplitude first;
-    # each distinct pair is then multiplied out once.
+    return amps, D
+
+
+def _square_accepting(amps: dict[int, dict[tuple, tuple[int, int]]], D: int) -> MultilinearPoly:
+    """Sum of the squared accepting amplitudes, over D^2: diagonal pairs
+    once (Delta^2 = Delta), cross pairs doubled.  See extract_polynomial
+    for the method."""
     number: dict[tuple, int] = {}
     accepting = [
         [(number.setdefault(m, len(number)), a, b) for m, (a, b) in poly.items()]
         for ordinal, poly in amps.items()
         if ordinal & 1  # output register holds 2
     ]
-    K = len(number)
-    pair_sums: dict[int, tuple[int, int]] = {}
-    for terms in accepting:
-        for p, (i, a1, b1) in enumerate(terms):
-            for j, a2, b2 in terms[p:]:
-                key = i * K + j if i <= j else j * K + i
-                cur = pair_sums.get(key)
-                pa = a1 * a2 + 2 * b1 * b2
-                pb = a1 * b2 + b1 * a2
-                pair_sums[key] = (pa, pb) if cur is None else (cur[0] + pa, cur[1] + pb)
     monomials = list(number)
-    total: dict[tuple, tuple[int, int]] = {}
-    for key, (a, b) in pair_sums.items():
-        i, j = divmod(key, K)
-        if i == j:
-            m = monomials[i]
-        else:
-            m = _merge_factors(monomials[i], monomials[j])
-            if m is None:
-                continue
-            a, b = 2 * a, 2 * b
-        cur = total.get(m)
-        total[m] = (a, b) if cur is None else (cur[0] + a, cur[1] + b)
+    K = len(monomials)
+    pairs = sum(len(terms) * (len(terms) + 1) // 2 for terms in accepting)
+    if not pairs:
+        return MultilinearPoly()
+    # No sum below exceeds 6 max|coef|^2 pairs in absolute value.
+    big = max(max(abs(a), abs(b)) for terms in accepting for _, a, b in terms)
+    coef = _int64_or_object(6 * big * big * pairs)
+
+    # Pair products of each amplitude, summed per pair key, in the order
+    # in which the keys first appear.
+    keys = np.empty(pairs, dtype=np.int64)
+    prod_a = np.empty(pairs, dtype=coef)
+    prod_b = np.empty(pairs, dtype=coef)
+    end = 0
+    for terms in accepting:
+        idx, a, b = zip(*terms)
+        idx = np.array(idx, dtype=np.int64)
+        a, b = np.array(a, dtype=coef), np.array(b, dtype=coef)
+        p, q = np.triu_indices(len(terms))
+        part = slice(end, end + len(p))
+        end += len(p)
+        ip, iq, ap, aq, bp, bq = idx[p], idx[q], a[p], a[q], b[p], b[q]
+        keys[part] = np.minimum(ip, iq) * K + np.maximum(ip, iq)
+        prod_a[part] = ap * aq + 2 * bp * bq
+        prod_b[part] = ap * bq + bp * aq
+    first, sum_a, sum_b = _grouped(keys, prod_a, prod_b)
+    i, j = np.divmod(keys[first], K)
+    del keys, prod_a, prod_b
+
+    # Merge each pair on a table of pinned values (0: free), one column
+    # per (register, position); a merged monomial's code is the Horner
+    # number of its factors' indices, base F + 1 for F distinct factors.
+    slots = sorted({f[:2] for m in monomials for f in m})
+    factors = sorted({f for m in monomials for f in m})
+    top = max((f[2] for f in factors), default=0)
+    column = {slot: c for c, slot in enumerate(slots)}
+    table = np.zeros((K, len(slots)), dtype=np.min_scalar_type(top))
+    for k, m in enumerate(monomials):
+        for f in m:
+            table[k, column[f[:2]]] = f[2]
+    base = len(factors) + 1
+    max_degree = 2 * max(len(m) for m in monomials)
+    code_type = _int64_or_object(base ** max_degree - 1)
+    digits = np.zeros((len(slots), top + 1), dtype=code_type)
+    for d, f in enumerate(factors, 1):
+        digits[column[f[:2]], f[2]] = d
+    ti, tj = table[i], table[j]
+    keep = ~((ti != tj) & (ti != 0) & (tj != 0)).any(axis=1)
+    merged = np.maximum(ti, tj)
+    code = np.zeros(len(i), dtype=code_type)
+    for c in range(len(slots)):
+        v = merged[:, c]
+        hit = v != 0
+        code[hit] = code[hit] * base + digits[c, v[hit]]
+    i, j, sum_a, sum_b = i[keep], j[keep], sum_a[keep], sum_b[keep]
+    cross = i != j
+    sum_a[cross] *= 2
+    sum_b[cross] *= 2
+    first, total_a, total_b = _grouped(code[keep], sum_a, sum_b)
     d2 = D * D
-    accept = MultilinearPoly({
-        Monomial(m): QSqrt2.over(a, b, d2) for m, (a, b) in total.items() if a or b
+    return MultilinearPoly({
+        Monomial(_merge_factors(monomials[i[f]], monomials[j[f]])): QSqrt2.over(a, b, d2)
+        for f, a, b in zip(first.tolist(), total_a.tolist(), total_b.tolist())
+        if a or b
     })
-    if accept.degree > 2 * alg.T:
-        raise AssertionError("extracted degree exceeds 2T; extraction bug")
-    return accept
+
+
+def _int64_or_object(bound: int):
+    """int64 if it holds every integer of absolute value up to bound,
+    else object: Python ints, exact at any size."""
+    return np.int64 if bound <= np.iinfo(np.int64).max else object
+
+
+def _grouped(keys: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Sum a and b per distinct key.  Returns (first, sums of a, sums of
+    b), one entry per key in the order in which the keys first appear,
+    with first the position of that first appearance.  The sort is
+    stable, so a key's first entry in sorted order is its first
+    appearance."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    first = order[starts]
+    seen = np.argsort(first, kind="stable")
+    sum_a = np.add.reduceat(a[order], starts)[seen]
+    sum_b = np.add.reduceat(b[order], starts)[seen]
+    return first[seen], sum_a, sum_b
 
 
 def _add(out: dict, target: int, m: tuple, c: tuple[int, int]) -> None:
@@ -476,10 +564,14 @@ def _exact_acceptances(
     return A, B, D
 
 
+def _mean(A: Sequence[int], B: Sequence[int], D: int) -> QSqrt2:
+    """The exact mean of the values (A[s] + B[s] sqrt(2)) / D."""
+    return QSqrt2.over(sum(A), sum(B), D * len(A))
+
+
 def mean_acceptance(obj, instances: Iterable[Instance]) -> QSqrt2:
     """Exact average acceptance over the given instances."""
-    A, B, D = _exact_acceptances(obj, instances)
-    return QSqrt2.over(sum(A), sum(B), D * len(A))
+    return _mean(*_exact_acceptances(obj, instances))
 
 
 def mean_acceptance_mc(obj, draws: Iterable[Instance]) -> tuple[float, float]:
@@ -497,8 +589,15 @@ def expected_acceptance(obj, point, n: int, cap: int | None = None) -> QSqrt2:
     point, (g, N) or (g, N, M).
 
     obj is a QueryAlgorithm (simulated per draw) or an extracted
-    MultilinearPoly (evaluated over all draws in one batch).
+    MultilinearPoly (evaluated over all draws in one batch, read from
+    enumerate_rows into one table without building an Instance per draw).
     """
+    if isinstance(obj, MultilinearPoly):
+        # a (g, N) row holds x; a (g, N, M) row holds x, then y
+        rows = enumerate_rows(point, n, cap)
+        return _mean(*obj.evaluate_batch(
+            _draw_table(rows, n * (len(point) - 1), np.min_scalar_type(2 * n)), n
+        ))
     return mean_acceptance(obj, latent_instances(point, n, cap))
 
 

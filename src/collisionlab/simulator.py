@@ -576,9 +576,9 @@ class QueryAlgorithm:
         )
 
     def dump(self, path):
+        # unindented, so json.dumps runs its C encoder over the whole document
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json()) + "\n")
 
     @staticmethod
     def load(path) -> "QueryAlgorithm":

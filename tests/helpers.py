@@ -13,7 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from collisionlab.instances import Instance
-from collisionlab.multilinear import REGISTERS, Monomial, monomials_over
+from collisionlab.multilinear import REGISTERS, Monomial, MultilinearPoly, monomials_over
+from collisionlab.polymethod import _merge_factors
+from collisionlab.qsqrt2 import QSqrt2
 
 
 # ---------------------------------------------------------------------------
@@ -110,3 +112,51 @@ def dense_layer_json(layer) -> list[list[list[str]]]:
 def dense_algorithm_json(alg) -> dict:
     """alg.to_json() with every layer in the dense form."""
     return {**alg.to_json(), "layers": [dense_layer_json(layer) for layer in alg.layers]}
+
+
+# ---------------------------------------------------------------------------
+# squaring the accepting amplitudes, one pair at a time
+# ---------------------------------------------------------------------------
+
+
+def square_accepting_reference(amps: dict, D: int) -> MultilinearPoly:
+    """The squaring step of extract_polynomial written with dicts, pair
+    by pair: the reference that the array form must match term for term
+    and in order.  amps and D are as polymethod._propagate returns them."""
+    # Square each accepting amplitude: diagonal terms once (Delta^2 =
+    # Delta), cross terms i < j doubled.  Monomials are numbered so the
+    # products of one pair add up over every accepting amplitude first;
+    # each distinct pair is then multiplied out once.
+    number: dict[tuple, int] = {}
+    accepting = [
+        [(number.setdefault(m, len(number)), a, b) for m, (a, b) in poly.items()]
+        for ordinal, poly in amps.items()
+        if ordinal & 1  # output register holds 2
+    ]
+    K = len(number)
+    pair_sums: dict[int, tuple[int, int]] = {}
+    for terms in accepting:
+        for p, (i, a1, b1) in enumerate(terms):
+            for j, a2, b2 in terms[p:]:
+                key = i * K + j if i <= j else j * K + i
+                cur = pair_sums.get(key)
+                pa = a1 * a2 + 2 * b1 * b2
+                pb = a1 * b2 + b1 * a2
+                pair_sums[key] = (pa, pb) if cur is None else (cur[0] + pa, cur[1] + pb)
+    monomials = list(number)
+    total: dict[tuple, tuple[int, int]] = {}
+    for key, (a, b) in pair_sums.items():
+        i, j = divmod(key, K)
+        if i == j:
+            m = monomials[i]
+        else:
+            m = _merge_factors(monomials[i], monomials[j])
+            if m is None:
+                continue
+            a, b = 2 * a, 2 * b
+        cur = total.get(m)
+        total[m] = (a, b) if cur is None else (cur[0] + a, cur[1] + b)
+    d2 = D * D
+    return MultilinearPoly({
+        Monomial(m): QSqrt2.over(a, b, d2) for m, (a, b) in total.items() if a or b
+    })

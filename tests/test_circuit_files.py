@@ -60,3 +60,10 @@ def test_dump_is_a_fixed_point_and_lists_only_nonzeros(mixer8_files, tmp_path):
     assert [sum(len(col) for col in layer["cols"]) for layer in layers] == MIXER8_NNZ
     zero = ["0/1", "0/1"]
     assert not any(entry[1:] == zero for layer in layers for col in layer["cols"] for entry in col)
+
+
+def test_dump_writes_one_unindented_line(mixer8_files):
+    _, _, sparse = mixer8_files
+    text = sparse.read_text(encoding="utf-8")
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    assert len(text.encode("utf-8")) == 174_068

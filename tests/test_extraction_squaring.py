@@ -1,0 +1,192 @@
+"""The array squaring step of extract_polynomial against the pair-by-pair
+dict form in helpers: the same terms, the same coefficients, the same
+order.  The q assembly and the float evaluation add terms in that order,
+so equal polynomials are not enough."""
+
+import random
+
+import pytest
+
+from collisionlab import instances, polymethod
+from collisionlab.circuits import (
+    REFERENCE_BUILDERS,
+    collision_space,
+    coincidence_probe,
+    random_orthogonal_layer,
+)
+from collisionlab.instances import QuasilatticePoint, SuperQuasilatticePoint
+from collisionlab.multilinear import IndicatorVariable as IV
+from collisionlab.polymethod import (
+    _propagate,
+    _square_accepting,
+    expected_acceptance,
+    extract_polynomial,
+)
+from collisionlab.simulator import QueryAlgorithm
+from helpers import square_accepting_reference
+
+INT64_MAX = 2**63 - 1
+
+
+def ordered_terms(poly):
+    return list(poly.terms.items())
+
+
+def assert_same_squares(amps, D):
+    got = ordered_terms(_square_accepting(amps, D))
+    want = ordered_terms(square_accepting_reference(amps, D))
+    assert got == want
+
+
+def random_two_query_circuit(seed: int, n: int = 4) -> QueryAlgorithm:
+    rng = random.Random(seed)
+    space = collision_space(n)
+    return QueryAlgorithm(
+        name=f"random_two_query_{seed}", kind="collision", n=n, T=2, oracle_kind="standard",
+        space=space, layers=[random_orthogonal_layer(space, rng, stages=40) for _ in range(3)],
+    )
+
+
+CIRCUITS = {
+    **REFERENCE_BUILDERS,
+    "coincidence_probe(8)": lambda: coincidence_probe(8),
+    **{f"random two-query, seed {s}": (lambda s=s: random_two_query_circuit(s)) for s in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", list(CIRCUITS))
+def test_squaring_matches_the_reference_in_order(name):
+    amps, D = _propagate(CIRCUITS[name]())
+    assert_same_squares(amps, D)
+
+
+def test_squaring_matches_the_reference_on_the_dumped_mixer(dumped_mixer8):
+    alg, poly = dumped_mixer8
+    amps, D = _propagate(alg)
+    want = square_accepting_reference(amps, D)
+    assert ordered_terms(poly) == ordered_terms(want)
+    assert len(poly.terms) == 1912
+
+
+def test_random_circuits_reach_degree_4_with_sqrt2_parts():
+    # what the seeded circuits add to the reference ones
+    for seed in (1, 2):
+        poly = extract_polynomial(random_two_query_circuit(seed))
+        assert poly.degree == 4
+        assert any(c.b != 0 for c in poly.terms.values())
+
+
+def mono(pins: dict[int, int]) -> tuple:
+    return tuple(IV("x", p, v) for p, v in sorted(pins.items()))
+
+
+LOW = mono({p: 1 for p in range(1, 9)})  # x1..x8 = 1
+HIGH = mono({p: 1 for p in range(5, 13)})  # x5..x12 = 1
+MID = mono({9: 2, 10: 2})  # conflicts with HIGH
+CLASH = mono({1: 2, **{p: 1 for p in range(2, 9)}})  # x1 = 2 conflicts with LOW
+SPLIT = mono({p: 1 for p in range(1, 5)})  # SPLIT * HIGH == LOW * HIGH
+FULL = mono({p: 1 for p in range(1, 13)})
+
+
+def big_amplitudes(seed: int) -> dict:
+    """Accepting (odd) and rejecting (even) amplitudes of monomials up to
+    degree 8 over 12 positions and 4 values, with coefficients near
+    2^40.  The LOW * MID products cancel over amplitudes 1 and 3, and so
+    do the LOW * HIGH ones, but SPLIT * HIGH in amplitude 5 gives FULL a
+    nonzero coefficient at the place where LOW * HIGH first put it;
+    CLASH * LOW conflicts."""
+    rng = random.Random(seed)
+    c = 2**40 + 3
+    amps = {
+        1: {LOW: (c, 0), HIGH: (c, c - 7), CLASH: (-c, 1), MID: (c, 0)},
+        3: {LOW: (c, 0), HIGH: (-c, 7 - c), MID: (-c, 0)},
+        5: {SPLIT: (c + 11, -c), HIGH: (2 * c, c)},
+        4: {LOW: (c, c)},  # even ordinal: rejecting, never squared
+    }
+    for ordinal in range(7, 15, 2):
+        pins = rng.sample(range(1, 13), 8)
+        amps[ordinal] = {
+            mono({p: rng.randint(1, 4) for p in pins}): (rng.randint(-c, c), rng.randint(-c, c))
+            for _ in range(6)
+        }
+    return amps
+
+
+def int64_bounds(amps: dict) -> tuple[bool, bool]:
+    """(sums fit, codes fit) in int64, by the bounds of the array
+    squaring: sums up to 6 max|coef|^2 pairs in absolute value, codes up
+    to (factors + 1)^(2 max degree) - 1."""
+    accepting = [poly for ordinal, poly in amps.items() if ordinal & 1]
+    pairs = sum(len(p) * (len(p) + 1) // 2 for p in accepting)
+    big = max(max(abs(a), abs(b)) for p in accepting for a, b in p.values())
+    factors = {f for p in accepting for m in p for f in m}
+    degree = max(len(m) for p in accepting for m in p)
+    return (
+        6 * big * big * pairs <= INT64_MAX,
+        (len(factors) + 1) ** (2 * degree) - 1 <= INT64_MAX,
+    )
+
+
+def test_squaring_on_python_ints_matches_the_reference():
+    amps = big_amplitudes(7)
+    assert int64_bounds(amps) == (False, False)
+    D = 2**45 * 3
+    assert_same_squares(amps, D)
+    terms = _square_accepting(amps, D).terms
+    low_mid = tuple(sorted(LOW + MID))
+    assert FULL in [m.factors for m in terms]
+    assert low_mid not in [m.factors for m in terms]
+
+
+def test_squaring_with_python_int_codes_and_int64_coefficients():
+    # 31 distinct factors make the code base 32 = 2^5, so the first digit
+    # of a 14-factor code weighs 2^65: codes wrapped to 64 bits would
+    # merge x1=1 * REST with x1=2 * REST.
+    head = mono({p: 1 for p in range(2, 8)})
+    rest = mono({p: 1 for p in range(8, 15)})
+    amps = {
+        1: {
+            (IV("x", 1, 1), *head): (1, 0),
+            (IV("x", 1, 2), *head): (3, -1),
+            rest: (2, 1),
+            mono({p: 2 for p in range(2, 9)}): (1, 1),
+            mono({p: 2 for p in range(9, 16)}): (-2, 0),
+            mono({15: 3, 16: 3}): (1, -1),
+        },
+    }
+    assert len({f for m in amps[1] for f in m}) == 31
+    assert int64_bounds(amps) == (True, False)
+    assert_same_squares(amps, 7)
+    merged = [m.factors for m in _square_accepting(amps, 7).terms]
+    assert (IV("x", 1, 1), *head, *rest) in merged
+    assert (IV("x", 1, 2), *head, *rest) in merged
+
+
+def test_squaring_of_nothing_accepting_is_zero():
+    amps = {0: {(): (1, 0)}, 2: {(IV("x", 1, 1),): (1, 1)}}
+    assert _square_accepting(amps, 1).is_zero()
+    assert square_accepting_reference(amps, 1).is_zero()
+
+
+# -- the family average of a polynomial reads rows, not Instances ---------------
+
+
+def test_expected_acceptance_of_a_polynomial_builds_no_instance(monkeypatch):
+    collision = coincidence_probe(4)
+    setcomp = REFERENCE_BUILDERS["setcomp-probe-2"]()
+    cases = [
+        (collision, QuasilatticePoint(2, 4), 4),
+        (setcomp, SuperQuasilatticePoint(1, 2, 2), 2),
+    ]
+    polys = [extract_polynomial(alg) for alg, _, _ in cases]
+    want = [expected_acceptance(alg, point, n) for alg, point, n in cases]
+
+    def no_instances(latent, n):
+        raise AssertionError("an Instance was built for a latent draw")
+
+    monkeypatch.setattr(polymethod, "instance_from_latent", no_instances)
+    monkeypatch.setattr(instances, "instance_from_latent", no_instances)
+    for poly, (alg, point, n), value in zip(polys, cases, want):
+        assert expected_acceptance(poly, point, n) == value
+        with pytest.raises(AssertionError, match="Instance was built"):
+            expected_acceptance(alg, point, n)  # circuits still go draw by draw
