@@ -38,7 +38,7 @@ from .instances import (
 from .lattice import LatticePoly
 from .multilinear import IndicatorVariable, Monomial, MultilinearPoly, hit_masks, monomials_over
 from .qsqrt2 import QSqrt2, int_form
-from .simulator import QueryAlgorithm, acceptance_probability
+from .simulator import QueryAlgorithm, _grouped, _int64_or_object, acceptance_probability
 
 
 def as_monomial(I) -> Monomial | None:
@@ -237,28 +237,6 @@ def _square_accepting(amps: dict[int, dict[tuple, tuple[int, int]]], D: int) -> 
         for f, a, b in zip(first.tolist(), total_a.tolist(), total_b.tolist())
         if a or b
     })
-
-
-def _int64_or_object(bound: int):
-    """int64 if it holds every integer of absolute value up to bound,
-    else object: Python ints, exact at any size."""
-    return np.int64 if bound <= np.iinfo(np.int64).max else object
-
-
-def _grouped(keys: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Sum a and b per distinct key.  Returns (first, sums of a, sums of
-    b), one entry per key in the order in which the keys first appear,
-    with first the position of that first appearance.  The sort is
-    stable, so a key's first entry in sorted order is its first
-    appearance."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    first = order[starts]
-    seen = np.argsort(first, kind="stable")
-    sum_a = np.add.reduceat(a[order], starts)[seen]
-    sum_b = np.add.reduceat(b[order], starts)[seen]
-    return first[seen], sum_a, sum_b
 
 
 def _add(out: dict, target: int, m: tuple, c: tuple[int, int]) -> None:

@@ -19,6 +19,10 @@ the state's amplitudes, over their shared denominator d, times the
 layer's Layer.int_cols() over its shared denominator D, and a sum of
 squares is one integer sum over d^2.  Each stored amplitude and each sum
 is turned back into a QSqrt2 by QSqrt2.over.
+
+The layer kernels (the orthogonality check and the layer product) run
+on numpy arrays of those integers: int64 while every sum provably fits,
+Python ints (dtype object) past that, so either way they are exact.
 """
 
 from __future__ import annotations
@@ -30,11 +34,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .instances import Instance, json_field
 from .qsqrt2 import ONE, QSqrt2, ZERO, int_form, parse_fraction
 
 FLOAT_NORM_TOL = 1e-12
 MEASURE_NORM_TOL = 1e-9
+_GRAM_CHUNK = 1 << 13  # most row pairs that is_orthogonal multiplies out at once
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,51 @@ def _int_product(vec, cols) -> dict[int, list[int]]:
     return acc
 
 
+def _flatten(cols):
+    """Column lengths, then the rows, A and B of integer columns as
+    tuples, entries in column order."""
+    flat = [entry for col in cols for entry in col]
+    rows, a, b = zip(*flat) if flat else ((), (), ())
+    return [len(col) for col in cols], rows, a, b
+
+
+def _largest(*parts) -> int:
+    """Largest absolute value in sequences of integers; 0 if none."""
+    return max((max(map(abs, part), default=0) for part in parts), default=0)
+
+
+def _int64_or_object(bound: int):
+    """int64 if it holds every integer of absolute value up to bound,
+    else object: Python ints, exact at any size."""
+    return np.int64 if bound <= np.iinfo(np.int64).max else object
+
+
+def _grouped(keys: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Sum a and b per distinct key.  Returns (first, sums of a, sums of
+    b), one entry per key in the order in which the keys first appear,
+    with first the position of that first appearance.  The sort is
+    stable, so a key's first entry in sorted order is its first
+    appearance.  Empty input gives empty output."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    first = order[starts]
+    seen = np.argsort(first, kind="stable")
+    sum_a = np.add.reduceat(a[order], starts)[seen]
+    sum_b = np.add.reduceat(b[order], starts)[seen]
+    return first[seen], sum_a, sum_b
+
+
+def _summed(parts):
+    """(keys, sums of a, sums of b) over (keys, a, b) parts, one entry
+    per distinct key."""
+    keys, a, b = (np.concatenate(part) for part in zip(*parts))
+    first, a, b = _grouped(keys, a, b)
+    return keys[first], a, b
+
+
 class Layer:
     """Orthogonal matrix over Q(sqrt(2)), stored as sparse columns.
 
@@ -169,57 +221,104 @@ class Layer:
     def is_orthogonal(self) -> bool:
         """Exact check that columns are orthonormal.
 
-        Builds M^T M for the integer matrix M = D U one row of M at a
-        time: each row adds the products of every pair of its nonzeros.
-        U is orthogonal iff M^T M = D^2 I with no sqrt(2) part.
+        Builds M^T M for the integer matrix M = D U from the rows of M:
+        each row adds the products of every pair of its nonzeros, keyed
+        i * dim + j for its columns i <= j.  Rows of one length share one
+        triu_indices table; at most _GRAM_CHUNK pairs (or one row) are
+        multiplied out and summed per key at once, and the chunk sums are
+        summed per key again.  U is orthogonal iff M^T M = D^2 I with no
+        sqrt(2) part.
         """
         D, cols = self.int_cols()
         dim = self.dim
-        rows: list[list[tuple[int, int, int]]] = [[] for _ in range(dim)]
-        for c, col in enumerate(cols):
-            for r, a, b in col:
-                rows[r].append((c, a, b))
-        # Entry (i, j), i <= j, of M^T M is keyed i * dim + j.
-        gram_a: dict[int, int] = {}
-        gram_b: dict[int, int] = {}
-        for row in rows:
-            for p, (i, a1, b1) in enumerate(row):
-                base = i * dim
-                for j, a2, b2 in row[p:]:
-                    key = base + j
-                    gram_a[key] = gram_a.get(key, 0) + a1 * a2 + 2 * b1 * b2
-                    gram_b[key] = gram_b.get(key, 0) + a1 * b2 + b1 * a2
+        lengths, rows, a, b = _flatten(cols)
         d2 = D * D
-        diagonal = 0
-        for key, a in gram_a.items():
-            i, j = divmod(key, dim)
-            if gram_b[key] != 0 or a != (d2 if i == j else 0):
-                return False
-            diagonal += i == j
-        return diagonal == dim
+        # A Gram entry sums at most dim products of absolute value <= 3 big^2.
+        num = _int64_or_object(max(3 * dim * _largest(a, b) ** 2, d2))
+        rows = np.array(rows, dtype=np.int64)
+        order = np.argsort(rows, kind="stable")  # columns stay ascending in a row
+        col = np.repeat(np.arange(dim, dtype=np.int64), lengths)[order]
+        a, b = np.array(a, dtype=num)[order], np.array(b, dtype=num)[order]
+        per_row = np.bincount(rows, minlength=dim)
+        row_start = np.cumsum(per_row) - per_row
+        parts, held, folded = [], 0, 0
+        for length in sorted(set(per_row.tolist()) - {0}):
+            p, q = np.triu_indices(length)
+            starts = row_start[per_row == length, None]
+            step = max(1, _GRAM_CHUNK // len(p))
+            for s in range(0, len(starts), step):
+                ip, iq = (starts[s:s + step] + p).ravel(), (starts[s:s + step] + q).ravel()
+                keys = col[ip] * dim + col[iq]
+                first, sum_a, sum_b = _grouped(
+                    keys, a[ip] * a[iq] + 2 * b[ip] * b[iq], a[ip] * b[iq] + b[ip] * a[iq]
+                )
+                parts.append((keys[first], sum_a, sum_b))
+                held += len(first)
+                # Fold the chunk sums once they outgrow the folded sums, so
+                # dense rows hold about twice the Gram's nonzeros at most.
+                if held - folded > max(_GRAM_CHUNK, folded):
+                    parts = [_summed(parts)]
+                    held = folded = len(parts[0][0])
+        if not parts:
+            return dim == 0
+        keys, sum_a, sum_b = _summed(parts)
+        i, j = np.divmod(keys, dim)
+        diagonal = i == j
+        return (
+            int(np.count_nonzero(diagonal)) == dim
+            and not np.any(sum_b != 0)
+            and bool(np.all(sum_a[diagonal] == d2))
+            and not np.any(sum_a[~diagonal] != 0)
+        )
 
     def compose(self, inner: "Layer") -> "Layer":
         """self @ inner: the layer that applies inner first, then self.
 
-        The product is computed as integers over D = d_outer * d_inner, and
-        the composed layer keeps it as its int_cols(), reduced to the least
-        common denominator, the form int_form derives from the entries.
+        Each entry (k, a, b) of column c of inner meets every entry of
+        column k of self; the products are summed per key c * dim + row
+        as integers over D = d_outer * d_inner.  The composed layer keeps
+        the nonzero sums, rows ascending, as its int_cols(), reduced to
+        the least common denominator, the form int_form derives from the
+        entries.  Equal entries share one QSqrt2.
         """
         if self.dim != inner.dim:
             raise ValueError("dimension mismatch")
+        dim = self.dim
         d_outer, outer_cols = self.int_cols()
         d_inner, inner_cols = inner.int_cols()
-        int_cols = [
-            [(row, a, b) for row, (a, b) in sorted(_int_product(col, outer_cols).items()) if a or b]
-            for col in inner_cols
-        ]
+        outer_len, outer_row, outer_a, outer_b = _flatten(outer_cols)
+        inner_len, inner_row, inner_a, inner_b = _flatten(inner_cols)
+        # A sum has at most dim products of absolute value <= 3 big^2.
+        num = _int64_or_object(3 * dim * _largest(outer_a, outer_b, inner_a, inner_b) ** 2)
+        # Inner entry t, in row k of its column, meets each entry of outer
+        # column k: e repeats t once per meeting, at indexes the entry met.
+        k = np.array(inner_row, dtype=np.int64)
+        outer_len = np.array(outer_len, dtype=np.int64)
+        reps = outer_len[k]
+        e = np.repeat(np.arange(len(k)), reps)
+        at = np.arange(len(e)) + np.repeat(np.cumsum(outer_len)[k] - np.cumsum(reps), reps)
+        c = np.repeat(np.arange(dim, dtype=np.int64), inner_len)[e]
+        keys = c * dim + np.array(outer_row, dtype=np.int64)[at]
+        ia, ib = np.array(inner_a, dtype=num)[e], np.array(inner_b, dtype=num)[e]
+        oa, ob = np.array(outer_a, dtype=num)[at], np.array(outer_b, dtype=num)[at]
+        first, sum_a, sum_b = _grouped(keys, ia * oa + 2 * ib * ob, ia * ob + ib * oa)
+        keys = keys[first]
+        keep = np.flatnonzero((sum_a != 0) | (sum_b != 0))
+        keep = keep[np.argsort(keys[keep], kind="stable")]
+        col, rows = np.divmod(keys[keep], dim)
+        rows, A, B = rows.tolist(), sum_a[keep].tolist(), sum_b[keep].tolist()
         D = d_outer * d_inner
-        common = math.gcd(D, *(v for col in int_cols for _, a, b in col for v in (a, b)))
+        common = math.gcd(D, *A, *B)
         if common > 1:
             D //= common
-            int_cols = [[(row, a // common, b // common) for row, a, b in col] for col in int_cols]
-        layer = Layer(self.dim, [[(row, QSqrt2.over(a, b, D)) for row, a, b in col] for col in int_cols])
-        layer._int_cols = (D, int_cols)
+            A, B = [x // common for x in A], [y // common for y in B]
+        value = {pair: QSqrt2.over(*pair, D) for pair in set(zip(A, B))}
+        int_flat = list(zip(rows, A, B))
+        flat = list(zip(rows, map(value.__getitem__, zip(A, B))))
+        ends = np.cumsum(np.bincount(col, minlength=dim)).tolist()
+        spans = list(zip([0, *ends], ends))
+        layer = Layer(dim, [flat[s:t] for s, t in spans])
+        layer._int_cols = (D, [int_flat[s:t] for s, t in spans])
         return layer
 
     def to_json(self) -> dict:

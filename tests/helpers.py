@@ -16,6 +16,7 @@ from collisionlab.instances import Instance
 from collisionlab.multilinear import REGISTERS, Monomial, MultilinearPoly, monomials_over
 from collisionlab.polymethod import _merge_factors
 from collisionlab.qsqrt2 import QSqrt2
+from collisionlab.simulator import Layer
 
 
 # ---------------------------------------------------------------------------
@@ -160,3 +161,65 @@ def square_accepting_reference(amps: dict, D: int) -> MultilinearPoly:
     return MultilinearPoly({
         Monomial(m): QSqrt2.over(a, b, d2) for m, (a, b) in total.items() if a or b
     })
+
+
+# ---------------------------------------------------------------------------
+# the layer kernels written with dicts, one product at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_gram_is_orthogonal(layer: Layer) -> bool:
+    """Layer.is_orthogonal written with dicts: M^T M for M = D U, one row
+    of M at a time, each row adding the products of every pair of its
+    nonzeros.  U is orthogonal iff M^T M = D^2 I with no sqrt(2) part."""
+    D, cols = layer.int_cols()
+    dim = layer.dim
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(dim)]
+    for c, col in enumerate(cols):
+        for r, a, b in col:
+            rows[r].append((c, a, b))
+    # Entry (i, j), i <= j, of M^T M is keyed i * dim + j.
+    gram_a: dict[int, int] = {}
+    gram_b: dict[int, int] = {}
+    for row in rows:
+        for p, (i, a1, b1) in enumerate(row):
+            base = i * dim
+            for j, a2, b2 in row[p:]:
+                key = base + j
+                gram_a[key] = gram_a.get(key, 0) + a1 * a2 + 2 * b1 * b2
+                gram_b[key] = gram_b.get(key, 0) + a1 * b2 + b1 * a2
+    d2 = D * D
+    diagonal = 0
+    for key, a in gram_a.items():
+        i, j = divmod(key, dim)
+        if gram_b[key] != 0 or a != (d2 if i == j else 0):
+            return False
+        diagonal += i == j
+    return diagonal == dim
+
+
+def reference_compose(outer: Layer, inner: Layer) -> Layer:
+    """outer.compose(inner) written with dicts: each column of inner times
+    outer's integer columns, zero sums dropped, rows ascending, and the
+    whole reduced by gcd(D, every A and B); the result carries that form
+    as its int_cols()."""
+    if outer.dim != inner.dim:
+        raise ValueError("dimension mismatch")
+    d_outer, outer_cols = outer.int_cols()
+    d_inner, inner_cols = inner.int_cols()
+    int_cols = []
+    for col in inner_cols:
+        acc: dict[int, list[int]] = {}
+        for j, a1, b1 in col:
+            for row, a2, b2 in outer_cols[j]:
+                cur = acc.setdefault(row, [0, 0])
+                cur[0] += a1 * a2 + 2 * b1 * b2
+                cur[1] += a1 * b2 + b1 * a2
+        int_cols.append([(row, a, b) for row, (a, b) in sorted(acc.items()) if a or b])
+    D = d_outer * d_inner
+    common = math.gcd(D, *(v for col in int_cols for _, a, b in col for v in (a, b)))
+    D //= common
+    int_cols = [[(row, a // common, b // common) for row, a, b in col] for col in int_cols]
+    layer = Layer(outer.dim, [[(row, QSqrt2.over(a, b, D)) for row, a, b in col] for col in int_cols])
+    layer._int_cols = (D, int_cols)
+    return layer

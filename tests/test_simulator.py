@@ -1,12 +1,16 @@
 """Core simulation semantics: layers, queries, acceptance, sampling."""
 
+import functools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from collisionlab import simulator
 from collisionlab.circuits import (
+    REFERENCE_BUILDERS,
     accept_if_first_is,
     always_accept,
     coincidence_probe,
@@ -31,7 +35,7 @@ from collisionlab.simulator import (
     erasing_space,
     sample_measurement,
 )
-from helpers import dense_layer_json
+from helpers import dense_layer_json, reference_compose, reference_gram_is_orthogonal
 
 
 def inner_product(a: StateVector, b: StateVector) -> QSqrt2:
@@ -376,11 +380,19 @@ def test_gram_check_agrees_with_reference_on_random_layers():
 
 
 def test_every_reference_circuit_layer_is_orthogonal():
-    from collisionlab.circuits import REFERENCE_BUILDERS
-
     for build in REFERENCE_BUILDERS.values():
         for layer in build().layers:
             assert layer.is_orthogonal()
+
+
+def dense_product(outer: Layer, inner: Layer) -> list[list[QSqrt2]]:
+    """outer @ inner entry by entry in QSqrt2 arithmetic."""
+    a, b = outer.to_dense(), inner.to_dense()
+    dim = outer.dim
+    return [
+        [sum((a[r][m] * b[m][c] for m in range(dim)), ZERO) for c in range(dim)]
+        for r in range(dim)
+    ]
 
 
 def test_compose_matches_dense_product():
@@ -388,14 +400,8 @@ def test_compose_matches_dense_product():
     rng = random.Random(17)
     outer = random_orthogonal_layer(space, rng)
     inner = random_orthogonal_layer(space, rng)
-    a, b = outer.to_dense(), inner.to_dense()
-    dim = space.dim
-    expected = [
-        [sum((a[r][m] * b[m][c] for m in range(dim)), ZERO) for c in range(dim)]
-        for r in range(dim)
-    ]
     product = outer.compose(inner)
-    assert product.to_dense() == expected
+    assert product.to_dense() == dense_product(outer, inner)
     assert all(v != ZERO for col in product.cols for _, v in col)
     assert all(col == sorted(col, key=lambda rv: rv[0]) for col in product.cols)
 
@@ -427,6 +433,181 @@ def test_composed_layers_carry_the_integer_form_of_their_entries(monkeypatch):
         rebuilt = Layer(layer.dim, layer.cols)
         assert rebuilt.int_cols() == (D, int_cols)
         assert rebuilt.is_orthogonal() == layer.is_orthogonal()
+
+
+# -- array layer kernels against the dict references -----------------------------
+
+KERNEL_BUILDERS = {
+    **REFERENCE_BUILDERS,
+    "two-query-8": lambda: two_query_mixer(8),
+    "coincidence-8": lambda: coincidence_probe(8),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def built_circuits():
+    """(every layer of the KERNEL_BUILDERS circuits, every (outer, inner,
+    product) that compose made while building them)."""
+    composed = []
+    compose = Layer.compose
+
+    def recording(self, inner):
+        composed.append((self, inner, compose(self, inner)))
+        return composed[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Layer, "compose", recording)
+        layers = [layer for build in KERNEL_BUILDERS.values() for layer in build().layers]
+    return layers, composed
+
+
+def perturbed(layer: Layer, rng: random.Random) -> Layer:
+    """layer with one entry changed: its sign flipped, scaled by 2 or by
+    sqrt 2, or moved to a row that its column does not use."""
+    cols = [list(col) for col in layer.cols]
+    c = rng.choice([j for j, col in enumerate(cols) if col])
+    k = rng.randrange(len(cols[c]))
+    row, v = cols[c][k]
+    kinds = ["sign", "double", "sqrt2"] + (["move"] if len(cols[c]) < layer.dim else [])
+    kind = rng.choice(kinds)
+    if kind == "move":
+        used = {r for r, _ in cols[c]}
+        row = rng.choice([r for r in range(layer.dim) if r not in used])
+    else:
+        v = {"sign": -v, "double": v * QSqrt2(2), "sqrt2": v * QSqrt2.sqrt2()}[kind]
+    cols[c][k] = (row, v)
+    return Layer(layer.dim, cols)
+
+
+@functools.lru_cache(maxsize=None)
+def circuit_layer_verdicts() -> list[tuple[Layer, bool]]:
+    """Each circuit layer and 20 seeded one-entry perturbations of it,
+    with the dict reference's verdict."""
+    rng = random.Random(41)
+    layers, _ = built_circuits()
+    cases = [variant for layer in layers
+             for variant in [layer, *(perturbed(layer, rng) for _ in range(20))]]
+    return [(layer, reference_gram_is_orthogonal(layer)) for layer in cases]
+
+
+def test_gram_check_agrees_with_the_dict_reference_on_circuits_and_perturbations():
+    verdicts = circuit_layer_verdicts()
+    assert {expected for _, expected in verdicts} == {True, False}
+    for layer, expected in verdicts:
+        assert layer.is_orthogonal() == expected
+    for layer in built_circuits()[0]:
+        assert layer.is_orthogonal()
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_gram_verdicts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    monkeypatch.setattr(simulator, "_GRAM_CHUNK", chunk)
+    test_gram_check_agrees_with_reference_on_random_layers()
+    for layer, expected in circuit_layer_verdicts():
+        assert layer.is_orthogonal() == expected
+
+
+def haar_layer(levels: int) -> Layer:
+    """The orthonormal Haar basis of 2^levels values, one basis vector per
+    row: the scaling row and the coarsest wavelet row are dense, each
+    finer level has twice the rows at half the length."""
+    size = 1 << levels
+    rows = [[QSqrt2.inv_sqrt2_power(levels)] * size]
+    for j in range(levels):
+        width, mag = size >> j, QSqrt2.inv_sqrt2_power(levels - j)
+        for k in range(1 << j):
+            row = [ZERO] * size
+            for t in range(width):
+                row[k * width + t] = mag if t < width // 2 else -mag
+            rows.append(row)
+    return Layer(size, [
+        [(r, row[c]) for r, row in enumerate(rows) if not row[c].is_zero()] for c in range(size)
+    ])
+
+
+def test_gram_check_moves_past_a_row_longer_than_a_chunk():
+    layer = haar_layer(8)
+    longest = max(Counter(r for col in layer.cols for r, _ in col).values())
+    assert longest * (longest + 1) // 2 > simulator._GRAM_CHUNK
+    assert layer.is_orthogonal() and reference_gram_is_orthogonal(layer)
+    rng = random.Random(8)
+    verdicts = []
+    for _ in range(6):
+        broken = perturbed(layer, rng)
+        verdicts.append(broken.is_orthogonal())
+        assert verdicts[-1] == reference_gram_is_orthogonal(broken)
+    assert not all(verdicts)
+
+
+def test_compose_agrees_with_the_dict_reference():
+    _, composed = built_circuits()
+    space = StateSpace(index_size=3, workspace_bits=2, answer_bits=2)
+    rng = random.Random(23)
+    pairs = [(random_orthogonal_layer(space, rng), random_orthogonal_layer(space, rng))
+             for _ in range(4)]
+    cases = composed + [(outer, inner, outer.compose(inner)) for outer, inner in pairs]
+    assert len(cases) > len(pairs)
+    for outer, inner, product in cases:
+        expected = reference_compose(outer, inner)
+        assert product.cols == expected.cols
+        assert product.int_cols() == expected.int_cols()
+        for col in product.int_cols()[1]:
+            rows = [r for r, _, _ in col]
+            assert rows == sorted(set(rows))
+            assert all(A or B for _, A, B in col)
+
+
+def pythagorean_rotations(at: int, dp: int = 0) -> Layer:
+    """Identity of dimension 4 but for the rotation [[p/c, -q/c], [q/c, p/c]]
+    on rows and columns at, at + 1, with p, q, c the Pythagorean triple of
+    m = 2^33 + 1, n = 2^32; c exceeds 2^63.  dp is added to the top-left p."""
+    m, n = 2**33 + 1, 2**32
+    p, q, c = m * m - n * n, 2 * m * n, m * m + n * n
+    cols = [[(j, QSqrt2(1))] for j in range(4)]
+    cols[at] = [(at, QSqrt2(Fraction(p + dp, c))), (at + 1, QSqrt2(Fraction(q, c)))]
+    cols[at + 1] = [(at, QSqrt2(Fraction(-q, c))), (at + 1, QSqrt2(Fraction(p, c)))]
+    return Layer(4, cols)
+
+
+def test_layers_past_int64_run_on_python_ints(monkeypatch):
+    chosen = []
+    choose = simulator._int64_or_object
+
+    def recording(bound):
+        chosen.append(choose(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(simulator, "_int64_or_object", recording)
+    outer, inner = pythagorean_rotations(0), pythagorean_rotations(1)
+    assert outer.int_cols()[0] > 2**63
+    assert outer.is_orthogonal() and inner.is_orthogonal()
+    assert not pythagorean_rotations(0, dp=1).is_orthogonal()
+    assert not reference_gram_is_orthogonal(pythagorean_rotations(0, dp=1))
+    product = outer.compose(inner)
+    assert product.to_dense() == dense_product(outer, inner)
+    assert product.int_cols() == reference_compose(outer, inner).int_cols()
+    assert product.is_orthogonal()
+    assert chosen and set(chosen) == {object}
+
+
+def test_degenerate_layers_keep_their_verdicts():
+    assert Layer(0, []).is_orthogonal()
+    assert Layer.identity(1).is_orthogonal()
+    assert not Layer(3, [[], [], []]).is_orthogonal()
+    for outer, inner in [
+        (Layer(0, []), Layer(0, [])),
+        (Layer(2, [[], []]), Layer.identity(2)),
+        (Layer.identity(2), Layer(2, [[(1, QSqrt2(Fraction(1, 3)))], []])),
+        (Layer.identity(1), Layer.identity(1)),
+    ]:
+        product = outer.compose(inner)
+        expected = reference_compose(outer, inner)
+        assert product.cols == expected.cols
+        assert product.int_cols() == expected.int_cols()
+        assert product.is_orthogonal() == reference_gram_is_orthogonal(expected)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Layer.identity(2).compose(Layer.identity(3))
+
 
 def test_layer_json_round_trip():
     space = StateSpace(index_size=3, workspace_bits=1, answer_bits=1)
