@@ -22,7 +22,6 @@ import numpy as np
 from .instances import ConfigError, Instance
 from .qsqrt2 import ONE, QSqrt2
 from .simulator import (
-    MODES,
     BasisState,
     Layer,
     StateSpace,
@@ -78,10 +77,7 @@ def erasing_setcomp_probability(inst: Instance, mode: str = "exact"):
     state = StateVector(space, mode, entries)
     state = apply_erasing_query(state, inst)
     state = apply_unitary(state, _pair_bit_hadamard(space, two_n))
-    weight = MODES[mode].square_sum(
-        a for ordinal, a in state.entries.items()
-        if ((ordinal >> 1) % space.index_size) // two_n == 1
-    )
+    weight = state.weight(lambda ordinal: ((ordinal >> 1) % space.index_size) // two_n == 1)
     return probability(weight)
 
 

@@ -555,7 +555,7 @@ def mean_acceptance(obj, instances: Iterable[Instance]) -> QSqrt2:
 def mean_acceptance_mc(obj, draws: Iterable[Instance]) -> tuple[float, float]:
     """Float mean and standard error of the acceptance over sampled draws."""
     A, B, D = _exact_acceptances(obj, draws)
-    values = [float(QSqrt2.over(a, b, D)) for a, b in zip(A, B)]
+    values = [QSqrt2.float_over(a, b, D) for a, b in zip(A, B)]
     samples = len(values)
     mean = sum(values) / samples
     var = sum((v - mean) ** 2 for v in values) / max(samples - 1, 1)

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
+SQRT2 = 1.4142135623730951  # float(sqrt 2), the real embedding's constant
 
 
 class QSqrt2:
@@ -52,6 +53,12 @@ class QSqrt2:
     def over(A: int, B: int, D: int) -> "QSqrt2":
         """(A + B sqrt(2)) / D from integers; the inverse of int_form."""
         return QSqrt2(Fraction(A, D), Fraction(B, D))
+
+    @staticmethod
+    def float_over(A: int, B: int, D: int) -> float:
+        """float(QSqrt2.over(A, B, D)) without the Fractions: int true
+        division rounds A / D as float(Fraction(A, D)) does."""
+        return A / D + (B / D) * SQRT2
 
     @staticmethod
     def coerce(value: "QSqrt2 | RationalLike") -> "QSqrt2":
@@ -115,7 +122,7 @@ class QSqrt2:
         return self.a
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 1.4142135623730951
+        return float(self.a) + float(self.b) * SQRT2
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -186,14 +193,18 @@ def int_form(values: Iterable[QSqrt2]) -> tuple[int, list[tuple[int, int]]]:
     """(D, [(A, B), ...]) with each value as (A + B sqrt(2)) / D.
 
     D is the lcm of every component denominator, so sums and products of
-    the values are integer sums and products over a power of D.
+    the values are integer sums and products over a power of D.  Each
+    distinct object is converted once; the list keeps the values alive,
+    so their ids stay unique while it is read.
     """
     values = list(values)
-    D = math.lcm(*{v.a.denominator for v in values}, *{v.b.denominator for v in values})
-    return D, [
-        (v.a.numerator * (D // v.a.denominator), v.b.numerator * (D // v.b.denominator))
-        for v in values
-    ]
+    distinct = {id(v): v for v in values}.values()
+    D = math.lcm(*{v.a.denominator for v in distinct}, *{v.b.denominator for v in distinct})
+    pair = {
+        id(v): (v.a.numerator * (D // v.a.denominator), v.b.numerator * (D // v.b.denominator))
+        for v in distinct
+    }
+    return D, [pair[id(v)] for v in values]
 
 
 def format_fraction(f: Fraction) -> str:

@@ -10,15 +10,17 @@ the oracle semantics:
   standard  |w, i, z> -> |w XOR enc(value_i), i, z>   (answer field XOR)
   erasing   |w, i, z> -> |w, value_i, z>              (index replaced)
 
-Exact and float mode share every kernel: exact mode stores QSqrt2
-amplitudes and checks norms for equality, float mode stores doubles and
-checks them within FLOAT_NORM_TOL.  Those constants, the layer product
-and the sum of squares live in the MODES table; nothing else differs.
-Exact mode multiplies integers in qsqrt2's integer form: the int_form of
-the state's amplitudes, over their shared denominator d, times the
-layer's Layer.int_cols() over its shared denominator D, and a sum of
-squares is one integer sum over d^2.  Each stored amplitude and each sum
-is turned back into a QSqrt2 by QSqrt2.over.
+Exact and float mode share every kernel: exact mode holds QSqrt2
+amplitudes and checks norms for equality, float mode holds doubles and
+checks them within FLOAT_NORM_TOL.  Those constants and the few
+operations on a state's entries (the layer product, re-keying and the
+sum of squares) live in the MODES table; nothing else differs.
+An exact state's entries stay in qsqrt2's integer form from step to
+step (ExactEntries): integers over the amplitudes' least common
+denominator d.  A layer multiplies them by its Layer.int_cols() over D
+and reduces the result to its least common denominator; a query re-keys
+them; a sum of squares is one integer sum over d^2.  A QSqrt2 is built
+only where a caller reads an amplitude or a sum.
 
 The layer kernels (the orthogonality check and the layer product) run
 on numpy arrays of those integers: int64 while every sum provably fits,
@@ -27,9 +29,11 @@ Python ints (dtype object) past that, so either way they are exact.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -105,12 +109,12 @@ class StateSpace:
 def _int_product(vec, cols) -> dict[int, list[int]]:
     """Integer columns times an integer vector over Z[sqrt 2].
 
-    vec lists (j, a, b), entry j being a + b sqrt 2, and cols[j] lists
+    vec lists (j, (a, b)), entry j being a + b sqrt 2, and cols[j] lists
     (row, A, B).  Returns row -> [rational sum, sqrt(2) sum] in the order
     rows are first reached; zero sums are kept.
     """
     acc: dict[int, list[int]] = {}
-    for j, a1, b1 in vec:
+    for j, (a1, b1) in vec:
         for row, a2, b2 in cols[j]:
             cur = acc.get(row)
             if cur is None:
@@ -391,14 +395,90 @@ def _dense_entries(rows):
 _ZERO_ENTRY = ZERO.to_strings()
 
 
-def _exact_layer(entries: dict, layer: Layer) -> dict:
-    """Layer product on integers: the state over its shared denominator d
-    times the layer's int_cols() over D, one QSqrt2 per nonzero output."""
-    d, ints = int_form(entries.values())
+class ExactEntries(Mapping):
+    """Read-only amplitudes of an exact state in qsqrt2's integer form.
+
+    ints[ordinal] = (A, B) holds the amplitude (A + B sqrt 2) / d, in the
+    order the ordinals were reached, and (d, ints) is what int_form gives
+    for the amplitudes.  Reading an amplitude builds its QSqrt2; the
+    kernels read d and ints.  The entries cannot change, so the squared
+    norm is summed once, when first asked for, and kept.
+    """
+
+    __slots__ = ("d", "ints", "_norm")
+
+    def __init__(self, d: int, ints: dict[int, tuple[int, int]]):
+        self.d = d
+        self.ints = ints
+        self._norm = None
+
+    @staticmethod
+    def of(entries: Mapping) -> "ExactEntries":
+        """entries as ExactEntries: itself if it is one, else the int_form
+        of its QSqrt2 values."""
+        if isinstance(entries, ExactEntries):
+            return entries
+        d, pairs = int_form(entries.values())
+        return ExactEntries(d, dict(zip(entries, pairs)))
+
+    @staticmethod
+    def reduced(d: int, ints: dict[int, tuple[int, int]]) -> "ExactEntries":
+        """(A + B sqrt 2) / d for each (A, B), with d and every integer
+        divided by their common gcd: the least common denominator."""
+        common = math.gcd(d, *itertools.chain.from_iterable(ints.values()))
+        if common > 1:
+            d //= common
+            ints = {k: (A // common, B // common) for k, (A, B) in ints.items()}
+        return ExactEntries(d, ints)
+
+    def __getitem__(self, ordinal) -> QSqrt2:
+        A, B = self.ints[ordinal]
+        return QSqrt2.over(A, B, self.d)
+
+    def __contains__(self, ordinal) -> bool:
+        return ordinal in self.ints
+
+    def __iter__(self):
+        return iter(self.ints)
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __repr__(self):
+        return f"ExactEntries({dict(self.items())!r})"
+
+    def weight(self, keep=None) -> QSqrt2:
+        """Sum of the squared amplitudes whose ordinal keep accepts (all
+        if keep is None), as one integer sum over d^2:
+        (A + B sqrt 2)^2 = A^2 + 2 B^2 + 2 A B sqrt 2."""
+        if keep is None and self._norm is not None:
+            return self._norm
+        pairs = self.ints.values() if keep is None else (
+            pair for k, pair in self.ints.items() if keep(k)
+        )
+        ra = rb = 0
+        for A, B in pairs:
+            ra += A * A + 2 * B * B
+            rb += A * B
+        total = QSqrt2.over(ra, 2 * rb, self.d * self.d)
+        if keep is None:
+            self._norm = total
+        return total
+
+
+def _exact_layer(entries: ExactEntries, layer: Layer) -> ExactEntries:
+    """Layer product on integers: the state's integers over d times the
+    layer's int_cols() over D, zero sums dropped, reduced to the least
+    common denominator."""
     D, cols = layer.int_cols()
-    acc = _int_product(((j, A, B) for j, (A, B) in zip(entries, ints)), cols)
-    den = d * D
-    return {row: QSqrt2.over(x, y, den) for row, (x, y) in acc.items() if x or y}
+    acc = _int_product(entries.ints.items(), cols)
+    return ExactEntries.reduced(entries.d * D, {
+        row: (x, y) for row, (x, y) in acc.items() if x or y
+    })
+
+
+def _exact_rekey(entries: ExactEntries, keys: list[int]) -> ExactEntries:
+    return ExactEntries(entries.d, dict(zip(keys, entries.ints.values())))
 
 
 def _float_layer(entries: dict, layer: Layer) -> dict:
@@ -411,37 +491,38 @@ def _float_layer(entries: dict, layer: Layer) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _exact_square_sum(amps) -> QSqrt2:
-    """Sum of squares as one integer sum over the common denominator d:
-    (A + B sqrt 2)^2 = A^2 + 2 B^2 + 2 A B sqrt 2, all over d^2."""
-    d, ints = int_form(amps)
-    ra = rb = 0
-    for A, B in ints:
-        ra += A * A + 2 * B * B
-        rb += A * B
-    return QSqrt2.over(ra, 2 * rb, d * d)
+def _float_rekey(entries: dict, keys: list[int]) -> dict:
+    return dict(zip(keys, entries.values()))
 
 
-def _float_square_sum(amps):
+def _float_weight(entries: dict, keep=None):
+    amps = entries.values() if keep is None else (a for k, a in entries.items() if keep(k))
     return sum((a * a for a in amps), 0)
 
 
 class Arithmetic(NamedTuple):
     """What differs between amplitude modes: zero, one, the norm tolerance
-    (0: exact equality), the layer product and the sum of squares.  The
-    float zero is the int 0 of a plain sum(), so a float acceptance with
-    no accepting state reads 0."""
+    (0: exact equality), and the operations on a state's entries.  read
+    gives a state's entries in the form the others take; layer is the layer
+    product; rekey moves the i-th entry to keys[i]; weight(entries, keep)
+    sums the squares of the amplitudes whose ordinal keep accepts (all if
+    keep is None).  The float zero is the int 0 of a plain sum(), so a
+    float acceptance with no accepting state reads 0."""
 
     zero: object
     one: object
     tol: float
-    layer: Callable[[dict, Layer], dict]
-    square_sum: Callable
+    read: Callable[[Mapping], Mapping]
+    layer: Callable[[Mapping, Layer], Mapping]
+    rekey: Callable[[Mapping, list], Mapping]
+    weight: Callable
 
 
 MODES = {
-    "exact": Arithmetic(ZERO, ONE, 0, _exact_layer, _exact_square_sum),
-    "float": Arithmetic(0, 1.0, FLOAT_NORM_TOL, _float_layer, _float_square_sum),
+    "exact": Arithmetic(ZERO, ONE, 0, ExactEntries.of, _exact_layer, _exact_rekey,
+                        ExactEntries.weight),
+    "float": Arithmetic(0, 1.0, FLOAT_NORM_TOL, lambda entries: entries, _float_layer,
+                        _float_rekey, _float_weight),
 }
 
 
@@ -456,7 +537,9 @@ class StateVector:
 
     mode "exact" holds QSqrt2 amplitudes, mode "float" holds doubles.
     Entries are keyed internally by basis ordinal; items() exposes
-    (BasisState, amplitude) pairs.
+    (BasisState, amplitude) pairs.  An exact state may be built from a
+    plain dict of QSqrt2; it keeps the dict's ExactEntries, the read-only
+    form every kernel takes and returns.
     """
 
     __slots__ = ("space", "mode", "entries")
@@ -466,15 +549,13 @@ class StateVector:
             raise ValueError("mode must be 'exact' or 'float'")
         self.space = space
         self.mode = mode
-        self.entries: dict[int, object] = entries if entries is not None else {}
+        self.entries: Mapping = MODES[mode].read(entries if entries is not None else {})
 
     @staticmethod
     def from_basis_state(
         space: StateSpace, state: BasisState, mode: str = "exact"
     ) -> "StateVector":
-        vec = StateVector(space, mode)
-        vec.entries[space.encode(state)] = MODES[mode].one
-        return vec
+        return StateVector(space, mode, {space.encode(state): MODES[mode].one})
 
     def items(self):
         for ordinal, amp in self.entries.items():
@@ -483,12 +564,16 @@ class StateVector:
     def amplitude(self, state: BasisState):
         return self.entries.get(self.space.encode(state), MODES[self.mode].zero)
 
+    def weight(self, keep=None):
+        """Total squared amplitude on the ordinals keep accepts (all if None)."""
+        return MODES[self.mode].weight(self.entries, keep)
+
     def squared_norm(self):
-        return MODES[self.mode].square_sum(self.entries.values())
+        return MODES[self.mode].weight(self.entries)
 
     def acceptance_weight(self):
         """Total squared amplitude on output = 2 states."""
-        return MODES[self.mode].square_sum(a for k, a in self.entries.items() if k & 1)
+        return MODES[self.mode].weight(self.entries, lambda ordinal: ordinal & 1)
 
 
 def _check_norm_preserved(before, after, mode: str, what: str):
@@ -515,11 +600,9 @@ def apply_standard_query(state: StateVector, inst: Instance) -> StateVector:
         space.encode_answer(inst.query_value(i)) * space.index_size * 2
         for i in range(1, space.index_size + 1)
     ]
-    out: dict[int, object] = {}
-    for ordinal, amp in state.entries.items():
-        idx = (ordinal >> 1) % space.index_size
-        out[ordinal ^ masks[idx]] = amp
-    result = StateVector(space, state.mode, out)
+    entries = state.entries
+    keys = [ordinal ^ masks[(ordinal >> 1) % space.index_size] for ordinal in entries]
+    result = StateVector(space, state.mode, MODES[state.mode].rekey(entries, keys))
     _check_norm_preserved(state.squared_norm(), result.squared_norm(), state.mode, "standard query")
     return result
 
@@ -551,18 +634,19 @@ def apply_erasing_query(state: StateVector, inst: Instance) -> StateVector:
     space = state.space
     if space.index_size != erasing_space(inst).index_size:
         raise ValueError("state space does not match the erasing-oracle layout")
-    out: dict[int, object] = {}
-    for ordinal, amp in state.entries.items():
+    entries = state.entries
+    keys = []
+    for ordinal in entries:
         idx = (ordinal >> 1) % space.index_size + 1
         new_idx = targets.get(idx)
         if new_idx is None:
             raise ValueError(
                 f"erasing query applied to a state outside the query domain (index {idx})"
             )
-        new_ordinal = ordinal + (new_idx - idx) * 2
-        if new_ordinal in out:
-            raise AssertionError("erasing map collided; input claimed injective")
-        out[new_ordinal] = amp
+        keys.append(ordinal + (new_idx - idx) * 2)
+    out = MODES[state.mode].rekey(entries, keys)
+    if len(out) != len(entries):
+        raise AssertionError("erasing map collided; input claimed injective")
     result = StateVector(space, state.mode, out)
     _check_norm_preserved(state.squared_norm(), result.squared_norm(), state.mode, "erasing query")
     return result

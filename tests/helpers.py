@@ -15,8 +15,8 @@ import numpy as np
 from collisionlab.instances import Instance
 from collisionlab.multilinear import REGISTERS, Monomial, MultilinearPoly, monomials_over
 from collisionlab.polymethod import _merge_factors
-from collisionlab.qsqrt2 import QSqrt2
-from collisionlab.simulator import Layer
+from collisionlab.qsqrt2 import ONE, QSqrt2, int_form
+from collisionlab.simulator import Layer, erasing_space
 
 
 # ---------------------------------------------------------------------------
@@ -223,3 +223,81 @@ def reference_compose(outer: Layer, inner: Layer) -> Layer:
     layer = Layer(outer.dim, [[(row, QSqrt2.over(a, b, D)) for row, a, b in col] for col in int_cols])
     layer._int_cols = (D, int_cols)
     return layer
+
+
+# ---------------------------------------------------------------------------
+# the exact state kernels on dicts of QSqrt2 amplitudes
+# ---------------------------------------------------------------------------
+
+
+def reference_exact_layer(entries: dict, layer: Layer) -> dict:
+    """The exact layer product on a dict of QSqrt2 amplitudes: the
+    int_form of the amplitudes over d times the layer's int_cols() over D,
+    then one QSqrt2.over per nonzero sum, rows in the order first reached."""
+    d, ints = int_form(entries.values())
+    D, cols = layer.int_cols()
+    acc: dict[int, list[int]] = {}
+    for j, (a1, b1) in zip(entries, ints):
+        for row, a2, b2 in cols[j]:
+            cur = acc.setdefault(row, [0, 0])
+            cur[0] += a1 * a2 + 2 * b1 * b2
+            cur[1] += a1 * b2 + b1 * a2
+    den = d * D
+    return {row: QSqrt2.over(x, y, den) for row, (x, y) in acc.items() if x or y}
+
+
+def reference_exact_square_sum(amps) -> QSqrt2:
+    """Sum of squares of QSqrt2 amplitudes, as one integer sum over the
+    square of their int_form's denominator."""
+    d, ints = int_form(amps)
+    ra = rb = 0
+    for A, B in ints:
+        ra += A * A + 2 * B * B
+        rb += A * B
+    return QSqrt2.over(ra, 2 * rb, d * d)
+
+
+def reference_standard_query(entries: dict, space, inst: Instance) -> dict:
+    """XOR each queried value's answer mask into its basis states."""
+    masks = [
+        space.encode_answer(inst.query_value(i)) * space.index_size * 2
+        for i in range(1, space.index_size + 1)
+    ]
+    return {
+        ordinal ^ masks[(ordinal >> 1) % space.index_size]: amp
+        for ordinal, amp in entries.items()
+    }
+
+
+def reference_erasing_query(entries: dict, space, inst: Instance) -> dict:
+    """Move each basis state's query address b*2n + i to b*2n + v_i."""
+    seqs = (inst.x,) if inst.kind == "collision" else (inst.x, inst.y_sequence())
+    two_n = 2 * inst.n
+    targets = {
+        b * two_n + i: b * two_n + v for b, seq in enumerate(seqs) for i, v in enumerate(seq, start=1)
+    }
+    if space.index_size != erasing_space(inst).index_size:
+        raise ValueError("state space does not match the erasing-oracle layout")
+    out = {}
+    for ordinal, amp in entries.items():
+        idx = (ordinal >> 1) % space.index_size + 1
+        out[ordinal + (targets[idx] - idx) * 2] = amp
+    return out
+
+
+def reference_exact_steps(alg, inst: Instance):
+    """The exact state after each step of alg.run (U_0, then query and U_t
+    for t = 1..T), as dicts of QSqrt2, each step checked to keep the
+    squared norm."""
+    query = reference_standard_query if alg.oracle_kind == "standard" else reference_erasing_query
+    entries = {alg.space.encode(alg.initial): ONE}
+    steps = [lambda e: reference_exact_layer(e, alg.layers[0])]
+    for layer in alg.layers[1:]:
+        steps.append(lambda e: query(e, alg.space, inst))
+        steps.append(lambda e, layer=layer: reference_exact_layer(e, layer))
+    for step in steps:
+        out = step(entries)
+        if reference_exact_square_sum(out.values()) != reference_exact_square_sum(entries.values()):
+            raise AssertionError("a step changed the squared norm")
+        entries = out
+        yield entries

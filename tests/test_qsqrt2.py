@@ -1,6 +1,7 @@
 """Field axioms and exact comparisons for Q(sqrt(2))."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,22 @@ def test_int_form_is_integer_pairs_over_the_least_common_denominator(values):
 def test_int_form_of_nothing():
     assert int_form([]) == (1, [])
     assert int_form(iter([QSqrt2(Fraction(1, 6), Fraction(-3, 4))])) == (12, [(2, -9)])
+
+
+def test_int_form_converts_repeated_objects_and_equal_values_alike():
+    half, third = QSqrt2(Fraction(1, 2)), QSqrt2(0, Fraction(-1, 3))
+    twin = QSqrt2(Fraction(1, 2))  # equal to half, a distinct object
+    values = [half, third, half, twin, third, half]
+    assert int_form(values) == (6, [(3, 0), (0, -2), (3, 0), (3, 0), (0, -2), (3, 0)])
+    assert int_form(values) == int_form([QSqrt2(v.a, v.b) for v in values])
+
+
+def test_float_over_has_the_bits_of_the_float_of_over():
+    rng = random.Random(3)
+    for _ in range(5000):
+        D = rng.choice([rng.randint(1, 10**6), rng.randint(1, 99) << rng.randint(0, 80), rng.randint(1, 10**40)])
+        A, B = (rng.randint(-10**rng.randint(1, 45), 10**rng.randint(1, 45)) for _ in range(2))
+        assert QSqrt2.float_over(A, B, D) == float(QSqrt2.over(A, B, D))
 
 
 @given(elements(), elements(), elements())
