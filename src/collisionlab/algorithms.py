@@ -206,7 +206,8 @@ def bht_collision(inst: Instance, rng: random.Random) -> AlgorithmResult:
     repeat ends the run, otherwise an amplitude-amplified search looks
     for a position outside the sample whose value landed in the table
     (exactly k such positions exist on a two-to-one input).  One re-run
-    on failure, then the run concludes one-to-one.
+    on failure, then the run concludes one-to-one; so does a sample that
+    covers every position (tiny n) without a repeat.
     """
     if inst.kind != "collision":
         raise ValueError("collision finding needs a collision instance")
@@ -234,6 +235,8 @@ def bht_collision(inst: Instance, rng: random.Random) -> AlgorithmResult:
 
     in_sample = set(sample)
     rest = [i for i in range(1, n + 1) if i not in in_sample]
+    if not rest:  # the sample read every position without a repeat
+        return AlgorithmResult("one-to-one", None, queries, 1)
     size = _pad_to_power_of_two(len(rest))
     values = set(table)
     for trial in (1, 2):

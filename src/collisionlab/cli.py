@@ -85,11 +85,12 @@ def config_echo(args: argparse.Namespace) -> dict:
 
 def report(args, results, rows: list[dict], summary: str | None, header: list[str] | None = None) -> None:
     """The one output path: render the report (JSON from results, CSV from
-    rows), write it to --output if given, print the summary line if there
-    is one, and put the report on stdout when there is no --output."""
+    rows) and write it to --output if given, then print the summary line
+    if there is one.  Without --output the report goes to stdout and the
+    summary to stderr, so that stdout is the report alone."""
     text = emit_report(config_echo(args), results, rows, args.format, args.output, CONSTANTS, header)
     if summary:
-        print(summary)
+        print(summary, file=sys.stdout if args.output else sys.stderr)
     if not args.output:
         sys.stdout.write(text)
 

@@ -343,7 +343,11 @@ SIM_ENUM_LIMIT = 20_000  # latent draws; above this the chain falls back to MC
 
 def identity_grid(alg: QueryAlgorithm, G: int) -> list:
     """The admissible points with g <= G of the algorithm's family, sorted.
-    A zero-query circuit's q is constant; only the window needs T >= 1."""
+    A zero-query circuit's q is constant; only the window needs T >= 1.
+    Every rejection, n < 2T first, is a ConfigError, so callers check a
+    request here before they extract."""
+    if alg.n < 2 * alg.T:
+        raise ConfigError(f"need n >= 2T, got n={alg.n} and T={alg.T}")
     return family(alg.kind).points(alg.n, max(alg.T, 1), G)
 
 
@@ -396,6 +400,7 @@ def verify_inequality_chain(
     if mc_samples < 1:
         raise ConfigError(f"need at least one Monte Carlo sample, got mc_samples={mc_samples}")
     cap = min(SIM_ENUM_LIMIT, enumeration_cap(cap))
+    identity_grid(alg, G)  # fail before extraction
     fam = family(alg.kind)
     n, T = alg.n, alg.T
     notes: list[str] = []

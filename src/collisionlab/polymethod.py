@@ -31,8 +31,6 @@ from .instances import (
     Instance,
     QuasilatticePoint,
     enumerate_rows,
-    enumerate_supports,
-    instance_from_latent,
     sample_collision_input,  # perfbench/tracer.py counts samples by patching this name here
 )
 from .lattice import LatticePoly
@@ -332,14 +330,6 @@ def gamma_closed(I, g: int, N: int, n: int, T: int | None = None) -> Fraction:
     return range_fits * consistent
 
 
-def latent_instances(point, n: int, cap: int | None = None) -> Iterator[Instance]:
-    """Every latent draw of the family at point, as an Instance, in the
-    enumerator's order: (g, N) draws collision inputs, (g, N, M)
-    set-comparison pairs.  Raises EnumerationTooLarge past the cap."""
-    for latent in enumerate_supports(point, n, cap):
-        yield instance_from_latent(latent, n)
-
-
 # Kept by name: gamma_bruteforce_sweep calls it so that perfbench/tracer.py,
 # which patches this name, counts the sweep's latent draws.
 def enumerate_collision_supports(
@@ -353,17 +343,17 @@ def gamma_bruteforce(I, point, n: int, cap: int | None = None) -> Fraction:
     """Same expectation as gamma_closed (or gamma3_closed, for a
     (g, N, M) point) by direct enumeration of every latent draw.
 
-    Deliberately naive: walks every draw, evaluates the monomial on its
-    length-n prefixes, and divides.  Independent of the closed forms.
+    Deliberately naive: walks every draw's row, evaluates the monomial on
+    its x (and y), and divides.  Independent of the closed forms.
     """
     m = as_monomial(I)
     if m is None:
         return Fraction(0)
     hits = 0
     total = 0
-    for inst in latent_instances(point, n, cap):
+    for row in enumerate_rows(point, n, cap):
         total += 1
-        hits += m.evaluate(inst.x, inst.y)
+        hits += m.evaluate(row[:n], row[n:])
     return Fraction(hits, total)
 
 
@@ -373,8 +363,7 @@ def gamma_bruteforce_sweep(
     """gamma_bruteforce for many monomials over one enumeration of the
     (g, N) family at point: hit draws over all draws, with the hits read
     from one table of the draws by evaluate_batch's hit_masks."""
-    # values lie in 1..n, so the table takes the narrowest type that holds n
-    draws = _draw_table(enumerate_collision_supports(point, n, cap), n, np.min_scalar_type(n))
+    draws = draw_table(enumerate_collision_supports(point, n, cap), point, n)
     total = len(draws)
     hits = iter([
         total if mask is None else int(np.count_nonzero(mask))
@@ -508,53 +497,48 @@ def assemble_grid_poly(
 _EMPTY_BATCH = "an empty batch has no mean acceptance; need at least one draw"
 
 
-def _draw_table(rows: Iterable[Sequence[int]], width: int, dtype=np.int64) -> np.ndarray:
-    """Stream rows into one S x width array of dtype without keeping them."""
-    return np.fromiter(itertools.chain.from_iterable(rows), dtype=dtype).reshape(-1, width)
+def draw_table(rows: Iterable[Sequence[int]], point, n: int) -> np.ndarray:
+    """Stream the rows of draws from the family at point into one table,
+    without keeping them: S x n of x for a (g, N) point, S x 2n of x then
+    y for a (g, N, M) point.  Values lie in 1..n, or 1..2n, so the table
+    takes the narrowest type that holds the largest."""
+    width = n * (len(point) - 1)
+    return np.fromiter(
+        itertools.chain.from_iterable(rows), dtype=np.min_scalar_type(width)
+    ).reshape(-1, width)
 
 
-def _draw_array(instances: Iterable[Instance]) -> tuple[np.ndarray, int]:
-    """The draws of the instances as one S x n table of x (S x 2n, y after
-    x, for set comparison); returns (table, n)."""
-    it = iter(instances)
-    first = next(it, None)
-    if first is None:
-        return np.empty((0, 0), dtype=np.int64), 0
-    rows = (inst.x + (inst.y or ()) for inst in itertools.chain((first,), it))
-    return _draw_table(rows, len(first.x) + len(first.y or ())), first.n
+def _row_instance(row: np.ndarray, n: int) -> Instance:
+    """The input of one draw-table row."""
+    x, y = tuple(row[:n].tolist()), tuple(row[n:].tolist())
+    return Instance("setcomp", n, x, y) if y else Instance("collision", n, x)
 
 
 def _exact_acceptances(
-    obj, instances: Iterable[Instance]
+    obj, draws: np.ndarray, n: int
 ) -> tuple[Sequence[int], Sequence[int], int]:
-    """(A, B, D): draw s accepts with probability (A[s] + B[s] sqrt(2)) / D.
+    """(A, B, D): draw s of the table accepts with probability
+    (A[s] + B[s] sqrt(2)) / D.
 
-    A MultilinearPoly is evaluated over all draws in one batch; a
-    QueryAlgorithm is simulated exactly per draw, and its acceptances are
-    brought to their int_form.
+    A MultilinearPoly is evaluated over the whole table in one batch; a
+    QueryAlgorithm is simulated exactly row by row, and its acceptances
+    are brought to their int_form.
     """
     if isinstance(obj, MultilinearPoly):
-        return obj.evaluate_batch(*_draw_array(instances))
-    D, pairs = int_form([acceptance_probability(obj, inst, mode="exact") for inst in instances])
+        return obj.evaluate_batch(draws, n)
+    D, pairs = int_form([
+        acceptance_probability(obj, _row_instance(row, n), mode="exact") for row in draws
+    ])
     if not pairs:
         raise ValueError(_EMPTY_BATCH)
     A, B = zip(*pairs)
     return A, B, D
 
 
-def _mean(A: Sequence[int], B: Sequence[int], D: int) -> QSqrt2:
-    """The exact mean of the values (A[s] + B[s] sqrt(2)) / D."""
-    return QSqrt2.over(sum(A), sum(B), D * len(A))
-
-
-def mean_acceptance(obj, instances: Iterable[Instance]) -> QSqrt2:
-    """Exact average acceptance over the given instances."""
-    return _mean(*_exact_acceptances(obj, instances))
-
-
-def mean_acceptance_mc(obj, draws: Iterable[Instance]) -> tuple[float, float]:
-    """Float mean and standard error of the acceptance over sampled draws."""
-    A, B, D = _exact_acceptances(obj, draws)
+def mean_acceptance_mc(obj, draws: np.ndarray, n: int) -> tuple[float, float]:
+    """Float mean and standard error of the acceptance over a table of
+    sampled draws."""
+    A, B, D = _exact_acceptances(obj, draws, n)
     values = [QSqrt2.float_over(a, b, D) for a, b in zip(A, B)]
     samples = len(values)
     mean = sum(values) / samples
@@ -564,25 +548,19 @@ def mean_acceptance_mc(obj, draws: Iterable[Instance]) -> tuple[float, float]:
 
 def expected_acceptance(obj, point, n: int, cap: int | None = None) -> QSqrt2:
     """Exact average acceptance over every latent draw of the family at
-    point, (g, N) or (g, N, M).
+    point, (g, N) or (g, N, M), read from enumerate_rows into one table.
 
-    obj is a QueryAlgorithm (simulated per draw) or an extracted
-    MultilinearPoly (evaluated over all draws in one batch, read from
-    enumerate_rows into one table without building an Instance per draw).
+    obj is a QueryAlgorithm (simulated row by row) or an extracted
+    MultilinearPoly (evaluated over all rows in one batch).
     """
-    if isinstance(obj, MultilinearPoly):
-        # a (g, N) row holds x; a (g, N, M) row holds x, then y
-        rows = enumerate_rows(point, n, cap)
-        return _mean(*obj.evaluate_batch(
-            _draw_table(rows, n * (len(point) - 1), np.min_scalar_type(2 * n)), n
-        ))
-    return mean_acceptance(obj, latent_instances(point, n, cap))
+    draws = draw_table(enumerate_rows(point, n, cap), point, n)
+    A, B, D = _exact_acceptances(obj, draws, n)
+    return QSqrt2.over(sum(A), sum(B), D * len(A))
 
 
 def expected_acceptance_mc(
     obj, point: QuasilatticePoint, n: int, samples: int, rng: random.Random
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the family acceptance."""
-    return mean_acceptance_mc(
-        obj, (sample_collision_input(point, n, rng) for _ in range(samples))
-    )
+    rows = (sample_collision_input(point, n, rng).x for _ in range(samples))
+    return mean_acceptance_mc(obj, draw_table(rows, point, n), n)

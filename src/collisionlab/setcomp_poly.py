@@ -22,7 +22,7 @@ from fractions import Fraction
 from .instances import Instance, SuperQuasilatticePoint, kappa, sample_input
 from .lattice import LatticePoly
 from .multilinear import MultilinearPoly
-from .polymethod import as_monomial, assemble_grid_poly, mean_acceptance_mc
+from .polymethod import as_monomial, assemble_grid_poly, draw_table, mean_acceptance_mc
 
 
 def _kappa_poly() -> LatticePoly:
@@ -193,7 +193,6 @@ def expected_acceptance3_mc(
     obj, point: SuperQuasilatticePoint, n: int, samples: int, rng: random.Random
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error over the (g, N, M) family."""
-    return mean_acceptance_mc(
-        obj, (sample_setcomp_input(point, n, rng) for _ in range(samples))
-    )
+    draws = (sample_setcomp_input(point, n, rng) for _ in range(samples))
+    return mean_acceptance_mc(obj, draw_table((d.x + d.y for d in draws), point, n), n)
 

@@ -142,6 +142,17 @@ def test_bht_never_errs_on_injective():
         assert result.decision == "one-to-one"
 
 
+@pytest.mark.parametrize("x", [(1,), (1, 2), (2, 1)])
+def test_bht_on_a_fully_sampled_one_to_one_input(x):
+    # n <= 2: the classical sample covers every position, so no Grover step
+    inst = Instance("collision", len(x), x)
+    for seed in range(5):
+        result = bht_collision(inst, random.Random(seed))
+        assert result.decision == "one-to-one"
+        assert result.collision is None
+        assert result.queries_used == len(x)
+
+
 def test_bht_finds_collisions():
     for n in (27, 64):
         row = collision_benchmark("bht", n, 200, seed=99)

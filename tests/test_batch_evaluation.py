@@ -9,24 +9,32 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from collisionlab.circuits import coincidence_probe, setcomp_probe, two_query_mixer
+from collisionlab.circuits import (
+    REFERENCE_BUILDERS,
+    coincidence_probe,
+    setcomp_probe,
+    two_query_mixer,
+)
 from collisionlab.instances import (
     QuasilatticePoint,
     SuperQuasilatticePoint,
     count_supports,
     enumerate_supports,
+    instance_from_latent,
     sample_input,
 )
 from collisionlab.multilinear import IndicatorVariable as IV
 from collisionlab.multilinear import Monomial, MultilinearPoly
 from collisionlab.polymethod import (
+    _exact_acceptances,
+    draw_table,
     expected_acceptance,
     expected_acceptance_mc,
     extract_polynomial,
-    mean_acceptance,
 )
 from collisionlab.qsqrt2 import QSqrt2
 from collisionlab.setcomp_poly import expected_acceptance3_mc
+from collisionlab.simulator import acceptance_probability
 
 
 def random_coefficient(rng: random.Random) -> QSqrt2:
@@ -116,10 +124,10 @@ def test_empty_batch_is_a_value_error():
         poly.evaluate_batch(np.empty((0, 4), dtype=np.int64), 4)
     with pytest.raises(ValueError, match="empty batch"):
         expected_acceptance_mc(poly, QuasilatticePoint(1, 4), 4, 0, random.Random(0))
-    # The circuit path simulates each draw and raises the same way.
+    # The circuit path simulates each row and raises the same way.
     alg = coincidence_probe(4)
     with pytest.raises(ValueError, match="empty batch"):
-        mean_acceptance(alg, [])
+        _exact_acceptances(alg, draw_table([], QuasilatticePoint(1, 4), 4), 4)
     with pytest.raises(ValueError, match="empty batch"):
         expected_acceptance_mc(alg, QuasilatticePoint(1, 4), 4, 0, random.Random(0))
 
@@ -175,3 +183,20 @@ def test_setcomp_mc_is_bitwise_the_per_draw_estimate():
         draw_rng = random.Random(4)
         want = per_draw_mc(poly, (sample_input(point, n, draw_rng) for _ in range(200)))
         assert got == want
+
+
+@pytest.mark.parametrize("name, point, n", [
+    ("coincidence-4", QuasilatticePoint(2, 6), 4),
+    ("two-query-4", QuasilatticePoint(4, 8), 4),
+    ("setcomp-probe-2", SuperQuasilatticePoint(1, 2, 3), 2),
+])
+def test_circuit_average_over_rows_is_the_average_over_latent_draws(name, point, n):
+    # white-box reference: one Instance per latent draw, built by instances
+    alg = REFERENCE_BUILDERS[name]()
+    values = [
+        acceptance_probability(alg, instance_from_latent(latent, n))
+        for latent in enumerate_supports(point, n)
+    ]
+    want = sum(values, QSqrt2(0)) / QSqrt2(len(values))
+    assert expected_acceptance(alg, point, n) == want
+    assert expected_acceptance(extract_polynomial(alg), point, n) == want

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from collisionlab import cli
-from collisionlab.circuits import setcomp_probe
+from collisionlab import cli, degreebound
+from collisionlab.circuits import setcomp_probe, two_query_mixer
 from collisionlab.cli import main
 from collisionlab.polymethod import extract_polynomial
 from collisionlab.setcomp_poly import assemble_q3, prefactor3
@@ -87,11 +87,21 @@ def test_setcomp_boundary(tmp_path, capsys):
 
 
 def test_verify_gamma_summary(capsys):
-    code, stdout, _ = run(
+    code, stdout, stderr = run(
         ["verify-gamma", "--n", "4", "--max-degree", "2", "--max-N", "6"], capsys
     )
     assert code == 0
-    assert "all equal: true" in stdout
+    assert "all equal: true" in stderr
+    assert json.loads(stdout)["results"]["summary"]["all_equal"] is True
+
+
+def test_chain_stdout_without_output_is_one_json_document(capsys):
+    code, stdout, stderr = run(
+        ["chain", "--algorithm", "coincidence-4", "--mc-samples", "50", "--seed", "7"], capsys
+    )
+    assert code == 0
+    assert json.loads(stdout)["results"]["consistent"] is True
+    assert stderr.startswith("chain[coincidence_probe_4] ")
 
 
 def test_verify_identity(tmp_path, capsys):
@@ -203,6 +213,13 @@ def test_bench_csv(tmp_path, capsys):
     assert lines[2].startswith("bht,27,20,")
 
 
+def test_bench_bht_on_tiny_sizes(capsys):
+    code, stdout, _ = run(["bench", "--algorithms", "bht", "--sizes", "1,2", "--trials", "5"],
+                          capsys)
+    assert code == 0
+    assert [row["n"] for row in json.loads(stdout)["results"]] == [1, 2]
+
+
 def test_invalid_config_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lattice", "--n", "100"])  # missing required flags
@@ -251,10 +268,23 @@ def test_invalid_config_exits_2(capsys):
          "--n 4 exceeds --max-N 2"),
         (["bench", "--budget", "-1"], "need budget >= 0, got budget=-1"),
         (["bench", "--sizes", "27,x"], "--sizes entry 'x' is not an integer"),
+        (["chain", "--algorithm", "@{mixer2}", "--G", "2"], "need n >= 2T, got n=2 and T=2"),
+        (["verify-identity", "--algorithm", "@{mixer2}", "--G", "1"],
+         "need n >= 2T, got n=2 and T=2"),
+        (["chain", "--algorithm", "coincidence-4", "--G", "3"], "g out of range"),
+        (["verify-identity", "--algorithm", "coincidence-4", "--G", "3"], "g out of range"),
     ],
 )
-def test_semantic_config_errors_exit_2(args, message, capsys):
-    code, _, err = run(args, capsys)
+def test_semantic_config_errors_exit_2(args, message, tmp_path, monkeypatch, capsys):
+    mixer2 = tmp_path / "two_query_mixer2.json"  # n = 2 < 2T = 4
+    two_query_mixer(2).dump(mixer2)
+
+    def no_extraction(alg):
+        raise AssertionError("extraction ran for an invalid configuration")
+
+    monkeypatch.setattr(cli, "extract_polynomial", no_extraction)
+    monkeypatch.setattr(degreebound, "extract_polynomial", no_extraction)
+    code, _, err = run([a.replace("{mixer2}", str(mixer2)) for a in args], capsys)
     assert code == 2
     assert message in err
 

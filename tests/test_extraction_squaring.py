@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from collisionlab import instances, polymethod
+from collisionlab import instances
 from collisionlab.circuits import (
     REFERENCE_BUILDERS,
     collision_space,
@@ -168,7 +168,7 @@ def test_squaring_of_nothing_accepting_is_zero():
     assert square_accepting_reference(amps, 1).is_zero()
 
 
-# -- the family average of a polynomial reads rows, not Instances ---------------
+# -- family averages read rows, not latent draws --------------------------------
 
 
 def test_expected_acceptance_of_a_polynomial_builds_no_instance(monkeypatch):
@@ -184,9 +184,8 @@ def test_expected_acceptance_of_a_polynomial_builds_no_instance(monkeypatch):
     def no_instances(latent, n):
         raise AssertionError("an Instance was built for a latent draw")
 
-    monkeypatch.setattr(polymethod, "instance_from_latent", no_instances)
     monkeypatch.setattr(instances, "instance_from_latent", no_instances)
     for poly, (alg, point, n), value in zip(polys, cases, want):
+        # circuits and polynomials both read the rows of enumerate_rows
+        assert expected_acceptance(alg, point, n) == value
         assert expected_acceptance(poly, point, n) == value
-        with pytest.raises(AssertionError, match="Instance was built"):
-            expected_acceptance(alg, point, n)  # circuits still go draw by draw

@@ -21,6 +21,7 @@ from collisionlab.instances import (
     divisor_points,
     enumerate_rows,
     enumerate_supports,
+    instance_from_latent,
     is_k_to_one,
     is_quasilattice_point,
     is_super_quasilattice_point,
@@ -31,7 +32,6 @@ from collisionlab.instances import (
     super_quasilattice_points,
     validate_instance,
 )
-from collisionlab.polymethod import latent_instances
 
 
 def test_kappa_values():
@@ -348,7 +348,8 @@ def test_latents_are_lexicographic_and_rows_are_their_inputs(point, n, total):
     latents = list(enumerate_supports(point, n))
     assert latents == sorted(latents, key=lambda lat: tuple(vars(lat).values()))
     rows = list(enumerate_rows(point, n))
-    assert rows == [list(inst.x + (inst.y or ())) for inst in latent_instances(point, n)]
+    inputs = [instance_from_latent(latent, n) for latent in latents]
+    assert rows == [list(inst.x + (inst.y or ())) for inst in inputs]
     assert len(rows) == total == count_supports(point, n)
 
 

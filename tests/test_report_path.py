@@ -1,9 +1,9 @@
 """One report path in the CLI.
 
-Every subcommand's report file and stdout are pinned byte for byte, in
-JSON and CSV, with and without --output; and cli.py renders, writes and
-prints a report in one place (report()), and maps errors to exit codes
-in one except arm of main.
+Every subcommand's report file, stdout and summary line are pinned byte
+for byte, in JSON and CSV, with and without --output; and cli.py
+renders, writes and prints a report in one place (report()), and maps
+errors to exit codes in one except arm of main.
 """
 
 import ast
@@ -86,11 +86,11 @@ SUMMARY = {
     "bench": "wrote 2 benchmark rows to {out}\n",
 }
 
-# Without --output, stdout is the summary followed by the report, except
-# for these subcommands, whose summary names the written file or value:
-# their stdout is the bare report.
-BARE_STDOUT = {"lattice", "lattice-super", "simulate-exact-shots", "simulate-float-setcomp",
-               "extract", "bench"}
+# Without --output, stdout is the bare report and the summary goes to
+# stderr, except for these subcommands, whose summary names the written
+# file or value: they print no summary at all.
+NO_SUMMARY = {"lattice", "lattice-super", "simulate-exact-shots", "simulate-float-setcomp",
+              "extract", "bench"}
 
 
 @pytest.mark.parametrize("name, fmt", sorted(REPORT_SHA256))
@@ -102,8 +102,9 @@ def test_report_file_and_stdout_are_pinned(name, fmt, tmp_path, capsys):
     report = out.read_bytes()
     assert hashlib.sha256(report).hexdigest() == REPORT_SHA256[(name, fmt)]
     assert main(args) == 0
-    summary = "" if name in BARE_STDOUT else SUMMARY[name]
-    assert capsys.readouterr().out == summary + report.decode()
+    captured = capsys.readouterr()
+    assert captured.out == report.decode()
+    assert captured.err == ("" if name in NO_SUMMARY else SUMMARY[name])
 
 
 def _cli_tree() -> ast.Module:
