@@ -449,10 +449,48 @@ def sample_input(point, n: int, rng: random.Random) -> Instance:
     return instance_from_latent(shape.latent(s, *ranges, *seqs), n)
 
 
-# Kept by name: perfbench/workloads.py imports it, and polymethod's Monte
-# Carlo calls it under a name that perfbench/tracer.py patches.
+# Kept by name: perfbench/workloads.py imports it, and perfbench/tracer.py
+# patches the name polymethod imports it under.
 def sample_collision_input(point: QuasilatticePoint, n: int, rng: random.Random) -> Instance:
     return sample_input(QuasilatticePoint(*point), n, rng)
+
+
+def _random_order(rng: random.Random, shape: tuple[int, ...]) -> np.ndarray:
+    """A random permutation of range(shape[-1]) for every leading index:
+    the argsort of uniform uint64 keys read from rng.randbytes (Knuth,
+    TAOCP 2, 3.4.2)."""
+    keys = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8").reshape(shape)
+    return keys.argsort(axis=-1, kind="stable")
+
+
+def sample_rows(point, n: int, draws: int, rng: random.Random) -> np.ndarray:
+    """The input rows of `draws` independent draws from the family at
+    point, (g, N) or (g, N, M), as one table in enumerate_rows' layout:
+    draws x n of x, or draws x 2n of x then y.  Its dtype is the narrowest
+    that holds n, or 2n, as in polymethod.draw_table.
+
+    Each stage is drawn for all draws at once by _random_order: S is the
+    first |S| positions of an order of the universe; a drawn range is the
+    first `sub` positions of an order of S; a register's k-to-1 sequence
+    is a uniform shuffle of its range with each value k times, of which
+    the row keeps the first n entries.  So every latent draw is equally
+    likely, as in sample_input, but no Instance is built.
+
+    The orders are uniform unless two keys of a row tie: among w keys
+    some two tie with probability below w^2 / 2^65 (w(w-1)/2 pairs, each
+    equal with probability 2^-64), and a tie only keeps its two
+    positions in index order.  The keys come from the caller's
+    random.Random, so one seed gives one table, and numpy.random (about
+    6 MB of resident memory) is never imported."""
+    shape = _shape(point, n)
+    s = _random_order(rng, (draws, 1, shape.universe))[..., :shape.s_size] + 1
+    if shape.ranges:
+        picks = _random_order(rng, (draws, shape.ranges, shape.s_size))[..., :shape.sub]
+        s = np.take_along_axis(s, picks, axis=-1)
+    # position j of a range's pool holds the range's (j // k)-th value
+    slots = _random_order(rng, (draws, shape.registers, shape.length))[..., :n] // shape.k
+    rows = np.take_along_axis(s, slots, axis=-1)
+    return rows.reshape(draws, shape.registers * n).astype(np.min_scalar_type(shape.universe))
 
 
 def _k_to_one_sequences(values, k: int) -> Iterator[tuple[int, ...]]:
@@ -569,16 +607,21 @@ def enumerate_rows(point, n: int, cap: int | None = None) -> Iterator[list[int]]
                 yield prefix + tail
 
 
+_UNION_CHUNK = 1000  # draws per sample_rows table: its key arrays stay a few MB at n = 200
+
+
 def fraction_of_small_unions(
     n: int, samples: int, rng: random.Random, threshold: Fraction = Fraction(11, 10)
 ) -> float:
     """Monte Carlo check on the g=1 set-comparison family: fraction of
-    draws whose union is smaller than threshold*n."""
+    draws whose union is smaller than threshold*n.  The rows come from
+    sample_rows, _UNION_CHUNK draws at a time; sorted, a row's union size
+    is its count of distinct values."""
     point = SuperQuasilatticePoint(1, n, n)
-    cutoff = threshold * n
+    cutoff = math.ceil(threshold * n)  # an integer size is below threshold*n iff below this
     small = 0
-    for _ in range(samples):
-        inst = sample_input(point, n, rng)
-        if set_union_size(inst) < cutoff:
-            small += 1
+    for start in range(0, samples, _UNION_CHUNK):
+        rows = np.sort(sample_rows(point, n, min(_UNION_CHUNK, samples - start), rng), axis=1)
+        sizes = 1 + np.count_nonzero(np.diff(rows, axis=1), axis=1)
+        small += int(np.count_nonzero(sizes < cutoff))
     return small / samples

@@ -31,7 +31,8 @@ from .instances import (
     Instance,
     QuasilatticePoint,
     enumerate_rows,
-    sample_collision_input,  # perfbench/tracer.py counts samples by patching this name here
+    sample_collision_input,  # unused; kept bound because perfbench/tracer.py patches it here
+    sample_rows,
 )
 from .lattice import LatticePoly
 from .multilinear import IndicatorVariable, Monomial, MultilinearPoly, hit_masks, monomials_over
@@ -561,6 +562,6 @@ def expected_acceptance(obj, point, n: int, cap: int | None = None) -> QSqrt2:
 def expected_acceptance_mc(
     obj, point: QuasilatticePoint, n: int, samples: int, rng: random.Random
 ) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the family acceptance."""
-    rows = (sample_collision_input(point, n, rng).x for _ in range(samples))
-    return mean_acceptance_mc(obj, draw_table(rows, point, n), n)
+    """Monte Carlo mean and standard error of the family acceptance over
+    one table of samples draws from rng."""
+    return mean_acceptance_mc(obj, sample_rows(point, n, samples, rng), n)

@@ -141,19 +141,7 @@ class QSqrt2:
 
     def sign(self) -> int:
         """Sign of the real value a + b*sqrt(2), computed exactly."""
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (0 if a == 0 else 1)
-        if a == 0:
-            return -1 if b < 0 else 1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: compare a^2 against 2 b^2.
-        if a > 0:  # b < 0: positive iff a^2 > 2 b^2
-            return 1 if a * a > 2 * b * b else -1
-        return 1 if 2 * b * b > a * a else -1  # a < 0, b > 0
+        return sign(self.a, self.b)
 
     def __lt__(self, other):
         return (self - QSqrt2.coerce(other)).sign() < 0
@@ -187,6 +175,22 @@ class QSqrt2:
 
 ZERO = QSqrt2(0)
 ONE = QSqrt2(1)
+
+
+def sign(a: RationalLike, b: RationalLike) -> int:
+    """Sign of a + b*sqrt(2) for rationals or integers a, b, exactly."""
+    if b == 0:
+        return -1 if a < 0 else (0 if a == 0 else 1)
+    if a == 0:
+        return -1 if b < 0 else 1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # Opposite signs: compare a^2 against 2 b^2.
+    if a > 0:  # b < 0: positive iff a^2 > 2 b^2
+        return 1 if a * a > 2 * b * b else -1
+    return 1 if 2 * b * b > a * a else -1  # a < 0, b > 0
 
 
 def int_form(values: Iterable[QSqrt2]) -> tuple[int, list[tuple[int, int]]]:

@@ -19,10 +19,10 @@ import math
 import random
 from fractions import Fraction
 
-from .instances import Instance, SuperQuasilatticePoint, kappa, sample_input
+from .instances import Instance, SuperQuasilatticePoint, kappa, sample_input, sample_rows
 from .lattice import LatticePoly
 from .multilinear import MultilinearPoly
-from .polymethod import as_monomial, assemble_grid_poly, draw_table, mean_acceptance_mc
+from .polymethod import as_monomial, assemble_grid_poly, mean_acceptance_mc
 
 
 def _kappa_poly() -> LatticePoly:
@@ -183,8 +183,8 @@ def assemble_q3(p: MultilinearPoly, n: int, T: int) -> LatticePoly:
     return assemble_grid_poly(p, n, T, q_tilde3, 3)
 
 
-# Kept by name: expected_acceptance3_mc calls it so that perfbench/tracer.py,
-# which patches this name, counts the set-comparison samples.
+# Kept by name: perfbench/tracer.py patches it, though the Monte Carlo
+# below now draws its rows with sample_rows.
 def sample_setcomp_input(point: SuperQuasilatticePoint, n: int, rng: random.Random) -> Instance:
     return sample_input(SuperQuasilatticePoint(*point), n, rng)
 
@@ -192,7 +192,7 @@ def sample_setcomp_input(point: SuperQuasilatticePoint, n: int, rng: random.Rand
 def expected_acceptance3_mc(
     obj, point: SuperQuasilatticePoint, n: int, samples: int, rng: random.Random
 ) -> tuple[float, float]:
-    """Monte Carlo mean and standard error over the (g, N, M) family."""
-    draws = (sample_setcomp_input(point, n, rng) for _ in range(samples))
-    return mean_acceptance_mc(obj, draw_table((d.x + d.y for d in draws), point, n), n)
+    """Monte Carlo mean and standard error over the (g, N, M) family, from
+    one table of samples draws from rng."""
+    return mean_acceptance_mc(obj, sample_rows(point, n, samples, rng), n)
 

@@ -13,14 +13,16 @@ the oracle semantics:
 Exact and float mode share every kernel: exact mode holds QSqrt2
 amplitudes and checks norms for equality, float mode holds doubles and
 checks them within FLOAT_NORM_TOL.  Those constants and the few
-operations on a state's entries (the layer product, re-keying and the
-sum of squares) live in the MODES table; nothing else differs.
+operations on a state's entries (the layer product, re-keying, the sum
+of squares and its checks) live in the MODES table; nothing else
+differs.
 An exact state's entries stay in qsqrt2's integer form from step to
 step (ExactEntries): integers over the amplitudes' least common
 denominator d.  A layer multiplies them by its Layer.int_cols() over D
 and reduces the result to its least common denominator; a query re-keys
-them; a sum of squares is one integer sum over d^2.  A QSqrt2 is built
-only where a caller reads an amplitude or a sum.
+them; a sum of squares is one integer sum over d^2, and the norm and
+[0, 1] checks compare those integers.  A QSqrt2 is built only where a
+caller reads an amplitude or a sum.
 
 The layer kernels (the orthogonality check and the layer product) run
 on numpy arrays of those integers: int64 while every sum provably fits,
@@ -41,7 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .instances import Instance, json_field
-from .qsqrt2 import ONE, QSqrt2, ZERO, int_form, parse_fraction
+from .qsqrt2 import ONE, QSqrt2, ZERO, int_form, parse_fraction, sign
 
 FLOAT_NORM_TOL = 1e-12
 MEASURE_NORM_TOL = 1e-9
@@ -401,8 +403,8 @@ class ExactEntries(Mapping):
     ints[ordinal] = (A, B) holds the amplitude (A + B sqrt 2) / d, in the
     order the ordinals were reached, and (d, ints) is what int_form gives
     for the amplitudes.  Reading an amplitude builds its QSqrt2; the
-    kernels read d and ints.  The entries cannot change, so the squared
-    norm is summed once, when first asked for, and kept.
+    kernels and checks read d and ints.  The entries cannot change, so
+    the squared norm is summed once, when first asked for, and kept.
     """
 
     __slots__ = ("d", "ints", "_norm")
@@ -447,10 +449,10 @@ class ExactEntries(Mapping):
     def __repr__(self):
         return f"ExactEntries({dict(self.items())!r})"
 
-    def weight(self, keep=None) -> QSqrt2:
-        """Sum of the squared amplitudes whose ordinal keep accepts (all
-        if keep is None), as one integer sum over d^2:
-        (A + B sqrt 2)^2 = A^2 + 2 B^2 + 2 A B sqrt 2."""
+    def square_sum(self, keep=None) -> tuple[int, int, int]:
+        """(A, B, D): the squared amplitudes whose ordinal keep accepts
+        (all if keep is None) sum to (A + B sqrt 2) / D, one integer sum
+        over D = d^2 > 0, since (A + B sqrt 2)^2 = A^2 + 2 B^2 + 2 A B sqrt 2."""
         if keep is None and self._norm is not None:
             return self._norm
         pairs = self.ints.values() if keep is None else (
@@ -460,7 +462,7 @@ class ExactEntries(Mapping):
         for A, B in pairs:
             ra += A * A + 2 * B * B
             rb += A * B
-        total = QSqrt2.over(ra, 2 * rb, self.d * self.d)
+        total = (ra, 2 * rb, self.d * self.d)
         if keep is None:
             self._norm = total
         return total
@@ -500,36 +502,72 @@ def _float_weight(entries: dict, keep=None):
     return sum((a * a for a in amps), 0)
 
 
+def _exact_same(s: tuple[int, int, int], t: tuple[int, int, int]) -> bool:
+    """(A + B sqrt 2) / D == (A' + B' sqrt 2) / D', by cross-multiplying:
+    sqrt 2 is irrational, so both parts must agree."""
+    (a, b, d), (a2, b2, d2) = s, t
+    return a * d2 == a2 * d and b * d2 == b2 * d
+
+
+def _exact_probability(s: tuple[int, int, int]) -> QSqrt2:
+    """(A + B sqrt 2) / D as a QSqrt2, checked to lie in [0, 1] by the
+    sign rule: with D > 0 it is at least 0 iff A + B sqrt 2 is, and at
+    most 1 iff (A - D) + B sqrt 2 is at most 0."""
+    A, B, D = s
+    p = QSqrt2.over(A, B, D)
+    if sign(A, B) < 0 or sign(A - D, B) > 0:
+        raise AssertionError(f"acceptance probability {p!r} outside [0, 1]")
+    return p
+
+
+def _float_same(s: float, t: float) -> bool:
+    return s == t or -FLOAT_NORM_TOL <= s - t <= FLOAT_NORM_TOL
+
+
+def _float_probability(p: float) -> float:
+    """p clipped to [0, 1], checked to lie within FLOAT_NORM_TOL of it."""
+    clipped = min(max(p, 0), 1.0)
+    if not _float_same(p, clipped):
+        raise AssertionError(f"acceptance probability {p!r} outside [0, 1]")
+    return clipped
+
+
 class Arithmetic(NamedTuple):
-    """What differs between amplitude modes: zero, one, the norm tolerance
-    (0: exact equality), and the operations on a state's entries.  read
-    gives a state's entries in the form the others take; layer is the layer
-    product; rekey moves the i-th entry to keys[i]; weight(entries, keep)
-    sums the squares of the amplitudes whose ordinal keep accepts (all if
-    keep is None).  The float zero is the int 0 of a plain sum(), so a
-    float acceptance with no accepting state reads 0."""
+    """What differs between amplitude modes: zero, one, and the
+    operations on a state's entries.  read gives a state's entries in the
+    form the others take; layer is the layer product; rekey moves the i-th
+    entry to keys[i]; square_sum(entries, keep) sums the squares of the
+    amplitudes whose ordinal keep accepts (all if keep is None), in the
+    form the checks read: (A, B, D) integers in exact mode.  value turns
+    such a sum into the mode's number; same(s, t) tells whether two sums
+    agree, exactly or within FLOAT_NORM_TOL; probability(s) is value(s)
+    checked to lie in [0, 1], and in float mode clipped to it.  The float
+    zero is the int 0 of a plain sum(), so a float acceptance with no
+    accepting state reads 0."""
 
     zero: object
     one: object
-    tol: float
     read: Callable[[Mapping], Mapping]
     layer: Callable[[Mapping, Layer], Mapping]
     rekey: Callable[[Mapping, list], Mapping]
-    weight: Callable
+    square_sum: Callable
+    value: Callable
+    same: Callable[..., bool]
+    probability: Callable
 
 
 MODES = {
-    "exact": Arithmetic(ZERO, ONE, 0, ExactEntries.of, _exact_layer, _exact_rekey,
-                        ExactEntries.weight),
-    "float": Arithmetic(0, 1.0, FLOAT_NORM_TOL, lambda entries: entries, _float_layer,
-                        _float_rekey, _float_weight),
+    "exact": Arithmetic(ZERO, ONE, ExactEntries.of, _exact_layer, _exact_rekey,
+                        ExactEntries.square_sum, lambda s: QSqrt2.over(*s), _exact_same,
+                        _exact_probability),
+    "float": Arithmetic(0, 1.0, lambda entries: entries, _float_layer, _float_rekey,
+                        _float_weight, lambda s: s, _float_same, _float_probability),
 }
 
 
-def _agrees(a, b, mode: str) -> bool:
-    """a == b, or within FLOAT_NORM_TOL of it in float mode."""
-    tol = MODES[mode].tol
-    return a == b or -tol <= a - b <= tol
+def _accepting(ordinal: int) -> int:
+    """The output bit of a basis ordinal: 1 on output = 2 states."""
+    return ordinal & 1
 
 
 class StateVector:
@@ -566,19 +604,28 @@ class StateVector:
 
     def weight(self, keep=None):
         """Total squared amplitude on the ordinals keep accepts (all if None)."""
-        return MODES[self.mode].weight(self.entries, keep)
+        m = MODES[self.mode]
+        return m.value(m.square_sum(self.entries, keep))
 
     def squared_norm(self):
-        return MODES[self.mode].weight(self.entries)
+        return self.weight()
 
     def acceptance_weight(self):
         """Total squared amplitude on output = 2 states."""
-        return MODES[self.mode].weight(self.entries, lambda ordinal: ordinal & 1)
+        return self.weight(_accepting)
 
 
-def _check_norm_preserved(before, after, mode: str, what: str):
-    if not _agrees(before, after, mode):
-        raise AssertionError(f"{what} changed the squared norm from {before!r} to {after!r}")
+def _same_norm(a: StateVector, b: StateVector) -> bool:
+    m = MODES[a.mode]
+    return m.same(m.square_sum(a.entries), m.square_sum(b.entries))
+
+
+def _check_norm_preserved(before: StateVector, after: StateVector, what: str):
+    if not _same_norm(before, after):
+        raise AssertionError(
+            f"{what} changed the squared norm from {before.squared_norm()!r} "
+            f"to {after.squared_norm()!r}"
+        )
 
 
 def apply_unitary(state: StateVector, layer: Layer) -> StateVector:
@@ -586,7 +633,7 @@ def apply_unitary(state: StateVector, layer: Layer) -> StateVector:
     if layer.dim != state.space.dim:
         raise ValueError("layer dimension does not match state space")
     result = StateVector(state.space, state.mode, MODES[state.mode].layer(state.entries, layer))
-    _check_norm_preserved(state.squared_norm(), result.squared_norm(), state.mode, "unitary layer")
+    _check_norm_preserved(state, result, "unitary layer")
     return result
 
 
@@ -603,7 +650,7 @@ def apply_standard_query(state: StateVector, inst: Instance) -> StateVector:
     entries = state.entries
     keys = [ordinal ^ masks[(ordinal >> 1) % space.index_size] for ordinal in entries]
     result = StateVector(space, state.mode, MODES[state.mode].rekey(entries, keys))
-    _check_norm_preserved(state.squared_norm(), result.squared_norm(), state.mode, "standard query")
+    _check_norm_preserved(state, result, "standard query")
     return result
 
 
@@ -648,7 +695,7 @@ def apply_erasing_query(state: StateVector, inst: Instance) -> StateVector:
     if len(out) != len(entries):
         raise AssertionError("erasing map collided; input claimed injective")
     result = StateVector(space, state.mode, out)
-    _check_norm_preserved(state.squared_norm(), result.squared_norm(), state.mode, "erasing query")
+    _check_norm_preserved(state, result, "erasing query")
     return result
 
 
@@ -706,14 +753,15 @@ class QueryAlgorithm:
         query = (
             apply_standard_query if self.oracle_kind == "standard" else apply_erasing_query
         )
-        state = StateVector.from_basis_state(self.space, self.initial, mode)
-        state = apply_unitary(state, self.layers[0])
+        start = StateVector.from_basis_state(self.space, self.initial, mode)
+        state = apply_unitary(start, self.layers[0])
         for t in range(1, self.T + 1):
             state = query(state, inst)
             state = apply_unitary(state, self.layers[t])
-        norm = state.squared_norm()
-        if not _agrees(norm, MODES[mode].one, mode):
-            raise AssertionError(f"final state is not normalized (squared norm {norm!r})")
+        if not _same_norm(state, start):  # a basis state has squared norm one
+            raise AssertionError(
+                f"final state is not normalized (squared norm {state.squared_norm()!r})"
+            )
         return state
 
     # -- description file ----------------------------------------------------
@@ -775,12 +823,8 @@ def acceptance_probability(alg: QueryAlgorithm, inst: Instance, mode: str = "exa
     Exact mode returns a QSqrt2 value checked to lie in [0, 1]; float mode
     returns a double checked to lie within FLOAT_NORM_TOL of it, clipped.
     """
-    p = alg.run(inst, mode).acceptance_weight()
     m = MODES[mode]
-    clipped = min(max(p, m.zero), m.one)
-    if not _agrees(p, clipped, mode):
-        raise AssertionError(f"acceptance probability {p!r} outside [0, 1]")
-    return clipped
+    return m.probability(m.square_sum(alg.run(inst, mode).entries, _accepting))
 
 
 def sample_measurement(state: StateVector, rng: random.Random) -> BasisState:

@@ -21,7 +21,7 @@ from collisionlab.instances import (
     count_supports,
     enumerate_supports,
     instance_from_latent,
-    sample_input,
+    sample_rows,
 )
 from collisionlab.multilinear import IndicatorVariable as IV
 from collisionlab.multilinear import Monomial, MultilinearPoly
@@ -69,8 +69,9 @@ def random_poly(rng: random.Random, n: int, registers: tuple, top: int, terms: i
     return MultilinearPoly(out)
 
 
-def per_draw_mc(poly: MultilinearPoly, draws) -> tuple[float, float]:
-    values = [float(poly.evaluate(inst.x, inst.y)) for inst in draws]
+def per_draw_mc(poly: MultilinearPoly, rows, n: int) -> tuple[float, float]:
+    """Mean and standard error of poly over table rows, one evaluate per row."""
+    values = [float(poly.evaluate(tuple(row[:n]), tuple(row[n:]) or None)) for row in rows]
     samples = len(values)
     mean = sum(values) / samples
     var = sum((v - mean) ** 2 for v in values) / max(samples - 1, 1)
@@ -167,9 +168,8 @@ def test_collision_mc_is_bitwise_the_per_draw_estimate():
     for poly in polys:
         for point in (QuasilatticePoint(1, 4), QuasilatticePoint(2, 8)):
             got = expected_acceptance_mc(poly, point, 4, 300, random.Random(3))
-            draw_rng = random.Random(3)
-            want = per_draw_mc(poly, (sample_input(point, 4, draw_rng) for _ in range(300)))
-            assert got == want
+            rows = sample_rows(point, 4, 300, random.Random(3)).tolist()
+            assert got == per_draw_mc(poly, rows, 4)
 
 
 def test_setcomp_mc_is_bitwise_the_per_draw_estimate():
@@ -180,9 +180,8 @@ def test_setcomp_mc_is_bitwise_the_per_draw_estimate():
     ]
     for poly, n, point in cases:
         got = expected_acceptance3_mc(poly, point, n, 200, random.Random(4))
-        draw_rng = random.Random(4)
-        want = per_draw_mc(poly, (sample_input(point, n, draw_rng) for _ in range(200)))
-        assert got == want
+        rows = sample_rows(point, n, 200, random.Random(4)).tolist()
+        assert got == per_draw_mc(poly, rows, n)
 
 
 @pytest.mark.parametrize("name, point, n", [

@@ -38,9 +38,9 @@ def test_tracer_installs_and_restores_every_hook():
 
 def test_chain_calls_reach_the_traced_names(monkeypatch):
     # A cap of 0 sends every point to Monte Carlo, so both families'
-    # assembly and sampling hooks run.
+    # assembly and Monte Carlo hooks run, one Monte Carlo span per point.
     monkeypatch.setenv("COLLISIONLAB_ENUM_CAP", "0")
-    tracer = load_tracer()
+    tracer = load_tracer(timing=True)
     tracer.install()
     try:
         for job, alg in (("collision", coincidence_probe(4)), ("setcomp", setcomp_probe(8))):
@@ -49,11 +49,11 @@ def test_chain_calls_reach_the_traced_names(monkeypatch):
             assert len(report.points) == 2
     finally:
         tracer.uninstall()
-    for job in ("collision", "setcomp"):
+    for job, mc in (("collision", "polymethod.mc"), ("setcomp", "setcomp_poly.mc")):
         counts = tracer.counts[job]
         assert counts["degreebound.points"] == 2
         assert counts["degreebound.exact_points"] == 0
-        assert counts["instances.samples"] == 20
+        assert sum(1 for span in tracer.spans if span[0] == mc and span[4] == job) == 2
         assert counts["lattice.q_terms"] > 0
         assert counts["polymethod.extract_terms"] > 0
 

@@ -189,12 +189,14 @@ def test_setcomp_degree_lower_bound_formula(d, G, T, n, dev):
 # sha256 of the chain report JSON (G=2, 300 MC samples, seed 0) for every
 # reference circuit that admits G=2.  The values come from the separate
 # collision and set-comparison chain code; the shared chain must
-# reproduce those reports byte for byte.
+# reproduce those reports byte for byte.  setcomp-probe-8's points are
+# Monte Carlo, so its pin was retaken when the draws moved to one
+# instances.sample_rows table per point.
 CHAIN_JSON_SHA256 = {
     "always-accept-4": "45a18d98c40504f7a31f913f70ac74c44b574323baf18e58e93476b17935b379",
     "coincidence-4": "e78076b0dea68a9542da03456df5a81abe1c5f6ad5fcb3e292a8fa0154199b62",
     "first-is-1-n4": "4b68fa5efa4b145f2648a684b9b67566f87adaa480e12da22cf892e1beb8b5a2",
-    "setcomp-probe-8": "47435177281f0bb1cf168178a6373bc49312e38fb3cb967446f91365f018c3a9",
+    "setcomp-probe-8": "d29ba56fb9dc58251298df688db82b2df6cfb24125f6fc214c9a4033d66e1f1e",
     "two-query-4": "daca9b3cfbc4bfa3b6809fbb304dbbb7846ca9a7d10059ebd0c3175a2e40d049",
 }
 
@@ -208,10 +210,11 @@ def test_chain_report_is_pinned(name):
 
 # The same under COLLISIONLAB_ENUM_CAP=0, which sends every point to Monte
 # Carlo over the extracted polynomial; taken from the per-draw evaluation
-# that the batched one replaced.
+# that the batched one replaced.  two_query_mixer(4)'s was retaken for the
+# sample_rows tables; coincidence_probe(4)'s P is the same on every draw.
 CHAIN_MC_JSON_SHA256 = {
     "coincidence_probe(4)": "97def3bfa872b5be8c15124560d1ba1f13e26d4cb017ef5a1950a8b8f4b1509f",
-    "two_query_mixer(4)": "8d170a9cde21a6d556a251abc91b5d1074ea21865ef6ea62fb4de8154842446f",
+    "two_query_mixer(4)": "664b240e8093e81a3770011a42de5891807de4e588373ec1da92a886926f6044",
 }
 
 

@@ -30,8 +30,9 @@ from collisionlab.instances import (
     SuperQuasilatticePoint,
     sample_input,
 )
-from collisionlab.qsqrt2 import ONE, QSqrt2, int_form
+from collisionlab.qsqrt2 import ONE, SQRT2, ZERO, QSqrt2, int_form
 from collisionlab.simulator import (
+    MODES,
     BasisState,
     ExactEntries,
     Layer,
@@ -268,3 +269,43 @@ def test_swapped_layers_fail_their_norm_checks_under_optimized_mode():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1 [True, True, True]"
+
+
+# -- the checks compare the carried integers -----------------------------------
+
+
+def random_sum(rng: random.Random) -> tuple[int, int, int]:
+    """(A, B, D) with D > 0, often near 0 or 1, where the sign rule's
+    cases (mixed signs, A^2 against 2 B^2) decide."""
+    D = rng.randint(1, 12)
+    B = rng.randint(-12, 12)
+    A = rng.choice([0, D]) + rng.randint(-2, 2) - round(B * SQRT2) * rng.randint(0, 1)
+    return A, B, D
+
+
+def test_the_integer_norm_comparison_is_qsqrt2_equality():
+    same = MODES["exact"].same
+    rng = random.Random(41)
+    for _ in range(2000):
+        s, t = random_sum(rng), random_sum(rng)
+        scale = rng.randint(1, 5)
+        scaled = tuple(scale * v for v in s)  # the same number over another denominator
+        assert same(s, scaled) and same(scaled, s)
+        assert same(s, t) == (QSqrt2.over(*s) == QSqrt2.over(*t))
+
+
+def test_the_integer_unit_interval_check_is_the_qsqrt2_clip():
+    probability = MODES["exact"].probability
+    rng = random.Random(42)
+    inside = outside = 0
+    for _ in range(2000):
+        s = random_sum(rng)
+        p = QSqrt2.over(*s)
+        if min(max(p, ZERO), ONE) == p:
+            assert probability(s) == p
+            inside += 1
+        else:
+            with pytest.raises(AssertionError, match=r"outside \[0, 1\]$"):
+                probability(s)
+            outside += 1
+    assert inside > 200 and outside > 200

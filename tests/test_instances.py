@@ -28,6 +28,7 @@ from collisionlab.instances import (
     kappa,
     quasilattice_points,
     sample_input,
+    sample_rows,
     set_union_size,
     super_quasilattice_points,
     validate_instance,
@@ -302,6 +303,7 @@ def test_integer_root():
 def test_sampler_count_and_enumerator_reject_a_point_alike(point, n, message):
     draws = [
         lambda: sample_input(point, n, random.Random(0)),
+        lambda: sample_rows(point, n, 1, random.Random(0)),
         lambda: count_supports(point, n),
         lambda: list(enumerate_supports(point, n)),
         lambda: list(enumerate_rows(point, n)),

@@ -15,6 +15,8 @@ PACKAGE = Path(collisionlab.__file__).resolve().parent
 # (module, name) -> why the import stays although the module never uses it
 KEPT_FOR_PATCHING = {
     ("cli", "assemble_q"): "perfbench/tracer.py patches cli.assemble_q by name",
+    ("polymethod", "sample_collision_input"):
+        "perfbench/tracer.py patches polymethod.sample_collision_input by name",
 }
 
 
