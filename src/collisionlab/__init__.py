@@ -47,7 +47,6 @@ from .polymethod import (
 )
 from .setcomp_poly import (
     assemble_q3,
-    gamma3_closed,
     prefactor3,
     q_tilde3,
     theta_poly,

@@ -190,7 +190,7 @@ def cmd_verify_gamma(args) -> int:
         for point in divisor_points(n, args.max_N):
             brute = gamma_bruteforce_sweep(monos, point, n, cap=args.enum_cap)
             for m, b in zip(monos, brute):
-                c = gamma_closed(m, *point, n)
+                c = gamma_closed(m, point, n)
                 equal = c == b
                 all_equal &= equal
                 rows.append({"n": n, **point._asdict(), "monomial": monomial_label(m),

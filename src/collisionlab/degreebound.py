@@ -22,6 +22,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .instances import (
+    WINDOW_DENOM,
+    WINDOW_DENOM3,
     ConfigError,
     EnumerationTooLarge,
     enumeration_cap,
@@ -50,8 +52,6 @@ ACCEPT_GAP = 0.8  # (1 - 1/10) - 1/10
 DEVIATION_BOUND = 0.182
 SLOPE_FLOOR = 0.436  # ACCEPT_GAP - 2 * DEVIATION_BOUND
 RANGE_BASE = 1.364  # 1 + 2 * DEVIATION_BOUND: q stays in (-0.182, 1.182)
-WINDOW_DENOM = 10  # collision-side window width n/(10 T)
-WINDOW_DENOM3 = 100  # set-comparison window width n/(100 T)
 PREFACTOR_FLOOR = 0.818  # large-n floor of the prefactor on the window
 
 CONSTANTS = {

@@ -239,6 +239,10 @@ def kappa(g: int) -> int:
     return 4 * g * g - 12 * g + 9
 
 
+WINDOW_DENOM = 10  # collision-side window width n/(10 T)
+WINDOW_DENOM3 = 100  # set-comparison window width n/(100 T)
+
+
 class QuasilatticePoint(NamedTuple):
     g: int
     N: int
@@ -250,7 +254,7 @@ class SuperQuasilatticePoint(NamedTuple):
     M: int
 
 
-def is_quasilattice_point(g: int, N: int, n: int, T: int, slack: int = 10) -> bool:
+def is_quasilattice_point(g: int, N: int, n: int, T: int, slack: int = WINDOW_DENOM) -> bool:
     """Admissibility of (g, N): g | N, 1 <= g <= sqrt(n),
     n <= N <= n + n/(slack*T), and N = n when g = 1."""
     if g < 1 or g * g > n:
@@ -265,7 +269,7 @@ def is_quasilattice_point(g: int, N: int, n: int, T: int, slack: int = 10) -> bo
 
 
 def is_super_quasilattice_point(
-    g: int, N: int, M: int, n: int, T: int, slack: int = 100
+    g: int, N: int, M: int, n: int, T: int, slack: int = WINDOW_DENOM3
 ) -> bool:
     """Admissibility of (g, N, M): g in [1, n^(1/3)], g | N, kappa(g) | M,
     N and M in [n, n(1 + 1/(slack*T))], N = n when g = 1, M = n when g = 2."""
@@ -331,7 +335,9 @@ def _grid(n: int, G: int, n_top, m_top: int | None = None) -> list:
     return points
 
 
-def quasilattice_points(n: int, T: int, G: int, slack: int = 10) -> list[QuasilatticePoint]:
+def quasilattice_points(
+    n: int, T: int, G: int, slack: int = WINDOW_DENOM
+) -> list[QuasilatticePoint]:
     """All admissible (g, N) with g <= G, sorted by (g, N).
 
     slack is the denominator constant in the window width n/(slack*T);
@@ -344,7 +350,7 @@ def quasilattice_points(n: int, T: int, G: int, slack: int = 10) -> list[Quasila
 
 
 def super_quasilattice_points(
-    n: int, T: int, G: int, slack: int = 100
+    n: int, T: int, G: int, slack: int = WINDOW_DENOM3
 ) -> list[SuperQuasilatticePoint]:
     """All admissible (g, N, M) with g <= G, sorted by (g, N, M)."""
     top = _window_top(n, T, G, slack, 3)
@@ -617,6 +623,8 @@ def fraction_of_small_unions(
     draws whose union is smaller than threshold*n.  The rows come from
     sample_rows, _UNION_CHUNK draws at a time; sorted, a row's union size
     is its count of distinct values."""
+    if samples < 1:
+        raise ValueError(f"no draws were asked for: samples must be >= 1, got {samples}")
     point = SuperQuasilatticePoint(1, n, n)
     cutoff = math.ceil(threshold * n)  # an integer size is below threshold*n iff below this
     small = 0

@@ -220,21 +220,6 @@ class MultilinearPoly:
             return MultilinearPoly()
         return MultilinearPoly({m: v * c for m, v in self.terms.items()})
 
-    def times_indicator(self, var: IndicatorVariable) -> "MultilinearPoly":
-        """Multiply by one indicator, with multilinear reduction.
-
-        Monomials that would pin the queried position to a second value
-        are identically zero and are dropped.
-        """
-        out: dict[Monomial, QSqrt2] = {}
-        for m, c in self.terms.items():
-            ext = m.with_factor(var)
-            if ext is None:
-                continue
-            acc = out.get(ext)
-            out[ext] = c if acc is None else acc + c
-        return MultilinearPoly(out)
-
     def __mul__(self, other: "MultilinearPoly") -> "MultilinearPoly":
         out: dict[Monomial, QSqrt2] = {}
         for m1, c1 in self.terms.items():

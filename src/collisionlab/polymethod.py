@@ -1,19 +1,21 @@
-"""Acceptance polynomials and their expectations over g-to-1 families.
+"""Acceptance polynomials and their expectations over the input families.
 
 A T-query standard-oracle algorithm's acceptance probability is a
 multilinear polynomial of degree at most 2T in the input indicators;
 extract_polynomial builds it by propagating per-amplitude polynomials
-through the circuit.  Averaged over the (g, N) input family, each
-monomial contributes a closed-form expectation gamma(I, g, N) equal to a
-fixed factorial prefactor times a bivariate polynomial q~ of total degree
-at most 2T, so the averaged acceptance satisfies
+through the circuit.  A point's arity names its family: (g, N) for
+collision inputs, (g, N, M) for set comparison.  Averaged over either
+family, a monomial I has the expectation gamma_closed(I, point, n), one
+counting formula whose parameters alone depend on the arity.  On the
+collision side gamma is a fixed factorial prefactor times a bivariate
+polynomial q~ of total degree at most 2T, so the averaged acceptance
+satisfies
 
     P(g, N) = prefactor(n, T, N) * q(g, N),    q = sum_I beta_I * q~_I
 
-exactly at every admissible point.  Every closed form, here and in
-setcomp_poly, has an independent brute-force twin, gamma_bruteforce,
-that enumerates the latent draws directly.  A point's arity names its
-family: (g, N) for collision inputs, (g, N, M) for set comparison.
+exactly at every admissible point; setcomp_poly holds the trivariate
+q~3 and prefactor3.  The closed form's independent twin,
+gamma_bruteforce, enumerates the latent draws of either family.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .instances import (
     Instance,
     QuasilatticePoint,
     enumerate_rows,
+    kappa,
     sample_collision_input,  # unused; kept bound because perfbench/tracer.py patches it here
     sample_rows,
 )
@@ -289,46 +292,64 @@ def evaluate_poly(p: MultilinearPoly, inst: Instance) -> QSqrt2:
 # ---------------------------------------------------------------------------
 
 
-def gamma_closed(I, g: int, N: int, n: int, T: int | None = None) -> Fraction:
-    """Probability that monomial I evaluates to 1 under the (g, N) family.
+def gamma_closed(I, point, n: int, T: int | None = None) -> Fraction:
+    """Probability that monomial I evaluates to 1 under the family at
+    point, (g, N) or (g, N, M), for inputs of length n:
 
-    Direct product of the counting formula: the chance that the
-    monomial's range fits in the drawn range set, times the fraction of
-    g-to-1 functions consistent with the pinned positions.  Returns 0 for
-    conflicting products, ranges that cannot embed, values outside
-    {1..n}, or any value pinned at more than g positions.
+        C(U - w, |S| - w) / C(U, |S|)
+        * prod_reg C(|S| - w_reg, sub - w_reg) / C(|S|, sub)
+                   * (L - r_reg)! / L! * prod_{values v} perm(k, c_v)
+
+    the chance that the monomial's range fits in the drawn range set S,
+    that each register's range fits in its drawn range, and that its
+    pinned positions agree with a k-to-1 sequence of length L.  Only the
+    parameters depend on the arity: (g, N) has U = n, |S| = N/g, k = g,
+    L = N and one register x, whose range is S itself (sub = |S|, a
+    factor of 1); (g, N, M) has U = 2n, |S| = 2N/g, sub = M/kappa(g),
+    k = kappa(g), L = M and the registers x and y.
+
+    Conflicting products, values outside {1..U}, ranges that cannot
+    embed and values pinned more than k times in a register give 0.
+    The points rejected are those enumerate_rows rejects.  The count
+    uses the point alone, never the sampler or the enumerator, so that
+    gamma_bruteforce stays an independent check.
     """
     m = as_monomial(I)
     if m is None:
         return Fraction(0)
-    if m.register_factors("y"):
-        raise ValueError("collision-family expectations take x-register monomials only")
-    if g < 1 or N % g != 0:
+    g, N, *M = point
+    if g < 1 or N % g:
         raise ValueError("g must be >= 1 and divide N")
-    blocks = N // g
-    if blocks > n:
-        raise ValueError("range size N/g exceeds n")
-    r = m.degree
-    if T is not None and r > 2 * T:
-        raise ValueError(f"monomial degree {r} exceeds 2T = {2 * T}")
-    if any(f.position > n for f in m.factors):
-        raise ValueError("monomial positions must lie within 1..n")
+    if M:
+        (L,) = M
+        k, U, size, registers = kappa(g), 2 * n, 2 * N // g, ("x", "y")
+        if L % k:
+            raise ValueError("kappa(g) must divide M")
+        sub = L // k
+    else:
+        k, L, U, size, registers = g, N, n, N // g, ("x",)
+        sub = size
+    if size > U or sub > size or L < n:
+        raise ValueError(f"point {tuple(point)} does not fit inputs of length n={n}")
+    if T is not None and m.degree > 2 * T:
+        raise ValueError(f"monomial degree {m.degree} exceeds 2T = {2 * T}")
+    if any(f.register not in registers or f.position > n for f in m.factors):
+        raise ValueError(f"monomial factors must lie on registers {registers} at positions 1..n")
     values = m.value_set()
     w = len(values)
-    if any(not 1 <= v <= n for v in values):
+    if w > size or any(not 1 <= v <= U for v in values):
         return Fraction(0)
-    if w > blocks:
-        return Fraction(0)
-    mult = m.multiplicities()
-    if any(c > g for c in mult.values()):
-        return Fraction(0)
-    range_fits = Fraction(math.comb(n - w, blocks - w), math.comb(n, blocks))
-    consistent = Fraction(
-        math.factorial(N - r) * math.factorial(g) ** w,
-        math.factorial(N)
-        * math.prod(math.factorial(g - c) for c in mult.values()),
-    )
-    return range_fits * consistent
+    num, den = math.comb(U - w, size - w), math.comb(U, size)  # reduced once, at the end
+    for reg in registers:
+        mult = m.multiplicities(reg)
+        w_reg = len(mult)
+        if w_reg > sub:
+            return Fraction(0)
+        num *= math.comb(size - w_reg, sub - w_reg)
+        den *= math.comb(size, sub)
+        num *= math.prod(math.perm(k, c) for c in mult.values())
+        den *= math.perm(L, sum(mult.values()))
+    return Fraction(num, den)
 
 
 # Kept by name: gamma_bruteforce_sweep calls it so that perfbench/tracer.py,
@@ -341,8 +362,8 @@ def enumerate_collision_supports(
 
 
 def gamma_bruteforce(I, point, n: int, cap: int | None = None) -> Fraction:
-    """Same expectation as gamma_closed (or gamma3_closed, for a
-    (g, N, M) point) by direct enumeration of every latent draw.
+    """Same expectation as gamma_closed, at a (g, N) or (g, N, M) point,
+    by direct enumeration of every latent draw.
 
     Deliberately naive: walks every draw's row, evaluates the monomial on
     its x (and y), and divides.  Independent of the closed forms.

@@ -1,16 +1,16 @@
-"""Trivariate expectation machinery for the set-comparison families.
+"""Trivariate polynomial machinery for the set-comparison families.
 
 The (g, N, M) input family draws a pair (X, Y) of length-n prefixes of
 independent kappa(g)-to-1 functions into random subsets S_X, S_Y of a
-random range S.  Monomial expectations gamma(I, g, N, M) factor into a
-prefactor depending on (g, N, M) times a trivariate polynomial q~ of
-total degree at most 8T, giving
+random range S.  A monomial's expectation, polymethod's gamma_closed at
+a (g, N, M) point, factors into a prefactor depending on (g, N, M) times
+a trivariate polynomial q~ of total degree at most 8T, giving
 
     P(g, N, M) = prefactor3(n, T, N, M, g) * q(g, N, M)
 
-exactly at every admissible point.  The brute-force twin of each
-closed form, and the exact family average, are polymethod's
-gamma_bruteforce and expected_acceptance at a (g, N, M) point.
+exactly at every admissible point.  The brute-force twin of the closed
+form, and the exact family average, are polymethod's gamma_bruteforce
+and expected_acceptance at a (g, N, M) point.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import random
 from fractions import Fraction
 
-from .instances import Instance, SuperQuasilatticePoint, kappa, sample_input, sample_rows
+from .instances import Instance, SuperQuasilatticePoint, sample_input, sample_rows
 from .lattice import LatticePoly
 from .multilinear import MultilinearPoly
 from .polymethod import as_monomial, assemble_grid_poly, mean_acceptance_mc
@@ -56,68 +56,8 @@ def theta_poly(I) -> LatticePoly:
     return poly
 
 
-def gamma3_closed(
-    I, g: int, N: int, M: int, n: int, T: int | None = None
-) -> Fraction:
-    """Probability that monomial I evaluates to 1 under the (g, N, M) family.
-
-    Product of five factors: the monomial's range fits in S; the X-range
-    fits in S_X and the Y-range in S_Y; and the pinned positions are
-    consistent with the kappa(g)-to-1 draws of X and Y.
-    """
-    m = as_monomial(I)
-    if m is None:
-        return Fraction(0)
-    k = kappa(g)
-    if N % g != 0 or M % k != 0:
-        raise ValueError("need g | N and kappa(g) | M")
-    s_size = 2 * N // g
-    sub = M // k
-    if s_size > 2 * n or sub > s_size or M < n:
-        raise ValueError("point does not fit the family construction")
-    if any(f.position > n for f in m.factors):
-        raise ValueError("monomial positions must lie within 1..n")
-    r_x = len(m.register_factors("x"))
-    r_y = len(m.register_factors("y"))
-    if T is not None and r_x + r_y > 2 * T:
-        raise ValueError(f"monomial degree {r_x + r_y} exceeds 2T = {2 * T}")
-    z_all = m.value_set()
-    if any(not 1 <= v <= 2 * n for v in z_all):
-        return Fraction(0)
-    w = len(z_all)
-    w_x = m.width("x")
-    w_y = m.width("y")
-    if w > s_size or w_x > sub or w_y > sub:
-        return Fraction(0)
-    mult_x = m.multiplicities("x")
-    mult_y = m.multiplicities("y")
-    if any(c > k for c in mult_x.values()) or any(c > k for c in mult_y.values()):
-        return Fraction(0)
-
-    range_fits = Fraction(
-        math.comb(2 * n - w, s_size - w), math.comb(2 * n, s_size)
-    )
-    sub_x = Fraction(math.comb(s_size - w_x, sub - w_x), math.comb(s_size, sub))
-    sub_y = Fraction(math.comb(s_size - w_y, sub - w_y), math.comb(s_size, sub))
-
-    def consistent(r_reg: int, mult: dict[int, int]) -> Fraction:
-        out = Fraction(math.factorial(M - r_reg), math.factorial(M))
-        for count in mult.values():
-            for j in range(count):
-                out *= k - j
-        return out
-
-    return (
-        range_fits
-        * sub_x
-        * sub_y
-        * consistent(r_x, mult_x)
-        * consistent(r_y, mult_y)
-    )
-
-
 def q_tilde3(I, n: int, T: int) -> LatticePoly:
-    """Trivariate polynomial with gamma3 = prefactor3 * q~3 at grid points.
+    """Trivariate polynomial with gamma = prefactor3 * q~3 at grid points.
 
         q~3(g, N, M) = (2n-w)! / ((2n)! (2n)^{2T}) * ((n-2T)!/n!)^2
                        * g^{wX+wY-w} * theta_I(g, M)

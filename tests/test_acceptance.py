@@ -47,7 +47,6 @@ from collisionlab.polymethod import (
 )
 from collisionlab.setcomp_poly import (
     assemble_q3,
-    gamma3_closed,
     prefactor3,
     q_tilde3,
     theta_poly,
@@ -111,7 +110,7 @@ def test_criterion_02_gamma_oracle_equivalence():
             brute = gamma_bruteforce_sweep(monomials, point, n)
             for m, b in zip(monomials, brute):
                 cases += 1
-                if gamma_closed(m, *point, n) != b:
+                if gamma_closed(m, point, n) != b:
                     mismatches += 1
     assert mismatches == 0, f"{mismatches} of {cases} cases disagree"
     elapsed = time.time() - start
@@ -202,7 +201,7 @@ def test_criterion_08_trivariate_suite():
     monomials = mixed_monomials(2, 2)
     for m in monomials:
         for g, N, M in points:
-            assert gamma3_closed(m, g, N, M, 2, T=1) == gamma_bruteforce(m, (g, N, M), 2)
+            assert gamma_closed(m, (g, N, M), 2, T=1) == gamma_bruteforce(m, (g, N, M), 2)
         assert theta_poly(m).total_degree <= 2 * m.degree
         assert q_tilde3(m, 2, 1).total_degree <= 8
 

@@ -21,6 +21,7 @@ from collisionlab.instances import (
     divisor_points,
     enumerate_rows,
     enumerate_supports,
+    fraction_of_small_unions,
     instance_from_latent,
     is_k_to_one,
     is_quasilattice_point,
@@ -188,6 +189,12 @@ def test_set_union_size():
     assert set_union_size(Instance(kind="setcomp", n=20, x=x, y=y)) == 22
     with pytest.raises(ValueError):
         set_union_size(Instance(kind="collision", n=4, x=(1, 2, 3, 4)))
+
+
+def test_fraction_of_small_unions_needs_a_draw():
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="no draws were asked for"):
+            fraction_of_small_unions(8, samples, random.Random(1))
 
 
 def test_validate_instance_examples():

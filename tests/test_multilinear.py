@@ -69,14 +69,6 @@ def test_monomial_evaluate():
         my.evaluate((1, 2))  # no y sequence
 
 
-def test_poly_times_indicator_reduces():
-    p = MultilinearPoly.indicator(IV("x", 1, 2))
-    same = p.times_indicator(IV("x", 1, 2))
-    assert same == p
-    gone = p.times_indicator(IV("x", 1, 3))
-    assert gone.is_zero()
-
-
 def test_poly_product_and_evaluate():
     one = MultilinearPoly.constant(1)
     a = MultilinearPoly.indicator(IV("x", 1, 1))

@@ -12,7 +12,7 @@ from collisionlab.circuits import (
     setcomp_probe,
     two_query_mixer,
 )
-from collisionlab.instances import Instance, QuasilatticePoint, divisor_points
+from collisionlab.instances import ConfigError, Instance, QuasilatticePoint, divisor_points
 from collisionlab.multilinear import IndicatorVariable as IV
 from collisionlab.multilinear import Monomial, MultilinearPoly
 from collisionlab.polymethod import (
@@ -152,27 +152,54 @@ def test_evaluate_poly_basics():
 def test_gamma_single_indicator_is_one_over_n():
     for n, g, N in [(4, 1, 4), (4, 2, 4), (4, 2, 6), (6, 2, 8), (8, 2, 8)]:
         m = Monomial.from_factors([IV("x", 1, 2)])
-        assert gamma_closed(m, g, N, n) == Fraction(1, n)
+        assert gamma_closed(m, (g, N), n) == Fraction(1, n)
 
 
 def test_gamma_collision_pair():
     pair = Monomial.from_factors([IV("x", 1, 3), IV("x", 2, 3)])
-    assert gamma_closed(pair, 1, 4, 4) == 0  # injective inputs admit no collision
-    assert gamma_closed(pair, 2, 4, 4) == Fraction(1, 12)
+    assert gamma_closed(pair, (1, 4), 4) == 0  # injective inputs admit no collision
+    assert gamma_closed(pair, (2, 4), 4) == Fraction(1, 12)
     assert gamma_bruteforce(pair, (2, 4), 4) == Fraction(1, 12)
 
 
 def test_gamma_empty_and_conflicting():
-    assert gamma_closed(Monomial.one(), 2, 4, 4) == 1
-    assert gamma_bruteforce(Monomial.one(), (2, 4), 4) == 1
     conflicting = [IV("x", 1, 1), IV("x", 1, 2)]
-    assert gamma_closed(conflicting, 2, 4, 4) == 0
-    assert gamma_bruteforce(conflicting, (2, 4), 4) == 0
+    for point, n in [((2, 4), 4), ((1, 2, 2), 2)]:  # both arities
+        assert gamma_closed(Monomial.one(), point, n) == 1
+        assert gamma_bruteforce(Monomial.one(), point, n) == 1
+        assert gamma_closed(conflicting, point, n) == 0
+        assert gamma_bruteforce(conflicting, point, n) == 0
+
+
+def test_gamma_closed_rejects_the_points_its_twin_rejects():
+    # A grid of both arities around the admissible points: N < n (the
+    # twin has no length-n prefix of a length-N draw), g not dividing N,
+    # kappa(g) not dividing M, and g < 1.
+    grid = [
+        *(((g, N), 4) for g in range(4) for N in range(1, 10)),
+        *(((g, N, M), 2) for g in range(4) for N in range(1, 6) for M in range(1, 6)),
+    ]
+    x_only = [(), [IV("x", 1, 1)], [IV("x", 2, 3)], [IV("x", 1, 2), IV("x", 2, 2)],
+              [IV("x", 2, 5)]]  # 5 lies outside both alphabets
+    with_y = [[IV("y", 1, 1)], [IV("x", 1, 1), IV("y", 1, 1)], [IV("x", 2, 3), IV("y", 2, 4)]]
+    rejected = 0
+    for point, n in grid:
+        monomials = [Monomial.from_factors(f) for f in (x_only if len(point) == 2 else x_only + with_y)]
+        try:
+            brute = [gamma_bruteforce(m, point, n) for m in monomials]
+        except ConfigError:
+            rejected += 1
+            for m in monomials:
+                with pytest.raises(ValueError):
+                    gamma_closed(m, point, n)
+            continue
+        assert [gamma_closed(m, point, n) for m in monomials] == brute, point
+    assert ((1, 2), 4) in grid and 0 < rejected < len(grid)
 
 
 def test_gamma_zero_when_multiplicity_exceeds_g():
     m = Monomial.from_factors([IV("x", 1, 2), IV("x", 2, 2), IV("x", 3, 2)])
-    assert gamma_closed(m, 2, 4, 4) == 0
+    assert gamma_closed(m, (2, 4), 4) == 0
     assert gamma_bruteforce(m, (2, 4), 4) == 0
 
 
@@ -181,12 +208,12 @@ def test_gamma_bounds_and_guards():
     for _ in range(50):
         m = random_monomial(rng, 4, 3)
         for g, N in [(1, 4), (2, 4), (2, 6)]:
-            val = gamma_closed(m, g, N, 4)
+            val = gamma_closed(m, (g, N), 4)
             assert 0 <= val <= 1
     with pytest.raises(ValueError, match="divide"):
-        gamma_closed(Monomial.one(), 2, 5, 4)
+        gamma_closed(Monomial.one(), (2, 5), 4)
     with pytest.raises(ValueError, match="exceeds 2T"):
-        gamma_closed(Monomial.from_factors([IV("x", 1, 1)]), 1, 4, 4, T=0)
+        gamma_closed(Monomial.from_factors([IV("x", 1, 1)]), (1, 4), 4, T=0)
 
 
 def test_gamma_sweep_matches_scalar_bruteforce():
@@ -235,7 +262,7 @@ def test_q_tilde_times_prefactor_equals_gamma():
         m = random_monomial(rng, 6, 3)
         for g, N in [(1, 6), (2, 6), (2, 8)]:
             lhs = prefactor(6, 2, N) * q_tilde(m, 6, 2).evaluate((g, N))
-            assert lhs == gamma_closed(m, g, N, 6)
+            assert lhs == gamma_closed(m, (g, N), 6)
 
 
 def test_prefactor_examples():
@@ -329,7 +356,7 @@ def test_expected_acceptance_matches_gamma_reconstruction():
     p = extract_polynomial(alg)
     for point in (QuasilatticePoint(1, 4), QuasilatticePoint(2, 4)):
         recon = sum(
-            (c.as_fraction() * gamma_closed(m, point.g, point.N, 4) for m, c in p.terms.items()),
+            (c.as_fraction() * gamma_closed(m, point, 4) for m, c in p.terms.items()),
             Fraction(0),
         )
         assert expected_acceptance(alg, point, 4) == recon

@@ -10,12 +10,16 @@ from collisionlab.circuits import setcomp_probe
 from collisionlab.instances import SuperQuasilatticePoint, super_quasilattice_points
 from collisionlab.multilinear import IndicatorVariable as IV
 from collisionlab.multilinear import Monomial, MultilinearPoly
-from collisionlab.polymethod import expected_acceptance, extract_polynomial, gamma_bruteforce
+from collisionlab.polymethod import (
+    expected_acceptance,
+    extract_polynomial,
+    gamma_bruteforce,
+    gamma_closed,
+)
 from collisionlab.qsqrt2 import QSqrt2
 from collisionlab.setcomp_poly import (
     assemble_q3,
     expected_acceptance3_mc,
-    gamma3_closed,
     prefactor3,
     q_tilde3,
     theta_poly,
@@ -57,15 +61,10 @@ def test_theta_degree_bound_random():
         assert theta_poly(m).total_degree <= 2 * m.degree
 
 
-def test_gamma3_empty_monomial():
-    assert gamma3_closed(Monomial.one(), 1, 2, 2, 2) == 1
-    assert gamma_bruteforce(Monomial.one(), (1, 2, 2), 2) == 1
-
-
 def test_gamma3_single_indicator_value():
     m = Monomial.from_factors([IV("x", 1, 3)])
     # S is everything, P(3 in S_X) = 1/2, P(xhat_1 = 3 | in) = 1/2
-    assert gamma3_closed(m, 1, 2, 2, 2) == Fraction(1, 4)
+    assert gamma_closed(m, (1, 2, 2), 2) == Fraction(1, 4)
     assert gamma_bruteforce(m, (1, 2, 2), 2) == Fraction(1, 4)
 
 
@@ -86,15 +85,15 @@ def test_gamma3_oracle_equivalence_all_monomials_n2():
     assert set(monomials) == filtered
     for m in monomials:
         for g, N, M in points:
-            assert gamma3_closed(m, g, N, M, 2, T=1) == gamma_bruteforce(m, (g, N, M), 2)
+            assert gamma_closed(m, (g, N, M), 2, T=1) == gamma_bruteforce(m, (g, N, M), 2)
 
 
 def test_gamma3_conflicting_and_guards():
-    assert gamma3_closed([IV("x", 1, 1), IV("x", 1, 2)], 1, 2, 2, 2) == 0
+    assert gamma_closed([IV("x", 1, 1), IV("x", 1, 2)], (1, 2, 2), 2) == 0
     # value outside the alphabet
-    assert gamma3_closed(Monomial.from_factors([IV("y", 1, 9)]), 1, 2, 2, 2) == 0
+    assert gamma_closed(Monomial.from_factors([IV("y", 1, 9)]), (1, 2, 2), 2) == 0
     with pytest.raises(ValueError, match="kappa"):
-        gamma3_closed(Monomial.one(), 3, 9, 10, 9)
+        gamma_closed(Monomial.one(), (3, 9, 10), 9)
 
 
 def test_q_tilde3_times_prefactor_equals_gamma3():
@@ -102,7 +101,7 @@ def test_q_tilde3_times_prefactor_equals_gamma3():
     for _ in range(40):
         m = random_mixed_monomial(rng, 2, 2)
         lhs = prefactor3(2, 1, 2, 2, 1) * q_tilde3(m, 2, 1).evaluate((1, 2, 2))
-        assert lhs == gamma3_closed(m, 1, 2, 2, 2)
+        assert lhs == gamma_closed(m, (1, 2, 2), 2)
 
 
 def test_q_tilde3_degree_bound():
