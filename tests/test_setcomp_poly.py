@@ -61,6 +61,11 @@ def test_theta_degree_bound_random():
         assert theta_poly(m).total_degree <= 2 * m.degree
 
 
+def test_gamma3_empty_monomial():
+    assert gamma_closed(Monomial.one(), (1, 2, 2), 2) == 1
+    assert gamma_bruteforce(Monomial.one(), (1, 2, 2), 2) == 1
+
+
 def test_gamma3_single_indicator_value():
     m = Monomial.from_factors([IV("x", 1, 3)])
     # S is everything, P(3 in S_X) = 1/2, P(xhat_1 = 3 | in) = 1/2
