@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .instances import ConfigError, Instance
-from .qsqrt2 import ONE, QSqrt2
+from .qsqrt2 import ONE, ZERO, QSqrt2
 from .simulator import (
     BasisState,
     Layer,
@@ -30,7 +30,7 @@ from .simulator import (
     apply_unitary,
     erasing_space,
 )
-from .circuits import diffusion_matrix, index_register_layer, phase_flip_where
+from .circuits import diffusion_matrix, hadamard_matrix, index_register_layer, phase_flip_where
 
 
 # ---------------------------------------------------------------------------
@@ -39,18 +39,13 @@ from .circuits import diffusion_matrix, index_register_layer, phase_flip_where
 
 
 def _pair_bit_hadamard(space: StateSpace, two_n: int) -> Layer:
-    """Hadamard on the pair bit of the (b, value) index register:
+    """Hadamard on the pair bit of the (b, value) index register, H (x) I_2n:
     |b, v> -> (|0, v> + (-1)^b |1, v>) / sqrt(2)."""
-    h = QSqrt2.inv_sqrt2()
-    cols: list[list[tuple[int, QSqrt2]]] = []
-    for ordinal in range(space.dim):
-        idx = (ordinal >> 1) % space.index_size + 1
-        b, v = divmod(idx - 1, two_n)
-        zero_ord = ordinal - b * two_n * 2
-        one_ord = zero_ord + two_n * 2
-        sign = h if b == 0 else -h
-        cols.append(sorted([(zero_ord, h), (one_ord, sign)]))
-    return Layer(space.dim, cols)
+    h = hadamard_matrix(1)
+    return index_register_layer(space, [
+        [h[r // two_n][c // two_n] if r % two_n == c % two_n else ZERO for c in range(2 * two_n)]
+        for r in range(2 * two_n)
+    ])
 
 
 def erasing_setcomp_probability(inst: Instance, mode: str = "exact"):

@@ -82,12 +82,13 @@ class Family:
     value_range: Callable  # max |P - prefactor q| -> width of q's value window
 
 
-# The entries look their functions up by module global at call time, so a
-# wrapper installed on one of those names (a tracer, say) sees every call.
+# assemble and mc_mean look their functions up by module global at call
+# time, so a wrapper installed on one of those names (a tracer, say) sees
+# every call.
 FAMILIES = {
     "collision": Family(
         arity=2,
-        points=lambda n, T, G: quasilattice_points(n, T, G),
+        points=quasilattice_points,
         prefactor=lambda n, T, pt: prefactor(n, T, pt.N),
         assemble=lambda p, n, T: assemble_q(p, n, T),
         mc_mean=lambda *args: expected_acceptance_mc(*args),
@@ -99,7 +100,7 @@ FAMILIES = {
     ),
     "setcomp": Family(
         arity=3,
-        points=lambda n, T, G: super_quasilattice_points(n, T, G),
+        points=super_quasilattice_points,
         prefactor=lambda n, T, pt: prefactor3(n, T, pt.N, pt.M, pt.g),
         assemble=lambda p, n, T: assemble_q3(p, n, T),
         mc_mean=lambda *args: expected_acceptance3_mc(*args),

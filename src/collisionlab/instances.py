@@ -7,9 +7,11 @@ collision inputs (prefixes of g-to-1 functions), and (g, N, M) for
 set-comparison inputs (prefixes of kappa(g)-to-1 functions into random
 subsets).  Both are one construction: a point's arity names its family,
 and one shape per point drives the sampler, the closed-form count and the
-enumerator.  The sampler keeps its latent draw so tests can check the
-construction white-box, and the enumerator streams every latent draw in
-a deterministic order for brute-force expectations.
+enumerator.  A latent draw, the hidden choice behind an input, is one
+record for both families, Latent(s, ranges, seqs).  The sampler keeps
+it so tests can check the construction white-box, and the enumerator
+streams every latent draw in a deterministic order for brute-force
+expectations.  sample_collision_input is an alias of sample_input.
 """
 
 from __future__ import annotations
@@ -79,22 +81,15 @@ def json_field(doc, key: str, convert=_json_integer):
 
 
 @dataclass(frozen=True)
-class CollisionLatent:
-    """Latent draw behind a collision input: range set S and full sequence."""
+class Latent:
+    """The hidden random choice behind an input: the range set S, each
+    register's drawn range, and each register's full k-to-1 sequence.
+    A (g, N) draw has ranges () and seqs (xhat,); a (g, N, M) draw has
+    ranges (S_X, S_Y) and seqs (xhat, yhat)."""
 
     s: tuple[int, ...]
-    xhat: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SetcompLatent:
-    """Latent draw behind a set-comparison input."""
-
-    s: tuple[int, ...]
-    s_x: tuple[int, ...]
-    s_y: tuple[int, ...]
-    xhat: tuple[int, ...]
-    yhat: tuple[int, ...]
+    ranges: tuple[tuple[int, ...], ...]
+    seqs: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ class Instance:
     n: int
     x: tuple[int, ...]
     y: Optional[tuple[int, ...]] = None
-    latent: object = None
+    latent: Optional[Latent] = None
 
     def __post_init__(self):
         if self.kind not in ("collision", "setcomp"):
@@ -129,6 +124,16 @@ class Instance:
                 raise ValueError(f"y values must lie in 1..{top}")
         elif self.y is not None:
             raise ValueError("collision instance must not carry y")
+        if self.latent is not None:
+            registers = (self.x,) if self.y is None else (self.x, self.y)
+            ranges, seqs = self.latent.ranges, self.latent.seqs
+            if (len(ranges), len(seqs)) != (2 * len(registers) - 2, len(registers)):
+                raise ValueError(
+                    f"latent does not fit a {self.kind} input: "
+                    f"it has {len(ranges)} ranges and {len(seqs)} sequences"
+                )
+            if any(tuple(seq[:self.n]) != tuple(reg) for seq, reg in zip(seqs, registers)):
+                raise ValueError("latent sequences must begin with the input's x (and y)")
 
     @property
     def num_query_indices(self) -> int:
@@ -156,15 +161,11 @@ class Instance:
         doc: dict = {"kind": self.kind, "n": self.n, "x": list(self.x)}
         if self.y is not None:
             doc["y"] = list(self.y)
-        if isinstance(self.latent, CollisionLatent):
-            doc["latent"] = {"S": list(self.latent.s), "xhat": list(self.latent.xhat)}
-        elif isinstance(self.latent, SetcompLatent):
+        if self.latent is not None:
             doc["latent"] = {
                 "S": list(self.latent.s),
-                "S_X": list(self.latent.s_x),
-                "S_Y": list(self.latent.s_y),
-                "xhat": list(self.latent.xhat),
-                "yhat": list(self.latent.yhat),
+                **{k: list(r) for k, r in zip(_RANGE_KEYS, self.latent.ranges)},
+                **{k: list(seq) for k, seq in zip(_SEQ_KEYS, self.latent.seqs)},
             }
         return doc
 
@@ -193,13 +194,19 @@ def _ints(values) -> tuple[int, ...]:
     return tuple(map(_json_integer, values))
 
 
-def _latent(raw) -> CollisionLatent | SetcompLatent:
-    """The latent draw of an instance file."""
-    if "S_X" in raw:
-        return SetcompLatent(
-            *(json_field(raw, k, _ints) for k in ("S", "S_X", "S_Y", "xhat", "yhat"))
-        )
-    return CollisionLatent(json_field(raw, "S", _ints), json_field(raw, "xhat", _ints))
+_RANGE_KEYS = ("S_X", "S_Y")  # instance-file keys of a latent draw's ranges
+_SEQ_KEYS = ("xhat", "yhat")  # and of its sequences
+
+
+def _latent(raw) -> Latent:
+    """The latent draw of an instance file: S and xhat, then whichever of
+    S_X, S_Y and yhat it holds; Instance checks that they fit the input."""
+    present = lambda keys: tuple(json_field(raw, k, _ints) for k in keys if k in raw)
+    return Latent(
+        json_field(raw, "S", _ints),
+        present(_RANGE_KEYS),
+        (json_field(raw, "xhat", _ints), *present(_SEQ_KEYS[1:])),
+    )
 
 
 def is_k_to_one(values, k: int) -> bool:
@@ -379,7 +386,6 @@ class _Shape(NamedTuple):
     the first n entries of every sequence.
     """
 
-    latent: type  # CollisionLatent or SetcompLatent
     universe: int  # n, or 2n
     s_size: int  # N/g, or 2N/g
     registers: int  # 1 (x), or 2 (x and y)
@@ -405,10 +411,10 @@ def _shape(point, n: int) -> _Shape:
     if g < 1:
         raise ConfigError(f"invalid point {point} for n={n}: g must be >= 1")
     if point_type is QuasilatticePoint:
-        shape = _Shape(CollisionLatent, n, N // g, 1, 0, N // g, g, N)
+        shape = _Shape(n, N // g, 1, 0, N // g, g, N)
     else:
         k = kappa(g)
-        shape = _Shape(SetcompLatent, 2 * n, 2 * N // g, 2, 2, point.M // k, k, point.M)
+        shape = _Shape(2 * n, 2 * N // g, 2, 2, point.M // k, k, point.M)
     if (
         N % g
         or shape.length % shape.k
@@ -420,11 +426,10 @@ def _shape(point, n: int) -> _Shape:
     return shape
 
 
-def instance_from_latent(latent, n: int) -> Instance:
+def instance_from_latent(latent: Latent, n: int) -> Instance:
     """The input of a latent draw: the first n entries of each sequence."""
-    if isinstance(latent, SetcompLatent):
-        return Instance("setcomp", n, latent.xhat[:n], latent.yhat[:n], latent=latent)
-    return Instance("collision", n, latent.xhat[:n], latent=latent)
+    kind = "setcomp" if latent.ranges else "collision"
+    return Instance(kind, n, *(seq[:n] for seq in latent.seqs), latent=latent)
 
 
 def _uniform_k_to_one(domain_size: int, values, k: int, rng: random.Random) -> tuple[int, ...]:
@@ -450,15 +455,14 @@ def sample_input(point, n: int, rng: random.Random) -> Instance:
     """
     shape = _shape(point, n)
     s = tuple(sorted(rng.sample(range(1, shape.universe + 1), shape.s_size)))
-    ranges = [tuple(sorted(rng.sample(s, shape.sub))) for _ in range(shape.ranges)]
-    seqs = [_uniform_k_to_one(shape.length, r, shape.k, rng) for r in ranges or (s,)]
-    return instance_from_latent(shape.latent(s, *ranges, *seqs), n)
+    ranges = tuple(tuple(sorted(rng.sample(s, shape.sub))) for _ in range(shape.ranges))
+    seqs = tuple(_uniform_k_to_one(shape.length, r, shape.k, rng) for r in ranges or (s,))
+    return instance_from_latent(Latent(s, ranges, seqs), n)
 
 
 # Kept by name: perfbench/workloads.py imports it, and perfbench/tracer.py
 # patches the name polymethod imports it under.
-def sample_collision_input(point: QuasilatticePoint, n: int, rng: random.Random) -> Instance:
-    return sample_input(QuasilatticePoint(*point), n, rng)
+sample_collision_input = sample_input
 
 
 def _random_order(rng: random.Random, shape: tuple[int, ...]) -> np.ndarray:
@@ -590,14 +594,12 @@ def enumerate_supports(point, n: int, cap: int | None = None) -> Iterator:
     """Yield every latent draw at point exactly once, in lexicographic
     order on (S, xhat) or (S, S_X, S_Y, xhat, yhat).  Raises
     EnumerationTooLarge if the closed-form count exceeds the cap."""
-    latent = _shape(point, n).latent
     for s, ranges, tables in _relabelled_draws(point, n, cap):
         # the last register's sequences vary fastest
         *outer, last = tables
         for head in itertools.product(*(map(tuple, table.tolist()) for table in outer)):
-            fixed = (s, *ranges, *head)
             for tail in _listed(last):
-                yield latent(*fixed, tuple(tail))
+                yield Latent(s, ranges, (*head, tuple(tail)))
 
 
 def enumerate_rows(point, n: int, cap: int | None = None) -> Iterator[list[int]]:

@@ -31,7 +31,6 @@ import numpy as np
 
 from .instances import (
     Instance,
-    QuasilatticePoint,
     enumerate_rows,
     kappa,
     sample_collision_input,  # unused; kept bound because perfbench/tracer.py patches it here
@@ -354,11 +353,7 @@ def gamma_closed(I, point, n: int, T: int | None = None) -> Fraction:
 
 # Kept by name: gamma_bruteforce_sweep calls it so that perfbench/tracer.py,
 # which patches this name, counts the sweep's latent draws.
-def enumerate_collision_supports(
-    point: QuasilatticePoint, n: int, cap: int | None = None
-) -> Iterator[list[int]]:
-    """The input row x of every latent draw of the (g, N) family."""
-    return enumerate_rows(QuasilatticePoint(*point), n, cap)
+enumerate_collision_supports = enumerate_rows
 
 
 def gamma_bruteforce(I, point, n: int, cap: int | None = None) -> Fraction:
@@ -581,8 +576,9 @@ def expected_acceptance(obj, point, n: int, cap: int | None = None) -> QSqrt2:
 
 
 def expected_acceptance_mc(
-    obj, point: QuasilatticePoint, n: int, samples: int, rng: random.Random
+    obj, point, n: int, samples: int, rng: random.Random
 ) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the family acceptance over
-    one table of samples draws from rng."""
+    """Monte Carlo mean and standard error of the acceptance over the
+    family at point, (g, N) or (g, N, M), from one table of samples draws
+    from rng."""
     return mean_acceptance_mc(obj, sample_rows(point, n, samples, rng), n)

@@ -1,10 +1,12 @@
 """Deterministic report emission: JSON and flat CSV.
 
 Identical config and seed must produce byte-identical files, so reports
-carry no timestamps, dict ordering is construction order, rationals are
-serialized as "p/q" (qsqrt2.format_fraction) and floats with 17 significant digits.  JSON reports
-are strict JSON: a value that is not a finite float (a NaN endpoint, say)
-is written as null.
+carry no timestamps, dict ordering is construction order and rationals
+are serialized as "p/q" (qsqrt2.format_fraction).  JSON writes floats by
+repr, the shortest string that reads back as the same double; CSV rows
+and summary lines write them with render_number's 17 significant digits.
+JSON reports are strict JSON: a value that is not a finite float (a NaN
+endpoint, say) is written as null.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def jsonable(v):
     if isinstance(v, Fraction):
         return format_fraction(v)
     if isinstance(v, float):
-        return float(format(v, ".17g")) if math.isfinite(v) else None
+        return v if math.isfinite(v) else None
     if isinstance(v, dict):
         return {k: jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):

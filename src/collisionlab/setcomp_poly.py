@@ -9,20 +9,21 @@ a trivariate polynomial q~ of total degree at most 8T, giving
     P(g, N, M) = prefactor3(n, T, N, M, g) * q(g, N, M)
 
 exactly at every admissible point.  The brute-force twin of the closed
-form, and the exact family average, are polymethod's gamma_bruteforce
-and expected_acceptance at a (g, N, M) point.
+form, the exact family average and the Monte Carlo mean are polymethod's
+gamma_bruteforce, expected_acceptance and expected_acceptance_mc at a
+(g, N, M) point; sample_setcomp_input and expected_acceptance3_mc are
+aliases of instances.sample_input and expected_acceptance_mc.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
-from .instances import Instance, SuperQuasilatticePoint, sample_input, sample_rows
+from .instances import sample_input
 from .lattice import LatticePoly
 from .multilinear import MultilinearPoly
-from .polymethod import as_monomial, assemble_grid_poly, mean_acceptance_mc
+from .polymethod import as_monomial, assemble_grid_poly, expected_acceptance_mc
 
 
 def _kappa_poly() -> LatticePoly:
@@ -123,16 +124,7 @@ def assemble_q3(p: MultilinearPoly, n: int, T: int) -> LatticePoly:
     return assemble_grid_poly(p, n, T, q_tilde3, 3)
 
 
-# Kept by name: perfbench/tracer.py patches it, though the Monte Carlo
-# below now draws its rows with sample_rows.
-def sample_setcomp_input(point: SuperQuasilatticePoint, n: int, rng: random.Random) -> Instance:
-    return sample_input(SuperQuasilatticePoint(*point), n, rng)
-
-
-def expected_acceptance3_mc(
-    obj, point: SuperQuasilatticePoint, n: int, samples: int, rng: random.Random
-) -> tuple[float, float]:
-    """Monte Carlo mean and standard error over the (g, N, M) family, from
-    one table of samples draws from rng."""
-    return mean_acceptance_mc(obj, sample_rows(point, n, samples, rng), n)
+# Kept by name: perfbench/tracer.py patches them, under their own spans.
+sample_setcomp_input = sample_input
+expected_acceptance3_mc = expected_acceptance_mc
 

@@ -147,7 +147,7 @@ def test_exact_means_on_the_enumerated_collision_families():
     polys += [random_poly(rng, 4, ("x",), 4) for _ in range(3)]
     assert len(COLLISION_POINTS_N4) == 8
     for point in COLLISION_POINTS_N4:
-        rows = [(latent.xhat[:4], None) for latent in enumerate_supports(point, 4)]
+        rows = [(latent.seqs[0][:4], None) for latent in enumerate_supports(point, 4)]
         for poly in polys:
             assert expected_acceptance(poly, point, 4) == per_draw_mean(poly, rows)
 
@@ -155,7 +155,7 @@ def test_exact_means_on_the_enumerated_collision_families():
 def test_exact_mean_on_the_setcomp_family_at_n2():
     rng = random.Random(6)
     point = SuperQuasilatticePoint(1, 2, 2)
-    rows = [(latent.xhat[:2], latent.yhat[:2]) for latent in enumerate_supports(point, 2)]
+    rows = [(latent.seqs[0][:2], latent.seqs[1][:2]) for latent in enumerate_supports(point, 2)]
     polys = [extract_polynomial(setcomp_probe(2))]
     polys += [random_poly(rng, 2, ("x", "y"), 4) for _ in range(3)]
     for poly in polys:

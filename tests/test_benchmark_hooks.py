@@ -95,3 +95,14 @@ def test_chain_on_a_circuit_file_loads_through_the_traced_name(tmp_path):
     assert len(loads) == 1
     checks = [span for span in tracer.spans if span[0] == "simulator.is_orthogonal"]
     assert sum(1 for span in checks if span[3] == loads[0]) == alg.T + 1
+
+
+def test_the_names_the_tracer_patches_are_aliases_of_one_implementation():
+    # Each per-family name the tracer reaches is the shared function
+    # itself, so a second body cannot grow back behind it.
+    from collisionlab import instances, polymethod, setcomp_poly
+
+    assert instances.sample_collision_input is instances.sample_input
+    assert setcomp_poly.sample_setcomp_input is instances.sample_input
+    assert setcomp_poly.expected_acceptance3_mc is polymethod.expected_acceptance_mc
+    assert polymethod.enumerate_collision_supports is instances.enumerate_rows

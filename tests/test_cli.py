@@ -348,6 +348,16 @@ ROW0, ROW1 = [0, "1/1", "0/1"], [1, "1/1", "0/1"]
     (["simulate", "--algorithm", "@{path}", "--point", "2,4"],
      circuit_with_layer({"dim": 2, "cols": [[ROW0 + ["0/1"]], [ROW1]]}),
      "field 'layers': expected [a, b] entry, got ['1/1', '0/1', '0/1']"),
+    # A latent draw that does not fit its input.
+    (["simulate", "--algorithm", "coincidence-4", "--instance", "{path}"],
+     {"kind": "collision", "n": 4, "x": [1, 2, 3, 4],
+      "latent": {"S": [1, 2, 3, 4], "S_X": [1, 2], "S_Y": [3, 4],
+                 "xhat": [1, 2, 3, 4], "yhat": [3, 4, 1, 2]}},
+     "latent does not fit a collision input: it has 2 ranges and 2 sequences"),
+    (["simulate", "--algorithm", "coincidence-4", "--instance", "{path}"],
+     {"kind": "collision", "n": 4, "x": [1, 2, 3, 4],
+      "latent": {"S": [1, 2, 3, 4], "xhat": [2, 1, 3, 4]}},
+     "latent sequences must begin with the input's x"),
 ])
 def test_malformed_input_file_exits_1_naming_the_field(args, doc, message, tmp_path):
     import os

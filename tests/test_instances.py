@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collisionlab.instances import (
-    CollisionLatent,
     ConfigError,
     EnumerationTooLarge,
     Instance,
+    Latent,
     QuasilatticePoint,
     SuperQuasilatticePoint,
     _iroot,
@@ -111,10 +111,10 @@ def test_sample_truncation_keeps_latent_exact():
     rng = random.Random(2)
     inst = sample_input(QuasilatticePoint(2, 10), 8, rng)
     latent = inst.latent
-    assert isinstance(latent, CollisionLatent)
-    assert len(latent.xhat) == 10
-    assert is_k_to_one(latent.xhat, 2)  # the untruncated draw is exactly 2-to-1
-    assert inst.x == latent.xhat[:8]
+    assert isinstance(latent, Latent) and latent.ranges == ()
+    assert len(latent.seqs[0]) == 10
+    assert is_k_to_one(latent.seqs[0], 2)  # the untruncated draw is exactly 2-to-1
+    assert inst.x == latent.seqs[0][:8]
     assert len(latent.s) == 5
 
 
@@ -132,7 +132,7 @@ def test_enumeration_counts_match_closed_form():
 def test_enumeration_is_deterministic_and_unique():
     seen = list(enumerate_supports(QuasilatticePoint(2, 4), 4))
     assert len(set(seen)) == len(seen)
-    assert seen == sorted(seen, key=lambda lat: (lat.s, lat.xhat))
+    assert seen == sorted(seen, key=lambda lat: (lat.s, lat.seqs[0]))
 
 
 def test_enumeration_cap():
@@ -151,7 +151,7 @@ def test_enumeration_cap_env_default(monkeypatch):
 def test_sampling_frequencies_uniform_over_latents():
     rng = random.Random(20240809)
     draws = 100_000
-    counts: dict[CollisionLatent, int] = {}
+    counts: dict[Latent, int] = {}
     for _ in range(draws):
         inst = sample_input(QuasilatticePoint(2, 4), 4, rng)
         counts[inst.latent] = counts.get(inst.latent, 0) + 1
@@ -167,7 +167,7 @@ def test_setcomp_sampler_structure():
     # kappa(1) = 1: independent injections into a size-2n range set
     inst = sample_input(SuperQuasilatticePoint(1, 8, 8), 8, rng)
     assert validate_instance(inst, 1)
-    assert len(inst.latent.s) == 16 and len(inst.latent.s_x) == 8
+    assert len(inst.latent.s) == 16 and len(inst.latent.ranges[0]) == 8
     # kappa(2) = 1 but |S| = n: ranges overlap inside one small set
     inst2 = sample_input(SuperQuasilatticePoint(2, 8, 8), 8, rng)
     assert validate_instance(inst2, 1)
@@ -175,8 +175,8 @@ def test_setcomp_sampler_structure():
     assert set(inst2.x) <= set(inst2.latent.s) and set(inst2.y) <= set(inst2.latent.s)
     # kappa(3) = 9: latent draw is 9-to-1
     inst3 = sample_input(SuperQuasilatticePoint(3, 99, 99), 99, rng)
-    assert is_k_to_one(inst3.latent.xhat, 9)
-    assert len(inst3.latent.s_x) == 11
+    assert is_k_to_one(inst3.latent.seqs[0], 9)
+    assert len(inst3.latent.ranges[0]) == 11
 
 
 def test_set_union_size():
@@ -213,13 +213,15 @@ def test_instance_validation_errors():
 
 
 def test_instance_json_round_trip(tmp_path):
-    rng = random.Random(4)
-    inst = sample_input(SuperQuasilatticePoint(2, 8, 8), 8, rng)
-    path = tmp_path / "inst.json"
-    inst.dump(path)
-    loaded = Instance.load(path)
-    assert loaded.x == inst.x and loaded.y == inst.y
-    assert loaded.latent == inst.latent
+    # both families, in one test so that it keeps its name
+    for point in (QuasilatticePoint(2, 10), SuperQuasilatticePoint(2, 8, 8)):
+        rng = random.Random(4)
+        inst = sample_input(point, 8, rng)
+        path = tmp_path / "inst.json"
+        inst.dump(path)
+        loaded = Instance.load(path)
+        assert loaded.x == inst.x and loaded.y == inst.y
+        assert loaded.latent == inst.latent
 
 
 def test_setcomp_enumeration_count():
@@ -233,7 +235,7 @@ def test_setcomp_enumeration_count():
 def test_setcomp_enumeration_is_lexicographic():
     latents = list(enumerate_supports(SuperQuasilatticePoint(1, 2, 2), 2))
     assert latents == sorted(
-        latents, key=lambda lat: (lat.s, lat.s_x, lat.s_y, lat.xhat, lat.yhat)
+        latents, key=lambda lat: (lat.s, *lat.ranges, *lat.seqs)
     )
 
 
