@@ -56,17 +56,16 @@ def index_register_layer(space: StateSpace, small: list[list[QSqrt2]]) -> Layer:
     m = space.index_size
     if len(small) != m:
         raise ValueError("operator size must equal index_size")
+    # column c's nonzero (row, value) pairs, rows ascending, listed once
+    nonzero = [
+        [(r, v) for r, row in enumerate(small) if not (v := row[c]).is_zero()] for c in range(m)
+    ]
     cols: list[list[tuple[int, QSqrt2]]] = [[] for _ in range(space.dim)]
     for w in range(1 << space.workspace_bits):
-        for z in (1, 2):
-            base = lambda i: (w * m + i) * 2 + (z - 1)
-            for c in range(m):
-                col = cols[base(c)]
-                for r in range(m):
-                    v = small[r][c]
-                    if not v.is_zero():
-                        col.append((base(r), v))
-    return Layer(space.dim, [sorted(col) for col in cols])
+        for z in (0, 1):
+            for c, entries in enumerate(nonzero):
+                cols[(w * m + c) * 2 + z] = [((w * m + r) * 2 + z, v) for r, v in entries]
+    return Layer(space.dim, cols)
 
 
 def workspace_bit_layer(space: StateSpace, bit: int, gate: list[list[QSqrt2]]) -> Layer:

@@ -134,6 +134,7 @@ class Instance:
                 )
             if any(tuple(seq[:self.n]) != tuple(reg) for seq, reg in zip(seqs, registers)):
                 raise ValueError("latent sequences must begin with the input's x (and y)")
+            _check_draw(self.latent)
 
     @property
     def num_query_indices(self) -> int:
@@ -188,6 +189,25 @@ class Instance:
     def load(path) -> "Instance":
         with open(path, encoding="utf-8") as fh:
             return Instance.from_json(json.load(fh))
+
+
+def _check_draw(latent: Latent) -> None:
+    """Check that a latent draw could come from its family: every drawn
+    range lies in S, and every sequence holds each value of its range (S
+    when no range is drawn) equally often, and no other value."""
+    s = set(latent.s)
+    for key, r in zip(_RANGE_KEYS, latent.ranges):
+        if not set(r) <= s:
+            raise ValueError(f"latent {key} must lie in S")
+    names = _RANGE_KEYS if latent.ranges else ("S",)
+    for key, seq, name, r in zip(_SEQ_KEYS, latent.seqs, names, latent.ranges or (latent.s,)):
+        counts: dict[int, int] = dict.fromkeys(r, 0)
+        for v in seq:
+            if v not in counts:
+                raise ValueError(f"latent {key} takes the value {v}, which is not in {name}")
+            counts[v] += 1
+        if len(set(counts.values())) > 1:
+            raise ValueError(f"latent {key} must hold each value of {name} equally often")
 
 
 def _ints(values) -> tuple[int, ...]:

@@ -23,9 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +38,16 @@ from .instances import (
 from .lattice import LatticePoly
 from .multilinear import IndicatorVariable, Monomial, MultilinearPoly, hit_masks, monomials_over
 from .qsqrt2 import QSqrt2, int_form
-from .simulator import QueryAlgorithm, _grouped, _int64_or_object, acceptance_probability
+from .simulator import (
+    LayerArrays,
+    QueryAlgorithm,
+    _grouped,
+    _int64_or_object,
+    _key_sums,
+    _largest,
+    _stable_order,
+    acceptance_probability,
+)
 
 
 def as_monomial(I) -> Monomial | None:
@@ -73,28 +81,35 @@ def extract_polynomial(alg: QueryAlgorithm) -> MultilinearPoly:
     of the squared amplitude polynomials, in canonical multilinear form,
     with degree at most 2T.
 
-    The arithmetic is on integers.  A propagated polynomial maps
-    canonical factor tuples to (A, B), meaning (A + B sqrt(2)) / D, where
-    D is the product of the layer denominators (Layer.int_cols) applied
-    so far; a query only extends monomials and leaves D unchanged.
+    The arithmetic is on integer arrays (_Amplitudes).  One row holds one
+    term of one amplitude: its basis ordinal, its monomial as the value
+    it pins at each (register, position) slot (0: free), and (A, B),
+    meaning (A + B sqrt(2)) / D, where D is the product of the layer
+    denominators (Layer.int_arrays) applied so far; a query only extends
+    monomials and leaves D unchanged.  Each step writes its products as
+    rows, in the nesting of a dict of dicts filled term by term, and sums
+    them per (ordinal, monomial) with the ordinals, and the monomials of
+    each, in the order in which they are first reached (_collect).  A
+    monomial's key is the Horner number of its factor ids.  So the rows
+    come in the order of that dict.
 
-    Squaring runs on integer arrays.  The monomials of the accepting
-    amplitudes are numbered 0..K-1 in first-seen order.  Each
-    amplitude's upper-triangle pairs (p, q >= p) give a pair key
-    min * K + max and the products of their coefficients; the products
-    are summed per key, and the keys keep the order in which they first
-    appear.  A K x (positions) table of the value each monomial pins
-    (0: free) finds the pairs whose factors conflict and gives each
-    merged monomial one integer code, under which the diagonal sums and
-    the doubled cross sums are added.  Each surviving monomial is
-    multiplied out once, from its first pair.  So the terms, and their
-    order, are those of a dict filled pair by pair: assemble_grid_poly,
-    and through it LatticePoly.evaluate_float, add in that order.  The
-    sums are int64 while 6 max|coef|^2 pairs fits in it, and the codes
-    while the largest possible code does; past either bound the same
-    arrays hold Python ints.  Only the table of pinned values takes the
-    narrowest type that holds the largest value.
-    Coefficients become Fractions once, over D^2, after squaring.
+    Squaring pairs the rows of each accepting amplitude, p <= q, at most
+    _PAIR_CHUNK pairs at a time.  Each amplitude's rows are walked by
+    their lowest factor, so the products whose lowest factor is f all
+    come from one run of the walk: their sums are complete when the run
+    ends, and only the nonzero ones are kept past it.  Within a chunk
+    the products are summed per pair of monomials, and each distinct
+    pair is merged once: its factor ids give the product's code, or a
+    conflict (one slot pinned to two values), which is dropped.  The
+    sums per code (cross pairs doubled, since Delta^2 = Delta) keep the
+    number of their first pair in upper-triangle order, and the terms
+    come out in that order.  So the terms, and their order, are those of
+    a dict filled pair by pair: assemble_grid_poly, and through it
+    LatticePoly.evaluate_float, add in that order.  Each monomial is
+    built once, from its first pair's table rows, and each distinct
+    coefficient once, as a Fraction pair over D^2.  The coefficients
+    are int64 while a stated bound on every sum fits in it, and so are
+    the codes; past either bound the same arrays hold Python ints.
     """
     if alg.oracle_kind != "standard":
         raise ValueError("polynomial extraction is defined for standard-oracle algorithms")
@@ -104,181 +119,289 @@ def extract_polynomial(alg: QueryAlgorithm) -> MultilinearPoly:
     return accept
 
 
-def _propagate(alg: QueryAlgorithm) -> tuple[dict[int, dict[tuple, tuple[int, int]]], int]:
-    """(amps, D) after the last layer: amps maps each basis-state ordinal
-    with a nonzero amplitude to its polynomial, canonical factor tuple ->
-    (A, B), meaning (A + B sqrt(2)) / D."""
+class _Amplitudes(NamedTuple):
+    """Amplitude polynomials as integer rows, one per (basis ordinal,
+    monomial) with a nonzero coefficient: row r adds (a[r] + b[r] sqrt 2)
+    / D times its monomial to the amplitude of basis state ordinal[r].
+    The monomial pins slot s, the (register, position) slots[s], to the
+    value table[r, s], or leaves it free at 0.  The rows of one ordinal
+    are adjacent, and the ordinals, and the monomials of each, come in
+    the order in which they were first reached."""
+
+    slots: tuple[tuple[str, int], ...]
+    ordinal: np.ndarray
+    table: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
+def _propagate(alg: QueryAlgorithm) -> tuple[_Amplitudes, int]:
+    """(amps, D) after the last layer; see extract_polynomial.
+
+    Query address i reads slot i - 1, and factor Delta(slot s, h) has the
+    id s * alphabet + h.  code holds each row's Horner number of its
+    factor ids, in slot order, base slots * alphabet + 1.
+    """
     space = alg.space
-    stride = space.index_size * 2
-    alphabet = range(1, alg.alphabet_size + 1)
-    variables: dict[tuple[str, int], list[IndicatorVariable]] = {}
-
-    amps: dict[int, dict[tuple, tuple[int, int]]] = {space.encode(alg.initial): {(): (1, 0)}}
+    slots, alphabet = space.index_size, alg.alphabet_size
+    base = slots * alphabet + 1
+    # A monomial holds at most T factors, so codes stay below base^T and
+    # (ordinal, code) keys below dim * base^T.
+    width = base ** alg.T
+    key_type = _int64_or_object(space.dim * width)
+    powers = np.array([base ** k for k in range(alg.T + 1)], dtype=key_type)
+    amps = _Amplitudes(
+        tuple(query_address_register(alg.kind, alg.n, i) for i in range(1, slots + 1)),
+        np.array([space.encode(alg.initial)], dtype=np.int64),
+        np.zeros((1, slots), dtype=np.min_scalar_type(alphabet)),
+        np.ones(1, dtype=np.int64),
+        np.zeros(1, dtype=np.int64),
+    )
+    code = np.zeros(1, dtype=key_type)
     D = 1
-
-    def apply_layer(layer) -> None:
-        nonlocal amps, D
-        d_layer, cols = layer.int_cols()
-        out: dict[int, dict[tuple, tuple[int, int]]] = {}
-        for ordinal, poly in amps.items():
-            for row, ea, eb in cols[ordinal]:
-                acc = out.get(row)
-                if acc is None:
-                    acc = out[row] = {}
-                for m, (a, b) in poly.items():
-                    pa = a * ea + 2 * b * eb
-                    pb = a * eb + b * ea
-                    cur = acc.get(m)
-                    acc[m] = (pa, pb) if cur is None else (cur[0] + pa, cur[1] + pb)
-        amps = _nonzero(out)
-        D *= d_layer
-
-    apply_layer(alg.layers[0])
-    for t in range(1, alg.T + 1):
-        masks = [space.encode_answer(h) * stride for h in alphabet]
-        out: dict[int, dict[tuple, tuple[int, int]]] = {}
-        for ordinal, poly in amps.items():
-            index = (ordinal >> 1) % space.index_size + 1
-            key = query_address_register(alg.kind, alg.n, index)
-            queried = variables.get(key)
-            if queried is None:
-                queried = variables[key] = [
-                    IndicatorVariable(*key, h) for h in alphabet
-                ]
-            for m, c in poly.items():
-                # Factors sort by (register, position, value), so k is
-                # where the queried position sits or would be inserted.
-                k = bisect_left(m, key)
-                if k < len(m) and m[k][:2] == key:
-                    # Delta(key, v) Delta(key, h) is Delta(key, v) if h == v, else 0.
-                    _add(out, ordinal ^ masks[m[k].value - 1], m, c)
-                    continue
-                head, tail = m[:k], m[k:]
-                for var, mask in zip(queried, masks):
-                    _add(out, ordinal ^ mask, (*head, var, *tail), c)
-        amps = _nonzero(out)
-        apply_layer(alg.layers[t])
-
+    for t, layer in enumerate(alg.layers):
+        if t:
+            masks = np.array(
+                [0, *(space.encode_answer(h) * slots * 2 for h in range(1, alphabet + 1))],
+                dtype=np.int64,
+            )
+            amps, code = _query_rows(amps, code, masks, powers, width)
+        arrays = layer.int_arrays()
+        amps, code = _layer_rows(amps, code, arrays, width)
+        D *= arrays.D
     return amps, D
 
 
-def _square_accepting(amps: dict[int, dict[tuple, tuple[int, int]]], D: int) -> MultilinearPoly:
+def _collect(target, code, a, b, width: int):
+    """Sum rows per (target ordinal, monomial code) as a dict of dicts
+    filled row by row would: the targets in the order in which they are
+    first reached, and the monomials of each in the order in which they
+    are first reached under it; zero sums dropped.  Returns (first, sums
+    of a, sums of b), first the row at which each sum's key first
+    appears."""
+    first, a, b = _grouped(target.astype(code.dtype) * width + code, a, b)
+    _, lead, which = np.unique(target[first], return_index=True, return_inverse=True)
+    order = _stable_order(lead[which])[0]
+    first, a, b = first[order], a[order], b[order]
+    keep = (a != 0) | (b != 0)
+    return first[keep], a[keep], b[keep]
+
+
+def _layer_rows(amps: _Amplitudes, code, layer: LayerArrays, width: int):
+    """The layer times the amplitudes: each ordinal's rows repeated once
+    per entry of the ordinal's column, ordinal by ordinal, then entry by
+    entry, and summed by _collect."""
+    ordinal = amps.ordinal
+    new = np.ones(len(ordinal), dtype=bool)
+    new[1:] = ordinal[1:] != ordinal[:-1]
+    start = np.flatnonzero(new)
+    count = np.diff(start, append=len(ordinal))
+    # One block per (ordinal, entry of its column), holding the ordinal's rows.
+    per = layer.lengths[ordinal[start]]
+    entry = np.arange(per.sum()) + np.repeat(layer.starts[ordinal[start]] - (np.cumsum(per) - per), per)
+    size = np.repeat(count, per)
+    entry = np.repeat(entry, size)
+    row = np.arange(len(entry)) + np.repeat(np.repeat(start, per) - (np.cumsum(size) - size), size)
+    # A sum meets each ordinal's rows at most once (a column has one entry
+    # per row, an amplitude one term per monomial), in products of
+    # absolute value <= 3 big big'.
+    num = _int64_or_object(3 * len(start) * _largest(amps.a, amps.b) * layer.big)
+    a, b = amps.a.astype(num, copy=False)[row], amps.b.astype(num, copy=False)[row]
+    ea, eb = layer.a.astype(num, copy=False)[entry], layer.b.astype(num, copy=False)[entry]
+    target = layer.rows[entry]
+    first, sum_a, sum_b = _collect(target, code[row], a * ea + 2 * b * eb, a * eb + b * ea, width)
+    src = row[first]
+    return amps._replace(ordinal=target[first], table=amps.table[src], a=sum_a, b=sum_b), code[src]
+
+
+def _query_rows(amps: _Amplitudes, code, masks, powers, width: int):
+    """The standard query on the amplitudes.  A row whose queried slot is
+    pinned to v moves to ordinal ^ masks[v]; a free row fans out to one
+    row per value h, moved to ordinal ^ masks[h] with the slot pinned to
+    h.  The rows, in that order, are summed by _collect: a key meets at
+    most two of them, a monomial free at the slot and the same monomial
+    pinned there."""
+    rows, slots = amps.table.shape
+    alphabet = len(masks) - 1
+    slot = (amps.ordinal >> 1) % slots
+    value = amps.table[np.arange(rows), slot]
+    free = value == 0
+    reps = np.where(free, alphabet, 1)
+    src = np.repeat(np.arange(rows), reps)
+    h = np.arange(len(src)) - np.repeat(np.cumsum(reps) - reps, reps) + np.maximum(value, 1)[src]
+    # Pinning a slot with k pinned slots after it turns the code
+    # high * base^k + low into high * base^(k + 1) + id * base^k + low.
+    after = np.count_nonzero((amps.table != 0) & (np.arange(slots) > slot[:, None]), axis=1)
+    shift = powers[after]
+    low = code % shift
+    spread = (code - low) * int(powers[1]) + low
+    ids = slot[src] * alphabet + h
+    code = np.where(free[src], spread[src] + ids * shift[src], code[src])
+    num = _int64_or_object(2 * _largest(amps.a, amps.b))
+    a, b = amps.a.astype(num, copy=False)[src], amps.b.astype(num, copy=False)[src]
+    target = amps.ordinal[src] ^ masks[h]
+    first, sum_a, sum_b = _collect(target, code, a, b, width)
+    table = amps.table[src[first]]
+    table[np.arange(len(first)), slot[src[first]]] = h[first]
+    return amps._replace(ordinal=target[first], table=table, a=sum_a, b=sum_b), code[first]
+
+
+_PAIR_CHUNK = 1 << 16  # most monomial pairs that _square_accepting multiplies out at once
+
+
+def _merged(columns: list, slot_of: np.ndarray, base: int, code_type):
+    """(code, clash) for the products of factor lists given as columns of
+    ids, at least one, each list ascending and padded in front with 0
+    (no factor).
+    Sorting the columns row by row (odd-even transposition) puts a
+    factor the lists share in adjacent columns, and so two factors on
+    one slot, a clash.  code is the Horner number, base `base`, of each
+    row's distinct nonzero ids in ascending order."""
+    columns = list(columns)
+    w = len(columns)
+    for r in range(w):
+        for c in range(r % 2, w - 1, 2):
+            lo, hi = columns[c], columns[c + 1]
+            columns[c], columns[c + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+    code = np.zeros(len(columns[0]), dtype=code_type)
+    clash = np.zeros(len(code), dtype=bool)
+    prev = 0
+    for col in columns:
+        fresh = col != prev
+        clash |= fresh & (prev != 0) & (slot_of[col] == slot_of[prev])
+        code = np.where(fresh, code * base + col, code)
+        prev = col
+    return code, clash
+
+
+def _least_sums(keys, a, b, number):
+    """(keys, sums of a, sums of b, least number) per distinct key."""
+    order, starts, a, b = _key_sums(keys, a, b)
+    return keys[order[starts]], a, b, np.minimum.reduceat(number[order], starts)
+
+
+def _square_accepting(amps: _Amplitudes, D: int) -> MultilinearPoly:
     """Sum of the squared accepting amplitudes, over D^2: diagonal pairs
     once (Delta^2 = Delta), cross pairs doubled.  See extract_polynomial
     for the method."""
-    number: dict[tuple, int] = {}
-    accepting = [
-        [(number.setdefault(m, len(number)), a, b) for m, (a, b) in poly.items()]
-        for ordinal, poly in amps.items()
-        if ordinal & 1  # output register holds 2
-    ]
-    monomials = list(number)
-    K = len(monomials)
-    pairs = sum(len(terms) * (len(terms) + 1) // 2 for terms in accepting)
-    if not pairs:
+    accept = np.flatnonzero(amps.ordinal & 1)  # output register holds 2
+    rows = len(accept)
+    if not rows:
         return MultilinearPoly()
+    ordinal, table = amps.ordinal[accept], amps.table[accept]
+    new = np.ones(rows, dtype=bool)
+    new[1:] = ordinal[1:] != ordinal[:-1]
+    start = np.flatnonzero(new)
+    # Row r pairs with the rows of its amplitude from r on, and pair
+    # (r, s), r <= s, is pair number ends[r] - partners[r] + s - r.
+    partners = np.repeat(np.append(start[1:], rows), np.diff(start, append=rows)) - np.arange(rows)
+    ends = np.cumsum(partners)
     # No sum below exceeds 6 max|coef|^2 pairs in absolute value.
-    big = max(max(abs(a), abs(b)) for terms in accepting for _, a, b in terms)
-    coef = _int64_or_object(6 * big * big * pairs)
+    big = _largest(amps.a, amps.b)
+    coef = _int64_or_object(6 * big * big * int(ends[-1]))
+    a, b = amps.a[accept].astype(coef), amps.b[accept].astype(coef)
 
-    # Pair products of each amplitude, summed per pair key, in the order
-    # in which the keys first appear.
-    keys = np.empty(pairs, dtype=np.int64)
-    prod_a = np.empty(pairs, dtype=coef)
-    prod_b = np.empty(pairs, dtype=coef)
-    end = 0
-    for terms in accepting:
-        idx, a, b = zip(*terms)
-        idx = np.array(idx, dtype=np.int64)
-        a, b = np.array(a, dtype=coef), np.array(b, dtype=coef)
-        p, q = np.triu_indices(len(terms))
-        part = slice(end, end + len(p))
-        end += len(p)
-        ip, iq, ap, aq, bp, bq = idx[p], idx[q], a[p], a[q], b[p], b[q]
-        keys[part] = np.minimum(ip, iq) * K + np.maximum(ip, iq)
-        prod_a[part] = ap * aq + 2 * bp * bq
-        prod_b[part] = ap * bq + bp * aq
-    first, sum_a, sum_b = _grouped(keys, prod_a, prod_b)
-    i, j = np.divmod(keys[first], K)
-    del keys, prod_a, prod_b
-
-    # Merge each pair on a table of pinned values (0: free), one column
-    # per (register, position); a merged monomial's code is the Horner
-    # number of its factors' indices, base F + 1 for F distinct factors.
-    slots = sorted({f[:2] for m in monomials for f in m})
-    factors = sorted({f for m in monomials for f in m})
-    top = max((f[2] for f in factors), default=0)
-    column = {slot: c for c, slot in enumerate(slots)}
-    table = np.zeros((K, len(slots)), dtype=np.min_scalar_type(top))
-    for k, m in enumerate(monomials):
-        for f in m:
-            table[k, column[f[:2]]] = f[2]
+    # Number the (slot, value) factors that the rows pin 1..F in slot
+    # order, and list each row's ids ascending, padded in front with 0
+    # to the largest degree, one array of digits per place.  Codes are Horner
+    # numbers of ids, base F + 1, and a pair's key is its lower row code,
+    # then its higher one, in the same base.
+    top = int(table.max(initial=0)) + 1
+    pins = np.where(table != 0, np.arange(table.shape[1]) * top + table, 0)
+    factors = np.unique(pins[pins != 0])
+    ids = np.zeros((rows, 1 + table.shape[1]), dtype=np.int64)  # one place at least
+    ids[:, 1:] = np.where(pins != 0, np.searchsorted(factors, pins) + 1, 0)
+    ids.sort(axis=1)
+    degree = int(np.count_nonzero(table, axis=1).max())
+    digits = [np.ascontiguousarray(c) for c in ids[:, -max(degree, 1):].T]
+    slot_of = np.append(-1, factors // top)  # id 0 pins nothing
     base = len(factors) + 1
-    max_degree = 2 * max(len(m) for m in monomials)
-    code_type = _int64_or_object(base ** max_degree - 1)
-    digits = np.zeros((len(slots), top + 1), dtype=code_type)
-    for d, f in enumerate(factors, 1):
-        digits[column[f[:2]], f[2]] = d
-    ti, tj = table[i], table[j]
-    keep = ~((ti != tj) & (ti != 0) & (tj != 0)).any(axis=1)
-    merged = np.maximum(ti, tj)
-    code = np.zeros(len(i), dtype=code_type)
-    for c in range(len(slots)):
-        v = merged[:, c]
-        hit = v != 0
-        code[hit] = code[hit] * base + digits[c, v[hit]]
-    i, j, sum_a, sum_b = i[keep], j[keep], sum_a[keep], sum_b[keep]
-    cross = i != j
-    sum_a[cross] *= 2
-    sum_b[cross] *= 2
-    first, total_a, total_b = _grouped(code[keep], sum_a, sum_b)
+    code_type = _int64_or_object(base ** (2 * degree) - 1)
+    code = _merged(digits, slot_of, base, code_type)[0]
+    shift = base ** degree
+
+    # A product's lowest factor is the lower of its rows' lowest ones (the
+    # constant's counts as highest).  So if each amplitude's rows are
+    # walked by their lowest factor, the products whose lowest factor is
+    # f all come from one run of the walk, and their sums are complete
+    # at its end: only the nonzero ones need to be kept past it.
+    lead = np.where(ids != 0, ids, base).min(axis=1)
+    amplitude = np.cumsum(new) - 1
+    walked = _stable_order(amplitude * (base + 1) + lead)[0]  # by amplitude, then lead
+    walk = _stable_order(lead[walked])[0]  # positions in walked, by lead
+    runs = np.cumsum(partners[walk])  # partners depends on the position alone
+    led = lead[walked[walk]]
+    bounds = np.concatenate(([0], np.flatnonzero(led[1:] != led[:-1]) + 1, [rows]))
+
+    def chunks():
+        w = 0
+        while w < rows:
+            # Walk positions w .. stop - 1: at most _PAIR_CHUNK pairs, or one
+            # row, cut back to the end of a run if one lies past w.
+            stop = max(w + 1, int(np.searchsorted(runs, runs[w] - partners[walk[w]] + _PAIR_CHUNK, "right")))
+            cut = bounds[np.searchsorted(bounds, stop, "right") - 1]
+            if cut > w:
+                stop = int(cut)
+            ks = walk[w:stop]
+            count = partners[ks]
+            kp = np.repeat(ks, count)
+            kq = np.arange(len(kp)) + np.repeat(ks - (np.cumsum(count) - count), count)
+            p, q = walked[kp], walked[kq]
+            p, q = np.minimum(p, q), np.maximum(p, q)
+            # Sum the products per pair, then merge each distinct pair once.
+            # A pair's first entry, in walk order, is its first amplitude's,
+            # so it comes first among the pairs with its two monomials.
+            cp, cq = code[p], code[q]
+            ap, aq, bp, bq = a[p], a[q], b[p], b[q]
+            order, starts, pa, pb = _key_sums(
+                np.minimum(cp, cq) * shift + np.maximum(cp, cq), ap * aq + 2 * bp * bq, ap * bq + bp * aq
+            )
+            p, q = p[order[starts]], q[order[starts]]
+            number = ends[p] - partners[p] + q - p
+            merged, clash = _merged([d[p] for d in digits] + [d[q] for d in digits], slot_of, base, code_type)
+            keep = ~clash
+            pa, pb = pa[keep], pb[keep]
+            cross = (p != q)[keep]
+            pa[cross] *= 2
+            pb[cross] *= 2
+            yield _least_sums(merged[keep], pa, pb, number[keep]), stop == rows or led[stop] != led[stop - 1]
+            w = stop
+
+    def fold(parts):
+        return _least_sums(*(np.concatenate(x) for x in zip(*parts)))
+
+    done, parts, held, folded = [], [], 0, 0
+    for part, complete in chunks():
+        parts.append(part)
+        held += len(part[0])
+        # Fold the chunk sums once they outgrow the folded sums.
+        if complete or held - folded > max(_PAIR_CHUNK, folded):
+            parts = [fold(parts)]
+            held = folded = len(parts[0][0])
+        if complete:
+            sums = parts[0]
+            keep = (sums[1] != 0) | (sums[2] != 0)
+            done.append(tuple(x[keep] for x in sums))
+            parts, held, folded = [], 0, 0
+    _, sum_a, sum_b, number = (np.concatenate(x) for x in zip(*done))
+    # The terms in the order of their first pairs' numbers.
+    order = _stable_order(number)[0]
+    sum_a, sum_b, number = sum_a[order], sum_b[order], number[order]
+    p = np.searchsorted(ends, number, "right")
+    q = number - (ends[p] - partners[p]) + p
+
+    merged = np.maximum(table[p], table[q])
+    r, s = np.nonzero(merged)
+    variables = [IndicatorVariable(*amps.slots[f // top], f % top) for f in factors.tolist()]
+    flat = [variables[f] for f in (np.searchsorted(factors, s * top + merged[r, s])).tolist()]
+    cuts = np.cumsum(np.count_nonzero(merged, axis=1)).tolist()
+    A, B = sum_a.tolist(), sum_b.tolist()
     d2 = D * D
+    value = {pair: QSqrt2.over(*pair, d2) for pair in set(zip(A, B))}
     return MultilinearPoly({
-        Monomial(_merge_factors(monomials[i[f]], monomials[j[f]])): QSqrt2.over(a, b, d2)
-        for f, a, b in zip(first.tolist(), total_a.tolist(), total_b.tolist())
-        if a or b
+        Monomial(tuple(flat[i:j])): value[pair]
+        for i, j, pair in zip([0, *cuts], cuts, zip(A, B))
     })
-
-
-def _add(out: dict, target: int, m: tuple, c: tuple[int, int]) -> None:
-    acc = out.get(target)
-    if acc is None:
-        out[target] = {m: c}
-        return
-    cur = acc.get(m)
-    acc[m] = c if cur is None else (cur[0] + c[0], cur[1] + c[1])
-
-
-def _nonzero(amps: dict) -> dict:
-    """Drop cancelled coefficients, then amplitudes left with no terms."""
-    out = {}
-    for ordinal, poly in amps.items():
-        poly = {m: c for m, c in poly.items() if c[0] or c[1]}
-        if poly:
-            out[ordinal] = poly
-    return out
-
-
-def _merge_factors(f: tuple, g: tuple) -> tuple | None:
-    """Canonical product of two canonical factor tuples; None when they
-    pin one (register, position) to two values."""
-    out = []
-    i = j = 0
-    while i < len(f) and j < len(g):
-        x, y = f[i], g[j]
-        if x[1] == y[1] and x[0] == y[0]:
-            if x[2] != y[2]:
-                return None
-            out.append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-    return (*out, *f[i:], *g[j:])
 
 
 def evaluate_poly(p: MultilinearPoly, inst: Instance) -> QSqrt2:

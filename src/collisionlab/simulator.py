@@ -37,7 +37,6 @@ import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -127,17 +126,25 @@ def _int_product(vec, cols) -> dict[int, list[int]]:
     return acc
 
 
-def _flatten(cols):
-    """Column lengths, then the rows, A and B of integer columns as
-    tuples, entries in column order."""
-    flat = [entry for col in cols for entry in col]
-    rows, a, b = zip(*flat) if flat else ((), (), ())
-    return [len(col) for col in cols], rows, a, b
+class LayerArrays(NamedTuple):
+    """A layer's int_cols() as flat numpy arrays, column after column:
+    column j holds the entries starts[j] .. starts[j] + lengths[j] - 1,
+    entry e being (a[e] + b[e] sqrt 2) / D in row rows[e].  a and b are
+    int64 if every entry fits, else Python ints; big is the largest
+    absolute value among them (0 if none)."""
+
+    D: int
+    lengths: np.ndarray
+    starts: np.ndarray
+    rows: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    big: int
 
 
-def _largest(*parts) -> int:
-    """Largest absolute value in sequences of integers; 0 if none."""
-    return max((max(map(abs, part), default=0) for part in parts), default=0)
+def _largest(*arrays) -> int:
+    """Largest absolute value in integer arrays; 0 if all are empty."""
+    return max((int(np.abs(x).max()) for x in arrays if len(x)), default=0)
 
 
 def _int64_or_object(bound: int):
@@ -146,22 +153,41 @@ def _int64_or_object(bound: int):
     return np.int64 if bound <= np.iinfo(np.int64).max else object
 
 
+def _stable_order(keys: np.ndarray):
+    """(order, keys[order]) for order = np.argsort(keys, kind="stable").
+    Nonnegative int64 keys small enough to carry their position in the
+    low bits are sorted as key * 2^s + position: those are distinct, so
+    numpy's fastest sort, stable or not, puts equal keys in position
+    order.  Other keys take the stable argsort."""
+    s = len(keys).bit_length()
+    if keys.dtype == np.int64 and len(keys) and keys.min() >= 0 and keys.max() < 1 << (62 - s):
+        packed = np.sort((keys << s) | np.arange(len(keys)))
+        return packed & ((1 << s) - 1), packed >> s
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
+
+
+def _key_sums(keys: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """(order, starts, sums of a, sums of b), one sum per distinct key,
+    keys ascending: order sorts the keys stably, so key k's entries are
+    order[starts[k]:starts[k + 1]], in the order in which they come."""
+    order, ordered = _stable_order(keys)
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(new)
+    return order, starts, np.add.reduceat(a[order], starts), np.add.reduceat(b[order], starts)
+
+
 def _grouped(keys: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Sum a and b per distinct key.  Returns (first, sums of a, sums of
     b), one entry per key in the order in which the keys first appear,
     with first the position of that first appearance.  The sort is
     stable, so a key's first entry in sorted order is its first
     appearance.  Empty input gives empty output."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    new = np.ones(len(ordered), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(new)
+    order, starts, sum_a, sum_b = _key_sums(keys, a, b)
     first = order[starts]
-    seen = np.argsort(first, kind="stable")
-    sum_a = np.add.reduceat(a[order], starts)[seen]
-    sum_b = np.add.reduceat(b[order], starts)[seen]
-    return first[seen], sum_a, sum_b
+    seen = _stable_order(first)[0]
+    return first[seen], sum_a[seen], sum_b[seen]
 
 
 def _summed(parts):
@@ -185,7 +211,7 @@ class Layer:
     normalization.
     """
 
-    __slots__ = ("dim", "cols", "_float_cols", "_int_cols")
+    __slots__ = ("dim", "cols", "_float_cols", "_int_cols", "_int_arrays")
 
     def __init__(self, dim: int, cols: list[list[tuple[int, QSqrt2]]]):
         if len(cols) != dim:
@@ -194,6 +220,7 @@ class Layer:
         self.cols = cols
         self._float_cols = None
         self._int_cols = None
+        self._int_arrays = None
 
     @staticmethod
     def identity(dim: int) -> "Layer":
@@ -224,6 +251,26 @@ class Layer:
             ])
         return self._int_cols
 
+    def int_arrays(self) -> LayerArrays:
+        """int_cols() as flat arrays, built once per layer, straight from
+        the int_form of the entries, and shared by every array kernel
+        that reads the layer."""
+        if self._int_arrays is None:
+            D, pairs = int_form(v for col in self.cols for _, v in col)
+            lengths = np.fromiter(map(len, self.cols), dtype=np.int64, count=self.dim)
+            rows = np.fromiter(
+                (r for col in self.cols for r, _ in col), dtype=np.int64, count=len(pairs)
+            )
+            try:
+                ab = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+            except OverflowError:  # an entry outgrows int64
+                ab = np.array(pairs, dtype=object).reshape(-1)
+            a, b = ab[0::2].copy(), ab[1::2].copy()
+            self._int_arrays = LayerArrays(
+                D, lengths, np.cumsum(lengths) - lengths, rows, a, b, _largest(a, b)
+            )
+        return self._int_arrays
+
     def is_orthogonal(self) -> bool:
         """Exact check that columns are orthonormal.
 
@@ -235,16 +282,14 @@ class Layer:
         summed per key again.  U is orthogonal iff M^T M = D^2 I with no
         sqrt(2) part.
         """
-        D, cols = self.int_cols()
+        D, lengths, _, rows, a, b, big = self.int_arrays()
         dim = self.dim
-        lengths, rows, a, b = _flatten(cols)
         d2 = D * D
         # A Gram entry sums at most dim products of absolute value <= 3 big^2.
-        num = _int64_or_object(max(3 * dim * _largest(a, b) ** 2, d2))
-        rows = np.array(rows, dtype=np.int64)
-        order = np.argsort(rows, kind="stable")  # columns stay ascending in a row
+        num = _int64_or_object(max(3 * dim * big ** 2, d2))
+        order = _stable_order(rows)[0]  # columns stay ascending in a row
         col = np.repeat(np.arange(dim, dtype=np.int64), lengths)[order]
-        a, b = np.array(a, dtype=num)[order], np.array(b, dtype=num)[order]
+        a, b = a.astype(num, copy=False)[order], b.astype(num, copy=False)[order]
         per_row = np.bincount(rows, minlength=dim)
         row_start = np.cumsum(per_row) - per_row
         parts, held, folded = [], 0, 0
@@ -290,41 +335,45 @@ class Layer:
         if self.dim != inner.dim:
             raise ValueError("dimension mismatch")
         dim = self.dim
-        d_outer, outer_cols = self.int_cols()
-        d_inner, inner_cols = inner.int_cols()
-        outer_len, outer_row, outer_a, outer_b = _flatten(outer_cols)
-        inner_len, inner_row, inner_a, inner_b = _flatten(inner_cols)
+        outer = self.int_arrays()
+        inner_arrays = inner.int_arrays()
         # A sum has at most dim products of absolute value <= 3 big^2.
-        num = _int64_or_object(3 * dim * _largest(outer_a, outer_b, inner_a, inner_b) ** 2)
+        num = _int64_or_object(3 * dim * max(outer.big, inner_arrays.big) ** 2)
         # Inner entry t, in row k of its column, meets each entry of outer
         # column k: e repeats t once per meeting, at indexes the entry met.
-        k = np.array(inner_row, dtype=np.int64)
-        outer_len = np.array(outer_len, dtype=np.int64)
-        reps = outer_len[k]
+        k = inner_arrays.rows
+        reps = outer.lengths[k]
         e = np.repeat(np.arange(len(k)), reps)
-        at = np.arange(len(e)) + np.repeat(np.cumsum(outer_len)[k] - np.cumsum(reps), reps)
-        c = np.repeat(np.arange(dim, dtype=np.int64), inner_len)[e]
-        keys = c * dim + np.array(outer_row, dtype=np.int64)[at]
-        ia, ib = np.array(inner_a, dtype=num)[e], np.array(inner_b, dtype=num)[e]
-        oa, ob = np.array(outer_a, dtype=num)[at], np.array(outer_b, dtype=num)[at]
+        at = np.arange(len(e)) + np.repeat(outer.starts[k] - (np.cumsum(reps) - reps), reps)
+        c = np.repeat(np.arange(dim, dtype=np.int64), inner_arrays.lengths)[e]
+        keys = c * dim + outer.rows[at]
+        ia, ib = inner_arrays.a.astype(num, copy=False)[e], inner_arrays.b.astype(num, copy=False)[e]
+        oa, ob = outer.a.astype(num, copy=False)[at], outer.b.astype(num, copy=False)[at]
         first, sum_a, sum_b = _grouped(keys, ia * oa + 2 * ib * ob, ia * ob + ib * oa)
         keys = keys[first]
         keep = np.flatnonzero((sum_a != 0) | (sum_b != 0))
-        keep = keep[np.argsort(keys[keep], kind="stable")]
+        keep = keep[_stable_order(keys[keep])[0]]
         col, rows = np.divmod(keys[keep], dim)
-        rows, A, B = rows.tolist(), sum_a[keep].tolist(), sum_b[keep].tolist()
-        D = d_outer * d_inner
-        common = math.gcd(D, *A, *B)
+        a, b = sum_a[keep], sum_b[keep]
+        D = outer.D * inner_arrays.D
+        common = math.gcd(D, *a.tolist(), *b.tolist())
         if common > 1:
             D //= common
-            A, B = [x // common for x in A], [y // common for y in B]
+            if len(a):  # common then divides an entry, so it fits a's type
+                a, b = a // common, b // common
+        big = _largest(a, b)
+        small = _int64_or_object(big)
+        a, b = a.astype(small, copy=False), b.astype(small, copy=False)
+        A, B = a.tolist(), b.tolist()
         value = {pair: QSqrt2.over(*pair, D) for pair in set(zip(A, B))}
-        int_flat = list(zip(rows, A, B))
-        flat = list(zip(rows, map(value.__getitem__, zip(A, B))))
-        ends = np.cumsum(np.bincount(col, minlength=dim)).tolist()
+        int_flat = list(zip(rows.tolist(), A, B))
+        flat = list(zip(rows.tolist(), map(value.__getitem__, zip(A, B))))
+        lengths = np.bincount(col, minlength=dim)
+        ends = np.cumsum(lengths).tolist()
         spans = list(zip([0, *ends], ends))
         layer = Layer(dim, [flat[s:t] for s, t in spans])
         layer._int_cols = (D, [int_flat[s:t] for s, t in spans])
+        layer._int_arrays = LayerArrays(D, lengths, np.cumsum(lengths) - lengths, rows, a, b, big)
         return layer
 
     def to_json(self) -> dict:
@@ -339,7 +388,9 @@ class Layer:
     def from_json(doc) -> "Layer":
         """Inverse of to_json; also reads the dense form, a list of rows of
         ["a", "b"] pairs.  Both forms feed one loop over (row, col, pair)
-        triples, and an entry that parses to zero is dropped."""
+        triples, and an entry that parses to zero is dropped.  Entries of
+        one text share one QSqrt2 (None for zero), so int_form converts
+        each text once."""
         if isinstance(doc, dict):
             dim = json_field(doc, "dim")
             entries = _sparse_entries(dim, json_field(doc, "cols", list))
@@ -347,19 +398,17 @@ class Layer:
             dim = len(doc)
             entries = _dense_entries(doc)
         cols: list[list[tuple[int, QSqrt2]]] = [[] for _ in range(dim)]
-        parsed: dict[str, Fraction] = {}
-
-        def fraction(text: str) -> Fraction:
-            f = parsed.get(text)
-            if f is None:
-                f = parsed[text] = parse_fraction(text)
-            return f
-
+        parsed: dict[tuple, QSqrt2 | None] = {}
         for r, c, pair in entries:
             if len(pair) != 2:
                 raise ValueError(f"expected [a, b] entry, got {pair!r}")
-            v = QSqrt2(fraction(pair[0]), fraction(pair[1]))
-            if not v.is_zero():
+            text = tuple(pair)
+            try:
+                v = parsed[text]
+            except KeyError:
+                v = QSqrt2(parse_fraction(pair[0]), parse_fraction(pair[1]))
+                v = parsed[text] = None if v.is_zero() else v
+            if v is not None:
                 cols[c].append((r, v))
         return Layer(dim, cols)
 

@@ -8,13 +8,20 @@ rather than in the package.
 import itertools
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
 
 from collisionlab.instances import Instance
-from collisionlab.multilinear import REGISTERS, Monomial, MultilinearPoly, monomials_over
-from collisionlab.polymethod import _merge_factors
+from collisionlab.multilinear import (
+    REGISTERS,
+    IndicatorVariable,
+    Monomial,
+    MultilinearPoly,
+    monomials_over,
+)
+from collisionlab.polymethod import _Amplitudes, query_address_register
 from collisionlab.qsqrt2 import ONE, QSqrt2, int_form
 from collisionlab.simulator import Layer, erasing_space
 
@@ -116,14 +123,148 @@ def dense_algorithm_json(alg) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# squaring the accepting amplitudes, one pair at a time
+# extraction written with dicts, one term and one pair at a time
 # ---------------------------------------------------------------------------
+
+
+def propagate_reference(alg) -> tuple[dict[int, dict[tuple, tuple[int, int]]], int]:
+    """The propagation step of extract_polynomial written with dicts:
+    (amps, D) after the last layer, where amps maps each basis-state
+    ordinal with a nonzero amplitude to its polynomial, canonical factor
+    tuple -> (A, B), meaning (A + B sqrt(2)) / D.  Ordinals, and the
+    monomials of each, come in the order in which they are first reached:
+    the reference that the array form must match."""
+    space = alg.space
+    stride = space.index_size * 2
+    alphabet = range(1, alg.alphabet_size + 1)
+    variables: dict[tuple[str, int], list[IndicatorVariable]] = {}
+
+    amps: dict[int, dict[tuple, tuple[int, int]]] = {space.encode(alg.initial): {(): (1, 0)}}
+    D = 1
+
+    def apply_layer(layer) -> None:
+        nonlocal amps, D
+        d_layer, cols = layer.int_cols()
+        out: dict[int, dict[tuple, tuple[int, int]]] = {}
+        for ordinal, poly in amps.items():
+            for row, ea, eb in cols[ordinal]:
+                acc = out.get(row)
+                if acc is None:
+                    acc = out[row] = {}
+                for m, (a, b) in poly.items():
+                    pa = a * ea + 2 * b * eb
+                    pb = a * eb + b * ea
+                    cur = acc.get(m)
+                    acc[m] = (pa, pb) if cur is None else (cur[0] + pa, cur[1] + pb)
+        amps = _nonzero(out)
+        D *= d_layer
+
+    apply_layer(alg.layers[0])
+    for t in range(1, alg.T + 1):
+        masks = [space.encode_answer(h) * stride for h in alphabet]
+        out: dict[int, dict[tuple, tuple[int, int]]] = {}
+        for ordinal, poly in amps.items():
+            index = (ordinal >> 1) % space.index_size + 1
+            key = query_address_register(alg.kind, alg.n, index)
+            queried = variables.get(key)
+            if queried is None:
+                queried = variables[key] = [
+                    IndicatorVariable(*key, h) for h in alphabet
+                ]
+            for m, c in poly.items():
+                # Factors sort by (register, position, value), so k is
+                # where the queried position sits or would be inserted.
+                k = bisect_left(m, key)
+                if k < len(m) and m[k][:2] == key:
+                    # Delta(key, v) Delta(key, h) is Delta(key, v) if h == v, else 0.
+                    _add(out, ordinal ^ masks[m[k].value - 1], m, c)
+                    continue
+                head, tail = m[:k], m[k:]
+                for var, mask in zip(queried, masks):
+                    _add(out, ordinal ^ mask, (*head, var, *tail), c)
+        amps = _nonzero(out)
+        apply_layer(alg.layers[t])
+
+    return amps, D
+
+
+def _add(out: dict, target: int, m: tuple, c: tuple[int, int]) -> None:
+    acc = out.get(target)
+    if acc is None:
+        out[target] = {m: c}
+        return
+    cur = acc.get(m)
+    acc[m] = c if cur is None else (cur[0] + c[0], cur[1] + c[1])
+
+
+def _nonzero(amps: dict) -> dict:
+    """Drop cancelled coefficients, then amplitudes left with no terms."""
+    out = {}
+    for ordinal, poly in amps.items():
+        poly = {m: c for m, c in poly.items() if c[0] or c[1]}
+        if poly:
+            out[ordinal] = poly
+    return out
+
+
+def amplitude_rows(amps: dict) -> _Amplitudes:
+    """The dict amplitudes of propagate_reference as the rows that the
+    array squaring reads: one row per (ordinal, monomial) in dict order,
+    one table column per (register, position) the monomials pin."""
+    terms = [(o, m, c) for o, poly in amps.items() for m, c in poly.items()]
+    slots = sorted({f[:2] for _, m, _ in terms for f in m})
+    column = {slot: s for s, slot in enumerate(slots)}
+    top = max((f.value for _, m, _ in terms for f in m), default=0)
+    table = np.zeros((len(terms), len(slots)), dtype=np.min_scalar_type(top))
+    for r, (_, m, _) in enumerate(terms):
+        for f in m:
+            table[r, column[f[:2]]] = f.value
+    coefs = [v for _, _, c in terms for v in c]
+    dtype = np.int64 if max(map(abs, coefs), default=0) < 2**63 else object
+    return _Amplitudes(
+        tuple(slots),
+        np.array([o for o, _, _ in terms], dtype=np.int64),
+        table,
+        np.array([a for _, _, (a, _) in terms], dtype=dtype),
+        np.array([b for _, _, (_, b) in terms], dtype=dtype),
+    )
+
+
+def amplitude_dicts(amps: _Amplitudes) -> dict:
+    """The rows of the array propagation in propagate_reference's form."""
+    out: dict = {}
+    for o, pins, a, b in zip(amps.ordinal.tolist(), amps.table.tolist(), amps.a.tolist(), amps.b.tolist()):
+        m = tuple(IndicatorVariable(*amps.slots[s], v) for s, v in enumerate(pins) if v)
+        out.setdefault(o, {})[m] = (a, b)
+    return out
+
+
+def merge_factors(f: tuple, g: tuple) -> tuple | None:
+    """Canonical product of two canonical factor tuples; None when they
+    pin one (register, position) to two values."""
+    out = []
+    i = j = 0
+    while i < len(f) and j < len(g):
+        x, y = f[i], g[j]
+        if x[1] == y[1] and x[0] == y[0]:
+            if x[2] != y[2]:
+                return None
+            out.append(x)
+            i += 1
+            j += 1
+        elif x < y:
+            out.append(x)
+            i += 1
+        else:
+            out.append(y)
+            j += 1
+    return (*out, *f[i:], *g[j:])
 
 
 def square_accepting_reference(amps: dict, D: int) -> MultilinearPoly:
     """The squaring step of extract_polynomial written with dicts, pair
     by pair: the reference that the array form must match term for term
-    and in order.  amps and D are as polymethod._propagate returns them."""
+    and in order.  amps and D are as propagate_reference returns them."""
     # Square each accepting amplitude: diagonal terms once (Delta^2 =
     # Delta), cross terms i < j doubled.  Monomials are numbered so the
     # products of one pair add up over every accepting amplitude first;
@@ -151,7 +292,7 @@ def square_accepting_reference(amps: dict, D: int) -> MultilinearPoly:
         if i == j:
             m = monomials[i]
         else:
-            m = _merge_factors(monomials[i], monomials[j])
+            m = merge_factors(monomials[i], monomials[j])
             if m is None:
                 continue
             a, b = 2 * a, 2 * b

@@ -358,6 +358,25 @@ ROW0, ROW1 = [0, "1/1", "0/1"], [1, "1/1", "0/1"]
      {"kind": "collision", "n": 4, "x": [1, 2, 3, 4],
       "latent": {"S": [1, 2, 3, 4], "xhat": [2, 1, 3, 4]}},
      "latent sequences must begin with the input's x"),
+    # A latent draw that its family cannot draw.
+    (["simulate", "--algorithm", "coincidence-4", "--instance", "{path}"],
+     {"kind": "collision", "n": 4, "x": [1, 1, 2, 2],
+      "latent": {"S": [3], "xhat": [1, 1, 2, 2, 4, 4]}},
+     "latent xhat takes the value 1, which is not in S"),
+    (["simulate", "--algorithm", "coincidence-4", "--instance", "{path}"],
+     {"kind": "collision", "n": 4, "x": [1, 1, 2, 3],
+      "latent": {"S": [1, 2, 3], "xhat": [1, 1, 2, 3, 3, 2, 1]}},
+     "latent xhat must hold each value of S equally often"),
+    (["setcomp", "--instance", "{path}"],
+     {"kind": "setcomp", "n": 2, "x": [1, 2], "y": [3, 4],
+      "latent": {"S": [1, 2, 3, 4], "S_X": [1, 2], "S_Y": [3, 5],
+                 "xhat": [1, 2], "yhat": [3, 4]}},
+     "latent S_Y must lie in S"),
+    (["setcomp", "--instance", "{path}"],
+     {"kind": "setcomp", "n": 2, "x": [1, 2], "y": [3, 4],
+      "latent": {"S": [1, 2, 3, 4], "S_X": [1, 2], "S_Y": [3, 4],
+                 "xhat": [1, 2], "yhat": [3, 4, 1, 2]}},
+     "latent yhat takes the value 1, which is not in S_Y"),
 ])
 def test_malformed_input_file_exits_1_naming_the_field(args, doc, message, tmp_path):
     import os

@@ -1,13 +1,15 @@
-"""The array squaring step of extract_polynomial against the pair-by-pair
-dict form in helpers: the same terms, the same coefficients, the same
-order.  The q assembly and the float evaluation add terms in that order,
-so equal polynomials are not enough."""
+"""The array propagation and squaring of extract_polynomial against the
+term-by-term and pair-by-pair dict forms in helpers: the same amplitudes
+and terms, the same coefficients, the same order.  The q assembly and
+the float evaluation add terms in that order, so equal polynomials are
+not enough."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from collisionlab import instances
+from collisionlab import instances, polymethod
 from collisionlab.circuits import (
     REFERENCE_BUILDERS,
     collision_space,
@@ -22,8 +24,14 @@ from collisionlab.polymethod import (
     expected_acceptance,
     extract_polynomial,
 )
-from collisionlab.simulator import QueryAlgorithm
-from helpers import square_accepting_reference
+from collisionlab.qsqrt2 import QSqrt2
+from collisionlab.simulator import Layer, QueryAlgorithm
+from helpers import (
+    amplitude_dicts,
+    amplitude_rows,
+    propagate_reference,
+    square_accepting_reference,
+)
 
 INT64_MAX = 2**63 - 1
 
@@ -33,7 +41,7 @@ def ordered_terms(poly):
 
 
 def assert_same_squares(amps, D):
-    got = ordered_terms(_square_accepting(amps, D))
+    got = ordered_terms(_square_accepting(amplitude_rows(amps), D))
     want = ordered_terms(square_accepting_reference(amps, D))
     assert got == want
 
@@ -56,16 +64,91 @@ CIRCUITS = {
 
 @pytest.mark.parametrize("name", list(CIRCUITS))
 def test_squaring_matches_the_reference_in_order(name):
-    amps, D = _propagate(CIRCUITS[name]())
+    amps, D = propagate_reference(CIRCUITS[name]())
     assert_same_squares(amps, D)
 
 
 def test_squaring_matches_the_reference_on_the_dumped_mixer(dumped_mixer8):
     alg, poly = dumped_mixer8
-    amps, D = _propagate(alg)
+    amps, D = propagate_reference(alg)
     want = square_accepting_reference(amps, D)
     assert ordered_terms(poly) == ordered_terms(want)
     assert len(poly.terms) == 1912
+
+
+def nested_items(amps: dict) -> list:
+    return [(ordinal, list(poly.items())) for ordinal, poly in amps.items()]
+
+
+def assert_same_propagation(alg):
+    amps, D = _propagate(alg)
+    want, want_D = propagate_reference(alg)
+    assert D == want_D
+    assert nested_items(amplitude_dicts(amps)) == nested_items(want)
+
+
+@pytest.mark.parametrize("name", list(CIRCUITS))
+def test_propagation_matches_the_reference_in_order(name):
+    assert_same_propagation(CIRCUITS[name]())
+
+
+def test_propagation_matches_the_reference_on_the_dumped_mixer(dumped_mixer8):
+    alg, _ = dumped_mixer8
+    assert_same_propagation(alg)
+
+
+def rotation_layer(at: int) -> Layer:
+    """Identity of dimension 4 but for a rotation by the Pythagorean
+    triple of m = 2^33 + 1, n = 2^32 on rows and columns at, at + 1:
+    its denominator c exceeds 2^63."""
+    m, n = 2**33 + 1, 2**32
+    p, q, c = m * m - n * n, 2 * m * n, m * m + n * n
+    cols = [[(j, QSqrt2(1))] for j in range(4)]
+    cols[at] = [(at, QSqrt2(Fraction(p, c))), (at + 1, QSqrt2(Fraction(q, c)))]
+    cols[at + 1] = [(at, QSqrt2(Fraction(-q, c))), (at + 1, QSqrt2(Fraction(p, c)))]
+    return Layer(4, cols)
+
+
+def test_extraction_past_int64_runs_on_python_ints(monkeypatch):
+    chosen = []
+    choose = polymethod._int64_or_object
+
+    def recording(bound):
+        chosen.append(choose(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(polymethod, "_int64_or_object", recording)
+    alg = QueryAlgorithm(
+        name="rotations", kind="collision", n=1, T=1, oracle_kind="standard",
+        space=collision_space(1), layers=[rotation_layer(0), rotation_layer(1)],
+    )
+    assert_same_propagation(alg)
+    amps, D = propagate_reference(alg)
+    assert D > 2**126
+    assert ordered_terms(extract_polynomial(alg)) == ordered_terms(square_accepting_reference(amps, D))
+    assert object in chosen
+
+
+CHUNKED = {
+    "two-query-4": lambda: REFERENCE_BUILDERS["two-query-4"](),
+    "setcomp-probe-8": lambda: REFERENCE_BUILDERS["setcomp-probe-8"](),
+    **{f"random two-query, seed {s}": (lambda s=s: random_two_query_circuit(s)) for s in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", list(CHUNKED))
+def test_squaring_over_many_chunks_matches_the_reference(name, monkeypatch):
+    amps, D = propagate_reference(CHUNKED[name]())
+    pairs = sum(len(p) * (len(p) + 1) // 2 for ordinal, p in amps.items() if ordinal & 1)
+    monkeypatch.setattr(polymethod, "_PAIR_CHUNK", 64)
+    assert pairs > 30 * polymethod._PAIR_CHUNK
+    assert_same_squares(amps, D)
+
+
+def test_squaring_of_the_dumped_mixer_over_many_chunks(dumped_mixer8, monkeypatch):
+    alg, poly = dumped_mixer8
+    monkeypatch.setattr(polymethod, "_PAIR_CHUNK", 1 << 12)
+    assert ordered_terms(extract_polynomial(alg)) == ordered_terms(poly)
 
 
 def test_random_circuits_reach_degree_4_with_sqrt2_parts():
@@ -132,7 +215,7 @@ def test_squaring_on_python_ints_matches_the_reference():
     assert int64_bounds(amps) == (False, False)
     D = 2**45 * 3
     assert_same_squares(amps, D)
-    terms = _square_accepting(amps, D).terms
+    terms = _square_accepting(amplitude_rows(amps), D).terms
     low_mid = tuple(sorted(LOW + MID))
     assert FULL in [m.factors for m in terms]
     assert low_mid not in [m.factors for m in terms]
@@ -157,14 +240,14 @@ def test_squaring_with_python_int_codes_and_int64_coefficients():
     assert len({f for m in amps[1] for f in m}) == 31
     assert int64_bounds(amps) == (True, False)
     assert_same_squares(amps, 7)
-    merged = [m.factors for m in _square_accepting(amps, 7).terms]
+    merged = [m.factors for m in _square_accepting(amplitude_rows(amps), 7).terms]
     assert (IV("x", 1, 1), *head, *rest) in merged
     assert (IV("x", 1, 2), *head, *rest) in merged
 
 
 def test_squaring_of_nothing_accepting_is_zero():
     amps = {0: {(): (1, 0)}, 2: {(IV("x", 1, 1),): (1, 1)}}
-    assert _square_accepting(amps, 1).is_zero()
+    assert _square_accepting(amplitude_rows(amps), 1).is_zero()
     assert square_accepting_reference(amps, 1).is_zero()
 
 
