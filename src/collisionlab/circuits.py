@@ -7,10 +7,10 @@ compositions, so the reference circuits run in exact mode.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Callable
 
+from .instances import ConfigError
 from .qsqrt2 import QSqrt2
 from .simulator import BasisState, Layer, QueryAlgorithm, StateSpace
 
@@ -132,29 +132,6 @@ def compose(*layers: Layer) -> Layer:
     for layer in layers[1:]:
         out = out.compose(layer)
     return out
-
-
-def random_orthogonal_layer(space: StateSpace, rng: random.Random, stages: int = 10) -> Layer:
-    """Seeded random orthogonal layer: signed permutation composed with
-    Hadamard-type rotations on random basis-state pairs.  Exact by
-    construction."""
-    dim = space.dim
-    perm = list(range(dim))
-    rng.shuffle(perm)
-    one = QSqrt2(1)
-    cols = []
-    for c in range(dim):
-        sign = one if rng.random() < 0.5 else -one
-        cols.append([(perm[c], sign)])
-    layer = Layer(dim, cols)
-    h = QSqrt2.inv_sqrt2()
-    for _ in range(stages):
-        p, q = rng.sample(range(dim), 2)
-        cols = [[(j, one)] for j in range(dim)]
-        cols[p] = sorted([(p, h), (q, h)])
-        cols[q] = sorted([(p, h), (q, -h)])
-        layer = Layer(dim, cols).compose(layer)
-    return layer
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +274,6 @@ def reference_algorithm(name: str) -> QueryAlgorithm:
     try:
         return REFERENCE_BUILDERS[name]()
     except KeyError:
-        raise ValueError(
+        raise ConfigError(
             f"unknown reference algorithm {name!r}; known: {sorted(REFERENCE_BUILDERS)}"
         ) from None

@@ -281,40 +281,6 @@ class SuperQuasilatticePoint(NamedTuple):
     M: int
 
 
-def is_quasilattice_point(g: int, N: int, n: int, T: int, slack: int = WINDOW_DENOM) -> bool:
-    """Admissibility of (g, N): g | N, 1 <= g <= sqrt(n),
-    n <= N <= n + n/(slack*T), and N = n when g = 1."""
-    if g < 1 or g * g > n:
-        return False
-    if N % g != 0:
-        return False
-    if N < n or (N - n) * slack * T > n:
-        return False
-    if g == 1 and N != n:
-        return False
-    return True
-
-
-def is_super_quasilattice_point(
-    g: int, N: int, M: int, n: int, T: int, slack: int = WINDOW_DENOM3
-) -> bool:
-    """Admissibility of (g, N, M): g in [1, n^(1/3)], g | N, kappa(g) | M,
-    N and M in [n, n(1 + 1/(slack*T))], N = n when g = 1, M = n when g = 2."""
-    if g < 1 or g**3 > n:
-        return False
-    if N % g != 0 or M % kappa(g) != 0:
-        return False
-    if N < n or (N - n) * slack * T > n:
-        return False
-    if M < n or (M - n) * slack * T > n:
-        return False
-    if g == 1 and N != n:
-        return False
-    if g == 2 and M != n:
-        return False
-    return True
-
-
 def _iroot(n: int, k: int) -> int:
     """floor(n^(1/k)) for n >= 0, exact at any size, where a float root
     can be off by more than one; set bit by bit from the top."""

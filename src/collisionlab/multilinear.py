@@ -15,8 +15,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .qsqrt2 import QSqrt2, ZERO, int_form
+from .simulator import _int64_or_object
 
 REGISTERS = ("x", "y")
+_EXACT_FLOAT = 1 << 53  # every integer of smaller absolute value is a float exactly
 
 
 class IndicatorVariable(NamedTuple):
@@ -70,9 +72,6 @@ class Monomial:
 
     def times(self, other: "Monomial") -> Optional["Monomial"]:
         return Monomial.from_factors(self.factors + other.factors)
-
-    def with_factor(self, f: IndicatorVariable) -> Optional["Monomial"]:
-        return Monomial.from_factors(self.factors + (f,))
 
     # -- statistics ----------------------------------------------------------
 
@@ -142,26 +141,70 @@ def monomials_over(slots, values, max_degree: int) -> Iterator[Monomial]:
                 )
 
 
-def hit_masks(
+_DENSE_BINS = 1 << 16  # most codes a slot set's lookup indexes directly; past it, searchsorted
+
+
+def code_lookup(
     monomials: Iterable[Monomial], draws: np.ndarray, n: int
-) -> Iterator[np.ndarray | None]:
-    """Per monomial, the boolean mask of the draws (S x n, or S x 2n with
-    y after x) that it hits; None for the constant monomial, which hits
-    all.  Each (column, value) mask is computed once and shared: read
-    the masks, do not write to them."""
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, int]]:
+    """Which draws (S x n, or S x 2n with y after x; values >= 0) each
+    monomial hits, read per slot set: the columns that a monomial pins.
+
+    Per slot set, in first-seen order, yields (members, term_bins,
+    draw_bins, bins): the positions of its monomials in the input, the
+    bin of each, and the bin of each draw, all in 0..bins - 1.  A
+    monomial hits exactly the draws in its bin.  A bin is a mixed-radix
+    code, base 1 + the largest draw or pinned value, of the values at
+    the slot set's columns: the monomial's pinned values, or the draw's.
+    While base^k codes are at most _DENSE_BINS, the code is the bin;
+    past that, the bin is the code's place among the monomials' sorted
+    codes, and a draw whose code no monomial has takes the last bin.
+    """
+    # (registers, positions) -> (members, their pinned values in one flat list)
+    groups: dict[tuple, tuple[list[int], list[int]]] = {}
+    for i, m in enumerate(monomials):
+        if m.factors:
+            registers, positions, vals = zip(*m.factors)
+            slots = (registers, positions)
+        else:
+            slots, vals = (), ()
+        group = groups.get(slots)
+        if group is None:
+            group = groups[slots] = ([], [])
+        group[0].append(i)
+        group[1].extend(vals)
     width = draws.shape[1]
-    hits: dict[tuple[int, int], np.ndarray] = {}
-    for m in monomials:
-        mask = None
-        for f in m.factors:
-            col = f.position - 1 + (n if f.register == "y" else 0)
-            if f.position > n or col >= width:
+    top = int(draws.max(initial=0))
+    plan = []
+    for slots, (members, values) in groups.items():
+        key = [pos - 1 if reg == "x" else pos - 1 + n for reg, pos in zip(*slots)]
+        for j, col in enumerate(key):
+            if slots[1][j] > n or col >= width:
+                f = IndicatorVariable(slots[0][j], slots[1][j], values[j])
                 raise ValueError(f"indicator {f} has no matching sequence entry")
-            hit = hits.get((col, f.value))
-            if hit is None:
-                hit = hits[col, f.value] = draws[:, col] == f.value
-            mask = hit if mask is None else mask & hit
-        yield mask
+        if values:
+            top = max(top, max(values))
+        plan.append((key, members, values))
+    base = top + 1
+    powers = {}
+    for key, members, values in plan:
+        k = len(key)
+        size = base ** k
+        code_type = _int64_or_object(size - 1)
+        if k not in powers:
+            powers[k] = np.array([base ** (k - 1 - j) for j in range(k)], dtype=code_type)
+        term_code = np.array(values, dtype=code_type).reshape(len(members), k) @ powers[k]
+        draw_code = draws[:, key[0]].astype(code_type) if key else np.zeros(len(draws), dtype=code_type)
+        for col in key[1:]:  # in place: no widened copy of the table's columns
+            draw_code *= base
+            draw_code += draws[:, col]
+        if size <= _DENSE_BINS:
+            yield members, term_code, draw_code, size
+            continue
+        codes = np.unique(term_code)
+        place = np.searchsorted(codes, draw_code)
+        found = codes[np.minimum(place, len(codes) - 1)] == draw_code
+        yield members, np.searchsorted(codes, term_code), np.where(found, place, len(codes)), len(codes) + 1
 
 
 class MultilinearPoly:
@@ -250,15 +293,18 @@ class MultilinearPoly:
 
     def evaluate_batch(
         self, draws: np.ndarray, n: int
-    ) -> tuple[list[int], list[int], int]:
-        """Exact values at a batch of draws, one hit mask per term.
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Exact values at a batch of draws, one lookup per slot set.
 
         draws is an S x n integer array of x sequences, or S x 2n with y
-        after x.  Returns (A, B, D): draw s has the value
-        (A[s] + B[s] sqrt(2)) / D, where (D, [(A_I, B_I), ...]) is the
-        int_form of the coefficients.  Each term's (A_I, B_I) is added, as
-        Python ints, to the draws of its hit_masks mask, so every value is
-        exact.
+        after x.  Returns (A, B, D), two arrays and an int: draw s has the
+        value (A[s] + B[s] sqrt(2)) / D, where (D, [(A_I, B_I), ...]) is
+        the int_form of the coefficients.  Per slot set of code_lookup, the
+        terms' (A_I, B_I) are written to their bins and each draw adds its
+        bin's.  A and B are int64 while D and the sum of every |A_I| +
+        |B_I| are below 2^53, so each value and D convert to floats
+        exactly; otherwise they hold Python ints.  Either way every value
+        is exact.
         """
         S, width = draws.shape
         if S == 0:
@@ -266,16 +312,15 @@ class MultilinearPoly:
         if width not in (n, 2 * n):
             raise ValueError(f"draws must have n = {n} or 2n columns, got {width}")
         D, coeffs = int_form(self.terms.values())
-        acc_a = np.zeros(S, dtype=object)
-        acc_b = np.zeros(S, dtype=object)
-        for (a, b), mask in zip(coeffs, hit_masks(self.terms, draws, n)):
-            if mask is None:  # the constant term hits every draw
-                mask = slice(None)
-            if a:
-                acc_a[mask] += a
-            if b:
-                acc_b[mask] += b
-        return acc_a.tolist(), acc_b.tolist(), D
+        flat = list(itertools.chain.from_iterable(coeffs))
+        num = np.int64 if max(D, sum(map(abs, flat))) < _EXACT_FLOAT else object
+        term = np.array(flat, dtype=num).reshape(-1, 2)  # one (A_I, B_I) row per term
+        acc = np.zeros((S, 2), dtype=num)
+        for members, term_bins, draw_bins, bins in code_lookup(self.terms, draws, n):
+            table = np.zeros((bins, 2), dtype=num)
+            table[term_bins] = term.take(members, axis=0)  # a slot set's monomials have distinct bins
+            acc += table.take(draw_bins, axis=0)
+        return acc[:, 0], acc[:, 1], D
 
     # -- serialization -------------------------------------------------------------
 

@@ -36,7 +36,7 @@ from .instances import (
     sample_rows,
 )
 from .lattice import LatticePoly
-from .multilinear import IndicatorVariable, Monomial, MultilinearPoly, hit_masks, monomials_over
+from .multilinear import IndicatorVariable, Monomial, MultilinearPoly, code_lookup, monomials_over
 from .qsqrt2 import QSqrt2, int_form
 from .simulator import (
     LayerArrays,
@@ -501,14 +501,17 @@ def gamma_bruteforce_sweep(
     monomials: Sequence[Monomial | None], point, n: int, cap: int | None = None
 ) -> list[Fraction]:
     """gamma_bruteforce for many monomials over one enumeration of the
-    (g, N) family at point: hit draws over all draws, with the hits read
-    from one table of the draws by evaluate_batch's hit_masks."""
+    (g, N) family at point: hit draws over all draws.  The rows stream
+    from enumerate_collision_supports into one table; per slot set of
+    code_lookup, one bincount of the draws' bins, read at the monomials'
+    bins, counts each monomial's hits."""
     draws = draw_table(enumerate_collision_supports(point, n, cap), point, n)
     total = len(draws)
-    hits = iter([
-        total if mask is None else int(np.count_nonzero(mask))
-        for mask in hit_masks([m for m in monomials if m is not None], draws, n)
-    ])
+    present = [m for m in monomials if m is not None]
+    counts = np.zeros(len(present), dtype=np.int64)
+    for members, term_bins, draw_bins, bins in code_lookup(present, draws, n):
+        counts[members] = np.bincount(draw_bins, minlength=bins)[term_bins]
+    hits = iter(counts.tolist())
     return [Fraction(0) if m is None else Fraction(next(hits), total) for m in monomials]
 
 
@@ -656,13 +659,13 @@ def _row_instance(row: np.ndarray, n: int) -> Instance:
 
 def _exact_acceptances(
     obj, draws: np.ndarray, n: int
-) -> tuple[Sequence[int], Sequence[int], int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """(A, B, D): draw s of the table accepts with probability
-    (A[s] + B[s] sqrt(2)) / D.
+    (A[s] + B[s] sqrt(2)) / D, with A and B integer arrays.
 
     A MultilinearPoly is evaluated over the whole table in one batch; a
     QueryAlgorithm is simulated exactly row by row, and its acceptances
-    are brought to their int_form.
+    are brought to their int_form, as arrays of Python ints.
     """
     if isinstance(obj, MultilinearPoly):
         return obj.evaluate_batch(draws, n)
@@ -671,15 +674,22 @@ def _exact_acceptances(
     ])
     if not pairs:
         raise ValueError(_EMPTY_BATCH)
-    A, B = zip(*pairs)
+    A, B = (np.array(part, dtype=object) for part in zip(*pairs))
     return A, B, D
 
 
 def mean_acceptance_mc(obj, draws: np.ndarray, n: int) -> tuple[float, float]:
     """Float mean and standard error of the acceptance over a table of
-    sampled draws."""
+    sampled draws.
+
+    The values are QSqrt2.float_over over the (A, B, D) arrays in one
+    expression: int64 arrays come only with values and D below 2^53
+    (evaluate_batch), which convert to floats exactly, and object arrays
+    divide Python ints, so every value has the bits of the scalar
+    float_over.  The mean and the variance add the values in draw
+    order."""
     A, B, D = _exact_acceptances(obj, draws, n)
-    values = [QSqrt2.float_over(a, b, D) for a, b in zip(A, B)]
+    values = QSqrt2.float_over(A, B, D).tolist()
     samples = len(values)
     mean = sum(values) / samples
     var = sum((v - mean) ** 2 for v in values) / max(samples - 1, 1)
@@ -691,11 +701,13 @@ def expected_acceptance(obj, point, n: int, cap: int | None = None) -> QSqrt2:
     point, (g, N) or (g, N, M), read from enumerate_rows into one table.
 
     obj is a QueryAlgorithm (simulated row by row) or an extracted
-    MultilinearPoly (evaluated over all rows in one batch).
+    MultilinearPoly (evaluated over all rows in one batch).  The values
+    are summed as Python ints: an int64 sum over a large table could
+    overflow.
     """
     draws = draw_table(enumerate_rows(point, n, cap), point, n)
     A, B, D = _exact_acceptances(obj, draws, n)
-    return QSqrt2.over(sum(A), sum(B), D * len(A))
+    return QSqrt2.over(sum(A.tolist()), sum(B.tolist()), D * len(A))
 
 
 def expected_acceptance_mc(

@@ -55,9 +55,12 @@ class QSqrt2:
         return QSqrt2(Fraction(A, D), Fraction(B, D))
 
     @staticmethod
-    def float_over(A: int, B: int, D: int) -> float:
+    def float_over(A, B, D: int):
         """float(QSqrt2.over(A, B, D)) without the Fractions: int true
-        division rounds A / D as float(Fraction(A, D)) does."""
+        division rounds A / D as float(Fraction(A, D)) does.  Elementwise
+        on integer arrays A and B, with the same bits where each element
+        is a Python int (object arrays), or where the elements and D are
+        below 2^53 and so convert to floats exactly (int64 arrays)."""
         return A / D + (B / D) * SQRT2
 
     @staticmethod

@@ -226,13 +226,6 @@ class Layer:
     def identity(dim: int) -> "Layer":
         return Layer(dim, [[(j, ONE)] for j in range(dim)])
 
-    def to_dense(self) -> list[list[QSqrt2]]:
-        rows = [[ZERO for _ in range(self.dim)] for _ in range(self.dim)]
-        for c, col in enumerate(self.cols):
-            for r, v in col:
-                rows[r][c] = v
-        return rows
-
     def float_cols(self):
         if self._float_cols is None:
             self._float_cols = [
@@ -658,10 +651,6 @@ class StateVector:
 
     def squared_norm(self):
         return self.weight()
-
-    def acceptance_weight(self):
-        """Total squared amplitude on output = 2 states."""
-        return self.weight(_accepting)
 
 
 def _same_norm(a: StateVector, b: StateVector) -> bool:

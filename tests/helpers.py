@@ -9,11 +9,12 @@ import itertools
 import math
 import random
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from collisionlab.instances import Instance
+from collisionlab.instances import WINDOW_DENOM, WINDOW_DENOM3, Instance, kappa
 from collisionlab.multilinear import (
     REGISTERS,
     IndicatorVariable,
@@ -22,8 +23,8 @@ from collisionlab.multilinear import (
     monomials_over,
 )
 from collisionlab.polymethod import _Amplitudes, query_address_register
-from collisionlab.qsqrt2 import ONE, QSqrt2, int_form
-from collisionlab.simulator import Layer, erasing_space
+from collisionlab.qsqrt2 import ONE, ZERO, QSqrt2, int_form
+from collisionlab.simulator import Layer, StateSpace, _accepting, erasing_space
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,92 @@ def mixed_monomials(n: int, max_degree: int) -> list[Monomial]:
     return list(monomials_over(slots, range(1, 2 * n + 1), max_degree))
 
 
+def with_factor(m: Monomial, f: IndicatorVariable) -> Monomial | None:
+    """m times one more indicator, or None if the product conflicts."""
+    return Monomial.from_factors(m.factors + (f,))
+
+
+# ---------------------------------------------------------------------------
+# admissibility predicates, point by point
+# ---------------------------------------------------------------------------
+
+
+def is_quasilattice_point(g: int, N: int, n: int, T: int, slack: int = WINDOW_DENOM) -> bool:
+    """Admissibility of (g, N): g | N, 1 <= g <= sqrt(n),
+    n <= N <= n + n/(slack*T), and N = n when g = 1."""
+    if g < 1 or g * g > n:
+        return False
+    if N % g != 0:
+        return False
+    if N < n or (N - n) * slack * T > n:
+        return False
+    if g == 1 and N != n:
+        return False
+    return True
+
+
+def is_super_quasilattice_point(
+    g: int, N: int, M: int, n: int, T: int, slack: int = WINDOW_DENOM3
+) -> bool:
+    """Admissibility of (g, N, M): g in [1, n^(1/3)], g | N, kappa(g) | M,
+    N and M in [n, n(1 + 1/(slack*T))], N = n when g = 1, M = n when g = 2."""
+    if g < 1 or g**3 > n:
+        return False
+    if N % g != 0 or M % kappa(g) != 0:
+        return False
+    if N < n or (N - n) * slack * T > n:
+        return False
+    if M < n or (M - n) * slack * T > n:
+        return False
+    if g == 1 and N != n:
+        return False
+    if g == 2 and M != n:
+        return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# layers and states: a generator and dense views
+# ---------------------------------------------------------------------------
+
+
+def random_orthogonal_layer(space: StateSpace, rng: random.Random, stages: int = 10) -> Layer:
+    """Seeded random orthogonal layer: signed permutation composed with
+    Hadamard-type rotations on random basis-state pairs.  Exact by
+    construction."""
+    dim = space.dim
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    one = QSqrt2(1)
+    cols = []
+    for c in range(dim):
+        sign = one if rng.random() < 0.5 else -one
+        cols.append([(perm[c], sign)])
+    layer = Layer(dim, cols)
+    h = QSqrt2.inv_sqrt2()
+    for _ in range(stages):
+        p, q = rng.sample(range(dim), 2)
+        cols = [[(j, one)] for j in range(dim)]
+        cols[p] = sorted([(p, h), (q, h)])
+        cols[q] = sorted([(p, h), (q, -h)])
+        layer = Layer(dim, cols).compose(layer)
+    return layer
+
+
+def to_dense(layer: Layer) -> list[list[QSqrt2]]:
+    """The layer's matrix in full, zeros included, row by row."""
+    rows = [[ZERO for _ in range(layer.dim)] for _ in range(layer.dim)]
+    for c, col in enumerate(layer.cols):
+        for r, v in col:
+            rows[r][c] = v
+    return rows
+
+
+def acceptance_weight(state):
+    """Total squared amplitude of a StateVector on output = 2 states."""
+    return state.weight(_accepting)
+
+
 # ---------------------------------------------------------------------------
 # closed forms of the reference algorithms
 # ---------------------------------------------------------------------------
@@ -114,7 +201,7 @@ def dense_layer_json(layer) -> list[list[list[str]]]:
     """A layer in the dense file form: every row in full, zeros included,
     as ["p/q", "r/s"] pairs.  Circuit files written before the sparse form
     look like this, and Layer.from_json still reads it."""
-    return [[v.to_strings() for v in row] for row in layer.to_dense()]
+    return [[v.to_strings() for v in row] for row in to_dense(layer)]
 
 
 def dense_algorithm_json(alg) -> dict:
@@ -442,3 +529,23 @@ def reference_exact_steps(alg, inst: Instance):
             raise AssertionError("a step changed the squared norm")
         entries = out
         yield entries
+
+
+# ---------------------------------------------------------------------------
+# monomial hit counts, row by row
+# ---------------------------------------------------------------------------
+
+
+def hit_counts(rows, max_degree: int) -> Counter:
+    """(positions, values) -> how many rows hold those values at those
+    1-based positions, for every set of at most max_degree positions: the
+    count of each x-register monomial's hits, read off the rows."""
+    rows = list(rows)
+    columns = list(zip(*rows))
+    counts: Counter = Counter({((), ()): len(rows)})
+    for r in range(1, max_degree + 1):
+        for chosen in itertools.combinations(range(len(columns)), r):
+            positions = tuple(p + 1 for p in chosen)
+            for values, count in Counter(zip(*(columns[p] for p in chosen))).items():
+                counts[positions, values] = count
+    return counts

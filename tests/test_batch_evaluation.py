@@ -23,18 +23,22 @@ from collisionlab.instances import (
     instance_from_latent,
     sample_rows,
 )
+from collisionlab import multilinear
 from collisionlab.multilinear import IndicatorVariable as IV
-from collisionlab.multilinear import Monomial, MultilinearPoly
+from collisionlab.multilinear import Monomial, MultilinearPoly, code_lookup
 from collisionlab.polymethod import (
     _exact_acceptances,
+    all_monomials,
     draw_table,
     expected_acceptance,
     expected_acceptance_mc,
     extract_polynomial,
+    gamma_bruteforce_sweep,
 )
 from collisionlab.qsqrt2 import QSqrt2
 from collisionlab.setcomp_poly import expected_acceptance3_mc
 from collisionlab.simulator import acceptance_probability
+from helpers import with_factor
 
 
 def random_coefficient(rng: random.Random) -> QSqrt2:
@@ -49,11 +53,13 @@ def random_coefficient(rng: random.Random) -> QSqrt2:
     return QSqrt2(frac(), frac())
 
 
-def random_poly(rng: random.Random, n: int, registers: tuple, top: int, terms: int = 12):
+def random_poly(rng: random.Random, n: int, registers: tuple, top: int, terms: int = 12, coefficient=None):
     """A constant term, random monomials of degree 1-3, and for each
     monomial a partner extending it with the negated coefficient, so the
-    two cancel on every draw that hits both."""
-    out = {Monomial.one(): random_coefficient(rng)}
+    two cancel on every draw that hits both.  coefficient(rng) draws the
+    coefficients (random_coefficient by default)."""
+    coefficient = coefficient or random_coefficient
+    out = {Monomial.one(): coefficient(rng)}
     for _ in range(terms):
         m = Monomial.from_factors(
             IV(rng.choice(registers), rng.randint(1, n), rng.randint(1, top))
@@ -61,9 +67,9 @@ def random_poly(rng: random.Random, n: int, registers: tuple, top: int, terms: i
         )
         if m is None:
             continue
-        c = random_coefficient(rng)
+        c = coefficient(rng)
         out[m] = c
-        ext = m.with_factor(IV(rng.choice(registers), rng.randint(1, n), rng.randint(1, top)))
+        ext = with_factor(m, IV(rng.choice(registers), rng.randint(1, n), rng.randint(1, top)))
         if ext is not None and ext != m:
             out[ext] = -c
     return MultilinearPoly(out)
@@ -83,26 +89,98 @@ def per_draw_mean(poly: MultilinearPoly, rows) -> QSqrt2:
     return sum(values, QSqrt2(0)) / QSqrt2(len(values))
 
 
+def assert_batch_is_evaluate(poly: MultilinearPoly, draws: np.ndarray, n: int):
+    """evaluate_batch equals evaluate on every row; returns its (A, B, D)."""
+    A, B, D = poly.evaluate_batch(draws, n)
+    assert len(A) == len(B) == len(draws)
+    for row, a, b in zip(draws.tolist(), A.tolist(), B.tolist()):
+        x, y = tuple(row[:n]), (tuple(row[n:]) or None)
+        assert QSqrt2(Fraction(a, D), Fraction(b, D)) == poly.evaluate(x, y)
+    return A, B, D
+
+
+def random_draws(rng: random.Random, width: int, top: int, count: int = 40) -> np.ndarray:
+    return np.array([[rng.randint(1, top) for _ in range(width)] for _ in range(count)], dtype=np.int64)
+
+
 @pytest.mark.parametrize("registers", [("x",), ("x", "y")])
 def test_batch_matches_evaluate_draw_by_draw(registers):
     rng = random.Random(11)
     n, top = 4, 5
-    width = n * len(registers)
     for _ in range(25):
-        poly = random_poly(rng, n, registers, top)
-        draws = np.array(
-            [[rng.randint(1, top) for _ in range(width)] for _ in range(40)], dtype=np.int64
-        )
-        A, B, D = poly.evaluate_batch(draws, n)
-        assert len(A) == len(B) == len(draws)
-        for row, a, b in zip(draws.tolist(), A, B):
-            x, y = tuple(row[:n]), (tuple(row[n:]) if len(registers) == 2 else None)
-            assert QSqrt2(Fraction(a, D), Fraction(b, D)) == poly.evaluate(x, y)
+        assert_batch_is_evaluate(random_poly(rng, n, registers, top), random_draws(rng, n * len(registers), top), n)
+
+
+def test_batch_takes_int64_below_2_53_and_python_ints_from_it():
+    draws = np.ones((3, 2), dtype=np.int64)
+    for coeff, kind in [
+        (QSqrt2((1 << 53) - 1), np.int64),  # numerator sum just below
+        (QSqrt2(1 << 53), object),  # numerator sum at 2^53
+        (QSqrt2(0, Fraction(1, (1 << 53) - 1)), np.int64),  # D just below
+        (QSqrt2(0, Fraction(1, 1 << 53)), object),  # D at 2^53
+    ]:
+        poly = MultilinearPoly({Monomial.from_factors([IV("x", 1, 1)]): coeff})
+        A, B, D = assert_batch_is_evaluate(poly, draws, 2)
+        assert A.dtype == B.dtype == kind
+
+
+def denominator_past_2_53(rng: random.Random) -> QSqrt2:
+    return QSqrt2(0, Fraction(rng.randint(-6, 6) or 1, (1 << 53) + rng.randint(1, 99)))
+
+
+def numerators_past_2_53(rng: random.Random) -> QSqrt2:
+    return QSqrt2(Fraction((rng.randint(-6, 6) or 1) << 50, rng.randint(1, 12)), rng.randint(-3, 3))
+
+
+@pytest.mark.parametrize("coefficient", [denominator_past_2_53, numerators_past_2_53])
+def test_python_int_path_is_exact_and_bitwise_the_per_draw_estimate(coefficient):
+    rng = random.Random(12)
+    point = QuasilatticePoint(2, 8)
+    for _ in range(4):
+        poly = random_poly(rng, 4, ("x",), 4, coefficient=coefficient)
+        A, B, _ = assert_batch_is_evaluate(poly, sample_rows(point, 4, 60, random.Random(2)), 4)
+        assert A.dtype == B.dtype == object
+        got = expected_acceptance_mc(poly, point, 4, 300, random.Random(3))
+        assert got == per_draw_mc(poly, sample_rows(point, 4, 300, random.Random(3)).tolist(), 4)
+
+
+@pytest.mark.parametrize("draw_top, pin_top", [(3, 9), (3, 10**20), (9, 3)])
+def test_batch_reads_values_past_every_draw_and_every_pin(draw_top, pin_top):
+    # Pins above every drawn value hit nothing, and a pin of 10**20 takes
+    # codes past int64; drawn values above every pin miss every term.
+    rng = random.Random(13)
+    n = 4
+    for _ in range(10):
+        poly = random_poly(rng, n, ("x", "y"), 3)
+        for _ in range(4):
+            m = Monomial.from_factors([IV("x", rng.randint(1, n), pin_top), IV("y", rng.randint(1, n), 2)])
+            poly.terms[m] = random_coefficient(rng)
+        assert_batch_is_evaluate(poly, random_draws(rng, 2 * n, draw_top), n)
+
+
+def test_searchsorted_lookup_gives_the_dense_results(monkeypatch):
+    rng = random.Random(14)
+    n, point = 4, QuasilatticePoint(2, 8)
+    cases = [(random_poly(rng, n, ("x", "y"), 5), random_draws(rng, 2 * n, 6)) for _ in range(6)]
+    cases.append((extract_polynomial(two_query_mixer(4)), sample_rows(point, n, 200, random.Random(5))))
+    monomials = [*all_monomials(n, 2), None]
+    dense = [poly.evaluate_batch(draws, n) for poly, draws in cases]
+    dense_sweep = gamma_bruteforce_sweep(monomials, point, n)
+    monkeypatch.setattr(multilinear, "_DENSE_BINS", 1)
+    for poly, draws in cases:
+        terms = list(poly.terms)
+        for members, _, _, bins in code_lookup(terms, draws, n):
+            if terms[members[0]].degree:
+                assert bins == len(members) + 1  # one bin per term, one for the misses
+    for (poly, draws), (A, B, D) in zip(cases, dense):
+        a, b, d = assert_batch_is_evaluate(poly, draws, n)
+        assert (a.tolist(), b.tolist(), d) == (A.tolist(), B.tolist(), D)
+    assert gamma_bruteforce_sweep(monomials, point, n) == dense_sweep
 
 
 def test_batch_of_the_zero_polynomial_is_zero():
     A, B, D = MultilinearPoly().evaluate_batch(np.ones((3, 2), dtype=np.int64), 2)
-    assert (A, B, D) == ([0, 0, 0], [0, 0, 0], 1)
+    assert (A.tolist(), B.tolist(), D) == ([0, 0, 0], [0, 0, 0], 1)
 
 
 def test_batch_rejects_factors_without_a_sequence_entry():

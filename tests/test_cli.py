@@ -409,10 +409,16 @@ def test_cap_exceeded_exits_3(capsys):
     assert "enumeration too large" in err
 
 
-def test_unknown_algorithm_exits_1(capsys):
+def test_unknown_algorithm_exits_2(capsys):
     code, _, err = run(["chain", "--algorithm", "nope"], capsys)
-    assert code == 1
+    assert code == 2
     assert "unknown reference algorithm" in err
+
+
+def test_missing_algorithm_file_exits_1(tmp_path, capsys):
+    code, _, err = run(["chain", "--algorithm", f"@{tmp_path / 'absent.json'}"], capsys)
+    assert code == 1
+    assert err.startswith("error:")
 
 
 def test_negative_control_csv_has_the_header_row(tmp_path, capsys):

@@ -21,7 +21,6 @@ from collisionlab.circuits import (
     diffusion_matrix,
     index_register_layer,
     phase_flip_where,
-    random_orthogonal_layer,
     two_query_mixer,
 )
 from collisionlab.instances import (
@@ -47,6 +46,7 @@ from collisionlab.simulator import (
 )
 from helpers import (
     one_to_one_instance,
+    random_orthogonal_layer,
     reference_erasing_query,
     reference_exact_layer,
     reference_exact_square_sum,

@@ -14,7 +14,6 @@ from collisionlab.circuits import (
     REFERENCE_BUILDERS,
     collision_space,
     coincidence_probe,
-    random_orthogonal_layer,
 )
 from collisionlab.instances import QuasilatticePoint, SuperQuasilatticePoint
 from collisionlab.multilinear import IndicatorVariable as IV
@@ -30,6 +29,7 @@ from helpers import (
     amplitude_dicts,
     amplitude_rows,
     propagate_reference,
+    random_orthogonal_layer,
     square_accepting_reference,
 )
 

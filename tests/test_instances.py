@@ -24,8 +24,6 @@ from collisionlab.instances import (
     fraction_of_small_unions,
     instance_from_latent,
     is_k_to_one,
-    is_quasilattice_point,
-    is_super_quasilattice_point,
     kappa,
     quasilattice_points,
     sample_input,
@@ -34,6 +32,7 @@ from collisionlab.instances import (
     super_quasilattice_points,
     validate_instance,
 )
+from helpers import is_quasilattice_point, is_super_quasilattice_point
 
 
 def test_kappa_values():

@@ -12,7 +12,7 @@ from collisionlab.circuits import (
     setcomp_probe,
     two_query_mixer,
 )
-from collisionlab.instances import ConfigError, Instance, QuasilatticePoint, divisor_points
+from collisionlab.instances import ConfigError, Instance, QuasilatticePoint, divisor_points, enumerate_rows
 from collisionlab.multilinear import IndicatorVariable as IV
 from collisionlab.multilinear import Monomial, MultilinearPoly
 from collisionlab.polymethod import (
@@ -30,7 +30,7 @@ from collisionlab.polymethod import (
 )
 from collisionlab.qsqrt2 import QSqrt2
 from collisionlab.simulator import acceptance_probability
-from helpers import all_collision_sequences
+from helpers import all_collision_sequences, hit_counts
 
 
 def random_monomial(rng: random.Random, n: int, max_degree: int) -> Monomial:
@@ -228,6 +228,29 @@ def test_gamma_sweep_matches_scalar_bruteforce():
     for factor in (IV("y", 1, 1), IV("x", 5, 1)):
         with pytest.raises(ValueError, match="no matching sequence entry"):
             gamma_bruteforce_sweep([Monomial.from_factors([factor])], (2, 6), 4)
+
+
+def test_gamma_sweep_is_the_per_row_count_up_to_n6_and_degree_3():
+    for n in range(2, 7):
+        monos = [
+            *all_monomials(n, 3),
+            Monomial.from_factors([IV("x", 1, n + 1), IV("x", 2, 1)]),  # pins a value above n
+            None,
+        ]
+        for point in divisor_points(n, 8):
+            rows = list(enumerate_rows(point, n))
+            counts = hit_counts(rows, 3)
+            want = [
+                Fraction(0) if m is None else Fraction(
+                    counts[tuple(f.position for f in m.factors), tuple(f.value for f in m.factors)],
+                    len(rows),
+                )
+                for m in monos
+            ]
+            sweep = gamma_bruteforce_sweep(monos, point, n)
+            assert sweep == want
+            for i in (0, 1, len(monos) - 3, len(monos) - 2, len(monos) - 1):
+                assert sweep[i] == gamma_bruteforce(monos[i], point, n)
 
 
 # -- q~ and the prefactor --------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -60,6 +61,26 @@ def test_float_over_has_the_bits_of_the_float_of_over():
         D = rng.choice([rng.randint(1, 10**6), rng.randint(1, 99) << rng.randint(0, 80), rng.randint(1, 10**40)])
         A, B = (rng.randint(-10**rng.randint(1, 45), 10**rng.randint(1, 45)) for _ in range(2))
         assert QSqrt2.float_over(A, B, D) == float(QSqrt2.over(A, B, D))
+
+    # Elementwise on arrays it keeps the scalar's bits wherever the ints
+    # convert to floats exactly: int64 below 2^53, Python ints past it.
+    below, past = (1 << 53) - 1, (1 << 53) + 1
+
+    def check(A, B, D, dtype):
+        got = QSqrt2.float_over(np.array(A, dtype=dtype), np.array(B, dtype=dtype), D).tolist()
+        assert got == [QSqrt2.float_over(a, b, D) for a, b in zip(A, B)]
+
+    for D in (1, 3, 7, rng.randint(1, below), below):
+        A = [below, -below, 0, *(rng.randint(-below, below) for _ in range(200))]
+        B = [-below, below, below, *(rng.randint(-below, below) for _ in range(200))]
+        check(A, B, D, np.int64)
+    for D in (3, below, past, rng.randint(past, 10**40)):
+        A = [past, -past, below, *(rng.randint(-10**40, 10**40) for _ in range(200))]
+        B = [-past, past, past, *(rng.randint(-10**40, 10**40) for _ in range(200))]
+        check(A, B, D, object)
+    # Past 2^53 an int64 element rounds on its way to a float, so only
+    # Python ints keep the scalar's bits there.
+    assert QSqrt2.float_over(np.array([past]), np.array([0]), 3)[0] != QSqrt2.float_over(past, 0, 3)
 
 
 @given(elements(), elements(), elements())
