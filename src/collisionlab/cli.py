@@ -229,6 +229,10 @@ def cmd_verify_identity(args) -> int:
 
 def cmd_chain(args) -> int:
     if args.negative_control:
+        try:
+            float(args.steepness)
+        except OverflowError:
+            raise ConfigError("--steepness must fit a finite float") from None
         steep = LatticePoly(2, {(1, 0): Fraction(args.steepness)})
         chain = chain_report_for_poly(
             steep, n=args.control_n, T=args.control_T, G=args.control_G,

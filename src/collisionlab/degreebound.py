@@ -160,6 +160,79 @@ def _grid_axes(intervals, resolution: int) -> list[np.ndarray]:
     return [np.linspace(lo, hi, resolution) for lo, hi in intervals]
 
 
+_UNIT = 2.0**-53  # unit roundoff of float64
+_POW_UNITS = 8  # numpy's float64 power is within 4 ulps, and 1 ulp <= 2 u
+_TINY = 2.0**-1074  # spacing of the subnormal floats
+
+
+def _grid_argmax(p: LatticePoly, axes: list[np.ndarray], weight: float) -> tuple[float, int]:
+    """(value, flat index) of the first maximum of
+    ``np.abs(p.evaluate_float(*grid)) * weight`` over the tensor grid of
+    the axes, evaluating p exactly only where that maximum can be.
+
+    The estimate is p on the whole grid by a separable contraction: the
+    coefficient tensor times one Vandermonde matrix ``axis ** j`` per
+    axis.  It differs from evaluate_float by at most
+
+        E = eps * S + 2**-1066 * reach + 2**-1074 / weight
+
+    with S = sum_k |c_k| prod_i X_i^e_ik, X_i the largest |value| on axis
+    i, reach the same sum with |c_k| and every X_i raised to at least 1,
+    and eps = 2 N u, u = 2**-53.  Derivation, for m terms in a variables
+    with per-axis degrees d_i, counting numpy's float64 power as 8u (4
+    ulps) and a product or a sum as u:
+    - evaluate_float rounds each term's coefficient once, and per
+      variable one power and one product: 1 + 9a; then m - 1 sums;
+    - the estimate rounds the same coefficient, one Vandermonde power
+      per variable, and one dot product of length d_i + 1 per axis:
+      1 + 8a + sum (d_i + 1);
+    - so each term carries at most N = m + 17a + 1 + sum (d_i + 1)
+      relative roundings, and |estimate - evaluate_float| <= gamma_N S
+      with gamma_N = N u / (1 - N u).
+    eps = 2 N u is twice that, so that 3E also covers the rounding of
+    ``* weight`` (a relative 2u) and of the threshold below.  An
+    underflow adds an absolute error of at most 4 * 2**-1074, which the
+    factors applied after it scale by at most max(1, |factor|) each; a
+    term meets at most 32 of them in the two evaluations, hence the
+    reach term.  Underflow in ``* weight`` merges values that differ by
+    up to 2**-1074 / weight, hence the last term.
+
+    So every point whose weighted value can reach the maximum, ties
+    included, has |estimate| >= max |estimate| - 3E.  Only those points
+    are evaluated with evaluate_float, as 1-D coordinate arrays, and the
+    first maximum among them in flat order is the grid's.  Where the
+    estimate or E is not finite, or twice reach * max(weight, 1) would
+    overflow (then evaluate_float itself could), the threshold is -inf
+    and the band is the whole grid.
+    """
+    exps = np.array(list(p.coeffs), dtype=np.int64).reshape(-1, p.arity)
+    coeffs = np.array([float(c) for c in p.coeffs.values()])
+    degrees = exps.max(axis=0, initial=0)
+    tensor = np.zeros(degrees + 1)
+    tensor[tuple(exps.T)] = coeffs
+    extent = np.array([np.abs(ax).max() for ax in axes])
+    roundings = len(coeffs) + (2 * _POW_UNITS + 1) * p.arity + 1 + int(np.sum(degrees + 1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        estimate = tensor
+        for ax, d in zip(axes, degrees):
+            estimate = np.tensordot(estimate, ax[:, None] ** np.arange(d + 1), axes=(0, 1))
+        scale = np.sum(np.abs(coeffs) * np.prod(extent**exps, axis=1))
+        reach = np.sum(
+            np.maximum(np.abs(coeffs), 1.0) * np.prod(np.maximum(extent, 1.0) ** exps, axis=1)
+        )
+        bound = 2 * roundings * _UNIT * scale + 2**-1066 * reach + np.divide(_TINY, weight)
+        magnitude = np.abs(estimate, out=estimate)
+        threshold = magnitude.max() - 3 * bound
+        if not (np.isfinite(threshold) and np.isfinite(2 * reach * max(weight, 1.0))):
+            threshold = -np.inf
+    # ~(x < threshold) keeps NaN, which only an -inf threshold can meet.
+    band = np.flatnonzero(~(magnitude < threshold))
+    coords = [ax[i] for ax, i in zip(axes, np.unravel_index(band, magnitude.shape))]
+    vals = np.abs(p.evaluate_float(*coords)) * weight
+    best = int(np.argmax(vals))
+    return float(vals[best]), int(band[best])
+
+
 def weighted_max_derivative(
     q: LatticePoly,
     region: list[tuple[float, float]],
@@ -176,10 +249,13 @@ def weighted_max_derivative(
 
     A grid of the given per-axis resolution (512 bivariate, 64
     trivariate by default, at least 2), then refinement rounds (at least
-    0) re-grid a shrinking window around the best point.  The grids are
-    open (``np.meshgrid(..., sparse=True)``): one array per axis, which
-    ``LatticePoly.evaluate_float`` broadcasts term by term, with the same
-    bits as dense grids.  Deterministic for fixed settings.
+    0) re-grid a shrinking window around the best point.  Each round
+    reports, per partial, the first maximum in flat order of
+    ``np.abs(partial.evaluate_float(*grid)) * weight`` over the tensor
+    grid, as ``np.argmax`` over the whole grid would, with the same bits.
+    ``_grid_argmax`` finds it from a bounded separable estimate and
+    evaluates exactly only the points that can hold it.  Deterministic
+    for fixed settings.
     """
     fam = family(variant)
     if not q.arity == len(region) == fam.arity:
@@ -201,14 +277,11 @@ def weighted_max_derivative(
     best = DerivativeReport(-1.0, (), "g")
     for _ in range(refinement_rounds + 1):
         axes = _grid_axes(intervals, resolution)
-        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         round_best = None
         for name in directions:
-            vals = np.abs(partials[name].evaluate_float(*grids)) * weights[name]
-            flat = int(np.argmax(vals))
-            value = float(vals.flat[flat])
+            value, flat = _grid_argmax(partials[name], axes, weights[name])
             if round_best is None or value > round_best[0]:
-                idx = np.unravel_index(flat, vals.shape)
+                idx = np.unravel_index(flat, (resolution,) * q.arity)
                 at = tuple(float(ax[i]) for ax, i in zip(axes, idx))
                 round_best = (value, at, name, idx)
         value, at, name, idx = round_best
@@ -463,6 +536,11 @@ def chain_report_for_poly(
     if n < 1:
         raise ConfigError(f"need n >= 1 for the chain window, got n={n}")
     variant = next(name for name, fam in FAMILIES.items() if fam.arity == q.arity)
+    fam = family(variant)
+    try:  # the rectangle's corners and the Markov excursion c T (G-1) reach(G) / n
+        float(G), float(n), float(Fraction(fam.window_denom * T * (G - 1) * fam.reach(G), n))
+    except OverflowError:
+        raise ConfigError("n, T and G give a chain window past the float range") from None
     return _bound_report(
         variant, q, n, T, G, DEVIATION_BOUND,
         algorithm=label,

@@ -113,17 +113,19 @@ class LatticePoly:
         return total
 
     def evaluate_float(self, *grids: np.ndarray) -> np.ndarray:
-        """Float value on broadcastable numpy grids, one per variable.
+        """Float value on broadcastable numpy arrays, one per variable:
+        open grids (``np.meshgrid(..., sparse=True)``), dense grids, or
+        1-D coordinate arrays of scattered points.
 
         Each term c * g^a * N^b [* M^d] is computed as
         ``((c * g**a) * N**b) * M**d``, starting from ``c`` as a float64
         scalar and skipping the factors with exponent 0, and the terms are
-        added to a float64 zero array in coefficient order.  On open grids
-        (``np.meshgrid(..., sparse=True)``) the early factors keep the size
-        of their own axes and only the last one broadcasts to the full
-        shape.  ``**`` and ``*`` act element by element, so every output
-        element sees the same operations in the same order on open and on
-        dense grids, and both give the same bits.
+        added to a float64 zero array in coefficient order.  ``**`` and
+        ``*`` act element by element, so every output element sees the
+        same operations in the same order whatever the arrays' shapes:
+        the value at a point has the same bits on an open grid, on a dense
+        grid, and among any other points.  The derivative search relies on
+        that when it evaluates only a few points of its grid.
         """
         if len(grids) != self.arity:
             raise ValueError("grid count does not match arity")

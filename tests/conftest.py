@@ -1,8 +1,10 @@
 """Fixtures shared by several test modules."""
 
+import numpy as np
 import pytest
 
 from collisionlab.circuits import setcomp_probe, two_query_mixer
+from collisionlab.lattice import LatticePoly
 from collisionlab.polymethod import assemble_q, extract_polynomial
 from collisionlab.setcomp_poly import assemble_q3
 from collisionlab.simulator import QueryAlgorithm
@@ -32,3 +34,18 @@ def assembled(dumped_mixer8):
             mixer8, assemble_q(mixer8_poly, mixer8.n, mixer8.T), "collision"
         ),
     }
+
+
+@pytest.fixture
+def evaluation_sizes(monkeypatch):
+    """The point count of every LatticePoly.evaluate_float call the test
+    makes, in call order."""
+    sizes = []
+    evaluate_float = LatticePoly.evaluate_float
+
+    def recording(self, *grids):
+        sizes.append(np.broadcast(*grids).size)
+        return evaluate_float(self, *grids)
+
+    monkeypatch.setattr(LatticePoly, "evaluate_float", recording)
+    return sizes

@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from collisionlab.degreebound import DerivativeReport, family
 from collisionlab.instances import WINDOW_DENOM, WINDOW_DENOM3, Instance, kappa
+from collisionlab.lattice import VARIABLE_NAMES, LatticePoly
 from collisionlab.multilinear import (
     REGISTERS,
     IndicatorVariable,
@@ -59,6 +61,65 @@ def univariate_derivative_abs_max(coeffs, interval: tuple[float, float]) -> floa
     dp = np.polynomial.Polynomial(list(coeffs)).deriv()
     candidates = [a, b] + _real_roots_in(dp.deriv(), a, b)
     return max(abs(float(dp(c))) for c in candidates)
+
+
+# ---------------------------------------------------------------------------
+# the derivative search on the whole grid
+# ---------------------------------------------------------------------------
+
+
+def full_grid_max_derivative(
+    q: LatticePoly,
+    region: list[tuple[float, float]],
+    n: int,
+    T: int,
+    G: int,
+    resolution: int | None = None,
+    refinement_rounds: int = 2,
+    variant: str = "collision",
+) -> DerivativeReport:
+    """The weighted derivative search evaluated on the whole grid: every
+    partial on every open-grid point of every round, then np.argmax.
+    degreebound.weighted_max_derivative must report the same bits."""
+    fam = family(variant)
+    if resolution is None:
+        resolution = 512 if q.arity == 2 else 64
+    directions = VARIABLE_NAMES[q.arity]
+    w = n / (fam.window_denom * T * (G - 1))
+    weights = dict(zip(directions, [1.0] + [w] * (q.arity - 1)))
+    partials = {name: q.derivative(i) for i, name in enumerate(directions)}
+
+    intervals = region
+    best = DerivativeReport(-1.0, (), "g")
+    for _ in range(refinement_rounds + 1):
+        axes = [np.linspace(lo, hi, resolution) for lo, hi in intervals]
+        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+        round_best = None
+        for name in directions:
+            vals = np.abs(partials[name].evaluate_float(*grids)) * weights[name]
+            flat = int(np.argmax(vals))
+            value = float(vals.flat[flat])
+            if round_best is None or value > round_best[0]:
+                idx = np.unravel_index(flat, vals.shape)
+                at = tuple(float(ax[i]) for ax, i in zip(axes, idx))
+                round_best = (value, at, name, idx)
+        value, at, name, idx = round_best
+        if value > best.value:
+            best = DerivativeReport(value, at, name)
+        new_intervals = []
+        for (lo, hi), ax, i in zip(intervals, axes, idx):
+            new_lo = float(ax[max(0, i - 2)])
+            new_hi = float(ax[min(len(ax) - 1, i + 2)])
+            if new_hi <= new_lo:
+                new_lo, new_hi = lo, hi
+            new_intervals.append((new_lo, new_hi))
+        intervals = new_intervals
+    return best
+
+
+def search_key(report: DerivativeReport) -> tuple:
+    """A derivative report's value bits, point and direction."""
+    return float.hex(report.value), report.at, report.direction
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,11 @@ def test_invalid_config_exits_2(capsys):
          "need n >= 2T, got n=2 and T=2"),
         (["chain", "--algorithm", "coincidence-4", "--G", "3"], "g out of range"),
         (["verify-identity", "--algorithm", "coincidence-4", "--G", "3"], "g out of range"),
+        (["chain", "--negative-control", "--steepness", str(10**400)],
+         "--steepness must fit a finite float"),
+        (["chain", "--negative-control", "--control-n", str(10**400)], "past the float range"),
+        (["chain", "--negative-control", "--control-T", str(10**400)], "past the float range"),
+        (["chain", "--negative-control", "--control-G", str(10**400)], "past the float range"),
     ],
 )
 def test_semantic_config_errors_exit_2(args, message, tmp_path, monkeypatch, capsys):

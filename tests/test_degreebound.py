@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from collisionlab.circuits import (
+    REFERENCE_BUILDERS,
     accept_if_first_is,
     always_accept,
     coincidence_probe,
@@ -20,6 +21,7 @@ from collisionlab.degreebound import (
     chain_region,
     chain_report_for_poly,
     degree_lower_bound,
+    family,
     markov_bound,
     verify_inequality_chain,
     weighted_max_derivative,
@@ -27,7 +29,12 @@ from collisionlab.degreebound import (
 from collisionlab.instances import kappa
 from collisionlab.lattice import LatticePoly
 from collisionlab.polymethod import assemble_q, extract_polynomial
-from helpers import univariate_derivative_abs_max, univariate_range
+from helpers import (
+    full_grid_max_derivative,
+    search_key,
+    univariate_derivative_abs_max,
+    univariate_range,
+)
 
 
 def chebyshev_coeffs(d: int) -> list[float]:
@@ -260,3 +267,75 @@ def test_derivative_report_is_pinned(name, assembled):
     region = chain_region(alg.n, alg.T, 2, variant)
     report = weighted_max_derivative(q, region, alg.n, alg.T, 2, variant=variant)
     assert (float.hex(report.value), report.at, report.direction) == DERIVATIVE_PINS[name]
+
+
+@pytest.mark.parametrize("G", [2, 3])
+@pytest.mark.parametrize("name", sorted(DERIVATIVE_PINS))
+def test_derivative_search_matches_full_grid_on_chain_q(name, G, assembled):
+    alg, q, variant = assembled[name]
+    args = (q, chain_region(alg.n, alg.T, G, variant), alg.n, alg.T, G)
+    assert search_key(weighted_max_derivative(*args, variant=variant)) == search_key(
+        full_grid_max_derivative(*args, variant=variant)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_BUILDERS))
+def test_derivative_search_matches_full_grid_on_reference_circuits(name):
+    alg = REFERENCE_BUILDERS[name]()
+    fam = family(alg.kind)
+    q = fam.assemble(extract_polynomial(alg), alg.n, alg.T)
+    T = max(alg.T, 1)  # the window of a zero-query circuit, as the chain takes it
+    args = (q, chain_region(alg.n, T, 2, alg.kind), alg.n, T, 2)
+    assert search_key(weighted_max_derivative(*args, variant=alg.kind)) == search_key(
+        full_grid_max_derivative(*args, variant=alg.kind)
+    )
+
+
+g, N = LatticePoly.variable(2, 0), LatticePoly.variable(2, 1)
+shift = N - LatticePoly.constant(2, Fraction(201, 25))
+
+# name -> (q, n, T, G).  zero, constant and g/2 tie at every grid point,
+# so the report's point must be the first one.  The others stress one
+# part of the search's error bound each: heavy cancellation inside the
+# window; a partial past the float range (the estimate overflows); a
+# term at the float maximum (the overflow guard); subnormal terms; a
+# weight that overflows |dq/dN| * weight, and one that rounds it to a
+# few subnormal steps; and Vandermonde entries that overflow beside
+# zero coefficients, so that the estimate holds NaN.
+EDGE_CASES = {
+    "zero": (LatticePoly(2), 8, 2, 2),
+    "constant": (LatticePoly.constant(2, Fraction(3, 7)), 8, 2, 2),
+    "g/2": (g.scale(Fraction(1, 2)), 8, 2, 2),
+    "g (N - 201/25)^7": (g * shift * shift * shift * shift * shift * shift * shift, 8, 2, 2),
+    "1e306 g^8": (LatticePoly(2, {(8, 0): Fraction(10**306)}), 8, 2, 2),
+    "float max g": (LatticePoly(2, {(1, 0): Fraction(1.7e308)}), 8, 2, 2),
+    "subnormal": (LatticePoly(2, {(3, 2): Fraction(1, 10**320), (1, 0): Fraction(1, 10**321)}), 8, 2, 2),
+    "N^2/2, huge weight": ((N * N).scale(Fraction(1, 2)), 10**300, 1, 2),
+    "N^2/2, subnormal weight": ((N * N).scale(Fraction(1, 2)), 1, 10**11, 10**308),
+    "g^3/3 + g N^2, G = 1e200": ((g * g * g).scale(Fraction(1, 3)) + g * N * N, 8, 2, 10**200),
+}
+
+
+def edge_search(name, search):
+    q, n, T, G = EDGE_CASES[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return search(q, chain_region(n, T, G, "collision"), n, T, G)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_derivative_search_matches_full_grid_on_edge_polynomials(name):
+    got = edge_search(name, weighted_max_derivative)
+    assert search_key(got) == search_key(edge_search(name, full_grid_max_derivative))
+    if name in ("zero", "constant", "g/2"):
+        assert got.at == (1.0, 8.0)
+
+
+@pytest.mark.parametrize("name, partial", [
+    ("1e306 g^8", 0), ("float max g", 0), ("zero", 0), ("zero", 1), ("g/2", 1),
+])
+def test_derivative_search_takes_the_whole_grid_where_the_estimate_cannot_narrow(
+    name, partial, evaluation_sizes
+):
+    edge_search(name, weighted_max_derivative)
+    # evaluate_float runs once per partial per round, g before N.
+    assert evaluation_sizes[partial::2] == [512**2] * 3

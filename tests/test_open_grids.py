@@ -1,4 +1,6 @@
-"""Float evaluation on open grids against the dense evaluation it replaced."""
+"""Float evaluation on open grids against the dense evaluation it replaced,
+and the derivative search that evaluates only where its maximum can be
+against the full-grid search it replaced."""
 
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ import pytest
 
 from collisionlab.degreebound import chain_region, weighted_max_derivative
 from collisionlab.lattice import LatticePoly
+from helpers import full_grid_max_derivative, search_key
 
 
 def dense_evaluate_float(q: LatticePoly, *grids: np.ndarray) -> np.ndarray:
@@ -84,18 +87,29 @@ def test_chain_partials_match_dense_reference(assembled, name):
         assert_same_bits(q.derivative(i), axes)
 
 
-def test_derivative_search_evaluates_on_open_grids(assembled, monkeypatch):
+# (resolution, refinement rounds); None is the default resolution.
+SEARCH_SETTINGS = [(None, 2), (7, 0), (2, 1)]
+VARIANT = {2: "collision", 3: "setcomp"}
+
+
+@pytest.mark.parametrize("resolution, rounds", SEARCH_SETTINGS)
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("seed", range(20))
+def test_derivative_search_matches_full_grid_on_random_polynomials(seed, arity, resolution, rounds):
+    q = random_poly(random.Random(1000 * arity + seed), arity)
+    region = [(float(ax[0]), float(ax[-1])) for ax in AXES[arity]]
+    args = (q, region, 8, 1, 2, resolution, rounds, VARIANT[arity])
+    assert search_key(weighted_max_derivative(*args)) == search_key(full_grid_max_derivative(*args))
+
+
+# At most this many points per partial per round reach evaluate_float on
+# setcomp_probe(8)'s q, against 64**3 = 262,144 on the whole grid.
+SETCOMP_EXACT_POINTS = 8
+
+
+def test_derivative_search_evaluates_few_points_exactly(assembled, evaluation_sizes):
     alg, q, variant = assembled["setcomp_probe(8)"]
     region = chain_region(alg.n, alg.T, 2, variant)
-    shapes = []
-    evaluate_float = LatticePoly.evaluate_float
-
-    def recording(self, *grids):
-        shapes.extend(np.shape(grid) for grid in grids)
-        return evaluate_float(self, *grids)
-
-    monkeypatch.setattr(LatticePoly, "evaluate_float", recording)
     weighted_max_derivative(q, region, alg.n, alg.T, 2, variant=variant)
-    assert len(shapes) == 3 * 3 * 3  # rounds x partials x grids
-    for shape in shapes:
-        assert sum(1 for k in shape if k > 1) == 1, shape
+    assert len(evaluation_sizes) == 3 * 3  # rounds x partials
+    assert max(evaluation_sizes) <= SETCOMP_EXACT_POINTS, evaluation_sizes
