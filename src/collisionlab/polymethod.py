@@ -41,11 +41,11 @@ from .qsqrt2 import QSqrt2, int_form
 from .simulator import (
     LayerArrays,
     QueryAlgorithm,
-    _grouped,
     _int64_or_object,
     _key_sums,
     _largest,
     _stable_order,
+    _summed,
     acceptance_probability,
 )
 
@@ -87,11 +87,10 @@ def extract_polynomial(alg: QueryAlgorithm) -> MultilinearPoly:
     meaning (A + B sqrt(2)) / D, where D is the product of the layer
     denominators (Layer.int_arrays) applied so far; a query only extends
     monomials and leaves D unchanged.  Each step writes its products as
-    rows, in the nesting of a dict of dicts filled term by term, and sums
-    them per (ordinal, monomial) with the ordinals, and the monomials of
-    each, in the order in which they are first reached (_collect).  A
-    monomial's key is the Horner number of its factor ids.  So the rows
-    come in the order of that dict.
+    rows and sums them per (ordinal, monomial), both ascending
+    (_collect).  A monomial's code is the Horner number of its factor
+    ids, ascending, and the ids are numbered in (slot, value) order, so
+    code order is Monomial order.
 
     Squaring pairs the rows of each accepting amplitude, p <= q, at most
     _PAIR_CHUNK pairs at a time.  Each amplitude's rows are walked by
@@ -101,15 +100,14 @@ def extract_polynomial(alg: QueryAlgorithm) -> MultilinearPoly:
     the products are summed per pair of monomials, and each distinct
     pair is merged once: its factor ids give the product's code, or a
     conflict (one slot pinned to two values), which is dropped.  The
-    sums per code (cross pairs doubled, since Delta^2 = Delta) keep the
-    number of their first pair in upper-triangle order, and the terms
-    come out in that order.  So the terms, and their order, are those of
-    a dict filled pair by pair: assemble_grid_poly, and through it
+    products are summed per code (cross pairs doubled, since Delta^2 =
+    Delta), and the terms come out in code order, which is
+    sorted_terms() order: assemble_grid_poly, and through it
     LatticePoly.evaluate_float, add in that order.  Each monomial is
-    built once, from its first pair's table rows, and each distinct
-    coefficient once, as a Fraction pair over D^2.  The coefficients
-    are int64 while a stated bound on every sum fits in it, and so are
-    the codes; past either bound the same arrays hold Python ints.
+    built once, from its code's digits, and each distinct coefficient
+    once, as a Fraction pair over D^2.  The coefficients are int64
+    while a stated bound on every sum fits in it, and so are the codes;
+    past either bound the same arrays hold Python ints.
     """
     if alg.oracle_kind != "standard":
         raise ValueError("polynomial extraction is defined for standard-oracle algorithms")
@@ -124,9 +122,8 @@ class _Amplitudes(NamedTuple):
     monomial) with a nonzero coefficient: row r adds (a[r] + b[r] sqrt 2)
     / D times its monomial to the amplitude of basis state ordinal[r].
     The monomial pins slot s, the (register, position) slots[s], to the
-    value table[r, s], or leaves it free at 0.  The rows of one ordinal
-    are adjacent, and the ordinals, and the monomials of each, come in
-    the order in which they were first reached."""
+    value table[r, s], or leaves it free at 0.  The rows ascend by
+    ordinal, and the rows of one ordinal by monomial."""
 
     slots: tuple[tuple[str, int], ...]
     ordinal: np.ndarray
@@ -173,18 +170,12 @@ def _propagate(alg: QueryAlgorithm) -> tuple[_Amplitudes, int]:
 
 
 def _collect(target, code, a, b, width: int):
-    """Sum rows per (target ordinal, monomial code) as a dict of dicts
-    filled row by row would: the targets in the order in which they are
-    first reached, and the monomials of each in the order in which they
-    are first reached under it; zero sums dropped.  Returns (first, sums
-    of a, sums of b), first the row at which each sum's key first
-    appears."""
-    first, a, b = _grouped(target.astype(code.dtype) * width + code, a, b)
-    _, lead, which = np.unique(target[first], return_index=True, return_inverse=True)
-    order = _stable_order(lead[which])[0]
-    first, a, b = first[order], a[order], b[order]
+    """Sum rows per key target * width + code, keys ascending, so by
+    target ordinal, then by monomial code; zero sums dropped.  Returns
+    (pick, sums of a, sums of b), pick a row that holds each sum's key."""
+    order, starts, a, b = _key_sums(target.astype(code.dtype) * width + code, a, b)
     keep = (a != 0) | (b != 0)
-    return first[keep], a[keep], b[keep]
+    return order[starts[keep]], a[keep], b[keep]
 
 
 def _layer_rows(amps: _Amplitudes, code, layer: LayerArrays, width: int):
@@ -209,18 +200,18 @@ def _layer_rows(amps: _Amplitudes, code, layer: LayerArrays, width: int):
     a, b = amps.a.astype(num, copy=False)[row], amps.b.astype(num, copy=False)[row]
     ea, eb = layer.a.astype(num, copy=False)[entry], layer.b.astype(num, copy=False)[entry]
     target = layer.rows[entry]
-    first, sum_a, sum_b = _collect(target, code[row], a * ea + 2 * b * eb, a * eb + b * ea, width)
-    src = row[first]
-    return amps._replace(ordinal=target[first], table=amps.table[src], a=sum_a, b=sum_b), code[src]
+    pick, sum_a, sum_b = _collect(target, code[row], a * ea + 2 * b * eb, a * eb + b * ea, width)
+    src = row[pick]
+    return amps._replace(ordinal=target[pick], table=amps.table[src], a=sum_a, b=sum_b), code[src]
 
 
 def _query_rows(amps: _Amplitudes, code, masks, powers, width: int):
     """The standard query on the amplitudes.  A row whose queried slot is
     pinned to v moves to ordinal ^ masks[v]; a free row fans out to one
     row per value h, moved to ordinal ^ masks[h] with the slot pinned to
-    h.  The rows, in that order, are summed by _collect: a key meets at
-    most two of them, a monomial free at the slot and the same monomial
-    pinned there."""
+    h.  The rows are summed by _collect: a key meets at most two of
+    them, a monomial free at the slot and the same monomial pinned
+    there."""
     rows, slots = amps.table.shape
     alphabet = len(masks) - 1
     slot = (amps.ordinal >> 1) % slots
@@ -240,10 +231,10 @@ def _query_rows(amps: _Amplitudes, code, masks, powers, width: int):
     num = _int64_or_object(2 * _largest(amps.a, amps.b))
     a, b = amps.a.astype(num, copy=False)[src], amps.b.astype(num, copy=False)[src]
     target = amps.ordinal[src] ^ masks[h]
-    first, sum_a, sum_b = _collect(target, code, a, b, width)
-    table = amps.table[src[first]]
-    table[np.arange(len(first)), slot[src[first]]] = h[first]
-    return amps._replace(ordinal=target[first], table=table, a=sum_a, b=sum_b), code[first]
+    pick, sum_a, sum_b = _collect(target, code, a, b, width)
+    table = amps.table[src[pick]]
+    table[np.arange(len(pick)), slot[src[pick]]] = h[pick]
+    return amps._replace(ordinal=target[pick], table=table, a=sum_a, b=sum_b), code[pick]
 
 
 _PAIR_CHUNK = 1 << 16  # most monomial pairs that _square_accepting multiplies out at once
@@ -274,16 +265,10 @@ def _merged(columns: list, slot_of: np.ndarray, base: int, code_type):
     return code, clash
 
 
-def _least_sums(keys, a, b, number):
-    """(keys, sums of a, sums of b, least number) per distinct key."""
-    order, starts, a, b = _key_sums(keys, a, b)
-    return keys[order[starts]], a, b, np.minimum.reduceat(number[order], starts)
-
-
 def _square_accepting(amps: _Amplitudes, D: int) -> MultilinearPoly:
-    """Sum of the squared accepting amplitudes, over D^2: diagonal pairs
-    once (Delta^2 = Delta), cross pairs doubled.  See extract_polynomial
-    for the method."""
+    """Sum of the squared accepting amplitudes, over D^2, terms in
+    Monomial order: diagonal pairs once (Delta^2 = Delta), cross pairs
+    doubled.  See extract_polynomial for the method."""
     accept = np.flatnonzero(amps.ordinal & 1)  # output register holds 2
     rows = len(accept)
     if not rows:
@@ -292,13 +277,11 @@ def _square_accepting(amps: _Amplitudes, D: int) -> MultilinearPoly:
     new = np.ones(rows, dtype=bool)
     new[1:] = ordinal[1:] != ordinal[:-1]
     start = np.flatnonzero(new)
-    # Row r pairs with the rows of its amplitude from r on, and pair
-    # (r, s), r <= s, is pair number ends[r] - partners[r] + s - r.
+    # Row r pairs with the rows of its amplitude from r on.
     partners = np.repeat(np.append(start[1:], rows), np.diff(start, append=rows)) - np.arange(rows)
-    ends = np.cumsum(partners)
     # No sum below exceeds 6 max|coef|^2 pairs in absolute value.
     big = _largest(amps.a, amps.b)
-    coef = _int64_or_object(6 * big * big * int(ends[-1]))
+    coef = _int64_or_object(6 * big * big * int(partners.sum()))
     a, b = amps.a[accept].astype(coef), amps.b[accept].astype(coef)
 
     # Number the (slot, value) factors that the rows pin 1..F in slot
@@ -347,28 +330,22 @@ def _square_accepting(amps: _Amplitudes, D: int) -> MultilinearPoly:
             kp = np.repeat(ks, count)
             kq = np.arange(len(kp)) + np.repeat(ks - (np.cumsum(count) - count), count)
             p, q = walked[kp], walked[kq]
-            p, q = np.minimum(p, q), np.maximum(p, q)
-            # Sum the products per pair, then merge each distinct pair once.
-            # A pair's first entry, in walk order, is its first amplitude's,
-            # so it comes first among the pairs with its two monomials.
+            # Sum the products per pair of monomials, then merge each distinct
+            # pair once, from any one of its rows: they hold the same codes.
             cp, cq = code[p], code[q]
             ap, aq, bp, bq = a[p], a[q], b[p], b[q]
             order, starts, pa, pb = _key_sums(
                 np.minimum(cp, cq) * shift + np.maximum(cp, cq), ap * aq + 2 * bp * bq, ap * bq + bp * aq
             )
             p, q = p[order[starts]], q[order[starts]]
-            number = ends[p] - partners[p] + q - p
             merged, clash = _merged([d[p] for d in digits] + [d[q] for d in digits], slot_of, base, code_type)
             keep = ~clash
             pa, pb = pa[keep], pb[keep]
             cross = (p != q)[keep]
             pa[cross] *= 2
             pb[cross] *= 2
-            yield _least_sums(merged[keep], pa, pb, number[keep]), stop == rows or led[stop] != led[stop - 1]
+            yield _summed(merged[keep], pa, pb), stop == rows or led[stop] != led[stop - 1]
             w = stop
-
-    def fold(parts):
-        return _least_sums(*(np.concatenate(x) for x in zip(*parts)))
 
     done, parts, held, folded = [], [], 0, 0
     for part, complete in chunks():
@@ -376,25 +353,28 @@ def _square_accepting(amps: _Amplitudes, D: int) -> MultilinearPoly:
         held += len(part[0])
         # Fold the chunk sums once they outgrow the folded sums.
         if complete or held - folded > max(_PAIR_CHUNK, folded):
-            parts = [fold(parts)]
+            parts = [_summed(*map(np.concatenate, zip(*parts)))]
             held = folded = len(parts[0][0])
         if complete:
             sums = parts[0]
             keep = (sums[1] != 0) | (sums[2] != 0)
             done.append(tuple(x[keep] for x in sums))
             parts, held, folded = [], 0, 0
-    _, sum_a, sum_b, number = (np.concatenate(x) for x in zip(*done))
-    # The terms in the order of their first pairs' numbers.
-    order = _stable_order(number)[0]
-    sum_a, sum_b, number = sum_a[order], sum_b[order], number[order]
-    p = np.searchsorted(ends, number, "right")
-    q = number - (ends[p] - partners[p]) + p
-
-    merged = np.maximum(table[p], table[q])
-    r, s = np.nonzero(merged)
+    # Each code is complete in one run, so the codes are distinct; their
+    # order is the Monomial order.
+    codes, sum_a, sum_b = (np.concatenate(x) for x in zip(*done))
+    order, codes = _stable_order(codes)
+    sum_a, sum_b = sum_a[order], sum_b[order]
+    # A code's base-`base` digits are its factor ids, ascending after
+    # leading zeros.
+    places = []
+    for _ in range(max(2 * degree, 1)):
+        places.append((codes % base).astype(np.int64))
+        codes = codes // base
+    product = np.stack(places[::-1], axis=1)
     variables = [IndicatorVariable(*amps.slots[f // top], f % top) for f in factors.tolist()]
-    flat = [variables[f] for f in (np.searchsorted(factors, s * top + merged[r, s])).tolist()]
-    cuts = np.cumsum(np.count_nonzero(merged, axis=1)).tolist()
+    flat = [variables[i - 1] for i in product[product != 0].tolist()]
+    cuts = np.cumsum(np.count_nonzero(product, axis=1)).tolist()
     A, B = sum_a.tolist(), sum_b.tolist()
     d2 = D * D
     value = {pair: QSqrt2.over(*pair, d2) for pair in set(zip(A, B))}

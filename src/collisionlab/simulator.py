@@ -178,24 +178,11 @@ def _key_sums(keys: np.ndarray, a: np.ndarray, b: np.ndarray):
     return order, starts, np.add.reduceat(a[order], starts), np.add.reduceat(b[order], starts)
 
 
-def _grouped(keys: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Sum a and b per distinct key.  Returns (first, sums of a, sums of
-    b), one entry per key in the order in which the keys first appear,
-    with first the position of that first appearance.  The sort is
-    stable, so a key's first entry in sorted order is its first
-    appearance.  Empty input gives empty output."""
+def _summed(keys: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """(keys, sums of a, sums of b), one entry per distinct key, keys
+    ascending.  Empty input gives empty output."""
     order, starts, sum_a, sum_b = _key_sums(keys, a, b)
-    first = order[starts]
-    seen = _stable_order(first)[0]
-    return first[seen], sum_a[seen], sum_b[seen]
-
-
-def _summed(parts):
-    """(keys, sums of a, sums of b) over (keys, a, b) parts, one entry
-    per distinct key."""
-    keys, a, b = (np.concatenate(part) for part in zip(*parts))
-    first, a, b = _grouped(keys, a, b)
-    return keys[first], a, b
+    return keys[order[starts]], sum_a, sum_b
 
 
 class Layer:
@@ -234,20 +221,18 @@ class Layer:
         return self._float_cols
 
     def int_cols(self) -> tuple[int, list[list[tuple[int, int, int]]]]:
-        """(D, cols) with cols[j] listing (row, A, B): entry (A + B sqrt 2) / D,
-        the int_form of the layer's entries in column order."""
+        """int_arrays() as lists: (D, cols) with cols[j] listing (row, A, B),
+        entry (A + B sqrt 2) / D."""
         if self._int_cols is None:
-            D, pairs = int_form(v for col in self.cols for _, v in col)
-            it = iter(pairs)
-            self._int_cols = (D, [
-                [(r, A, B) for (r, _), (A, B) in zip(col, it)] for col in self.cols
-            ])
+            D, lengths, starts, rows, a, b, _ = self.int_arrays()
+            flat = list(zip(rows.tolist(), a.tolist(), b.tolist()))
+            self._int_cols = (D, [flat[s:s + n] for s, n in zip(starts.tolist(), lengths.tolist())])
         return self._int_cols
 
     def int_arrays(self) -> LayerArrays:
-        """int_cols() as flat arrays, built once per layer, straight from
-        the int_form of the entries, and shared by every array kernel
-        that reads the layer."""
+        """The int_form of the layer's entries in column order, as flat
+        arrays, built once per layer and shared by every kernel that
+        reads the layer."""
         if self._int_arrays is None:
             D, pairs = int_form(v for col in self.cols for _, v in col)
             lengths = np.fromiter(map(len, self.cols), dtype=np.int64, count=self.dim)
@@ -271,9 +256,9 @@ class Layer:
         each row adds the products of every pair of its nonzeros, keyed
         i * dim + j for its columns i <= j.  Rows of one length share one
         triu_indices table; at most _GRAM_CHUNK pairs (or one row) are
-        multiplied out and summed per key at once, and the chunk sums are
-        summed per key again.  U is orthogonal iff M^T M = D^2 I with no
-        sqrt(2) part.
+        multiplied out and summed per key at once (_summed), and the
+        chunk sums are summed per key again.  U is orthogonal iff
+        M^T M = D^2 I with no sqrt(2) part.
         """
         D, lengths, _, rows, a, b, big = self.int_arrays()
         dim = self.dim
@@ -293,19 +278,18 @@ class Layer:
             for s in range(0, len(starts), step):
                 ip, iq = (starts[s:s + step] + p).ravel(), (starts[s:s + step] + q).ravel()
                 keys = col[ip] * dim + col[iq]
-                first, sum_a, sum_b = _grouped(
+                parts.append(_summed(
                     keys, a[ip] * a[iq] + 2 * b[ip] * b[iq], a[ip] * b[iq] + b[ip] * a[iq]
-                )
-                parts.append((keys[first], sum_a, sum_b))
-                held += len(first)
+                ))
+                held += len(parts[-1][0])
                 # Fold the chunk sums once they outgrow the folded sums, so
                 # dense rows hold about twice the Gram's nonzeros at most.
                 if held - folded > max(_GRAM_CHUNK, folded):
-                    parts = [_summed(parts)]
+                    parts = [_summed(*map(np.concatenate, zip(*parts)))]
                     held = folded = len(parts[0][0])
         if not parts:
             return dim == 0
-        keys, sum_a, sum_b = _summed(parts)
+        keys, sum_a, sum_b = _summed(*map(np.concatenate, zip(*parts)))
         i, j = np.divmod(keys, dim)
         diagonal = i == j
         return (
@@ -320,10 +304,11 @@ class Layer:
 
         Each entry (k, a, b) of column c of inner meets every entry of
         column k of self; the products are summed per key c * dim + row
-        as integers over D = d_outer * d_inner.  The composed layer keeps
-        the nonzero sums, rows ascending, as its int_cols(), reduced to
-        the least common denominator, the form int_form derives from the
-        entries.  Equal entries share one QSqrt2.
+        as integers over D = d_outer * d_inner, keys ascending, so each
+        column's rows ascend.  The composed layer keeps the nonzero sums
+        as its int_arrays(), reduced to the least common denominator, the
+        form int_form derives from the entries.  Equal entries share one
+        QSqrt2.
         """
         if self.dim != inner.dim:
             raise ValueError("dimension mismatch")
@@ -342,10 +327,8 @@ class Layer:
         keys = c * dim + outer.rows[at]
         ia, ib = inner_arrays.a.astype(num, copy=False)[e], inner_arrays.b.astype(num, copy=False)[e]
         oa, ob = outer.a.astype(num, copy=False)[at], outer.b.astype(num, copy=False)[at]
-        first, sum_a, sum_b = _grouped(keys, ia * oa + 2 * ib * ob, ia * ob + ib * oa)
-        keys = keys[first]
-        keep = np.flatnonzero((sum_a != 0) | (sum_b != 0))
-        keep = keep[_stable_order(keys[keep])[0]]
+        keys, sum_a, sum_b = _summed(keys, ia * oa + 2 * ib * ob, ia * ob + ib * oa)
+        keep = (sum_a != 0) | (sum_b != 0)
         col, rows = np.divmod(keys[keep], dim)
         a, b = sum_a[keep], sum_b[keep]
         D = outer.D * inner_arrays.D
@@ -359,14 +342,11 @@ class Layer:
         a, b = a.astype(small, copy=False), b.astype(small, copy=False)
         A, B = a.tolist(), b.tolist()
         value = {pair: QSqrt2.over(*pair, D) for pair in set(zip(A, B))}
-        int_flat = list(zip(rows.tolist(), A, B))
         flat = list(zip(rows.tolist(), map(value.__getitem__, zip(A, B))))
         lengths = np.bincount(col, minlength=dim)
-        ends = np.cumsum(lengths).tolist()
-        spans = list(zip([0, *ends], ends))
-        layer = Layer(dim, [flat[s:t] for s, t in spans])
-        layer._int_cols = (D, [int_flat[s:t] for s, t in spans])
-        layer._int_arrays = LayerArrays(D, lengths, np.cumsum(lengths) - lengths, rows, a, b, big)
+        starts = np.cumsum(lengths) - lengths
+        layer = Layer(dim, [flat[s:s + n] for s, n in zip(starts.tolist(), lengths.tolist())])
+        layer._int_arrays = LayerArrays(D, lengths, starts, rows, a, b, big)
         return layer
 
     def to_json(self) -> dict:

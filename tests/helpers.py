@@ -280,8 +280,8 @@ def propagate_reference(alg) -> tuple[dict[int, dict[tuple, tuple[int, int]]], i
     (amps, D) after the last layer, where amps maps each basis-state
     ordinal with a nonzero amplitude to its polynomial, canonical factor
     tuple -> (A, B), meaning (A + B sqrt(2)) / D.  Ordinals, and the
-    monomials of each, come in the order in which they are first reached:
-    the reference that the array form must match."""
+    monomials of each, come in the order in which they are first reached;
+    the array form must match it as a mapping."""
     space = alg.space
     stride = space.index_size * 2
     alphabet = range(1, alg.alphabet_size + 1)
@@ -411,8 +411,8 @@ def merge_factors(f: tuple, g: tuple) -> tuple | None:
 
 def square_accepting_reference(amps: dict, D: int) -> MultilinearPoly:
     """The squaring step of extract_polynomial written with dicts, pair
-    by pair: the reference that the array form must match term for term
-    and in order.  amps and D are as propagate_reference returns them."""
+    by pair: the reference that the array form must match term for term,
+    as a mapping.  amps and D are as propagate_reference returns them."""
     # Square each accepting amplitude: diagonal terms once (Delta^2 =
     # Delta), cross terms i < j doubled.  Monomials are numbered so the
     # products of one pair add up over every accepting amplitude first;

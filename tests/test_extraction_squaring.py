@@ -1,8 +1,9 @@
 """The array propagation and squaring of extract_polynomial against the
 term-by-term and pair-by-pair dict forms in helpers: the same amplitudes
-and terms, the same coefficients, the same order.  The q assembly and
-the float evaluation add terms in that order, so equal polynomials are
-not enough."""
+and terms with the same coefficients, as mappings.  The arrays also keep
+one canonical order, a function of the polynomial alone: propagation
+rows ascend by (ordinal, monomial), the squared terms by monomial.  The
+q assembly and the float evaluation add terms in that order."""
 
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from collisionlab.circuits import (
 )
 from collisionlab.instances import QuasilatticePoint, SuperQuasilatticePoint
 from collisionlab.multilinear import IndicatorVariable as IV
+from collisionlab.multilinear import Monomial
 from collisionlab.polymethod import (
     _propagate,
     _square_accepting,
@@ -36,14 +38,14 @@ from helpers import (
 INT64_MAX = 2**63 - 1
 
 
-def ordered_terms(poly):
-    return list(poly.terms.items())
+def assert_same_terms(got, want):
+    """got equals want as a mapping, and its terms come in Monomial order."""
+    assert got == want
+    assert list(got.terms) == sorted(got.terms)
 
 
 def assert_same_squares(amps, D):
-    got = ordered_terms(_square_accepting(amplitude_rows(amps), D))
-    want = ordered_terms(square_accepting_reference(amps, D))
-    assert got == want
+    assert_same_terms(_square_accepting(amplitude_rows(amps), D), square_accepting_reference(amps, D))
 
 
 def random_two_query_circuit(seed: int, n: int = 4) -> QueryAlgorithm:
@@ -71,20 +73,26 @@ def test_squaring_matches_the_reference_in_order(name):
 def test_squaring_matches_the_reference_on_the_dumped_mixer(dumped_mixer8):
     alg, poly = dumped_mixer8
     amps, D = propagate_reference(alg)
-    want = square_accepting_reference(amps, D)
-    assert ordered_terms(poly) == ordered_terms(want)
+    assert_same_terms(poly, square_accepting_reference(amps, D))
     assert len(poly.terms) == 1912
 
 
-def nested_items(amps: dict) -> list:
-    return [(ordinal, list(poly.items())) for ordinal, poly in amps.items()]
+def row_keys(amps) -> list:
+    """(ordinal, monomial) of each propagated row, in row order."""
+    return [
+        (ordinal, Monomial(tuple(IV(*amps.slots[s], v) for s, v in enumerate(pins) if v)))
+        for ordinal, pins in zip(amps.ordinal.tolist(), amps.table.tolist())
+    ]
 
 
 def assert_same_propagation(alg):
     amps, D = _propagate(alg)
     want, want_D = propagate_reference(alg)
     assert D == want_D
-    assert nested_items(amplitude_dicts(amps)) == nested_items(want)
+    assert amplitude_dicts(amps) == want
+    # Monomial order is code order, so the rows ascend by (ordinal, code).
+    keys = row_keys(amps)
+    assert all(x < y for x, y in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize("name", list(CIRCUITS))
@@ -125,7 +133,7 @@ def test_extraction_past_int64_runs_on_python_ints(monkeypatch):
     assert_same_propagation(alg)
     amps, D = propagate_reference(alg)
     assert D > 2**126
-    assert ordered_terms(extract_polynomial(alg)) == ordered_terms(square_accepting_reference(amps, D))
+    assert_same_terms(extract_polynomial(alg), square_accepting_reference(amps, D))
     assert object in chosen
 
 
@@ -148,7 +156,7 @@ def test_squaring_over_many_chunks_matches_the_reference(name, monkeypatch):
 def test_squaring_of_the_dumped_mixer_over_many_chunks(dumped_mixer8, monkeypatch):
     alg, poly = dumped_mixer8
     monkeypatch.setattr(polymethod, "_PAIR_CHUNK", 1 << 12)
-    assert ordered_terms(extract_polynomial(alg)) == ordered_terms(poly)
+    assert_same_terms(extract_polynomial(alg), poly)
 
 
 def test_random_circuits_reach_degree_4_with_sqrt2_parts():

@@ -419,7 +419,7 @@ def test_composed_layers_carry_the_integer_form_of_their_entries(monkeypatch):
 
     def recording(self, inner):
         composed.append(compose(self, inner))
-        assert composed[-1]._int_cols is not None  # compose keeps the product's form
+        assert composed[-1]._int_arrays is not None  # compose keeps the product's form
         return composed[-1]
 
     monkeypatch.setattr(Layer, "compose", recording)
