@@ -183,11 +183,15 @@ def cmd_verify_gamma(args) -> int:
         raise ConfigError(f"--max-degree must be >= 0, got {args.max_degree}")
     if max(args.n) > args.max_N:
         raise ConfigError(f"--n {max(args.n)} exceeds --max-N {args.max_N}: no N in [n, max_N]")
+    sweep = [(n, divisor_points(n, args.max_N)) for n in args.n]
+    for n, points in sweep:  # closed-form counts: fail before any monomial is built
+        for point in points:
+            check_enumerable(point, n, args.enum_cap)
     rows = []
     all_equal = True
-    for n in args.n:
+    for n, points in sweep:
         monos = list(all_monomials(n, args.max_degree))
-        for point in divisor_points(n, args.max_N):
+        for point in points:
             brute = gamma_bruteforce_sweep(monos, point, n, cap=args.enum_cap)
             for m, b in zip(monos, brute):
                 c = gamma_closed(m, point, n)

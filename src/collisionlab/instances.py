@@ -588,17 +588,28 @@ def enumerate_supports(point, n: int, cap: int | None = None) -> Iterator:
                 yield Latent(s, ranges, (*head, tuple(tail)))
 
 
-def enumerate_rows(point, n: int, cap: int | None = None) -> Iterator[list[int]]:
+def enumerate_rows(point, n: int, cap: int | None = None) -> Iterator[np.ndarray]:
     """The input row of every latent draw at point, in enumerate_supports'
     order: the first n entries of xhat, then (set comparison) of yhat,
-    as one list.  Raises EnumerationTooLarge if the closed-form count
-    exceeds the cap."""
+    as one 1-D integer array of n or 2n entries.
+
+    Each row is a view of a table that no later row writes to: for a
+    (g, N) point the relabelled table of its S, for a (g, N, M) point a
+    block that holds one x head beside every y tail.  So a row may be
+    kept, and draw_table packs the rows without a Python list per row.
+    Raises EnumerationTooLarge if the closed-form count exceeds the cap.
+    """
     for _s, _ranges, tables in _relabelled_draws(point, n, cap):
         *outer, last = (table[:, :n] for table in tables)
-        for head in itertools.product(*(table.tolist() for table in outer)):
-            prefix = list(itertools.chain.from_iterable(head))
-            for tail in _listed(last):
-                yield prefix + tail
+        if not outer:
+            yield from last
+            continue
+        (heads,) = outer
+        for head in heads:
+            block = np.empty((len(last), 2 * n), dtype=last.dtype)
+            block[:, :n] = head
+            block[:, n:] = last
+            yield from block
 
 
 _UNION_CHUNK = 1000  # draws per sample_rows table: its key arrays stay a few MB at n = 200

@@ -20,7 +20,6 @@ gamma_bruteforce, enumerates the latent draws of either family.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -463,8 +462,9 @@ def gamma_bruteforce(I, point, n: int, cap: int | None = None) -> Fraction:
     """Same expectation as gamma_closed, at a (g, N) or (g, N, M) point,
     by direct enumeration of every latent draw.
 
-    Deliberately naive: walks every draw's row, evaluates the monomial on
-    its x (and y), and divides.  Independent of the closed forms.
+    Deliberately naive: walks every draw's row as Python ints, evaluates
+    the monomial on its x (and y), and divides.  Independent of the
+    closed forms and of the draw-table kernel.
     """
     m = as_monomial(I)
     if m is None:
@@ -472,8 +472,9 @@ def gamma_bruteforce(I, point, n: int, cap: int | None = None) -> Fraction:
     hits = 0
     total = 0
     for row in enumerate_rows(point, n, cap):
+        values = row.tolist()
         total += 1
-        hits += m.evaluate(row[:n], row[n:])
+        hits += m.evaluate(values[:n], values[n:])
     return Fraction(hits, total)
 
 
@@ -482,7 +483,8 @@ def gamma_bruteforce_sweep(
 ) -> list[Fraction]:
     """gamma_bruteforce for many monomials over one enumeration of the
     (g, N) family at point: hit draws over all draws.  The rows stream
-    from enumerate_collision_supports into one table; per slot set of
+    from enumerate_collision_supports, one 1-D array per latent draw,
+    and draw_table packs them into one table; per slot set of
     code_lookup, one bincount of the draws' bins, read at the monomials'
     bins, counts each monomial's hits."""
     draws = draw_table(enumerate_collision_supports(point, n, cap), point, n)
@@ -620,15 +622,16 @@ def assemble_grid_poly(
 _EMPTY_BATCH = "an empty batch has no mean acceptance; need at least one draw"
 
 
-def draw_table(rows: Iterable[Sequence[int]], point, n: int) -> np.ndarray:
-    """Stream the rows of draws from the family at point into one table,
+def draw_table(rows: Iterable[np.ndarray], point, n: int) -> np.ndarray:
+    """Pack the rows of draws from the family at point into one table,
     without keeping them: S x n of x for a (g, N) point, S x 2n of x then
-    y for a (g, N, M) point.  Values lie in 1..n, or 1..2n, so the table
-    takes the narrowest type that holds the largest."""
+    y for a (g, N, M) point.  Each row is one 1-D item of width n or 2n,
+    as enumerate_rows yields them, copied whole by one np.fromiter over a
+    subarray dtype; an empty stream gives a (0, width) table.  Values lie
+    in 1..n, or 1..2n, so the table takes the narrowest type that holds
+    the largest."""
     width = n * (len(point) - 1)
-    return np.fromiter(
-        itertools.chain.from_iterable(rows), dtype=np.min_scalar_type(width)
-    ).reshape(-1, width)
+    return np.fromiter(rows, dtype=np.dtype((np.min_scalar_type(width), width)))
 
 
 def _row_instance(row: np.ndarray, n: int) -> Instance:

@@ -11,6 +11,7 @@ import pytest
 from collisionlab import cli, degreebound
 from collisionlab.circuits import setcomp_probe, two_query_mixer
 from collisionlab.cli import main
+from collisionlab.instances import count_supports, divisor_points
 from collisionlab.polymethod import extract_polynomial
 from collisionlab.setcomp_poly import assemble_q3, prefactor3
 from collisionlab.reports import jsonable, render_csv, render_json
@@ -412,6 +413,26 @@ def test_cap_exceeded_exits_3(capsys):
     )
     assert code == 3
     assert "enumeration too large" in err
+
+
+def test_verify_gamma_past_the_cap_exits_before_any_monomial(monkeypatch, capsys):
+    # Every swept point's closed-form count is checked, in sweep order,
+    # before the first monomial list is built; the first point over the
+    # cap names the error, as it did when the sweep reached it.
+    cap = 10**7
+    args = ["verify-gamma", "--n", "4", "30", "--max-degree", "2", "--max-N", "30",
+            "--enum-cap", str(cap)]
+    over = [(p, n) for n in (4, 30) for p in divisor_points(n, 30) if count_supports(p, n) > cap]
+    point, n = over[0]
+    assert (point, n) == ((1, 30), 30)
+
+    def no_monomials(n, max_degree):
+        raise AssertionError("a monomial was built although a swept point exceeds the cap")
+
+    monkeypatch.setattr(cli, "all_monomials", no_monomials)
+    assert run(args, capsys) == (
+        3, "", f"error: enumeration too large: {count_supports(point, n)} latent draws exceed cap {cap}\n"
+    )
 
 
 def test_unknown_algorithm_exits_2(capsys):

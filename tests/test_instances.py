@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from collisionlab.instances import (
     super_quasilattice_points,
     validate_instance,
 )
+from collisionlab.polymethod import draw_table
 from helpers import is_quasilattice_point, is_super_quasilattice_point
 
 
@@ -359,8 +361,26 @@ def test_latents_are_lexicographic_and_rows_are_their_inputs(point, n, total):
     assert latents == sorted(latents, key=lambda lat: tuple(vars(lat).values()))
     rows = list(enumerate_rows(point, n))
     inputs = [instance_from_latent(latent, n) for latent in latents]
-    assert rows == [list(inst.x + (inst.y or ())) for inst in inputs]
+    assert [row.tolist() for row in rows] == [list(inst.x + (inst.y or ())) for inst in inputs]
     assert len(rows) == total == count_supports(point, n)
+
+
+@pytest.mark.parametrize("point, n, total", ENUMERABLE_POINTS)
+def test_rows_are_one_dimensional_and_pack_into_the_table_of_their_inputs(point, n, total):
+    width = n * (len(point) - 1)
+    rows = list(enumerate_rows(point, n))
+    assert all(row.shape == (width,) for row in rows)
+    empty = draw_table([], point, n)
+    assert empty.shape == (0, width)
+    inputs = [instance_from_latent(latent, n) for latent in enumerate_supports(point, n)]
+    want = np.array([inst.x + (inst.y or ()) for inst in inputs], dtype=empty.dtype)
+    table = draw_table(iter(rows), point, n)
+    assert table.dtype == empty.dtype
+    assert table.shape == (total, width)
+    assert np.array_equal(table, want)
+    # kept rows still hold their draws once the stream has moved on
+    assert np.array_equal(np.array(rows), want)
+    assert np.array_equal(draw_table(enumerate_rows(point, n), point, n), want)
 
 
 def test_rows_past_the_cap_raise_on_the_first_draw():
