@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", type=str, default=None)
     p.add_argument("--equal", action="store_true")
     p.add_argument("--disjoint", action="store_true")
-    p.add_argument("--boundary", action="store_true", help="union exactly 1.1n")
+    p.add_argument("--boundary", action="store_true", help="union n + max(1, n // 10): 22 at n = 20, 5 at n = 4")
     p.add_argument("--mode", choices=("exact", "float", "shots"), default="exact")
     p.add_argument("--shots", type=int, default=20)
     add_common(p)

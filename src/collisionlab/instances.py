@@ -246,7 +246,7 @@ def validate_instance(inst: Instance, k: int) -> bool:
 
 def set_union_size(inst: Instance) -> int:
     if inst.kind != "setcomp":
-        raise ValueError("set_union_size needs a setcomp instance")
+        raise ConfigError("set_union_size needs a setcomp instance")
     return len(set(inst.x) | set(inst.y_sequence()))
 
 

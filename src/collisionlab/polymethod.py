@@ -43,6 +43,7 @@ from .simulator import (
     _int64_or_object,
     _key_sums,
     _largest,
+    _meetings,
     _stable_order,
     _summed,
     acceptance_probability,
@@ -178,24 +179,14 @@ def _collect(target, code, a, b, width: int):
 
 
 def _layer_rows(amps: _Amplitudes, code, layer: LayerArrays, width: int):
-    """The layer times the amplitudes: each ordinal's rows repeated once
-    per entry of the ordinal's column, ordinal by ordinal, then entry by
-    entry, and summed by _collect."""
-    ordinal = amps.ordinal
-    new = np.ones(len(ordinal), dtype=bool)
-    new[1:] = ordinal[1:] != ordinal[:-1]
-    start = np.flatnonzero(new)
-    count = np.diff(start, append=len(ordinal))
-    # One block per (ordinal, entry of its column), holding the ordinal's rows.
-    per = layer.lengths[ordinal[start]]
-    entry = np.arange(per.sum()) + np.repeat(layer.starts[ordinal[start]] - (np.cumsum(per) - per), per)
-    size = np.repeat(count, per)
-    entry = np.repeat(entry, size)
-    row = np.arange(len(entry)) + np.repeat(np.repeat(start, per) - (np.cumsum(size) - size), size)
-    # A sum meets each ordinal's rows at most once (a column has one entry
-    # per row, an amplitude one term per monomial), in products of
+    """The layer times the amplitudes: each row meets every entry of its
+    ordinal's column (_meetings), and the products are summed by
+    _collect."""
+    row, entry = _meetings(amps.ordinal, layer)
+    # A sum meets each source ordinal at most once (a column has one entry
+    # per row, an amplitude one term per monomial), in a product of
     # absolute value <= 3 big big'.
-    num = _int64_or_object(3 * len(start) * _largest(amps.a, amps.b) * layer.big)
+    num = _int64_or_object(3 * len(layer.lengths) * _largest(amps.a, amps.b) * layer.big)
     a, b = amps.a.astype(num, copy=False)[row], amps.b.astype(num, copy=False)[row]
     ea, eb = layer.a.astype(num, copy=False)[entry], layer.b.astype(num, copy=False)[entry]
     target = layer.rows[entry]

@@ -24,8 +24,10 @@ them; a sum of squares is one integer sum over d^2, and the norm and
 [0, 1] checks compare those integers.  A QSqrt2 is built only where a
 caller reads an amplitude or a sum.
 
-The layer kernels (the orthogonality check and the layer product) run
-on numpy arrays of those integers: int64 while every sum provably fits,
+A Layer stores its entries once, in that integer form: the arrays of
+LayerArrays, from which its int_cols(), float_cols() and cols lists are
+read.  The layer kernels (the orthogonality check and the layer
+product) run on those arrays: int64 while every sum provably fits,
 Python ints (dtype object) past that, so either way they are exact.
 """
 
@@ -41,7 +43,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .instances import Instance, json_field
+from .instances import ConfigError, Instance, json_field
 from .qsqrt2 import ONE, QSqrt2, ZERO, int_form, parse_fraction, sign
 
 FLOAT_NORM_TOL = 1e-12
@@ -107,31 +109,12 @@ class StateSpace:
         return value << self.answer_offset
 
 
-def _int_product(vec, cols) -> dict[int, list[int]]:
-    """Integer columns times an integer vector over Z[sqrt 2].
-
-    vec lists (j, (a, b)), entry j being a + b sqrt 2, and cols[j] lists
-    (row, A, B).  Returns row -> [rational sum, sqrt(2) sum] in the order
-    rows are first reached; zero sums are kept.
-    """
-    acc: dict[int, list[int]] = {}
-    for j, (a1, b1) in vec:
-        for row, a2, b2 in cols[j]:
-            cur = acc.get(row)
-            if cur is None:
-                acc[row] = [a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2]
-            else:
-                cur[0] += a1 * a2 + 2 * b1 * b2
-                cur[1] += a1 * b2 + b1 * a2
-    return acc
-
-
 class LayerArrays(NamedTuple):
-    """A layer's int_cols() as flat numpy arrays, column after column:
-    column j holds the entries starts[j] .. starts[j] + lengths[j] - 1,
-    entry e being (a[e] + b[e] sqrt 2) / D in row rows[e].  a and b are
-    int64 if every entry fits, else Python ints; big is the largest
-    absolute value among them (0 if none)."""
+    """A layer's entries, the one form a Layer stores, as flat numpy
+    arrays column after column: column j holds the entries starts[j] ..
+    starts[j] + lengths[j] - 1, entry e being (a[e] + b[e] sqrt 2) / D in
+    row rows[e].  a and b are int64 if every entry fits, else Python
+    ints; big is the largest absolute value among them (0 if none)."""
 
     D: int
     lengths: np.ndarray
@@ -185,68 +168,91 @@ def _summed(keys: np.ndarray, a: np.ndarray, b: np.ndarray):
     return keys[order[starts]], sum_a, sum_b
 
 
+def _meetings(k: np.ndarray, layer: LayerArrays):
+    """(item, entry) index arrays of every meeting of item i, which sits in
+    row k[i], with an entry of the layer's column k[i]: item by item, then
+    entry by entry in column order."""
+    reps = layer.lengths[k]
+    item = np.repeat(np.arange(len(k)), reps)
+    entry = np.arange(len(item)) + np.repeat(layer.starts[k] - (np.cumsum(reps) - reps), reps)
+    return item, entry
+
+
 class Layer:
     """Orthogonal matrix over Q(sqrt(2)), stored as sparse columns.
 
-    cols[j] lists (row, entry) pairs of column j, at most one per row.
+    The constructor takes cols[j], the (row, entry) pairs of column j, at
+    most one per row, and keeps them only in qsqrt2's integer form,
+    int_arrays(): one denominator D shared by the whole layer and each
+    entry as (A + B sqrt(2)) / D, so sums of products need no per-step
+    normalization.  int_cols() and float_cols() are lists read once from
+    those arrays; cols reads the QSqrt2 entries back from them.
     Orthogonality (U^T U = I) is checked exactly on demand; algorithm
     construction rejects non-orthogonal layers.
-
-    Exact kernels use the integer form int_cols(): one denominator D
-    shared by the whole layer and each entry as (row, A, B), meaning
-    (A + B sqrt(2)) / D, so sums of products need no per-step
-    normalization.
     """
 
-    __slots__ = ("dim", "cols", "_float_cols", "_int_cols", "_int_arrays")
+    __slots__ = ("dim", "_int_arrays", "_int_cols", "_float_cols")
 
     def __init__(self, dim: int, cols: list[list[tuple[int, QSqrt2]]]):
         if len(cols) != dim:
             raise ValueError("column count must equal dim")
+        D, pairs = int_form(v for col in cols for _, v in col)
+        lengths = np.fromiter(map(len, cols), dtype=np.int64, count=dim)
+        rows = np.fromiter((r for col in cols for r, _ in col), dtype=np.int64, count=len(pairs))
+        try:
+            ab = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+        except OverflowError:  # an entry outgrows int64
+            ab = np.array(pairs, dtype=object).reshape(-1)
+        a, b = ab[0::2].copy(), ab[1::2].copy()
+        self._keep(dim, LayerArrays(D, lengths, np.cumsum(lengths) - lengths, rows, a, b, _largest(a, b)))
+
+    def _keep(self, dim: int, arrays: LayerArrays):
         self.dim = dim
-        self.cols = cols
-        self._float_cols = None
-        self._int_cols = None
-        self._int_arrays = None
+        self._int_arrays = arrays
+        self._int_cols = self._float_cols = None
 
     @staticmethod
     def identity(dim: int) -> "Layer":
         return Layer(dim, [[(j, ONE)] for j in range(dim)])
 
-    def float_cols(self):
+    def _columns(self, flat: list) -> list[list]:
+        """flat, one item per entry in column order, cut into columns."""
+        _, lengths, starts = self._int_arrays[:3]
+        return [flat[s:s + n] for s, n in zip(starts.tolist(), lengths.tolist())]
+
+    @property
+    def cols(self) -> list[list[tuple[int, QSqrt2]]]:
+        """The (row, QSqrt2) pairs of each column, in the order given,
+        built from int_arrays() on each read; equal entries share one
+        QSqrt2."""
+        D, _, _, rows, a, b, _ = self._int_arrays
+        pairs = list(zip(a.tolist(), b.tolist()))
+        value = {pair: QSqrt2.over(*pair, D) for pair in set(pairs)}
+        return self._columns(list(zip(rows.tolist(), map(value.__getitem__, pairs))))
+
+    def float_cols(self) -> list[list[tuple[int, float]]]:
+        """cols with each entry as QSqrt2.float_over of its integers, which
+        has the bits of float(QSqrt2).  Integers that a double may not
+        hold exactly are divided as Python ints."""
         if self._float_cols is None:
-            self._float_cols = [
-                [(r, float(v)) for r, v in col] for col in self.cols
-            ]
+            D, _, _, rows, a, b, big = self._int_arrays
+            if max(big, D) >= 1 << 53:
+                a, b = a.astype(object), b.astype(object)
+            values = QSqrt2.float_over(a, b, D).tolist()
+            self._float_cols = self._columns(list(zip(rows.tolist(), values)))
         return self._float_cols
 
     def int_cols(self) -> tuple[int, list[list[tuple[int, int, int]]]]:
         """int_arrays() as lists: (D, cols) with cols[j] listing (row, A, B),
         entry (A + B sqrt 2) / D."""
         if self._int_cols is None:
-            D, lengths, starts, rows, a, b, _ = self.int_arrays()
-            flat = list(zip(rows.tolist(), a.tolist(), b.tolist()))
-            self._int_cols = (D, [flat[s:s + n] for s, n in zip(starts.tolist(), lengths.tolist())])
+            D, _, _, rows, a, b, _ = self._int_arrays
+            self._int_cols = (D, self._columns(list(zip(rows.tolist(), a.tolist(), b.tolist()))))
         return self._int_cols
 
     def int_arrays(self) -> LayerArrays:
-        """The int_form of the layer's entries in column order, as flat
-        arrays, built once per layer and shared by every kernel that
-        reads the layer."""
-        if self._int_arrays is None:
-            D, pairs = int_form(v for col in self.cols for _, v in col)
-            lengths = np.fromiter(map(len, self.cols), dtype=np.int64, count=self.dim)
-            rows = np.fromiter(
-                (r for col in self.cols for r, _ in col), dtype=np.int64, count=len(pairs)
-            )
-            try:
-                ab = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
-            except OverflowError:  # an entry outgrows int64
-                ab = np.array(pairs, dtype=object).reshape(-1)
-            a, b = ab[0::2].copy(), ab[1::2].copy()
-            self._int_arrays = LayerArrays(
-                D, lengths, np.cumsum(lengths) - lengths, rows, a, b, _largest(a, b)
-            )
+        """The layer's entries as the integer arrays it stores, shared by
+        every kernel that reads the layer."""
         return self._int_arrays
 
     def is_orthogonal(self) -> bool:
@@ -303,12 +309,11 @@ class Layer:
         """self @ inner: the layer that applies inner first, then self.
 
         Each entry (k, a, b) of column c of inner meets every entry of
-        column k of self; the products are summed per key c * dim + row
-        as integers over D = d_outer * d_inner, keys ascending, so each
-        column's rows ascend.  The composed layer keeps the nonzero sums
-        as its int_arrays(), reduced to the least common denominator, the
-        form int_form derives from the entries.  Equal entries share one
-        QSqrt2.
+        column k of self (_meetings); the products are summed per key
+        c * dim + row as integers over D = d_outer * d_inner, keys
+        ascending, so each column's rows ascend.  The composed layer keeps
+        the nonzero sums, reduced to the least common denominator (the
+        form int_form derives from the entries), as its int_arrays().
         """
         if self.dim != inner.dim:
             raise ValueError("dimension mismatch")
@@ -317,12 +322,7 @@ class Layer:
         inner_arrays = inner.int_arrays()
         # A sum has at most dim products of absolute value <= 3 big^2.
         num = _int64_or_object(3 * dim * max(outer.big, inner_arrays.big) ** 2)
-        # Inner entry t, in row k of its column, meets each entry of outer
-        # column k: e repeats t once per meeting, at indexes the entry met.
-        k = inner_arrays.rows
-        reps = outer.lengths[k]
-        e = np.repeat(np.arange(len(k)), reps)
-        at = np.arange(len(e)) + np.repeat(outer.starts[k] - (np.cumsum(reps) - reps), reps)
+        e, at = _meetings(inner_arrays.rows, outer)
         c = np.repeat(np.arange(dim, dtype=np.int64), inner_arrays.lengths)[e]
         keys = c * dim + outer.rows[at]
         ia, ib = inner_arrays.a.astype(num, copy=False)[e], inner_arrays.b.astype(num, copy=False)[e]
@@ -340,13 +340,9 @@ class Layer:
         big = _largest(a, b)
         small = _int64_or_object(big)
         a, b = a.astype(small, copy=False), b.astype(small, copy=False)
-        A, B = a.tolist(), b.tolist()
-        value = {pair: QSqrt2.over(*pair, D) for pair in set(zip(A, B))}
-        flat = list(zip(rows.tolist(), map(value.__getitem__, zip(A, B))))
         lengths = np.bincount(col, minlength=dim)
-        starts = np.cumsum(lengths) - lengths
-        layer = Layer(dim, [flat[s:s + n] for s, n in zip(starts.tolist(), lengths.tolist())])
-        layer._int_arrays = LayerArrays(D, lengths, starts, rows, a, b, big)
+        layer = Layer.__new__(Layer)
+        layer._keep(dim, LayerArrays(D, lengths, np.cumsum(lengths) - lengths, rows, a, b, big))
         return layer
 
     def to_json(self) -> dict:
@@ -493,9 +489,18 @@ class ExactEntries(Mapping):
 def _exact_layer(entries: ExactEntries, layer: Layer) -> ExactEntries:
     """Layer product on integers: the state's integers over d times the
     layer's int_cols() over D, zero sums dropped, reduced to the least
-    common denominator."""
+    common denominator.  Entry j, a1 + b1 sqrt 2, meets each (row, a2, b2)
+    of column j."""
     D, cols = layer.int_cols()
-    acc = _int_product(entries.ints.items(), cols)
+    acc: dict[int, list[int]] = {}
+    for j, (a1, b1) in entries.ints.items():
+        for row, a2, b2 in cols[j]:
+            cur = acc.get(row)
+            if cur is None:
+                acc[row] = [a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2]
+            else:
+                cur[0] += a1 * a2 + 2 * b1 * b2
+                cur[1] += a1 * b2 + b1 * a2
     return ExactEntries.reduced(entries.d * D, {
         row: (x, y) for row, (x, y) in acc.items() if x or y
     })
@@ -763,7 +768,7 @@ class QueryAlgorithm:
 
     def check_instance(self, inst: Instance):
         if inst.kind != self.kind or inst.n != self.n:
-            raise ValueError("instance incompatible with algorithm")
+            raise ConfigError("instance incompatible with algorithm")
 
     def run(self, inst: Instance, mode: str = "exact") -> StateVector:
         """Apply U_0, then (query, U_t) for t = 1..T; returns the final state."""

@@ -11,7 +11,7 @@ import pytest
 from collisionlab import cli, degreebound
 from collisionlab.circuits import setcomp_probe, two_query_mixer
 from collisionlab.cli import main
-from collisionlab.instances import count_supports, divisor_points
+from collisionlab.instances import Instance, count_supports, divisor_points
 from collisionlab.polymethod import extract_polynomial
 from collisionlab.setcomp_poly import assemble_q3, prefactor3
 from collisionlab.reports import jsonable, render_csv, render_json
@@ -293,6 +293,35 @@ def test_semantic_config_errors_exit_2(args, message, tmp_path, monkeypatch, cap
     code, _, err = run([a.replace("{mixer2}", str(mixer2)) for a in args], capsys)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "args,inst,message",
+    [
+        (["simulate", "--algorithm", "coincidence-4"],
+         Instance(kind="setcomp", n=4, x=(1, 2, 3, 4), y=(5, 6, 7, 8)),
+         "error: instance incompatible with algorithm"),
+        (["simulate", "--algorithm", "coincidence-4"],
+         Instance(kind="collision", n=2, x=(1, 2)),
+         "error: instance incompatible with algorithm"),
+        (["setcomp"],
+         Instance(kind="collision", n=4, x=(1, 2, 3, 4)),
+         "error: set_union_size needs a setcomp instance"),
+    ],
+)
+def test_an_instance_that_does_not_fit_exits_2(args, inst, message, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    inst.dump(path)
+    code, _, err = run(args + ["--instance", str(path)], capsys)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("n,union", [(4, 5), (20, 22)])
+def test_boundary_union_is_n_plus_a_tenth_of_n_at_least_one(n, union, capsys):
+    code, out, _ = run(["setcomp", "--boundary", "--n", str(n)], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["union_size"] == union
 
 
 def test_malformed_enum_cap_exits_2(monkeypatch, capsys):

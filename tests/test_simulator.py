@@ -14,9 +14,11 @@ from collisionlab.circuits import (
     accept_if_first_is,
     always_accept,
     coincidence_probe,
+    flip_output_where,
     hadamard_matrix,
     index_register_layer,
     setcomp_probe,
+    setcomp_space,
     two_query_mixer,
 )
 from collisionlab.instances import Instance
@@ -439,6 +441,40 @@ def test_composed_layers_carry_the_integer_form_of_their_entries(monkeypatch):
         rebuilt = Layer(layer.dim, layer.cols)
         assert rebuilt.int_cols() == (D, int_cols)
         assert rebuilt.is_orthogonal() == layer.is_orthogonal()
+
+
+def test_every_list_form_is_read_from_the_stored_integer_arrays(tmp_path):
+    """Every layer of every reference circuit and of a dumped and reloaded
+    two_query_mixer(8), plus layers whose integers or D reach 2^53."""
+    path = tmp_path / "two_query_mixer8.json"
+    two_query_mixer(8).dump(path)
+    algs = [build() for build in REFERENCE_BUILDERS.values()] + [QueryAlgorithm.load(path)]
+    wide = [
+        pythagorean_rotations(0),
+        pythagorean_rotations(0).compose(pythagorean_rotations(1)),
+        Layer(2, [[(0, QSqrt2(Fraction(7919 * k, 3**37), Fraction(k, 3**37)))] for k in (19, 23)]),
+    ]
+    for layer in [layer for alg in algs for layer in alg.layers] + wide:
+        expected = [[(r, float(v).hex()) for r, v in col] for col in layer.cols]
+        assert [[(r, v.hex()) for r, v in col] for col in layer.float_cols()] == expected
+        own, rebuilt = layer.int_arrays(), Layer(layer.dim, layer.cols).int_arrays()
+        assert (rebuilt.D, rebuilt.big) == (own.D, own.big)
+        for mine, theirs in zip(own[1:6], rebuilt[1:6]):
+            assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist()
+
+
+def test_compose_builds_no_qsqrt2(monkeypatch):
+    space = setcomp_space(8)
+    u0 = index_register_layer(space, hadamard_matrix(4))  # setcomp_probe(8)'s U_0
+    flip = flip_output_where(space, lambda w, i: i == 1)
+
+    def no_qsqrt2(self, *args):
+        raise AssertionError("compose built a QSqrt2")
+
+    monkeypatch.setattr(QSqrt2, "__init__", no_qsqrt2)
+    product = flip.compose(u0)
+    monkeypatch.undo()
+    assert product.cols == setcomp_probe(8).layers[1].cols
 
 
 # -- array layer kernels against the dict references -----------------------------
