@@ -29,6 +29,7 @@ from .simulator import (
     apply_erasing_query,
     apply_unitary,
     erasing_space,
+    float_probability,
 )
 from .circuits import diffusion_matrix, hadamard_matrix, index_register_layer, phase_flip_where
 
@@ -52,28 +53,28 @@ def erasing_setcomp_probability(inst: Instance, mode: str = "exact"):
     """P(first register = 1) for the one-erasing-query comparison test.
 
     Prepares the uniform superposition over (b, i), applies one erasing
-    query, interferes the pair bit, and reads the pair-bit-1 weight.
-    Exact mode carries unnormalized unit amplitudes (total squared norm
-    2n) and divides at the end, staying in Q(sqrt(2)) for every n.
+    query, interferes the pair bit, and reads the pair-bit-1 weight.  The
+    state carries unnormalized unit amplitudes (total squared norm 2n) and
+    divides at the end, staying in Q(sqrt(2)) for every n.  Exact mode
+    returns that Fraction; float mode its float_probability.
     """
+    if mode not in ("exact", "float"):
+        raise ValueError("mode must be 'exact' or 'float'")
     if inst.kind != "setcomp":
         raise ValueError("set comparison needs a setcomp instance")
     n = inst.n
     two_n = 2 * n
     space = erasing_space(inst)
-    if mode == "exact":
-        amp, probability = ONE, lambda weight: (weight / two_n).as_fraction()
-    else:
-        amp, probability = 1.0 / math.sqrt(two_n), float
     entries = {}
     for b in (0, 1):
         for i in range(1, n + 1):
-            entries[space.encode(BasisState(0, b * two_n + i, 1))] = amp
-    state = StateVector(space, mode, entries)
+            entries[space.encode(BasisState(0, b * two_n + i, 1))] = ONE
+    state = StateVector(space, entries)
     state = apply_erasing_query(state, inst)
     state = apply_unitary(state, _pair_bit_hadamard(space, two_n))
     weight = state.weight(lambda ordinal: ((ordinal >> 1) % space.index_size) // two_n == 1)
-    return probability(weight)
+    p = (weight / two_n).as_fraction()
+    return p if mode == "exact" else float_probability((p.numerator, 0, p.denominator))
 
 
 def erasing_setcomp_decide(
@@ -92,7 +93,7 @@ def erasing_setcomp_decide(
         raise ConfigError(f"shots mode needs a shot count >= 1, got shots={shots}")
     if rng is None:
         raise ValueError("shots mode needs an rng")
-    p = float(erasing_setcomp_probability(inst, "float"))
+    p = erasing_setcomp_probability(inst, "float")
     for _ in range(shots):
         if rng.random() < p:
             return "far"
@@ -141,7 +142,7 @@ def grover_search(
         entries = {
             space.encode(BasisState(0, i, 1)): amp for i in range(1, size + 1)
         }
-        state = StateVector(space, "exact", entries)
+        state = StateVector(space, entries)
         oracle = phase_flip_where(space, lambda w, i: i in marked_set)
         diffusion = index_register_layer(space, diffusion_matrix(size))
         for _ in range(iterations):

@@ -134,7 +134,7 @@ def cmd_simulate(args) -> int:
         "acceptance_probability": p.as_fraction() if args.mode == "exact" else p,
     }
     if args.shots:
-        final = alg.run(inst, mode="float")
+        final = alg.run(inst)
         counts: dict[str, int] = {}
         for _ in range(args.shots):
             b = sample_measurement(final, rng)

@@ -10,25 +10,21 @@ the oracle semantics:
   standard  |w, i, z> -> |w XOR enc(value_i), i, z>   (answer field XOR)
   erasing   |w, i, z> -> |w, value_i, z>              (index replaced)
 
-Exact and float mode share every kernel: exact mode holds QSqrt2
-amplitudes and checks norms for equality, float mode holds doubles and
-checks them within FLOAT_NORM_TOL.  Those constants and the few
-operations on a state's entries (the layer product, re-keying, the sum
-of squares and its checks) live in the MODES table; nothing else
-differs.
-An exact state's entries stay in qsqrt2's integer form from step to
-step (ExactEntries): integers over the amplitudes' least common
-denominator d.  A layer multiplies them by its Layer.int_cols() over D
-and reduces the result to its least common denominator; a query re-keys
-them; a sum of squares is one integer sum over d^2, and the norm and
+A state's amplitudes are exact, in qsqrt2's integer form (ExactEntries):
+integers (A, B) over one denominator d, each amplitude (A + B sqrt 2) / d.
+A layer multiplies them by its Layer.int_cols() over D and keeps the
+result over d * D, unreduced; a query re-keys them.  So a state's d is
+its initial int_form denominator times the D of every layer applied
+since.  A sum of squares is one integer sum over d^2, and the norm and
 [0, 1] checks compare those integers.  A QSqrt2 is built only where a
-caller reads an amplitude or a sum.
+caller reads an amplitude or a sum, and a float only where a caller asks
+for one: QSqrt2.float_over of the exact integers, converted once.
 
 A Layer stores its entries once, in that integer form: the arrays of
-LayerArrays, from which its int_cols(), float_cols() and cols lists are
-read.  The layer kernels (the orthogonality check and the layer
-product) run on those arrays: int64 while every sum provably fits,
-Python ints (dtype object) past that, so either way they are exact.
+LayerArrays, from which its int_cols() and cols lists are read.  The
+layer kernels (the orthogonality check and the layer product) run on
+those arrays: int64 while every sum provably fits, Python ints (dtype
+object) past that, so either way they are exact.
 """
 
 from __future__ import annotations
@@ -39,14 +35,13 @@ import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .instances import ConfigError, Instance, json_field
 from .qsqrt2 import ONE, QSqrt2, ZERO, int_form, parse_fraction, sign
 
-FLOAT_NORM_TOL = 1e-12
 MEASURE_NORM_TOL = 1e-9
 _GRAM_CHUNK = 1 << 13  # most row pairs that is_orthogonal multiplies out at once
 
@@ -185,13 +180,13 @@ class Layer:
     most one per row, and keeps them only in qsqrt2's integer form,
     int_arrays(): one denominator D shared by the whole layer and each
     entry as (A + B sqrt(2)) / D, so sums of products need no per-step
-    normalization.  int_cols() and float_cols() are lists read once from
-    those arrays; cols reads the QSqrt2 entries back from them.
+    normalization.  int_cols() is a list read once from those arrays; cols
+    reads the QSqrt2 entries back from them.
     Orthogonality (U^T U = I) is checked exactly on demand; algorithm
     construction rejects non-orthogonal layers.
     """
 
-    __slots__ = ("dim", "_int_arrays", "_int_cols", "_float_cols")
+    __slots__ = ("dim", "_int_arrays", "_int_cols")
 
     def __init__(self, dim: int, cols: list[list[tuple[int, QSqrt2]]]):
         if len(cols) != dim:
@@ -209,7 +204,7 @@ class Layer:
     def _keep(self, dim: int, arrays: LayerArrays):
         self.dim = dim
         self._int_arrays = arrays
-        self._int_cols = self._float_cols = None
+        self._int_cols = None
 
     @staticmethod
     def identity(dim: int) -> "Layer":
@@ -229,18 +224,6 @@ class Layer:
         pairs = list(zip(a.tolist(), b.tolist()))
         value = {pair: QSqrt2.over(*pair, D) for pair in set(pairs)}
         return self._columns(list(zip(rows.tolist(), map(value.__getitem__, pairs))))
-
-    def float_cols(self) -> list[list[tuple[int, float]]]:
-        """cols with each entry as QSqrt2.float_over of its integers, which
-        has the bits of float(QSqrt2).  Integers that a double may not
-        hold exactly are divided as Python ints."""
-        if self._float_cols is None:
-            D, _, _, rows, a, b, big = self._int_arrays
-            if max(big, D) >= 1 << 53:
-                a, b = a.astype(object), b.astype(object)
-            values = QSqrt2.float_over(a, b, D).tolist()
-            self._float_cols = self._columns(list(zip(rows.tolist(), values)))
-        return self._float_cols
 
     def int_cols(self) -> tuple[int, list[list[tuple[int, int, int]]]]:
         """int_arrays() as lists: (D, cols) with cols[j] listing (row, A, B),
@@ -416,13 +399,15 @@ _ZERO_ENTRY = ZERO.to_strings()
 
 
 class ExactEntries(Mapping):
-    """Read-only amplitudes of an exact state in qsqrt2's integer form.
+    """Read-only amplitudes of a state in qsqrt2's integer form.
 
     ints[ordinal] = (A, B) holds the amplitude (A + B sqrt 2) / d, in the
-    order the ordinals were reached, and (d, ints) is what int_form gives
-    for the amplitudes.  Reading an amplitude builds its QSqrt2; the
-    kernels and checks read d and ints.  The entries cannot change, so
-    the squared norm is summed once, when first asked for, and kept.
+    order the ordinals were reached.  d is the state's canonical
+    denominator, not reduced: the int_form denominator of the amplitudes
+    the state was built from, times the D of every layer applied since.
+    Reading an amplitude builds its QSqrt2; the kernels and checks read
+    d and ints.  The entries cannot change, so the squared norm is summed
+    once, when first asked for, and kept.
     """
 
     __slots__ = ("d", "ints", "_norm")
@@ -440,16 +425,6 @@ class ExactEntries(Mapping):
             return entries
         d, pairs = int_form(entries.values())
         return ExactEntries(d, dict(zip(entries, pairs)))
-
-    @staticmethod
-    def reduced(d: int, ints: dict[int, tuple[int, int]]) -> "ExactEntries":
-        """(A + B sqrt 2) / d for each (A, B), with d and every integer
-        divided by their common gcd: the least common denominator."""
-        common = math.gcd(d, *itertools.chain.from_iterable(ints.values()))
-        if common > 1:
-            d //= common
-            ints = {k: (A // common, B // common) for k, (A, B) in ints.items()}
-        return ExactEntries(d, ints)
 
     def __getitem__(self, ordinal) -> QSqrt2:
         A, B = self.ints[ordinal]
@@ -488,9 +463,8 @@ class ExactEntries(Mapping):
 
 def _exact_layer(entries: ExactEntries, layer: Layer) -> ExactEntries:
     """Layer product on integers: the state's integers over d times the
-    layer's int_cols() over D, zero sums dropped, reduced to the least
-    common denominator.  Entry j, a1 + b1 sqrt 2, meets each (row, a2, b2)
-    of column j."""
+    layer's int_cols() over D, zero sums dropped, kept over d * D.  Entry
+    j, a1 + b1 sqrt 2, meets each (row, a2, b2) of column j."""
     D, cols = layer.int_cols()
     acc: dict[int, list[int]] = {}
     for j, (a1, b1) in entries.ints.items():
@@ -501,32 +475,12 @@ def _exact_layer(entries: ExactEntries, layer: Layer) -> ExactEntries:
             else:
                 cur[0] += a1 * a2 + 2 * b1 * b2
                 cur[1] += a1 * b2 + b1 * a2
-    return ExactEntries.reduced(entries.d * D, {
-        row: (x, y) for row, (x, y) in acc.items() if x or y
-    })
+    return ExactEntries(entries.d * D, {row: (x, y) for row, (x, y) in acc.items() if x or y})
 
 
 def _exact_rekey(entries: ExactEntries, keys: list[int]) -> ExactEntries:
+    """The i-th entry moved to keys[i], over the same d."""
     return ExactEntries(entries.d, dict(zip(keys, entries.ints.values())))
-
-
-def _float_layer(entries: dict, layer: Layer) -> dict:
-    cols = layer.float_cols()
-    out: dict[int, float] = {}
-    for ordinal, amp in entries.items():
-        for row, v in cols[ordinal]:
-            cur = out.get(row)
-            out[row] = v * amp if cur is None else cur + v * amp
-    return {k: v for k, v in out.items() if v}
-
-
-def _float_rekey(entries: dict, keys: list[int]) -> dict:
-    return dict(zip(keys, entries.values()))
-
-
-def _float_weight(entries: dict, keep=None):
-    amps = entries.values() if keep is None else (a for k, a in entries.items() if keep(k))
-    return sum((a * a for a in amps), 0)
 
 
 def _exact_same(s: tuple[int, int, int], t: tuple[int, int, int]) -> bool:
@@ -547,49 +501,11 @@ def _exact_probability(s: tuple[int, int, int]) -> QSqrt2:
     return p
 
 
-def _float_same(s: float, t: float) -> bool:
-    return s == t or -FLOAT_NORM_TOL <= s - t <= FLOAT_NORM_TOL
-
-
-def _float_probability(p: float) -> float:
-    """p clipped to [0, 1], checked to lie within FLOAT_NORM_TOL of it."""
-    clipped = min(max(p, 0), 1.0)
-    if not _float_same(p, clipped):
-        raise AssertionError(f"acceptance probability {p!r} outside [0, 1]")
-    return clipped
-
-
-class Arithmetic(NamedTuple):
-    """What differs between amplitude modes: zero, one, and the
-    operations on a state's entries.  read gives a state's entries in the
-    form the others take; layer is the layer product; rekey moves the i-th
-    entry to keys[i]; square_sum(entries, keep) sums the squares of the
-    amplitudes whose ordinal keep accepts (all if keep is None), in the
-    form the checks read: (A, B, D) integers in exact mode.  value turns
-    such a sum into the mode's number; same(s, t) tells whether two sums
-    agree, exactly or within FLOAT_NORM_TOL; probability(s) is value(s)
-    checked to lie in [0, 1], and in float mode clipped to it.  The float
-    zero is the int 0 of a plain sum(), so a float acceptance with no
-    accepting state reads 0."""
-
-    zero: object
-    one: object
-    read: Callable[[Mapping], Mapping]
-    layer: Callable[[Mapping, Layer], Mapping]
-    rekey: Callable[[Mapping, list], Mapping]
-    square_sum: Callable
-    value: Callable
-    same: Callable[..., bool]
-    probability: Callable
-
-
-MODES = {
-    "exact": Arithmetic(ZERO, ONE, ExactEntries.of, _exact_layer, _exact_rekey,
-                        ExactEntries.square_sum, lambda s: QSqrt2.over(*s), _exact_same,
-                        _exact_probability),
-    "float": Arithmetic(0, 1.0, lambda entries: entries, _float_layer, _float_rekey,
-                        _float_weight, lambda s: s, _float_same, _float_probability),
-}
+def float_probability(s: tuple[int, int, int]) -> float:
+    """An exact probability (A + B sqrt 2) / D, already checked to lie in
+    [0, 1], as a double: QSqrt2.float_over, clipped to [0.0, 1.0], past
+    whose ends its rounding may step."""
+    return min(max(QSqrt2.float_over(*s), 0.0), 1.0)
 
 
 def _accepting(ordinal: int) -> int:
@@ -598,49 +514,41 @@ def _accepting(ordinal: int) -> int:
 
 
 class StateVector:
-    """Sparse amplitude vector over a StateSpace.
+    """Sparse vector of exact amplitudes over a StateSpace.
 
-    mode "exact" holds QSqrt2 amplitudes, mode "float" holds doubles.
     Entries are keyed internally by basis ordinal; items() exposes
-    (BasisState, amplitude) pairs.  An exact state may be built from a
-    plain dict of QSqrt2; it keeps the dict's ExactEntries, the read-only
-    form every kernel takes and returns.
+    (BasisState, QSqrt2) pairs.  A state may be built from a plain dict
+    of QSqrt2; it keeps the dict's ExactEntries, the read-only form every
+    kernel takes and returns.
     """
 
-    __slots__ = ("space", "mode", "entries")
+    __slots__ = ("space", "entries")
 
-    def __init__(self, space: StateSpace, mode: str = "exact", entries=None):
-        if mode not in MODES:
-            raise ValueError("mode must be 'exact' or 'float'")
+    def __init__(self, space: StateSpace, entries: Mapping | None = None):
         self.space = space
-        self.mode = mode
-        self.entries: Mapping = MODES[mode].read(entries if entries is not None else {})
+        self.entries = ExactEntries.of(entries if entries is not None else {})
 
     @staticmethod
-    def from_basis_state(
-        space: StateSpace, state: BasisState, mode: str = "exact"
-    ) -> "StateVector":
-        return StateVector(space, mode, {space.encode(state): MODES[mode].one})
+    def from_basis_state(space: StateSpace, state: BasisState) -> "StateVector":
+        return StateVector(space, ExactEntries(1, {space.encode(state): (1, 0)}))
 
     def items(self):
         for ordinal, amp in self.entries.items():
             yield self.space.decode(ordinal), amp
 
-    def amplitude(self, state: BasisState):
-        return self.entries.get(self.space.encode(state), MODES[self.mode].zero)
+    def amplitude(self, state: BasisState) -> QSqrt2:
+        return self.entries.get(self.space.encode(state), ZERO)
 
-    def weight(self, keep=None):
+    def weight(self, keep=None) -> QSqrt2:
         """Total squared amplitude on the ordinals keep accepts (all if None)."""
-        m = MODES[self.mode]
-        return m.value(m.square_sum(self.entries, keep))
+        return QSqrt2.over(*self.entries.square_sum(keep))
 
-    def squared_norm(self):
+    def squared_norm(self) -> QSqrt2:
         return self.weight()
 
 
 def _same_norm(a: StateVector, b: StateVector) -> bool:
-    m = MODES[a.mode]
-    return m.same(m.square_sum(a.entries), m.square_sum(b.entries))
+    return _exact_same(a.entries.square_sum(), b.entries.square_sum())
 
 
 def _check_norm_preserved(before: StateVector, after: StateVector, what: str):
@@ -655,7 +563,7 @@ def apply_unitary(state: StateVector, layer: Layer) -> StateVector:
     """Apply one input-independent orthogonal layer."""
     if layer.dim != state.space.dim:
         raise ValueError("layer dimension does not match state space")
-    result = StateVector(state.space, state.mode, MODES[state.mode].layer(state.entries, layer))
+    result = StateVector(state.space, _exact_layer(state.entries, layer))
     _check_norm_preserved(state, result, "unitary layer")
     return result
 
@@ -672,7 +580,7 @@ def apply_standard_query(state: StateVector, inst: Instance) -> StateVector:
     ]
     entries = state.entries
     keys = [ordinal ^ masks[(ordinal >> 1) % space.index_size] for ordinal in entries]
-    result = StateVector(space, state.mode, MODES[state.mode].rekey(entries, keys))
+    result = StateVector(space, _exact_rekey(entries, keys))
     _check_norm_preserved(state, result, "standard query")
     return result
 
@@ -714,10 +622,10 @@ def apply_erasing_query(state: StateVector, inst: Instance) -> StateVector:
                 f"erasing query applied to a state outside the query domain (index {idx})"
             )
         keys.append(ordinal + (new_idx - idx) * 2)
-    out = MODES[state.mode].rekey(entries, keys)
+    out = _exact_rekey(entries, keys)
     if len(out) != len(entries):
         raise AssertionError("erasing map collided; input claimed injective")
-    result = StateVector(space, state.mode, out)
+    result = StateVector(space, out)
     _check_norm_preserved(state, result, "erasing query")
     return result
 
@@ -770,13 +678,13 @@ class QueryAlgorithm:
         if inst.kind != self.kind or inst.n != self.n:
             raise ConfigError("instance incompatible with algorithm")
 
-    def run(self, inst: Instance, mode: str = "exact") -> StateVector:
+    def run(self, inst: Instance) -> StateVector:
         """Apply U_0, then (query, U_t) for t = 1..T; returns the final state."""
         self.check_instance(inst)
         query = (
             apply_standard_query if self.oracle_kind == "standard" else apply_erasing_query
         )
-        start = StateVector.from_basis_state(self.space, self.initial, mode)
+        start = StateVector.from_basis_state(self.space, self.initial)
         state = apply_unitary(start, self.layers[0])
         for t in range(1, self.T + 1):
             state = query(state, inst)
@@ -841,19 +749,24 @@ class QueryAlgorithm:
 
 
 def acceptance_probability(alg: QueryAlgorithm, inst: Instance, mode: str = "exact"):
-    """Probability of measuring output 2 after the full circuit.
-
-    Exact mode returns a QSqrt2 value checked to lie in [0, 1]; float mode
-    returns a double checked to lie within FLOAT_NORM_TOL of it, clipped.
-    """
-    m = MODES[mode]
-    return m.probability(m.square_sum(alg.run(inst, mode).entries, _accepting))
+    """Probability of measuring output 2 after the full circuit, checked
+    exactly to lie in [0, 1].  Exact mode returns it as a QSqrt2; float
+    mode returns float_probability of the same exact sum."""
+    if mode not in ("exact", "float"):
+        raise ValueError("mode must be 'exact' or 'float'")
+    s = alg.run(inst).entries.square_sum(_accepting)
+    p = _exact_probability(s)
+    return p if mode == "exact" else float_probability(s)
 
 
 def sample_measurement(state: StateVector, rng: random.Random) -> BasisState:
-    """Draw one basis state with probability equal to its squared amplitude."""
-    ordinals = list(state.entries)
-    weights = [a * a for a in map(float, state.entries.values())]
+    """Draw one basis state with probability equal to its squared
+    amplitude, each weight QSqrt2.float_over of the entry's exact square
+    (A^2 + 2 B^2 + 2 A B sqrt 2) / d^2, read from its integers."""
+    ints = state.entries.ints
+    d2 = state.entries.d ** 2
+    ordinals = list(ints)
+    weights = [QSqrt2.float_over(A * A + 2 * B * B, 2 * A * B, d2) for A, B in ints.values()]
     total = sum(weights)
     if abs(total - 1.0) > MEASURE_NORM_TOL:
         raise ValueError(f"state is not normalized (squared norm {total})")

@@ -66,15 +66,16 @@ def test_simulated_probability_matches_set_arithmetic():
 
 @pytest.mark.parametrize("inst, exact, approx", [
     (equal_sets_instance(4), Fraction(0), 0.0),
-    (boundary_instance(), Fraction(1, 20), 0.05000000000000001),
+    (boundary_instance(), Fraction(1, 20), 0.05),
     (Instance(kind="setcomp", n=6, x=(9, 7, 5, 6, 10, 2), y=(12, 9, 5, 2, 1, 11)),
-     Fraction(1, 4), 0.25000000000000006),
+     Fraction(1, 4), 0.25),
     (Instance(kind="setcomp", n=6, x=(7, 12, 5, 9, 6, 8), y=(11, 7, 3, 9, 1, 2)),
-     Fraction(1, 3), 0.3333333333333334),
+     Fraction(1, 3), 0.3333333333333333),
 ])
 def test_erasing_probability_keeps_its_types_and_bits(inst, exact, approx):
-    # Float values are pinned bit for bit, from the hand-written pair-bit loop
-    # that the per-mode square sum replaced.
+    # Float values are pinned bit for bit: the exact Fraction rounded once.
+    # The float run on 1/sqrt(2n) amplitudes that this replaced read
+    # 0.05000000000000001, 0.25000000000000006 and 0.3333333333333334.
     p = erasing_setcomp_probability(inst, "exact")
     assert type(p) is Fraction and p == exact
     q = erasing_setcomp_probability(inst, "float")

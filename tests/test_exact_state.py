@@ -1,10 +1,12 @@
 """The exact state carried in integer form from step to step.
 
-Each kernel returns an exact state as ExactEntries: the integers (d, ints)
-of qsqrt2's integer form.  These tests run every step beside the
-reference kernels on dicts of QSqrt2 (tests/helpers.py), require the
-carried integers to be the int_form of the reference amplitudes, and
-check that the per-step norm comparison still catches a broken layer.
+Each kernel returns an exact state as ExactEntries: integers (A, B) over
+one denominator d, in qsqrt2's integer form but not reduced.  These tests
+run every step beside the reference kernels on dicts of QSqrt2
+(tests/helpers.py), require d to be the initial denominator times the D
+of every layer applied so far and each (A, B) to be d times the reference
+amplitude, and check that the per-step norm comparison still catches a
+broken layer.
 """
 
 import functools
@@ -31,13 +33,14 @@ from collisionlab.instances import (
 )
 from collisionlab.qsqrt2 import ONE, SQRT2, ZERO, QSqrt2, int_form
 from collisionlab.simulator import (
-    MODES,
     BasisState,
     ExactEntries,
     Layer,
     QueryAlgorithm,
     StateSpace,
     StateVector,
+    _exact_probability,
+    _exact_same,
     acceptance_probability,
     apply_erasing_query,
     apply_standard_query,
@@ -67,12 +70,20 @@ def exact_steps(alg: QueryAlgorithm, inst: Instance):
 
 
 def assert_carries_the_reference(alg: QueryAlgorithm, inst: Instance):
+    """At every step the state's d is the initial basis state's int_form
+    denominator times the D of each layer applied so far, and each (A, B),
+    in the reference's order, is d times the reference amplitude."""
     final = None
-    for state, expected in itertools.zip_longest(exact_steps(alg, inst), reference_exact_steps(alg, inst)):
+    d = int_form([ONE])[0]
+    steps = itertools.zip_longest(exact_steps(alg, inst), reference_exact_steps(alg, inst))
+    for step, (state, expected) in enumerate(steps):
+        if step % 2 == 0:  # U_0, then U_t after the t-th query
+            d *= alg.layers[step // 2].int_arrays().D
         entries = state.entries
         assert type(entries) is ExactEntries
-        d, pairs = int_form(expected.values())
-        assert (entries.d, list(entries.ints.items())) == (d, list(zip(expected, pairs)))
+        assert entries.d == d
+        scaled = [(k, d * v) for k, v in expected.items()]
+        assert list(entries.ints.items()) == [(k, (w.a, w.b)) for k, w in scaled]
         assert state.squared_norm() == reference_exact_square_sum(expected.values())
         final = expected
     accepting = reference_exact_square_sum(v for k, v in final.items() if k & 1)
@@ -118,7 +129,7 @@ def test_an_erasing_circuit_carries_the_int_form_of_the_reference_state():
 def test_a_hand_built_state_holds_the_int_form_of_its_dict():
     space = StateSpace(index_size=2, workspace_bits=1, answer_bits=1)
     amps = {3: QSqrt2(Fraction(1, 2)), 0: QSqrt2(0, Fraction(-1, 6)), 5: QSqrt2(1, 1)}
-    state = StateVector(space, "exact", dict(amps))
+    state = StateVector(space, dict(amps))
     converted = state.entries
     assert type(converted) is ExactEntries and converted == amps
     assert (converted.d, list(converted.ints.items())) == (6, [(3, (3, 0)), (0, (0, -1)), (5, (6, 6))])
@@ -284,7 +295,7 @@ def random_sum(rng: random.Random) -> tuple[int, int, int]:
 
 
 def test_the_integer_norm_comparison_is_qsqrt2_equality():
-    same = MODES["exact"].same
+    same = _exact_same
     rng = random.Random(41)
     for _ in range(2000):
         s, t = random_sum(rng), random_sum(rng)
@@ -295,7 +306,7 @@ def test_the_integer_norm_comparison_is_qsqrt2_equality():
 
 
 def test_the_integer_unit_interval_check_is_the_qsqrt2_clip():
-    probability = MODES["exact"].probability
+    probability = _exact_probability
     rng = random.Random(42)
     inside = outside = 0
     for _ in range(2000):

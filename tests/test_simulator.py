@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from collisionlab import simulator
+from collisionlab.algorithms import erasing_setcomp_probability
 from collisionlab.circuits import (
     REFERENCE_BUILDERS,
     accept_if_first_is,
@@ -21,8 +22,8 @@ from collisionlab.circuits import (
     setcomp_space,
     two_query_mixer,
 )
-from collisionlab.instances import Instance
-from collisionlab.qsqrt2 import QSqrt2, ZERO
+from collisionlab.instances import Instance, QuasilatticePoint, SuperQuasilatticePoint, sample_input
+from collisionlab.qsqrt2 import QSqrt2, ZERO, int_form
 from collisionlab.simulator import (
     BasisState,
     Layer,
@@ -112,7 +113,7 @@ def test_uniform_superposition_query_hand_simulation():
     entries = {
         space.encode(BasisState(0, i, 1)): half for i in range(1, 5)
     }
-    state = StateVector(space, "exact", entries)
+    state = StateVector(space, entries)
     out = apply_standard_query(state, inst)
     for i, v in enumerate(inst.x, start=1):
         assert out.amplitude(BasisState(v, i, 1)) == half
@@ -143,7 +144,7 @@ def test_erasing_amplitudes_pair_up_when_equal_sets():
     for b in (0, 1):
         for i in range(1, 5):
             entries[space.encode(BasisState(0, b * 8 + i, 1))] = one
-    out = apply_erasing_query(StateVector(space, "exact", entries), inst)
+    out = apply_erasing_query(StateVector(space, entries), inst)
     for v in range(1, 5):
         assert out.amplitude(BasisState(0, v, 1)) == out.amplitude(BasisState(0, 8 + v, 1))
 
@@ -173,7 +174,7 @@ def test_erasing_moves_collision_basis_states_to_the_queried_value():
     space = erasing_space(inst, workspace_bits=1)
     # ordinal = (workspace * 4 + index - 1) * 2 + output - 1
     before = {0: QSqrt2(1), 3: QSqrt2(2), 6: QSqrt2(3), 13: QSqrt2(4)}
-    out = apply_erasing_query(StateVector(space, "exact", dict(before)), inst)
+    out = apply_erasing_query(StateVector(space, dict(before)), inst)
     # index 1 -> 3, 2 -> 1, 4 -> 2, 3 -> 4; workspace and output kept
     assert out.entries == {4: QSqrt2(1), 1: QSqrt2(2), 2: QSqrt2(3), 15: QSqrt2(4)}
 
@@ -184,7 +185,7 @@ def test_erasing_moves_setcomp_basis_states_to_the_queried_value():
     assert space.index_size == 8
     # addresses b*4 + i: 1, 2 (x) and 5, 6 (y); ordinal = (index - 1) * 2 + output - 1
     before = {0: QSqrt2(1), 3: QSqrt2(2), 8: QSqrt2(3), 11: QSqrt2(4)}
-    out = apply_erasing_query(StateVector(space, "exact", dict(before)), inst)
+    out = apply_erasing_query(StateVector(space, dict(before)), inst)
     # index 1 -> 3, 2 -> 1, 5 -> 4 + 2, 6 -> 4 + 4
     assert out.entries == {4: QSqrt2(1), 1: QSqrt2(2), 10: QSqrt2(3), 15: QSqrt2(4)}
 
@@ -209,19 +210,18 @@ def test_erasing_rejects_a_space_of_the_wrong_size(inst, index_size):
         apply_erasing_query(state, inst)
 
 
-@pytest.mark.parametrize("mode, kind", [("exact", QSqrt2), ("float", float)])
-def test_both_modes_keep_their_amplitude_type_and_store_no_zero(mode, kind):
+def test_a_state_keeps_qsqrt2_amplitudes_and_stores_no_zero():
     space = StateSpace(index_size=2)
     h = index_register_layer(space, hadamard_matrix(1))
-    state = StateVector.from_basis_state(space, BasisState(0, 1, 2), mode)
+    state = StateVector.from_basis_state(space, BasisState(0, 1, 2))
     once = apply_unitary(state, h)
     assert len(once.entries) == 2
     for value in (once.squared_norm(), acceptance_weight(once), once.amplitude(BasisState(0, 2, 2))):
-        assert type(value) is kind
+        assert type(value) is QSqrt2
     # H.H = I: the index-2 amplitude cancels and must not be stored
     twice = apply_unitary(once, h)
     assert list(twice.entries) == [space.encode(BasisState(0, 1, 2))]
-    assert abs(float(twice.amplitude(BasisState(0, 1, 2))) - 1) < 1e-12
+    assert twice.amplitude(BasisState(0, 1, 2)) == QSqrt2(1)
 
 
 def test_acceptance_examples():
@@ -248,6 +248,57 @@ def test_exact_and_float_modes_agree():
         exact = float(acceptance_probability(alg, inst, "exact"))
         approx = acceptance_probability(alg, inst, "float")
         assert abs(exact - approx) < 1e-9
+
+
+def rounded_and_clipped(A: int, B: int, D: int) -> float:
+    return min(max(QSqrt2.float_over(A, B, D), 0.0), 1.0)
+
+
+def test_float_acceptance_is_float_over_of_the_exact_sum(tmp_path):
+    """Every reference circuit and a dumped and reloaded two_query_mixer(8),
+    on seeded draws from their families: the float acceptance has the bits
+    of QSqrt2.float_over of the exact (A, B, D), clipped to [0.0, 1.0],
+    whether the sum is read unreduced from the final state or reduced from
+    the exact QSqrt2."""
+    path = tmp_path / "two_query_mixer8.json"
+    two_query_mixer(8).dump(path)
+    algs = [build() for build in REFERENCE_BUILDERS.values()] + [QueryAlgorithm.load(path)]
+    rng = random.Random(53)
+    seen = set()
+    for alg in algs:
+        for g in (g for g in (1, 2) if alg.n % g == 0):
+            if alg.kind == "collision":
+                point = QuasilatticePoint(g, alg.n)
+            else:
+                point = SuperQuasilatticePoint(g, alg.n, alg.n)
+            for _ in range(3):
+                inst = sample_input(point, alg.n, rng)
+                exact = acceptance_probability(alg, inst, "exact")
+                approx = acceptance_probability(alg, inst, "float")
+                carried = alg.run(inst).entries.square_sum(lambda ordinal: ordinal & 1)
+                D, [(A, B)] = int_form([exact])
+                assert QSqrt2.over(*carried) == exact
+                assert type(approx) is float
+                assert approx.hex() == rounded_and_clipped(*carried).hex() == rounded_and_clipped(A, B, D).hex()
+                seen.add(approx in (0.0, 1.0))
+    assert seen == {True, False}
+    for n in (2, 3, 5):
+        for _ in range(4):
+            x, y = rng.sample(range(1, 2 * n + 1), n), rng.sample(range(1, 2 * n + 1), n)
+            inst = Instance(kind="setcomp", n=n, x=tuple(x), y=tuple(y))
+            p = erasing_setcomp_probability(inst, "exact")
+            approx = erasing_setcomp_probability(inst, "float")
+            assert type(approx) is float
+            assert approx.hex() == rounded_and_clipped(p.numerator, 0, p.denominator).hex()
+
+
+@pytest.mark.parametrize("mode", ["shots", "Float", None])
+def test_an_unknown_mode_raises(mode):
+    alg = coincidence_probe(4)
+    with pytest.raises(ValueError, match="^mode must be 'exact' or 'float'$"):
+        acceptance_probability(alg, Instance(kind="collision", n=4, x=(2, 2, 4, 4)), mode)
+    with pytest.raises(ValueError, match="^mode must be 'exact' or 'float'$"):
+        erasing_setcomp_probability(Instance(kind="setcomp", n=2, x=(1, 2), y=(2, 1)), mode)
 
 
 def test_non_orthogonal_layer_rejected_at_construction():
@@ -278,7 +329,7 @@ def test_sample_measurement_deterministic_state():
 def test_sample_measurement_uniform_two_state():
     space = StateSpace(index_size=2)
     h = QSqrt2.inv_sqrt2()
-    state = StateVector(space, "exact", {
+    state = StateVector(space, {
         space.encode(BasisState(0, 1, 1)): h,
         space.encode(BasisState(0, 2, 1)): h,
     })
@@ -292,7 +343,7 @@ def test_sample_measurement_tracks_acceptance_probability():
     alg = coincidence_probe(4)
     inst = Instance(kind="collision", n=4, x=(2, 2, 4, 4))
     p = float(acceptance_probability(alg, inst))
-    final = alg.run(inst, mode="float")
+    final = alg.run(inst)
     rng = random.Random(99)
     draws = 20_000
     hits = sum(1 for _ in range(draws) if sample_measurement(final, rng).output == 2)
@@ -300,9 +351,19 @@ def test_sample_measurement_tracks_acceptance_probability():
     assert abs(hits / draws - p) < 3 * sigma + 1e-12
 
 
+def test_sample_measurement_weighs_the_carried_integers(monkeypatch):
+    """Each weight is QSqrt2.float_over of an entry's exact square, read
+    from its integers: sampling builds no QSqrt2."""
+    final = coincidence_probe(4).run(Instance(kind="collision", n=4, x=(2, 2, 4, 4)))
+    states = {state for state, _ in final.items()}
+    monkeypatch.setattr(QSqrt2, "over", None)
+    rng = random.Random(3)
+    assert {sample_measurement(final, rng) for _ in range(200)} <= states
+
+
 def test_sample_measurement_rejects_unnormalized():
     space = StateSpace(index_size=2)
-    state = StateVector(space, "float", {0: 0.5, 2: 0.5})
+    state = StateVector(space, {0: QSqrt2(Fraction(1, 2)), 2: QSqrt2(Fraction(1, 2))})
     with pytest.raises(ValueError, match="not normalized"):
         sample_measurement(state, random.Random(0))
 
@@ -455,8 +516,6 @@ def test_every_list_form_is_read_from_the_stored_integer_arrays(tmp_path):
         Layer(2, [[(0, QSqrt2(Fraction(7919 * k, 3**37), Fraction(k, 3**37)))] for k in (19, 23)]),
     ]
     for layer in [layer for alg in algs for layer in alg.layers] + wide:
-        expected = [[(r, float(v).hex()) for r, v in col] for col in layer.cols]
-        assert [[(r, v.hex()) for r, v in col] for col in layer.float_cols()] == expected
         own, rebuilt = layer.int_arrays(), Layer(layer.dim, layer.cols).int_arrays()
         assert (rebuilt.D, rebuilt.big) == (own.D, own.big)
         for mine, theirs in zip(own[1:6], rebuilt[1:6]):
@@ -689,15 +748,15 @@ def test_layer_from_json_rejects_malformed_input():
 
 
 def reference_apply_unitary(state: StateVector, layer: Layer) -> StateVector:
-    """The layer product as one QSqrt2 (or float) multiply-add per nonzero,
-    in entry order, zero sums dropped: the loop the integer kernel replaced."""
-    cols = layer.cols if state.mode == "exact" else layer.float_cols()
+    """The layer product as one QSqrt2 multiply-add per nonzero, in entry
+    order, zero sums dropped: the loop the integer kernel replaced."""
+    cols = layer.cols
     out = {}
     for ordinal, amp in state.entries.items():
         for row, v in cols[ordinal]:
             cur = out.get(row)
             out[row] = v * amp if cur is None else cur + v * amp
-    return StateVector(state.space, state.mode, {k: v for k, v in out.items() if v})
+    return StateVector(state.space, {k: v for k, v in out.items() if v})
 
 
 def random_qsqrt2(rng: random.Random) -> QSqrt2:
@@ -715,7 +774,7 @@ def random_states(space: StateSpace, layer: Layer, rng: random.Random):
     dense = to_dense(layer)
     for _ in range(4):
         ordinals = rng.sample(range(space.dim), rng.randint(1, space.dim))
-        yield StateVector(space, "exact", {k: random_qsqrt2(rng) for k in ordinals})
+        yield StateVector(space, {k: random_qsqrt2(rng) for k in ordinals})
     for size in (1, 2, 3):
         entries: dict = {}
         for r in rng.sample(range(space.dim), size):
@@ -723,7 +782,7 @@ def random_states(space: StateSpace, layer: Layer, rng: random.Random):
             for j, v in enumerate(dense[r]):
                 if v:
                     entries[j] = entries.get(j, ZERO) + c * v
-        yield StateVector(space, "exact", {k: v for k, v in entries.items() if v})
+        yield StateVector(space, {k: v for k, v in entries.items() if v})
 
 
 def test_integer_kernel_matches_the_qsqrt2_reference():
@@ -739,9 +798,6 @@ def test_integer_kernel_matches_the_qsqrt2_reference():
                 assert list(out.entries.items()) == list(expected.entries.items())
                 assert all(type(v) is QSqrt2 for v in out.entries.values())
                 cancelled += len(out.entries) < len(state.entries)
-                approx = StateVector(space, "float", {k: float(v) for k, v in state.entries.items()})
-                got = list(apply_unitary(approx, layer).entries.items())
-                assert got == list(reference_apply_unitary(approx, layer).entries.items())
     assert cancelled
 
 
@@ -789,7 +845,7 @@ def test_non_orthogonal_layer_breaks_the_exact_norm_check(amps, first_cols, befo
     layer = identity_except(space.dim, first_cols)
     message = f"unitary layer changed the squared norm from {before} to {after}"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        apply_unitary(StateVector(space, "exact", dict(amps)), layer)
+        apply_unitary(StateVector(space, dict(amps)), layer)
 
 
 # -- runtime checks survive python -O --------------------------------------------
@@ -824,7 +880,7 @@ alg = coincidence_probe(4)
 real = simulator.apply_unitary
 def unnormalized(state, layer):
     out = real(state, layer)
-    return simulator.StateVector(out.space, out.mode, {k: v * 2 for k, v in out.entries.items()})
+    return simulator.StateVector(out.space, {k: v * 2 for k, v in out.entries.items()})
 simulator.apply_unitary = unnormalized
 simulator._check_norm_preserved = lambda *args: None
 try:
