@@ -53,7 +53,7 @@ from .polymethod import (
     gamma_closed,
 )
 from .reports import emit_report, render_number
-from .simulator import QueryAlgorithm, acceptance_probability, sample_measurement
+from .simulator import QueryAlgorithm, final_acceptance, sample_measurement
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -124,7 +124,8 @@ def cmd_simulate(args) -> int:
         inst = sample_input(args.point, alg.n, rng)
     else:
         raise ConfigError("simulate needs --instance or --point")
-    p = acceptance_probability(alg, inst, mode=args.mode)
+    final = alg.run(inst)
+    p = final_acceptance(final, args.mode)
     result = {
         "algorithm": alg.name,
         "n": alg.n,
@@ -134,7 +135,6 @@ def cmd_simulate(args) -> int:
         "acceptance_probability": p.as_fraction() if args.mode == "exact" else p,
     }
     if args.shots:
-        final = alg.run(inst)
         counts: dict[str, int] = {}
         for _ in range(args.shots):
             b = sample_measurement(final, rng)
@@ -191,14 +191,15 @@ def cmd_verify_gamma(args) -> int:
     all_equal = True
     for n, points in sweep:
         monos = list(all_monomials(n, args.max_degree))
+        labels = [monomial_label(m) for m in monos]
         for point in points:
+            fields = {"n": n, **point._asdict()}
             brute = gamma_bruteforce_sweep(monos, point, n, cap=args.enum_cap)
-            for m, b in zip(monos, brute):
+            for m, label, b in zip(monos, labels, brute):
                 c = gamma_closed(m, point, n)
                 equal = c == b
                 all_equal &= equal
-                rows.append({"n": n, **point._asdict(), "monomial": monomial_label(m),
-                             "closed": c, "brute": b, "equal": equal})
+                rows.append({**fields, "monomial": label, "closed": c, "brute": b, "equal": equal})
     result = {"all_equal": all_equal, "cases": len(rows)}
     report(args, {"summary": result, "rows": rows}, rows,
            f"all equal: {str(all_equal).lower()} ({len(rows)} cases)")

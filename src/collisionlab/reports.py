@@ -5,8 +5,9 @@ carry no timestamps, dict ordering is construction order and rationals
 are serialized as "p/q" (qsqrt2.format_fraction).  JSON writes floats by
 repr, the shortest string that reads back as the same double; CSV rows
 and summary lines write them with render_number's 17 significant digits.
-JSON reports are strict JSON: a value that is not a finite float (a NaN
-endpoint, say) is written as null.
+JSON reports are strict JSON, written in one pass over the raw report
+values: the same bytes as json.dumps(jsonable(doc), indent=2), so a
+float that is not finite (a NaN endpoint, say) is written as null.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .qsqrt2 import format_fraction
 
@@ -42,23 +44,102 @@ def jsonable(v):
     return v
 
 
-def report_payload(config: dict, results, constants: dict) -> dict:
-    return {"config": jsonable(config), "constants": jsonable(constants), "results": jsonable(results)}
+def _float_text(v: float) -> str:
+    return float.__repr__(v) if math.isfinite(v) else "null"
 
 
-def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+# The JSON text of a leaf, by exact type; subclasses go through
+# _subclass_text, which tries these types in jsonable's order.
+_LEAF_TEXT = {
+    str: _quote,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+    int: int.__repr__,
+    float: _float_text,
+    Fraction: lambda v: _quote(format_fraction(v)),
+}
+_SUBCLASS_ORDER = (Fraction, float, str, int)
+
+
+def _subclass_text(v) -> str:
+    for cls in _SUBCLASS_ORDER:
+        if isinstance(v, cls):
+            return _LEAF_TEXT[cls](v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _key_text(k) -> str:
+    """A dict key as json writes it: a string, or a float, bool, None or
+    int turned into one; a non-finite float key is not strict JSON."""
+    if isinstance(k, str):
+        return _quote(k)
+    if isinstance(k, float):
+        if not math.isfinite(k):
+            raise ValueError(f"Out of range float values are not JSON compliant: {k!r}")
+        return _quote(float.__repr__(k))
+    if k is True or k is False or k is None:
+        return _quote(_LEAF_TEXT[type(k)](k))
+    if isinstance(k, int):
+        return _quote(int.__repr__(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _write(v, pad: str, out: list) -> None:
+    """Append the JSON text of v to out; pad is a newline and the
+    indentation of the line v starts on."""
+    text = _LEAF_TEXT.get(type(v))
+    if text is not None:
+        out.append(text(v))
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for k, x in v.items():
+            out.append(f"{sep}{_key_text(k)}: ")
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:
+        out.append(_subclass_text(v))
+
+
+def render_json(doc) -> str:
+    """doc as strict JSON with 2-space indentation, in one pass: the bytes
+    of json.dumps(jsonable(doc), indent=2, allow_nan=False) + newline.
+    Anything json.dumps would reject raises TypeError (or ValueError for
+    a non-finite float key)."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_csv(config: dict, rows: list[dict], header: list[str] | None = None) -> str:
     """Comment line with the config, then header, then one line per row.
 
-    All rows must share one key set; an empty row list with an explicit
-    header still yields a valid file with the header only.
+    All rows must share one key set, which an explicit header must name in
+    order; an empty row list with an explicit header still yields a valid
+    file with the header only.
     """
     lines = ["# config: " + json.dumps(jsonable(config), separators=(",", ":"))]
     if rows:
-        header = list(rows[0].keys())
+        keys = list(rows[0].keys())
+        if header is not None and list(header) != keys:
+            raise ValueError(f"CSV header {list(header)} does not match the row keys {keys}")
+        header = keys
     if header is not None:
         lines.append(",".join(header))
     for row in rows:
@@ -83,7 +164,7 @@ def emit_report(
     carries the flat rows.
     """
     if fmt == "json":
-        text = render_json(report_payload(config, results, constants))
+        text = render_json({"config": config, "constants": constants, "results": results})
     elif fmt == "csv":
         text = render_csv(config, rows, header)
     else:

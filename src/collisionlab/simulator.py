@@ -748,15 +748,20 @@ class QueryAlgorithm:
             return QueryAlgorithm.from_json(json.load(fh))
 
 
-def acceptance_probability(alg: QueryAlgorithm, inst: Instance, mode: str = "exact"):
-    """Probability of measuring output 2 after the full circuit, checked
+def final_acceptance(state: StateVector, mode: str = "exact"):
+    """Probability of measuring output 2 in a final state, checked
     exactly to lie in [0, 1].  Exact mode returns it as a QSqrt2; float
     mode returns float_probability of the same exact sum."""
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
-    s = alg.run(inst).entries.square_sum(_accepting)
+    s = state.entries.square_sum(_accepting)
     p = _exact_probability(s)
     return p if mode == "exact" else float_probability(s)
+
+
+def acceptance_probability(alg: QueryAlgorithm, inst: Instance, mode: str = "exact"):
+    """final_acceptance of the state the full circuit leaves on inst."""
+    return final_acceptance(alg.run(inst), mode)
 
 
 def sample_measurement(state: StateVector, rng: random.Random) -> BasisState:

@@ -15,6 +15,7 @@ from collisionlab.instances import Instance, count_supports, divisor_points
 from collisionlab.polymethod import extract_polynomial
 from collisionlab.setcomp_poly import assemble_q3, prefactor3
 from collisionlab.reports import jsonable, render_csv, render_json
+from collisionlab.simulator import QueryAlgorithm
 
 
 def run(args, capsys):
@@ -503,11 +504,45 @@ def test_empty_csv_has_header_only():
     assert len(lines) == 2
 
 
-def test_json_reports_are_strict():
+def test_csv_header_must_match_the_row_keys():
+    rows = [{"a": 1, "b": 2}]
+    assert render_csv({}, rows, header=["a", "b"]) == render_csv({}, rows)
+    with pytest.raises(ValueError, match="does not match the row keys"):
+        render_csv({}, rows, header=["b", "a"])
+    with pytest.raises(ValueError, match="does not match the row keys"):
+        render_csv({}, rows, header=["a"])
+
+
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_json_reports_are_strict(tmp_path, capsys):
     doc = {"a": float("nan"), "b": [float("inf"), -float("inf")], "c": 0.5}
     assert jsonable(doc) == {"a": None, "b": [None, None], "c": 0.5}
-    with pytest.raises(ValueError):
-        render_json({"a": float("nan")})
+    text = render_json(doc)
+    assert text == json.dumps(jsonable(doc), indent=2, allow_nan=False) + "\n"
+    assert json.loads(text, parse_constant=reject_constant) == jsonable(doc)
+    out = tmp_path / "control.json"
+    assert run(["chain", "--negative-control", "--output", str(out)], capsys)[0] == 0
+    report = out.read_text()
+    assert json.loads(report, parse_constant=reject_constant)["results"]["endpoint_low"] is None
+    assert '"endpoint_low": null' in report
+
+
+@pytest.mark.parametrize("extra", [["--shots", "10"], ["--mode", "float", "--shots", "3"]])
+def test_simulate_runs_the_circuit_once(extra, monkeypatch, capsys):
+    calls = []
+    run_circuit = QueryAlgorithm.run
+
+    def counted(self, inst):
+        calls.append(inst)
+        return run_circuit(self, inst)
+
+    monkeypatch.setattr(QueryAlgorithm, "run", counted)
+    code, _, _ = run(["simulate", "--algorithm", "coincidence-4", "--point", "2,4", *extra], capsys)
+    assert code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("algorithm, root", [
