@@ -149,7 +149,7 @@ def grover_search(
             state = apply_unitary(state, oracle)
             state = apply_unitary(state, diffusion)
         probs = [Fraction(0)] * size
-        for ordinal, a in state.entries.items():
+        for ordinal, a in state.items():
             idx = (ordinal >> 1) % size
             probs[idx] += (a * a).as_fraction()
         return probs

@@ -233,6 +233,8 @@ def cmd_verify_identity(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    if args.negative_control and args.algorithm:
+        raise ConfigError("chain takes --algorithm or --negative-control, not both")
     if args.negative_control:
         try:
             float(args.steepness)

@@ -62,6 +62,13 @@ def _json_integer(value) -> int:
     return value
 
 
+def _json_string(value) -> str:
+    """A JSON string as is; any other value is the wrong type."""
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def json_field(doc, key: str, convert=_json_integer):
     """convert(doc[key]) for a file reader: a missing key, or a value that
     convert rejects, is a ValueError that names the field."""

@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .instances import (
+    ConfigError,
     Instance,
     enumerate_rows,
     kappa,
@@ -110,7 +111,7 @@ def extract_polynomial(alg: QueryAlgorithm) -> MultilinearPoly:
     past either bound the same arrays hold Python ints.
     """
     if alg.oracle_kind != "standard":
-        raise ValueError("polynomial extraction is defined for standard-oracle algorithms")
+        raise ConfigError("polynomial extraction is defined for standard-oracle algorithms")
     accept = _square_accepting(*_propagate(alg))
     if accept.degree > 2 * alg.T:
         raise AssertionError("extracted degree exceeds 2T; extraction bug")
@@ -652,24 +653,6 @@ def _exact_acceptances(
     return A, B, D
 
 
-def mean_acceptance_mc(obj, draws: np.ndarray, n: int) -> tuple[float, float]:
-    """Float mean and standard error of the acceptance over a table of
-    sampled draws.
-
-    The values are QSqrt2.float_over over the (A, B, D) arrays in one
-    expression: int64 arrays come only with values and D below 2^53
-    (evaluate_batch), which convert to floats exactly, and object arrays
-    divide Python ints, so every value has the bits of the scalar
-    float_over.  The mean and the variance add the values in draw
-    order."""
-    A, B, D = _exact_acceptances(obj, draws, n)
-    values = QSqrt2.float_over(A, B, D).tolist()
-    samples = len(values)
-    mean = sum(values) / samples
-    var = sum((v - mean) ** 2 for v in values) / max(samples - 1, 1)
-    return mean, math.sqrt(var / samples)
-
-
 def expected_acceptance(obj, point, n: int, cap: int | None = None) -> QSqrt2:
     """Exact average acceptance over every latent draw of the family at
     point, (g, N) or (g, N, M), read from enumerate_rows into one table.
@@ -689,5 +672,16 @@ def expected_acceptance_mc(
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the acceptance over the
     family at point, (g, N) or (g, N, M), from one table of samples draws
-    from rng."""
-    return mean_acceptance_mc(obj, sample_rows(point, n, samples, rng), n)
+    from rng.
+
+    The values are QSqrt2.float_over over the (A, B, D) arrays in one
+    expression: int64 arrays come only with values and D below 2^53
+    (evaluate_batch), which convert to floats exactly, and object arrays
+    divide Python ints, so every value has the bits of the scalar
+    float_over.  The mean and the variance add the values in draw
+    order."""
+    A, B, D = _exact_acceptances(obj, sample_rows(point, n, samples, rng), n)
+    values = QSqrt2.float_over(A, B, D).tolist()
+    mean = sum(values) / samples
+    var = sum((v - mean) ** 2 for v in values) / max(samples - 1, 1)
+    return mean, math.sqrt(var / samples)

@@ -10,7 +10,7 @@ the oracle semantics:
   standard  |w, i, z> -> |w XOR enc(value_i), i, z>   (answer field XOR)
   erasing   |w, i, z> -> |w, value_i, z>              (index replaced)
 
-A state's amplitudes are exact, in qsqrt2's integer form (ExactEntries):
+A StateVector holds its amplitudes exactly, in qsqrt2's integer form:
 integers (A, B) over one denominator d, each amplitude (A + B sqrt 2) / d.
 A layer multiplies them by its Layer.int_cols() over D and keeps the
 result over d * D, unreduced; a query re-keys them.  So a state's d is
@@ -39,10 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .instances import ConfigError, Instance, json_field
+from .instances import ConfigError, Instance, _json_string, json_field
 from .qsqrt2 import ONE, QSqrt2, ZERO, int_form, parse_fraction, sign
 
-MEASURE_NORM_TOL = 1e-9
 _GRAM_CHUNK = 1 << 13  # most row pairs that is_orthogonal multiplies out at once
 
 
@@ -398,49 +397,54 @@ def _dense_entries(rows):
 _ZERO_ENTRY = ZERO.to_strings()
 
 
-class ExactEntries(Mapping):
-    """Read-only amplitudes of a state in qsqrt2's integer form.
+class StateVector(Mapping):
+    """Sparse vector of exact amplitudes over a StateSpace, read-only.
 
-    ints[ordinal] = (A, B) holds the amplitude (A + B sqrt 2) / d, in the
-    order the ordinals were reached.  d is the state's canonical
+    entries[ordinal] = (A, B) holds the amplitude (A + B sqrt 2) / d, in
+    the order the ordinals were reached.  d is the state's canonical
     denominator, not reduced: the int_form denominator of the amplitudes
     the state was built from, times the D of every layer applied since.
-    Reading an amplitude builds its QSqrt2; the kernels and checks read
-    d and ints.  The entries cannot change, so the squared norm is summed
-    once, when first asked for, and kept.
+    As a Mapping the state reads ordinal -> QSqrt2, building each
+    amplitude when read; the kernels and checks read d and entries.  The
+    entries cannot change, so the squared norm is summed once, when
+    first asked for, and kept.
     """
 
-    __slots__ = ("d", "ints", "_norm")
+    __slots__ = ("space", "d", "entries", "_norm")
 
-    def __init__(self, d: int, ints: dict[int, tuple[int, int]]):
-        self.d = d
-        self.ints = ints
-        self._norm = None
+    def __init__(self, space: StateSpace, amplitudes: Mapping | None = None):
+        """The state of amplitudes, a mapping ordinal -> QSqrt2, converted
+        once to its int_form."""
+        amplitudes = amplitudes if amplitudes is not None else {}
+        d, pairs = int_form(amplitudes.values())
+        self.space, self.d, self.entries, self._norm = space, d, dict(zip(amplitudes, pairs)), None
 
     @staticmethod
-    def of(entries: Mapping) -> "ExactEntries":
-        """entries as ExactEntries: itself if it is one, else the int_form
-        of its QSqrt2 values."""
-        if isinstance(entries, ExactEntries):
-            return entries
-        d, pairs = int_form(entries.values())
-        return ExactEntries(d, dict(zip(entries, pairs)))
+    def _exact(space: StateSpace, d: int, entries: dict[int, tuple[int, int]]) -> "StateVector":
+        """The state holding entries over d as they are."""
+        state = StateVector.__new__(StateVector)
+        state.space, state.d, state.entries, state._norm = space, d, entries, None
+        return state
+
+    @staticmethod
+    def from_basis_state(space: StateSpace, state: BasisState) -> "StateVector":
+        return StateVector._exact(space, 1, {space.encode(state): (1, 0)})
 
     def __getitem__(self, ordinal) -> QSqrt2:
-        A, B = self.ints[ordinal]
+        A, B = self.entries[ordinal]
         return QSqrt2.over(A, B, self.d)
 
-    def __contains__(self, ordinal) -> bool:
-        return ordinal in self.ints
-
     def __iter__(self):
-        return iter(self.ints)
+        return iter(self.entries)
 
     def __len__(self) -> int:
-        return len(self.ints)
+        return len(self.entries)
 
     def __repr__(self):
-        return f"ExactEntries({dict(self.items())!r})"
+        return f"StateVector({dict(self.items())!r})"
+
+    def amplitude(self, state: BasisState) -> QSqrt2:
+        return self.get(self.space.encode(state), ZERO)
 
     def square_sum(self, keep=None) -> tuple[int, int, int]:
         """(A, B, D): the squared amplitudes whose ordinal keep accepts
@@ -448,8 +452,8 @@ class ExactEntries(Mapping):
         over D = d^2 > 0, since (A + B sqrt 2)^2 = A^2 + 2 B^2 + 2 A B sqrt 2."""
         if keep is None and self._norm is not None:
             return self._norm
-        pairs = self.ints.values() if keep is None else (
-            pair for k, pair in self.ints.items() if keep(k)
+        pairs = self.entries.values() if keep is None else (
+            pair for k, pair in self.entries.items() if keep(k)
         )
         ra = rb = 0
         for A, B in pairs:
@@ -460,14 +464,21 @@ class ExactEntries(Mapping):
             self._norm = total
         return total
 
+    def weight(self, keep=None) -> QSqrt2:
+        """Total squared amplitude on the ordinals keep accepts (all if None)."""
+        return QSqrt2.over(*self.square_sum(keep))
 
-def _exact_layer(entries: ExactEntries, layer: Layer) -> ExactEntries:
+    def squared_norm(self) -> QSqrt2:
+        return self.weight()
+
+
+def _exact_layer(state: StateVector, layer: Layer) -> StateVector:
     """Layer product on integers: the state's integers over d times the
     layer's int_cols() over D, zero sums dropped, kept over d * D.  Entry
     j, a1 + b1 sqrt 2, meets each (row, a2, b2) of column j."""
     D, cols = layer.int_cols()
     acc: dict[int, list[int]] = {}
-    for j, (a1, b1) in entries.ints.items():
+    for j, (a1, b1) in state.entries.items():
         for row, a2, b2 in cols[j]:
             cur = acc.get(row)
             if cur is None:
@@ -475,12 +486,12 @@ def _exact_layer(entries: ExactEntries, layer: Layer) -> ExactEntries:
             else:
                 cur[0] += a1 * a2 + 2 * b1 * b2
                 cur[1] += a1 * b2 + b1 * a2
-    return ExactEntries(entries.d * D, {row: (x, y) for row, (x, y) in acc.items() if x or y})
+    return StateVector._exact(state.space, state.d * D, {row: (x, y) for row, (x, y) in acc.items() if x or y})
 
 
-def _exact_rekey(entries: ExactEntries, keys: list[int]) -> ExactEntries:
+def _exact_rekey(state: StateVector, keys: list[int]) -> StateVector:
     """The i-th entry moved to keys[i], over the same d."""
-    return ExactEntries(entries.d, dict(zip(keys, entries.ints.values())))
+    return StateVector._exact(state.space, state.d, dict(zip(keys, state.entries.values())))
 
 
 def _exact_same(s: tuple[int, int, int], t: tuple[int, int, int]) -> bool:
@@ -513,46 +524,8 @@ def _accepting(ordinal: int) -> int:
     return ordinal & 1
 
 
-class StateVector:
-    """Sparse vector of exact amplitudes over a StateSpace.
-
-    Entries are keyed internally by basis ordinal; items() exposes
-    (BasisState, QSqrt2) pairs.  A state may be built from a plain dict
-    of QSqrt2; it keeps the dict's ExactEntries, the read-only form every
-    kernel takes and returns.
-    """
-
-    __slots__ = ("space", "entries")
-
-    def __init__(self, space: StateSpace, entries: Mapping | None = None):
-        self.space = space
-        self.entries = ExactEntries.of(entries if entries is not None else {})
-
-    @staticmethod
-    def from_basis_state(space: StateSpace, state: BasisState) -> "StateVector":
-        return StateVector(space, ExactEntries(1, {space.encode(state): (1, 0)}))
-
-    def items(self):
-        for ordinal, amp in self.entries.items():
-            yield self.space.decode(ordinal), amp
-
-    def amplitude(self, state: BasisState) -> QSqrt2:
-        return self.entries.get(self.space.encode(state), ZERO)
-
-    def weight(self, keep=None) -> QSqrt2:
-        """Total squared amplitude on the ordinals keep accepts (all if None)."""
-        return QSqrt2.over(*self.entries.square_sum(keep))
-
-    def squared_norm(self) -> QSqrt2:
-        return self.weight()
-
-
-def _same_norm(a: StateVector, b: StateVector) -> bool:
-    return _exact_same(a.entries.square_sum(), b.entries.square_sum())
-
-
 def _check_norm_preserved(before: StateVector, after: StateVector, what: str):
-    if not _same_norm(before, after):
+    if not _exact_same(before.square_sum(), after.square_sum()):
         raise AssertionError(
             f"{what} changed the squared norm from {before.squared_norm()!r} "
             f"to {after.squared_norm()!r}"
@@ -563,7 +536,7 @@ def apply_unitary(state: StateVector, layer: Layer) -> StateVector:
     """Apply one input-independent orthogonal layer."""
     if layer.dim != state.space.dim:
         raise ValueError("layer dimension does not match state space")
-    result = StateVector(state.space, _exact_layer(state.entries, layer))
+    result = _exact_layer(state, layer)
     _check_norm_preserved(state, result, "unitary layer")
     return result
 
@@ -578,9 +551,8 @@ def apply_standard_query(state: StateVector, inst: Instance) -> StateVector:
         space.encode_answer(inst.query_value(i)) * space.index_size * 2
         for i in range(1, space.index_size + 1)
     ]
-    entries = state.entries
-    keys = [ordinal ^ masks[(ordinal >> 1) % space.index_size] for ordinal in entries]
-    result = StateVector(space, _exact_rekey(entries, keys))
+    keys = [ordinal ^ masks[(ordinal >> 1) % space.index_size] for ordinal in state.entries]
+    result = _exact_rekey(state, keys)
     _check_norm_preserved(state, result, "standard query")
     return result
 
@@ -612,9 +584,8 @@ def apply_erasing_query(state: StateVector, inst: Instance) -> StateVector:
     space = state.space
     if space.index_size != erasing_space(inst).index_size:
         raise ValueError("state space does not match the erasing-oracle layout")
-    entries = state.entries
     keys = []
-    for ordinal in entries:
+    for ordinal in state.entries:
         idx = (ordinal >> 1) % space.index_size + 1
         new_idx = targets.get(idx)
         if new_idx is None:
@@ -622,10 +593,9 @@ def apply_erasing_query(state: StateVector, inst: Instance) -> StateVector:
                 f"erasing query applied to a state outside the query domain (index {idx})"
             )
         keys.append(ordinal + (new_idx - idx) * 2)
-    out = _exact_rekey(entries, keys)
-    if len(out) != len(entries):
+    result = _exact_rekey(state, keys)
+    if len(result) != len(state):
         raise AssertionError("erasing map collided; input claimed injective")
-    result = StateVector(space, out)
     _check_norm_preserved(state, result, "erasing query")
     return result
 
@@ -689,7 +659,7 @@ class QueryAlgorithm:
         for t in range(1, self.T + 1):
             state = query(state, inst)
             state = apply_unitary(state, self.layers[t])
-        if not _same_norm(state, start):  # a basis state has squared norm one
+        if not _exact_same(state.square_sum(), start.square_sum()):  # a basis state has squared norm one
             raise AssertionError(
                 f"final state is not normalized (squared norm {state.squared_norm()!r})"
             )
@@ -725,7 +695,7 @@ class QueryAlgorithm:
             answer_bits=json_field(doc, "answer_bits"),
         )
         return QueryAlgorithm(
-            name=doc.get("name", "unnamed"),
+            name=json_field(doc, "name", _json_string) if "name" in doc else "unnamed",
             kind=json_field(doc, "kind", str),
             n=json_field(doc, "n"),
             T=json_field(doc, "T"),
@@ -754,7 +724,7 @@ def final_acceptance(state: StateVector, mode: str = "exact"):
     mode returns float_probability of the same exact sum."""
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
-    s = state.entries.square_sum(_accepting)
+    s = state.square_sum(_accepting)
     p = _exact_probability(s)
     return p if mode == "exact" else float_probability(s)
 
@@ -767,14 +737,14 @@ def acceptance_probability(alg: QueryAlgorithm, inst: Instance, mode: str = "exa
 def sample_measurement(state: StateVector, rng: random.Random) -> BasisState:
     """Draw one basis state with probability equal to its squared
     amplitude, each weight QSqrt2.float_over of the entry's exact square
-    (A^2 + 2 B^2 + 2 A B sqrt 2) / d^2, read from its integers."""
-    ints = state.entries.ints
-    d2 = state.entries.d ** 2
-    ordinals = list(ints)
-    weights = [QSqrt2.float_over(A * A + 2 * B * B, 2 * A * B, d2) for A, B in ints.values()]
+    (A^2 + 2 B^2 + 2 A B sqrt 2) / d^2, read from its integers.  The state
+    must be normalized exactly: its integer squared norm is compared with 1."""
+    if not _exact_same(state.square_sum(), (1, 0, 1)):
+        raise ValueError(f"state is not normalized (squared norm {state.squared_norm()!r})")
+    d2 = state.d ** 2
+    ordinals = list(state.entries)
+    weights = [QSqrt2.float_over(A * A + 2 * B * B, 2 * A * B, d2) for A, B in state.entries.values()]
     total = sum(weights)
-    if abs(total - 1.0) > MEASURE_NORM_TOL:
-        raise ValueError(f"state is not normalized (squared norm {total})")
     r = rng.random() * total
     acc = 0.0
     for ordinal, w in zip(ordinals, weights):

@@ -4,9 +4,9 @@ name; these tests fail when a refactor removes or rebinds one of them."""
 import importlib.util
 from pathlib import Path
 
-from collisionlab import cli
+from collisionlab import cli, simulator
 from collisionlab.circuits import coincidence_probe, setcomp_probe
-from collisionlab.instances import count_supports, divisor_points
+from collisionlab.instances import Instance, count_supports, divisor_points
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -34,6 +34,20 @@ def test_tracer_installs_and_restores_every_hook():
         tracer.uninstall()
     for owner, attr, original in patched:
         assert current(owner, attr) is original, attr
+
+
+def test_the_tracer_counts_the_stored_amplitudes_into_each_layer():
+    # coincidence_probe(4) applies U_0 to its one initial basis state and
+    # U_1 to the four amplitudes of the queried uniform superposition.
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        tracer.job = "sim"
+        simulator.acceptance_probability(coincidence_probe(4), Instance(kind="collision", n=4, x=(2, 2, 4, 4)))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["sim"]["simulator.apply_unitary_calls"] == 2
+    assert tracer.counts["sim"]["simulator.amplitudes_in"] == 5
 
 
 def test_chain_calls_reach_the_traced_names(monkeypatch):

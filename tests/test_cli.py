@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from collisionlab import cli, degreebound
-from collisionlab.circuits import setcomp_probe, two_query_mixer
+from collisionlab.circuits import coincidence_probe, setcomp_probe, two_query_mixer
 from collisionlab.cli import main
 from collisionlab.instances import Instance, count_supports, divisor_points
 from collisionlab.polymethod import extract_polynomial
@@ -280,6 +280,8 @@ def test_invalid_config_exits_2(capsys):
         (["chain", "--negative-control", "--control-n", str(10**400)], "past the float range"),
         (["chain", "--negative-control", "--control-T", str(10**400)], "past the float range"),
         (["chain", "--negative-control", "--control-G", str(10**400)], "past the float range"),
+        (["chain", "--negative-control", "--algorithm", "coincidence-4", "--G", "3"],
+         "chain takes --algorithm or --negative-control, not both"),
     ],
 )
 def test_semantic_config_errors_exit_2(args, message, tmp_path, monkeypatch, capsys):
@@ -294,6 +296,19 @@ def test_semantic_config_errors_exit_2(args, message, tmp_path, monkeypatch, cap
     code, _, err = run([a.replace("{mixer2}", str(mixer2)) for a in args], capsys)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("args", [
+    ["extract"], ["chain", "--G", "2"], ["verify-identity", "--G", "2"],
+])
+def test_extracting_an_erasing_circuit_exits_2(args, tmp_path, capsys):
+    doc = coincidence_probe(4).to_json()
+    doc["oracle_kind"] = "erasing"
+    path = tmp_path / "erasing.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run([args[0], "--algorithm", f"@{path}", *args[1:]], capsys)
+    assert code == 2
+    assert "error: polynomial extraction is defined for standard-oracle algorithms" in err
 
 
 @pytest.mark.parametrize(
@@ -413,6 +428,9 @@ ROW0, ROW1 = [0, "1/1", "0/1"], [1, "1/1", "0/1"]
       "latent": {"S": [1, 2, 3, 4], "S_X": [1, 2], "S_Y": [3, 4],
                  "xhat": [1, 2], "yhat": [3, 4, 1, 2]}},
      "latent yhat takes the value 1, which is not in S_Y"),
+    (["simulate", "--algorithm", "@{path}", "--point", "2,4"],
+     {**circuit_with_layer({"dim": 2, "cols": [[ROW0], [ROW1]]}), "name": {"evil": [1, 2]}},
+     "field 'name': expected a string, got {'evil': [1, 2]}"),
 ])
 def test_malformed_input_file_exits_1_naming_the_field(args, doc, message, tmp_path):
     import os

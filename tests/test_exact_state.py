@@ -1,7 +1,7 @@
 """The exact state carried in integer form from step to step.
 
-Each kernel returns an exact state as ExactEntries: integers (A, B) over
-one denominator d, in qsqrt2's integer form but not reduced.  These tests
+Each kernel returns an exact StateVector: integers (A, B) over one
+denominator d, in qsqrt2's integer form but not reduced.  These tests
 run every step beside the reference kernels on dicts of QSqrt2
 (tests/helpers.py), require d to be the initial denominator times the D
 of every layer applied so far and each (A, B) to be d times the reference
@@ -34,7 +34,6 @@ from collisionlab.instances import (
 from collisionlab.qsqrt2 import ONE, SQRT2, ZERO, QSqrt2, int_form
 from collisionlab.simulator import (
     BasisState,
-    ExactEntries,
     Layer,
     QueryAlgorithm,
     StateSpace,
@@ -79,11 +78,10 @@ def assert_carries_the_reference(alg: QueryAlgorithm, inst: Instance):
     for step, (state, expected) in enumerate(steps):
         if step % 2 == 0:  # U_0, then U_t after the t-th query
             d *= alg.layers[step // 2].int_arrays().D
-        entries = state.entries
-        assert type(entries) is ExactEntries
-        assert entries.d == d
+        assert type(state) is StateVector
+        assert state.d == d
         scaled = [(k, d * v) for k, v in expected.items()]
-        assert list(entries.ints.items()) == [(k, (w.a, w.b)) for k, w in scaled]
+        assert list(state.entries.items()) == [(k, (w.a, w.b)) for k, w in scaled]
         assert state.squared_norm() == reference_exact_square_sum(expected.values())
         final = expected
     accepting = reference_exact_square_sum(v for k, v in final.items() if k & 1)
@@ -131,21 +129,21 @@ def test_a_hand_built_state_holds_the_int_form_of_its_dict():
     amps = {3: QSqrt2(Fraction(1, 2)), 0: QSqrt2(0, Fraction(-1, 6)), 5: QSqrt2(1, 1)}
     state = StateVector(space, dict(amps))
     converted = state.entries
-    assert type(converted) is ExactEntries and converted == amps
-    assert (converted.d, list(converted.ints.items())) == (6, [(3, (3, 0)), (0, (0, -1)), (5, (6, 6))])
-    assert list(converted.items()) == list(amps.items())
+    assert type(state) is StateVector and dict(state) == amps
+    assert (state.d, list(converted.items())) == (6, [(3, (3, 0)), (0, (0, -1)), (5, (6, 6))])
+    assert list(state.items()) == list(amps.items())
     assert state.squared_norm() == sum((v * v for v in amps.values()), QSqrt2(0))
     out = apply_unitary(state, Layer.identity(space.dim))
-    assert out.entries == amps and state.entries is converted
+    assert dict(out) == amps and state.entries is converted
 
 
 def test_kernel_entries_are_read_only():
     space = StateSpace(index_size=2, workspace_bits=1, answer_bits=1)
     state = apply_unitary(StateVector.from_basis_state(space, BasisState(0, 1, 1)), Layer.identity(space.dim))
     with pytest.raises(TypeError):
-        state.entries[0] = QSqrt2(1)
+        state[0] = QSqrt2(1)
     with pytest.raises(TypeError):
-        del state.entries[space.encode(BasisState(0, 1, 1))]
+        del state[space.encode(BasisState(0, 1, 1))]
 
 
 # -- the reference algorithms keep their outputs -----------------------------------

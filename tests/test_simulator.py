@@ -49,8 +49,8 @@ from helpers import (
 
 def inner_product(a: StateVector, b: StateVector) -> QSqrt2:
     total = ZERO
-    for ordinal, amp in a.entries.items():
-        other = b.entries.get(ordinal)
+    for ordinal, amp in a.items():
+        other = b.get(ordinal)
         if other is not None:
             total = total + amp * other
     return total
@@ -60,7 +60,7 @@ def test_identity_layer_is_noop():
     space = StateSpace(index_size=3, workspace_bits=2, answer_bits=2)
     state = StateVector.from_basis_state(space, BasisState(2, 3, 1))
     out = apply_unitary(state, Layer.identity(space.dim))
-    assert out.entries == state.entries
+    assert dict(out) == dict(state)
 
 
 def test_hadamard_on_single_bit():
@@ -103,7 +103,7 @@ def test_standard_query_is_involution():
     state = StateVector.from_basis_state(space, BasisState(0, 1, 1))
     state = apply_unitary(state, random_orthogonal_layer(space, rng))
     twice = apply_standard_query(apply_standard_query(state, inst), inst)
-    assert twice.entries == state.entries
+    assert dict(twice) == dict(state)
 
 
 def test_uniform_superposition_query_hand_simulation():
@@ -176,7 +176,7 @@ def test_erasing_moves_collision_basis_states_to_the_queried_value():
     before = {0: QSqrt2(1), 3: QSqrt2(2), 6: QSqrt2(3), 13: QSqrt2(4)}
     out = apply_erasing_query(StateVector(space, dict(before)), inst)
     # index 1 -> 3, 2 -> 1, 4 -> 2, 3 -> 4; workspace and output kept
-    assert out.entries == {4: QSqrt2(1), 1: QSqrt2(2), 2: QSqrt2(3), 15: QSqrt2(4)}
+    assert dict(out) == {4: QSqrt2(1), 1: QSqrt2(2), 2: QSqrt2(3), 15: QSqrt2(4)}
 
 
 def test_erasing_moves_setcomp_basis_states_to_the_queried_value():
@@ -187,7 +187,7 @@ def test_erasing_moves_setcomp_basis_states_to_the_queried_value():
     before = {0: QSqrt2(1), 3: QSqrt2(2), 8: QSqrt2(3), 11: QSqrt2(4)}
     out = apply_erasing_query(StateVector(space, dict(before)), inst)
     # index 1 -> 3, 2 -> 1, 5 -> 4 + 2, 6 -> 4 + 4
-    assert out.entries == {4: QSqrt2(1), 1: QSqrt2(2), 10: QSqrt2(3), 15: QSqrt2(4)}
+    assert dict(out) == {4: QSqrt2(1), 1: QSqrt2(2), 10: QSqrt2(3), 15: QSqrt2(4)}
 
 
 @pytest.mark.parametrize("index", [3, 4, 7, 8])
@@ -275,7 +275,7 @@ def test_float_acceptance_is_float_over_of_the_exact_sum(tmp_path):
                 inst = sample_input(point, alg.n, rng)
                 exact = acceptance_probability(alg, inst, "exact")
                 approx = acceptance_probability(alg, inst, "float")
-                carried = alg.run(inst).entries.square_sum(lambda ordinal: ordinal & 1)
+                carried = alg.run(inst).square_sum(lambda ordinal: ordinal & 1)
                 D, [(A, B)] = int_form([exact])
                 assert QSqrt2.over(*carried) == exact
                 assert type(approx) is float
@@ -355,7 +355,7 @@ def test_sample_measurement_weighs_the_carried_integers(monkeypatch):
     """Each weight is QSqrt2.float_over of an entry's exact square, read
     from its integers: sampling builds no QSqrt2."""
     final = coincidence_probe(4).run(Instance(kind="collision", n=4, x=(2, 2, 4, 4)))
-    states = {state for state, _ in final.items()}
+    states = {final.space.decode(ordinal) for ordinal in final}
     monkeypatch.setattr(QSqrt2, "over", None)
     rng = random.Random(3)
     assert {sample_measurement(final, rng) for _ in range(200)} <= states
@@ -365,6 +365,16 @@ def test_sample_measurement_rejects_unnormalized():
     space = StateSpace(index_size=2)
     state = StateVector(space, {0: QSqrt2(Fraction(1, 2)), 2: QSqrt2(Fraction(1, 2))})
     with pytest.raises(ValueError, match="not normalized"):
+        sample_measurement(state, random.Random(0))
+
+
+def test_sample_measurement_checks_the_norm_exactly():
+    """A squared norm of (1 + 2^-61)^2 rounds to the double 1.0, so only
+    the exact comparison of the carried integers rejects it."""
+    space = StateSpace(index_size=2)
+    state = StateVector(space, {0: QSqrt2(1 + Fraction(1, 2**61))})
+    assert QSqrt2.float_over(*state.square_sum()) == 1.0
+    with pytest.raises(ValueError, match="^state is not normalized"):
         sample_measurement(state, random.Random(0))
 
 
@@ -752,7 +762,7 @@ def reference_apply_unitary(state: StateVector, layer: Layer) -> StateVector:
     order, zero sums dropped: the loop the integer kernel replaced."""
     cols = layer.cols
     out = {}
-    for ordinal, amp in state.entries.items():
+    for ordinal, amp in state.items():
         for row, v in cols[ordinal]:
             cur = out.get(row)
             out[row] = v * amp if cur is None else cur + v * amp
@@ -795,9 +805,9 @@ def test_integer_kernel_matches_the_qsqrt2_reference():
             for state in random_states(space, layer, rng):
                 out = apply_unitary(state, layer)
                 expected = reference_apply_unitary(state, layer)
-                assert list(out.entries.items()) == list(expected.entries.items())
-                assert all(type(v) is QSqrt2 for v in out.entries.values())
-                cancelled += len(out.entries) < len(state.entries)
+                assert list(out.items()) == list(expected.items())
+                assert all(type(v) is QSqrt2 for v in out.values())
+                cancelled += len(out) < len(state)
     assert cancelled
 
 
@@ -880,7 +890,7 @@ alg = coincidence_probe(4)
 real = simulator.apply_unitary
 def unnormalized(state, layer):
     out = real(state, layer)
-    return simulator.StateVector(out.space, {k: v * 2 for k, v in out.entries.items()})
+    return simulator.StateVector(out.space, {k: v * 2 for k, v in out.items()})
 simulator.apply_unitary = unnormalized
 simulator._check_norm_preserved = lambda *args: None
 try:
