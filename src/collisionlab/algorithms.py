@@ -11,6 +11,7 @@ baseline.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .simulator import (
     Layer,
     StateSpace,
     StateVector,
+    _first_past,
     apply_erasing_query,
     apply_unitary,
     erasing_space,
@@ -166,14 +168,9 @@ def grover_search(
 
 
 def _sample_from_probs(probs: Sequence[float], rng: random.Random) -> int:
-    """1-based index drawn from a (sub)probability vector."""
-    r = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if r < acc:
-            return i + 1
-    return len(probs)
+    """1-based index drawn from a (sub)probability vector: the first whose
+    running sum exceeds a uniform draw, else the last."""
+    return _first_past(list(itertools.accumulate(probs)), rng.random()) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .instances import ConfigError
+from .instances import KIND_REGISTERS, ConfigError
 from .qsqrt2 import QSqrt2
 from .simulator import BasisState, Layer, QueryAlgorithm, StateSpace
-
-
-def value_bits(max_value: int) -> int:
-    """Bits needed to hold values 1..max_value in the answer field."""
-    return max_value.bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -139,21 +134,18 @@ def compose(*layers: Layer) -> Layer:
 # ---------------------------------------------------------------------------
 
 
-def collision_space(n: int) -> StateSpace:
-    bits = value_bits(n)
-    return StateSpace(index_size=n, workspace_bits=bits, answer_offset=0, answer_bits=bits)
-
-
-def setcomp_space(n: int) -> StateSpace:
-    bits = value_bits(2 * n)
-    return StateSpace(
-        index_size=2 * n, workspace_bits=bits, answer_offset=0, answer_bits=bits
-    )
+def query_space(kind: str, n: int) -> StateSpace:
+    """The standard-oracle space of a kind at length n: an index per query
+    address and an answer field that holds the alphabet, both
+    len(registers) * n, n for collision and 2n for set comparison."""
+    size = len(KIND_REGISTERS[kind]) * n
+    bits = size.bit_length()  # holds the values 1..size
+    return StateSpace(index_size=size, workspace_bits=bits, answer_offset=0, answer_bits=bits)
 
 
 def always_accept(n: int) -> QueryAlgorithm:
     """Zero queries, starts in output 2, identity layer: accepts always."""
-    space = collision_space(n)
+    space = query_space("collision", n)
     return QueryAlgorithm(
         name=f"always_accept_{n}",
         kind="collision",
@@ -168,7 +160,7 @@ def always_accept(n: int) -> QueryAlgorithm:
 
 def accept_if_first_is(n: int, target: int = 1) -> QueryAlgorithm:
     """One query at position 1; accepts iff x_1 equals target."""
-    space = collision_space(n)
+    space = query_space("collision", n)
     u1 = flip_output_where(
         space, lambda w, i: (w >> space.answer_offset) & ((1 << space.answer_bits) - 1) == target
     )
@@ -193,19 +185,7 @@ def coincidence_probe(n: int) -> QueryAlgorithm:
     """
     if n & (n - 1):
         raise ValueError("n must be a power of two")
-    space = collision_space(n)
-    h = hadamard_matrix(n.bit_length() - 1)
-    u0 = index_register_layer(space, h)
-    u1 = compose(flip_output_where(space, lambda w, i: i == 1), u0)
-    return QueryAlgorithm(
-        name=f"coincidence_probe_{n}",
-        kind="collision",
-        n=n,
-        T=1,
-        oracle_kind="standard",
-        space=space,
-        layers=[u0, u1],
-    )
+    return _symmetric_probe("coincidence_probe", "collision", n)
 
 
 def two_query_mixer(n: int) -> QueryAlgorithm:
@@ -216,7 +196,7 @@ def two_query_mixer(n: int) -> QueryAlgorithm:
     """
     if n & (n - 1):
         raise ValueError("n must be a power of two")
-    space = collision_space(n)
+    space = query_space("collision", n)
     h_idx = index_register_layer(space, hadamard_matrix(n.bit_length() - 1))
     h_bit = workspace_bit_layer(
         space,
@@ -244,18 +224,18 @@ def setcomp_probe(n: int) -> QueryAlgorithm:
     """
     if (2 * n) & (2 * n - 1):
         raise ValueError("2n must be a power of two")
-    space = setcomp_space(n)
-    h = hadamard_matrix((2 * n).bit_length() - 1)
-    u0 = index_register_layer(space, h)
+    return _symmetric_probe("setcomp_probe", "setcomp", n)
+
+
+def _symmetric_probe(name: str, kind: str, n: int) -> QueryAlgorithm:
+    """The one-query probe over a power-of-two number of query addresses:
+    a Hadamard power spreads the address, one query, the same power
+    interferes back, and address 1, the symmetric component, accepts."""
+    space = query_space(kind, n)
+    u0 = index_register_layer(space, hadamard_matrix(space.index_size.bit_length() - 1))
     u1 = compose(flip_output_where(space, lambda w, i: i == 1), u0)
     return QueryAlgorithm(
-        name=f"setcomp_probe_{n}",
-        kind="setcomp",
-        n=n,
-        T=1,
-        oracle_kind="standard",
-        space=space,
-        layers=[u0, u1],
+        name=f"{name}_{n}", kind=kind, n=n, T=1, oracle_kind="standard", space=space, layers=[u0, u1]
     )
 
 

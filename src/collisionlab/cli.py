@@ -252,8 +252,7 @@ def cmd_chain(args) -> int:
         chain = verify_inequality_chain(
             alg, G=args.G, mc_samples=args.mc_samples, seed=args.seed, cap=args.enum_cap
         )
-    header, point_rows = chain.csv_rows()
-    rows = [dict(zip(header, row)) for row in point_rows]
+    header, rows = chain.csv_rows()
     summary = (
         f"chain[{chain.algorithm}] d={chain.d_value:.6g} "
         f"bound={chain.derived_bound:.6g} cap={chain.degree_cap} "

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -359,7 +359,7 @@ def _num_json(v):
 
 
 @dataclass
-class ChainReport:
+class ChainReport:  # fields in report order: to_json lists them as declared
     variant: str
     algorithm: str
     n: int
@@ -367,7 +367,6 @@ class ChainReport:
     G: int
     extracted_degree: int
     degree_cap: int  # cap_per_query * T: 2T for collision, 8T for set comparison
-    points: list[PointRow]
     endpoint_low: float  # P at g=1 endpoint
     endpoint_high: float  # P at g=2 endpoint
     distinguisher: bool
@@ -376,40 +375,23 @@ class ChainReport:
     d_at: tuple[float, ...]
     d_direction: str
     derived_bound: float
+    two_T: int = field(init=False)
     consistent: bool
-    notes: list[str] = field(default_factory=list)
+    notes: list[str]
+    points: list[PointRow]
+
+    def __post_init__(self):
+        self.two_T = 2 * self.T
 
     def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "T": self.T,
-            "G": self.G,
-            "extracted_degree": self.extracted_degree,
-            "degree_cap": self.degree_cap,
-            "endpoint_low": self.endpoint_low,
-            "endpoint_high": self.endpoint_high,
-            "distinguisher": self.distinguisher,
-            "fd_slope": self.fd_slope,
-            "d_value": self.d_value,
-            "d_at": list(self.d_at),
-            "d_direction": self.d_direction,
-            "derived_bound": self.derived_bound,
-            "two_T": 2 * self.T,
-            "consistent": self.consistent,
-            "notes": self.notes,
-            "points": [row.to_json() for row in self.points],
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["points"] = [row.to_json() for row in self.points]
+        return doc
 
-    def csv_rows(self) -> tuple[list[str], list[list]]:
+    def csv_rows(self) -> tuple[list[str], list[dict]]:
+        """The CSV header and each point's JSON row but its exact flag."""
         header = [*VARIABLE_NAMES[family(self.variant).arity], "P", "q", "prefactor", "abs_dev"]
-        rows = []
-        for row in self.points:
-            r = list(row.point)
-            r += [_num_json(row.p_value), _num_json(row.q_value), _num_json(row.prefactor), row.deviation]
-            rows.append(r)
-        return header, rows
+        return header, [{k: v for k, v in row.to_json().items() if k != "exact"} for row in self.points]
 
 
 SIM_ENUM_LIMIT = 20_000  # latent draws; above this the chain falls back to MC

@@ -99,6 +99,12 @@ class Latent:
     seqs: tuple[tuple[int, ...], ...]
 
 
+# The one register layout: a kind's input is one length-n sequence per
+# register, over an alphabet of len(registers) * n values, and its query
+# addresses 1..len(registers) * n read the registers in turn.
+KIND_REGISTERS = {"collision": ("x",), "setcomp": ("x", "y")}
+
+
 @dataclass(frozen=True)
 class Instance:
     """One concrete oracle input.
@@ -117,22 +123,19 @@ class Instance:
     latent: Optional[Latent] = None
 
     def __post_init__(self):
-        if self.kind not in ("collision", "setcomp"):
+        names = KIND_REGISTERS.get(self.kind)
+        if names is None:
             raise ValueError(f"unknown instance kind {self.kind!r}")
-        if len(self.x) != self.n:
-            raise ValueError("x must have length n")
-        top = self.n if self.kind == "collision" else 2 * self.n
-        if any(not 1 <= v <= top for v in self.x):
-            raise ValueError(f"x values must lie in 1..{top}")
-        if self.kind == "setcomp":
-            if self.y is None or len(self.y) != self.n:
-                raise ValueError("setcomp instance needs y of length n")
-            if any(not 1 <= v <= top for v in self.y):
-                raise ValueError(f"y values must lie in 1..{top}")
-        elif self.y is not None:
+        top = len(names) * self.n  # the alphabet
+        for name, seq in zip(names, (self.x, self.y)):
+            if seq is None or len(seq) != self.n:
+                raise ValueError(f"{self.kind} instance needs {name} of length n")
+            if any(not 1 <= v <= top for v in seq):
+                raise ValueError(f"{name} values must lie in 1..{top}")
+        if "y" not in names and self.y is not None:
             raise ValueError("collision instance must not carry y")
         if self.latent is not None:
-            registers = (self.x,) if self.y is None else (self.x, self.y)
+            registers = self.registers
             ranges, seqs = self.latent.ranges, self.latent.seqs
             if (len(ranges), len(seqs)) != (2 * len(registers) - 2, len(registers)):
                 raise ValueError(
@@ -144,31 +147,30 @@ class Instance:
             _check_draw(self.latent)
 
     @property
-    def num_query_indices(self) -> int:
-        """Distinct query addresses: n positions, doubled for (b, i) pairs."""
-        return self.n if self.kind == "collision" else 2 * self.n
+    def registers(self) -> tuple[tuple[int, ...], ...]:
+        """The input's sequences, one per register of its kind: (x,) or (x, y)."""
+        return tuple(getattr(self, name) for name in KIND_REGISTERS[self.kind])
 
-    def y_sequence(self) -> tuple[int, ...]:
-        """y of a set-comparison input; raises if there is none."""
-        if self.y is None:
-            raise ValueError(f"{self.kind} instance has no y sequence")
-        return self.y
+    @property
+    def row(self) -> tuple[int, ...]:
+        """The value at every query address 1..len(row): x, then y.  This
+        is the layout of a draw-table row (sample_rows, enumerate_rows)."""
+        return tuple(itertools.chain.from_iterable(self.registers))
 
-    def query_value(self, index: int) -> int:
-        """Value returned for query address index (1-based).
-
-        For set-comparison inputs, addresses 1..n read x and n+1..2n read y.
-        """
-        if not 1 <= index <= self.num_query_indices:
-            raise ValueError(f"query index {index} out of range")
-        if self.kind == "collision" or index <= self.n:
-            return self.x[index - 1]
-        return self.y_sequence()[index - self.n - 1]
+    @staticmethod
+    def from_row(row, n: int) -> "Instance":
+        """The input whose query addresses hold row, the inverse of
+        Instance.row: a row of n values is a collision input, one of 2n a
+        set-comparison pair.  Any other width is a ValueError."""
+        values = np.asarray(row).tolist()
+        for kind, names in KIND_REGISTERS.items():
+            if len(values) == len(names) * n:
+                return Instance(kind, n, *(tuple(values[k * n:(k + 1) * n]) for k in range(len(names))))
+        raise ValueError(f"a row of {len(values)} values is no input of length n={n}: need n or 2n")
 
     def to_json(self) -> dict:
-        doc: dict = {"kind": self.kind, "n": self.n, "x": list(self.x)}
-        if self.y is not None:
-            doc["y"] = list(self.y)
+        names = KIND_REGISTERS[self.kind]
+        doc = {"kind": self.kind, "n": self.n, **{k: list(seq) for k, seq in zip(names, self.registers)}}
         if self.latent is not None:
             doc["latent"] = {
                 "S": list(self.latent.s),
@@ -246,15 +248,13 @@ def is_k_to_one(values, k: int) -> bool:
 
 def validate_instance(inst: Instance, k: int) -> bool:
     """Check the k-to-one promise on the instance sequences."""
-    if inst.kind == "collision":
-        return is_k_to_one(inst.x, k)
-    return is_k_to_one(inst.x, k) and is_k_to_one(inst.y_sequence(), k)
+    return all(is_k_to_one(seq, k) for seq in inst.registers)
 
 
 def set_union_size(inst: Instance) -> int:
     if inst.kind != "setcomp":
         raise ConfigError("set_union_size needs a setcomp instance")
-    return len(set(inst.x) | set(inst.y_sequence()))
+    return len(set(inst.x) | set(inst.y))
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +301,8 @@ def _iroot(n: int, k: int) -> int:
 def _window_top(n: int, T: int, G: int, slack: int, root: int) -> int:
     """Check a grid request whose g must satisfy g^root <= n, and return
     the top n + n/(slack*T) of its N (and M) window."""
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got n={n}")
     if T < 1:
         raise ConfigError("T must be >= 1")
     if slack < 1:

@@ -14,10 +14,11 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from .instances import KIND_REGISTERS
 from .qsqrt2 import QSqrt2, ZERO, int_form
 from .simulator import _int64_or_object
 
-REGISTERS = ("x", "y")
+REGISTERS = KIND_REGISTERS["setcomp"]  # every register an indicator can name
 _EXACT_FLOAT = 1 << 53  # every integer of smaller absolute value is a float exactly
 
 

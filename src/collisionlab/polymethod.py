@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .instances import (
+    KIND_REGISTERS,
     ConfigError,
     Instance,
     enumerate_rows,
@@ -64,12 +65,11 @@ def as_monomial(I) -> Monomial | None:
 # ---------------------------------------------------------------------------
 
 
-def query_address_register(kind: str, n: int, index: int) -> tuple[str, int]:
-    """Map a query address to (register, position): set-comparison
-    addresses 1..n read x, n+1..2n read y."""
-    if kind == "collision" or index <= n:
-        return "x", index
-    return "y", index - n
+def query_address_register(n: int, index: int) -> tuple[str, int]:
+    """Map a query address to (register, position): addresses 1..n read
+    x, n+1..2n read y, as in Instance.row."""
+    register, position = divmod(index - 1, n)
+    return KIND_REGISTERS["setcomp"][register], position + 1
 
 
 def extract_polynomial(alg: QueryAlgorithm) -> MultilinearPoly:
@@ -149,7 +149,7 @@ def _propagate(alg: QueryAlgorithm) -> tuple[_Amplitudes, int]:
     key_type = _int64_or_object(space.dim * width)
     powers = np.array([base ** k for k in range(alg.T + 1)], dtype=key_type)
     amps = _Amplitudes(
-        tuple(query_address_register(alg.kind, alg.n, i) for i in range(1, slots + 1)),
+        tuple(query_address_register(alg.n, i) for i in range(1, slots + 1)),
         np.array([space.encode(alg.initial)], dtype=np.int64),
         np.zeros((1, slots), dtype=np.min_scalar_type(alphabet)),
         np.ones(1, dtype=np.int64),
@@ -415,12 +415,12 @@ def gamma_closed(I, point, n: int, T: int | None = None) -> Fraction:
         raise ValueError("g must be >= 1 and divide N")
     if M:
         (L,) = M
-        k, U, size, registers = kappa(g), 2 * n, 2 * N // g, ("x", "y")
+        k, U, size, registers = kappa(g), 2 * n, 2 * N // g, KIND_REGISTERS["setcomp"]
         if L % k:
             raise ValueError("kappa(g) must divide M")
         sub = L // k
     else:
-        k, L, U, size, registers = g, N, n, N // g, ("x",)
+        k, L, U, size, registers = g, N, n, N // g, KIND_REGISTERS["collision"]
         sub = size
     if size > U or sub > size or L < n:
         raise ValueError(f"point {tuple(point)} does not fit inputs of length n={n}")
@@ -626,12 +626,6 @@ def draw_table(rows: Iterable[np.ndarray], point, n: int) -> np.ndarray:
     return np.fromiter(rows, dtype=np.dtype((np.min_scalar_type(width), width)))
 
 
-def _row_instance(row: np.ndarray, n: int) -> Instance:
-    """The input of one draw-table row."""
-    x, y = tuple(row[:n].tolist()), tuple(row[n:].tolist())
-    return Instance("setcomp", n, x, y) if y else Instance("collision", n, x)
-
-
 def _exact_acceptances(
     obj, draws: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -645,7 +639,7 @@ def _exact_acceptances(
     if isinstance(obj, MultilinearPoly):
         return obj.evaluate_batch(draws, n)
     D, pairs = int_form([
-        acceptance_probability(obj, _row_instance(row, n), mode="exact") for row in draws
+        acceptance_probability(obj, Instance.from_row(row, n), mode="exact") for row in draws
     ])
     if not pairs:
         raise ValueError(_EMPTY_BATCH)

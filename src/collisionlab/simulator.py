@@ -33,13 +33,14 @@ import itertools
 import json
 import math
 import random
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .instances import ConfigError, Instance, _json_string, json_field
+from .instances import KIND_REGISTERS, ConfigError, Instance, _json_string, json_field
 from .qsqrt2 import ONE, QSqrt2, ZERO, int_form, parse_fraction, sign
 
 _GRAM_CHUNK = 1 << 13  # most row pairs that is_orthogonal multiplies out at once
@@ -407,23 +408,26 @@ class StateVector(Mapping):
     As a Mapping the state reads ordinal -> QSqrt2, building each
     amplitude when read; the kernels and checks read d and entries.  The
     entries cannot change, so the squared norm is summed once, when
-    first asked for, and kept.
+    first asked for, and kept, as is the table sample_measurement draws
+    from.
     """
 
-    __slots__ = ("space", "d", "entries", "_norm")
+    __slots__ = ("space", "d", "entries", "_norm", "_draws")
 
     def __init__(self, space: StateSpace, amplitudes: Mapping | None = None):
         """The state of amplitudes, a mapping ordinal -> QSqrt2, converted
         once to its int_form."""
         amplitudes = amplitudes if amplitudes is not None else {}
         d, pairs = int_form(amplitudes.values())
-        self.space, self.d, self.entries, self._norm = space, d, dict(zip(amplitudes, pairs)), None
+        self.space, self.d, self.entries = space, d, dict(zip(amplitudes, pairs))
+        self._norm = self._draws = None
 
     @staticmethod
     def _exact(space: StateSpace, d: int, entries: dict[int, tuple[int, int]]) -> "StateVector":
         """The state holding entries over d as they are."""
         state = StateVector.__new__(StateVector)
-        state.space, state.d, state.entries, state._norm = space, d, entries, None
+        state.space, state.d, state.entries = space, d, entries
+        state._norm = state._draws = None
         return state
 
     @staticmethod
@@ -544,13 +548,10 @@ def apply_unitary(state: StateVector, layer: Layer) -> StateVector:
 def apply_standard_query(state: StateVector, inst: Instance) -> StateVector:
     """XOR the queried value's encoding into the answer field of every
     basis state.  A bijection on basis states, so norm is untouched."""
-    space = state.space
-    if space.index_size != inst.num_query_indices:
+    space, row = state.space, inst.row
+    if space.index_size != len(row):
         raise ValueError("instance does not match the state space index register")
-    masks = [
-        space.encode_answer(inst.query_value(i)) * space.index_size * 2
-        for i in range(1, space.index_size + 1)
-    ]
+    masks = [space.encode_answer(v) * space.index_size * 2 for v in row]
     keys = [ordinal ^ masks[(ordinal >> 1) % space.index_size] for ordinal in state.entries]
     result = _exact_rekey(state, keys)
     _check_norm_preserved(state, result, "standard query")
@@ -558,26 +559,28 @@ def apply_standard_query(state: StateVector, inst: Instance) -> StateVector:
 
 
 def erasing_space(inst: Instance, workspace_bits: int = 0) -> StateSpace:
-    """State space whose index register holds erasing-oracle outputs:
-    {1..n} for collision inputs, {0,1} x {1..2n} (size 4n) for pairs."""
-    size = inst.n if inst.kind == "collision" else 4 * inst.n
+    """State space whose index register holds erasing-oracle outputs: one
+    block of the alphabet per register, {1..n} for collision inputs and
+    {0,1} x {1..2n} (size 4n) for pairs."""
+    size = len(inst.registers) * len(inst.row)
     return StateSpace(index_size=size, workspace_bits=workspace_bits)
 
 
 def apply_erasing_query(state: StateVector, inst: Instance) -> StateVector:
     """Replace the index register content by the queried value.
 
-    Query address b*2n + i goes to b*2n + v_i, with v = x for b = 0 and
-    v = y for b = 1; collision inputs have b = 0 only.  Defined only on
-    basis states whose index is a query address, and only for injective
-    inputs, which make it an inner-product-preserving basis map.
+    Query address b*2n + i goes to b*2n + v_i, with v the b-th register
+    (x, then y), in blocks as wide as the alphabet; collision inputs have
+    b = 0 only.  Defined only on basis states whose index is a query
+    address, and only for injective inputs, which make it an
+    inner-product-preserving basis map.
     """
-    seqs = (inst.x,) if inst.kind == "collision" else (inst.x, inst.y_sequence())
+    seqs = inst.registers
     if any(len(set(seq)) != inst.n for seq in seqs):
         raise ValueError("erasing oracle undefined for non-injective input")
-    two_n = 2 * inst.n
+    block = len(inst.row)
     targets = {
-        b * two_n + i: b * two_n + v
+        b * block + i: b * block + v
         for b, seq in enumerate(seqs)
         for i, v in enumerate(seq, start=1)
     }
@@ -605,9 +608,10 @@ class QueryAlgorithm:
     """A T-query algorithm: layers U_0 .. U_T with a query between each.
 
     kind names the expected instance kind; the index register enumerates
-    query addresses (n for collision, 2n for set-comparison pairs).  The
-    workspace layout, answer-field placement and initial basis state are
-    explicit metadata since no canonical choice exists.
+    its query addresses, as many as its alphabet has values (n for
+    collision, 2n for set-comparison pairs).  The workspace layout,
+    answer-field placement and initial basis state are explicit metadata
+    since no canonical choice exists.
     """
 
     name: str
@@ -620,7 +624,7 @@ class QueryAlgorithm:
     initial: BasisState = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.kind not in ("collision", "setcomp"):
+        if self.kind not in KIND_REGISTERS:
             raise ValueError("kind must be 'collision' or 'setcomp'")
         if self.oracle_kind not in ("standard", "erasing"):
             raise ValueError("oracle_kind must be 'standard' or 'erasing'")
@@ -628,8 +632,7 @@ class QueryAlgorithm:
             raise ValueError("T must be >= 0")
         if len(self.layers) != self.T + 1:
             raise ValueError(f"need exactly T+1 = {self.T + 1} layers")
-        expected_index = self.n if self.kind == "collision" else 2 * self.n
-        if self.oracle_kind == "standard" and self.space.index_size != expected_index:
+        if self.oracle_kind == "standard" and self.space.index_size != self.alphabet_size:
             raise ValueError("index register must enumerate the query addresses")
         if self.initial is None:
             self.initial = BasisState(workspace=0, index=1, output=1)
@@ -642,7 +645,7 @@ class QueryAlgorithm:
 
     @property
     def alphabet_size(self) -> int:
-        return self.n if self.kind == "collision" else 2 * self.n
+        return len(KIND_REGISTERS[self.kind]) * self.n
 
     def check_instance(self, inst: Instance):
         if inst.kind != self.kind or inst.n != self.n:
@@ -734,21 +737,26 @@ def acceptance_probability(alg: QueryAlgorithm, inst: Instance, mode: str = "exa
     return final_acceptance(alg.run(inst), mode)
 
 
+def _first_past(cumulative: list[float], r: float) -> int:
+    """The first index whose running sum in cumulative exceeds r, or the
+    last index if none does (r rounded up to the total)."""
+    return min(bisect_right(cumulative, r), len(cumulative) - 1)
+
+
 def sample_measurement(state: StateVector, rng: random.Random) -> BasisState:
     """Draw one basis state with probability equal to its squared
     amplitude, each weight QSqrt2.float_over of the entry's exact square
     (A^2 + 2 B^2 + 2 A B sqrt 2) / d^2, read from its integers.  The state
-    must be normalized exactly: its integer squared norm is compared with 1."""
-    if not _exact_same(state.square_sum(), (1, 0, 1)):
-        raise ValueError(f"state is not normalized (squared norm {state.squared_norm()!r})")
-    d2 = state.d ** 2
-    ordinals = list(state.entries)
-    weights = [QSqrt2.float_over(A * A + 2 * B * B, 2 * A * B, d2) for A, B in state.entries.values()]
-    total = sum(weights)
-    r = rng.random() * total
-    acc = 0.0
-    for ordinal, w in zip(ordinals, weights):
-        acc += w
-        if r < acc:
-            return state.space.decode(ordinal)
-    return state.space.decode(ordinals[-1])
+    must be normalized exactly: its integer squared norm is compared with 1.
+    The weights, their running sums and their total are built on the
+    first draw from a state and kept with it, so a shot is one search."""
+    if state._draws is None:
+        if not _exact_same(state.square_sum(), (1, 0, 1)):
+            raise ValueError(f"state is not normalized (squared norm {state.squared_norm()!r})")
+        d2 = state.d ** 2
+        weights = [
+            QSqrt2.float_over(A * A + 2 * B * B, 2 * A * B, d2) for A, B in state.entries.values()
+        ]
+        state._draws = (list(state.entries), list(itertools.accumulate(weights)), sum(weights))
+    ordinals, cumulative, total = state._draws
+    return state.space.decode(ordinals[_first_past(cumulative, rng.random() * total)])

@@ -242,7 +242,7 @@ def erasing_setcomp_reference(inst: Instance) -> Fraction:
     |symmetric difference| / (4n).  Independent of the simulator."""
     if inst.kind != "setcomp":
         raise ValueError("set comparison needs a setcomp instance")
-    return Fraction(len(set(inst.x) ^ set(inst.y_sequence())), 4 * inst.n)
+    return Fraction(len(set(inst.x) ^ set(inst.y)), 4 * inst.n)
 
 
 def grover_success_probability(num_marked: int, size: int, iterations: int) -> float:
@@ -313,7 +313,7 @@ def propagate_reference(alg) -> tuple[dict[int, dict[tuple, tuple[int, int]]], i
         out: dict[int, dict[tuple, tuple[int, int]]] = {}
         for ordinal, poly in amps.items():
             index = (ordinal >> 1) % space.index_size + 1
-            key = query_address_register(alg.kind, alg.n, index)
+            key = query_address_register(alg.n, index)
             queried = variables.get(key)
             if queried is None:
                 queried = variables[key] = [
@@ -548,10 +548,10 @@ def reference_exact_square_sum(amps) -> QSqrt2:
 
 def reference_standard_query(entries: dict, space, inst: Instance) -> dict:
     """XOR each queried value's answer mask into its basis states."""
-    masks = [
-        space.encode_answer(inst.query_value(i)) * space.index_size * 2
-        for i in range(1, space.index_size + 1)
-    ]
+    # query address i reads x_i for i <= n and y_(i-n) past it
+    n = inst.n
+    values = [inst.x[i - 1] if i <= n else inst.y[i - n - 1] for i in range(1, space.index_size + 1)]
+    masks = [space.encode_answer(v) * space.index_size * 2 for v in values]
     return {
         ordinal ^ masks[(ordinal >> 1) % space.index_size]: amp
         for ordinal, amp in entries.items()
@@ -560,7 +560,7 @@ def reference_standard_query(entries: dict, space, inst: Instance) -> dict:
 
 def reference_erasing_query(entries: dict, space, inst: Instance) -> dict:
     """Move each basis state's query address b*2n + i to b*2n + v_i."""
-    seqs = (inst.x,) if inst.kind == "collision" else (inst.x, inst.y_sequence())
+    seqs = (inst.x,) if inst.y is None else (inst.x, inst.y)
     two_n = 2 * inst.n
     targets = {
         b * two_n + i: b * two_n + v for b, seq in enumerate(seqs) for i, v in enumerate(seq, start=1)

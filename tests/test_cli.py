@@ -282,6 +282,8 @@ def test_invalid_config_exits_2(capsys):
         (["chain", "--negative-control", "--control-G", str(10**400)], "past the float range"),
         (["chain", "--negative-control", "--algorithm", "coincidence-4", "--G", "3"],
          "chain takes --algorithm or --negative-control, not both"),
+        (["lattice", "--n", "0", "--T", "1", "--G", "1"], "n must be >= 1, got n=0"),
+        (["lattice", "--super", "--n", "-8", "--T", "1", "--G", "1"], "n must be >= 1, got n=-8"),
     ],
 )
 def test_semantic_config_errors_exit_2(args, message, tmp_path, monkeypatch, capsys):

@@ -13,8 +13,8 @@ import pytest
 from collisionlab import instances, polymethod
 from collisionlab.circuits import (
     REFERENCE_BUILDERS,
-    collision_space,
     coincidence_probe,
+    query_space,
 )
 from collisionlab.instances import QuasilatticePoint, SuperQuasilatticePoint
 from collisionlab.multilinear import IndicatorVariable as IV
@@ -50,7 +50,7 @@ def assert_same_squares(amps, D):
 
 def random_two_query_circuit(seed: int, n: int = 4) -> QueryAlgorithm:
     rng = random.Random(seed)
-    space = collision_space(n)
+    space = query_space("collision", n)
     return QueryAlgorithm(
         name=f"random_two_query_{seed}", kind="collision", n=n, T=2, oracle_kind="standard",
         space=space, layers=[random_orthogonal_layer(space, rng, stages=40) for _ in range(3)],
@@ -128,7 +128,7 @@ def test_extraction_past_int64_runs_on_python_ints(monkeypatch):
     monkeypatch.setattr(polymethod, "_int64_or_object", recording)
     alg = QueryAlgorithm(
         name="rotations", kind="collision", n=1, T=1, oracle_kind="standard",
-        space=collision_space(1), layers=[rotation_layer(0), rotation_layer(1)],
+        space=query_space("collision", 1), layers=[rotation_layer(0), rotation_layer(1)],
     )
     assert_same_propagation(alg)
     amps, D = propagate_reference(alg)

@@ -366,6 +366,25 @@ def test_latents_are_lexicographic_and_rows_are_their_inputs(point, n, total):
 
 
 @pytest.mark.parametrize("point, n, total", ENUMERABLE_POINTS)
+def test_from_row_inverts_row_and_the_width_sets_the_kind(point, n, total):
+    """Instance.from_row reads back every enumerated row, and Instance.row
+    is the row of the latent draw's input: x, then y."""
+    kind_of_width = {n: "collision", 2 * n: "setcomp"}
+    rows = enumerate_rows(point, n)
+    for latent, row in zip(enumerate_supports(point, n), rows, strict=True):
+        inst = Instance.from_row(row, n)
+        assert inst.row == tuple(row.tolist()) == instance_from_latent(latent, n).row
+        assert inst.kind == kind_of_width[len(row)]
+        assert inst.registers == ((inst.x,) if inst.kind == "collision" else (inst.x, inst.y))
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 5, 7, 9, 12])
+def test_from_row_rejects_a_row_of_any_other_width(width):
+    with pytest.raises(ValueError, match=f"a row of {width} values is no input of length n=4"):
+        Instance.from_row(list(range(1, width + 1)), 4)
+
+
+@pytest.mark.parametrize("point, n, total", ENUMERABLE_POINTS)
 def test_rows_are_one_dimensional_and_pack_into_the_table_of_their_inputs(point, n, total):
     width = n * (len(point) - 1)
     rows = list(enumerate_rows(point, n))

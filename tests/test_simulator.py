@@ -18,8 +18,8 @@ from collisionlab.circuits import (
     flip_output_where,
     hadamard_matrix,
     index_register_layer,
+    query_space,
     setcomp_probe,
-    setcomp_space,
     two_query_mixer,
 )
 from collisionlab.instances import Instance, QuasilatticePoint, SuperQuasilatticePoint, sample_input
@@ -361,6 +361,32 @@ def test_sample_measurement_weighs_the_carried_integers(monkeypatch):
     assert {sample_measurement(final, rng) for _ in range(200)} <= states
 
 
+def test_sample_measurement_weighs_each_amplitude_once(monkeypatch):
+    """A state's weights are built on its first shot and kept with it: 1,000
+    shots call QSqrt2.float_over once per stored amplitude, and each shot
+    is the first index whose running sum exceeds its draw, as a linear
+    scan over the same weights finds it."""
+    final = setcomp_probe(8).run(Instance(kind="setcomp", n=8, x=(1, 1, 3, 3, 5, 5, 7, 7),
+                                          y=(2, 2, 4, 4, 6, 6, 9, 9)))
+    assert len(final.entries) > 1
+    float_over, calls = QSqrt2.float_over, []
+    monkeypatch.setattr(QSqrt2, "float_over", staticmethod(lambda *a: calls.append(a) or float_over(*a)))
+    shots = [sample_measurement(final, random.Random(seed)) for seed in range(1000)]
+    assert len(calls) == len(final.entries)
+
+    weights = [float_over(*a) for a in calls]
+
+    def scan(r):
+        acc = 0.0
+        for ordinal, w in zip(final.entries, weights):
+            acc += w
+            if r < acc:
+                return final.space.decode(ordinal)
+        return final.space.decode(list(final.entries)[-1])
+
+    assert shots == [scan(random.Random(seed).random() * sum(weights)) for seed in range(1000)]
+
+
 def test_sample_measurement_rejects_unnormalized():
     space = StateSpace(index_size=2)
     state = StateVector(space, {0: QSqrt2(Fraction(1, 2)), 2: QSqrt2(Fraction(1, 2))})
@@ -533,7 +559,7 @@ def test_every_list_form_is_read_from_the_stored_integer_arrays(tmp_path):
 
 
 def test_compose_builds_no_qsqrt2(monkeypatch):
-    space = setcomp_space(8)
+    space = query_space("setcomp", 8)
     u0 = index_register_layer(space, hadamard_matrix(4))  # setcomp_probe(8)'s U_0
     flip = flip_output_where(space, lambda w, i: i == 1)
 
