@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .instances import ConfigError, Instance
-from .qsqrt2 import ONE, ZERO, QSqrt2
+from .qsqrt2 import ONE, ZERO
 from .simulator import (
     BasisState,
     Layer,
@@ -31,9 +31,8 @@ from .simulator import (
     apply_erasing_query,
     apply_unitary,
     erasing_space,
-    float_probability,
 )
-from .circuits import diffusion_matrix, hadamard_matrix, index_register_layer, phase_flip_where
+from .circuits import hadamard_matrix, index_register_layer
 
 
 # ---------------------------------------------------------------------------
@@ -51,17 +50,15 @@ def _pair_bit_hadamard(space: StateSpace, two_n: int) -> Layer:
     ])
 
 
-def erasing_setcomp_probability(inst: Instance, mode: str = "exact"):
+def erasing_setcomp_probability(inst: Instance) -> Fraction:
     """P(first register = 1) for the one-erasing-query comparison test.
 
     Prepares the uniform superposition over (b, i), applies one erasing
     query, interferes the pair bit, and reads the pair-bit-1 weight.  The
     state carries unnormalized unit amplitudes (total squared norm 2n) and
-    divides at the end, staying in Q(sqrt(2)) for every n.  Exact mode
-    returns that Fraction; float mode its float_probability.
+    divides at the end, staying in Q(sqrt(2)) for every n; the weight's
+    sqrt(2) part is 0, so the answer is a Fraction.
     """
-    if mode not in ("exact", "float"):
-        raise ValueError("mode must be 'exact' or 'float'")
     if inst.kind != "setcomp":
         raise ValueError("set comparison needs a setcomp instance")
     n = inst.n
@@ -75,27 +72,14 @@ def erasing_setcomp_probability(inst: Instance, mode: str = "exact"):
     state = apply_erasing_query(state, inst)
     state = apply_unitary(state, _pair_bit_hadamard(space, two_n))
     weight = state.weight(lambda ordinal: ((ordinal >> 1) % space.index_size) // two_n == 1)
-    p = (weight / two_n).as_fraction()
-    return p if mode == "exact" else float_probability((p.numerator, 0, p.denominator))
+    return (weight / two_n).as_fraction()
 
 
-def erasing_setcomp_decide(
-    inst: Instance,
-    mode: str = "exact",
-    shots: int | None = None,
-    rng: random.Random | None = None,
-):
-    """Exact or float mode returns P(outcome 1); shots mode measures the
-    pair bit `shots` times and decides "equal" iff every outcome is 0."""
-    if mode in ("exact", "float"):
-        return erasing_setcomp_probability(inst, mode)
-    if mode != "shots":
-        raise ValueError("mode must be 'exact', 'float' or 'shots'")
-    if shots is None or shots < 1:
+def erasing_setcomp_decide(inst: Instance, shots: int, rng: random.Random) -> str:
+    """Measure the pair bit `shots` times; "equal" iff every outcome is 0."""
+    if shots < 1:
         raise ConfigError(f"shots mode needs a shot count >= 1, got shots={shots}")
-    if rng is None:
-        raise ValueError("shots mode needs an rng")
-    p = erasing_setcomp_probability(inst, "float")
+    p = float(erasing_setcomp_probability(inst))
     for _ in range(shots):
         if rng.random() < p:
             return "far"
@@ -108,6 +92,8 @@ def erasing_setcomp_decide(
 
 
 def _pad_to_power_of_two(m: int) -> int:
+    """The search domain size: m rounded up to a power of two.  The
+    padded size sets grover_iterations, so bench's tables depend on it."""
     if m < 1:
         raise ValueError("m must be >= 1")
     return 1 << (m - 1).bit_length()
@@ -119,44 +105,17 @@ def grover_iterations(num_marked: int, size: int) -> int:
 
 
 def grover_search(
-    marked: Callable[[int], bool] | Iterable[int],
-    m: int,
-    iterations: int,
-    mode: str = "float",
-) -> list:
-    """Measurement distribution after Grover iterations over {1..m}.
-
-    The domain pads to the next power of two so the uniform start state
-    stays in Q(sqrt(2)); padded items are never marked.  Exact mode runs
-    the oracle (phase flip on marked) and diffusion as state-vector
-    layers and returns exact Fractions; float mode runs the same
-    iteration vectorized.  The returned list covers the padded domain.
-    """
+    marked: Callable[[int], bool] | Iterable[int], m: int, iterations: int
+) -> list[float]:
+    """Measurement distribution after Grover iterations over {1..m} padded
+    to the next power of two (padded items are never marked, but listed):
+    each iteration flips the marked amplitudes and reflects about the mean."""
     marked_set = set(marked) if not callable(marked) else {
         i for i in range(1, m + 1) if marked(i)
     }
     if not all(1 <= v <= m for v in marked_set):
         raise ValueError("marked items must lie in 1..m")
     size = _pad_to_power_of_two(m)
-    if mode == "exact":
-        space = StateSpace(index_size=size)
-        amp = QSqrt2.inv_sqrt2_power(size.bit_length() - 1)
-        entries = {
-            space.encode(BasisState(0, i, 1)): amp for i in range(1, size + 1)
-        }
-        state = StateVector(space, entries)
-        oracle = phase_flip_where(space, lambda w, i: i in marked_set)
-        diffusion = index_register_layer(space, diffusion_matrix(size))
-        for _ in range(iterations):
-            state = apply_unitary(state, oracle)
-            state = apply_unitary(state, diffusion)
-        probs = [Fraction(0)] * size
-        for ordinal, a in state.items():
-            idx = (ordinal >> 1) % size
-            probs[idx] += (a * a).as_fraction()
-        return probs
-    if mode != "float":
-        raise ValueError("mode must be 'exact' or 'float'")
     a = np.full(size, 1.0 / math.sqrt(size))
     flip = np.ones(size)
     for v in marked_set:
@@ -238,7 +197,7 @@ def bht_collision(inst: Instance, rng: random.Random) -> AlgorithmResult:
         def marked(pos: int) -> bool:
             return pos <= len(rest) and inst.x[rest[pos - 1] - 1] in values
 
-        probs = grover_search(marked, len(rest), iterations, mode="float")
+        probs = grover_search(marked, len(rest), iterations)
         queries += iterations  # one oracle application per iteration
         drawn = _sample_from_probs(probs, rng)
         if drawn <= len(rest):

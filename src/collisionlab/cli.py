@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import circuits
-from .algorithms import collision_benchmark, erasing_setcomp_decide
+from .algorithms import collision_benchmark, erasing_setcomp_decide, erasing_setcomp_probability
 from .degreebound import (
     CONSTANTS,
     chain_report_for_poly,
@@ -287,10 +287,11 @@ def cmd_setcomp(args) -> int:
         raise ConfigError("setcomp needs --instance, --equal, --disjoint or --boundary")
     result: dict = {"n": n, "union_size": set_union_size(inst), "mode": args.mode}
     if args.mode == "shots":
-        result["decision"] = erasing_setcomp_decide(inst, "shots", shots=args.shots, rng=rng)
+        result["decision"] = erasing_setcomp_decide(inst, args.shots, rng)
         summary = f"decision = {result['decision']}"
     else:
-        result["outcome1_probability"] = p = erasing_setcomp_decide(inst, args.mode)
+        exact = erasing_setcomp_probability(inst)
+        result["outcome1_probability"] = p = exact if args.mode == "exact" else float(exact)
         summary = f"P(1) = {render_number(p)}"
     report(args, result, [dict(result)], summary)
     return EXIT_OK
@@ -347,9 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run an algorithm on an instance")
     p.add_argument("--algorithm", required=True, help="builtin name or @file.json")
-    p.add_argument("--instance", type=str, default=None, help="instance file")
-    p.add_argument("--point", type=lambda s: [int(v) for v in s.split(",")], default=None,
-                   help="sample the instance from the family at g,N[,M]")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--instance", type=str, default=None, help="instance file")
+    given.add_argument("--point", type=lambda s: [int(v) for v in s.split(",")], default=None,
+                       help="sample the instance from the family at g,N[,M]")
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--shots", type=int, default=0, help="also sample measurements")
     add_common(p)
@@ -391,10 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("setcomp", help="erasing-oracle set comparison demo")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--instance", type=str, default=None)
-    p.add_argument("--equal", action="store_true")
-    p.add_argument("--disjoint", action="store_true")
-    p.add_argument("--boundary", action="store_true", help="union n + max(1, n // 10): 22 at n = 20, 5 at n = 4")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--instance", type=str, default=None)
+    given.add_argument("--equal", action="store_true")
+    given.add_argument("--disjoint", action="store_true")
+    given.add_argument("--boundary", action="store_true",
+                       help="union n + max(1, n // 10): 22 at n = 20, 5 at n = 4")
     p.add_argument("--mode", choices=("exact", "float", "shots"), default="exact")
     p.add_argument("--shots", type=int, default=20)
     add_common(p)

@@ -103,7 +103,7 @@ class Monomial:
 
     def evaluate(self, x: tuple[int, ...], y: tuple[int, ...] | None = None) -> int:
         for f in self.factors:
-            seq = x if f.register == "x" else y
+            seq = (x, y)[REGISTERS.index(f.register)]
             if seq is None or f.position > len(seq):
                 raise ValueError(f"indicator {f} has no matching sequence entry")
             if seq[f.position - 1] != f.value:
@@ -178,7 +178,7 @@ def code_lookup(
     top = int(draws.max(initial=0))
     plan = []
     for slots, (members, values) in groups.items():
-        key = [pos - 1 if reg == "x" else pos - 1 + n for reg, pos in zip(*slots)]
+        key = [REGISTERS.index(reg) * n + pos - 1 for reg, pos in zip(*slots)]
         for j, col in enumerate(key):
             if slots[1][j] > n or col >= width:
                 f = IndicatorVariable(slots[0][j], slots[1][j], values[j])

@@ -577,7 +577,7 @@ def apply_erasing_query(state: StateVector, inst: Instance) -> StateVector:
     """
     seqs = inst.registers
     if any(len(set(seq)) != inst.n for seq in seqs):
-        raise ValueError("erasing oracle undefined for non-injective input")
+        raise ConfigError("erasing oracle undefined for non-injective input")
     block = len(inst.row)
     targets = {
         b * block + i: b * block + v

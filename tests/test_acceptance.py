@@ -164,18 +164,16 @@ def test_criterion_06_erasing_set_comparison():
     equal = Instance(
         kind="setcomp", n=4, x=(1, 2, 3, 4), y=(4, 3, 2, 1)
     )
-    assert erasing_setcomp_probability(equal, "exact") == 0
-    assert erasing_setcomp_probability(equal, "float") <= 1e-12
+    assert erasing_setcomp_probability(equal) == 0
 
     x = tuple(range(1, 21))
     y = tuple(range(3, 21)) + (21, 22)
     boundary = Instance(kind="setcomp", n=20, x=x, y=y)
     assert set_union_size(boundary) == 22  # exactly 1.1 n
-    assert erasing_setcomp_probability(boundary, "exact") >= Fraction(1, 20)
+    assert erasing_setcomp_probability(boundary) >= Fraction(1, 20)
 
     disjoint = Instance(kind="setcomp", n=4, x=(1, 2, 3, 4), y=(5, 6, 7, 8))
-    assert erasing_setcomp_probability(disjoint, "exact") == Fraction(1, 2)
-    assert abs(erasing_setcomp_probability(disjoint, "float") - 0.5) <= 1e-12
+    assert erasing_setcomp_probability(disjoint) == Fraction(1, 2)
 
 
 @criterion(7, "BHT: success >= 2/3 over 500 trials at n in {27, 64}; exact inputs safe")

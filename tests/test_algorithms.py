@@ -15,7 +15,7 @@ from collisionlab.algorithms import (
     grover_search,
     two_to_one_instance,
 )
-from collisionlab.instances import Instance, set_union_size
+from collisionlab.instances import ConfigError, Instance, set_union_size
 from helpers import erasing_setcomp_reference, grover_success_probability, one_to_one_instance
 
 
@@ -36,20 +36,18 @@ def boundary_instance() -> Instance:
 
 def test_equal_sets_give_zero():
     inst = equal_sets_instance(4)
-    assert erasing_setcomp_probability(inst, "exact") == 0
-    assert erasing_setcomp_probability(inst, "float") <= 1e-12
+    assert erasing_setcomp_probability(inst) == 0
 
 
 def test_disjoint_sets_give_half():
     inst = Instance(kind="setcomp", n=4, x=(1, 2, 3, 4), y=(5, 6, 7, 8))
-    assert erasing_setcomp_probability(inst, "exact") == Fraction(1, 2)
-    assert abs(erasing_setcomp_probability(inst, "float") - 0.5) <= 1e-12
+    assert erasing_setcomp_probability(inst) == Fraction(1, 2)
 
 
 def test_boundary_union_gives_at_least_one_twentieth():
     inst = boundary_instance()
     assert set_union_size(inst) == 22
-    p = erasing_setcomp_probability(inst, "exact")
+    p = erasing_setcomp_probability(inst)
     assert p >= Fraction(1, 20)
 
 
@@ -59,9 +57,7 @@ def test_simulated_probability_matches_set_arithmetic():
         x = tuple(rng.sample(range(1, 17), 8))
         y = tuple(rng.sample(range(1, 17), 8))
         inst = Instance(kind="setcomp", n=8, x=x, y=y)
-        exact = erasing_setcomp_probability(inst, "exact")
-        assert exact == erasing_setcomp_reference(inst)
-        assert abs(float(exact) - erasing_setcomp_probability(inst, "float")) <= 1e-12
+        assert erasing_setcomp_probability(inst) == erasing_setcomp_reference(inst)
 
 
 @pytest.mark.parametrize("inst, exact, approx", [
@@ -73,58 +69,66 @@ def test_simulated_probability_matches_set_arithmetic():
      Fraction(1, 3), 0.3333333333333333),
 ])
 def test_erasing_probability_keeps_its_types_and_bits(inst, exact, approx):
-    # Float values are pinned bit for bit: the exact Fraction rounded once.
-    # The float run on 1/sqrt(2n) amplitudes that this replaced read
-    # 0.05000000000000001, 0.25000000000000006 and 0.3333333333333334.
-    p = erasing_setcomp_probability(inst, "exact")
+    # Float values are pinned bit for bit: the exact Fraction rounded once,
+    # as setcomp --mode float reports it.  The float run on 1/sqrt(2n)
+    # amplitudes that this replaced read 0.05000000000000001,
+    # 0.25000000000000006 and 0.3333333333333334.
+    p = erasing_setcomp_probability(inst)
     assert type(p) is Fraction and p == exact
-    q = erasing_setcomp_probability(inst, "float")
-    assert type(q) is float and q.hex() == approx.hex()
+    assert float(p).hex() == approx.hex()
 
 
 def test_erasing_decide_shots():
     rng = random.Random(5)
-    assert erasing_setcomp_decide(equal_sets_instance(4), "shots", shots=25, rng=rng) == "equal"
+    assert erasing_setcomp_decide(equal_sets_instance(4), 25, rng) == "equal"
     dis = Instance(kind="setcomp", n=4, x=(1, 2, 3, 4), y=(5, 6, 7, 8))
-    assert erasing_setcomp_decide(dis, "shots", shots=25, rng=rng) == "far"
+    assert erasing_setcomp_decide(dis, 25, rng) == "far"
 
 
 def test_erasing_decide_rejects_non_injective():
     inst = Instance(kind="setcomp", n=4, x=(1, 1, 3, 4), y=(5, 6, 7, 8))
-    with pytest.raises(ValueError, match="non-injective"):
-        erasing_setcomp_decide(inst, "exact")
+    with pytest.raises(ConfigError, match="non-injective"):
+        erasing_setcomp_decide(inst, 1, random.Random(0))
 
 
 # -- Grover ----------------------------------------------------------------------
 
 
+def close(probs, want) -> bool:
+    return len(probs) == len(want) and all(abs(p - w) <= 1e-12 for p, w in zip(probs, want))
+
+
 def test_grover_single_marked_m4_is_certain():
-    probs = grover_search([3], 4, 1, mode="exact")
-    assert probs == [Fraction(0), Fraction(0), Fraction(1), Fraction(0)]
+    assert close(grover_search([3], 4, 1), [0, 0, 1, 0])
 
 
 def test_grover_zero_iterations_uniform():
-    probs = grover_search([2], 4, 0, mode="exact")
-    assert probs == [Fraction(1, 4)] * 4
+    assert close(grover_search([2], 4, 0), [1 / 4] * 4)
 
 
 def test_grover_no_marked_stays_uniform():
-    probs = grover_search([], 8, 5, mode="exact")
-    assert probs == [Fraction(1, 8)] * 8
+    assert close(grover_search([], 8, 5), [1 / 8] * 8)
 
 
-def test_grover_exact_matches_closed_form():
+def test_grover_matches_closed_form():
     for m, marked, t in [(8, [5], 2), (16, [1, 9], 3), (16, [4], 1)]:
-        probs = grover_search(marked, m, t, mode="exact")
-        weight = float(sum(probs[v - 1] for v in marked))
+        probs = grover_search(marked, m, t)
+        weight = sum(probs[v - 1] for v in marked)
         assert abs(weight - grover_success_probability(len(marked), m, t)) < 1e-12
 
 
-def test_grover_float_matches_exact():
-    exact = grover_search([3, 7], 8, 2, mode="exact")
-    approx = grover_search([3, 7], 8, 2, mode="float")
-    for e, a in zip(exact, approx):
-        assert abs(float(e) - a) < 1e-9
+@pytest.mark.parametrize("marked, m, iterations, hot, cold", [
+    ([2, 9, 11], 16, 2, "0x1.a480000000000p-3", "0x1.e400000000000p-6"),
+    ([5], 7, 3, "0x1.5200000000000p-2", "0x1.87ffffffffffep-4"),  # padded to 8
+])
+def test_grover_search_keeps_its_bits(marked, m, iterations, hot, cold):
+    # Pinned before the exact Grover branch was removed: the numpy
+    # iteration that bht_collision runs, read over the padded domain.
+    probs = grover_search(marked, m, iterations)
+    assert [p.hex() for p in probs] == [
+        hot if i in marked else cold for i in range(1, len(probs) + 1)
+    ]
+    assert len(probs) == 1 << (m - 1).bit_length()
 
 
 def test_grover_iterations_choice():

@@ -325,6 +325,9 @@ def test_extracting_an_erasing_circuit_exits_2(args, tmp_path, capsys):
         (["setcomp"],
          Instance(kind="collision", n=4, x=(1, 2, 3, 4)),
          "error: set_union_size needs a setcomp instance"),
+        (["setcomp"],
+         Instance(kind="setcomp", n=4, x=(1, 1, 3, 4), y=(5, 6, 7, 8)),
+         "error: erasing oracle undefined for non-injective input"),
     ],
 )
 def test_an_instance_that_does_not_fit_exits_2(args, inst, message, tmp_path, capsys):
@@ -333,6 +336,23 @@ def test_an_instance_that_does_not_fit_exits_2(args, inst, message, tmp_path, ca
     code, _, err = run(args + ["--instance", str(path)], capsys)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("args, flags", [
+    (["setcomp", "--equal", "--boundary", "--n", "20"], ("--boundary", "--equal")),
+    (["setcomp", "--disjoint", "--equal"], ("--equal", "--disjoint")),
+    (["setcomp", "--instance", "F", "--disjoint"], ("--disjoint", "--instance")),
+    (["simulate", "--algorithm", "coincidence-4", "--instance", "F", "--point", "2,4"],
+     ("--point", "--instance")),
+])
+def test_input_flags_are_exclusive(args, flags, capsys):
+    """One input per run: a second input flag is an argparse error (exit 2),
+    not a flag that the first one silently wins over."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    second, first = flags
+    assert f"argument {second}: not allowed with argument {first}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n,union", [(4, 5), (20, 22)])

@@ -165,10 +165,16 @@ def reference_grover(marked: set, size: int, iterations: int) -> list[Fraction]:
 
 @pytest.mark.parametrize("marked, m, iterations", [
     ({3}, 4, 1), ({2}, 4, 0), (set(), 8, 5), ({1, 6}, 8, 2), ({5}, 7, 3), ({2, 9, 11}, 16, 2),
+    ({3, 7}, 8, 2),
 ])
 def test_exact_grover_matches_the_reference_kernels(marked, m, iterations):
+    """grover_search's numpy iteration against the exact state-vector run
+    of the same oracle and diffusion layers."""
     size = 1 << (m - 1).bit_length()
-    assert grover_search(marked, m, iterations, mode="exact") == reference_grover(marked, size, iterations)
+    want = reference_grover(marked, size, iterations)
+    got = grover_search(marked, m, iterations)
+    assert len(got) == size
+    assert all(abs(p - float(w)) <= 1e-12 for p, w in zip(got, want))
 
 
 def reference_erasing_setcomp(inst: Instance) -> Fraction:
@@ -191,7 +197,7 @@ def test_erasing_setcomp_probability_matches_the_reference_kernels():
         for _ in range(4):
             x, y = rng.sample(range(1, 2 * n + 1), n), rng.sample(range(1, 2 * n + 1), n)
             inst = Instance(kind="setcomp", n=n, x=tuple(x), y=tuple(y))
-            assert erasing_setcomp_probability(inst, "exact") == reference_erasing_setcomp(inst)
+            assert erasing_setcomp_probability(inst) == reference_erasing_setcomp(inst)
 
 
 # -- the per-step norm check still catches a broken layer --------------------------

@@ -28,6 +28,7 @@ RUNS = {
     "chain-mc": ["chain", "--algorithm", "coincidence-4", "--mc-samples", "50", "--seed", "7"],
     "chain-control": ["chain", "--negative-control"],
     "setcomp-exact": ["setcomp", "--equal", "--n", "4"],
+    "setcomp-float": ["setcomp", "--boundary", "--n", "20", "--mode", "float"],
     "setcomp-shots": ["setcomp", "--boundary", "--n", "20", "--mode", "shots", "--shots", "5",
                       "--seed", "1"],
     "bench": ["bench", "--algorithms", "bht,birthday", "--sizes", "27", "--trials", "20"],
@@ -35,7 +36,9 @@ RUNS = {
 
 # sha256 of each run's report file, taken before the subcommands shared
 # report().  One pin moved since: the negative-control CSV gained its
-# header row (it was 7ba9da2d...968879 with the config line alone).
+# header row (it was 7ba9da2d...968879 with the config line alone).  The
+# setcomp-float pins were taken while algorithms.py still rounded the
+# probability itself (its float mode), before cmd_setcomp did.
 REPORT_SHA256 = {
     ("lattice", "json"): "fff2d77a39985c86af8831178d4f63a2e77a0c7bea88adb5bff531b5b3fcbb65",
     ("lattice", "csv"): "c92c1f3293c880167f2e4785605395fe2b3374fd379e080795fc84b21cc3b217",
@@ -61,6 +64,8 @@ REPORT_SHA256 = {
     ("chain-control", "csv"): "6cfd2486d43be5b4f5cea69220cddd3ba33901c5bb1301fd5831a49564ca8390",
     ("setcomp-exact", "json"): "56a82d059cd163f1c18d82cad1b9d58fbb8a0969a5101453130c2f1cfc00cf01",
     ("setcomp-exact", "csv"): "c21aa6ba463088b12fdc75ad364b088b636ae476b4dfd09b2569aea350d7b35c",
+    ("setcomp-float", "json"): "2e01b8fcdfbe346b72449715027c3d5ebac6a679270b6503e18c5f141d4c2f11",
+    ("setcomp-float", "csv"): "40e68980a15a4ad89014992703ac4f7ca762451b273938716f0d7cb7e00bdb3b",
     ("setcomp-shots", "json"): "d788da6312ccfbd45efd4798ff65c652eb6fc3394d74d51daac335688f5d7a33",
     ("setcomp-shots", "csv"): "73c838ed342cce5d1a12c3ce94e865e21dca8fa592def024468b4e3b6f81baa1",
     ("bench", "json"): "ad97a45c55377fa597b077605034aab3d23915d064d579e3f32d0e6b68d8d335",
@@ -82,6 +87,7 @@ SUMMARY = {
     "chain-control":
         "chain[negative-control-steep-poly] d=10 bound=49.1674 cap=2 consistent=false\n",
     "setcomp-exact": "P(1) = 0/1\n",
+    "setcomp-float": "P(1) = 0.050000000000000003\n",
     "setcomp-shots": "decision = equal\n",
     "bench": "wrote 2 benchmark rows to {out}\n",
 }

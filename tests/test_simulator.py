@@ -286,10 +286,9 @@ def test_float_acceptance_is_float_over_of_the_exact_sum(tmp_path):
         for _ in range(4):
             x, y = rng.sample(range(1, 2 * n + 1), n), rng.sample(range(1, 2 * n + 1), n)
             inst = Instance(kind="setcomp", n=n, x=tuple(x), y=tuple(y))
-            p = erasing_setcomp_probability(inst, "exact")
-            approx = erasing_setcomp_probability(inst, "float")
-            assert type(approx) is float
-            assert approx.hex() == rounded_and_clipped(p.numerator, 0, p.denominator).hex()
+            p = erasing_setcomp_probability(inst)
+            # setcomp --mode float reports float(p): the same bits
+            assert float(p).hex() == rounded_and_clipped(p.numerator, 0, p.denominator).hex()
 
 
 @pytest.mark.parametrize("mode", ["shots", "Float", None])
@@ -297,8 +296,6 @@ def test_an_unknown_mode_raises(mode):
     alg = coincidence_probe(4)
     with pytest.raises(ValueError, match="^mode must be 'exact' or 'float'$"):
         acceptance_probability(alg, Instance(kind="collision", n=4, x=(2, 2, 4, 4)), mode)
-    with pytest.raises(ValueError, match="^mode must be 'exact' or 'float'$"):
-        erasing_setcomp_probability(Instance(kind="setcomp", n=2, x=(1, 2), y=(2, 1)), mode)
 
 
 def test_non_orthogonal_layer_rejected_at_construction():
