@@ -37,7 +37,6 @@ from .simulator import (
 )
 from .polymethod import (
     assemble_q,
-    evaluate_poly,
     expected_acceptance,
     extract_polynomial,
     gamma_bruteforce,

@@ -327,7 +327,7 @@ def add_common(p: argparse.ArgumentParser):
 
 def add_enum_cap(p: argparse.ArgumentParser):
     """Only the subcommands that enumerate latent draws take a cap."""
-    p.add_argument("--enum-cap", type=int, default=None, help="enumeration cap override")
+    p.add_argument("--enum-cap", type=int, default=None, help="enumeration cap")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,9 +6,12 @@ Run backwards: a distinguishing algorithm forces the assembled grid
 polynomial q to climb from near 0 at g=1 to near 1 at g=2, so its
 weighted maximum derivative d(q) is large, and Markov turns d(q) plus
 the bounded excursion of q over the parameter rectangle into a lower
-bound on deg(q), hence on the query count.  At desk scale the derived
-bound is far below 2T; the chain report checks that consistency and
-exposes every intermediate quantity.
+bound on deg(q), hence on the query count.  The chain report exposes
+every intermediate quantity.  The derived bound rises in d toward
+sqrt((G-1) / (2 (1 + E))), E >= 0 the window excursion term of
+degree_lower_bound, so at G = 2 it stays below sqrt(1/2) for every q.
+The degree cap is at least 2 for T >= 1, and a zero-query q is
+constant (bound 0), so a G = 2 verdict cannot fail.
 """
 
 from __future__ import annotations
@@ -118,6 +121,11 @@ def family(variant: str) -> Family:
         return FAMILIES[variant]
     except KeyError:
         raise ValueError(f"unknown variant {variant!r}") from None
+
+
+def variant_of(q: LatticePoly) -> str:
+    """The family whose grid polynomials have q's arity."""
+    return next(name for name, fam in FAMILIES.items() if fam.arity == q.arity)
 
 
 def markov_bound(degree: int, interval: tuple[float, float], bounds: tuple[float, float]) -> float:
@@ -235,16 +243,15 @@ def _grid_argmax(p: LatticePoly, axes: list[np.ndarray], weight: float) -> tuple
 
 def weighted_max_derivative(
     q: LatticePoly,
-    region: list[tuple[float, float]],
     n: int,
     T: int,
     G: int,
     resolution: int | None = None,
     refinement_rounds: int = 2,
-    variant: str = "collision",
 ) -> DerivativeReport:
     """Maximize the weighted absolute partial derivatives of q over the
-    rectangle: weight 1 on d/dg and n/(10T(G-1)) on d/dN (both window
+    chain's rectangle, chain_region(n, T, G) of the family q's arity
+    names: weight 1 on d/dg and n/(10T(G-1)) on d/dN (both window
     directions get n/(100T(G-1)) for set comparison).
 
     A grid of the given per-axis resolution (512 bivariate, 64
@@ -257,9 +264,8 @@ def weighted_max_derivative(
     evaluates exactly only the points that can hold it.  Deterministic
     for fixed settings.
     """
+    variant = variant_of(q)
     fam = family(variant)
-    if not q.arity == len(region) == fam.arity:
-        raise ValueError("polynomial arity does not match region")
     if resolution is None:
         resolution = 512 if q.arity == 2 else 64
     if resolution < 2:
@@ -273,7 +279,7 @@ def weighted_max_derivative(
         name: q.derivative(i) for i, name in enumerate(directions)
     }
 
-    intervals = region
+    intervals = chain_region(n, T, G, variant)
     best = DerivativeReport(-1.0, (), "g")
     for _ in range(refinement_rounds + 1):
         axes = _grid_axes(intervals, resolution)
@@ -517,7 +523,7 @@ def chain_report_for_poly(
         raise ConfigError(f"need T >= 1 for the chain window, got T={T}")
     if n < 1:
         raise ConfigError(f"need n >= 1 for the chain window, got n={n}")
-    variant = next(name for name, fam in FAMILIES.items() if fam.arity == q.arity)
+    variant = variant_of(q)
     fam = family(variant)
     try:  # the rectangle's corners and the Markov excursion c T (G-1) reach(G) / n
         float(G), float(n), float(Fraction(fam.window_denom * T * (G - 1) * fam.reach(G), n))
@@ -543,9 +549,7 @@ def _bound_report(variant, q, n, T, G, deviation, **head) -> ChainReport:
     degree cap."""
     fam = family(variant)
     T_win = max(T, 1)
-    d_report = weighted_max_derivative(
-        q, chain_region(n, T_win, G, variant), n, T_win, G, variant=variant
-    )
+    d_report = weighted_max_derivative(q, n, T_win, G)
     bound = degree_lower_bound(
         d_report.value, G, T_win, n, variant, fam.value_range(deviation)
     )

@@ -19,15 +19,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-ENUM_CAP_ENV = "COLLISIONLAB_ENUM_CAP"
 DEFAULT_ENUM_CAP = 10_000_000
 
 
@@ -41,17 +38,13 @@ class ConfigError(ValueError):
 
 
 def enumeration_cap(cap: int | None = None) -> int:
-    """The cap itself, else COLLISIONLAB_ENUM_CAP, else the default.  A
-    cap of 0 admits no enumeration; a negative one is a ConfigError."""
-    source = "enumeration cap"
+    """The cap itself, else the default: the argument is the one way to
+    set it, so a report follows from its config.  A cap of 0 admits no
+    enumeration; a negative one is a ConfigError."""
     if cap is None:
-        source, raw = ENUM_CAP_ENV, os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUM_CAP))
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from None
+        return DEFAULT_ENUM_CAP
     if cap < 0:
-        raise ConfigError(f"{source} must be >= 0, got {cap}")
+        raise ConfigError(f"enumeration cap must be >= 0, got {cap}")
     return cap
 
 
@@ -619,25 +612,3 @@ def enumerate_rows(point, n: int, cap: int | None = None) -> Iterator[np.ndarray
             block[:, :n] = head
             block[:, n:] = last
             yield from block
-
-
-_UNION_CHUNK = 1000  # draws per sample_rows table: its key arrays stay a few MB at n = 200
-
-
-def fraction_of_small_unions(
-    n: int, samples: int, rng: random.Random, threshold: Fraction = Fraction(11, 10)
-) -> float:
-    """Monte Carlo check on the g=1 set-comparison family: fraction of
-    draws whose union is smaller than threshold*n.  The rows come from
-    sample_rows, _UNION_CHUNK draws at a time; sorted, a row's union size
-    is its count of distinct values."""
-    if samples < 1:
-        raise ValueError(f"no draws were asked for: samples must be >= 1, got {samples}")
-    point = SuperQuasilatticePoint(1, n, n)
-    cutoff = math.ceil(threshold * n)  # an integer size is below threshold*n iff below this
-    small = 0
-    for start in range(0, samples, _UNION_CHUNK):
-        rows = np.sort(sample_rows(point, n, min(_UNION_CHUNK, samples - start), rng), axis=1)
-        sizes = 1 + np.count_nonzero(np.diff(rows, axis=1), axis=1)
-        small += int(np.count_nonzero(sizes < cutoff))
-    return small / samples

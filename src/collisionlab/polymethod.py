@@ -5,11 +5,11 @@ multilinear polynomial of degree at most 2T in the input indicators;
 extract_polynomial builds it by propagating per-amplitude polynomials
 through the circuit.  A point's arity names its family: (g, N) for
 collision inputs, (g, N, M) for set comparison.  Averaged over either
-family, a monomial I has the expectation gamma_closed(I, point, n), one
-counting formula whose parameters alone depend on the arity.  On the
-collision side gamma is a fixed factorial prefactor times a bivariate
-polynomial q~ of total degree at most 2T, so the averaged acceptance
-satisfies
+family, a canonical Monomial I has the expectation gamma_closed(I,
+point, n), one counting formula whose parameters alone depend on the
+arity.  On the collision side gamma is a fixed factorial prefactor
+times a bivariate polynomial q~ of total degree at most 2T, so the
+averaged acceptance satisfies
 
     P(g, N) = prefactor(n, T, N) * q(g, N),    q = sum_I beta_I * q~_I
 
@@ -50,14 +50,6 @@ from .simulator import (
     _summed,
     acceptance_probability,
 )
-
-
-def as_monomial(I) -> Monomial | None:
-    """Accept a Monomial or an iterable of factors; None means the
-    identically-zero product (conflicting factors)."""
-    if I is None or isinstance(I, Monomial):
-        return I
-    return Monomial.from_factors(I)
 
 
 # ---------------------------------------------------------------------------
@@ -375,18 +367,13 @@ def _square_accepting(amps: _Amplitudes, D: int) -> MultilinearPoly:
     })
 
 
-def evaluate_poly(p: MultilinearPoly, inst: Instance) -> QSqrt2:
-    """Substitute the instance into the indicators and sum."""
-    return p.evaluate(inst.x, inst.y)
-
-
 # ---------------------------------------------------------------------------
 # monomial expectations: closed form and brute force
 # ---------------------------------------------------------------------------
 
 
-def gamma_closed(I, point, n: int, T: int | None = None) -> Fraction:
-    """Probability that monomial I evaluates to 1 under the family at
+def gamma_closed(m: Monomial, point, n: int) -> Fraction:
+    """Probability that monomial m evaluates to 1 under the family at
     point, (g, N) or (g, N, M), for inputs of length n:
 
         C(U - w, |S| - w) / C(U, |S|)
@@ -401,15 +388,13 @@ def gamma_closed(I, point, n: int, T: int | None = None) -> Fraction:
     factor of 1); (g, N, M) has U = 2n, |S| = 2N/g, sub = M/kappa(g),
     k = kappa(g), L = M and the registers x and y.
 
-    Conflicting products, values outside {1..U}, ranges that cannot
-    embed and values pinned more than k times in a register give 0.
+    A Monomial pins no position twice.  Values outside {1..U}, ranges
+    that cannot embed and values pinned more than k times in a register
+    give 0.
     The points rejected are those enumerate_rows rejects.  The count
     uses the point alone, never the sampler or the enumerator, so that
     gamma_bruteforce stays an independent check.
     """
-    m = as_monomial(I)
-    if m is None:
-        return Fraction(0)
     g, N, *M = point
     if g < 1 or N % g:
         raise ValueError("g must be >= 1 and divide N")
@@ -424,8 +409,6 @@ def gamma_closed(I, point, n: int, T: int | None = None) -> Fraction:
         sub = size
     if size > U or sub > size or L < n:
         raise ValueError(f"point {tuple(point)} does not fit inputs of length n={n}")
-    if T is not None and m.degree > 2 * T:
-        raise ValueError(f"monomial degree {m.degree} exceeds 2T = {2 * T}")
     if any(f.register not in registers or f.position > n for f in m.factors):
         raise ValueError(f"monomial factors must lie on registers {registers} at positions 1..n")
     values = m.value_set()
@@ -450,7 +433,7 @@ def gamma_closed(I, point, n: int, T: int | None = None) -> Fraction:
 enumerate_collision_supports = enumerate_rows
 
 
-def gamma_bruteforce(I, point, n: int, cap: int | None = None) -> Fraction:
+def gamma_bruteforce(m: Monomial, point, n: int, cap: int | None = None) -> Fraction:
     """Same expectation as gamma_closed, at a (g, N) or (g, N, M) point,
     by direct enumeration of every latent draw.
 
@@ -458,9 +441,6 @@ def gamma_bruteforce(I, point, n: int, cap: int | None = None) -> Fraction:
     the monomial on its x (and y), and divides.  Independent of the
     closed forms and of the draw-table kernel.
     """
-    m = as_monomial(I)
-    if m is None:
-        return Fraction(0)
     hits = 0
     total = 0
     for row in enumerate_rows(point, n, cap):
@@ -471,7 +451,7 @@ def gamma_bruteforce(I, point, n: int, cap: int | None = None) -> Fraction:
 
 
 def gamma_bruteforce_sweep(
-    monomials: Sequence[Monomial | None], point, n: int, cap: int | None = None
+    monomials: Sequence[Monomial], point, n: int, cap: int | None = None
 ) -> list[Fraction]:
     """gamma_bruteforce for many monomials over one enumeration of the
     (g, N) family at point: hit draws over all draws.  The rows stream
@@ -481,12 +461,10 @@ def gamma_bruteforce_sweep(
     bins, counts each monomial's hits."""
     draws = draw_table(enumerate_collision_supports(point, n, cap), point, n)
     total = len(draws)
-    present = [m for m in monomials if m is not None]
-    counts = np.zeros(len(present), dtype=np.int64)
-    for members, term_bins, draw_bins, bins in code_lookup(present, draws, n):
+    counts = np.zeros(len(monomials), dtype=np.int64)
+    for members, term_bins, draw_bins, bins in code_lookup(monomials, draws, n):
         counts[members] = np.bincount(draw_bins, minlength=bins)[term_bins]
-    hits = iter(counts.tolist())
-    return [Fraction(0) if m is None else Fraction(next(hits), total) for m in monomials]
+    return [Fraction(hits, total) for hits in counts.tolist()]
 
 
 def all_monomials(n: int, max_degree: int) -> Iterator[Monomial]:
@@ -500,7 +478,7 @@ def all_monomials(n: int, max_degree: int) -> Iterator[Monomial]:
 # ---------------------------------------------------------------------------
 
 
-def q_tilde(I, n: int, T: int) -> LatticePoly:
+def q_tilde(m: Monomial, n: int, T: int) -> LatticePoly:
     """Symbolic bivariate polynomial with gamma = prefactor * q~ at grid points.
 
         q~(g, N) = (n-w)! (n-2T)! / (n!)^2
@@ -512,9 +490,6 @@ def q_tilde(I, n: int, T: int) -> LatticePoly:
     """
     if n < 2 * T:
         raise ValueError("need n >= 2T")
-    m = as_monomial(I)
-    if m is None:
-        return LatticePoly(2)
     if m.register_factors("y"):
         raise ValueError("collision-family polynomials take x-register monomials only")
     r = m.degree

@@ -4,7 +4,8 @@ The (g, N, M) input family draws a pair (X, Y) of length-n prefixes of
 independent kappa(g)-to-1 functions into random subsets S_X, S_Y of a
 random range S.  A monomial's expectation, polymethod's gamma_closed at
 a (g, N, M) point, factors into a prefactor depending on (g, N, M) times
-a trivariate polynomial q~ of total degree at most 8T, giving
+a trivariate polynomial q~ of total degree at most 8T (theta_poly and
+q_tilde3 take a canonical Monomial), giving
 
     P(g, N, M) = prefactor3(n, T, N, M, g) * q(g, N, M)
 
@@ -22,8 +23,8 @@ from fractions import Fraction
 
 from .instances import sample_input
 from .lattice import LatticePoly
-from .multilinear import MultilinearPoly
-from .polymethod import as_monomial, assemble_grid_poly, expected_acceptance_mc
+from .multilinear import Monomial, MultilinearPoly
+from .polymethod import assemble_grid_poly, expected_acceptance_mc
 
 
 def _kappa_poly() -> LatticePoly:
@@ -31,7 +32,7 @@ def _kappa_poly() -> LatticePoly:
     return LatticePoly(2, {(2, 0): Fraction(4), (1, 0): Fraction(-12), (0, 0): Fraction(9)})
 
 
-def theta_poly(I) -> LatticePoly:
+def theta_poly(m: Monomial) -> LatticePoly:
     """Bivariate (g, M) factor of the trivariate expectation:
 
         theta_I(g, M) = prod_{i=0}^{wX-1} (M - i kappa(g))
@@ -41,9 +42,6 @@ def theta_poly(I) -> LatticePoly:
     with kappa(g) expanded as the quadratic, so the total degree is at
     most 2 r(I).
     """
-    m = as_monomial(I)
-    if m is None:
-        return LatticePoly(2)
     kap = _kappa_poly()
     m_var = LatticePoly.variable(2, 1)
     poly = LatticePoly.constant(2, 1)
@@ -57,7 +55,7 @@ def theta_poly(I) -> LatticePoly:
     return poly
 
 
-def q_tilde3(I, n: int, T: int) -> LatticePoly:
+def q_tilde3(m: Monomial, n: int, T: int) -> LatticePoly:
     """Trivariate polynomial with gamma = prefactor3 * q~3 at grid points.
 
         q~3(g, N, M) = (2n-w)! / ((2n)! (2n)^{2T}) * ((n-2T)!/n!)^2
@@ -69,9 +67,6 @@ def q_tilde3(I, n: int, T: int) -> LatticePoly:
     """
     if n < 2 * T:
         raise ValueError("need n >= 2T")
-    m = as_monomial(I)
-    if m is None:
-        return LatticePoly(3)
     r_x = len(m.register_factors("x"))
     r_y = len(m.register_factors("y"))
     if r_x + r_y > 2 * T:

@@ -14,8 +14,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from collisionlab.degreebound import DerivativeReport, family
-from collisionlab.instances import WINDOW_DENOM, WINDOW_DENOM3, Instance, kappa
+from collisionlab.degreebound import DerivativeReport, chain_region, family, variant_of
+from collisionlab.instances import (
+    WINDOW_DENOM,
+    WINDOW_DENOM3,
+    Instance,
+    SuperQuasilatticePoint,
+    kappa,
+    sample_rows,
+)
 from collisionlab.lattice import VARIABLE_NAMES, LatticePoly
 from collisionlab.multilinear import (
     REGISTERS,
@@ -70,17 +77,16 @@ def univariate_derivative_abs_max(coeffs, interval: tuple[float, float]) -> floa
 
 def full_grid_max_derivative(
     q: LatticePoly,
-    region: list[tuple[float, float]],
     n: int,
     T: int,
     G: int,
     resolution: int | None = None,
     refinement_rounds: int = 2,
-    variant: str = "collision",
 ) -> DerivativeReport:
     """The weighted derivative search evaluated on the whole grid: every
     partial on every open-grid point of every round, then np.argmax.
     degreebound.weighted_max_derivative must report the same bits."""
+    variant = variant_of(q)
     fam = family(variant)
     if resolution is None:
         resolution = 512 if q.arity == 2 else 64
@@ -89,7 +95,7 @@ def full_grid_max_derivative(
     weights = dict(zip(directions, [1.0] + [w] * (q.arity - 1)))
     partials = {name: q.derivative(i) for i, name in enumerate(directions)}
 
-    intervals = region
+    intervals = chain_region(n, T, G, variant)
     best = DerivativeReport(-1.0, (), "g")
     for _ in range(refinement_rounds + 1):
         axes = [np.linspace(lo, hi, resolution) for lo, hi in intervals]
@@ -131,6 +137,28 @@ def all_collision_sequences(n: int):
     """Every sequence in {1..n}^n, promise or not; n^n of them."""
     for x in itertools.product(range(1, n + 1), repeat=n):
         yield Instance(kind="collision", n=n, x=x)
+
+
+_UNION_CHUNK = 1000  # draws per sample_rows table: its key arrays stay a few MB at n = 200
+
+
+def fraction_of_small_unions(
+    n: int, samples: int, rng: random.Random, threshold: Fraction = Fraction(11, 10)
+) -> float:
+    """Monte Carlo check on the g=1 set-comparison family: fraction of
+    draws whose union is smaller than threshold*n.  The rows come from
+    sample_rows, _UNION_CHUNK draws at a time; sorted, a row's union size
+    is its count of distinct values."""
+    if samples < 1:
+        raise ValueError(f"no draws were asked for: samples must be >= 1, got {samples}")
+    point = SuperQuasilatticePoint(1, n, n)
+    cutoff = math.ceil(threshold * n)  # an integer size is below threshold*n iff below this
+    small = 0
+    for start in range(0, samples, _UNION_CHUNK):
+        rows = np.sort(sample_rows(point, n, min(_UNION_CHUNK, samples - start), rng), axis=1)
+        sizes = 1 + np.count_nonzero(np.diff(rows, axis=1), axis=1)
+        small += int(np.count_nonzero(sizes < cutoff))
+    return small / samples
 
 
 def one_to_one_instance(n: int, rng: random.Random) -> Instance:

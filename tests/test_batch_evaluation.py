@@ -163,7 +163,7 @@ def test_searchsorted_lookup_gives_the_dense_results(monkeypatch):
     n, point = 4, QuasilatticePoint(2, 8)
     cases = [(random_poly(rng, n, ("x", "y"), 5), random_draws(rng, 2 * n, 6)) for _ in range(6)]
     cases.append((extract_polynomial(two_query_mixer(4)), sample_rows(point, n, 200, random.Random(5))))
-    monomials = [*all_monomials(n, 2), None]
+    monomials = list(all_monomials(n, 2))
     dense = [poly.evaluate_batch(draws, n) for poly, draws in cases]
     dense_sweep = gamma_bruteforce_sweep(monomials, point, n)
     monkeypatch.setattr(multilinear, "_DENSE_BINS", 1)

@@ -50,16 +50,15 @@ def test_the_tracer_counts_the_stored_amplitudes_into_each_layer():
     assert tracer.counts["sim"]["simulator.amplitudes_in"] == 5
 
 
-def test_chain_calls_reach_the_traced_names(monkeypatch):
+def test_chain_calls_reach_the_traced_names():
     # A cap of 0 sends every point to Monte Carlo, so both families'
     # assembly and Monte Carlo hooks run, one Monte Carlo span per point.
-    monkeypatch.setenv("COLLISIONLAB_ENUM_CAP", "0")
     tracer = load_tracer(timing=True)
     tracer.install()
     try:
         for job, alg in (("collision", coincidence_probe(4)), ("setcomp", setcomp_probe(8))):
             tracer.job = job
-            report = cli.verify_inequality_chain(alg, G=2, mc_samples=10)
+            report = cli.verify_inequality_chain(alg, G=2, mc_samples=10, cap=0)
             assert len(report.points) == 2
     finally:
         tracer.uninstall()

@@ -362,18 +362,30 @@ def test_boundary_union_is_n_plus_a_tenth_of_n_at_least_one(n, union, capsys):
     assert json.loads(out)["results"]["union_size"] == union
 
 
-def test_malformed_enum_cap_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("COLLISIONLAB_ENUM_CAP", "abc")
-    code, _, err = run(["verify-identity", "--algorithm", "coincidence-4", "--G", "2"], capsys)
+def test_negative_enum_cap_exits_2(tmp_path, capsys):
+    out = tmp_path / "identity.json"
+    code, _, err = run(
+        ["verify-identity", "--algorithm", "coincidence-4", "--G", "2", "--enum-cap", "-1",
+         "--output", str(out)],
+        capsys,
+    )
     assert code == 2
-    assert "COLLISIONLAB_ENUM_CAP" in err
+    assert "enumeration cap must be >= 0, got -1" in err
+    assert not out.exists()
 
 
-def test_negative_enum_cap_env_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("COLLISIONLAB_ENUM_CAP", "-1")
-    code, _, err = run(["chain", "--algorithm", "coincidence-4", "--G", "2"], capsys)
-    assert code == 2
-    assert "COLLISIONLAB_ENUM_CAP must be >= 0, got -1" in err
+def test_the_environment_does_not_change_a_chain_report(tmp_path, monkeypatch, capsys):
+    # --enum-cap is the one way to set the cap, so a report follows from
+    # its config echo and seed; a cap in the environment is not read.
+    out = tmp_path / "chain.json"
+    argv = ["chain", "--algorithm", "coincidence-4", "--G", "2", "--mc-samples", "50",
+            "--output", str(out)]
+    assert run(argv, capsys)[0] == 0
+    report = out.read_bytes()
+    assert all(p["exact"] is True for p in json.loads(report)["results"]["points"])
+    monkeypatch.setenv("COLLISIONLAB_ENUM_CAP", "0")
+    assert run(argv, capsys)[0] == 0
+    assert out.read_bytes() == report
 
 
 def circuit_with_layer(layer) -> dict:
@@ -617,10 +629,10 @@ def test_chain_G_below_2_exits_2_before_extraction(algorithm, monkeypatch, capsy
 @pytest.mark.parametrize("algorithm", ["coincidence-4", "setcomp-probe-8"])
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_chain_mc_samples_below_1_exits_2_before_extraction(algorithm, samples, monkeypatch, capsys):
-    monkeypatch.setenv("COLLISIONLAB_ENUM_CAP", "0")
     forbid_extraction(monkeypatch)
     code, _, err = run(
-        ["chain", "--algorithm", algorithm, "--G", "2", "--mc-samples", samples], capsys
+        ["chain", "--algorithm", algorithm, "--G", "2", "--mc-samples", samples, "--enum-cap", "0"],
+        capsys,
     )
     assert code == 2
     assert "mc_samples" in err
@@ -640,8 +652,7 @@ def test_enum_cap_is_rejected_where_nothing_is_enumerated(args, capsys):
     assert "unrecognized arguments: --enum-cap 0" in capsys.readouterr().err
 
 
-def test_chain_enum_cap_option_sends_every_point_to_monte_carlo(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("COLLISIONLAB_ENUM_CAP", raising=False)
+def test_chain_enum_cap_option_sends_every_point_to_monte_carlo(tmp_path, capsys):
     out = tmp_path / "chain.json"
     code, _, _ = run(
         ["chain", "--algorithm", "coincidence-4", "--G", "2", "--mc-samples", "200",

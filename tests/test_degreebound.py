@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collisionlab.circuits import (
     REFERENCE_BUILDERS,
@@ -69,15 +71,13 @@ def test_random_polynomials_respect_markov():
 
 def test_weighted_max_derivative_constant_is_zero():
     q = LatticePoly.constant(2, Fraction(3, 7))
-    region = chain_region(4, 1, 2, "collision")
-    report = weighted_max_derivative(q, region, 4, 1, 2)
+    report = weighted_max_derivative(q, 4, 1, 2)
     assert report.value == 0.0
 
 
 def test_weighted_max_derivative_linear_in_g():
     q = LatticePoly(2, {(1, 0): Fraction(1, 2)})  # g/2
-    region = chain_region(100, 3, 3, "collision")
-    report = weighted_max_derivative(q, region, 100, 3, 3)
+    report = weighted_max_derivative(q, 100, 3, 3)
     assert report.value == pytest.approx(0.5, abs=1e-12)
     assert report.direction == "g"
 
@@ -85,18 +85,16 @@ def test_weighted_max_derivative_linear_in_g():
 def test_weighted_max_derivative_refinement_converges():
     alg = coincidence_probe(4)
     q = assemble_q(extract_polynomial(alg), 4, 1)
-    region = chain_region(4, 1, 2, "collision")
-    base = weighted_max_derivative(q, region, 4, 1, 2, resolution=512)
-    fine = weighted_max_derivative(q, region, 4, 1, 2, resolution=5120, refinement_rounds=0)
+    base = weighted_max_derivative(q, 4, 1, 2, resolution=512)
+    fine = weighted_max_derivative(q, 4, 1, 2, resolution=5120, refinement_rounds=0)
     assert abs(base.value - fine.value) < 1e-6
 
 
 def test_weighted_max_derivative_monotone_under_refinement():
     alg = two_query_mixer(4)
     q = assemble_q(extract_polynomial(alg), 4, 2)
-    region = chain_region(4, 2, 2, "collision")
-    coarse = weighted_max_derivative(q, region, 4, 2, 2, resolution=128)
-    finer = weighted_max_derivative(q, region, 4, 2, 2, resolution=256)
+    coarse = weighted_max_derivative(q, 4, 2, 2, resolution=128)
+    finer = weighted_max_derivative(q, 4, 2, 2, resolution=256)
     assert finer.value >= coarse.value - 1e-9
 
 
@@ -107,9 +105,8 @@ def test_weighted_max_derivative_monotone_under_refinement():
 ])
 def test_weighted_max_derivative_rejects_degenerate_settings(settings, message):
     q = LatticePoly(2, {(1, 0): Fraction(1, 2)})
-    region = chain_region(100, 3, 3, "collision")
     with pytest.raises(ValueError, match=message):
-        weighted_max_derivative(q, region, 100, 3, 3, **settings)
+        weighted_max_derivative(q, 100, 3, 3, **settings)
 
 
 def test_degree_lower_bound_values():
@@ -122,6 +119,27 @@ def test_degree_lower_bound_values():
 def test_degree_lower_bound_monotone_in_g():
     values = [degree_lower_bound(0.436, G, 1, 10**9) for G in (11, 101, 1001)]
     assert values == sorted(values)
+
+
+# degree_lower_bound rises in d toward sqrt((G-1) / (2 (1 + E))), E >= 0,
+# so at G = 2 it stays below sqrt(1/2) for every q, and no degree cap of
+# T >= 1 queries (at least 2) falls under it.  The float value can round
+# onto sqrt(1/2) only where E = c T (G-1) reach(G) / n is below the float
+# resolution (d = 2**52, n = 180143985094819821 reaches it), so strictness
+# is asserted for n < 2**50.
+@settings(max_examples=500, deadline=None)
+@given(
+    d=st.floats(min_value=0, allow_infinity=False),
+    T=st.integers(min_value=1, max_value=10**9),
+    n=st.integers(min_value=1, max_value=10**30),
+    value_range=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    variant=st.sampled_from(["collision", "setcomp"]),
+)
+def test_degree_lower_bound_at_g2_stays_below_sqrt_half(d, T, n, value_range, variant):
+    bound = degree_lower_bound(d, 2, T, n, variant, value_range)
+    assert bound <= math.sqrt(0.5)
+    if n < 2**50:
+        assert bound < math.sqrt(0.5)
 
 
 def test_chain_always_accept():
@@ -215,7 +233,7 @@ def test_chain_report_is_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == CHAIN_JSON_SHA256[name]
 
 
-# The same under COLLISIONLAB_ENUM_CAP=0, which sends every point to Monte
+# The same with an enumeration cap of 0, which sends every point to Monte
 # Carlo over the extracted polynomial; taken from the per-draw evaluation
 # that the batched one replaced.  two_query_mixer(4)'s was retaken for the
 # sample_rows tables; coincidence_probe(4)'s P is the same on every draw.
@@ -229,9 +247,8 @@ CHAIN_MC_JSON_SHA256 = {
     ("coincidence_probe(4)", coincidence_probe(4)),
     ("two_query_mixer(4)", two_query_mixer(4)),
 ])
-def test_forced_mc_chain_report_is_pinned(name, alg, monkeypatch):
-    monkeypatch.setenv("COLLISIONLAB_ENUM_CAP", "0")
-    report = verify_inequality_chain(alg, G=2, mc_samples=300)
+def test_forced_mc_chain_report_is_pinned(name, alg):
+    report = verify_inequality_chain(alg, G=2, mc_samples=300, cap=0)
     assert not any(row.exact for row in report.points)
     text = json.dumps(report.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CHAIN_MC_JSON_SHA256[name]
@@ -263,20 +280,17 @@ DERIVATIVE_PINS = {
 
 @pytest.mark.parametrize("name", sorted(DERIVATIVE_PINS))
 def test_derivative_report_is_pinned(name, assembled):
-    alg, q, variant = assembled[name]
-    region = chain_region(alg.n, alg.T, 2, variant)
-    report = weighted_max_derivative(q, region, alg.n, alg.T, 2, variant=variant)
+    alg, q, _ = assembled[name]
+    report = weighted_max_derivative(q, alg.n, alg.T, 2)
     assert (float.hex(report.value), report.at, report.direction) == DERIVATIVE_PINS[name]
 
 
 @pytest.mark.parametrize("G", [2, 3])
 @pytest.mark.parametrize("name", sorted(DERIVATIVE_PINS))
 def test_derivative_search_matches_full_grid_on_chain_q(name, G, assembled):
-    alg, q, variant = assembled[name]
-    args = (q, chain_region(alg.n, alg.T, G, variant), alg.n, alg.T, G)
-    assert search_key(weighted_max_derivative(*args, variant=variant)) == search_key(
-        full_grid_max_derivative(*args, variant=variant)
-    )
+    alg, q, _ = assembled[name]
+    args = (q, alg.n, alg.T, G)
+    assert search_key(weighted_max_derivative(*args)) == search_key(full_grid_max_derivative(*args))
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_BUILDERS))
@@ -285,10 +299,8 @@ def test_derivative_search_matches_full_grid_on_reference_circuits(name):
     fam = family(alg.kind)
     q = fam.assemble(extract_polynomial(alg), alg.n, alg.T)
     T = max(alg.T, 1)  # the window of a zero-query circuit, as the chain takes it
-    args = (q, chain_region(alg.n, T, 2, alg.kind), alg.n, T, 2)
-    assert search_key(weighted_max_derivative(*args, variant=alg.kind)) == search_key(
-        full_grid_max_derivative(*args, variant=alg.kind)
-    )
+    args = (q, alg.n, T, 2)
+    assert search_key(weighted_max_derivative(*args)) == search_key(full_grid_max_derivative(*args))
 
 
 g, N = LatticePoly.variable(2, 0), LatticePoly.variable(2, 1)
@@ -319,7 +331,7 @@ EDGE_CASES = {
 def edge_search(name, search):
     q, n, T, G = EDGE_CASES[name]
     with np.errstate(over="ignore", invalid="ignore"):
-        return search(q, chain_region(n, T, G, "collision"), n, T, G)
+        return search(q, n, T, G)
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))

@@ -22,7 +22,6 @@ from collisionlab.instances import (
     divisor_points,
     enumerate_rows,
     enumerate_supports,
-    fraction_of_small_unions,
     instance_from_latent,
     is_k_to_one,
     kappa,
@@ -34,7 +33,7 @@ from collisionlab.instances import (
     validate_instance,
 )
 from collisionlab.polymethod import draw_table
-from helpers import is_quasilattice_point, is_super_quasilattice_point
+from helpers import fraction_of_small_unions, is_quasilattice_point, is_super_quasilattice_point
 
 
 def test_kappa_values():
@@ -139,14 +138,6 @@ def test_enumeration_is_deterministic_and_unique():
 def test_enumeration_cap():
     with pytest.raises(EnumerationTooLarge):
         list(enumerate_supports(QuasilatticePoint(1, 12), 12, cap=1000))
-
-
-def test_enumeration_cap_env_default(monkeypatch):
-    monkeypatch.setenv("COLLISIONLAB_ENUM_CAP", "10")
-    with pytest.raises(EnumerationTooLarge):
-        list(enumerate_supports(QuasilatticePoint(2, 4), 4))
-    monkeypatch.delenv("COLLISIONLAB_ENUM_CAP")
-    assert sum(1 for _ in enumerate_supports(QuasilatticePoint(2, 4), 4)) == 36
 
 
 def test_sampling_frequencies_uniform_over_latents():

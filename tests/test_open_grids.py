@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from collisionlab.degreebound import chain_region, weighted_max_derivative
+from collisionlab.degreebound import _grid_argmax, chain_region, weighted_max_derivative
 from collisionlab.lattice import LatticePoly
 from helpers import full_grid_max_derivative, search_key
 
@@ -89,7 +89,6 @@ def test_chain_partials_match_dense_reference(assembled, name):
 
 # (resolution, refinement rounds); None is the default resolution.
 SEARCH_SETTINGS = [(None, 2), (7, 0), (2, 1)]
-VARIANT = {2: "collision", 3: "setcomp"}
 
 
 @pytest.mark.parametrize("resolution, rounds", SEARCH_SETTINGS)
@@ -97,9 +96,26 @@ VARIANT = {2: "collision", 3: "setcomp"}
 @pytest.mark.parametrize("seed", range(20))
 def test_derivative_search_matches_full_grid_on_random_polynomials(seed, arity, resolution, rounds):
     q = random_poly(random.Random(1000 * arity + seed), arity)
-    region = [(float(ax[0]), float(ax[-1])) for ax in AXES[arity]]
-    args = (q, region, 8, 1, 2, resolution, rounds, VARIANT[arity])
+    args = (q, 8, 1, 2, resolution, rounds)  # on chain_region(8, 1, 2) of q's family
     assert search_key(weighted_max_derivative(*args)) == search_key(full_grid_max_derivative(*args))
+
+
+# The AXES regions reach past every chain rectangle (negative g, a long N
+# axis), so one round of the search is compared on them directly.
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("seed", range(20))
+def test_grid_argmax_matches_full_grid_on_random_polynomials_off_the_chain_region(seed, arity):
+    q = random_poly(random.Random(1000 * arity + seed), arity)
+    for resolution in (512 if arity == 2 else 64, 7, 2):
+        axes = [np.linspace(ax[0], ax[-1], resolution) for ax in AXES[arity]]
+        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+        for i in range(arity):
+            partial = q.derivative(i)
+            for weight in (1.0, 0.4):
+                vals = np.abs(partial.evaluate_float(*grids)) * weight
+                flat = int(np.argmax(vals))
+                value, at = _grid_argmax(partial, axes, weight)
+                assert (float.hex(value), at) == (float.hex(float(vals.flat[flat])), flat)
 
 
 # At most this many points per partial per round reach evaluate_float on
@@ -108,8 +124,7 @@ SETCOMP_EXACT_POINTS = 8
 
 
 def test_derivative_search_evaluates_few_points_exactly(assembled, evaluation_sizes):
-    alg, q, variant = assembled["setcomp_probe(8)"]
-    region = chain_region(alg.n, alg.T, 2, variant)
-    weighted_max_derivative(q, region, alg.n, alg.T, 2, variant=variant)
+    alg, q, _ = assembled["setcomp_probe(8)"]
+    weighted_max_derivative(q, alg.n, alg.T, 2)
     assert len(evaluation_sizes) == 3 * 3  # rounds x partials
     assert max(evaluation_sizes) <= SETCOMP_EXACT_POINTS, evaluation_sizes

@@ -99,7 +99,7 @@ import sys
 from collisionlab import cli
 codes = [
     cli.main(["chain", "--algorithm", name, "--G", "2", "--mc-samples", "50",
-              "--output", sys.argv[1]])
+              "--enum-cap", "0", "--output", sys.argv[1]])
     for name in ("coincidence-4", "setcomp-probe-8")
 ]
 print(*codes, "numpy.random" in sys.modules)
@@ -110,8 +110,7 @@ def test_a_monte_carlo_chain_never_imports_numpy_random(tmp_path):
     # numpy.random costs about 6 MB of resident memory once imported; the
     # sampler reads its keys from the caller's random.Random instead.
     src = str(Path(collisionlab.__file__).resolve().parents[1])
-    env = dict(os.environ, COLLISIONLAB_ENUM_CAP="0",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", CHAIN_SCRIPT, str(tmp_path / "chain.json")],
         capture_output=True, text=True, env=env, timeout=300,

@@ -90,11 +90,10 @@ def test_gamma3_oracle_equivalence_all_monomials_n2():
     assert set(monomials) == filtered
     for m in monomials:
         for g, N, M in points:
-            assert gamma_closed(m, (g, N, M), 2, T=1) == gamma_bruteforce(m, (g, N, M), 2)
+            assert gamma_closed(m, (g, N, M), 2) == gamma_bruteforce(m, (g, N, M), 2)
 
 
 def test_gamma3_conflicting_and_guards():
-    assert gamma_closed([IV("x", 1, 1), IV("x", 1, 2)], (1, 2, 2), 2) == 0
     # value outside the alphabet
     assert gamma_closed(Monomial.from_factors([IV("y", 1, 9)]), (1, 2, 2), 2) == 0
     with pytest.raises(ValueError, match="kappa"):
