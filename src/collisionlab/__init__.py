@@ -44,12 +44,7 @@ from .polymethod import (
     prefactor,
     q_tilde,
 )
-from .setcomp_poly import (
-    assemble_q3,
-    prefactor3,
-    q_tilde3,
-    theta_poly,
-)
+from .setcomp_poly import assemble_q3
 from .degreebound import (
     degree_lower_bound,
     markov_bound,

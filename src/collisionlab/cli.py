@@ -263,12 +263,18 @@ def cmd_chain(args) -> int:
 
 
 def cmd_setcomp(args) -> int:
+    # --n and --shots are resolved in args, so the config echo holds what ran.
+    if args.instance and args.n is not None:
+        raise ConfigError("--n sizes a built instance; --instance brings its own n")
+    if args.shots is not None and args.mode != "shots":
+        raise ConfigError("--shots is read only with --mode shots")
+    if args.shots is None:
+        args.shots = 20
     rng = random.Random(args.seed)
-    n = args.n
     if args.instance:
         inst = Instance.load(args.instance)
         n = inst.n
-    elif n < 1:
+    elif (n := 4 if args.n is None else args.n) < 1:
         raise ConfigError(f"--n must be >= 1, got {n}")
     elif args.equal:
         x = tuple(range(1, n + 1))
@@ -285,6 +291,7 @@ def cmd_setcomp(args) -> int:
         inst = Instance(kind="setcomp", n=n, x=x, y=y)
     else:
         raise ConfigError("setcomp needs --instance, --equal, --disjoint or --boundary")
+    args.n = n
     result: dict = {"n": n, "union_size": set_union_size(inst), "mode": args.mode}
     if args.mode == "shots":
         result["decision"] = erasing_setcomp_decide(inst, args.shots, rng)
@@ -392,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("setcomp", help="erasing-oracle set comparison demo")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=int, default=None, help="size of a built instance (default 4)")
     given = p.add_mutually_exclusive_group()
     given.add_argument("--instance", type=str, default=None)
     given.add_argument("--equal", action="store_true")
@@ -400,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     given.add_argument("--boundary", action="store_true",
                        help="union n + max(1, n // 10): 22 at n = 20, 5 at n = 4")
     p.add_argument("--mode", choices=("exact", "float", "shots"), default="exact")
-    p.add_argument("--shots", type=int, default=20)
+    p.add_argument("--shots", type=int, default=None, help="--mode shots only (default 20)")
     add_common(p)
     p.set_defaults(func=cmd_setcomp)
 

@@ -44,7 +44,7 @@ from .polymethod import (
     prefactor,
 )
 from .qsqrt2 import format_fraction
-from .setcomp_poly import assemble_q3, expected_acceptance3_mc, prefactor3
+from .setcomp_poly import assemble_q3, expected_acceptance3_mc
 from .simulator import QueryAlgorithm
 
 # Chain constants.  All follow from two choices: the allowed error
@@ -76,7 +76,6 @@ class Family:
 
     arity: int  # grid variables: (g, N) or (g, N, M)
     points: Callable  # (n, T, G) -> admissible points, sorted
-    prefactor: Callable  # (n, T, point) -> P / q at the point
     assemble: Callable  # (acceptance poly, n, T) -> q
     mc_mean: Callable  # (poly, point, n, samples, rng) -> (mean, stderr)
     window_denom: int  # N (and M) window width n / (window_denom T)
@@ -92,7 +91,6 @@ FAMILIES = {
     "collision": Family(
         arity=2,
         points=quasilattice_points,
-        prefactor=lambda n, T, pt: prefactor(n, T, pt.N),
         assemble=lambda p, n, T: assemble_q(p, n, T),
         mc_mean=lambda *args: expected_acceptance_mc(*args),
         window_denom=WINDOW_DENOM,
@@ -104,7 +102,6 @@ FAMILIES = {
     "setcomp": Family(
         arity=3,
         points=super_quasilattice_points,
-        prefactor=lambda n, T, pt: prefactor3(n, T, pt.N, pt.M, pt.g),
         assemble=lambda p, n, T: assemble_q3(p, n, T),
         mc_mean=lambda *args: expected_acceptance3_mc(*args),
         window_denom=WINDOW_DENOM3,
@@ -428,7 +425,7 @@ def identity_points(
     fam = family(alg.kind)
     n, T = alg.n, alg.T
     for pt in identity_grid(alg, G):
-        pref = fam.prefactor(n, T, pt)
+        pref = prefactor(n, T, pt)
         q_val = q.evaluate(pt)
         try:
             p_val, exact = expected_acceptance(alg, pt, n, cap).as_fraction(), True

@@ -48,18 +48,6 @@ class LatticePoly:
         exps[index] = 1
         return LatticePoly(arity, {tuple(exps): Fraction(1)})
 
-    @staticmethod
-    def linear(arity: int, const, var_coeffs: Mapping[int, object]) -> "LatticePoly":
-        """const + sum_i var_coeffs[i] * variable_i."""
-        coeffs: dict[tuple[int, ...], Fraction] = {}
-        if Fraction(const) != 0:
-            coeffs[(0,) * arity] = Fraction(const)
-        for index, c in var_coeffs.items():
-            exps = [0] * arity
-            exps[index] = 1
-            coeffs[tuple(exps)] = Fraction(c)
-        return LatticePoly(arity, coeffs)
-
     # -- arithmetic ----------------------------------------------------------------
 
     def __add__(self, other: "LatticePoly") -> "LatticePoly":
@@ -147,12 +135,6 @@ class LatticePoly:
             key = tuple(v - 1 if i == index else v for i, v in enumerate(exps))
             out[key] = out.get(key, Fraction(0)) + c * e
         return LatticePoly(self.arity, out)
-
-    def embed3(self) -> "LatticePoly":
-        """Lift a (g, M) polynomial into (g, N, M) with N unused."""
-        if self.arity != 2:
-            raise ValueError("embed3 expects a bivariate polynomial")
-        return LatticePoly(3, {(e0, 0, e1): c for (e0, e1), c in self.coeffs.items()})
 
     # -- serialization -----------------------------------------------------------------
 

@@ -7,14 +7,15 @@ through the circuit.  A point's arity names its family: (g, N) for
 collision inputs, (g, N, M) for set comparison.  Averaged over either
 family, a canonical Monomial I has the expectation gamma_closed(I,
 point, n), one counting formula whose parameters alone depend on the
-arity.  On the collision side gamma is a fixed factorial prefactor
-times a bivariate polynomial q~ of total degree at most 2T, so the
-averaged acceptance satisfies
+arity.  It factors into a prefactor of the point times a grid
+polynomial q~ of total degree at most 2T (collision) or 8T (set
+comparison), again one formula for both, so the averaged acceptance
+satisfies
 
-    P(g, N) = prefactor(n, T, N) * q(g, N),    q = sum_I beta_I * q~_I
+    P(point) = prefactor(n, T, point) * q(point),
+    q = sum_I beta_I * q_tilde(I, n, T, len(point))
 
-exactly at every admissible point; setcomp_poly holds the trivariate
-q~3 and prefactor3.  The closed form's independent twin,
+exactly at every admissible point.  The closed form's independent twin,
 gamma_bruteforce, enumerates the latent draws of either family.
 """
 
@@ -95,12 +96,12 @@ def extract_polynomial(alg: QueryAlgorithm) -> MultilinearPoly:
     conflict (one slot pinned to two values), which is dropped.  The
     products are summed per code (cross pairs doubled, since Delta^2 =
     Delta), and the terms come out in code order, which is
-    sorted_terms() order: assemble_grid_poly, and through it
-    LatticePoly.evaluate_float, add in that order.  Each monomial is
-    built once, from its code's digits, and each distinct coefficient
-    once, as a Fraction pair over D^2.  The coefficients are int64
-    while a stated bound on every sum fits in it, and so are the codes;
-    past either bound the same arrays hold Python ints.
+    sorted_terms() order: assemble_grid_poly reads them in that order.
+    Each monomial is built once, from its code's digits, and each
+    distinct coefficient once, as a Fraction pair over D^2.  The
+    coefficients are int64 while a stated bound on every sum fits in
+    it, and so are the codes; past either bound the same arrays hold
+    Python ints.
     """
     if alg.oracle_kind != "standard":
         raise ConfigError("polynomial extraction is defined for standard-oracle algorithms")
@@ -474,51 +475,72 @@ def all_monomials(n: int, max_degree: int) -> Iterator[Monomial]:
 
 
 # ---------------------------------------------------------------------------
-# the bivariate polynomial q~ and the prefactor identity
+# the grid polynomial q~ and the prefactor identity
 # ---------------------------------------------------------------------------
 
 
-def q_tilde(m: Monomial, n: int, T: int) -> LatticePoly:
-    """Symbolic bivariate polynomial with gamma = prefactor * q~ at grid points.
+def q_tilde(m: Monomial, n: int, T: int, arity: int) -> LatticePoly:
+    """Grid polynomial with gamma_closed = prefactor * q~ at admissible
+    points, in (g, N) for arity 2 and (g, N, M) for arity 3:
 
-        q~(g, N) = (n-w)! (n-2T)! / (n!)^2
-                   * prod_{i=r}^{2T-1} (N - i)
-                   * prod_{i=0}^{w-1} (N - g i)
-                   * prod_{values} prod_{j=1}^{mult-1} (g - j)
+        q~ = prod_reg [ prod_{i<w_reg} (L - i k)
+                        * prod_{values v} prod_{j=1}^{c_v - 1} (k - j)
+                        * prod_{i=r_reg}^{2T-1} (L - i) ]
+             / ((U)_w * prod_reg (n)_{2T})
 
-    Total degree is (2T - r) + w + (r - w) = 2T.
+    with (x)_j the falling factorial and gamma_closed's parameters:
+    (L, k, U) = (N, g, n) and the register x, or (M, kappa(g), 2n) and
+    the registers x, y.  Set comparison draws each register's range
+    inside S, so arity 3 has one more factor,
+
+        g^(w_x + w_y - w) * prod_{i=w_x}^{w-1} (2N - i g)
+        * prod_{i=w_y}^{2T-1} (2N - i g) / (2n)^(2T).
+
+    The total degree is 2T at arity 2 and at most r + 6T <= 8T at arity 3.
     """
     if n < 2 * T:
         raise ValueError("need n >= 2T")
-    if m.register_factors("y"):
+    if arity == 2 and m.register_factors("y"):
         raise ValueError("collision-family polynomials take x-register monomials only")
-    r = m.degree
-    if r > 2 * T:
-        raise ValueError(f"degree violation: monomial degree {r} exceeds 2T = {2 * T}")
+    if m.degree > 2 * T:
+        raise ValueError(f"degree violation: monomial degree {m.degree} exceeds 2T = {2 * T}")
+    one = LatticePoly.constant(arity, 1)
+    g, N, *M = (LatticePoly.variable(arity, i) for i in range(arity))
+    if M:
+        L, k, U, kind = M[0], (g * g).scale(4) - g.scale(12) + one.scale(9), 2 * n, "setcomp"
+    else:
+        L, k, U, kind = N, g, n, "collision"
+    registers = KIND_REGISTERS[kind]
     w = m.width()
-    scalar = Fraction(
-        math.factorial(n - w) * math.factorial(n - 2 * T), math.factorial(n) ** 2
-    )
-    g_var = LatticePoly.variable(2, 0)
-    n_var = LatticePoly.variable(2, 1)
-    poly = LatticePoly.constant(2, scalar)
-    for i in range(r, 2 * T):
-        poly = poly * LatticePoly.linear(2, -i, {1: 1})
-    for i in range(w):
-        poly = poly * (n_var - g_var.scale(i))
-    for count in m.multiplicities().values():
-        for j in range(1, count):
-            poly = poly * LatticePoly.linear(2, -j, {0: 1})
-    return poly
+    factors = []
+    for reg in registers:
+        mult = m.multiplicities(reg)
+        factors += [L - k.scale(i) for i in range(len(mult))]
+        factors += [k - one.scale(j) for c in mult.values() for j in range(1, c)]
+        factors += [L - one.scale(i) for i in range(sum(mult.values()), 2 * T)]
+    scalar = Fraction(1, math.perm(U, w) * math.perm(n, 2 * T) ** len(registers))
+    if M:
+        w_x, w_y = m.width("x"), m.width("y")
+        scalar /= (2 * n) ** (2 * T)
+        factors += [g] * (w_x + w_y - w)
+        factors += [N.scale(2) - g.scale(i) for i in (*range(w_x, w), *range(w_y, 2 * T))]
+    # Integer coefficients until the one scaling at the end.
+    return math.prod(factors, start=one).scale(scalar)
 
 
-def prefactor(n: int, T: int, N: int) -> Fraction:
-    """(N-2T)! n! / (N! (n-2T)!) as a falling-factorial ratio, in (0, 1]."""
-    if N < 2 * T or n < 2 * T:
-        raise ValueError("need N >= 2T and n >= 2T")
-    out = Fraction(1)
-    for i in range(2 * T):
-        out *= Fraction(n - i, N - i)
+def prefactor(n: int, T: int, point) -> Fraction:
+    """P / q at point, (g, N) or (g, N, M): prod_reg (n)_{2T} / (L)_{2T},
+    with L = N and one register, or L = M and two, times
+    (2n)^(2T) / prod_{i<2T} (2N - g i) for set comparison.  On the
+    collision side it does not depend on g, and lies in (0, 1] for
+    N >= n."""
+    g, N, *M = point
+    L = M[0] if M else N
+    if L < 2 * T or n < 2 * T:
+        raise ValueError(f"need {'M' if M else 'N'} >= 2T and n >= 2T")
+    out = Fraction(math.perm(n, 2 * T), math.perm(L, 2 * T)) ** (1 + len(M))
+    if M:
+        out *= Fraction((2 * n) ** (2 * T), math.prod(2 * N - g * i for i in range(2 * T)))
     return out
 
 
@@ -529,34 +551,30 @@ def assemble_q(p: MultilinearPoly, n: int, T: int) -> LatticePoly:
     are expected to cancel, and a nonzero remainder is an error rather
     than something to approximate away.
     """
-    return assemble_grid_poly(p, n, T, q_tilde, 2)
+    return assemble_grid_poly(p, n, T, 2)
 
 
-def assemble_grid_poly(
-    p: MultilinearPoly, n: int, T: int, q_tilde_of, arity: int
-) -> LatticePoly:
-    """sum_I beta_I q_tilde_of(I, n, T) in `arity` grid variables; the one
-    assembly loop behind assemble_q and assemble_q3.
+def assemble_grid_poly(p: MultilinearPoly, n: int, T: int, arity: int) -> LatticePoly:
+    """sum_I beta_I q_tilde(I, n, T, arity); the one assembly loop behind
+    assemble_q and assemble_q3.
 
     q~_I depends on I only through its shape: the width w (distinct
     values over both registers) and the sorted value multiplicities of
-    each register.  These give everything q_tilde and q_tilde3 read: the
-    degrees r_x, r_y (sums of the multiplicities, r = r_x + r_y), the
-    register widths w_x, w_y (their counts), w, and the multiplicities
-    themselves; positions and the values' labels never enter.  So the
-    rational beta_I are summed per shape, and q~ is built once per shape,
-    from its first monomial, and scaled once, in first-seen order.  The
-    degree and sqrt(2) checks still run on every term in term order, and
-    q_tilde_of runs when a shape is first seen, so its own errors (a y
-    factor on the collision side) come in term order too.
+    each register.  These give everything q_tilde reads: the degrees
+    r_x, r_y (sums of the multiplicities), the register widths w_x, w_y
+    (their counts), w, and the multiplicities themselves; positions and
+    the values' labels never enter.  So the rational beta_I are summed
+    per shape, and q~ is built once per shape, from its first monomial,
+    and scaled once.  The degree and sqrt(2) checks still run on every
+    term in term order, and q_tilde runs when a shape is first seen, so
+    its own errors (a y factor on the collision side) come in term order
+    too.
 
-    Zero sums are dropped only at the end, so grid monomials keep the
-    order in which they first appear: the order a per-term sum gives
-    wherever none of its partial sums returns to zero.  evaluate_float
-    adds in that order.
+    q's terms come out in ascending exponent order, whatever order q~
+    multiplies its factors in; evaluate_float adds in that order.
     """
     q_tildes: dict[tuple, LatticePoly] = {}  # shape -> q~ of its first monomial
-    betas: dict[tuple, Fraction] = {}  # shape -> sum of beta, same order
+    betas: dict[tuple, Fraction] = {}  # shape -> sum of beta
     for m, c in p.terms.items():
         if m.degree > 2 * T:
             raise ValueError(f"degree violation: monomial degree {m.degree} exceeds 2T")
@@ -572,13 +590,13 @@ def assemble_grid_poly(
             tuple(sorted(m.multiplicities("y").values())),
         )
         if shape not in q_tildes:
-            q_tildes[shape] = q_tilde_of(m, n, T)
+            q_tildes[shape] = q_tilde(m, n, T, arity)
         betas[shape] = betas.get(shape, 0) + beta
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for shape, beta_sum in betas.items():
         for exps, c in q_tildes[shape].coeffs.items():
             coeffs[exps] = coeffs.get(exps, 0) + c * beta_sum
-    return LatticePoly(arity, coeffs)
+    return LatticePoly(arity, dict(sorted(coeffs.items())))
 
 
 # ---------------------------------------------------------------------------

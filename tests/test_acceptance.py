@@ -42,13 +42,9 @@ from collisionlab.polymethod import (
     gamma_bruteforce_sweep,
     gamma_closed,
     prefactor,
+    q_tilde,
 )
-from collisionlab.setcomp_poly import (
-    assemble_q3,
-    prefactor3,
-    q_tilde3,
-    theta_poly,
-)
+from collisionlab.setcomp_poly import assemble_q3
 from collisionlab.simulator import acceptance_probability
 from helpers import (
     all_collision_sequences,
@@ -124,7 +120,7 @@ def test_criterion_03_prefactor_identity():
     points = [QuasilatticePoint(1, 4), QuasilatticePoint(2, 4)]
     for point in points:
         p_value = expected_acceptance(alg, point, 4)  # full enumeration
-        assert p_value == prefactor(4, 1, point.N) * q.evaluate(point)
+        assert p_value == prefactor(4, 1, point) * q.evaluate(point)
 
 
 @criterion(4, "prefactor in [0.818, 1] for n = 10^4, T = 33, N in [n, n + 30]")
@@ -133,7 +129,7 @@ def test_criterion_04_prefactor_bound():
     floor = Fraction(818, 1000)
     dev_cap = Fraction(2225, 10000)
     for N in range(n, n + 31):
-        pref = prefactor(n, T, N)
+        pref = prefactor(n, T, (1, N))
         assert floor <= pref <= 1, (N, float(pref))
         # worst-case |P - q| bound, using P <= 1
         dev = 1 / pref - 1
@@ -199,8 +195,7 @@ def test_criterion_08_trivariate_suite():
     for m in monomials:
         for g, N, M in points:
             assert gamma_closed(m, (g, N, M), 2) == gamma_bruteforce(m, (g, N, M), 2)
-        assert theta_poly(m).total_degree <= 2 * m.degree
-        assert q_tilde3(m, 2, 1).total_degree <= 8
+        assert q_tilde(m, 2, 1, 3).total_degree <= 8
 
     alg = setcomp_probe(2)
     poly = extract_polynomial(alg)
@@ -208,7 +203,7 @@ def test_criterion_08_trivariate_suite():
     assert q3.total_degree <= 8
     point = SuperQuasilatticePoint(1, 2, 2)
     p_value = expected_acceptance(alg, point, 2)
-    assert p_value == prefactor3(2, 1, 2, 2, 1) * q3.evaluate(point)
+    assert p_value == prefactor(2, 1, point) * q3.evaluate(point)
 
 
 @criterion(9, "10^4 draws from the n = 200 equal-sets family: no union below 1.1 n")

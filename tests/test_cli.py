@@ -12,8 +12,8 @@ from collisionlab import cli, degreebound
 from collisionlab.circuits import coincidence_probe, setcomp_probe, two_query_mixer
 from collisionlab.cli import main
 from collisionlab.instances import Instance, count_supports, divisor_points
-from collisionlab.polymethod import extract_polynomial
-from collisionlab.setcomp_poly import assemble_q3, prefactor3
+from collisionlab.polymethod import extract_polynomial, prefactor
+from collisionlab.setcomp_poly import assemble_q3
 from collisionlab.reports import jsonable, render_csv, render_json
 from collisionlab.simulator import QueryAlgorithm
 
@@ -182,7 +182,7 @@ def test_verify_identity_on_a_setcomp_circuit(tmp_path, capsys):
     (row,) = json.loads(out.read_text())["results"]["points"]
     assert (row["g"], row["N"], row["M"], row["P"]) == (1, 2, 2, "3/8")
     q3 = assemble_q3(extract_polynomial(setcomp_probe(2)), 2, 1)
-    assert Fraction(row["P"]) == prefactor3(2, 1, 2, 2, 1) * q3.evaluate((1, 2, 2))
+    assert Fraction(row["P"]) == prefactor(2, 1, (1, 2, 2)) * q3.evaluate((1, 2, 2))
     assert row["exact_match"] is True
 
 
@@ -706,3 +706,27 @@ def test_python_dash_m_collisionlab_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "gamma.json").read_text())["results"]["summary"]["all_equal"] is True
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--instance", "{path}", "--n", "50"], "--n sizes a built instance; --instance brings its own n"),
+    (["--equal", "--n", "4", "--shots", "0"], "--shots is read only with --mode shots"),
+    (["--equal", "--mode", "float", "--shots", "5"], "--shots is read only with --mode shots"),
+    (["--instance", "{path}"], None),
+    (["--equal"], None),
+])
+def test_setcomp_config_echo_is_what_ran(flags, message, tmp_path, capsys):
+    """A flag the run does not read exits 2; the echoed n is the n that
+    ran (the instance's own with --instance, 4 by default), and shots
+    echoes its default 20."""
+    path = tmp_path / "instance.json"
+    Instance(kind="setcomp", n=2, x=(1, 2), y=(3, 4)).dump(path)
+    code, out, err = run(["setcomp", *(f.format(path=path) for f in flags)], capsys)
+    if message:
+        assert (code, out) == (2, "")
+        assert f"error: {message}" in err
+    else:
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["n"] == doc["results"]["n"] == (2 if "--instance" in flags else 4)
+        assert doc["config"]["shots"] == 20

@@ -1,6 +1,6 @@
 """The closed forms count; they never draw or enumerate.
 
-gamma_closed, q~ and the prefactors are checked against gamma_bruteforce
+gamma_closed, q~ and the prefactor are checked against gamma_bruteforce
 and the exact family averages, which walk the latent draws that
 instances enumerates.  That check means something only while the closed
 forms compute from the point alone.  So none of them may call the
@@ -15,7 +15,7 @@ import collisionlab
 
 PACKAGE = Path(collisionlab.__file__).resolve().parent
 
-CLOSED_FORMS = ("gamma_closed", "q_tilde", "q_tilde3", "prefactor", "prefactor3")
+CLOSED_FORMS = ("gamma_closed", "q_tilde", "prefactor")
 DRAW_READERS = (
     "_shape", "enumerate_rows", "enumerate_supports", "sample_rows", "sample_input",
     "count_supports",

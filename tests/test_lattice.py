@@ -41,13 +41,6 @@ def test_evaluate_float_matches_exact():
         assert v == pytest.approx(float(p.evaluate((Fraction(g), Fraction(n)))), abs=1e-12)
 
 
-def test_embed3():
-    theta = LatticePoly(2, {(2, 1): Fraction(3)})  # 3 g^2 M
-    lifted = theta.embed3()
-    assert lifted.arity == 3
-    assert lifted.evaluate((2, 99, 5)) == 3 * 4 * 5
-
-
 def test_arity_checks():
     with pytest.raises(ValueError):
         LatticePoly(4)

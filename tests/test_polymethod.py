@@ -12,7 +12,16 @@ from collisionlab.circuits import (
     setcomp_probe,
     two_query_mixer,
 )
-from collisionlab.instances import ConfigError, Instance, QuasilatticePoint, divisor_points, enumerate_rows
+from collisionlab.instances import (
+    ConfigError,
+    Instance,
+    QuasilatticePoint,
+    divisor_points,
+    enumerate_rows,
+    kappa,
+    quasilattice_points,
+    super_quasilattice_points,
+)
 from collisionlab.multilinear import IndicatorVariable as IV
 from collisionlab.multilinear import Monomial, MultilinearPoly
 from collisionlab.polymethod import (
@@ -250,7 +259,7 @@ def test_gamma_sweep_is_the_per_row_count_up_to_n6_and_degree_3():
 
 def test_q_tilde_single_indicator_example():
     m = Monomial.from_factors([IV("x", 1, 3)])
-    qt = q_tilde(m, 4, 1)
+    qt = q_tilde(m, 4, 1, 2)
     # ((n-1)! (n-2)! / (n!)^2) * (N - 1) * N = N(N-1)/48 with n = 4
     assert qt.evaluate((1, 4)) == Fraction(1, 4)
     assert qt.evaluate((2, 6)) == Fraction(5 * 6, 48)
@@ -259,7 +268,7 @@ def test_q_tilde_single_indicator_example():
 
 def test_q_tilde_vanishes_when_multiplicity_exceeds_g():
     m = Monomial.from_factors([IV("x", i, 1) for i in (1, 2, 3)])  # r_1 = 3
-    qt = q_tilde(m, 6, 2)
+    qt = q_tilde(m, 6, 2, 2)
     assert qt.evaluate((2, 6)) == 0  # contains the factor (g - 2)
     assert qt.evaluate((3, 6)) != 0
 
@@ -268,7 +277,7 @@ def test_q_tilde_degree_bound_random():
     rng = random.Random(7)
     for _ in range(100):
         m = random_monomial(rng, 6, 4)
-        assert q_tilde(m, 6, 2).total_degree <= 4
+        assert q_tilde(m, 6, 2, 2).total_degree <= 4
 
 
 def test_q_tilde_times_prefactor_equals_gamma():
@@ -276,14 +285,43 @@ def test_q_tilde_times_prefactor_equals_gamma():
     for _ in range(40):
         m = random_monomial(rng, 6, 3)
         for g, N in [(1, 6), (2, 6), (2, 8)]:
-            lhs = prefactor(6, 2, N) * q_tilde(m, 6, 2).evaluate((g, N))
+            lhs = prefactor(6, 2, (g, N)) * q_tilde(m, 6, 2, 2).evaluate((g, N))
             assert lhs == gamma_closed(m, (g, N), 6)
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("family, n, T, G", [
+    ("collision", 8, 1, 2),
+    ("collision", 12, 2, 3),
+    ("setcomp", 8, 1, 2),
+    ("setcomp", 27, 1, 3),
+    ("setcomp", 125, 1, 5),
+])
+def test_prefactor_times_q_tilde_is_gamma_at_every_admissible_point(family, n, T, G, seed):
+    """gamma_closed = prefactor * q~ on seeded monomials of degree <= 2T.
+    Values come from a small pool, so they repeat, and the set-comparison
+    points past n = 8 have kappa(g) = 9: (3, 27, 27), and at n = 125
+    also M > N, N > M and (3, 126, 126)."""
+    if family == "collision":
+        points, registers = quasilattice_points(n, T, G), "x"
+    else:
+        points, registers = super_quasilattice_points(n, T, G), "xy"
+        assert max(kappa(pt.g) for pt in points) == (9 if n > 8 else 1)
+    rng = random.Random(seed)
+    slots = [(reg, pos) for reg in registers for pos in range(1, n + 1)]
+    for _ in range(5):
+        pool = rng.sample(range(1, n * len(registers) + 1), rng.randint(1, 2 * T))
+        m = Monomial.from_factors(
+            IV(reg, pos, rng.choice(pool)) for reg, pos in rng.sample(slots, rng.randint(0, 2 * T))
+        )
+        for pt in points:
+            assert gamma_closed(m, pt, n) == prefactor(n, T, pt) * q_tilde(m, n, T, len(pt)).evaluate(pt)
+
+
 def test_prefactor_examples():
-    assert prefactor(4, 1, 4) == 1
-    assert prefactor(100, 3, 102) == Fraction(9120, 10302)
-    assert prefactor(100, 3, 100) == 1
+    assert prefactor(4, 1, (1, 4)) == 1
+    assert prefactor(100, 3, (2, 102)) == Fraction(9120, 10302)
+    assert prefactor(100, 3, (1, 100)) == 1
 
 
 def test_assemble_q_constant():
@@ -291,7 +329,7 @@ def test_assemble_q_constant():
     assert q.evaluate((1, 4)) == 1
     assert q.evaluate((2, 4)) == 1
     # off the base point the polynomial compensates the prefactor
-    assert prefactor(4, 1, 6) * q.evaluate((2, 6)) == 1
+    assert prefactor(4, 1, (2, 6)) * q.evaluate((2, 6)) == 1
 
 
 def test_assemble_q_single_indicator():
@@ -347,7 +385,7 @@ def test_identity_exact_at_every_point():
         P_sim = expected_acceptance(alg, point, 4)
         P_poly = expected_acceptance(p, point, 4)
         assert P_sim == P_poly
-        assert P_sim == prefactor(4, 1, point.N) * q.evaluate(point)
+        assert P_sim == prefactor(4, 1, point) * q.evaluate(point)
 
 
 def test_expected_acceptance_examples():
@@ -398,6 +436,6 @@ def test_window_slack_tightens_prefactor_floor():
     wide = quasilattice_points(n, T, 2, slack=10)
     narrow = quasilattice_points(n, T, 2, slack=40)
     assert max(N for _, N in narrow) < max(N for _, N in wide)
-    worst_wide = min(prefactor(n, T, N) for _, N in wide)
-    worst_narrow = min(prefactor(n, T, N) for _, N in narrow)
+    worst_wide = min(prefactor(n, T, pt) for pt in wide)
+    worst_narrow = min(prefactor(n, T, pt) for pt in narrow)
     assert worst_narrow > worst_wide >= Fraction(818, 1000)

@@ -15,15 +15,11 @@ from collisionlab.polymethod import (
     extract_polynomial,
     gamma_bruteforce,
     gamma_closed,
+    prefactor,
+    q_tilde,
 )
 from collisionlab.qsqrt2 import QSqrt2
-from collisionlab.setcomp_poly import (
-    assemble_q3,
-    expected_acceptance3_mc,
-    prefactor3,
-    q_tilde3,
-    theta_poly,
-)
+from collisionlab.setcomp_poly import assemble_q3, expected_acceptance3_mc
 from helpers import mixed_monomials
 
 
@@ -37,28 +33,6 @@ def random_mixed_monomial(rng: random.Random, n: int, max_degree: int) -> Monomi
         m = Monomial.from_factors(factors)
         if m is not None:
             return m
-
-
-def test_theta_single_indicator_is_m():
-    th = theta_poly(Monomial.from_factors([IV("x", 1, 3)]))
-    # theta = M: a single factor from the i = 0 term
-    assert th.evaluate((5, 7)) == 7
-    assert th.total_degree == 1
-
-
-def test_theta_vanishes_at_unit_kappa_with_repeats():
-    m = Monomial.from_factors([IV("x", 1, 3), IV("x", 2, 3)])  # multiplicity 2
-    th = theta_poly(m)
-    assert th.evaluate((1, 10)) == 0  # kappa(1) = 1, factor (kappa - 1)
-    assert th.evaluate((2, 10)) == 0  # kappa(2) = 1
-    assert th.evaluate((3, 10)) != 0  # kappa(3) = 9
-
-
-def test_theta_degree_bound_random():
-    rng = random.Random(9)
-    for _ in range(100):
-        m = random_mixed_monomial(rng, 4, 4)
-        assert theta_poly(m).total_degree <= 2 * m.degree
 
 
 def test_gamma3_empty_monomial():
@@ -104,7 +78,7 @@ def test_q_tilde3_times_prefactor_equals_gamma3():
     rng = random.Random(10)
     for _ in range(40):
         m = random_mixed_monomial(rng, 2, 2)
-        lhs = prefactor3(2, 1, 2, 2, 1) * q_tilde3(m, 2, 1).evaluate((1, 2, 2))
+        lhs = prefactor(2, 1, (1, 2, 2)) * q_tilde(m, 2, 1, 3).evaluate((1, 2, 2))
         assert lhs == gamma_closed(m, (1, 2, 2), 2)
 
 
@@ -112,17 +86,17 @@ def test_q_tilde3_degree_bound():
     rng = random.Random(11)
     for _ in range(60):
         m = random_mixed_monomial(rng, 4, 4)
-        assert q_tilde3(m, 4, 2).total_degree <= 16
+        assert q_tilde(m, 4, 2, 3).total_degree <= 16
 
 
 def test_prefactor3_value():
-    assert prefactor3(2, 1, 2, 2, 1) == Fraction(4, 3)
-    assert prefactor3(8, 1, 8, 8, 2) == Fraction(256, 16 * 14)
+    assert prefactor(2, 1, (1, 2, 2)) == Fraction(4, 3)
+    assert prefactor(8, 1, (2, 8, 8)) == Fraction(256, 16 * 14)
 
 
 def test_assemble_q3_constant_inverts_prefactor():
     q3 = assemble_q3(MultilinearPoly.constant(1), 2, 1)
-    assert prefactor3(2, 1, 2, 2, 1) * q3.evaluate((1, 2, 2)) == 1
+    assert prefactor(2, 1, (1, 2, 2)) * q3.evaluate((1, 2, 2)) == 1
 
 
 def test_assemble_q3_degree_bound_random_coefficients():
@@ -144,7 +118,7 @@ def test_trivariate_identity_exact_at_n2():
     P_sim = expected_acceptance(alg, point, 2)
     P_poly = expected_acceptance(poly, point, 2)
     assert P_sim == P_poly
-    assert P_sim == prefactor3(2, 1, 2, 2, 1) * q3.evaluate(point)
+    assert P_sim == prefactor(2, 1, point) * q3.evaluate(point)
 
 
 def test_expected_acceptance3_mc_agrees():

@@ -5,17 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from collisionlab import setcomp_poly
+from collisionlab import polymethod, setcomp_poly
 from collisionlab.circuits import setcomp_probe
 from collisionlab.lattice import LatticePoly
 from collisionlab.multilinear import IndicatorVariable as IV
 from collisionlab.multilinear import Monomial, MultilinearPoly
 from collisionlab.polymethod import assemble_grid_poly, extract_polynomial, q_tilde
 from collisionlab.qsqrt2 import QSqrt2
-from collisionlab.setcomp_poly import q_tilde3
 
 
-def per_term_assemble(p: MultilinearPoly, n: int, T: int, q_tilde_of, arity: int):
+def per_term_assemble(p: MultilinearPoly, n: int, T: int, arity: int):
     """Reference: one q~ product chain per term, added in term order.
     Returns q and whether a partial sum dropped a grid monomial on the way
     (it comes back at the end of the order if a later term restores it)."""
@@ -30,7 +29,7 @@ def per_term_assemble(p: MultilinearPoly, n: int, T: int, q_tilde_of, arity: int
             raise ValueError(
                 f"coefficient of {m!r} has a nonzero sqrt(2) part: {c!r}"
             ) from exc
-        total = q + q_tilde_of(m, n, T).scale(beta)
+        total = q + q_tilde(m, n, T, arity).scale(beta)
         dropped = dropped or any(exps not in total.coeffs for exps in q.coeffs)
         q = total
     return q, dropped
@@ -95,32 +94,30 @@ def mixer8(dumped_mixer8):
     return poly, alg.n, alg.T
 
 
-def _same_assembly(p, n, T, q_tilde_of, arity):
+def _same_assembly(p, n, T, arity):
     """Assert the shape assembly equals the per-term one, and return both
-    coefficient lists and whether the per-term sum dropped a monomial."""
-    q = assemble_grid_poly(p, n, T, q_tilde_of, arity)
-    ref, dropped = per_term_assemble(p, n, T, q_tilde_of, arity)
+    coefficient lists, the reference's sorted, and whether the per-term
+    sum dropped a monomial."""
+    q = assemble_grid_poly(p, n, T, arity)
+    ref, dropped = per_term_assemble(p, n, T, arity)
     assert q == ref
     # evaluate_float sums in dict order, so the order fixes float bits
-    return list(q.coeffs.items()), list(ref.coeffs.items()), dropped
+    return list(q.coeffs.items()), ref.sorted_items(), dropped
 
 
-# q's exponents in insertion order: evaluate_float adds in this order, so
-# it fixes the float bits of every evaluation.
+# q's exponents in insertion order, ascending: evaluate_float adds in this
+# order, so it fixes the float bits of every evaluation.
 SETCOMP_PROBE_8_EXPONENTS = [
-    (0, 2, 4), (1, 1, 4), (0, 2, 3), (1, 1, 3), (0, 2, 2), (1, 1, 2), (2, 2, 3), (3, 1, 3), (2, 2, 2),
-    (3, 1, 2), (1, 2, 3), (2, 1, 3), (1, 2, 2), (2, 1, 2), (2, 0, 4), (2, 0, 3), (2, 0, 2),
+    (0, 2, 2), (0, 2, 3), (0, 2, 4), (1, 1, 2), (1, 1, 3), (1, 1, 4), (1, 2, 2), (1, 2, 3), (2, 0, 2),
+    (2, 0, 3), (2, 0, 4), (2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 2, 3), (3, 1, 2), (3, 1, 3),
 ]
 TWO_QUERY_MIXER_8_EXPONENTS = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 1), (1, 2), (1, 3)]
 
 
 def test_setcomp_probe_8_matches_per_term(setcomp8):
     p, n, T = setcomp8
-    items, ref_items, dropped = _same_assembly(p, n, T, q_tilde3, 3)
-    # The per-term sum passes through zero on this term order, and a
-    # dropped monomial re-enters the reference at the end.
-    if not dropped:
-        assert items == ref_items
+    items, ref_items, dropped = _same_assembly(p, n, T, 3)
+    assert items == ref_items
     assert [exps for exps, _ in items] == SETCOMP_PROBE_8_EXPONENTS
     assert len(p.terms) == 2176
     assert len({shape_key(m) for m in p.terms}) == 5
@@ -128,7 +125,7 @@ def test_setcomp_probe_8_matches_per_term(setcomp8):
 
 def test_two_query_mixer_8_matches_per_term(mixer8):
     p, n, T = mixer8
-    items, ref_items, dropped = _same_assembly(p, n, T, q_tilde, 2)
+    items, ref_items, dropped = _same_assembly(p, n, T, 2)
     assert items == ref_items
     assert dropped  # a partial sum passes through zero; the order holds anyway
     assert [exps for exps, _ in items] == TWO_QUERY_MIXER_8_EXPONENTS
@@ -136,23 +133,21 @@ def test_two_query_mixer_8_matches_per_term(mixer8):
     assert len({shape_key(m) for m in p.terms}) == 5
 
 
-@pytest.mark.parametrize("registers, n, T, q_tilde_of, arity", [
-    ("xy", 3, 1, q_tilde3, 3),
-    ("x", 5, 2, q_tilde, 2),
+@pytest.mark.parametrize("registers, n, T, arity", [
+    ("xy", 3, 1, 3),
+    ("x", 5, 2, 2),
 ])
-def test_random_polynomials_match_per_term(registers, n, T, q_tilde_of, arity):
-    """Equal on every seed; the same order wherever the per-term sum
-    never dropped a monomial (a dropped monomial re-enters at the end)."""
+def test_random_polynomials_match_per_term(registers, n, T, arity):
+    """Equal and in ascending order on every seed, also where a partial
+    per-term sum dropped a monomial (it re-enters that sum at the end)."""
     rng = random.Random(2024 + n)
     dropped_seeds = repeated_shapes = 0
     for _ in range(40):
         p = random_poly(rng, n, T, registers)
         repeated_shapes += len({shape_key(m) for m in p.terms}) < len(p.terms)
-        items, ref_items, dropped = _same_assembly(p, n, T, q_tilde_of, arity)
-        if dropped:
-            dropped_seeds += 1
-        else:
-            assert items == ref_items
+        items, ref_items, dropped = _same_assembly(p, n, T, arity)
+        assert items == ref_items
+        dropped_seeds += dropped
     assert 0 < dropped_seeds < 40
     assert repeated_shapes > 30
 
@@ -164,21 +159,21 @@ def test_q_tilde_depends_only_on_shape(seed):
     m = random_monomial(rng, n, 2 * T, "xy")
     image = relabel(m, rng, n)
     assert shape_key(image) == shape_key(m)
-    assert q_tilde3(image, n, T) == q_tilde3(m, n, T)
+    assert q_tilde(image, n, T, 3) == q_tilde(m, n, T, 3)
     mx = random_monomial(rng, n, 2 * T, "x")
     image_x = relabel(mx, rng, n)
     assert shape_key(image_x) == shape_key(mx)
-    assert q_tilde(image_x, n, T) == q_tilde(mx, n, T)
+    assert q_tilde(image_x, n, T, 2) == q_tilde(mx, n, T, 2)
 
 
 def test_q_tilde3_built_once_per_shape(setcomp8, monkeypatch):
     calls = []
 
-    def counting(m, n, T):
+    def counting(m, n, T, arity):
         calls.append(m)
-        return q_tilde3(m, n, T)
+        return q_tilde(m, n, T, arity)
 
-    monkeypatch.setattr(setcomp_poly, "q_tilde3", counting)
+    monkeypatch.setattr(polymethod, "q_tilde", counting)
     p, n, T = setcomp8
     setcomp_poly.assemble_q3(p, n, T)
     assert len(calls) == 5
