@@ -21,7 +21,7 @@ from .instances import (
     super_quasilattice_points,
     validate_instance,
 )
-from .multilinear import IndicatorVariable, Monomial, MultilinearPoly
+from .multilinear import IndicatorVariable, Monomial, MonomialShape, MultilinearPoly
 from .lattice import LatticePoly
 from .simulator import (
     BasisState,

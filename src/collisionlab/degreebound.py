@@ -82,6 +82,7 @@ class Family:
     cap_per_query: int  # deg q <= cap_per_query * T
     reach: Callable  # G -> N plus M distance to the nearest admissible point
     value_range: Callable  # max |P - prefactor q| -> width of q's value window
+    grid_resolution: int  # the derivative search's default points per axis
 
 
 # assemble and mc_mean look their functions up by module global at call
@@ -98,6 +99,7 @@ FAMILIES = {
         reach=lambda G: G,
         # The fixed window (-0.182, 1.182) that DEVIATION_BOUND guarantees.
         value_range=lambda deviation: RANGE_BASE,
+        grid_resolution=512,
     ),
     "setcomp": Family(
         arity=3,
@@ -109,6 +111,7 @@ FAMILIES = {
         reach=lambda G: G + kappa(G),
         # q lies in [-deviation, 1 + deviation] at admissible points.
         value_range=lambda deviation: 1 + 2 * deviation,
+        grid_resolution=64,
     ),
 }
 
@@ -251,9 +254,9 @@ def weighted_max_derivative(
     names: weight 1 on d/dg and n/(10T(G-1)) on d/dN (both window
     directions get n/(100T(G-1)) for set comparison).
 
-    A grid of the given per-axis resolution (512 bivariate, 64
-    trivariate by default, at least 2), then refinement rounds (at least
-    0) re-grid a shrinking window around the best point.  Each round
+    A grid of the given per-axis resolution (by default the family's
+    grid_resolution, at least 2), then refinement rounds (at least 0)
+    re-grid a shrinking window around the best point.  Each round
     reports, per partial, the first maximum in flat order of
     ``np.abs(partial.evaluate_float(*grid)) * weight`` over the tensor
     grid, as ``np.argmax`` over the whole grid would, with the same bits.
@@ -263,8 +266,7 @@ def weighted_max_derivative(
     """
     variant = variant_of(q)
     fam = family(variant)
-    if resolution is None:
-        resolution = 512 if q.arity == 2 else 64
+    resolution = fam.grid_resolution if resolution is None else resolution
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     if refinement_rounds < 0:
@@ -272,9 +274,7 @@ def weighted_max_derivative(
     directions = VARIABLE_NAMES[q.arity]
     w = n / (fam.window_denom * T * (G - 1))
     weights = dict(zip(directions, [1.0] + [w] * (q.arity - 1)))
-    partials = {
-        name: q.derivative(i) for i, name in enumerate(directions)
-    }
+    partials = {name: q.derivative(i) for i, name in enumerate(directions)}
 
     intervals = chain_region(n, T, G, variant)
     best = DerivativeReport(-1.0, (), "g")

@@ -2,9 +2,9 @@
 
 The indicator Delta(register, i, h) is 1 when position i of the named
 input sequence holds value h, else 0.  Acceptance probabilities of query
-algorithms are multilinear polynomials in these indicators; monomials
-carry the combinatorial statistics (degree, range, multiplicities) that
-the structured-input expectations are computed from.
+algorithms are multilinear polynomials in these indicators; a monomial's
+shape (its width and each register's sorted value multiplicities) is all
+that the structured-input expectations read of it.
 """
 
 from __future__ import annotations
@@ -38,6 +38,16 @@ class IndicatorVariable(NamedTuple):
             raise ValueError("value must be >= 1")
 
 
+class MonomialShape(NamedTuple):
+    """A monomial's value pattern: the width (distinct values over both
+    registers) and, per register (a field of its name), how many
+    positions pin each value, sorted.  Relabelling keeps it."""
+
+    width: int
+    x: tuple[int, ...]
+    y: tuple[int, ...]
+
+
 class Monomial:
     """A product of indicators with distinct (register, position) pairs.
 
@@ -47,10 +57,11 @@ class Monomial:
     zero, reported as None by the factory methods.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_shape")
 
     def __init__(self, factors: tuple[IndicatorVariable, ...]):
         self.factors = factors
+        self._shape = None
 
     @staticmethod
     def from_factors(factors: Iterable[IndicatorVariable]) -> Optional["Monomial"]:
@@ -80,24 +91,17 @@ class Monomial:
     def degree(self) -> int:
         return len(self.factors)
 
-    def register_factors(self, register: str) -> tuple[IndicatorVariable, ...]:
-        return tuple(f for f in self.factors if f.register == register)
-
-    def value_set(self, register: str | None = None) -> frozenset[int]:
-        """Range of the monomial: all values pinned by its factors."""
-        fs = self.factors if register is None else self.register_factors(register)
-        return frozenset(f.value for f in fs)
-
-    def width(self, register: str | None = None) -> int:
-        return len(self.value_set(register))
-
-    def multiplicities(self, register: str | None = None) -> dict[int, int]:
-        """value -> how many distinct positions pin that value."""
-        fs = self.factors if register is None else self.register_factors(register)
-        out: dict[int, int] = {}
-        for f in fs:
-            out[f.value] = out.get(f.value, 0) + 1
-        return out
+    def shape(self) -> MonomialShape:
+        """The monomial's shape, counted in one pass over the factors on
+        first use and kept, since a monomial never changes."""
+        if self._shape is None:
+            counts: dict[str, dict[int, int]] = {reg: {} for reg in REGISTERS}
+            for register, _, value in self.factors:
+                counts[register][value] = counts[register].get(value, 0) + 1
+            x, y = counts.values()
+            width = len(x.keys() | y.keys())
+            self._shape = MonomialShape(width, tuple(sorted(x.values())), tuple(sorted(y.values())))
+        return self._shape
 
     # -- evaluation ----------------------------------------------------------
 

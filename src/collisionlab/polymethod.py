@@ -13,10 +13,12 @@ comparison), again one formula for both, so the averaged acceptance
 satisfies
 
     P(point) = prefactor(n, T, point) * q(point),
-    q = sum_I beta_I * q_tilde(I, n, T, len(point))
+    q = sum_lambda beta_lambda * q_tilde(lambda, n, T, len(point))
 
-exactly at every admissible point.  The closed form's independent twin,
-gamma_bruteforce, enumerates the latent draws of either family.
+exactly at every admissible point, where beta_lambda sums the
+coefficients of the monomials of shape lambda (Monomial.shape()).  The
+closed form's independent twin, gamma_bruteforce, enumerates the latent
+draws of either family.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ from .instances import (
     sample_rows,
 )
 from .lattice import LatticePoly
-from .multilinear import IndicatorVariable, Monomial, MultilinearPoly, code_lookup, monomials_over
+from .multilinear import (
+    IndicatorVariable, Monomial, MonomialShape, MultilinearPoly, code_lookup, monomials_over,
+)
 from .qsqrt2 import QSqrt2, int_form
 from .simulator import (
     LayerArrays,
@@ -412,20 +416,20 @@ def gamma_closed(m: Monomial, point, n: int) -> Fraction:
         raise ValueError(f"point {tuple(point)} does not fit inputs of length n={n}")
     if any(f.register not in registers or f.position > n for f in m.factors):
         raise ValueError(f"monomial factors must lie on registers {registers} at positions 1..n")
-    values = m.value_set()
-    w = len(values)
-    if w > size or any(not 1 <= v <= U for v in values):
+    shape = m.shape()
+    w = shape.width
+    if w > size or any(not 1 <= f.value <= U for f in m.factors):
         return Fraction(0)
     num, den = math.comb(U - w, size - w), math.comb(U, size)  # reduced once, at the end
     for reg in registers:
-        mult = m.multiplicities(reg)
+        mult = getattr(shape, reg)
         w_reg = len(mult)
         if w_reg > sub:
             return Fraction(0)
         num *= math.comb(size - w_reg, sub - w_reg)
         den *= math.comb(size, sub)
-        num *= math.prod(math.perm(k, c) for c in mult.values())
-        den *= math.perm(L, sum(mult.values()))
+        num *= math.prod(math.perm(k, c) for c in mult)
+        den *= math.perm(L, sum(mult))
     return Fraction(num, den)
 
 
@@ -479,9 +483,12 @@ def all_monomials(n: int, max_degree: int) -> Iterator[Monomial]:
 # ---------------------------------------------------------------------------
 
 
-def q_tilde(m: Monomial, n: int, T: int, arity: int) -> LatticePoly:
-    """Grid polynomial with gamma_closed = prefactor * q~ at admissible
-    points, in (g, N) for arity 2 and (g, N, M) for arity 3:
+_X_ONLY = "collision-family polynomials take x-register monomials only"
+
+
+def q_tilde(shape: MonomialShape, n: int, T: int, arity: int) -> LatticePoly:
+    """Grid polynomial of a monomial shape: gamma_closed = prefactor * q~
+    at admissible points, in (g, N) for arity 2 and (g, N, M) for arity 3:
 
         q~ = prod_reg [ prod_{i<w_reg} (L - i k)
                         * prod_{values v} prod_{j=1}^{c_v - 1} (k - j)
@@ -500,10 +507,10 @@ def q_tilde(m: Monomial, n: int, T: int, arity: int) -> LatticePoly:
     """
     if n < 2 * T:
         raise ValueError("need n >= 2T")
-    if arity == 2 and m.register_factors("y"):
-        raise ValueError("collision-family polynomials take x-register monomials only")
-    if m.degree > 2 * T:
-        raise ValueError(f"degree violation: monomial degree {m.degree} exceeds 2T = {2 * T}")
+    if arity == 2 and shape.y:
+        raise ValueError(_X_ONLY)
+    if (degree := sum(shape.x) + sum(shape.y)) > 2 * T:
+        raise ValueError(f"degree violation: monomial degree {degree} exceeds 2T = {2 * T}")
     one = LatticePoly.constant(arity, 1)
     g, N, *M = (LatticePoly.variable(arity, i) for i in range(arity))
     if M:
@@ -511,16 +518,16 @@ def q_tilde(m: Monomial, n: int, T: int, arity: int) -> LatticePoly:
     else:
         L, k, U, kind = N, g, n, "collision"
     registers = KIND_REGISTERS[kind]
-    w = m.width()
+    w = shape.width
     factors = []
     for reg in registers:
-        mult = m.multiplicities(reg)
+        mult = getattr(shape, reg)
         factors += [L - k.scale(i) for i in range(len(mult))]
-        factors += [k - one.scale(j) for c in mult.values() for j in range(1, c)]
-        factors += [L - one.scale(i) for i in range(sum(mult.values()), 2 * T)]
+        factors += [k - one.scale(j) for c in mult for j in range(1, c)]
+        factors += [L - one.scale(i) for i in range(sum(mult), 2 * T)]
     scalar = Fraction(1, math.perm(U, w) * math.perm(n, 2 * T) ** len(registers))
     if M:
-        w_x, w_y = m.width("x"), m.width("y")
+        w_x, w_y = len(shape.x), len(shape.y)
         scalar /= (2 * n) ** (2 * T)
         factors += [g] * (w_x + w_y - w)
         factors += [N.scale(2) - g.scale(i) for i in (*range(w_x, w), *range(w_y, 2 * T))]
@@ -545,57 +552,45 @@ def prefactor(n: int, T: int, point) -> Fraction:
 
 
 def assemble_q(p: MultilinearPoly, n: int, T: int) -> LatticePoly:
-    """q(g, N) = sum_I beta_I q~_I(g, N) for an extracted acceptance poly.
-
-    Coefficients must be rational: sqrt(2) parts of squared amplitudes
-    are expected to cancel, and a nonzero remainder is an error rather
-    than something to approximate away.
-    """
+    """q(g, N) for an extracted acceptance poly.  Its coefficients must be
+    rational: sqrt(2) parts of squared amplitudes are expected to cancel,
+    and a nonzero remainder is an error, not something to approximate."""
     return assemble_grid_poly(p, n, T, 2)
 
 
-def assemble_grid_poly(p: MultilinearPoly, n: int, T: int, arity: int) -> LatticePoly:
-    """sum_I beta_I q_tilde(I, n, T, arity); the one assembly loop behind
-    assemble_q and assemble_q3.
+def shape_sums(p: MultilinearPoly, T: int, arity: int) -> dict[MonomialShape, Fraction]:
+    """beta_lambda, the sum of p's coefficients over its monomials of
+    shape lambda, in first-seen order: integers over one int_form
+    denominator, one Fraction per shape.  Each term is checked in term
+    order: its degree, then its sqrt(2) part, then a y factor at arity 2."""
+    D, pairs = int_form(p.terms.values())
+    sums: dict[MonomialShape, int] = {}
+    for (m, c), (a, b) in zip(p.terms.items(), pairs):
+        if m.degree > 2 * T:
+            raise ValueError(f"degree violation: monomial degree {m.degree} exceeds 2T")
+        if b:
+            raise ValueError(f"coefficient of {m!r} has a nonzero sqrt(2) part: {c!r}")
+        shape = m.shape()
+        if arity == 2 and shape.y:
+            raise ValueError(_X_ONLY)
+        sums[shape] = sums.get(shape, 0) + a
+    return {shape: Fraction(a, D) for shape, a in sums.items()}
 
-    q~_I depends on I only through its shape: the width w (distinct
-    values over both registers) and the sorted value multiplicities of
-    each register.  These give everything q_tilde reads: the degrees
-    r_x, r_y (sums of the multiplicities), the register widths w_x, w_y
-    (their counts), w, and the multiplicities themselves; positions and
-    the values' labels never enter.  So the rational beta_I are summed
-    per shape, and q~ is built once per shape, from its first monomial,
-    and scaled once.  The degree and sqrt(2) checks still run on every
-    term in term order, and q_tilde runs when a shape is first seen, so
-    its own errors (a y factor on the collision side) come in term order
-    too.
+
+def assemble_grid_poly(p: MultilinearPoly, n: int, T: int, arity: int) -> LatticePoly:
+    """sum_lambda beta_lambda q_tilde(lambda, n, T, arity), over the
+    monomial shapes lambda of shape_sums; the one assembly loop behind
+    assemble_q and assemble_q3.  It equals sum_I beta_I q~_I, since q~_I
+    depends on I only through its shape, and builds and scales q~ once
+    per shape.
 
     q's terms come out in ascending exponent order, whatever order q~
     multiplies its factors in; evaluate_float adds in that order.
     """
-    q_tildes: dict[tuple, LatticePoly] = {}  # shape -> q~ of its first monomial
-    betas: dict[tuple, Fraction] = {}  # shape -> sum of beta
-    for m, c in p.terms.items():
-        if m.degree > 2 * T:
-            raise ValueError(f"degree violation: monomial degree {m.degree} exceeds 2T")
-        try:
-            beta = c.as_fraction()
-        except ValueError as exc:
-            raise ValueError(
-                f"coefficient of {m!r} has a nonzero sqrt(2) part: {c!r}"
-            ) from exc
-        shape = (
-            m.width(),
-            tuple(sorted(m.multiplicities("x").values())),
-            tuple(sorted(m.multiplicities("y").values())),
-        )
-        if shape not in q_tildes:
-            q_tildes[shape] = q_tilde(m, n, T, arity)
-        betas[shape] = betas.get(shape, 0) + beta
     coeffs: dict[tuple[int, ...], Fraction] = {}
-    for shape, beta_sum in betas.items():
-        for exps, c in q_tildes[shape].coeffs.items():
-            coeffs[exps] = coeffs.get(exps, 0) + c * beta_sum
+    for shape, beta in shape_sums(p, T, arity).items():
+        for exps, c in q_tilde(shape, n, T, arity).coeffs.items():
+            coeffs[exps] = coeffs.get(exps, 0) + c * beta
     return LatticePoly(arity, dict(sorted(coeffs.items())))
 
 

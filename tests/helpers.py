@@ -88,8 +88,7 @@ def full_grid_max_derivative(
     degreebound.weighted_max_derivative must report the same bits."""
     variant = variant_of(q)
     fam = family(variant)
-    if resolution is None:
-        resolution = 512 if q.arity == 2 else 64
+    resolution = fam.grid_resolution if resolution is None else resolution
     directions = VARIABLE_NAMES[q.arity]
     w = n / (fam.window_denom * T * (G - 1))
     weights = dict(zip(directions, [1.0] + [w] * (q.arity - 1)))

@@ -195,7 +195,7 @@ def test_criterion_08_trivariate_suite():
     for m in monomials:
         for g, N, M in points:
             assert gamma_closed(m, (g, N, M), 2) == gamma_bruteforce(m, (g, N, M), 2)
-        assert q_tilde(m, 2, 1, 3).total_degree <= 8
+        assert q_tilde(m.shape(), 2, 1, 3).total_degree <= 8
 
     alg = setcomp_probe(2)
     poly = extract_polynomial(alg)

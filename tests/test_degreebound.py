@@ -20,6 +20,8 @@ from collisionlab.circuits import (
     two_query_mixer,
 )
 from collisionlab.degreebound import (
+    PREFACTOR_FLOOR,
+    RANGE_BASE,
     chain_region,
     chain_report_for_poly,
     degree_lower_bound,
@@ -30,7 +32,7 @@ from collisionlab.degreebound import (
 )
 from collisionlab.instances import kappa
 from collisionlab.lattice import LatticePoly
-from collisionlab.polymethod import assemble_q, extract_polynomial
+from collisionlab.polymethod import assemble_q, extract_polynomial, prefactor
 from helpers import (
     full_grid_max_derivative,
     search_key,
@@ -185,6 +187,39 @@ def test_chain_region_validation():
         chain_region(4, 1, 1, "collision")
     with pytest.raises(ValueError, match="variant"):
         chain_region(4, 1, 2, "other")
+
+
+def admissible_minimum(n: int, T: int, G: int, variant: str):
+    """(min prefactor, a point attaining it) over the family's admissible
+    points at (n, T, G), exactly in Fractions."""
+    return min((prefactor(n, T, pt), tuple(pt)) for pt in family(variant).points(n, T, G))
+
+
+@pytest.mark.parametrize("n, T, value, N", [
+    (400, 10, 0.8155704839293684, 404),
+    (1000, 10, 0.817984002809175, 1010),
+])
+def test_collision_prefactor_falls_below_its_reported_floor(n, T, value, N):
+    """The chain reports PREFACTOR_FLOOR, which the exact minimum at the
+    window edge N = n + n/(10T) undercuts; the window [0, 1/min] of q still
+    fits inside RANGE_BASE."""
+    minimum, (_, at) = admissible_minimum(n, T, 2, "collision")
+    assert float(minimum) == value and at == N
+    assert minimum < Fraction(PREFACTOR_FLOOR)
+    assert 1 / minimum < Fraction(RANGE_BASE)
+
+
+@pytest.mark.parametrize("n, T, G, value, digits, at", [
+    (100, 1, 2, 0.9656162392198223, 16, (1, 100, 101)),
+    (200, 1, 3, 0.96329, 5, (1, 200, 202)),
+    (1000, 2, 4, 0.96372, 5, (1, 1000, 1005)),
+])
+def test_setcomp_prefactor_falls_below_one(n, T, G, value, digits, at):
+    """q = P / prefactor can pass 1 where the prefactor is below 1 (M > n),
+    beyond the width 1 that value_range assumes at zero deviation."""
+    minimum, point = admissible_minimum(n, T, G, "setcomp")
+    assert round(float(minimum), digits) == value and point == at
+    assert minimum < 1 and family("setcomp").value_range(0) == 1
 
 
 def test_setcomp_negative_control_flags_inconsistency():

@@ -1,13 +1,14 @@
-"""Monomial statistics and multilinear polynomial arithmetic."""
+"""Monomial shapes and multilinear polynomial arithmetic."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from collisionlab.multilinear import IndicatorVariable as IV
-from collisionlab.multilinear import Monomial, MultilinearPoly
+from collisionlab.multilinear import Monomial, MonomialShape, MultilinearPoly
 from collisionlab.qsqrt2 import QSqrt2
 
 factor_lists = st.lists(
@@ -27,14 +28,13 @@ def test_statistics_and_splits():
         [IV("x", 1, 5), IV("x", 2, 5), IV("x", 3, 7), IV("y", 1, 5)]
     )
     assert m.degree == 4
-    assert m.value_set() == {5, 7}
-    assert m.width() == 2
-    assert m.multiplicities("x") == {5: 2, 7: 1}
-    assert m.multiplicities("y") == {5: 1}
-    assert len(m.register_factors("x")) == 3
-    assert m.width("x") == 2 and m.width("y") == 1
+    # values {5, 7}; x pins 5 twice and 7 once, y pins 5 once
+    assert m.shape() == MonomialShape(width=2, x=(1, 2), y=(1,))
+    assert m.shape() is m.shape()  # counted once, then kept
+    assert len(m.shape().x) == 2 and len(m.shape().y) == 1
     # multiplicities sum back to the register degree
-    assert sum(m.multiplicities("x").values()) == 3
+    assert sum(m.shape().x) == 3
+    assert Monomial.one().shape() == MonomialShape(0, (), ())
 
 
 @given(factor_lists)
@@ -42,11 +42,33 @@ def test_multiplicities_sum_to_register_degree(raw):
     m = Monomial.from_factors(IV(r, p, v) for r, p, v in raw)
     if m is None:
         return
-    assert sum(m.multiplicities().values()) == m.degree
+    shape = m.shape()
+    assert sum(shape.x) + sum(shape.y) == m.degree
+    values = {}
     for reg in ("x", "y"):
-        assert sum(m.multiplicities(reg).values()) == len(m.register_factors(reg))
-        assert m.width(reg) <= len(m.register_factors(reg))
-    assert m.value_set() == m.value_set("x") | m.value_set("y")
+        register_factors = [f for f in m.factors if f.register == reg]
+        values[reg] = {f.value for f in register_factors}
+        assert sum(getattr(shape, reg)) == len(register_factors)
+        assert len(getattr(shape, reg)) == len(values[reg]) <= len(register_factors)
+    assert shape.width == len(values["x"] | values["y"])
+
+
+def test_shape_matches_a_brute_force_recount():
+    """shape() against a plain recount on seeded random two-register
+    monomials: each register's values counted with a Counter."""
+    rng = random.Random(38)
+    slots = [(reg, pos) for reg in "xy" for pos in range(1, 7)]
+    for _ in range(500):
+        m = Monomial.from_factors(
+            IV(reg, pos, rng.randint(1, 5)) for reg, pos in rng.sample(slots, rng.randint(0, 8))
+        )
+        pinned = {reg: [f.value for f in m.factors if f.register == reg] for reg in "xy"}
+        expected = MonomialShape(
+            len(set(pinned["x"]) | set(pinned["y"])),
+            tuple(sorted(Counter(pinned["x"]).values())),
+            tuple(sorted(Counter(pinned["y"]).values())),
+        )
+        assert m.shape() == expected
 
 
 @given(factor_lists)

@@ -8,7 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from collisionlab.degreebound import _grid_argmax, chain_region, weighted_max_derivative
+from collisionlab.degreebound import (
+    _grid_argmax, chain_region, family, variant_of, weighted_max_derivative,
+)
 from collisionlab.lattice import LatticePoly
 from helpers import full_grid_max_derivative, search_key
 
@@ -81,7 +83,7 @@ def test_zero_and_constant_polynomials_match_dense_reference(arity):
 def test_chain_partials_match_dense_reference(assembled, name):
     alg, q, variant = assembled[name]
     region = chain_region(alg.n, alg.T, 2, variant)
-    resolution = 64 if q.arity == 3 else 512
+    resolution = family(variant).grid_resolution
     axes = [np.linspace(lo, hi, resolution) for lo, hi in region]
     for i in range(q.arity):
         assert_same_bits(q.derivative(i), axes)
@@ -106,7 +108,7 @@ def test_derivative_search_matches_full_grid_on_random_polynomials(seed, arity, 
 @pytest.mark.parametrize("seed", range(20))
 def test_grid_argmax_matches_full_grid_on_random_polynomials_off_the_chain_region(seed, arity):
     q = random_poly(random.Random(1000 * arity + seed), arity)
-    for resolution in (512 if arity == 2 else 64, 7, 2):
+    for resolution in (family(variant_of(q)).grid_resolution, 7, 2):
         axes = [np.linspace(ax[0], ax[-1], resolution) for ax in AXES[arity]]
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         for i in range(arity):

@@ -23,7 +23,7 @@ from collisionlab.instances import (
     super_quasilattice_points,
 )
 from collisionlab.multilinear import IndicatorVariable as IV
-from collisionlab.multilinear import Monomial, MultilinearPoly
+from collisionlab.multilinear import Monomial, MonomialShape, MultilinearPoly
 from collisionlab.polymethod import (
     all_monomials,
     assemble_q,
@@ -259,7 +259,7 @@ def test_gamma_sweep_is_the_per_row_count_up_to_n6_and_degree_3():
 
 def test_q_tilde_single_indicator_example():
     m = Monomial.from_factors([IV("x", 1, 3)])
-    qt = q_tilde(m, 4, 1, 2)
+    qt = q_tilde(m.shape(), 4, 1, 2)
     # ((n-1)! (n-2)! / (n!)^2) * (N - 1) * N = N(N-1)/48 with n = 4
     assert qt.evaluate((1, 4)) == Fraction(1, 4)
     assert qt.evaluate((2, 6)) == Fraction(5 * 6, 48)
@@ -268,16 +268,28 @@ def test_q_tilde_single_indicator_example():
 
 def test_q_tilde_vanishes_when_multiplicity_exceeds_g():
     m = Monomial.from_factors([IV("x", i, 1) for i in (1, 2, 3)])  # r_1 = 3
-    qt = q_tilde(m, 6, 2, 2)
+    qt = q_tilde(m.shape(), 6, 2, 2)
     assert qt.evaluate((2, 6)) == 0  # contains the factor (g - 2)
     assert qt.evaluate((3, 6)) != 0
+
+
+def test_q_tilde_checks_its_shape():
+    two = MonomialShape(2, (1, 1), ())
+    with pytest.raises(ValueError, match="^need n >= 2T$"):
+        q_tilde(two, 3, 2, 2)
+    with pytest.raises(ValueError, match="x-register monomials only"):
+        q_tilde(MonomialShape(1, (1,), (1,)), 6, 1, 2)
+    with pytest.raises(ValueError, match=r"^degree violation: monomial degree 3 exceeds 2T = 2$"):
+        q_tilde(MonomialShape(2, (1,), (1, 1)), 6, 1, 3)
+    m = Monomial.from_factors([IV("x", 1, 1), IV("x", 4, 2)])
+    assert m.shape() == two and q_tilde(two, 6, 1, 2) == q_tilde(m.shape(), 6, 1, 2)
 
 
 def test_q_tilde_degree_bound_random():
     rng = random.Random(7)
     for _ in range(100):
         m = random_monomial(rng, 6, 4)
-        assert q_tilde(m, 6, 2, 2).total_degree <= 4
+        assert q_tilde(m.shape(), 6, 2, 2).total_degree <= 4
 
 
 def test_q_tilde_times_prefactor_equals_gamma():
@@ -285,7 +297,7 @@ def test_q_tilde_times_prefactor_equals_gamma():
     for _ in range(40):
         m = random_monomial(rng, 6, 3)
         for g, N in [(1, 6), (2, 6), (2, 8)]:
-            lhs = prefactor(6, 2, (g, N)) * q_tilde(m, 6, 2, 2).evaluate((g, N))
+            lhs = prefactor(6, 2, (g, N)) * q_tilde(m.shape(), 6, 2, 2).evaluate((g, N))
             assert lhs == gamma_closed(m, (g, N), 6)
 
 
@@ -315,7 +327,7 @@ def test_prefactor_times_q_tilde_is_gamma_at_every_admissible_point(family, n, T
             IV(reg, pos, rng.choice(pool)) for reg, pos in rng.sample(slots, rng.randint(0, 2 * T))
         )
         for pt in points:
-            assert gamma_closed(m, pt, n) == prefactor(n, T, pt) * q_tilde(m, n, T, len(pt)).evaluate(pt)
+            assert gamma_closed(m, pt, n) == prefactor(n, T, pt) * q_tilde(m.shape(), n, T, len(pt)).evaluate(pt)
 
 
 def test_prefactor_examples():

@@ -78,7 +78,7 @@ def test_q_tilde3_times_prefactor_equals_gamma3():
     rng = random.Random(10)
     for _ in range(40):
         m = random_mixed_monomial(rng, 2, 2)
-        lhs = prefactor(2, 1, (1, 2, 2)) * q_tilde(m, 2, 1, 3).evaluate((1, 2, 2))
+        lhs = prefactor(2, 1, (1, 2, 2)) * q_tilde(m.shape(), 2, 1, 3).evaluate((1, 2, 2))
         assert lhs == gamma_closed(m, (1, 2, 2), 2)
 
 
@@ -86,7 +86,7 @@ def test_q_tilde3_degree_bound():
     rng = random.Random(11)
     for _ in range(60):
         m = random_mixed_monomial(rng, 4, 4)
-        assert q_tilde(m, 4, 2, 3).total_degree <= 16
+        assert q_tilde(m.shape(), 4, 2, 3).total_degree <= 16
 
 
 def test_prefactor3_value():

@@ -10,7 +10,7 @@ from collisionlab.circuits import setcomp_probe
 from collisionlab.lattice import LatticePoly
 from collisionlab.multilinear import IndicatorVariable as IV
 from collisionlab.multilinear import Monomial, MultilinearPoly
-from collisionlab.polymethod import assemble_grid_poly, extract_polynomial, q_tilde
+from collisionlab.polymethod import assemble_grid_poly, extract_polynomial, gamma_closed, q_tilde
 from collisionlab.qsqrt2 import QSqrt2
 
 
@@ -29,37 +29,34 @@ def per_term_assemble(p: MultilinearPoly, n: int, T: int, arity: int):
             raise ValueError(
                 f"coefficient of {m!r} has a nonzero sqrt(2) part: {c!r}"
             ) from exc
-        total = q + q_tilde(m, n, T, arity).scale(beta)
+        total = q + q_tilde(m.shape(), n, T, arity).scale(beta)
         dropped = dropped or any(exps not in total.coeffs for exps in q.coeffs)
         q = total
     return q, dropped
 
 
-def shape_key(m: Monomial) -> tuple:
-    return (
-        m.width(),
-        tuple(sorted(m.multiplicities("x").values())),
-        tuple(sorted(m.multiplicities("y").values())),
-    )
-
-
-def random_monomial(rng: random.Random, n: int, max_degree: int, registers: str) -> Monomial:
-    """Random canonical monomial on positions 1..n, values 1..2n."""
+def random_monomial(
+    rng: random.Random, n: int, max_degree: int, registers: str, top: int | None = None
+) -> Monomial:
+    """Random canonical monomial on positions 1..n, values 1..top (2n by default)."""
+    top = 2 * n if top is None else top
     while True:
         slots = [(reg, pos) for reg in registers for pos in range(1, n + 1)]
         r = rng.randint(0, min(max_degree, len(slots)))
         m = Monomial.from_factors(
-            IV(reg, pos, rng.randint(1, 2 * n)) for reg, pos in rng.sample(slots, r)
+            IV(reg, pos, rng.randint(1, top)) for reg, pos in rng.sample(slots, r)
         )
         if m is not None:
             return m
 
 
-def relabel(m: Monomial, rng: random.Random, n: int) -> Monomial:
+def relabel(m: Monomial, rng: random.Random, n: int, top: int | None = None) -> Monomial:
     """The image of m under a random permutation of the positions of each
-    register and one random permutation of the values 1..2n."""
+    register and one random permutation of the values 1..top (2n by
+    default)."""
+    top = 2 * n if top is None else top
     positions = {reg: rng.sample(range(1, n + 1), n) for reg in "xy"}
-    values = rng.sample(range(1, 2 * n + 1), 2 * n)
+    values = rng.sample(range(1, top + 1), top)
     return Monomial.from_factors(
         IV(f.register, positions[f.register][f.position - 1], values[f.value - 1])
         for f in m.factors
@@ -120,7 +117,7 @@ def test_setcomp_probe_8_matches_per_term(setcomp8):
     assert items == ref_items
     assert [exps for exps, _ in items] == SETCOMP_PROBE_8_EXPONENTS
     assert len(p.terms) == 2176
-    assert len({shape_key(m) for m in p.terms}) == 5
+    assert len({m.shape() for m in p.terms}) == 5
 
 
 def test_two_query_mixer_8_matches_per_term(mixer8):
@@ -130,7 +127,7 @@ def test_two_query_mixer_8_matches_per_term(mixer8):
     assert dropped  # a partial sum passes through zero; the order holds anyway
     assert [exps for exps, _ in items] == TWO_QUERY_MIXER_8_EXPONENTS
     assert len(p.terms) == 1912
-    assert len({shape_key(m) for m in p.terms}) == 5
+    assert len({m.shape() for m in p.terms}) == 5
 
 
 @pytest.mark.parametrize("registers, n, T, arity", [
@@ -144,7 +141,7 @@ def test_random_polynomials_match_per_term(registers, n, T, arity):
     dropped_seeds = repeated_shapes = 0
     for _ in range(40):
         p = random_poly(rng, n, T, registers)
-        repeated_shapes += len({shape_key(m) for m in p.terms}) < len(p.terms)
+        repeated_shapes += len({m.shape() for m in p.terms}) < len(p.terms)
         items, ref_items, dropped = _same_assembly(p, n, T, arity)
         assert items == ref_items
         dropped_seeds += dropped
@@ -152,29 +149,42 @@ def test_random_polynomials_match_per_term(registers, n, T, arity):
     assert repeated_shapes > 30
 
 
+# Admissible points at n = 4 of each family, past N = n and M = n, and
+# one with kappa(g) = 9.
+RELABEL_POINTS = {
+    2: [(1, 4), (2, 4), (2, 6), (4, 8)],
+    3: [(1, 4, 4), (2, 4, 4), (2, 6, 5), (2, 8, 6), (3, 6, 9)],
+}
+
+
 @pytest.mark.parametrize("seed", range(40))
-def test_q_tilde_depends_only_on_shape(seed):
+def test_gamma_closed_depends_only_on_shape(seed):
+    """Relabelling the positions and the values keeps the shape, and with
+    the values relabelled inside the universe 1..U (2n for set
+    comparison, n for collision) it keeps gamma_closed at every point."""
     rng = random.Random(seed)
     n, T = 4, 2
     m = random_monomial(rng, n, 2 * T, "xy")
     image = relabel(m, rng, n)
-    assert shape_key(image) == shape_key(m)
-    assert q_tilde(image, n, T, 3) == q_tilde(m, n, T, 3)
-    mx = random_monomial(rng, n, 2 * T, "x")
-    image_x = relabel(mx, rng, n)
-    assert shape_key(image_x) == shape_key(mx)
-    assert q_tilde(image_x, n, T, 2) == q_tilde(mx, n, T, 2)
+    assert image.shape() == m.shape()
+    for point in RELABEL_POINTS[3]:
+        assert gamma_closed(image, point, n) == gamma_closed(m, point, n)
+    mx = random_monomial(rng, n, 2 * T, "x", top=n)
+    image_x = relabel(mx, rng, n, top=n)
+    assert image_x.shape() == mx.shape()
+    for point in RELABEL_POINTS[2]:
+        assert gamma_closed(image_x, point, n) == gamma_closed(mx, point, n)
 
 
 def test_q_tilde3_built_once_per_shape(setcomp8, monkeypatch):
     calls = []
 
-    def counting(m, n, T, arity):
-        calls.append(m)
-        return q_tilde(m, n, T, arity)
+    def counting(shape, n, T, arity):
+        calls.append(shape)
+        return q_tilde(shape, n, T, arity)
 
     monkeypatch.setattr(polymethod, "q_tilde", counting)
     p, n, T = setcomp8
     setcomp_poly.assemble_q3(p, n, T)
     assert len(calls) == 5
-    assert len({shape_key(m) for m in calls}) == 5
+    assert len(set(calls)) == 5
