@@ -50,7 +50,7 @@ from .simulator import (
     _int64_or_object,
     _key_sums,
     _largest,
-    _meetings,
+    _products,
     _stable_order,
     _summed,
     acceptance_probability,
@@ -80,30 +80,30 @@ def extract_polynomial(alg: QueryAlgorithm) -> MultilinearPoly:
     with degree at most 2T.
 
     The arithmetic is on integer arrays (_Amplitudes).  One row holds one
-    term of one amplitude: its basis ordinal, its monomial as the value
-    it pins at each (register, position) slot (0: free), and (A, B),
-    meaning (A + B sqrt(2)) / D, where D is the product of the layer
-    denominators (Layer.int_arrays) applied so far; a query only extends
-    monomials and leaves D unchanged.  Each step writes its products as
-    rows and sums them per (ordinal, monomial), both ascending
-    (_collect).  A monomial's code is the Horner number of its factor
-    ids, ascending, and the ids are numbered in (slot, value) order, so
-    code order is Monomial order.
+    term of one amplitude: its basis ordinal, its monomial's code and
+    (A, B), meaning (A + B sqrt(2)) / D, where D is the product of the
+    layer denominators (Layer.int_arrays) applied so far; a query only
+    extends monomials and leaves D unchanged.  Query address i reads slot
+    i - 1, factor Delta(slot s, h) has the id s * alphabet + h, and a
+    monomial's code is the Horner number of its ids, ascending, base
+    slots * alphabet + 1, so code order is Monomial order.  Each step
+    writes its products as rows and sums them per (ordinal, code), both
+    ascending (_collect).
 
     Squaring pairs the rows of each accepting amplitude, p <= q, at most
     _PAIR_CHUNK pairs at a time.  Each amplitude's rows are walked by
     their lowest factor, so the products whose lowest factor is f all
     come from one run of the walk: their sums are complete when the run
     ends, and only the nonzero ones are kept past it.  Within a chunk
-    the products are summed per pair of monomials, and each distinct
-    pair is merged once: its factor ids give the product's code, or a
-    conflict (one slot pinned to two values), which is dropped.  The
-    products are summed per code (cross pairs doubled, since Delta^2 =
-    Delta), and the terms come out in code order, which is
-    sorted_terms() order: assemble_grid_poly reads them in that order.
-    Each monomial is built once, from its code's digits, and each
-    distinct coefficient once, as a Fraction pair over D^2.  The
-    coefficients are int64 while a stated bound on every sum fits in
+    the products are summed per pair of codes, and each distinct pair is
+    merged once: the digits of its codes, which are its factor ids, give
+    the product's code, or a conflict (one slot pinned to two values),
+    which is dropped.  The products are summed per code (cross pairs
+    doubled, since Delta^2 = Delta), and the terms come out in code
+    order, which is sorted_terms() order: assemble_grid_poly reads them
+    in that order.  Each monomial is built once, from its code's digits,
+    and each distinct coefficient once, as a Fraction pair over D^2.
+    The coefficients are int64 while a stated bound on every sum fits in
     it, and so are the codes; past either bound the same arrays hold
     Python ints.
     """
@@ -119,24 +119,32 @@ class _Amplitudes(NamedTuple):
     """Amplitude polynomials as integer rows, one per (basis ordinal,
     monomial) with a nonzero coefficient: row r adds (a[r] + b[r] sqrt 2)
     / D times its monomial to the amplitude of basis state ordinal[r].
-    The monomial pins slot s, the (register, position) slots[s], to the
-    value table[r, s], or leaves it free at 0.  The rows ascend by
-    ordinal, and the rows of one ordinal by monomial."""
+    code[r] is the monomial's code over the (register, position) slots
+    and the values 1..alphabet (extract_polynomial, _digits).  The rows
+    ascend by ordinal, and the rows of one ordinal by code."""
 
     slots: tuple[tuple[str, int], ...]
+    alphabet: int
     ordinal: np.ndarray
-    table: np.ndarray
+    code: np.ndarray
     a: np.ndarray
     b: np.ndarray
 
 
-def _propagate(alg: QueryAlgorithm) -> tuple[_Amplitudes, int]:
-    """(amps, D) after the last layer; see extract_polynomial.
+def _digits(code: np.ndarray, base: int) -> list[np.ndarray]:
+    """The codes' base-`base` digits as int64 arrays, most significant
+    first, as many as the largest code has and one at least.  A code's
+    digits are its factor ids, ascending, after leading zeros; id d > 0
+    pins slot (d - 1) // alphabet to the value (d - 1) % alphabet + 1."""
+    places = []
+    while not places or np.any(code > 0):
+        places.append((code % base).astype(np.int64))
+        code = code // base
+    return places[::-1]
 
-    Query address i reads slot i - 1, and factor Delta(slot s, h) has the
-    id s * alphabet + h.  code holds each row's Horner number of its
-    factor ids, in slot order, base slots * alphabet + 1.
-    """
+
+def _propagate(alg: QueryAlgorithm) -> tuple[_Amplitudes, int]:
+    """(amps, D) after the last layer; see extract_polynomial."""
     space = alg.space
     slots, alphabet = space.index_size, alg.alphabet_size
     base = slots * alphabet + 1
@@ -147,12 +155,12 @@ def _propagate(alg: QueryAlgorithm) -> tuple[_Amplitudes, int]:
     powers = np.array([base ** k for k in range(alg.T + 1)], dtype=key_type)
     amps = _Amplitudes(
         tuple(query_address_register(alg.n, i) for i in range(1, slots + 1)),
+        alphabet,
         np.array([space.encode(alg.initial)], dtype=np.int64),
-        np.zeros((1, slots), dtype=np.min_scalar_type(alphabet)),
+        np.zeros(1, dtype=key_type),
         np.ones(1, dtype=np.int64),
         np.zeros(1, dtype=np.int64),
     )
-    code = np.zeros(1, dtype=key_type)
     D = 1
     for t, layer in enumerate(alg.layers):
         if t:
@@ -160,9 +168,9 @@ def _propagate(alg: QueryAlgorithm) -> tuple[_Amplitudes, int]:
                 [0, *(space.encode_answer(h) * slots * 2 for h in range(1, alphabet + 1))],
                 dtype=np.int64,
             )
-            amps, code = _query_rows(amps, code, masks, powers, width)
+            amps = _query_rows(amps, masks, powers, width)
         arrays = layer.int_arrays()
-        amps, code = _layer_rows(amps, code, arrays, width)
+        amps = _layer_rows(amps, arrays, width)
         D *= arrays.D
     return amps, D
 
@@ -176,62 +184,60 @@ def _collect(target, code, a, b, width: int):
     return order[starts[keep]], a[keep], b[keep]
 
 
-def _layer_rows(amps: _Amplitudes, code, layer: LayerArrays, width: int):
+def _layer_rows(amps: _Amplitudes, layer: LayerArrays, width: int) -> _Amplitudes:
     """The layer times the amplitudes: each row meets every entry of its
-    ordinal's column (_meetings), and the products are summed by
-    _collect."""
-    row, entry = _meetings(amps.ordinal, layer)
-    # A sum meets each source ordinal at most once (a column has one entry
-    # per row, an amplitude one term per monomial), in a product of
-    # absolute value <= 3 big big'.
-    num = _int64_or_object(3 * len(layer.lengths) * _largest(amps.a, amps.b) * layer.big)
-    a, b = amps.a.astype(num, copy=False)[row], amps.b.astype(num, copy=False)[row]
-    ea, eb = layer.a.astype(num, copy=False)[entry], layer.b.astype(num, copy=False)[entry]
-    target = layer.rows[entry]
-    pick, sum_a, sum_b = _collect(target, code[row], a * ea + 2 * b * eb, a * eb + b * ea, width)
-    src = row[pick]
-    return amps._replace(ordinal=target[pick], table=amps.table[src], a=sum_a, b=sum_b), code[src]
+    ordinal's column (_products), and the products are summed by
+    _collect.  A sum meets each source ordinal at most once (a column has
+    one entry per row, an amplitude one term per monomial)."""
+    row, target, a, b = _products(amps.ordinal, amps.a, amps.b, layer)
+    pick, sum_a, sum_b = _collect(target, amps.code[row], a, b, width)
+    return amps._replace(ordinal=target[pick], code=amps.code[row[pick]], a=sum_a, b=sum_b)
 
 
-def _query_rows(amps: _Amplitudes, code, masks, powers, width: int):
+def _query_rows(amps: _Amplitudes, masks, powers, width: int) -> _Amplitudes:
     """The standard query on the amplitudes.  A row whose queried slot is
     pinned to v moves to ordinal ^ masks[v]; a free row fans out to one
     row per value h, moved to ordinal ^ masks[h] with the slot pinned to
     h.  The rows are summed by _collect: a key meets at most two of
     them, a monomial free at the slot and the same monomial pinned
     there."""
-    rows, slots = amps.table.shape
-    alphabet = len(masks) - 1
+    slots, alphabet = len(amps.slots), amps.alphabet
+    base = slots * alphabet + 1
     slot = (amps.ordinal >> 1) % slots
-    value = amps.table[np.arange(rows), slot]
+    # The code's digits give the value pinned at the queried slot (0:
+    # free) and the count of pinned slots after it.
+    value = np.zeros(len(slot), dtype=np.int64)
+    after = np.zeros(len(slot), dtype=np.int64)
+    for d in _digits(amps.code, base):
+        pinned = (d - 1) // alphabet  # -1 for the 0 of no factor
+        value = np.where(pinned == slot, d - slot * alphabet, value)
+        after += pinned > slot
     free = value == 0
     reps = np.where(free, alphabet, 1)
-    src = np.repeat(np.arange(rows), reps)
+    src = np.repeat(np.arange(len(slot)), reps)
     h = np.arange(len(src)) - np.repeat(np.cumsum(reps) - reps, reps) + np.maximum(value, 1)[src]
     # Pinning a slot with k pinned slots after it turns the code
     # high * base^k + low into high * base^(k + 1) + id * base^k + low.
-    after = np.count_nonzero((amps.table != 0) & (np.arange(slots) > slot[:, None]), axis=1)
-    shift = powers[after]
+    code, shift = amps.code, powers[after]
     low = code % shift
-    spread = (code - low) * int(powers[1]) + low
+    spread = (code - low) * base + low
     ids = slot[src] * alphabet + h
     code = np.where(free[src], spread[src] + ids * shift[src], code[src])
     num = _int64_or_object(2 * _largest(amps.a, amps.b))
     a, b = amps.a.astype(num, copy=False)[src], amps.b.astype(num, copy=False)[src]
     target = amps.ordinal[src] ^ masks[h]
     pick, sum_a, sum_b = _collect(target, code, a, b, width)
-    table = amps.table[src[pick]]
-    table[np.arange(len(pick)), slot[src[pick]]] = h[pick]
-    return amps._replace(ordinal=target[pick], table=table, a=sum_a, b=sum_b), code[pick]
+    return amps._replace(ordinal=target[pick], code=code[pick], a=sum_a, b=sum_b)
 
 
 _PAIR_CHUNK = 1 << 16  # most monomial pairs that _square_accepting multiplies out at once
 
 
-def _merged(columns: list, slot_of: np.ndarray, base: int, code_type):
-    """(code, clash) for the products of factor lists given as columns of
-    ids, at least one, each list ascending and padded in front with 0
-    (no factor).
+def _merged(columns: list, alphabet: int, base: int, code_type):
+    """(code, clash) for the products of pairs of factor lists, the id of
+    Delta(slot s, h) being s * alphabet + h: the first half of the
+    columns holds one list of each pair and the second half the other,
+    each list ascending and padded in front with 0 (no factor).
     Sorting the columns row by row (odd-even transposition) puts a
     factor the lists share in adjacent columns, and so two factors on
     one slot, a clash.  code is the Horner number, base `base`, of each
@@ -244,10 +250,11 @@ def _merged(columns: list, slot_of: np.ndarray, base: int, code_type):
             columns[c], columns[c + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
     code = np.zeros(len(columns[0]), dtype=code_type)
     clash = np.zeros(len(code), dtype=bool)
+    slot_of = (np.arange(base) - 1) // alphabet  # id 0 pins nothing: -1
     prev = 0
     for col in columns:
         fresh = col != prev
-        clash |= fresh & (prev != 0) & (slot_of[col] == slot_of[prev])
+        clash |= fresh & (slot_of[col] == slot_of[prev])
         code = np.where(fresh, code * base + col, code)
         prev = col
     return code, clash
@@ -261,7 +268,7 @@ def _square_accepting(amps: _Amplitudes, D: int) -> MultilinearPoly:
     rows = len(accept)
     if not rows:
         return MultilinearPoly()
-    ordinal, table = amps.ordinal[accept], amps.table[accept]
+    ordinal, code = amps.ordinal[accept], amps.code[accept]
     new = np.ones(rows, dtype=bool)
     new[1:] = ordinal[1:] != ordinal[:-1]
     start = np.flatnonzero(new)
@@ -272,23 +279,15 @@ def _square_accepting(amps: _Amplitudes, D: int) -> MultilinearPoly:
     coef = _int64_or_object(6 * big * big * int(partners.sum()))
     a, b = amps.a[accept].astype(coef), amps.b[accept].astype(coef)
 
-    # Number the (slot, value) factors that the rows pin 1..F in slot
-    # order, and list each row's ids ascending, padded in front with 0
-    # to the largest degree, one array of digits per place.  Codes are Horner
-    # numbers of ids, base F + 1, and a pair's key is its lower row code,
-    # then its higher one, in the same base.
-    top = int(table.max(initial=0)) + 1
-    pins = np.where(table != 0, np.arange(table.shape[1]) * top + table, 0)
-    factors = np.unique(pins[pins != 0])
-    ids = np.zeros((rows, 1 + table.shape[1]), dtype=np.int64)  # one place at least
-    ids[:, 1:] = np.where(pins != 0, np.searchsorted(factors, pins) + 1, 0)
-    ids.sort(axis=1)
-    degree = int(np.count_nonzero(table, axis=1).max())
-    digits = [np.ascontiguousarray(c) for c in ids[:, -max(degree, 1):].T]
-    slot_of = np.append(-1, factors // top)  # id 0 pins nothing
-    base = len(factors) + 1
+    # The digits of the row codes, one array per place, list each row's
+    # factor ids ascending, padded in front with 0.  A pair's key is its
+    # lower row code, then its higher one, as the digits of one number.
+    alphabet = amps.alphabet
+    base = len(amps.slots) * alphabet + 1
+    digits = _digits(code, base)
+    degree = len(digits)
     code_type = _int64_or_object(base ** (2 * degree) - 1)
-    code = _merged(digits, slot_of, base, code_type)[0]
+    code = code.astype(code_type)
     shift = base ** degree
 
     # A product's lowest factor is the lower of its rows' lowest ones (the
@@ -296,7 +295,7 @@ def _square_accepting(amps: _Amplitudes, D: int) -> MultilinearPoly:
     # walked by their lowest factor, the products whose lowest factor is
     # f all come from one run of the walk, and their sums are complete
     # at its end: only the nonzero ones need to be kept past it.
-    lead = np.where(ids != 0, ids, base).min(axis=1)
+    lead = np.min([np.where(d != 0, d, base) for d in digits], axis=0)
     amplitude = np.cumsum(new) - 1
     walked = _stable_order(amplitude * (base + 1) + lead)[0]  # by amplitude, then lead
     walk = _stable_order(lead[walked])[0]  # positions in walked, by lead
@@ -326,7 +325,7 @@ def _square_accepting(amps: _Amplitudes, D: int) -> MultilinearPoly:
                 np.minimum(cp, cq) * shift + np.maximum(cp, cq), ap * aq + 2 * bp * bq, ap * bq + bp * aq
             )
             p, q = p[order[starts]], q[order[starts]]
-            merged, clash = _merged([d[p] for d in digits] + [d[q] for d in digits], slot_of, base, code_type)
+            merged, clash = _merged([d[p] for d in digits] + [d[q] for d in digits], alphabet, base, code_type)
             keep = ~clash
             pa, pb = pa[keep], pb[keep]
             cross = (p != q)[keep]
@@ -353,15 +352,10 @@ def _square_accepting(amps: _Amplitudes, D: int) -> MultilinearPoly:
     codes, sum_a, sum_b = (np.concatenate(x) for x in zip(*done))
     order, codes = _stable_order(codes)
     sum_a, sum_b = sum_a[order], sum_b[order]
-    # A code's base-`base` digits are its factor ids, ascending after
-    # leading zeros.
-    places = []
-    for _ in range(max(2 * degree, 1)):
-        places.append((codes % base).astype(np.int64))
-        codes = codes // base
-    product = np.stack(places[::-1], axis=1)
-    variables = [IndicatorVariable(*amps.slots[f // top], f % top) for f in factors.tolist()]
-    flat = [variables[i - 1] for i in product[product != 0].tolist()]
+    product = np.stack(_digits(codes, base), axis=1)
+    ids = product[product != 0].tolist()
+    var = {i: IndicatorVariable(*amps.slots[(i - 1) // alphabet], (i - 1) % alphabet + 1) for i in set(ids)}
+    flat = [var[i] for i in ids]
     cuts = np.cumsum(np.count_nonzero(product, axis=1)).tolist()
     A, B = sum_a.tolist(), sum_b.tolist()
     d2 = D * D

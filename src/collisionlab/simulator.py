@@ -163,14 +163,20 @@ def _summed(keys: np.ndarray, a: np.ndarray, b: np.ndarray):
     return keys[order[starts]], sum_a, sum_b
 
 
-def _meetings(k: np.ndarray, layer: LayerArrays):
-    """(item, entry) index arrays of every meeting of item i, which sits in
-    row k[i], with an entry of the layer's column k[i]: item by item, then
-    entry by entry in column order."""
+def _products(k: np.ndarray, a: np.ndarray, b: np.ndarray, layer: LayerArrays):
+    """(item, row, A, B) for every meeting of item i, the value (a[i] +
+    b[i] sqrt 2) in row k[i], with an entry of the layer's column k[i]:
+    the entry's row and the product (A + B sqrt 2), item by item, then
+    entry by entry in column order.  A and B are int64 if a sum of dim
+    products, at most 3 dim max|a, b| layer.big in absolute value, fits
+    in it, else Python ints."""
     reps = layer.lengths[k]
     item = np.repeat(np.arange(len(k)), reps)
     entry = np.arange(len(item)) + np.repeat(layer.starts[k] - (np.cumsum(reps) - reps), reps)
-    return item, entry
+    num = _int64_or_object(3 * len(layer.lengths) * _largest(a, b) * layer.big)
+    a, b = a.astype(num, copy=False)[item], b.astype(num, copy=False)[item]
+    ea, eb = layer.a.astype(num, copy=False)[entry], layer.b.astype(num, copy=False)[entry]
+    return item, layer.rows[entry], a * ea + 2 * b * eb, a * eb + b * ea
 
 
 class Layer:
@@ -292,7 +298,7 @@ class Layer:
         """self @ inner: the layer that applies inner first, then self.
 
         Each entry (k, a, b) of column c of inner meets every entry of
-        column k of self (_meetings); the products are summed per key
+        column k of self (_products); the products are summed per key
         c * dim + row as integers over D = d_outer * d_inner, keys
         ascending, so each column's rows ascend.  The composed layer keeps
         the nonzero sums, reduced to the least common denominator (the
@@ -303,14 +309,9 @@ class Layer:
         dim = self.dim
         outer = self.int_arrays()
         inner_arrays = inner.int_arrays()
-        # A sum has at most dim products of absolute value <= 3 big^2.
-        num = _int64_or_object(3 * dim * max(outer.big, inner_arrays.big) ** 2)
-        e, at = _meetings(inner_arrays.rows, outer)
+        e, row, A, B = _products(inner_arrays.rows, inner_arrays.a, inner_arrays.b, outer)
         c = np.repeat(np.arange(dim, dtype=np.int64), inner_arrays.lengths)[e]
-        keys = c * dim + outer.rows[at]
-        ia, ib = inner_arrays.a.astype(num, copy=False)[e], inner_arrays.b.astype(num, copy=False)[e]
-        oa, ob = outer.a.astype(num, copy=False)[at], outer.b.astype(num, copy=False)[at]
-        keys, sum_a, sum_b = _summed(keys, ia * oa + 2 * ib * ob, ia * ob + ib * oa)
+        keys, sum_a, sum_b = _summed(c * dim + row, A, B)
         keep = (sum_a != 0) | (sum_b != 0)
         col, rows = np.divmod(keys[keep], dim)
         a, b = sum_a[keep], sum_b[keep]

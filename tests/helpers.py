@@ -385,32 +385,47 @@ def _nonzero(amps: dict) -> dict:
 def amplitude_rows(amps: dict) -> _Amplitudes:
     """The dict amplitudes of propagate_reference as the rows that the
     array squaring reads: one row per (ordinal, monomial) in dict order,
-    one table column per (register, position) the monomials pin."""
+    one slot per (register, position) the monomials pin, the alphabet up
+    to the largest pinned value, and each monomial as its code."""
     terms = [(o, m, c) for o, poly in amps.items() for m, c in poly.items()]
     slots = sorted({f[:2] for _, m, _ in terms for f in m})
     column = {slot: s for s, slot in enumerate(slots)}
-    top = max((f.value for _, m, _ in terms for f in m), default=0)
-    table = np.zeros((len(terms), len(slots)), dtype=np.min_scalar_type(top))
-    for r, (_, m, _) in enumerate(terms):
-        for f in m:
-            table[r, column[f[:2]]] = f.value
+    alphabet = max((f.value for _, m, _ in terms for f in m), default=1)
+    codes = []
+    for _, m, _ in terms:
+        code = 0
+        for i in sorted(column[f[:2]] * alphabet + f.value for f in m):
+            code = code * (len(slots) * alphabet + 1) + i
+        codes.append(code)
     coefs = [v for _, _, c in terms for v in c]
     dtype = np.int64 if max(map(abs, coefs), default=0) < 2**63 else object
     return _Amplitudes(
         tuple(slots),
+        alphabet,
         np.array([o for o, _, _ in terms], dtype=np.int64),
-        table,
+        np.array(codes, dtype=np.int64 if max(codes, default=0) < 2**63 else object),
         np.array([a for _, _, (a, _) in terms], dtype=dtype),
         np.array([b for _, _, (_, b) in terms], dtype=dtype),
     )
 
 
+def code_factors(amps: _Amplitudes, code: int) -> tuple:
+    """The factors of a row code of the array propagation, ascending: its
+    digits, base len(slots) * alphabet + 1, are the factor ids, id d
+    pinning slot (d - 1) // alphabet to (d - 1) % alphabet + 1."""
+    factors = []
+    while code:
+        code, d = divmod(code, len(amps.slots) * amps.alphabet + 1)
+        s, h = divmod(d - 1, amps.alphabet)
+        factors.append(IndicatorVariable(*amps.slots[s], h + 1))
+    return tuple(factors[::-1])
+
+
 def amplitude_dicts(amps: _Amplitudes) -> dict:
     """The rows of the array propagation in propagate_reference's form."""
     out: dict = {}
-    for o, pins, a, b in zip(amps.ordinal.tolist(), amps.table.tolist(), amps.a.tolist(), amps.b.tolist()):
-        m = tuple(IndicatorVariable(*amps.slots[s], v) for s, v in enumerate(pins) if v)
-        out.setdefault(o, {})[m] = (a, b)
+    for o, code, a, b in zip(amps.ordinal.tolist(), amps.code.tolist(), amps.a.tolist(), amps.b.tolist()):
+        out.setdefault(o, {})[code_factors(amps, code)] = (a, b)
     return out
 
 

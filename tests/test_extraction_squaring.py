@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from collisionlab import instances, polymethod
+from collisionlab import instances, polymethod, simulator
 from collisionlab.circuits import (
     REFERENCE_BUILDERS,
     coincidence_probe,
@@ -30,6 +30,7 @@ from collisionlab.simulator import Layer, QueryAlgorithm
 from helpers import (
     amplitude_dicts,
     amplitude_rows,
+    code_factors,
     propagate_reference,
     random_orthogonal_layer,
     square_accepting_reference,
@@ -80,8 +81,8 @@ def test_squaring_matches_the_reference_on_the_dumped_mixer(dumped_mixer8):
 def row_keys(amps) -> list:
     """(ordinal, monomial) of each propagated row, in row order."""
     return [
-        (ordinal, Monomial(tuple(IV(*amps.slots[s], v) for s, v in enumerate(pins) if v)))
-        for ordinal, pins in zip(amps.ordinal.tolist(), amps.table.tolist())
+        (ordinal, Monomial(code_factors(amps, code)))
+        for ordinal, code in zip(amps.ordinal.tolist(), amps.code.tolist())
     ]
 
 
@@ -125,16 +126,31 @@ def test_extraction_past_int64_runs_on_python_ints(monkeypatch):
         chosen.append(choose(bound))
         return chosen[-1]
 
-    monkeypatch.setattr(polymethod, "_int64_or_object", recording)
     alg = QueryAlgorithm(
         name="rotations", kind="collision", n=1, T=1, oracle_kind="standard",
         space=query_space("collision", 1), layers=[rotation_layer(0), rotation_layer(1)],
     )
+    # The layer step chooses its type in simulator, the others in polymethod.
+    for module in (polymethod, simulator):
+        monkeypatch.setattr(module, "_int64_or_object", recording)
     assert_same_propagation(alg)
     amps, D = propagate_reference(alg)
     assert D > 2**126
     assert_same_terms(extract_polynomial(alg), square_accepting_reference(amps, D))
     assert object in chosen
+
+
+@pytest.mark.parametrize("name", list(CIRCUITS))
+def test_extraction_on_python_ints_matches_int64(name, monkeypatch):
+    alg = CIRCUITS[name]()
+    want = extract_polynomial(alg)
+    for module in (polymethod, simulator):
+        monkeypatch.setattr(module, "_int64_or_object", lambda bound: object)
+    amps = _propagate(alg)[0]
+    assert amps.code.dtype == amps.a.dtype == object
+    got = extract_polynomial(alg)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
 
 
 CHUNKED = {
@@ -206,15 +222,17 @@ def big_amplitudes(seed: int) -> dict:
 def int64_bounds(amps: dict) -> tuple[bool, bool]:
     """(sums fit, codes fit) in int64, by the bounds of the array
     squaring: sums up to 6 max|coef|^2 pairs in absolute value, codes up
-    to (factors + 1)^(2 max degree) - 1."""
+    to base^(2 max degree) - 1, with base = slots * alphabet + 1 as
+    amplitude_rows lays the monomials out."""
     accepting = [poly for ordinal, poly in amps.items() if ordinal & 1]
     pairs = sum(len(p) * (len(p) + 1) // 2 for p in accepting)
     big = max(max(abs(a), abs(b)) for p in accepting for a, b in p.values())
-    factors = {f for p in accepting for m in p for f in m}
+    factors = {f for p in amps.values() for m in p for f in m}
+    base = len({f[:2] for f in factors}) * max(f.value for f in factors) + 1
     degree = max(len(m) for p in accepting for m in p)
     return (
         6 * big * big * pairs <= INT64_MAX,
-        (len(factors) + 1) ** (2 * degree) - 1 <= INT64_MAX,
+        base ** (2 * degree) - 1 <= INT64_MAX,
     )
 
 
@@ -230,9 +248,9 @@ def test_squaring_on_python_ints_matches_the_reference():
 
 
 def test_squaring_with_python_int_codes_and_int64_coefficients():
-    # 31 distinct factors make the code base 32 = 2^5, so the first digit
-    # of a 14-factor code weighs 2^65: codes wrapped to 64 bits would
-    # merge x1=1 * REST with x1=2 * REST.
+    # 21 pinned positions and the values 1..3 make the code base
+    # 21 * 3 + 1 = 64 = 2^6, so the first digit of a 14-factor code weighs
+    # 2^78: codes wrapped to 64 bits would merge x1=1 * REST with x1=2 * REST.
     head = mono({p: 1 for p in range(2, 8)})
     rest = mono({p: 1 for p in range(8, 15)})
     amps = {
@@ -242,10 +260,11 @@ def test_squaring_with_python_int_codes_and_int64_coefficients():
             rest: (2, 1),
             mono({p: 2 for p in range(2, 9)}): (1, 1),
             mono({p: 2 for p in range(9, 16)}): (-2, 0),
-            mono({15: 3, 16: 3}): (1, -1),
+            mono({p: 3 for p in range(15, 22)}): (1, -1),
         },
     }
-    assert len({f for m in amps[1] for f in m}) == 31
+    assert amplitude_rows(amps).alphabet == 3
+    assert len(amplitude_rows(amps).slots) == 21
     assert int64_bounds(amps) == (True, False)
     assert_same_squares(amps, 7)
     merged = [m.factors for m in _square_accepting(amplitude_rows(amps), 7).terms]

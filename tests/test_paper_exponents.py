@@ -10,7 +10,8 @@ floor, so Markov's inequality asks for
 at every admissible G.  The least T that meets the best G grows like
 n^(1/5) for collision and n^(1/7) for set comparison.  This is the
 inequality's arithmetic at n = 10^20 .. 10^40, not a simulation: no
-circuit, polynomial or draw enters.
+circuit, polynomial or draw enters.  The float search's least T is
+checked again in exact rationals, squared, so no sqrt is taken.
 """
 
 import math
@@ -18,7 +19,9 @@ from fractions import Fraction
 
 import pytest
 
-from collisionlab.degreebound import SLOPE_FLOOR, chain_report_for_poly, degree_lower_bound, family
+from collisionlab.degreebound import (
+    RANGE_BASE, SLOPE_FLOOR, chain_report_for_poly, degree_lower_bound, family,
+)
 from collisionlab.instances import _iroot
 from collisionlab.lattice import LatticePoly
 
@@ -75,6 +78,30 @@ def test_least_T_grows_with_the_papers_exponent(variant):
         G = best_bound(10**k, T, variant)[1]
         grid = candidates(10**k, T, variant)
         assert grid[0] < G < grid[-1], (k, G)
+
+
+def meets_exactly(n: int, T: int, variant: str, G: int) -> bool:
+    """cap T >= degree_lower_bound(SLOPE_FLOOR, G, T, n, variant), squared
+    and in exact rationals, the constants read from their decimal strings:
+
+        (cap T)^2 (RANGE_BASE + 2 d (1 + c T (G-1) reach(G) / n)) >= d (G-1)
+
+    with d = SLOPE_FLOOR and the family's window constant c."""
+    fam = family(variant)
+    d, value_range = Fraction(repr(SLOPE_FLOOR)), Fraction(repr(RANGE_BASE))
+    excursion = d * (1 + Fraction(fam.window_denom * T * (G - 1) * fam.reach(G), n))
+    return (fam.cap_per_query * T) ** 2 * (value_range + 2 * excursion) >= d * (G - 1)
+
+
+@pytest.mark.parametrize("variant", ["collision", "setcomp"])
+def test_least_T_holds_in_exact_rationals(variant):
+    """The float search's T_min meets the bound at every candidate G in
+    exact arithmetic, and T_min - 1 misses it at one G at least."""
+    for k in range(20, 42, 2):
+        n = 10**k
+        T = least_T(n, variant)
+        assert all(meets_exactly(n, T, variant, G) for G in candidates(n, T, variant)), k
+        assert not all(meets_exactly(n, T - 1, variant, G) for G in candidates(n, T - 1, variant)), k
 
 
 @pytest.mark.parametrize("G, bound, consistent", [(18, 2.0175, False), (2, 0.682, True)])
