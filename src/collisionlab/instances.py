@@ -9,8 +9,9 @@ subsets).  Both are one construction: a point's arity names its family,
 and one shape per point drives the sampler, the closed-form count and the
 enumerator.  A latent draw, the hidden choice behind an input, is one
 record for both families, Latent(s, ranges, seqs).  The sampler keeps
-it so tests can check the construction white-box, and the enumerator
-streams every latent draw in a deterministic order for brute-force
+it so tests can check the construction white-box; the enumerator
+lists every latent draw in a deterministic order, and enumerate_table
+builds the input rows of them all as one table for brute-force
 expectations.  sample_collision_input is an alias of sample_input.
 """
 
@@ -147,7 +148,7 @@ class Instance:
     @property
     def row(self) -> tuple[int, ...]:
         """The value at every query address 1..len(row): x, then y.  This
-        is the layout of a draw-table row (sample_rows, enumerate_rows)."""
+        is the layout of a draw-table row (sample_rows, enumerate_table)."""
         return tuple(itertools.chain.from_iterable(self.registers))
 
     @staticmethod
@@ -463,9 +464,9 @@ def _random_order(rng: random.Random, shape: tuple[int, ...]) -> np.ndarray:
 
 def sample_rows(point, n: int, draws: int, rng: random.Random) -> np.ndarray:
     """The input rows of `draws` independent draws from the family at
-    point, (g, N) or (g, N, M), as one table in enumerate_rows' layout:
-    draws x n of x, or draws x 2n of x then y.  Its dtype is the narrowest
-    that holds n, or 2n, as in polymethod.draw_table.
+    point, (g, N) or (g, N, M), as one table in enumerate_table's layout
+    and dtype: draws x n of x, or draws x 2n of x then y, in the narrowest
+    type that holds n, or 2n.
 
     Each stage is drawn for all draws at once by _random_order: S is the
     first |S| positions of an order of the universe; a drawn range is the
@@ -542,30 +543,22 @@ def check_enumerable(point, n: int, cap: int | None = None) -> None:
         )
 
 
-def _relabelled_draws(point, n: int, cap: int | None) -> Iterator:
-    """The one loop behind enumerate_supports and enumerate_rows: yield
-    (S, ranges, tables) for every S and every choice of register ranges,
-    in lexicographic order, where tables[i] is an array holding every
-    k-to-1 sequence onto register i's range (S itself when no range is
-    drawn), one per row, in lexicographic order.
-
-    Every range has the same size, so its sequences are one k-to-1 index
-    table over range(size), listed once per point by _k_to_one_sequences
-    and relabelled by the range.  A sorted range maps indices to values
-    monotonically, so the rows keep the index table's order.  Both
-    tables take the smallest integer type that holds their entries.
-    Raises EnumerationTooLarge if the closed-form count exceeds the cap.
-    """
+def _index_table(point, n: int, cap: int | None) -> tuple[_Shape, np.ndarray]:
+    """The shape of point and its k-to-1 index table: every k-to-1
+    sequence onto range(sub), one per row, in lexicographic order, in the
+    smallest integer type that holds its entries.  Every drawn range has
+    the size sub (S itself when none is drawn), so relabelling this one
+    table by a range lists the range's sequences; a sorted range maps
+    indices to values monotonically, so the rows keep their order.
+    Raises EnumerationTooLarge, before anything is listed, if the
+    closed-form count exceeds the cap."""
     shape = _shape(point, n)
     check_enumerable(point, n, cap)
     index = np.fromiter(
         itertools.chain.from_iterable(_k_to_one_sequences(range(shape.sub), shape.k)),
         dtype=np.min_scalar_type(shape.sub),
     ).reshape(_sequence_count(shape), shape.length)
-    labels = np.min_scalar_type(shape.universe)
-    for s in itertools.combinations(range(1, shape.universe + 1), shape.s_size):
-        for ranges in itertools.product(itertools.combinations(s, shape.sub), repeat=shape.ranges):
-            yield s, ranges, [np.array(r, dtype=labels)[index] for r in ranges or (s,)]
+    return shape, index
 
 
 _ROW_CHUNK = 4096  # rows turned into lists at a time
@@ -582,33 +575,47 @@ def enumerate_supports(point, n: int, cap: int | None = None) -> Iterator:
     """Yield every latent draw at point exactly once, in lexicographic
     order on (S, xhat) or (S, S_X, S_Y, xhat, yhat).  Raises
     EnumerationTooLarge if the closed-form count exceeds the cap."""
-    for s, ranges, tables in _relabelled_draws(point, n, cap):
-        # the last register's sequences vary fastest
-        *outer, last = tables
-        for head in itertools.product(*(map(tuple, table.tolist()) for table in outer)):
-            for tail in _listed(last):
-                yield Latent(s, ranges, (*head, tuple(tail)))
+    shape, index = _index_table(point, n, cap)
+    labels = np.min_scalar_type(shape.universe)
+    for s in itertools.combinations(range(1, shape.universe + 1), shape.s_size):
+        for ranges in itertools.product(itertools.combinations(s, shape.sub), repeat=shape.ranges):
+            # the last register's sequences vary fastest
+            *outer, last = (np.array(r, dtype=labels)[index] for r in ranges or (s,))
+            for head in itertools.product(*(map(tuple, table.tolist()) for table in outer)):
+                for tail in _listed(last):
+                    yield Latent(s, ranges, (*head, tuple(tail)))
+
+
+def _combinations(values, size: int, dtype) -> np.ndarray:
+    """Every size-subset of values, one per row, in lexicographic order."""
+    return np.array(list(itertools.combinations(values, size)), dtype=dtype).reshape(-1, size)
+
+
+def enumerate_table(point, n: int, cap: int | None = None) -> np.ndarray:
+    """The input row of every latent draw at point as one table, in
+    enumerate_supports' order: count_supports rows of the first n entries
+    of xhat, then (set comparison) of yhat.  Its dtype is the narrowest
+    that holds the universe, n or 2n.
+
+    One gather relabels the index table, cut to its first n columns, by
+    every S at once.  For a (g, N, M) point, every S first gathers its
+    drawn ranges, and each x head is set beside each y tail in one
+    (S, S_X, S_Y, xhat, yhat) block.  Raises EnumerationTooLarge, before
+    anything is allocated, if the closed-form count exceeds the cap."""
+    shape, index = _index_table(point, n, cap)
+    index = index[:, :n]
+    s_all = _combinations(range(1, shape.universe + 1), shape.s_size, np.min_scalar_type(shape.universe))
+    if not shape.ranges:
+        return s_all[:, index].reshape(-1, n)
+    ranges = s_all[:, _combinations(range(shape.s_size), shape.sub, np.intp)]
+    seqs = ranges[..., index]  # (S, drawn range, sequence, position)
+    heads, tails = np.broadcast_arrays(seqs[:, :, None, :, None], seqs[:, None, :, None, :])
+    return np.concatenate((heads, tails), axis=-1).reshape(-1, 2 * n)
 
 
 def enumerate_rows(point, n: int, cap: int | None = None) -> Iterator[np.ndarray]:
-    """The input row of every latent draw at point, in enumerate_supports'
-    order: the first n entries of xhat, then (set comparison) of yhat,
-    as one 1-D integer array of n or 2n entries.
-
-    Each row is a view of a table that no later row writes to: for a
-    (g, N) point the relabelled table of its S, for a (g, N, M) point a
-    block that holds one x head beside every y tail.  So a row may be
-    kept, and draw_table packs the rows without a Python list per row.
-    Raises EnumerationTooLarge if the closed-form count exceeds the cap.
-    """
-    for _s, _ranges, tables in _relabelled_draws(point, n, cap):
-        *outer, last = (table[:, :n] for table in tables)
-        if not outer:
-            yield from last
-            continue
-        (heads,) = outer
-        for head in heads:
-            block = np.empty((len(last), 2 * n), dtype=last.dtype)
-            block[:, :n] = head
-            block[:, n:] = last
-            yield from block
+    """The rows of enumerate_table, one 1-D array of n or 2n entries per
+    latent draw.  Each row is a view of the table, which no later row
+    writes to, so a row may be kept.  Raises EnumerationTooLarge on the
+    first draw if the closed-form count exceeds the cap."""
+    yield from enumerate_table(point, n, cap)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .instances import (
     ConfigError,
     Instance,
     enumerate_rows,
+    enumerate_table,
     kappa,
     sample_collision_input,  # unused; kept bound because perfbench/tracer.py patches it here
     sample_rows,
@@ -427,8 +428,8 @@ def gamma_closed(m: Monomial, point, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-# Kept by name: gamma_bruteforce_sweep calls it so that perfbench/tracer.py,
-# which patches this name, counts the sweep's latent draws.
+# Kept by name: perfbench/tracer.py patches it here.  No caller is left,
+# since the sweep reads one enumerate_table per point.
 enumerate_collision_supports = enumerate_rows
 
 
@@ -453,12 +454,11 @@ def gamma_bruteforce_sweep(
     monomials: Sequence[Monomial], point, n: int, cap: int | None = None
 ) -> list[Fraction]:
     """gamma_bruteforce for many monomials over one enumeration of the
-    (g, N) family at point: hit draws over all draws.  The rows stream
-    from enumerate_collision_supports, one 1-D array per latent draw,
-    and draw_table packs them into one table; per slot set of
-    code_lookup, one bincount of the draws' bins, read at the monomials'
-    bins, counts each monomial's hits."""
-    draws = draw_table(enumerate_collision_supports(point, n, cap), point, n)
+    (g, N) family at point: hit draws over all draws.  The draws are the
+    rows of enumerate_table, built at once; per slot set of code_lookup,
+    one bincount of the draws' bins, read at the monomials' bins, counts
+    each monomial's hits."""
+    draws = enumerate_table(point, n, cap)
     total = len(draws)
     counts = np.zeros(len(monomials), dtype=np.int64)
     for members, term_bins, draw_bins, bins in code_lookup(monomials, draws, n):
@@ -596,18 +596,6 @@ def assemble_grid_poly(p: MultilinearPoly, n: int, T: int, arity: int) -> Lattic
 _EMPTY_BATCH = "an empty batch has no mean acceptance; need at least one draw"
 
 
-def draw_table(rows: Iterable[np.ndarray], point, n: int) -> np.ndarray:
-    """Pack the rows of draws from the family at point into one table,
-    without keeping them: S x n of x for a (g, N) point, S x 2n of x then
-    y for a (g, N, M) point.  Each row is one 1-D item of width n or 2n,
-    as enumerate_rows yields them, copied whole by one np.fromiter over a
-    subarray dtype; an empty stream gives a (0, width) table.  Values lie
-    in 1..n, or 1..2n, so the table takes the narrowest type that holds
-    the largest."""
-    width = n * (len(point) - 1)
-    return np.fromiter(rows, dtype=np.dtype((np.min_scalar_type(width), width)))
-
-
 def _exact_acceptances(
     obj, draws: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -631,14 +619,14 @@ def _exact_acceptances(
 
 def expected_acceptance(obj, point, n: int, cap: int | None = None) -> QSqrt2:
     """Exact average acceptance over every latent draw of the family at
-    point, (g, N) or (g, N, M), read from enumerate_rows into one table.
+    point, (g, N) or (g, N, M), over the one table of enumerate_table.
 
     obj is a QueryAlgorithm (simulated row by row) or an extracted
     MultilinearPoly (evaluated over all rows in one batch).  The values
     are summed as Python ints: an int64 sum over a large table could
     overflow.
     """
-    draws = draw_table(enumerate_rows(point, n, cap), point, n)
+    draws = enumerate_table(point, n, cap)
     A, B, D = _exact_acceptances(obj, draws, n)
     return QSqrt2.over(sum(A.tolist()), sum(B.tolist()), D * len(A))
 

@@ -20,6 +20,7 @@ from collisionlab.instances import (
     SuperQuasilatticePoint,
     count_supports,
     enumerate_supports,
+    enumerate_table,
     instance_from_latent,
     sample_rows,
 )
@@ -29,7 +30,6 @@ from collisionlab.multilinear import Monomial, MultilinearPoly, code_lookup
 from collisionlab.polymethod import (
     _exact_acceptances,
     all_monomials,
-    draw_table,
     expected_acceptance,
     expected_acceptance_mc,
     extract_polynomial,
@@ -206,7 +206,7 @@ def test_empty_batch_is_a_value_error():
     # The circuit path simulates each row and raises the same way.
     alg = coincidence_probe(4)
     with pytest.raises(ValueError, match="empty batch"):
-        _exact_acceptances(alg, draw_table([], QuasilatticePoint(1, 4), 4), 4)
+        _exact_acceptances(alg, enumerate_table(QuasilatticePoint(1, 4), 4)[:0], 4)
     with pytest.raises(ValueError, match="empty batch"):
         expected_acceptance_mc(alg, QuasilatticePoint(1, 4), 4, 0, random.Random(0))
 

@@ -4,9 +4,11 @@ name; these tests fail when a refactor removes or rebinds one of them."""
 import importlib.util
 from pathlib import Path
 
-from collisionlab import cli, simulator
+from collisionlab import cli, polymethod, simulator
 from collisionlab.circuits import coincidence_probe, setcomp_probe
-from collisionlab.instances import Instance, count_supports, divisor_points
+from collisionlab.instances import (
+    Instance, count_supports, divisor_points, enumerate_supports, enumerate_table,
+)
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -72,9 +74,18 @@ def test_chain_calls_reach_the_traced_names():
 
 
 
-def test_verify_gamma_enumerates_through_the_traced_name(tmp_path):
-    # The sweep must draw every latent draw through the patched
-    # polymethod.enumerate_collision_supports, once per swept point.
+def test_verify_gamma_sweeps_one_table_of_every_latent_draw(tmp_path, monkeypatch):
+    # A traced sweep reads one enumerate_table per swept point, and each
+    # table holds the input of every latent draw, in enumerate_supports'
+    # order.
+    tables = []
+
+    def recorded(point, n, cap=None):
+        table = enumerate_table(point, n, cap)
+        tables.append((tuple(point), n, table))
+        return table
+
+    monkeypatch.setattr(polymethod, "enumerate_table", recorded)
     tracer = load_tracer()
     tracer.install()
     try:
@@ -84,8 +95,12 @@ def test_verify_gamma_enumerates_through_the_traced_name(tmp_path):
     finally:
         tracer.uninstall()
     assert code == 0
-    swept = sum(count_supports(point, n) for n in (4, 6) for point in divisor_points(n, 8))
-    assert tracer.counts["gamma"]["instances.latent_draws"] == swept
+    swept = [(tuple(point), n) for n in (4, 6) for point in divisor_points(n, 8)]
+    assert [(point, n) for point, n, _ in tables] == swept
+    for point, n, table in tables:
+        assert table.shape == (count_supports(point, n), n)
+        want = [latent.seqs[0][:n] for latent in enumerate_supports(point, n)]
+        assert table.tolist() == [list(row) for row in want]
 
 
 def test_chain_on_a_circuit_file_loads_through_the_traced_name(tmp_path):

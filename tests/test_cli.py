@@ -12,7 +12,7 @@ from collisionlab import cli, degreebound
 from collisionlab.circuits import coincidence_probe, setcomp_probe, two_query_mixer
 from collisionlab.cli import main
 from collisionlab.instances import Instance, count_supports, divisor_points
-from collisionlab.polymethod import extract_polynomial, prefactor
+from collisionlab.polymethod import all_monomials, extract_polynomial, gamma_closed, prefactor
 from collisionlab.setcomp_poly import assemble_q3
 from collisionlab.reports import jsonable, render_csv, render_json
 from collisionlab.simulator import QueryAlgorithm
@@ -156,6 +156,27 @@ def test_verify_gamma_report_is_pinned(fmt, tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_GAMMA_SHA256[fmt]
+
+
+def test_verify_gamma_rows_hold_each_monomials_own_closed_form(tmp_path, capsys):
+    # verify-gamma computes one closed form per monomial shape and point;
+    # degree 3 reaches shapes that the pinned degree-2 report does not.
+    out = tmp_path / "gamma.json"
+    code, _, _ = run(
+        ["verify-gamma", "--n", "4", "6", "--max-degree", "3", "--max-N", "8",
+         "--output", str(out)],
+        capsys,
+    )
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["summary"]["all_equal"] is True
+    monomials = {n: {cli.monomial_label(m): m for m in all_monomials(n, 3)} for n in (4, 6)}
+    assert len(results["rows"]) == results["summary"]["cases"] == sum(
+        len(monomials[n]) * len(divisor_points(n, 8)) for n in (4, 6)
+    )
+    for row in results["rows"]:
+        want = gamma_closed(monomials[row["n"]][row["monomial"]], (row["g"], row["N"]), row["n"])
+        assert Fraction(row["closed"]) == want
 
 
 def test_verify_identity_past_the_cap_exits_before_extraction(monkeypatch, capsys):

@@ -17,8 +17,8 @@ PACKAGE = Path(collisionlab.__file__).resolve().parent
 
 CLOSED_FORMS = ("gamma_closed", "q_tilde", "prefactor")
 DRAW_READERS = (
-    "_shape", "enumerate_rows", "enumerate_supports", "sample_rows", "sample_input",
-    "count_supports",
+    "_shape", "enumerate_rows", "enumerate_supports", "enumerate_table", "sample_rows",
+    "sample_input", "count_supports",
 )
 
 
@@ -84,7 +84,10 @@ def test_the_check_sees_a_planted_call():
         "    return instances._shape(point, n).k\n"
         "def prefactor(n, T, N):\n"
         "    return len(list(enumerate_rows((1, N), n)))\n"
+        "def q_tilde(I, n, T, arity):\n"
+        "    return len(instances.enumerate_table((1, n), n))\n"
     )
-    assert draw_calls(function_defs(source), ("gamma_closed", "prefactor")) == [
+    assert draw_calls(function_defs(source), CLOSED_FORMS) == [
         ("gamma_closed", "_shape"), ("prefactor", "enumerate_rows"),
+        ("q_tilde", "enumerate_table"),
     ]

@@ -22,6 +22,7 @@ from collisionlab.instances import (
     divisor_points,
     enumerate_rows,
     enumerate_supports,
+    enumerate_table,
     instance_from_latent,
     is_k_to_one,
     kappa,
@@ -32,7 +33,6 @@ from collisionlab.instances import (
     super_quasilattice_points,
     validate_instance,
 )
-from collisionlab.polymethod import draw_table
 from helpers import fraction_of_small_unions, is_quasilattice_point, is_super_quasilattice_point
 
 
@@ -380,20 +380,37 @@ def test_rows_are_one_dimensional_and_pack_into_the_table_of_their_inputs(point,
     width = n * (len(point) - 1)
     rows = list(enumerate_rows(point, n))
     assert all(row.shape == (width,) for row in rows)
-    empty = draw_table([], point, n)
+    table = enumerate_table(point, n)
+    empty = table[:0]
     assert empty.shape == (0, width)
     inputs = [instance_from_latent(latent, n) for latent in enumerate_supports(point, n)]
     want = np.array([inst.x + (inst.y or ()) for inst in inputs], dtype=empty.dtype)
-    table = draw_table(iter(rows), point, n)
-    assert table.dtype == empty.dtype
+    assert np.stack(rows).dtype == empty.dtype
     assert table.shape == (total, width)
     assert np.array_equal(table, want)
     # kept rows still hold their draws once the stream has moved on
     assert np.array_equal(np.array(rows), want)
-    assert np.array_equal(draw_table(enumerate_rows(point, n), point, n), want)
+    assert np.array_equal(np.array(list(enumerate_rows(point, n))), want)
+
+
+TABLE_POINTS = [(point, n) for point, n, _ in ENUMERABLE_POINTS] + [
+    (point, n) for n in range(1, 9) for point in divisor_points(n, 8)
+]
+
+
+@pytest.mark.parametrize("point, n", TABLE_POINTS)
+def test_the_table_holds_the_input_of_every_latent_draw_in_order(point, n):
+    table = enumerate_table(point, n)
+    universe = n * (len(point) - 1)
+    assert table.shape == (count_supports(point, n), universe)
+    assert table.dtype == np.min_scalar_type(universe)
+    inputs = (instance_from_latent(latent, n).row for latent in enumerate_supports(point, n))
+    assert list(map(tuple, table.tolist())) == list(inputs)
 
 
 def test_rows_past_the_cap_raise_on_the_first_draw():
     rows = enumerate_rows(QuasilatticePoint(1, 12), 12, cap=1000)
     with pytest.raises(EnumerationTooLarge):
         next(rows)
+    with pytest.raises(EnumerationTooLarge):
+        enumerate_table((1, 12), 12, cap=1000)

@@ -1,7 +1,7 @@
 """Only instances turns latent draws into inputs.
 
-Every family average reads the rows of instances.enumerate_rows into one
-draw table (polymethod.draw_table).  The latent draws themselves, from
+Every family average reads one draw table, built by
+instances.enumerate_table.  The latent draws themselves, from
 enumerate_supports, and the Instances built from them by
 instance_from_latent, stay inside instances, where the sampler keeps its
 latent draw; tests read them white-box.  No other module of the package

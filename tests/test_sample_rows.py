@@ -23,7 +23,7 @@ from collisionlab.instances import (
     enumerate_rows,
     sample_rows,
 )
-from collisionlab.polymethod import draw_table, expected_acceptance_mc, extract_polynomial
+from collisionlab.polymethod import expected_acceptance_mc, extract_polynomial
 from collisionlab.setcomp_poly import expected_acceptance3_mc
 
 
@@ -81,7 +81,7 @@ def test_one_seed_gives_one_table_in_draw_tables_dtype(point, n):
     table = sample_rows(point, n, 64, random.Random(7))
     assert np.array_equal(table, sample_rows(point, n, 64, random.Random(7)))
     assert not np.array_equal(table, sample_rows(point, n, 64, random.Random(8)))
-    assert table.dtype == draw_table([], point, n).dtype
+    assert table.dtype == np.min_scalar_type(n * (len(point) - 1))
 
 
 def test_no_draws_is_an_empty_table_and_an_empty_batch():
