@@ -21,33 +21,21 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .instances import ConfigError, Instance
-from .qsqrt2 import ONE, ZERO
+from .qsqrt2 import ONE
 from .simulator import (
     BasisState,
-    Layer,
-    StateSpace,
     StateVector,
     _first_past,
     apply_erasing_query,
     apply_unitary,
     erasing_space,
 )
-from .circuits import hadamard_matrix, index_register_layer
+from .circuits import digit_layer, hadamard_matrix
 
 
 # ---------------------------------------------------------------------------
 # erasing-oracle set comparison
 # ---------------------------------------------------------------------------
-
-
-def _pair_bit_hadamard(space: StateSpace, two_n: int) -> Layer:
-    """Hadamard on the pair bit of the (b, value) index register, H (x) I_2n:
-    |b, v> -> (|0, v> + (-1)^b |1, v>) / sqrt(2)."""
-    h = hadamard_matrix(1)
-    return index_register_layer(space, [
-        [h[r // two_n][c // two_n] if r % two_n == c % two_n else ZERO for c in range(2 * two_n)]
-        for r in range(2 * two_n)
-    ])
 
 
 def erasing_setcomp_probability(inst: Instance) -> Fraction:
@@ -70,7 +58,8 @@ def erasing_setcomp_probability(inst: Instance) -> Fraction:
             entries[space.encode(BasisState(0, b * two_n + i, 1))] = ONE
     state = StateVector(space, entries)
     state = apply_erasing_query(state, inst)
-    state = apply_unitary(state, _pair_bit_hadamard(space, two_n))
+    # H on the pair bit of the index (b, value): |b, v> -> (|0, v> + (-1)^b |1, v>) / sqrt 2
+    state = apply_unitary(state, digit_layer(space, hadamard_matrix(1), 2 * two_n))
     weight = state.weight(lambda ordinal: ((ordinal >> 1) % space.index_size) // two_n == 1)
     return (weight / two_n).as_fraction()
 

@@ -2,7 +2,10 @@
 
 Everything here stays inside Q(sqrt(2)): signed permutations, Hadamard
 tensor powers (for power-of-two registers), Grover diffusion, and their
-compositions, so the reference circuits run in exact mode.
+compositions, so the reference circuits run in exact mode.  digit_layer
+puts a small operator on one register: on the basis-ordinal digit
+(ordinal // stride) % m, stride 2 for the index register and stride
+2 * index_size * 2^k for workspace bit k.
 """
 
 from __future__ import annotations
@@ -46,43 +49,32 @@ def diffusion_matrix(size: int) -> list[list[QSqrt2]]:
 # ---------------------------------------------------------------------------
 
 
+def digit_layer(space: StateSpace, small: list[list[QSqrt2]], stride: int) -> Layer:
+    """The m x m operator small on the ordinal digit (ordinal // stride) % m,
+    the identity on every other digit.  An ordinal is (workspace *
+    index_size + index - 1) * 2 + output - 1, so stride 2 with m =
+    index_size is the index register, and stride 2 * index_size * 2^k
+    with m = 2 is workspace bit k."""
+    m = len(small)
+    if any(len(row) != m for row in small):
+        raise ValueError("operator must be square")
+    if stride < 1 or m < 1 or space.dim % (stride * m):
+        raise ValueError(f"stride {stride} times size {m} must divide dim {space.dim}")
+    # column c's nonzero entries as (row - c) * stride and value, rows ascending
+    shifts = [
+        [((r - c) * stride, v) for r, row in enumerate(small) if not (v := row[c]).is_zero()]
+        for c in range(m)
+    ]
+    return Layer(space.dim, [
+        [(ordinal + d, v) for d, v in shifts[ordinal // stride % m]] for ordinal in range(space.dim)
+    ])
+
+
 def index_register_layer(space: StateSpace, small: list[list[QSqrt2]]) -> Layer:
     """small (index_size x index_size) acting on the index register alone."""
-    m = space.index_size
-    if len(small) != m:
+    if len(small) != space.index_size:
         raise ValueError("operator size must equal index_size")
-    # column c's nonzero (row, value) pairs, rows ascending, listed once
-    nonzero = [
-        [(r, v) for r, row in enumerate(small) if not (v := row[c]).is_zero()] for c in range(m)
-    ]
-    cols: list[list[tuple[int, QSqrt2]]] = [[] for _ in range(space.dim)]
-    for w in range(1 << space.workspace_bits):
-        for z in (0, 1):
-            for c, entries in enumerate(nonzero):
-                cols[(w * m + c) * 2 + z] = [((w * m + r) * 2 + z, v) for r, v in entries]
-    return Layer(space.dim, cols)
-
-
-def workspace_bit_layer(space: StateSpace, bit: int, gate: list[list[QSqrt2]]) -> Layer:
-    """2x2 gate on one workspace bit, identity elsewhere."""
-    if not 0 <= bit < space.workspace_bits:
-        raise ValueError("bit outside the workspace")
-    if len(gate) != 2:
-        raise ValueError("gate must be 2x2")
-    mask = 1 << bit
-    stride = space.index_size * 2
-    cols: list[list[tuple[int, QSqrt2]]] = [[] for _ in range(space.dim)]
-    for ordinal in range(space.dim):
-        w = ordinal // stride
-        b = 1 if w & mask else 0
-        flipped = ordinal ^ (mask * stride)
-        col = []
-        if not gate[b][b].is_zero():
-            col.append((ordinal, gate[b][b]))
-        if not gate[1 - b][b].is_zero():
-            col.append((flipped, gate[1 - b][b]))
-        cols[ordinal] = sorted(col)
-    return Layer(space.dim, cols)
+    return digit_layer(space, small, 2)
 
 
 def permutation_layer(space: StateSpace, mapping: Callable[[BasisState], BasisState]) -> Layer:
@@ -160,6 +152,8 @@ def always_accept(n: int) -> QueryAlgorithm:
 
 def accept_if_first_is(n: int, target: int = 1) -> QueryAlgorithm:
     """One query at position 1; accepts iff x_1 equals target."""
+    if not 1 <= target <= n:
+        raise ValueError(f"target {target} outside the alphabet 1..{n}")
     space = query_space("collision", n)
     u1 = flip_output_where(
         space, lambda w, i: (w >> space.answer_offset) & ((1 << space.answer_bits) - 1) == target
@@ -198,11 +192,7 @@ def two_query_mixer(n: int) -> QueryAlgorithm:
         raise ValueError("n must be a power of two")
     space = query_space("collision", n)
     h_idx = index_register_layer(space, hadamard_matrix(n.bit_length() - 1))
-    h_bit = workspace_bit_layer(
-        space,
-        0,
-        [[QSqrt2.inv_sqrt2(), QSqrt2.inv_sqrt2()], [QSqrt2.inv_sqrt2(), -QSqrt2.inv_sqrt2()]],
-    )
+    h_bit = digit_layer(space, hadamard_matrix(1), 2 * space.index_size)  # workspace bit 0
     u2 = compose(flip_output_where(space, lambda w, i: w == 0), h_idx)
     return QueryAlgorithm(
         name=f"two_query_mixer_{n}",

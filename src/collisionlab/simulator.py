@@ -200,6 +200,10 @@ class Layer:
         D, pairs = int_form(v for col in cols for _, v in col)
         lengths = np.fromiter(map(len, cols), dtype=np.int64, count=dim)
         rows = np.fromiter((r for col in cols for r, _ in col), dtype=np.int64, count=len(pairs))
+        if len(rows) and (rows.min() < 0 or rows.max() >= dim):
+            e = int(np.flatnonzero((rows < 0) | (rows >= dim))[0])
+            c = int(np.searchsorted(np.cumsum(lengths), e, side="right"))
+            raise ValueError(f"column {c}: row {rows[e]} out of range 0..{dim - 1}")
         try:
             ab = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
         except OverflowError:  # an entry outgrows int64

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from collisionlab.circuits import hadamard_matrix
 from collisionlab.degreebound import DerivativeReport, chain_region, family, variant_of
 from collisionlab.instances import (
     WINDOW_DENOM,
@@ -252,6 +253,68 @@ def to_dense(layer: Layer) -> list[list[QSqrt2]]:
         for r, v in col:
             rows[r][c] = v
     return rows
+
+
+# The register layers as the package wrote them before circuits.digit_layer,
+# one register at a time: the references digit_layer is checked against.
+
+
+def reference_index_register_layer(space: StateSpace, small: list[list[QSqrt2]]) -> Layer:
+    """small (index_size x index_size) acting on the index register alone."""
+    m = space.index_size
+    if len(small) != m:
+        raise ValueError("operator size must equal index_size")
+    # column c's nonzero (row, value) pairs, rows ascending, listed once
+    nonzero = [
+        [(r, v) for r, row in enumerate(small) if not (v := row[c]).is_zero()] for c in range(m)
+    ]
+    cols: list[list[tuple[int, QSqrt2]]] = [[] for _ in range(space.dim)]
+    for w in range(1 << space.workspace_bits):
+        for z in (0, 1):
+            for c, entries in enumerate(nonzero):
+                cols[(w * m + c) * 2 + z] = [((w * m + r) * 2 + z, v) for r, v in entries]
+    return Layer(space.dim, cols)
+
+
+def reference_workspace_bit_layer(space: StateSpace, bit: int, gate: list[list[QSqrt2]]) -> Layer:
+    """2x2 gate on one workspace bit, identity elsewhere."""
+    if not 0 <= bit < space.workspace_bits:
+        raise ValueError("bit outside the workspace")
+    if len(gate) != 2:
+        raise ValueError("gate must be 2x2")
+    mask = 1 << bit
+    stride = space.index_size * 2
+    cols: list[list[tuple[int, QSqrt2]]] = [[] for _ in range(space.dim)]
+    for ordinal in range(space.dim):
+        w = ordinal // stride
+        b = 1 if w & mask else 0
+        flipped = ordinal ^ (mask * stride)
+        col = []
+        if not gate[b][b].is_zero():
+            col.append((ordinal, gate[b][b]))
+        if not gate[1 - b][b].is_zero():
+            col.append((flipped, gate[1 - b][b]))
+        cols[ordinal] = sorted(col)
+    return Layer(space.dim, cols)
+
+
+def reference_pair_bit_hadamard(space: StateSpace, two_n: int) -> Layer:
+    """Hadamard on the pair bit of the (b, value) index register, H (x) I_2n:
+    |b, v> -> (|0, v> + (-1)^b |1, v>) / sqrt(2)."""
+    h = hadamard_matrix(1)
+    return reference_index_register_layer(space, [
+        [h[r // two_n][c // two_n] if r % two_n == c % two_n else ZERO for c in range(2 * two_n)]
+        for r in range(2 * two_n)
+    ])
+
+
+def assert_same_int_arrays(got: Layer, want: Layer) -> None:
+    """The two layers store equal int_arrays(): D, big, and each array's
+    dtype and values."""
+    mine, theirs = got.int_arrays(), want.int_arrays()
+    assert (mine.D, mine.big) == (theirs.D, theirs.big)
+    for x, y in zip(mine[1:6], theirs[1:6]):
+        assert x.dtype == y.dtype and x.tolist() == y.tolist()
 
 
 def acceptance_weight(state):

@@ -16,12 +16,11 @@ from fractions import Fraction
 
 import pytest
 
-from collisionlab.algorithms import _pair_bit_hadamard, erasing_setcomp_probability, grover_search
+from collisionlab.algorithms import erasing_setcomp_probability, grover_search
 from collisionlab.circuits import (
     REFERENCE_BUILDERS,
     coincidence_probe,
     diffusion_matrix,
-    index_register_layer,
     phase_flip_where,
     two_query_mixer,
 )
@@ -53,6 +52,8 @@ from helpers import (
     reference_exact_layer,
     reference_exact_square_sum,
     reference_exact_steps,
+    reference_index_register_layer,
+    reference_pair_bit_hadamard,
 )
 
 
@@ -154,7 +155,7 @@ def reference_grover(marked: set, size: int, iterations: int) -> list[Fraction]:
     amp = QSqrt2.inv_sqrt2_power(size.bit_length() - 1)
     entries = {space.encode(BasisState(0, i, 1)): amp for i in range(1, size + 1)}
     oracle = phase_flip_where(space, lambda w, i: i in marked)
-    diffusion = index_register_layer(space, diffusion_matrix(size))
+    diffusion = reference_index_register_layer(space, diffusion_matrix(size))
     for _ in range(iterations):
         entries = reference_exact_layer(reference_exact_layer(entries, oracle), diffusion)
     probs = [Fraction(0)] * size
@@ -184,7 +185,7 @@ def reference_erasing_setcomp(inst: Instance) -> Fraction:
         space.encode(BasisState(0, b * two_n + i, 1)): ONE for b in (0, 1) for i in range(1, inst.n + 1)
     }
     entries = reference_erasing_query(entries, space, inst)
-    entries = reference_exact_layer(entries, _pair_bit_hadamard(space, two_n))
+    entries = reference_exact_layer(entries, reference_pair_bit_hadamard(space, two_n))
     weight = reference_exact_square_sum(
         a for k, a in entries.items() if ((k >> 1) % space.index_size) // two_n == 1
     )

@@ -18,7 +18,14 @@ from pathlib import Path
 import pytest
 
 import collisionlab
-from collisionlab.circuits import coincidence_probe, query_space, setcomp_probe
+from collisionlab.circuits import (
+    accept_if_first_is,
+    always_accept,
+    coincidence_probe,
+    query_space,
+    setcomp_probe,
+    two_query_mixer,
+)
 from collisionlab.simulator import StateSpace
 
 PACKAGE = Path(collisionlab.__file__).resolve().parent
@@ -102,8 +109,15 @@ def test_query_space_is_the_two_spaces_it_replaced(n):
 
 
 # sha256 of json.dumps(builder(n).to_json()), taken from the two probe
-# builders before they shared one body
+# builders before they shared one body, and from the other reference
+# circuits before circuits.digit_layer built their register layers
 PROBE_SHA256 = [
+    (always_accept, 4, "4d1ddda0257fb769e31c953e00e9f7999345e09ad80a499bd1cde3d77bf1e188"),
+    (accept_if_first_is, 2, "c83820e2c428fa74fc1bd87aa288b13b766473cf5d9d8232f0c6d281cbff349d"),
+    (accept_if_first_is, 4, "8c2131d2dc86a11a010c944af656ebbb53e9741363019d1ff66a2ec41e652dbd"),
+    (two_query_mixer, 2, "0c0f012eb84e29631e50580e98802f88e81698e65fae359f40a97ffa64f48588"),
+    (two_query_mixer, 4, "fd52b2e98f46032606c409df5bab661c4a6177158e706dfffb419d880c265a0a"),
+    (two_query_mixer, 8, "292c74e2a70f2acdc551258a5ac702fe690aeb6d67229416d9a05ac3b8d07d7b"),
     (coincidence_probe, 2, "3d2c873e53c2f722b186eb56319d1a0e46c920783c7e108bd8bcb0528cd0ac0c"),
     (coincidence_probe, 4, "d6a8a23a00825dfc0f60785b9ed66df36016d633c958cc64b3c4595a6bf2b682"),
     (coincidence_probe, 8, "75b140992394dd83778f99291fa0f65fa360291dc31650585ad3a3dccb201812"),

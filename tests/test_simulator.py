@@ -39,6 +39,7 @@ from collisionlab.simulator import (
 )
 from helpers import (
     acceptance_weight,
+    assert_same_int_arrays,
     dense_layer_json,
     random_orthogonal_layer,
     reference_compose,
@@ -65,8 +66,6 @@ def test_identity_layer_is_noop():
 
 def test_hadamard_on_single_bit():
     # H on amplitude (1, 0) gives (1/sqrt2, 1/sqrt2)
-    from collisionlab.circuits import index_register_layer
-
     space = StateSpace(index_size=2)
     layer = index_register_layer(space, hadamard_matrix(1))
     state = StateVector.from_basis_state(space, BasisState(0, 1, 1))
@@ -306,6 +305,23 @@ def test_non_orthogonal_layer_rejected_at_construction():
             name="bad", kind="collision", n=2, T=0, oracle_kind="standard",
             space=space, layers=[bad],
         )
+
+
+def test_a_row_outside_the_layer_is_refused_at_construction():
+    """Row 5 of a 2-dim layer read as orthogonal once, and a negative row
+    died inside np.bincount; both now name their column and row."""
+    with pytest.raises(ValueError, match="^column 0: row 5 out of range 0..1$"):
+        Layer(2, [[(5, QSqrt2(1))], [(1, QSqrt2(1))]])
+    with pytest.raises(ValueError, match="^column 1: row -1 out of range 0..1$"):
+        Layer(2, [[(0, QSqrt2(1))], [(-1, QSqrt2(1))]])
+    with pytest.raises(ValueError, match="^column 2: row 3 out of range 0..2$"):
+        Layer(3, [[], [(0, QSqrt2(1)), (1, QSqrt2(1))], [(2, QSqrt2(1)), (3, QSqrt2(1))]])
+
+
+@pytest.mark.parametrize("target", [0, -1, 5, 9])
+def test_accept_if_first_is_refuses_a_target_outside_the_alphabet(target):
+    with pytest.raises(ValueError, match=f"target {target} outside the alphabet 1..4"):
+        accept_if_first_is(4, target)
 
 
 def test_layer_count_enforced():
@@ -549,10 +565,7 @@ def test_every_list_form_is_read_from_the_stored_integer_arrays(tmp_path):
         Layer(2, [[(0, QSqrt2(Fraction(7919 * k, 3**37), Fraction(k, 3**37)))] for k in (19, 23)]),
     ]
     for layer in [layer for alg in algs for layer in alg.layers] + wide:
-        own, rebuilt = layer.int_arrays(), Layer(layer.dim, layer.cols).int_arrays()
-        assert (rebuilt.D, rebuilt.big) == (own.D, own.big)
-        for mine, theirs in zip(own[1:6], rebuilt[1:6]):
-            assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist()
+        assert_same_int_arrays(Layer(layer.dim, layer.cols), layer)
 
 
 def test_compose_builds_no_qsqrt2(monkeypatch):
