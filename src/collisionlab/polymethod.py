@@ -42,7 +42,7 @@ from .instances import (
 )
 from .lattice import LatticePoly
 from .multilinear import (
-    IndicatorVariable, Monomial, MonomialShape, MultilinearPoly, code_lookup, monomials_over,
+    _EXACT_FLOAT, IndicatorVariable, Monomial, MonomialShape, MultilinearPoly, code_lookup, monomials_over,
 )
 from .qsqrt2 import QSqrt2, int_form
 from .simulator import (
@@ -52,7 +52,6 @@ from .simulator import (
     _key_sums,
     _largest,
     _products,
-    _stable_order,
     _summed,
     acceptance_probability,
 )
@@ -91,22 +90,26 @@ def extract_polynomial(alg: QueryAlgorithm) -> MultilinearPoly:
     writes its products as rows and sums them per (ordinal, code), both
     ascending (_collect).
 
-    Squaring pairs the rows of each accepting amplitude, p <= q, at most
-    _PAIR_CHUNK pairs at a time.  Each amplitude's rows are walked by
-    their lowest factor, so the products whose lowest factor is f all
-    come from one run of the walk: their sums are complete when the run
-    ends, and only the nonzero ones are kept past it.  Within a chunk
-    the products are summed per pair of codes, and each distinct pair is
-    merged once: the digits of its codes, which are its factor ids, give
-    the product's code, or a conflict (one slot pinned to two values),
-    which is dropped.  The products are summed per code (cross pairs
-    doubled, since Delta^2 = Delta), and the terms come out in code
-    order, which is sorted_terms() order: assemble_grid_poly reads them
-    in that order.  Each monomial is built once, from its code's digits,
-    and each distinct coefficient once, as a Fraction pair over D^2.
-    The coefficients are int64 while a stated bound on every sum fits in
-    it, and so are the codes; past either bound the same arrays hold
-    Python ints.
+    Squaring is a Gram product.  The accepting rows are written as two
+    dense integer matrices over (accepting ordinal, distinct code), C_a
+    for the rational parts and C_b for the sqrt(2) parts, and G_a =
+    C_a^T C_a + 2 C_b^T C_b, G_b = C_a^T C_b + C_b^T C_a hold in entry
+    (i, j) the coefficient of the pair of codes i and j, summed over
+    every accepting amplitude.  Each nonzero entry i <= j is merged
+    once: the digits of its codes, which are its factor ids, give the
+    product's code, or a conflict (one slot pinned to two values), which
+    is dropped.  The products are summed per code (cross pairs doubled,
+    since Delta^2 = Delta), and the terms come out in code order, which
+    is sorted_terms() order: assemble_grid_poly reads them in that
+    order.  Each monomial is built once, from its code's digits, and
+    each distinct coefficient once, as a Fraction pair over D^2.  The
+    Gram products run on float64 (BLAS) only while 6 |ordinals|
+    max|a, b|^2 < 2^53, so that every partial sum is an exact integer,
+    and on Python ints past it.  No dense array holds more than
+    _GRAM_BUDGET entries, or one row: the ordinals are split into groups
+    and G is computed in blocks of rows.  The summed coefficients are
+    int64 while a stated bound on every sum fits in it, and so are the
+    codes; past either bound the same arrays hold Python ints.
     """
     if alg.oracle_kind != "standard":
         raise ConfigError("polynomial extraction is defined for standard-oracle algorithms")
@@ -231,7 +234,7 @@ def _query_rows(amps: _Amplitudes, masks, powers, width: int) -> _Amplitudes:
     return amps._replace(ordinal=target[pick], code=code[pick], a=sum_a, b=sum_b)
 
 
-_PAIR_CHUNK = 1 << 16  # most monomial pairs that _square_accepting multiplies out at once
+_GRAM_BUDGET = 1 << 18  # most entries in one dense array of _square_accepting
 
 
 def _merged(columns: list, alphabet: int, base: int, code_type):
@@ -261,98 +264,79 @@ def _merged(columns: list, alphabet: int, base: int, code_type):
     return code, clash
 
 
+def _gram_rows(ca: np.ndarray, cb: np.ndarray, lo: int, hi: int):
+    """Rows lo..hi-1 of G_a = ca^T ca + 2 cb^T cb and G_b = ca^T cb +
+    cb^T ca, columns from lo on: entry (i, j) is the sum, over the rows
+    of ca and cb, of (ca[:, i] + cb[:, i] sqrt 2)(ca[:, j] + cb[:, j]
+    sqrt 2)."""
+    la, lb, ra, rb = ca[:, lo:hi].T, cb[:, lo:hi].T, ca[:, lo:], cb[:, lo:]
+    return la @ ra + 2 * (lb @ rb), la @ rb + lb @ ra
+
+
 def _square_accepting(amps: _Amplitudes, D: int) -> MultilinearPoly:
     """Sum of the squared accepting amplitudes, over D^2, terms in
     Monomial order: diagonal pairs once (Delta^2 = Delta), cross pairs
     doubled.  See extract_polynomial for the method."""
     accept = np.flatnonzero(amps.ordinal & 1)  # output register holds 2
-    rows = len(accept)
-    if not rows:
+    if not len(accept):
         return MultilinearPoly()
-    ordinal, code = amps.ordinal[accept], amps.code[accept]
-    new = np.ones(rows, dtype=bool)
+    ordinal = amps.ordinal[accept]
+    new = np.ones(len(accept), dtype=bool)
     new[1:] = ordinal[1:] != ordinal[:-1]
-    start = np.flatnonzero(new)
-    # Row r pairs with the rows of its amplitude from r on.
-    partners = np.repeat(np.append(start[1:], rows), np.diff(start, append=rows)) - np.arange(rows)
-    # No sum below exceeds 6 max|coef|^2 pairs in absolute value.
+    amplitude = np.cumsum(new) - 1  # rows ascend by ordinal
+    sizes = np.bincount(amplitude)
+    codes, column = np.unique(amps.code[accept], return_inverse=True)
+    # No Gram sum, partial or whole, exceeds 3 max|coef|^2 per amplitude
+    # in absolute value, nor a product code's sum 6 max|coef|^2 per pair
+    # of rows of one amplitude; float64 is exact below _EXACT_FLOAT even
+    # at the larger factor.
     big = _largest(amps.a, amps.b)
-    coef = _int64_or_object(6 * big * big * int(partners.sum()))
-    a, b = amps.a[accept].astype(coef), amps.b[accept].astype(coef)
+    gram = np.float64 if 6 * len(sizes) * big * big < _EXACT_FLOAT else object
+    exact = np.int64 if gram is np.float64 else object
+    coef = _int64_or_object(6 * big * big * int((sizes * (sizes + 1) // 2).sum()))
+    a, b = amps.a[accept].astype(gram), amps.b[accept].astype(gram)
 
-    # The digits of the row codes, one array per place, list each row's
-    # factor ids ascending, padded in front with 0.  A pair's key is its
-    # lower row code, then its higher one, as the digits of one number.
     alphabet = amps.alphabet
     base = len(amps.slots) * alphabet + 1
-    digits = _digits(code, base)
-    degree = len(digits)
-    code_type = _int64_or_object(base ** (2 * degree) - 1)
-    code = code.astype(code_type)
-    shift = base ** degree
+    digits = _digits(codes, base)
+    code_type = _int64_or_object(base ** (2 * len(digits)) - 1)
 
-    # A product's lowest factor is the lower of its rows' lowest ones (the
-    # constant's counts as highest).  So if each amplitude's rows are
-    # walked by their lowest factor, the products whose lowest factor is
-    # f all come from one run of the walk, and their sums are complete
-    # at its end: only the nonzero ones need to be kept past it.
-    lead = np.min([np.where(d != 0, d, base) for d in digits], axis=0)
-    amplitude = np.cumsum(new) - 1
-    walked = _stable_order(amplitude * (base + 1) + lead)[0]  # by amplitude, then lead
-    walk = _stable_order(lead[walked])[0]  # positions in walked, by lead
-    runs = np.cumsum(partners[walk])  # partners depends on the position alone
-    led = lead[walked[walk]]
-    bounds = np.concatenate(([0], np.flatnonzero(led[1:] != led[:-1]) + 1, [rows]))
-
-    def chunks():
-        w = 0
-        while w < rows:
-            # Walk positions w .. stop - 1: at most _PAIR_CHUNK pairs, or one
-            # row, cut back to the end of a run if one lies past w.
-            stop = max(w + 1, int(np.searchsorted(runs, runs[w] - partners[walk[w]] + _PAIR_CHUNK, "right")))
-            cut = bounds[np.searchsorted(bounds, stop, "right") - 1]
-            if cut > w:
-                stop = int(cut)
-            ks = walk[w:stop]
-            count = partners[ks]
-            kp = np.repeat(ks, count)
-            kq = np.arange(len(kp)) + np.repeat(ks - (np.cumsum(count) - count), count)
-            p, q = walked[kp], walked[kq]
-            # Sum the products per pair of monomials, then merge each distinct
-            # pair once, from any one of its rows: they hold the same codes.
-            cp, cq = code[p], code[q]
-            ap, aq, bp, bq = a[p], a[q], b[p], b[q]
-            order, starts, pa, pb = _key_sums(
-                np.minimum(cp, cq) * shift + np.maximum(cp, cq), ap * aq + 2 * bp * bq, ap * bq + bp * aq
-            )
-            p, q = p[order[starts]], q[order[starts]]
+    # Amplitudes go to the dense matrices in groups, and the Gram sums
+    # come out in blocks of rows, so that no array holds more than
+    # _GRAM_BUDGET entries, or one row.
+    group = max(1, _GRAM_BUDGET // len(codes))
+    edges = np.searchsorted(amplitude, np.arange(0, len(sizes) + group, group))
+    parts, held, folded = [], 0, 0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        used, col = np.unique(column[lo:hi], return_inverse=True)
+        row = amplitude[lo:hi] - amplitude[lo]
+        ca = np.zeros((row[-1] + 1, len(used)), dtype=gram)
+        cb = np.zeros_like(ca)
+        ca[row, col], cb[row, col] = a[lo:hi], b[lo:hi]
+        top = 0
+        while top < len(used):
+            stop = min(len(used), top + max(1, _GRAM_BUDGET // (len(used) - top)))
+            ga, gb = _gram_rows(ca, cb, top, stop)
+            # Each pair of codes i <= j once: the upper triangle.
+            i, j = np.nonzero(np.triu((ga != 0) | (gb != 0)))
+            pa, pb = (g[i, j].astype(exact).astype(coef) for g in (ga, gb))
+            p, q = used[top + i], used[top + j]
             merged, clash = _merged([d[p] for d in digits] + [d[q] for d in digits], alphabet, base, code_type)
             keep = ~clash
             pa, pb = pa[keep], pb[keep]
-            cross = (p != q)[keep]
+            cross = (i != j)[keep]
             pa[cross] *= 2
             pb[cross] *= 2
-            yield _summed(merged[keep], pa, pb), stop == rows or led[stop] != led[stop - 1]
-            w = stop
-
-    done, parts, held, folded = [], [], 0, 0
-    for part, complete in chunks():
-        parts.append(part)
-        held += len(part[0])
-        # Fold the chunk sums once they outgrow the folded sums.
-        if complete or held - folded > max(_PAIR_CHUNK, folded):
-            parts = [_summed(*map(np.concatenate, zip(*parts)))]
-            held = folded = len(parts[0][0])
-        if complete:
-            sums = parts[0]
-            keep = (sums[1] != 0) | (sums[2] != 0)
-            done.append(tuple(x[keep] for x in sums))
-            parts, held, folded = [], 0, 0
-    # Each code is complete in one run, so the codes are distinct; their
-    # order is the Monomial order.
-    codes, sum_a, sum_b = (np.concatenate(x) for x in zip(*done))
-    order, codes = _stable_order(codes)
-    sum_a, sum_b = sum_a[order], sum_b[order]
+            parts.append(_summed(merged[keep], pa, pb))
+            held += len(pa)
+            # Fold the block sums once they outgrow the folded sums.
+            if held - folded > max(_GRAM_BUDGET, folded):
+                parts = [_summed(*map(np.concatenate, zip(*parts)))]
+                held = folded = len(parts[0][0])
+            top = stop
+    codes, sum_a, sum_b = _summed(*map(np.concatenate, zip(*parts)))
+    keep = (sum_a != 0) | (sum_b != 0)
+    codes, sum_a, sum_b = codes[keep], sum_a[keep], sum_b[keep]
     product = np.stack(_digits(codes, base), axis=1)
     ids = product[product != 0].tolist()
     var = {i: IndicatorVariable(*amps.slots[(i - 1) // alphabet], (i - 1) % alphabet + 1) for i in set(ids)}

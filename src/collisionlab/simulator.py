@@ -647,6 +647,13 @@ class QueryAlgorithm:
                 raise ValueError(f"layer {t} dimension mismatch")
             if not layer.is_orthogonal():
                 raise ValueError(f"layer {t} is not orthogonal")
+        # A standard query writes the values 1..alphabet into the answer
+        # field; a circuit that never queries writes none.
+        if self.oracle_kind == "standard" and self.T and self.alphabet_size >> self.space.answer_bits:
+            raise ValueError(
+                f"answer_bits = {self.space.answer_bits} cannot hold the alphabet "
+                f"1..{self.alphabet_size}"
+            )
 
     @property
     def alphabet_size(self) -> int:

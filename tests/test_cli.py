@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from collisionlab import cli, degreebound
-from collisionlab.circuits import coincidence_probe, setcomp_probe, two_query_mixer
+from collisionlab.circuits import REFERENCE_BUILDERS, coincidence_probe, setcomp_probe, two_query_mixer
 from collisionlab.cli import main
 from collisionlab.instances import Instance, count_supports, divisor_points
 from collisionlab.polymethod import all_monomials, extract_polynomial, gamma_closed, prefactor
@@ -319,6 +319,25 @@ def test_semantic_config_errors_exit_2(args, message, tmp_path, monkeypatch, cap
     code, _, err = run([a.replace("{mixer2}", str(mixer2)) for a in args], capsys)
     assert code == 2
     assert message in err
+
+
+def test_an_answer_field_narrower_than_the_alphabet_exits_1_at_every_seed(tmp_path, capsys):
+    # first-is-1-n4 queries the values 1..4, and 4 needs a third answer
+    # bit: simulating once depended on whether a draw held a 4.
+    doc = REFERENCE_BUILDERS["first-is-1-n4"]().to_json()
+    doc["answer_bits"] = 2
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(doc))
+    for seed in range(1, 7):
+        code, _, err = run(
+            ["simulate", "--algorithm", f"@{path}", "--point", "2,4", "--seed", str(seed)], capsys
+        )
+        assert code == 1
+        assert err.startswith("error: answer_bits = 2 cannot hold the alphabet 1..4")
+    # A circuit that never queries writes no answer.
+    doc = REFERENCE_BUILDERS["always-accept-4"]().to_json()
+    doc["answer_bits"] = 0
+    assert QueryAlgorithm.from_json(doc).space.answer_bits == 0
 
 
 @pytest.mark.parametrize("args", [

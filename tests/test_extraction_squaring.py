@@ -8,6 +8,7 @@ q assembly and the float evaluation add terms in that order."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from collisionlab import instances, polymethod, simulator
@@ -160,19 +161,61 @@ CHUNKED = {
 }
 
 
+@pytest.fixture
+def gram_blocks(monkeypatch) -> list:
+    """(lo, matrix shape, block shape, dtype) of every Gram block that
+    _square_accepting computes, in call order: lo is the block's first
+    row, 0 for the first block of each group of amplitudes, and the
+    matrix is that group's dense amplitude matrix."""
+    blocks = []
+    gram_rows = polymethod._gram_rows
+
+    def recording(ca, cb, lo, hi):
+        ga, gb = gram_rows(ca, cb, lo, hi)
+        blocks.append((lo, ca.shape, ga.shape, ca.dtype))
+        return ga, gb
+
+    monkeypatch.setattr(polymethod, "_gram_rows", recording)
+    return blocks
+
+
+def assert_split_within_budget(blocks):
+    """Several groups of amplitudes and several blocks per group, no
+    dense array past the budget in entries unless it is one row."""
+    groups = sum(lo == 0 for lo, *_ in blocks)
+    assert 1 < groups < len(blocks)
+    for _, matrix, block, _ in blocks:
+        for rows, columns in (matrix, block):
+            assert rows == 1 or rows * columns <= polymethod._GRAM_BUDGET
+
+
+@pytest.mark.parametrize("budget", [4, 200])
 @pytest.mark.parametrize("name", list(CHUNKED))
-def test_squaring_over_many_chunks_matches_the_reference(name, monkeypatch):
+def test_squaring_over_a_small_budget_matches_the_reference(name, budget, monkeypatch, gram_blocks):
     amps, D = propagate_reference(CHUNKED[name]())
-    pairs = sum(len(p) * (len(p) + 1) // 2 for ordinal, p in amps.items() if ordinal & 1)
-    monkeypatch.setattr(polymethod, "_PAIR_CHUNK", 64)
-    assert pairs > 30 * polymethod._PAIR_CHUNK
+    monkeypatch.setattr(polymethod, "_GRAM_BUDGET", budget)
     assert_same_squares(amps, D)
+    assert_split_within_budget(gram_blocks)
 
 
-def test_squaring_of_the_dumped_mixer_over_many_chunks(dumped_mixer8, monkeypatch):
+def test_squaring_of_the_dumped_mixer_over_a_small_budget(dumped_mixer8, monkeypatch, gram_blocks):
     alg, poly = dumped_mixer8
-    monkeypatch.setattr(polymethod, "_PAIR_CHUNK", 1 << 12)
+    monkeypatch.setattr(polymethod, "_GRAM_BUDGET", 1 << 11)
     assert_same_terms(extract_polynomial(alg), poly)
+    assert_split_within_budget(gram_blocks)
+
+
+@pytest.mark.parametrize("name", list(CIRCUITS))
+def test_python_int_gram_matches_the_float_gram(name, monkeypatch, gram_blocks):
+    amps, D = _propagate(CIRCUITS[name]())
+    want = _square_accepting(amps, D)
+    assert {dtype for *_, dtype in gram_blocks} == {np.dtype(np.float64)}
+    gram_blocks.clear()
+    monkeypatch.setattr(polymethod, "_EXACT_FLOAT", 0)
+    got = _square_accepting(amps, D)
+    assert {dtype for *_, dtype in gram_blocks} == {np.dtype(object)}
+    assert got == want
+    assert list(got.terms) == list(want.terms)
 
 
 def test_random_circuits_reach_degree_4_with_sqrt2_parts():
@@ -236,11 +279,13 @@ def int64_bounds(amps: dict) -> tuple[bool, bool]:
     )
 
 
-def test_squaring_on_python_ints_matches_the_reference():
+def test_squaring_on_python_ints_matches_the_reference(gram_blocks):
     amps = big_amplitudes(7)
     assert int64_bounds(amps) == (False, False)
     D = 2**45 * 3
     assert_same_squares(amps, D)
+    # Products near 2^80 are past a float's exact integers.
+    assert gram_blocks and {dtype for *_, dtype in gram_blocks} == {np.dtype(object)}
     terms = _square_accepting(amplitude_rows(amps), D).terms
     low_mid = tuple(sorted(LOW + MID))
     assert FULL in [m.factors for m in terms]

@@ -146,6 +146,20 @@ def test_mixer8_polynomial_is_pinned():
     )
 
 
+def test_mixer16_polynomial_is_pinned():
+    # the same pin at scale: 3,856 distinct accepting monomials
+    import hashlib
+    import json
+
+    p = extract_polynomial(two_query_mixer(16))
+    assert len(p.terms) == 36336
+    assert p.degree == 3
+    doc = json.dumps(p.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == (
+        "477b71710d3d5c5b127b800bcf0b0c6be713ffd5fdc339605214dcc6a3cbf338"
+    )
+
+
 def test_evaluate_poly_basics():
     one = MultilinearPoly.constant(1)
     assert one.evaluate((2, 1)) == QSqrt2(1)
