@@ -48,8 +48,8 @@ from .qsqrt2 import QSqrt2, int_form
 from .simulator import (
     LayerArrays,
     QueryAlgorithm,
+    _folded,
     _int64_or_object,
-    _key_sums,
     _largest,
     _products,
     _summed,
@@ -87,8 +87,9 @@ def extract_polynomial(alg: QueryAlgorithm) -> MultilinearPoly:
     i - 1, factor Delta(slot s, h) has the id s * alphabet + h, and a
     monomial's code is the Horner number of its ids, ascending, base
     slots * alphabet + 1, so code order is Monomial order.  Each step
-    writes its products as rows and sums them per (ordinal, code), both
-    ascending (_collect).
+    writes its products as rows and keeps their nonzero sums per key
+    ordinal * width + code, ascending (_summed; a layer's products come
+    in blocks of at most _GRAM_BUDGET, folded by _folded).
 
     Squaring is a Gram product.  The accepting rows are written as two
     dense integer matrices over (accepting ordinal, distinct code), C_a
@@ -107,9 +108,9 @@ def extract_polynomial(alg: QueryAlgorithm) -> MultilinearPoly:
     max|a, b|^2 < 2^53, so that every partial sum is an exact integer,
     and on Python ints past it.  No dense array holds more than
     _GRAM_BUDGET entries, or one row: the ordinals are split into groups
-    and G is computed in blocks of rows.  The summed coefficients are
-    int64 while a stated bound on every sum fits in it, and so are the
-    codes; past either bound the same arrays hold Python ints.
+    and G is computed in blocks of rows, folded in turn.  The summed
+    coefficients are int64 while a stated bound on every sum fits in it,
+    and so are the codes; past either bound they are Python ints.
     """
     if alg.oracle_kind != "standard":
         raise ConfigError("polynomial extraction is defined for standard-oracle algorithms")
@@ -179,32 +180,36 @@ def _propagate(alg: QueryAlgorithm) -> tuple[_Amplitudes, int]:
     return amps, D
 
 
-def _collect(target, code, a, b, width: int):
-    """Sum rows per key target * width + code, keys ascending, so by
-    target ordinal, then by monomial code; zero sums dropped.  Returns
-    (pick, sums of a, sums of b), pick a row that holds each sum's key."""
-    order, starts, a, b = _key_sums(target.astype(code.dtype) * width + code, a, b)
-    keep = (a != 0) | (b != 0)
-    return order[starts[keep]], a[keep], b[keep]
+_GRAM_BUDGET = 1 << 18  # most products or dense-array entries in one block
 
 
 def _layer_rows(amps: _Amplitudes, layer: LayerArrays, width: int) -> _Amplitudes:
     """The layer times the amplitudes: each row meets every entry of its
-    ordinal's column (_products), and the products are summed by
-    _collect.  A sum meets each source ordinal at most once (a column has
-    one entry per row, an amplitude one term per monomial)."""
-    row, target, a, b = _products(amps.ordinal, amps.a, amps.b, layer)
-    pick, sum_a, sum_b = _collect(target, amps.code[row], a, b, width)
-    return amps._replace(ordinal=target[pick], code=amps.code[row[pick]], a=sum_a, b=sum_b)
+    ordinal's column (_products), in blocks of rows of at most
+    _GRAM_BUDGET products or one row, and _folded sums them per key
+    target * width + code.  A sum meets each source ordinal at most once
+    (a column has one entry per row, an amplitude one term per monomial)."""
+    step = max(1, _GRAM_BUDGET // int(layer.lengths.max()))
+    big = _largest(amps.a, amps.b)
+
+    def blocks():
+        for lo in range(0, len(amps.ordinal), step):
+            rows = slice(lo, lo + step)
+            row, target, a, b = _products(amps.ordinal[rows], amps.a[rows], amps.b[rows], layer, big)
+            code = amps.code[rows][row]
+            yield target.astype(code.dtype) * width + code, a, b
+
+    keys, a, b = _folded(blocks(), _GRAM_BUDGET)
+    return amps._replace(ordinal=(keys // width).astype(np.int64, copy=False), code=keys % width, a=a, b=b)
 
 
 def _query_rows(amps: _Amplitudes, masks, powers, width: int) -> _Amplitudes:
     """The standard query on the amplitudes.  A row whose queried slot is
     pinned to v moves to ordinal ^ masks[v]; a free row fans out to one
     row per value h, moved to ordinal ^ masks[h] with the slot pinned to
-    h.  The rows are summed by _collect: a key meets at most two of
-    them, a monomial free at the slot and the same monomial pinned
-    there."""
+    h.  The rows are summed per key target * width + code (_summed): a
+    key meets at most two of them, a monomial free at the slot and the
+    same monomial pinned there."""
     slots, alphabet = len(amps.slots), amps.alphabet
     base = slots * alphabet + 1
     slot = (amps.ordinal >> 1) % slots
@@ -230,11 +235,8 @@ def _query_rows(amps: _Amplitudes, masks, powers, width: int) -> _Amplitudes:
     num = _int64_or_object(2 * _largest(amps.a, amps.b))
     a, b = amps.a.astype(num, copy=False)[src], amps.b.astype(num, copy=False)[src]
     target = amps.ordinal[src] ^ masks[h]
-    pick, sum_a, sum_b = _collect(target, code, a, b, width)
-    return amps._replace(ordinal=target[pick], code=code[pick], a=sum_a, b=sum_b)
-
-
-_GRAM_BUDGET = 1 << 18  # most entries in one dense array of _square_accepting
+    keys, a, b = _summed(target.astype(code.dtype) * width + code, a, b)
+    return amps._replace(ordinal=(keys // width).astype(np.int64, copy=False), code=keys % width, a=a, b=b)
 
 
 def _merged(columns: list, alphabet: int, base: int, code_type):
@@ -301,42 +303,33 @@ def _square_accepting(amps: _Amplitudes, D: int) -> MultilinearPoly:
     digits = _digits(codes, base)
     code_type = _int64_or_object(base ** (2 * len(digits)) - 1)
 
-    # Amplitudes go to the dense matrices in groups, and the Gram sums
-    # come out in blocks of rows, so that no array holds more than
-    # _GRAM_BUDGET entries, or one row.
-    group = max(1, _GRAM_BUDGET // len(codes))
-    edges = np.searchsorted(amplitude, np.arange(0, len(sizes) + group, group))
-    parts, held, folded = [], 0, 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        used, col = np.unique(column[lo:hi], return_inverse=True)
-        row = amplitude[lo:hi] - amplitude[lo]
-        ca = np.zeros((row[-1] + 1, len(used)), dtype=gram)
-        cb = np.zeros_like(ca)
-        ca[row, col], cb[row, col] = a[lo:hi], b[lo:hi]
-        top = 0
-        while top < len(used):
-            stop = min(len(used), top + max(1, _GRAM_BUDGET // (len(used) - top)))
-            ga, gb = _gram_rows(ca, cb, top, stop)
-            # Each pair of codes i <= j once: the upper triangle.
-            i, j = np.nonzero(np.triu((ga != 0) | (gb != 0)))
-            pa, pb = (g[i, j].astype(exact).astype(coef) for g in (ga, gb))
-            p, q = used[top + i], used[top + j]
-            merged, clash = _merged([d[p] for d in digits] + [d[q] for d in digits], alphabet, base, code_type)
-            keep = ~clash
-            pa, pb = pa[keep], pb[keep]
-            cross = (i != j)[keep]
-            pa[cross] *= 2
-            pb[cross] *= 2
-            parts.append(_summed(merged[keep], pa, pb))
-            held += len(pa)
-            # Fold the block sums once they outgrow the folded sums.
-            if held - folded > max(_GRAM_BUDGET, folded):
-                parts = [_summed(*map(np.concatenate, zip(*parts)))]
-                held = folded = len(parts[0][0])
-            top = stop
-    codes, sum_a, sum_b = _summed(*map(np.concatenate, zip(*parts)))
-    keep = (sum_a != 0) | (sum_b != 0)
-    codes, sum_a, sum_b = codes[keep], sum_a[keep], sum_b[keep]
+    def blocks():  # per group of amplitudes, G in blocks of rows; see extract_polynomial
+        group = max(1, _GRAM_BUDGET // len(codes))
+        edges = np.searchsorted(amplitude, np.arange(0, len(sizes) + group, group))
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            used, col = np.unique(column[lo:hi], return_inverse=True)
+            row = amplitude[lo:hi] - amplitude[lo]
+            ca = np.zeros((row[-1] + 1, len(used)), dtype=gram)
+            cb = np.zeros_like(ca)
+            ca[row, col], cb[row, col] = a[lo:hi], b[lo:hi]
+            top = 0
+            while top < len(used):
+                stop = min(len(used), top + max(1, _GRAM_BUDGET // (len(used) - top)))
+                ga, gb = _gram_rows(ca, cb, top, stop)
+                # Each pair of codes i <= j once: the upper triangle.
+                i, j = np.nonzero(np.triu((ga != 0) | (gb != 0)))
+                pa, pb = (g[i, j].astype(exact).astype(coef) for g in (ga, gb))
+                p, q = used[top + i], used[top + j]
+                merged, clash = _merged([d[p] for d in digits] + [d[q] for d in digits], alphabet, base, code_type)
+                keep = ~clash
+                pa, pb = pa[keep], pb[keep]
+                cross = (i != j)[keep]
+                pa[cross] *= 2
+                pb[cross] *= 2
+                yield merged[keep], pa, pb
+                top = stop
+
+    codes, sum_a, sum_b = _folded(blocks(), _GRAM_BUDGET)
     product = np.stack(_digits(codes, base), axis=1)
     ids = product[product != 0].tolist()
     var = {i: IndicatorVariable(*amps.slots[(i - 1) // alphabet], (i - 1) % alphabet + 1) for i in set(ids)}

@@ -145,35 +145,49 @@ def _stable_order(keys: np.ndarray):
     return order, keys[order]
 
 
-def _key_sums(keys: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """(order, starts, sums of a, sums of b), one sum per distinct key,
-    keys ascending: order sorts the keys stably, so key k's entries are
-    order[starts[k]:starts[k + 1]], in the order in which they come."""
+def _summed(keys: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """(keys, sums of a, sums of b), one entry per distinct key whose
+    sums are not both zero, keys ascending: the one per-key sum of the
+    exact kernels.  Empty input gives empty output."""
     order, ordered = _stable_order(keys)
     new = np.ones(len(ordered), dtype=bool)
     new[1:] = ordered[1:] != ordered[:-1]
     starts = np.flatnonzero(new)
-    return order, starts, np.add.reduceat(a[order], starts), np.add.reduceat(b[order], starts)
+    sum_a, sum_b = np.add.reduceat(a[order], starts), np.add.reduceat(b[order], starts)
+    keep = (sum_a != 0) | (sum_b != 0)
+    if not keep.all():  # copy only when a sum cancels
+        starts, sum_a, sum_b = starts[keep], sum_a[keep], sum_b[keep]
+    return ordered[starts], sum_a, sum_b
 
 
-def _summed(keys: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """(keys, sums of a, sums of b), one entry per distinct key, keys
-    ascending.  Empty input gives empty output."""
-    order, starts, sum_a, sum_b = _key_sums(keys, a, b)
-    return keys[order[starts]], sum_a, sum_b
+def _folded(blocks, budget: int):
+    """_summed of the concatenated (keys, a, b) blocks, block by block:
+    the block sums are summed again once they outgrow the sums folded so
+    far and budget, so they hold about twice the result at most.  A lone
+    block's sum is returned as it is; no block gives empty int64 arrays."""
+    parts, held, folded = [], 0, 0
+    for block in blocks:
+        parts.append(_summed(*block))
+        held += len(parts[-1][0])
+        if len(parts) > 1 and held - folded > max(budget, folded):
+            parts = [_summed(*map(np.concatenate, zip(*parts)))]
+            held = folded = len(parts[0][0])
+    if len(parts) == 1:
+        return parts[0]
+    return _summed(*map(np.concatenate, zip(*parts))) if parts else np.zeros((3, 0), dtype=np.int64)
 
 
-def _products(k: np.ndarray, a: np.ndarray, b: np.ndarray, layer: LayerArrays):
+def _products(k: np.ndarray, a: np.ndarray, b: np.ndarray, layer: LayerArrays, big: int):
     """(item, row, A, B) for every meeting of item i, the value (a[i] +
     b[i] sqrt 2) in row k[i], with an entry of the layer's column k[i]:
     the entry's row and the product (A + B sqrt 2), item by item, then
-    entry by entry in column order.  A and B are int64 if a sum of dim
-    products, at most 3 dim max|a, b| layer.big in absolute value, fits
-    in it, else Python ints."""
+    entry by entry in column order.  big bounds |a| and |b| over a whole
+    layer step, so its blocks share one type: A and B are int64 if a sum
+    of dim products, at most 3 dim big layer.big, fits, else Python ints."""
     reps = layer.lengths[k]
     item = np.repeat(np.arange(len(k)), reps)
     entry = np.arange(len(item)) + np.repeat(layer.starts[k] - (np.cumsum(reps) - reps), reps)
-    num = _int64_or_object(3 * len(layer.lengths) * _largest(a, b) * layer.big)
+    num = _int64_or_object(3 * len(layer.lengths) * big * layer.big)
     a, b = a.astype(num, copy=False)[item], b.astype(num, copy=False)[item]
     ea, eb = layer.a.astype(num, copy=False)[entry], layer.b.astype(num, copy=False)[entry]
     return item, layer.rows[entry], a * ea + 2 * b * eb, a * eb + b * ea
@@ -182,11 +196,11 @@ def _products(k: np.ndarray, a: np.ndarray, b: np.ndarray, layer: LayerArrays):
 class Layer:
     """Orthogonal matrix over Q(sqrt(2)), stored as sparse columns.
 
-    The constructor takes cols[j], the (row, entry) pairs of column j, at
-    most one per row, and keeps them only in qsqrt2's integer form,
-    int_arrays(): one denominator D shared by the whole layer and each
-    entry as (A + B sqrt(2)) / D, so sums of products need no per-step
-    normalization.  int_cols() is a list read once from those arrays; cols
+    The constructor takes cols[j], the (row, entry) pairs of column j,
+    each row 0..dim-1 at most once, and keeps them only in qsqrt2's
+    integer form, int_arrays(): one denominator D shared by the whole
+    layer and each entry as (A + B sqrt(2)) / D, so sums of products need
+    no per-step normalization.  int_cols() is a list read once from those arrays; cols
     reads the QSqrt2 entries back from them.
     Orthogonality (U^T U = I) is checked exactly on demand; algorithm
     construction rejects non-orthogonal layers.
@@ -204,6 +218,10 @@ class Layer:
             e = int(np.flatnonzero((rows < 0) | (rows >= dim))[0])
             c = int(np.searchsorted(np.cumsum(lengths), e, side="right"))
             raise ValueError(f"column {c}: row {rows[e]} out of range 0..{dim - 1}")
+        cells = np.sort(np.repeat(np.arange(dim, dtype=np.int64), lengths) * dim + rows)
+        if len(twice := np.flatnonzero(cells[1:] == cells[:-1])):
+            c, r = divmod(int(cells[twice[0]]), dim)
+            raise ValueError(f"column {c}: row {r} given twice")
         try:
             ab = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
         except OverflowError:  # an entry outgrows int64
@@ -254,10 +272,10 @@ class Layer:
         Builds M^T M for the integer matrix M = D U from the rows of M:
         each row adds the products of every pair of its nonzeros, keyed
         i * dim + j for its columns i <= j.  Rows of one length share one
-        triu_indices table; at most _GRAM_CHUNK pairs (or one row) are
-        multiplied out and summed per key at once (_summed), and the
-        chunk sums are summed per key again.  U is orthogonal iff
-        M^T M = D^2 I with no sqrt(2) part.
+        triu_indices table, and at most _GRAM_CHUNK pairs (or one row)
+        are multiplied out at once; _folded sums them per key, block by
+        block, and keeps the nonzero sums.  U is orthogonal iff those are
+        exactly the dim diagonal keys, each D^2 with no sqrt(2) part.
         """
         D, lengths, _, rows, a, b, big = self.int_arrays()
         dim = self.dim
@@ -269,33 +287,23 @@ class Layer:
         a, b = a.astype(num, copy=False)[order], b.astype(num, copy=False)[order]
         per_row = np.bincount(rows, minlength=dim)
         row_start = np.cumsum(per_row) - per_row
-        parts, held, folded = [], 0, 0
-        for length in sorted(set(per_row.tolist()) - {0}):
-            p, q = np.triu_indices(length)
-            starts = row_start[per_row == length, None]
-            step = max(1, _GRAM_CHUNK // len(p))
-            for s in range(0, len(starts), step):
-                ip, iq = (starts[s:s + step] + p).ravel(), (starts[s:s + step] + q).ravel()
-                keys = col[ip] * dim + col[iq]
-                parts.append(_summed(
-                    keys, a[ip] * a[iq] + 2 * b[ip] * b[iq], a[ip] * b[iq] + b[ip] * a[iq]
-                ))
-                held += len(parts[-1][0])
-                # Fold the chunk sums once they outgrow the folded sums, so
-                # dense rows hold about twice the Gram's nonzeros at most.
-                if held - folded > max(_GRAM_CHUNK, folded):
-                    parts = [_summed(*map(np.concatenate, zip(*parts)))]
-                    held = folded = len(parts[0][0])
-        if not parts:
-            return dim == 0
-        keys, sum_a, sum_b = _summed(*map(np.concatenate, zip(*parts)))
-        i, j = np.divmod(keys, dim)
-        diagonal = i == j
+
+        def blocks():
+            for length in sorted(set(per_row.tolist()) - {0}):
+                p, q = np.triu_indices(length)
+                starts = row_start[per_row == length, None]
+                step = max(1, _GRAM_CHUNK // len(p))
+                for s in range(0, len(starts), step):
+                    ip, iq = (starts[s:s + step] + p).ravel(), (starts[s:s + step] + q).ravel()
+                    a_ip, b_ip, a_iq, b_iq = a[ip], b[ip], a[iq], b[iq]
+                    yield col[ip] * dim + col[iq], a_ip * a_iq + 2 * b_ip * b_iq, a_ip * b_iq + b_ip * a_iq
+
+        keys, sum_a, sum_b = _folded(blocks(), _GRAM_CHUNK)
         return (
-            int(np.count_nonzero(diagonal)) == dim
+            len(keys) == dim
+            and bool(np.all(keys // dim == keys % dim))
+            and bool(np.all(sum_a == d2))
             and not np.any(sum_b != 0)
-            and bool(np.all(sum_a[diagonal] == d2))
-            and not np.any(sum_a[~diagonal] != 0)
         )
 
     def compose(self, inner: "Layer") -> "Layer":
@@ -313,12 +321,10 @@ class Layer:
         dim = self.dim
         outer = self.int_arrays()
         inner_arrays = inner.int_arrays()
-        e, row, A, B = _products(inner_arrays.rows, inner_arrays.a, inner_arrays.b, outer)
+        e, row, A, B = _products(inner_arrays.rows, inner_arrays.a, inner_arrays.b, outer, inner_arrays.big)
         c = np.repeat(np.arange(dim, dtype=np.int64), inner_arrays.lengths)[e]
-        keys, sum_a, sum_b = _summed(c * dim + row, A, B)
-        keep = (sum_a != 0) | (sum_b != 0)
-        col, rows = np.divmod(keys[keep], dim)
-        a, b = sum_a[keep], sum_b[keep]
+        keys, a, b = _summed(c * dim + row, A, B)
+        col, rows = np.divmod(keys, dim)
         D = outer.D * inner_arrays.D
         common = math.gcd(D, *a.tolist(), *b.tolist())
         if common > 1:

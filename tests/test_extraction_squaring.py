@@ -198,11 +198,57 @@ def test_squaring_over_a_small_budget_matches_the_reference(name, budget, monkey
     assert_split_within_budget(gram_blocks)
 
 
-def test_squaring_of_the_dumped_mixer_over_a_small_budget(dumped_mixer8, monkeypatch, gram_blocks):
+@pytest.fixture
+def product_blocks(monkeypatch) -> list:
+    """(rows, products) of every block of amplitude rows that _layer_rows
+    multiplies out (_products), in call order."""
+    blocks = []
+    products = polymethod._products
+
+    def recording(k, a, b, layer, big):
+        result = products(k, a, b, layer, big)
+        blocks.append((len(k), len(result[0])))
+        return result
+
+    monkeypatch.setattr(polymethod, "_products", recording)
+    return blocks
+
+
+def assert_layers_within_budget(blocks, layers: int):
+    """More product blocks than layers, so some layer was split, and no
+    block past the budget in products unless it holds one row."""
+    assert len(blocks) > layers
+    for rows, products in blocks:
+        assert rows == 1 or products <= polymethod._GRAM_BUDGET
+
+
+@pytest.mark.parametrize("budget", [4, 200])
+@pytest.mark.parametrize("name", list(CHUNKED))
+def test_propagation_over_a_small_budget_matches_the_reference(name, budget, monkeypatch, product_blocks):
+    alg = CHUNKED[name]()
+    monkeypatch.setattr(polymethod, "_GRAM_BUDGET", budget)
+    assert_same_propagation(alg)
+    assert_layers_within_budget(product_blocks, len(alg.layers))
+    assert_same_terms(extract_polynomial(alg), square_accepting_reference(*propagate_reference(alg)))
+
+
+def test_squaring_of_the_dumped_mixer_over_a_small_budget(dumped_mixer8, monkeypatch, gram_blocks, product_blocks):
     alg, poly = dumped_mixer8
     monkeypatch.setattr(polymethod, "_GRAM_BUDGET", 1 << 11)
-    assert_same_terms(extract_polynomial(alg), poly)
+    got = extract_polynomial(alg)
+    assert_same_terms(got, poly)
+    assert list(got.terms) == list(poly.terms)
     assert_split_within_budget(gram_blocks)
+    assert_layers_within_budget(product_blocks, len(alg.layers))
+
+
+def test_each_layer_of_the_dumped_mixer_is_one_block(dumped_mixer8, product_blocks):
+    """At the default budget every layer of two_query_mixer(8) fits one
+    block, so its extraction sums each layer once."""
+    alg, _ = dumped_mixer8
+    _propagate(alg)
+    assert len(product_blocks) == len(alg.layers)
+    assert max(products for _, products in product_blocks) <= polymethod._GRAM_BUDGET
 
 
 @pytest.mark.parametrize("name", list(CIRCUITS))

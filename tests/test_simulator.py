@@ -318,6 +318,20 @@ def test_a_row_outside_the_layer_is_refused_at_construction():
         Layer(3, [[], [(0, QSqrt2(1)), (1, QSqrt2(1))], [(2, QSqrt2(1)), (3, QSqrt2(1))]])
 
 
+def test_a_row_given_twice_in_a_column_is_refused_at_construction():
+    """Column 0 below is the zero vector, (1) + (-1) in row 0, yet the
+    orthogonality check read it as a unit column, since its Gram triangle
+    counted x^2 + xy + y^2 where the entry gives (x + y)^2; the algorithm
+    then died in run with a changed squared norm."""
+    with pytest.raises(ValueError, match="^column 0: row 0 given twice$"):
+        Layer(2, [[(0, QSqrt2(1)), (0, QSqrt2(-1))], [(1, QSqrt2(1))]])
+    # the first repeated cell in column-major order is named, not the first seen
+    with pytest.raises(ValueError, match="^column 1: row 0 given twice$"):
+        Layer(3, [[(0, QSqrt2(1))], [(2, QSqrt2(1)), (0, QSqrt2(1)), (0, QSqrt2(1))],
+                  [(1, QSqrt2(1)), (2, QSqrt2(1)), (1, QSqrt2(1))]])
+    Layer(2, [[(1, QSqrt2(1)), (0, QSqrt2(1))], [(0, QSqrt2(1))]])  # rows out of order are fine
+
+
 @pytest.mark.parametrize("target", [0, -1, 5, 9])
 def test_accept_if_first_is_refuses_a_target_outside_the_alphabet(target):
     with pytest.raises(ValueError, match=f"target {target} outside the alphabet 1..4"):
